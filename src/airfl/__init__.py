@@ -8,7 +8,7 @@ against independent Monte-Carlo oracles at desk scale.
 """
 
 from .specfun import Accuracy, erf, erfc, exp_integral_ei, heaviside
-from .channel import ChannelDraw, EstimationModel, RngStream, draw_channel, is_active, pathloss_amplitude
+from .channel import ChannelDraw, EstimationModel, draw_channel, is_active, pathloss_amplitude
 from .aircomp import (
     AggregationOutcome,
     PowerConfig,
@@ -55,7 +55,6 @@ __all__ = [
     "LearningConstants",
     "ObjectiveCoefficients",
     "PowerConfig",
-    "RngStream",
     "SweepResult",
     "SystemConfig",
     "ThresholdSolution",

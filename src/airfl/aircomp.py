@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelDraw, RngStream, is_active
+from .channel import ChannelDraw, is_active
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -150,7 +150,7 @@ def aggregate(
     gamma_th: float,
     rho: float,
     cfg: PowerConfig,
-    rng: RngStream | np.random.Generator | None,
+    rng: np.random.Generator | None,
 ) -> AggregationOutcome:
     """One over-the-air aggregation of K device gradients.
 
@@ -198,8 +198,7 @@ def aggregate(
     if cfg.sigma2 > 0.0:
         if rng is None:
             raise ValueError("rng required when sigma2 > 0")
-        gen = rng.generator if isinstance(rng, RngStream) else rng
-        noise = gen.standard_normal(dim) * (math.sqrt(cfg.sigma2) / (_SQRT2 * zeta))
+        noise = rng.standard_normal(dim) * (math.sqrt(cfg.sigma2) / (_SQRT2 * zeta))
         g_hat = g_hat + noise
     else:
         noise = np.zeros(dim)

@@ -14,7 +14,7 @@ probability is exp(-gamma_th).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,31 +52,6 @@ class ChannelDraw:
     alpha: float
 
 
-@dataclass
-class RngStream:
-    """Deterministic random stream keyed by (seed, stream_id).
-
-    Identical keys reproduce bit-identical draw sequences.  Backed by
-    numpy's PCG64 through SeedSequence(seed, spawn_key=(stream_id,)); the
-    normal generator (ziggurat standard_normal) is fixed by numpy's stream
-    compatibility policy, so seeds reproduce across runs.
-    """
-
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._gen = substream(self.seed, self.stream_id)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
-    def normals(self, n: int) -> np.ndarray:
-        return self._gen.standard_normal(n)
-
-
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Child generator for a layered purpose key, independent per key."""
     if not key:
@@ -100,7 +75,7 @@ def pathloss_amplitude(d: float, alpha: float) -> float:
 
 
 def draw_channel(
-    model: EstimationModel, d: float, rng: RngStream | np.random.Generator
+    model: EstimationModel, d: float, gen: np.random.Generator
 ) -> ChannelDraw:
     """Draw (h, h_hat, v) jointly for one device at distance d.
 
@@ -110,7 +85,6 @@ def draw_channel(
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise ValueError(f"distance must be positive and finite, got {d}")
-    gen = rng.generator if isinstance(rng, RngStream) else rng
     z = gen.standard_normal(4) * _INV_SQRT2
     h_hat = complex(z[0], z[1])
     v = complex(z[2], z[3])

@@ -8,35 +8,42 @@ truncation threshold; `sweep-threshold` trains across a threshold grid; and
 
 Every command accepts `--config` (key=value file; a previously written
 manifest is itself a valid config and replays the run bit-identically),
-`--seed`, `--trials`, `--out`, `--format csv`, and `--jobs`.  Grid and mode
-knobs that have no dedicated flag travel as dotted config keys, e.g.
+`--seed`, `--trials`, `--out`, and `--jobs`.  Grid and mode knobs that have
+no dedicated flag travel as dotted config keys, e.g.
 `verify_xi.rhos = 0.5,0.8`, `sweep.gammas = 0.05,...`, `run.mode = ideal`.
+
+Each gate prints one verdict line, `PASS name: <numbers> z=... limit=...
+margin=...` (deterministic gates print no z).  Exit status: 0 when every
+gate passes, 1 when one FAILs, 2 on bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import SystemConfig, load_config, resolve, resolved_to_config
 from .fltrain import train
 from .harness import (
+    Gate,
     SweepResult,
     cdf_pdf_consistency,
     convergence_report,
+    divergence_gates,
     k_slope_scan,
     mc_joint_distribution_check,
     mc_weight_divergence,
     mc_xi_moments,
+    pdf_gates,
     pdf_normalization,
     report,
     sweep_threshold,
-    write_csv,
-    write_manifest,
+    verdict_lines,
+    xi_gates,
 )
 from .optimizer import coefficients_from_system, optimal_threshold
 
@@ -48,323 +55,129 @@ _SWEEP_GAMMAS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.5, 3.0)
 _SCAN_KS = (5, 10, 20, 40)
 
 
-def _load(args) -> tuple[SystemConfig, dict[str, str]]:
-    if args.config:
-        cfg, extras = load_config(args.config)
-    else:
-        cfg, extras = SystemConfig(), {}
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    return cfg, extras
+class Outcome(NamedTuple):
+    """What a command computed, before anything is printed or written."""
+
+    tables: dict[str, SweepResult | tuple]  # CSV stem -> table
+    gates: list[Gate]
+    lines: list[str]  # printed after the verdict lines
+    meta: dict[str, object]
+    extras: dict[str, str]  # defaults of the extras keys the command read
+    cfg: SystemConfig  # the config that replays the run
 
 
-def _float_list(text: str | None) -> list[float] | None:
-    if text is None:
-        return None
-    return [float(p) for p in (s.strip() for s in text.split(",")) if p]
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    trials: int | None  # default --trials; None when the command takes none
+    compute: Callable[[SystemConfig, dict[str, str], int], Outcome]
+    manifest: str  # writes <manifest>_manifest.txt
 
 
-def _str_list(text: str | None) -> list[str] | None:
-    if text is None:
-        return None
-    return [p for p in (s.strip() for s in text.split(",")) if p]
+def _str_list(extras: dict[str, str], key: str, default) -> list[str]:
+    text = extras.get(key)
+    parts = [] if text is None else [p for p in (s.strip() for s in text.split(",")) if p]
+    return parts or [str(d) for d in default]
 
 
-def _emit_checks(checks: list[tuple[str, bool, str]]) -> tuple[bool, list[str]]:
-    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
-    for line in lines:
-        print(line)
-    return all(ok for _, ok, _ in checks), lines
+def _float_list(extras: dict[str, str], key: str, default) -> list[float]:
+    return [float(p) for p in _str_list(extras, key, default)]
 
 
-# ---------------------------------------------------------------------------
-# verify-xi
+def _joined(values) -> str:
+    return ",".join(repr(v) for v in values)
 
 
-def _cmd_verify_xi(args) -> int:
-    cfg, extras = _load(args)
-    n = cfg.trials if cfg.trials is not None else 10**6
-    rhos = _float_list(extras.get("verify_xi.rhos")) or list(_XI_RHOS)
-    gammas = _float_list(extras.get("verify_xi.gammas")) or list(_XI_GAMMAS)
-
-    rows = []
-    checks = []
-    for rho in rhos:
-        for gamma in gammas:
-            r = mc_xi_moments(rho, gamma, n, cfg.seed)
-            mean_ok = abs(r.mean - 1.0) <= 4.0 * r.se_mean
-            var_ok = abs(r.variance - r.variance_closed) <= 4.0 * r.se_var
-            rel = abs(r.variance - r.variance_closed) / r.variance_closed
-            rel_ok = r.variance_closed <= 0.1 or rel < 0.02
-            cell = f"rho={rho:g} gamma={gamma:g}"
-            checks.append(
-                (
-                    f"xi_mean[{cell}]",
-                    mean_ok,
-                    f"mean={r.mean:.6f} se={r.se_mean:.2e}",
-                )
-            )
-            checks.append(
-                (
-                    f"xi_var[{cell}]",
-                    var_ok and rel_ok,
-                    f"mc={r.variance:.6f} closed={r.variance_closed:.6f} "
-                    f"se={r.se_var:.2e} rel={rel:.4f}",
-                )
-            )
-            rows.append(
-                (
-                    rho,
-                    gamma,
-                    n,
-                    r.mean,
-                    r.se_mean,
-                    r.variance,
-                    r.se_var,
-                    r.variance_closed,
-                    r.active_fraction,
-                    r.active_expected,
-                )
-            )
-
-    result = SweepResult(
-        columns=(
-            "rho",
-            "gamma_th",
-            "n_samples",
-            "mean_mc",
-            "mean_se",
-            "var_mc",
-            "var_se",
-            "var_closed",
-            "active_fraction",
-            "active_expected",
-        ),
-        rows=rows,
+def _verify_xi(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
+    rhos = _float_list(extras, "verify_xi.rhos", _XI_RHOS)
+    gammas = _float_list(extras, "verify_xi.gammas", _XI_GAMMAS)
+    n = cfg.trials
+    results = [mc_xi_moments(rho, gamma, n, cfg.seed) for rho in rhos for gamma in gammas]
+    table = SweepResult(
+        columns=("rho", "gamma_th", "n_samples", "mean_mc", "mean_se", "var_mc", "var_se",
+                 "var_closed", "active_fraction", "active_expected"),
+        rows=[
+            (r.rho, r.gamma_th, n, r.mean, r.se_mean, r.variance, r.se_var, r.variance_closed,
+             r.active_fraction, r.active_expected)
+            for r in results
+        ],
         meta={"n_samples": n},
     )
-    ok, lines = _emit_checks(checks)
-    if args.out:
-        extras_out = dict(extras)
-        extras_out.setdefault("verify_xi.rhos", ",".join(repr(r) for r in rhos))
-        extras_out.setdefault("verify_xi.gammas", ",".join(repr(g) for g in gammas))
-        report(
-            result,
-            args.out,
-            "verify_xi",
-            replace(cfg, trials=n),
-            command="verify-xi",
-            extras=extras_out,
-            notes=lines,
-        )
-    return 0 if ok else 1
+    extras_used = {"verify_xi.rhos": _joined(rhos), "verify_xi.gammas": _joined(gammas)}
+    return Outcome({"verify_xi": table}, xi_gates(results), [], table.meta, extras_used, cfg)
 
 
-# ---------------------------------------------------------------------------
-# verify-pdf
+def _centers(lo: float, hi: float, bins: int) -> np.ndarray:
+    edges = np.linspace(lo, hi, bins + 1)
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
-def _cmd_verify_pdf(args) -> int:
-    cfg, extras = _load(args)
-    n = cfg.trials if cfg.trials is not None else 10**7
-    t_range = tuple(_float_list(extras.get("verify_pdf.t_range")) or _PDF_T_RANGE)
-    g_range = tuple(_float_list(extras.get("verify_pdf.gamma_range")) or _PDF_GAMMA_RANGE)
+def _verify_pdf(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
+    t_range = tuple(_float_list(extras, "verify_pdf.t_range", _PDF_T_RANGE))
+    g_range = tuple(_float_list(extras, "verify_pdf.gamma_range", _PDF_GAMMA_RANGE))
     bins = int(extras.get("verify_pdf.bins", 40))
     tail_gamma = float(extras.get("verify_pdf.tail_gamma", 1.0))
-
-    result = mc_joint_distribution_check(g_range, t_range, n, cfg.seed, bins=bins, tail_gamma=tail_gamma)
-    tv = result.meta["tv_distance"]
+    result = mc_joint_distribution_check(
+        g_range, t_range, cfg.trials, cfg.seed, bins=bins, tail_gamma=tail_gamma
+    )
     norm = pdf_normalization()
-    t_centers = 0.5 * (np.linspace(*t_range, bins + 1)[:-1] + np.linspace(*t_range, bins + 1)[1:])
-    g_centers = 0.5 * (np.linspace(*g_range, bins + 1)[:-1] + np.linspace(*g_range, bins + 1)[1:])
-    fd_worst = cdf_pdf_consistency(t_centers, g_centers)
-    result.meta["pdf_normalization"] = norm
-    result.meta["cdf_pdf_fd_worst"] = fd_worst
-
-    p_tail = result.meta["tail_prob_mc"]
-    se_tail = result.meta["tail_prob_se"]
-    p_exp = result.meta["tail_prob_expected"]
-    m2 = result.meta["cond_m2_mc"]
-    m2_se = result.meta["cond_m2_se"]
-    m2_exp = result.meta["cond_m2_expected"]
-    checks = [
-        ("pdf_tv_distance", tv < 0.02, f"tv={tv:.5f} limit=0.02 n={n}"),
-        ("pdf_normalization", abs(norm - 1.0) <= 1e-6, f"integral={norm!r}"),
-        ("cdf_pdf_consistency", fd_worst <= 1e-4, f"worst_abs_err={fd_worst:.3e} limit=1e-4"),
-        (
-            "truncation_tail",
-            abs(p_tail - p_exp) <= 4.0 * se_tail,
-            f"mc={p_tail:.6f} expected={p_exp:.6f} se={se_tail:.2e}",
-        ),
-        (
-            "conditional_second_moment",
-            abs(m2 - m2_exp) <= 4.0 * m2_se,
-            f"mc={m2:.6f} expected={m2_exp:.6f} se={m2_se:.2e}",
-        ),
-    ]
-    ok, lines = _emit_checks(checks)
-    if args.out:
-        extras_out = dict(extras)
-        extras_out.setdefault("verify_pdf.t_range", ",".join(repr(t) for t in t_range))
-        extras_out.setdefault("verify_pdf.gamma_range", ",".join(repr(g) for g in g_range))
-        extras_out.setdefault("verify_pdf.bins", str(bins))
-        extras_out.setdefault("verify_pdf.tail_gamma", repr(tail_gamma))
-        report(
-            result,
-            args.out,
-            "verify_pdf",
-            replace(cfg, trials=n),
-            command="verify-pdf",
-            extras=extras_out,
-            notes=lines,
-        )
-    return 0 if ok else 1
+    fd_worst = cdf_pdf_consistency(_centers(*t_range, bins), _centers(*g_range, bins))
+    meta = {**result.meta, "pdf_normalization": norm, "cdf_pdf_fd_worst": fd_worst}
+    extras_used = {
+        "verify_pdf.t_range": _joined(t_range),
+        "verify_pdf.gamma_range": _joined(g_range),
+        "verify_pdf.bins": str(bins),
+        "verify_pdf.tail_gamma": repr(tail_gamma),
+    }
+    gates = pdf_gates(result, norm, fd_worst)
+    return Outcome({"verify_pdf": result}, gates, [], meta, extras_used, cfg)
 
 
-# ---------------------------------------------------------------------------
-# verify-divergence
-
-
-def _cmd_verify_divergence(args) -> int:
-    cfg, extras = _load(args)
-    n = cfg.trials if cfg.trials is not None else 10**5
+def _verify_divergence(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
     do_scan = extras.get("verify_divergence.k_scan", "1") not in ("0", "false", "no")
     scan_trials = int(extras.get("verify_divergence.scan_trials", 4000))
-    scan_ks = [int(k) for k in (_str_list(extras.get("verify_divergence.scan_ks")) or _SCAN_KS)]
+    scan_ks = [int(k) for k in _str_list(extras, "verify_divergence.scan_ks", _SCAN_KS)]
 
-    result = mc_weight_divergence(cfg, n, jobs=args.jobs)
-    mc = result.column("divergence_mc")[0]
-    se = result.column("divergence_se")[0]
-    exact = result.column("divergence_exact")[0]
-    bound = result.column("divergence_bound")[0]
-    checks = [
-        (
-            "divergence_exact_4se",
-            abs(mc - exact) <= 4.0 * se,
-            f"mc={mc:.6e} exact={exact:.6e} se={se:.2e} bound={bound:.6e}",
-        )
-    ]
-    ok, lines = _emit_checks(checks)
-
-    scan = None
+    result = mc_weight_divergence(cfg, cfg.trials, jobs=jobs)
+    tables = {"verify_divergence": result}
+    meta = dict(result.meta)
+    lines = []
     if do_scan:
-        scan = k_slope_scan(cfg, ks=tuple(scan_ks), n_trials=scan_trials, jobs=args.jobs)
-        info = (
+        scan = k_slope_scan(cfg, ks=tuple(scan_ks), n_trials=scan_trials, jobs=jobs)
+        tables["verify_divergence_kscan"] = scan
+        meta.update({f"kscan_{k}": v for k, v in scan.meta.items()})
+        lines.append(
             f"INFO k_scaling: fitted_slope={scan.meta['fitted_slope']:.3f} "
             f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope=-2.0 "
             f"supported={scan.meta['supported_scaling']}"
         )
-        print(info)
-        lines = lines + [info]
-
-    if args.out:
-        exp = resolve(cfg)
-        cfg_pinned = replace(resolved_to_config(exp), trials=n)
-        extras_out = dict(extras)
-        extras_out.setdefault("verify_divergence.k_scan", "1" if do_scan else "0")
-        extras_out.setdefault("verify_divergence.scan_trials", str(scan_trials))
-        extras_out.setdefault("verify_divergence.scan_ks", ",".join(str(k) for k in scan_ks))
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        main_csv = out / "verify_divergence.csv"
-        write_csv(main_csv, result.columns, result.rows)
-        csv_paths = [main_csv]
-        meta = dict(result.meta)
-        if scan is not None:
-            scan_csv = out / "verify_divergence_kscan.csv"
-            write_csv(scan_csv, scan.columns, scan.rows)
-            csv_paths.append(scan_csv)
-            meta.update({f"kscan_{k}": v for k, v in scan.meta.items()})
-        write_manifest(
-            out / "verify_divergence_manifest.txt",
-            cfg_pinned,
-            extras_out,
-            "verify-divergence",
-            csv_paths,
-            meta,
-            notes=lines,
-        )
-    return 0 if ok else 1
+    extras_used = {
+        "verify_divergence.k_scan": "1" if do_scan else "0",
+        "verify_divergence.scan_trials": str(scan_trials),
+        "verify_divergence.scan_ks": ",".join(str(k) for k in scan_ks),
+    }
+    pinned = resolved_to_config(resolve(cfg))
+    return Outcome(tables, divergence_gates(result), lines, meta, extras_used, pinned)
 
 
-# ---------------------------------------------------------------------------
-# optimize-threshold
-
-
-def _cmd_optimize_threshold(args) -> int:
-    cfg, extras = _load(args)
+def _optimize_threshold(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
     exp = resolve(cfg)
     coef = coefficients_from_system(exp.rho, exp.power_config(1.0))
-    solutions = [optimal_threshold(coef, mode="joint"), optimal_threshold(coef, mode="communication_oriented")]
-    if coef.k1 > 0.0:
-        solutions.append(optimal_threshold(coef, mode="computation_oriented"))
-
-    print(f"k1 = {coef.k1!r}")
-    print(f"k2 = {coef.k2!r}")
-    rows = []
-    for sol in solutions:
-        print(
-            f"{sol.mode}: gamma = {sol.gamma_star!r}  h = {sol.h_value!r}  "
-            f"h' = {sol.derivative_residual:.3e}  iterations = {sol.iterations}"
-        )
-        rows.append(
-            (sol.mode, sol.gamma_star, sol.h_value, sol.derivative_residual, sol.iterations, coef.k1, coef.k2)
-        )
-
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "optimize_threshold.csv"
-        write_csv(
-            csv_path,
-            ("mode", "gamma_th", "h_value", "derivative_residual", "iterations", "k1", "k2"),
-            rows,
-        )
-        write_manifest(
-            out / "optimize_threshold_manifest.txt",
-            resolved_to_config(exp),
-            extras,
-            "optimize-threshold",
-            [csv_path],
-            {"k1": coef.k1, "k2": coef.k2},
-        )
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep-threshold
-
-
-def _cmd_sweep_threshold(args) -> int:
-    cfg, extras = _load(args)
-    gammas = _float_list(extras.get("sweep.gammas")) or list(_SWEEP_GAMMAS)
-    default_modes = ["joint", "communication_oriented", "computation_oriented", "fixed"]
-    if cfg.rho == 1.0:
-        default_modes.remove("computation_oriented")
-    modes = _str_list(extras.get("sweep.modes")) or default_modes
-    n_seeds = int(extras.get("sweep.seeds", 3))
-
-    result = sweep_threshold(cfg, gammas, modes=tuple(modes), n_seeds=n_seeds, jobs=args.jobs)
-    for row in result.rows:
-        cells = ", ".join(f"{c}={_round_for_print(v)}" for c, v in zip(result.columns, row))
-        print(cells)
-
-    if args.out:
-        extras_out = dict(extras)
-        extras_out.setdefault("sweep.gammas", ",".join(repr(g) for g in gammas))
-        extras_out.setdefault("sweep.modes", ",".join(modes))
-        extras_out.setdefault("sweep.seeds", str(n_seeds))
-        report(
-            result,
-            args.out,
-            "sweep_threshold",
-            cfg,
-            command="sweep-threshold",
-            extras=extras_out,
-        )
-    return 0
+    modes = ["joint", "communication_oriented"] + (["computation_oriented"] if coef.k1 > 0.0 else [])
+    solutions = [optimal_threshold(coef, mode=mode) for mode in modes]
+    lines = [f"k1 = {coef.k1!r}", f"k2 = {coef.k2!r}"] + [
+        f"{sol.mode}: gamma = {sol.gamma_star!r}  h = {sol.h_value!r}  "
+        f"h' = {sol.derivative_residual:.3e}  iterations = {sol.iterations}"
+        for sol in solutions
+    ]
+    table = (
+        ("mode", "gamma_th", "h_value", "derivative_residual", "iterations", "k1", "k2"),
+        [(s.mode, s.gamma_star, s.h_value, s.derivative_residual, s.iterations, coef.k1, coef.k2)
+         for s in solutions],
+    )
+    meta = {"k1": coef.k1, "k2": coef.k2}
+    return Outcome({"optimize_threshold": table}, [], lines, meta, {}, resolved_to_config(exp))
 
 
 def _round_for_print(v) -> str:
@@ -373,94 +186,86 @@ def _round_for_print(v) -> str:
     return str(v)
 
 
-# ---------------------------------------------------------------------------
-# train
+def _sweep_threshold(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
+    gammas = _float_list(extras, "sweep.gammas", _SWEEP_GAMMAS)
+    default_modes = ["joint", "communication_oriented", "computation_oriented", "fixed"]
+    if cfg.rho == 1.0:
+        default_modes.remove("computation_oriented")
+    modes = _str_list(extras, "sweep.modes", default_modes)
+    n_seeds = int(extras.get("sweep.seeds", 3))
+
+    result = sweep_threshold(cfg, gammas, modes=tuple(modes), n_seeds=n_seeds, jobs=jobs)
+    lines = [
+        ", ".join(f"{c}={_round_for_print(v)}" for c, v in zip(result.columns, row))
+        for row in result.rows
+    ]
+    extras_used = {"sweep.gammas": _joined(gammas), "sweep.modes": ",".join(modes), "sweep.seeds": str(n_seeds)}
+    return Outcome({"sweep_threshold": result}, [], lines, result.meta, extras_used, cfg)
 
 
-def _cmd_train(args) -> int:
-    cfg, extras = _load(args)
+def _train(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
     mode = extras.get("run.mode", "aircomp")
     trace = train(cfg, mode=mode)
     exp = resolve(cfg)
-
     last = trace.records[-1]
-    print(f"mode = {mode}")
+    lines = [f"mode = {mode}"]
     if trace.gamma_th is not None:
-        print(f"gamma_th = {trace.gamma_th!r}")
-        print(f"g_bound = {trace.g_bound!r}")
-    print(f"final_loss = {last.loss!r}")
-    print(f"final_accuracy = {last.accuracy!r}")
-    print(f"mean_divergence_sq = {trace.mean_divergence_sq!r}")
-    print(f"skipped_rounds = {trace.skipped_rounds}")
+        lines += [f"gamma_th = {trace.gamma_th!r}", f"g_bound = {trace.g_bound!r}"]
+    meta: dict[str, object] = {
+        "final_loss": last.loss,
+        "final_accuracy": last.accuracy,
+        "mean_divergence_sq": trace.mean_divergence_sq,
+        "skipped_rounds": trace.skipped_rounds,
+    }
+    lines += [f"{key} = {meta[key]!r}" for key in meta]
     conv = convergence_report(cfg, trace)
     if conv is not None:
-        print("convergence bound with estimated constants (not a certificate):")
-        for key, value in conv.items():
-            print(f"  {key} = {value!r}")
-
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "train_trace.csv"
-        rows = [
-            (
-                r.round_index,
-                r.loss,
-                r.accuracy,
-                r.divergence_sq,
-                r.grad_spread_sq,
-                r.active_count,
-                int(r.skipped),
-            )
-            for r in trace.records
-        ]
-        write_csv(
-            csv_path,
-            ("round", "loss", "accuracy", "divergence_sq", "grad_spread_sq", "active_count", "skipped"),
-            rows,
-        )
-        extras_out = dict(extras)
-        extras_out.setdefault("run.mode", mode)
-        meta: dict[str, object] = {
-            "final_loss": last.loss,
-            "final_accuracy": last.accuracy,
-            "mean_divergence_sq": trace.mean_divergence_sq,
-            "skipped_rounds": trace.skipped_rounds,
-        }
-        if conv is not None:
-            meta.update(conv)
-        write_manifest(
-            out / "train_manifest.txt",
-            resolved_to_config(exp, g_bound=trace.g_bound),
-            extras_out,
-            "train",
-            [csv_path],
-            meta,
-        )
-    return 0
+        lines.append("convergence bound with estimated constants (not a certificate):")
+        lines += [f"  {key} = {value!r}" for key, value in conv.items()]
+        meta.update(conv)
+    table = (
+        ("round", "loss", "accuracy", "divergence_sq", "grad_spread_sq", "active_count", "skipped"),
+        [(r.round_index, r.loss, r.accuracy, r.divergence_sq, r.grad_spread_sq, r.active_count,
+          int(r.skipped)) for r in trace.records],
+    )
+    pinned = resolved_to_config(exp, g_bound=trace.g_bound)
+    return Outcome({"train_trace": table}, [], lines, meta, {"run.mode": mode}, pinned)
 
 
-# ---------------------------------------------------------------------------
-# entry point
-
-
-_COMMANDS = (
-    ("verify-xi", _cmd_verify_xi, "Monte-Carlo check of the aggregation-coefficient moments"),
-    ("verify-pdf", _cmd_verify_pdf, "Monte-Carlo and quadrature check of the joint (x, y) law"),
-    ("verify-divergence", _cmd_verify_divergence, "frozen-gradient weight-divergence check"),
-    ("optimize-threshold", _cmd_optimize_threshold, "solve for the truncation threshold"),
-    ("sweep-threshold", _cmd_sweep_threshold, "train across a threshold grid and optimizer modes"),
-    ("train", _cmd_train, "run one federated training experiment"),
+COMMANDS = (
+    Command("verify-xi", "Monte-Carlo check of the aggregation-coefficient moments",
+            10**6, _verify_xi, "verify_xi"),
+    Command("verify-pdf", "Monte-Carlo and quadrature check of the joint (x, y) law",
+            10**7, _verify_pdf, "verify_pdf"),
+    Command("verify-divergence", "frozen-gradient weight-divergence check",
+            10**5, _verify_divergence, "verify_divergence"),
+    Command("optimize-threshold", "solve for the truncation threshold",
+            None, _optimize_threshold, "optimize_threshold"),
+    Command("sweep-threshold", "train across a threshold grid and optimizer modes",
+            None, _sweep_threshold, "sweep_threshold"),
+    Command("train", "run one federated training experiment", None, _train, "train"),
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file (a written manifest replays its run)")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--trials", type=int, default=None, help="override the sample/trial count")
-    p.add_argument("--out", default=None, help="directory for CSV and manifest output")
-    p.add_argument("--format", choices=("csv",), default="csv", help="output format")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+def _run(cmd: Command, args) -> int:
+    cfg, extras = load_config(args.config) if args.config else (SystemConfig(), {})
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.trials is not None:
+        cfg = replace(cfg, trials=args.trials)
+    if cfg.trials is None and cmd.trials is not None:
+        cfg = replace(cfg, trials=cmd.trials)
+
+    out = cmd.compute(cfg, extras, args.jobs)
+    lines = verdict_lines(out.gates) + out.lines
+    for line in lines:
+        print(line)
+    if args.out:
+        extras_out = dict(extras)
+        for key, value in out.extras.items():
+            extras_out.setdefault(key, value)
+        report(out.tables, args.out, cmd.manifest, out.cfg, cmd.name, extras_out, out.meta, lines)
+    return 0 if all(g.passed for g in out.gates) else 1
 
 
 def main(argv=None) -> int:
@@ -469,14 +274,18 @@ def main(argv=None) -> int:
         description="over-the-air federated learning: closed forms vs Monte Carlo",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_text in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.set_defaults(func=fn)
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.add_argument("--config", help="key=value config file (a written manifest replays its run)")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--trials", type=int, default=None, help="override the sample/trial count")
+        p.add_argument("--out", default=None, help="directory for CSV and manifest output")
+        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        p.set_defaults(cmd=cmd)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+        return _run(args.cmd, args)
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

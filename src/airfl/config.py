@@ -35,6 +35,8 @@ STREAM_MC_DIVERGENCE = 10
 
 _TASKS = ("synthetic_logistic", "small_mlp")
 _G_MODES = ("calibrated", "fixed", "genie")
+# the closed forms carry e^(2 gamma_th), which must stay a finite double
+_MAX_GAMMA_TH = 0.5 * math.log(np.finfo(float).max)
 _UNIFORM_RE = re.compile(r"^uniform\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\]$")
 
 
@@ -109,6 +111,10 @@ class SystemConfig:
                 raise ValueError(f"symbolic gamma_th must be 'optimize', got {self.gamma_th!r}")
         elif not (self.gamma_th > 0.0 and math.isfinite(self.gamma_th)):
             raise ValueError(f"gamma_th must be positive and finite, got {self.gamma_th}")
+        elif self.gamma_th > _MAX_GAMMA_TH:
+            raise ValueError(
+                f"gamma_th = {self.gamma_th} overflows e^(2 gamma_th); it must not exceed {_MAX_GAMMA_TH:.2f}"
+            )
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (self.p_max > 0.0 and math.isfinite(self.p_max)):

@@ -4,7 +4,9 @@ Every closed form in the package has a sampling counterpart here: coefficient
 moments, the joint law behind the variance derivation, and the frozen-gradient
 weight divergence.  Comparisons follow the 4-standard-error rule, so each
 estimator also returns its standard error; results are tabulated as
-SweepResult and written as CSV plus a replayable run manifest.
+SweepResult and written as CSV plus a replayable run manifest.  Verdicts
+are Gate records built from the results by xi_gates, pdf_gates and
+divergence_gates, shared by the CLI and the acceptance suite.
 
 Trials are keyed by per-trial RNG streams, so a parallel run (jobs > 1)
 merges to the exact same numbers as a serial one.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -108,6 +111,85 @@ class SweepResult:
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
+
+
+_GATE_KINDS = ("z", "abs", "rel", "tv")
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One verdict: an estimate against its reference under a limit.
+
+    kind 'z' is the 4-standard-error rule, |estimate - reference| <= limit * se;
+    'abs' is |estimate - reference| <= limit; 'rel' is
+    |estimate - reference| / |reference| < limit; 'tv' is a distance,
+    |estimate - reference| < limit.  Only a 'z' gate carries an se.  A NaN
+    estimate fails every kind; detail says what was measured.
+    """
+
+    name: str
+    estimate: float
+    reference: float
+    se: float | None
+    limit: float
+    kind: str = "z"
+    detail: str = ""
+
+    def __post_init__(self) -> None:
+        if self.kind not in _GATE_KINDS:
+            raise ValueError(f"gate kind must be one of {_GATE_KINDS}, got {self.kind!r}")
+        if (self.se is None) == (self.kind == "z"):
+            raise ValueError("a 'z' gate needs an se and no other kind takes one")
+
+    @property
+    def deviation(self) -> float:
+        """|estimate - reference| in the gate's unit (SEs for 'z')."""
+        gap = abs(self.estimate - self.reference)
+        if self.kind == "z":
+            return gap / self.se if self.se > 0.0 else (0.0 if gap == 0.0 else math.inf)
+        if self.kind == "rel":
+            return gap / abs(self.reference)
+        return gap
+
+    @property
+    def z(self) -> float | None:
+        return self.deviation if self.kind == "z" else None
+
+    @property
+    def margin(self) -> float:
+        return self.limit - self.deviation
+
+    @property
+    def passed(self) -> bool:
+        gap = abs(self.estimate - self.reference)
+        if self.kind == "z":
+            return gap <= self.limit * self.se
+        if self.kind == "abs":
+            return gap <= self.limit
+        return self.deviation < self.limit
+
+    def summary(self) -> str:
+        if self.kind == "z":
+            tail = f"z={self.z:.2f} limit={self.limit:g} margin={self.margin:.2f}"
+        else:
+            tail = f"limit={self.limit:g} margin={self.margin:.3g}"
+        return f"{self.detail} {tail}" if self.detail else tail
+
+
+def verdict_lines(gates) -> list[str]:
+    """One `PASS name: ...` or `FAIL name: ...` line per gate name.
+
+    Gates sharing a name (a cell's z-score and relative checks) make one
+    line that passes only when all of them pass.
+    """
+    by_name: dict[str, list[Gate]] = {}
+    for g in gates:
+        by_name.setdefault(g.name, []).append(g)
+    return [
+        f"{'PASS' if all(g.passed for g in group) else 'FAIL'} {name}: "
+        + "; ".join(g.summary() for g in group)
+        for name, group in by_name.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -208,6 +290,32 @@ def mc_xi_moments(
         se_active=math.sqrt(p_act * (1.0 - p_act) / n),
         active_expected=math.exp(-gamma_th),
     )
+
+
+def xi_gates(
+    results, limit: float = 4.0, rel_limit: float = 0.02, rel_floor: float = 0.1
+) -> list[Gate]:
+    """Per cell: the mean against 1 and the variance against the closed form
+    at `limit` SEs; where the closed variance exceeds rel_floor the variance
+    must also sit within rel_limit of it."""
+    gates = []
+    for r in results:
+        cell = f"rho={r.rho:g} gamma={r.gamma_th:g}"
+        gates.append(
+            Gate(f"xi_mean[{cell}]", r.mean, 1.0, r.se_mean, limit,
+                 detail=f"mean={r.mean:.6f} se={r.se_mean:.2e}")
+        )
+        gates.append(
+            Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, r.se_var, limit,
+                 detail=f"mc={r.variance:.6f} closed={r.variance_closed:.6f} se={r.se_var:.2e}")
+        )
+        if r.variance_closed > rel_floor:
+            rel = abs(r.variance - r.variance_closed) / r.variance_closed
+            gates.append(
+                Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, None, rel_limit,
+                     kind="rel", detail=f"rel={rel:.4f}")
+            )
+    return gates
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +568,45 @@ def cdf_pdf_consistency(
     return worst
 
 
+def pdf_gates(
+    result: SweepResult,
+    norm: float,
+    fd_worst: float,
+    tv_limit: float = 0.02,
+    norm_tol: float = 1e-6,
+    fd_tol: float = 1e-4,
+    limit: float = 4.0,
+) -> list[Gate]:
+    """Gates of the joint-law check: binned total variation, density
+    normalization, CDF/density consistency, and the tail probability and
+    conditional second moment at `limit` SEs.  A tail too thin to estimate
+    the conditional moment fails that gate."""
+    meta = result.meta
+    tv = meta["tv_distance"]
+    p_tail, se_tail, p_exp = meta["tail_prob_mc"], meta["tail_prob_se"], meta["tail_prob_expected"]
+    m2_exp = conditional_second_moment(meta["tail_gamma"], 0.0)
+    if "cond_m2_mc" in meta:
+        m2, m2_se = meta["cond_m2_mc"], meta["cond_m2_se"]
+        m2_detail = f"mc={m2:.6f} expected={m2_exp:.6f} se={m2_se:.2e}"
+    else:
+        m2 = m2_se = math.nan
+        m2_detail = (
+            f"fewer than 2 of {meta['n_samples']} samples cleared "
+            f"tail_gamma={meta['tail_gamma']!r}; cannot estimate"
+        )
+    return [
+        Gate("pdf_tv_distance", tv, 0.0, None, tv_limit, kind="tv",
+             detail=f"tv={tv:.5f} n={meta['n_samples']}"),
+        Gate("pdf_normalization", norm, 1.0, None, norm_tol, kind="abs",
+             detail=f"integral={norm!r}"),
+        Gate("cdf_pdf_consistency", fd_worst, 0.0, None, fd_tol, kind="abs",
+             detail=f"worst_abs_err={fd_worst:.3e}"),
+        Gate("truncation_tail", p_tail, p_exp, se_tail, limit,
+             detail=f"mc={p_tail:.6f} expected={p_exp:.6f} se={se_tail:.2e}"),
+        Gate("conditional_second_moment", m2, m2_exp, m2_se, limit, detail=m2_detail),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # frozen-gradient weight divergence
 
@@ -502,16 +649,22 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     return div, skips
 
 
+def _pool_size(jobs: int, n_items: int) -> int:
+    """Worker processes for n_items tasks: at most jobs and the host's CPUs."""
+    return max(1, min(jobs, n_items, os.cpu_count() or 1))
+
+
 def _trial_chunks(n: int, jobs: int) -> list[tuple[int, int]]:
-    size = -(-n // max(jobs, 1))
+    size = -(-n // _pool_size(jobs, n))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _pmap(fn, items, jobs: int) -> list:
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = _pool_size(jobs, len(items))
+    if workers == 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -531,7 +684,7 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
     exp, grads, power = _frozen_setup(cfg)
-    chunks = [(cfg, lo, hi) for lo, hi in _trial_chunks(n_trials, max(jobs, 1))]
+    chunks = [(cfg, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)]
     results = _pmap(_divergence_trials, chunks, jobs)
     div = np.concatenate([r[0] for r in results])
     skips = np.concatenate([r[1] for r in results])
@@ -578,6 +731,18 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
         rows=[row],
         meta=meta,
     )
+
+
+def divergence_gates(result: SweepResult, limit: float = 4.0) -> list[Gate]:
+    """The Monte-Carlo divergence against its exact expectation at `limit`
+    SEs; the a-priori bound travels in the detail, not in the verdict."""
+    return [
+        Gate("divergence_exact_4se", row["divergence_mc"], row["divergence_exact"],
+             row["divergence_se"], limit,
+             detail=f"mc={row['divergence_mc']:.6e} exact={row['divergence_exact']:.6e} "
+             f"se={row['divergence_se']:.2e} bound={row['divergence_bound']:.6e}")
+        for row in (dict(zip(result.columns, r)) for r in result.rows)
+    ]
 
 
 def _basis_gradients(k_devices: int, d_model: int) -> list[np.ndarray]:
@@ -642,7 +807,7 @@ def k_slope_scan(
     for k in ks:
         chunks = [
             (base, k, d_model, distance, lo, hi)
-            for lo, hi in _trial_chunks(n_trials, max(jobs, 1))
+            for lo, hi in _trial_chunks(n_trials, jobs)
         ]
         results = _pmap(_slope_trials, chunks, jobs)
         div = np.concatenate([r[0] for r in results])
@@ -938,27 +1103,35 @@ def write_manifest(
 
 
 def report(
-    result: SweepResult,
+    tables: dict[str, SweepResult | tuple],
     out_dir,
     name: str,
     cfg: SystemConfig,
     command: str,
     extras: dict[str, str] | None = None,
+    meta: dict[str, object] | None = None,
     notes=(),
 ) -> dict[str, Path]:
-    """Write a SweepResult as <name>.csv plus <name>_manifest.txt.
+    """Write each table as <stem>.csv plus one <name>_manifest.txt.
 
-    The manifest's key=value body is a loadable config that replays the run
-    bit-identically; its comment lines record the command, a git-style blob
-    hash of the config body and of each CSV, the meta summaries, and any
-    caller notes (gate verdicts, for instance).
+    tables maps a CSV stem to a SweepResult or, for a deterministic table,
+    a plain (columns, rows) pair.  The manifest's key=value body is a
+    loadable config that replays the run bit-identically; its comment lines
+    record the command, a git-style blob hash of the config body and of
+    each CSV, the meta summaries, and any caller notes (gate verdicts, for
+    instance).  Returns the path of each CSV by stem, and of the manifest
+    under "manifest".
     """
-    if not result.rows:
-        raise ValueError("empty result; nothing to report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{name}.csv"
-    write_csv(csv_path, result.columns, result.rows)
+    paths: dict[str, Path] = {}
+    for stem, table in tables.items():
+        columns, rows = (table.columns, table.rows) if isinstance(table, SweepResult) else table
+        if not rows:
+            raise ValueError(f"{stem}: empty result; nothing to report")
+        paths[stem] = out / f"{stem}.csv"
+        write_csv(paths[stem], columns, rows)
     manifest_path = out / f"{name}_manifest.txt"
-    write_manifest(manifest_path, cfg, extras or {}, command, [csv_path], result.meta, notes)
-    return {"csv": csv_path, "manifest": manifest_path}
+    write_manifest(manifest_path, cfg, extras or {}, command, list(paths.values()), meta or {}, notes)
+    paths["manifest"] = manifest_path
+    return paths

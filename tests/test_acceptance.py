@@ -20,13 +20,17 @@ from airfl.cli import main as cli_main
 from airfl.config import SystemConfig, TrainConfig, config_to_kv
 from airfl.fltrain import train
 from airfl.harness import (
+    Gate,
     cdf_pdf_consistency,
+    divergence_gates,
     k_slope_scan,
     mc_conditional_second_moment,
     mc_joint_distribution_check,
     mc_weight_divergence,
     mc_xi_moments,
+    pdf_gates,
     pdf_normalization,
+    xi_gates,
 )
 from airfl.optimizer import (
     ObjectiveCoefficients,
@@ -62,29 +66,25 @@ def xi_grid():
 
 
 def test_criterion_01_coefficient_unbiasedness(xi_grid):
-    worst_z, worst_cell = 0.0, None
-    for cell, r in xi_grid.items():
-        z = abs(r.mean - 1.0) / r.se_mean
-        if z > worst_z:
-            worst_z, worst_cell = z, cell
+    gates = [g for g in xi_gates(xi_grid.values(), limit=4.0) if g.name.startswith("xi_mean")]
+    worst = max(gates, key=lambda g: g.z)
     verdict(
         1,
-        worst_z <= 4.0,
-        f"mean of the effective coefficient over 16 cells at n=1e6: "
-        f"worst |mean-1|/se = {worst_z:.2f} at (rho,gamma)={worst_cell} (limit 4)",
+        all(g.passed for g in gates),
+        f"mean of the effective coefficient over {len(gates)} cells at n=1e6: "
+        f"worst |mean-1|/se = {worst.z:.2f} at {worst.name} (limit 4)",
     )
 
 
 def test_criterion_02_coefficient_variance(xi_grid):
-    worst_z = 0.0
-    worst_rel = 0.0
-    for r in xi_grid.values():
-        worst_z = max(worst_z, abs(r.variance - r.variance_closed) / r.se_var)
-        if r.variance_closed > 0.1:
-            worst_rel = max(
-                worst_rel, abs(r.variance - r.variance_closed) / r.variance_closed
-            )
-    ok = worst_z <= 4.0 and worst_rel < 0.02
+    gates = [
+        g
+        for g in xi_gates(xi_grid.values(), limit=4.0, rel_limit=0.02, rel_floor=0.1)
+        if g.name.startswith("xi_var")
+    ]
+    worst_z = max(g.z for g in gates if g.kind == "z")
+    worst_rel = max(g.deviation for g in gates if g.kind == "rel")
+    ok = all(g.passed for g in gates)
     verdict(
         2,
         ok,
@@ -104,7 +104,9 @@ def test_criterion_03_joint_density():
     fd_worst = cdf_pdf_consistency(
         0.5 * (edges_t[:-1] + edges_t[1:]), 0.5 * (edges_g[:-1] + edges_g[1:])
     )
-    ok = tv < 0.02 and abs(norm - 1.0) <= 1e-6 and fd_worst <= 1e-4
+    gates = pdf_gates(res, norm, fd_worst, tv_limit=0.02, norm_tol=1e-6, fd_tol=1e-4)
+    checked = ("pdf_tv_distance", "pdf_normalization", "cdf_pdf_consistency")
+    ok = all(g.passed for g in gates if g.name in checked)
     verdict(
         3,
         ok,
@@ -114,8 +116,7 @@ def test_criterion_03_joint_density():
 
 
 def test_criterion_04_conditional_second_moment():
-    worst_z, worst_cell = 0.0, None
-    cells = 0
+    gates = []
     for i, rho in enumerate(RHOS):
         if rho == 1.0:
             # the centering offset c divides by sqrt(1 - rho^2); under perfect
@@ -124,15 +125,13 @@ def test_criterion_04_conditional_second_moment():
         for j, gamma in enumerate(GAMMAS):
             c = xi_mean_offset(gamma, rho)
             r = mc_conditional_second_moment(gamma, c, 10**6, seed=SEED + 31 * i + j)
-            z = abs(r.estimate - r.expected) / r.se
-            cells += 1
-            if z > worst_z:
-                worst_z, worst_cell = z, (rho, gamma)
+            gates.append(Gate(f"(rho,gamma)={(rho, gamma)}", r.estimate, r.expected, r.se, 4.0))
+    worst = max(gates, key=lambda g: g.z)
     verdict(
         4,
-        worst_z <= 4.0,
-        f"conditional second moment on {cells} cells (rho < 1): "
-        f"worst |mc-closed|/se = {worst_z:.2f} at (rho,gamma)={worst_cell} (limit 4)",
+        all(g.passed for g in gates),
+        f"conditional second moment on {len(gates)} cells (rho < 1): "
+        f"worst |mc-closed|/se = {worst.z:.2f} at {worst.name} (limit 4)",
     )
 
 
@@ -146,18 +145,11 @@ def test_criterion_05_weight_divergence():
         ("K=20", replace(base, k_devices=20), 6_000),
         ("p_max=0.01", replace(base, p_max=0.01), 6_000),
     ]
-    worst_z, worst_name = 0.0, None
+    gates = {}
     for name, cfg, trials in configs:
-        res = mc_weight_divergence(cfg, trials)
-        row = dict(zip(res.columns, res.rows[0]))
-        z = abs(row["divergence_mc"] - row["divergence_exact"]) / row["divergence_se"]
-        print(
-            f"INFO divergence[{name}]: mc={row['divergence_mc']:.6e} "
-            f"exact={row['divergence_exact']:.6e} bound={row['divergence_bound']:.6e} "
-            f"z={z:.2f} n={trials}"
-        )
-        if z > worst_z:
-            worst_z, worst_name = z, name
+        (gates[name],) = divergence_gates(mc_weight_divergence(cfg, trials), limit=4.0)
+        print(f"INFO divergence[{name}]: {gates[name].summary()} n={trials}")
+    worst_name = max(gates, key=lambda name: gates[name].z)
     scan = k_slope_scan(base, ks=(5, 10, 20, 40), n_trials=1200)
     print(
         f"INFO k_scaling: fitted_slope={scan.meta['fitted_slope']:.3f} "
@@ -166,9 +158,9 @@ def test_criterion_05_weight_divergence():
     )
     verdict(
         5,
-        worst_z <= 4.0,
+        all(g.passed for g in gates.values()),
         f"frozen-gradient divergence, defaults plus 5 perturbations: worst "
-        f"|mc-exact|/se = {worst_z:.2f} at {worst_name} (limit 4); bound printed "
+        f"|mc-exact|/se = {gates[worst_name].z:.2f} at {worst_name} (limit 4); bound printed "
         f"alongside; fitted K-slope {scan.meta['fitted_slope']:.2f} (informational)",
     )
 

@@ -11,7 +11,6 @@ import oracles
 from airfl.channel import (
     ChannelDraw,
     EstimationModel,
-    RngStream,
     draw_channel,
     draw_channel_block,
     is_active,
@@ -44,18 +43,6 @@ class TestSubstream:
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=2**20))
     def test_streams_are_pure_functions_of_the_key(self, seed, stream):
         assert substream(seed, stream).integers(1 << 30) == substream(seed, stream).integers(1 << 30)
-
-
-class TestRngStream:
-    def test_reproducible(self):
-        assert np.array_equal(RngStream(7, 3).normals(5), RngStream(7, 3).normals(5))
-
-    def test_matches_substream(self):
-        assert np.array_equal(RngStream(7, 3).normals(5), substream(7, 3).standard_normal(5))
-
-    def test_generator_property(self):
-        s = RngStream(7, 3)
-        assert isinstance(s.generator, np.random.Generator)
 
 
 class TestEstimationModel:
@@ -106,12 +93,6 @@ class TestDrawChannel:
         model = EstimationModel(rho=0.8, alpha=3.0)
         draw = draw_channel(model, 42.0, substream(11, 6))
         assert draw.d == 42.0 and draw.alpha == 3.0
-
-    def test_accepts_rngstream_wrapper(self):
-        model = EstimationModel(rho=0.8, alpha=2.2)
-        a = draw_channel(model, 10.0, RngStream(11, 6))
-        b = draw_channel(model, 10.0, substream(11, 6))
-        assert a.h_hat == b.h_hat and a.v == b.v
 
     def test_rejects_bad_distance(self):
         model = EstimationModel(rho=0.8, alpha=2.2)

@@ -1,6 +1,11 @@
 """Command-line harness: gates, outputs, and manifest replay."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from airfl.cli import main
 from airfl.config import SystemConfig, TrainConfig, config_to_kv
@@ -49,6 +54,21 @@ class TestParsing:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_threshold_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "hot.cfg"
+        cfg_path.write_text("gamma_th = 800\n")
+        rc = main(["verify-divergence", "--config", str(cfg_path), "--trials", "1000"])
+        assert rc == 2
+        assert "gamma_th" in capsys.readouterr().err
+
+    def test_arithmetic_error_exits_2(self, tmp_path, capsys):
+        # 10^(4000/10) W overflows while the noise power is converted
+        cfg_path = tmp_path / "loud.cfg"
+        cfg_path.write_text("sigma2_dbm = 4000\n")
+        rc = main(["optimize-threshold", "--config", str(cfg_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestVerifyXi:
     def test_single_cell_gate_and_replay(self, tmp_path, capsys):
@@ -77,6 +97,29 @@ class TestVerifyXi:
         rc = main(["verify-xi", "--config", str(manifest), "--out", str(out2)])
         assert rc == 0
         assert (out2 / "verify_xi.csv").read_bytes() == csv1.read_bytes()
+
+
+class TestVerifyPdf:
+    def test_empty_tail_fails_the_moment_gate(self, tmp_path, capsys):
+        cfg_path = write_cfg(
+            tmp_path / "pdf.cfg",
+            SystemConfig(),
+            {
+                "verify_pdf.t_range": "-2.0,2.0",
+                "verify_pdf.gamma_range": "-2.0,-0.2",
+                "verify_pdf.bins": "2",
+                "verify_pdf.tail_gamma": "25",
+            },
+        )
+        out = tmp_path / "run"
+        rc = main(["verify-pdf", "--config", cfg_path, "--trials", "1000000", "--out", str(out)])
+        assert rc == 1
+        printed = capsys.readouterr().out
+        (line,) = [l for l in printed.splitlines() if "conditional_second_moment" in l]
+        assert line.startswith("FAIL conditional_second_moment: ")
+        assert "cannot estimate" in line
+        assert "PASS pdf_tv_distance" in printed
+        assert (out / "verify_pdf.csv").exists()
 
 
 class TestVerifyDivergence:
@@ -169,3 +212,77 @@ class TestTrain:
         printed = capsys.readouterr().out
         assert "mode = ideal" in printed
         assert "gamma_th" not in printed
+
+
+# Tiny sizes so that every drawn command finishes in a fraction of a second.
+_BASE_CFG = {
+    "k_devices": "3",
+    "train.rounds_m": "2",
+    "train.batch_size": "4",
+    "train.data_per_device": "8",
+    "train.n_features": "3",
+    "train.test_size": "20",
+    "verify_xi.rhos": "0.8",
+    "verify_xi.gammas": "0.5",
+    "verify_divergence.scan_trials": "1000",
+    "verify_divergence.scan_ks": "2,3",
+    "sweep.gammas": "0.1,0.2,0.3,0.5,0.8,1.0,2.0,3.0",
+    "sweep.modes": "communication_oriented",
+}
+_CFG_VALUES = {
+    "k_devices": ["1", "2", "0", "-3", "x"],
+    "rho": ["0.5", "1.0", "1e-200", "0", "1.5", "nan"],
+    "gamma_th": ["0.5", "optimize", "1e-300", "300", "354.8", "800", "-1", "inf"],
+    "alpha": ["2.2", "400", "0", "inf"],
+    "p_max": ["0.1", "1e-300", "1e300", "-1"],
+    "sigma2_dbm": ["-40", "4000", "-4000", "nan"],
+    "eta": ["0.005", "1e300", "0"],
+    "distances": ["uniform(0,500]", "uniform(5,1]", "10,20,30", "1e-300,1,2", "10", "a,b"],
+    "g_bound": ["calibrate", "2.0", "1e-300", "0"],
+    "g_mode": ["calibrated", "fixed", "genie", "other"],
+    "train.task": ["synthetic_logistic", "small_mlp", "mnist"],
+    "train.label_skew": ["0.0", "0.9", "1.0"],
+    "train.blob_separation": ["2.5", "1e300"],
+    "verify_xi.rhos": ["0.8", "1.0,0.5", ",", "abc", "2"],
+    "verify_xi.gammas": ["0.5", "1e-300", "700", "-1"],
+    "verify_divergence.k_scan": ["0", "1", "maybe"],
+    "verify_divergence.scan_ks": ["2,3", "0,1", "-1,2", "3", "x"],
+    "verify_divergence.scan_trials": ["1000", "10", "x"],
+    "sweep.modes": ["communication_oriented", "joint", "bogus"],
+    "sweep.seeds": ["3", "2", "x"],
+    "sweep.gammas": ["0.1", "800,1,2,3,4,5,6,7"],
+    "run.mode": ["aircomp", "ideal", "other"],
+}
+# per command, trial counts below, at and just above its minimum
+_TRIALS = {
+    "verify-xi": ["-1", "10", "10000"],
+    "verify-divergence": ["0", "10", "1000"],
+    "optimize-threshold": ["1000"],
+    "sweep-threshold": ["1000"],
+    "train": ["1000"],
+}
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_TRIALS)))
+    keys = draw(st.lists(st.sampled_from(sorted(_CFG_VALUES)), unique=True, max_size=3))
+    cfg = {**_BASE_CFG, **{k: draw(st.sampled_from(_CFG_VALUES[k])) for k in keys}}
+    flags = ["--trials", draw(st.sampled_from(_TRIALS[command])), "--jobs", "1"]
+    seed = draw(st.none() | st.integers(min_value=-5, max_value=2**40))
+    if seed is not None:
+        flags += ["--seed", str(seed)]
+    return command, cfg, flags, draw(st.booleans())
+
+
+class TestNoTraceback:
+    @given(_invocations())
+    def test_main_returns_an_exit_code(self, invocation):
+        command, cfg, flags, write = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "run.cfg"
+            cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+            argv = [command, "--config", str(cfg_path), *flags]
+            if write:
+                argv += ["--out", str(Path(tmp) / "out")]
+            assert main(argv) in (0, 1, 2)

@@ -75,6 +75,7 @@ class TestSystemConfigValidation:
             {"g_bound": 0.0},
             {"g_mode": "adaptive"},
             {"trials": 0},
+            {"gamma_th": 800.0},  # e^(2 gamma_th) overflows a double
         ],
     )
     def test_rejects(self, kw):
@@ -85,6 +86,7 @@ class TestSystemConfigValidation:
         SystemConfig(gamma_th="optimize")
         SystemConfig(k_devices=2, distances=(10.0, 500.0))
         SystemConfig(g_bound=1.5, g_mode="fixed")
+        SystemConfig(gamma_th=354.0)
 
 
 class TestResolve:

@@ -10,10 +10,13 @@ import oracles
 from airfl.analysis import conditional_second_moment, xi_variance
 from airfl.config import SystemConfig, TrainConfig, load_config
 from airfl.harness import (
+    Gate,
     SweepResult,
     _git_blob_sha1,
+    _pool_size,
     cdf_pdf_consistency,
     convergence_report,
+    divergence_gates,
     k_slope_scan,
     mc_conditional_second_moment,
     mc_joint_distribution_check,
@@ -23,7 +26,9 @@ from airfl.harness import (
     read_sweep_csv,
     report,
     sweep_threshold,
+    verdict_lines,
     write_csv,
+    xi_gates,
 )
 from airfl.fltrain import train
 
@@ -96,6 +101,84 @@ class TestXiMoments:
     def test_perfect_csi_cell(self):
         res = mc_xi_moments(1.0, 1.0, 50_000, seed=4)
         assert abs(res.variance - math.expm1(1.0)) <= 4.0 * res.se_var
+
+
+class TestGate:
+    def test_z_gate_at_its_limit(self):
+        g = Gate("cell", 1.5, 1.0, 0.125, 4.0)
+        assert g.passed and g.z == 4.0 and g.margin == 0.0
+        assert not Gate("cell", 1.5 + 1e-12, 1.0, 0.125, 4.0).passed
+
+    def test_abs_is_inclusive_rel_and_tv_are_strict(self):
+        assert Gate("a", 0.25, 0.0, None, 0.25, kind="abs").passed
+        assert not Gate("t", 0.25, 0.0, None, 0.25, kind="tv").passed
+        assert Gate("t", 0.125, 0.0, None, 0.25, kind="tv").passed
+        assert not Gate("r", 1.25, 1.0, None, 0.25, kind="rel").passed
+        rel = Gate("r", 1.125, 1.0, None, 0.25, kind="rel")
+        assert rel.passed and rel.deviation == 0.125 and rel.margin == 0.125 and rel.z is None
+
+    def test_zero_se_passes_only_an_exact_match(self):
+        assert Gate("c", 1.0, 1.0, 0.0, 4.0).passed
+        assert Gate("c", 1.0, 1.0, 0.0, 4.0).z == 0.0
+        missed = Gate("c", 1.0 + 1e-15, 1.0, 0.0, 4.0)
+        assert not missed.passed and missed.z == math.inf
+
+    @pytest.mark.parametrize("kind", ["z", "abs", "rel", "tv"])
+    def test_nan_estimate_fails(self, kind):
+        se = math.nan if kind == "z" else None
+        assert not Gate("c", math.nan, 1.0, se, 4.0, kind=kind).passed
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="kind"):
+            Gate("c", 1.0, 1.0, None, 4.0, kind="chi2")
+        with pytest.raises(ValueError, match="se"):
+            Gate("c", 1.0, 1.0, None, 4.0)
+        with pytest.raises(ValueError, match="se"):
+            Gate("c", 1.0, 1.0, 0.1, 4.0, kind="abs")
+
+    def test_verdict_lines_merge_gates_of_one_name(self):
+        lines = verdict_lines(
+            [
+                Gate("m", 1.0, 1.0, 0.5, 4.0, detail="mean=1"),
+                Gate("v", 2.0, 1.0, 0.5, 4.0),
+                Gate("v", 2.0, 1.0, None, 0.02, kind="rel", detail="rel=1.0000"),
+            ]
+        )
+        assert lines == [
+            "PASS m: mean=1 z=0.00 limit=4 margin=4.00",
+            "FAIL v: z=2.00 limit=4 margin=2.00; rel=1.0000 limit=0.02 margin=-0.98",
+        ]
+
+    def test_xi_gates_add_the_relative_check_above_the_floor(self):
+        results = [mc_xi_moments(rho, 0.5, 20_000, seed=3) for rho in (0.95, 1.0)]
+        by_name = {}
+        for g in xi_gates(results):
+            by_name.setdefault(g.name, []).append(g.kind)
+        # var_closed is about 0.73 at rho = 0.95 and 0.65 at rho = 1, both above 0.1
+        assert by_name["xi_var[rho=1 gamma=0.5]"] == ["z", "rel"]
+        assert by_name["xi_mean[rho=0.95 gamma=0.5]"] == ["z"]
+        low = xi_gates(results, rel_floor=1.0)
+        assert [g.kind for g in low if g.name.startswith("xi_var")] == ["z", "z"]
+
+    def test_divergence_gate_reads_the_row(self):
+        res = mc_weight_divergence(small_cfg(), n_trials=1000)
+        (gate,) = divergence_gates(res)
+        row = dict(zip(res.columns, res.rows[0]))
+        assert gate.estimate == row["divergence_mc"]
+        assert gate.reference == row["divergence_exact"]
+        assert gate.se == row["divergence_se"]
+        assert gate.name == "divergence_exact_4se" and "bound=" in gate.detail
+
+
+class TestPoolSize:
+    def test_clamped_to_cpus_items_and_one(self, monkeypatch):
+        monkeypatch.setattr("airfl.harness.os.cpu_count", lambda: 2)
+        assert _pool_size(10**6, 10**6) == 2
+        assert _pool_size(8, 1) == 1
+        assert _pool_size(0, 5) == 1
+        assert _pool_size(-3, 5) == 1
+        monkeypatch.setattr("airfl.harness.os.cpu_count", lambda: None)
+        assert _pool_size(4, 4) == 1
 
 
 class TestConditionalMoment:
@@ -328,15 +411,16 @@ class TestCsvAndManifest:
         res = SweepResult(columns=("x", "x_se"), rows=[(1.5, 0.25)], meta={"note": 7})
         cfg = small_cfg()
         paths = report(
-            res,
+            {"unit": res},
             tmp_path,
             "unit",
             cfg,
             command="verify-xi",
             extras={"verify_xi.rhos": "1.0"},
+            meta=res.meta,
             notes=("gate: PASS",),
         )
-        assert paths["csv"].name == "unit.csv"
+        assert paths["unit"].name == "unit.csv"
         assert paths["manifest"].name == "unit_manifest.txt"
 
         text = paths["manifest"].read_text()
@@ -357,11 +441,11 @@ class TestCsvAndManifest:
         assert config_line.split(": ")[1] == _git_blob_sha1(body.encode())
         (output_line,) = [l for l in text.splitlines() if l.startswith("# output: ")]
         recorded = dict(part.split("=", 1) for part in output_line.split() if "=" in part)
-        assert recorded["sha1"] == _git_blob_sha1(paths["csv"].read_bytes())
-        assert int(recorded["bytes"]) == len(paths["csv"].read_bytes())
+        assert recorded["sha1"] == _git_blob_sha1(paths["unit"].read_bytes())
+        assert int(recorded["bytes"]) == len(paths["unit"].read_bytes())
 
     def test_report_rejects_empty_rows(self, tmp_path):
         res = SweepResult(columns=("x", "x_se"), rows=[(1.0, 0.1)])
         res.rows = []
         with pytest.raises(ValueError, match="empty"):
-            report(res, tmp_path, "unit", small_cfg(), command="verify-xi")
+            report({"unit": res}, tmp_path, "unit", small_cfg(), command="verify-xi")
