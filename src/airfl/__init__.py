@@ -8,14 +8,14 @@ against independent Monte-Carlo oracles at desk scale.
 """
 
 from .specfun import Accuracy, erf, erfc, exp_integral_ei, heaviside
-from .channel import ChannelDraw, EstimationModel, draw_channel, is_active, pathloss_amplitude
+from .channel import ChannelDraw, EstimationModel, draw_channel, pathloss_amplitude
 from .aircomp import (
     AggregationOutcome,
     PowerConfig,
     aggregate,
     compensation_lambda,
     dbm_to_watts,
-    effective_xi,
+    effective_coefficients,
     preprocessing_beta,
     scaling_zeta,
 )
@@ -70,13 +70,12 @@ __all__ = [
     "divergence_bound",
     "divergence_exact",
     "draw_channel",
-    "effective_xi",
+    "effective_coefficients",
     "erf",
     "erfc",
     "evaluate",
     "exp_integral_ei",
     "heaviside",
-    "is_active",
     "joint_cdf_xy",
     "joint_pdf_xy",
     "load_config",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelDraw, is_active
+from .channel import ChannelDraw
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -108,22 +108,26 @@ def scaling_zeta(k_devices: int, rho: float, cfg: PowerConfig, gamma_th: float) 
     )
 
 
-def effective_xi(draw: ChannelDraw, gamma_th: float, lam: float) -> float:
-    """Effective aggregation coefficient of one device.
+def effective_coefficients(
+    h: np.ndarray, h_hat: np.ndarray, gamma_th: float, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effective aggregation coefficients and activity mask, elementwise.
 
-    lambda * Re{conj(h) h_hat} / |h_hat|^2 when the estimate clears the
-    truncation threshold, else 0.  Under perfect CSI (h = h_hat) the active
-    value collapses to lambda itself.
+    A device is active when |h_hat|^2 >= gamma_th (the boundary counts as
+    active); its coefficient is lambda * Re{conj(h) h_hat} / |h_hat|^2, and
+    0 when truncated.  Under perfect CSI (h = h_hat) the active value
+    collapses to lambda.  h and h_hat are complex arrays of one shape;
+    returns (xi, active) of that shape.
     """
+    if not (gamma_th > 0.0 and math.isfinite(gamma_th)):
+        raise ValueError(f"gamma_th must be positive and finite, got {gamma_th}")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    if not is_active(draw.h_hat, gamma_th):
-        return 0.0
-    gain = draw.h_hat.real * draw.h_hat.real + draw.h_hat.imag * draw.h_hat.imag
-    if gain == 0.0:
-        raise RuntimeError("active device with zero channel estimate")
-    aligned = draw.h.real * draw.h_hat.real + draw.h.imag * draw.h_hat.imag
-    return lam * aligned / gain
+    gain = h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
+    active = gain >= gamma_th
+    aligned = h.real * h_hat.real + h.imag * h_hat.imag
+    xi = np.divide(lam * aligned, gain, out=np.zeros(gain.shape), where=active)
+    return xi, active
 
 
 def preprocessing_beta(draw: ChannelDraw, zeta: float, lam: float, k_devices: int) -> complex:
@@ -175,34 +179,22 @@ def aggregate(
 
     lam = compensation_lambda(gamma_th, rho)
     zeta = scaling_zeta(k_devices, rho, cfg, gamma_th)
-    xi = np.array([effective_xi(dr, gamma_th, lam) for dr in draws])
-    active_set = [k for k in range(k_devices) if is_active(draws[k].h_hat, gamma_th)]
+    xi, active = effective_coefficients(
+        np.array([dr.h for dr in draws]), np.array([dr.h_hat for dr in draws]), gamma_th, lam
+    )
+    active_set = active.nonzero()[0].tolist()
 
-    if not active_set:
-        zeros = np.zeros(dim)
-        return AggregationOutcome(
-            g_hat=zeros,
-            active_set=[],
-            xi=xi,
-            noise_realization=zeros.copy(),
-            zeta=zeta,
-            lam=lam,
-            skipped=True,
-        )
-
-    g_sum = np.zeros(dim)
-    for k in range(k_devices):
-        g_sum += xi[k] * gradients[k]
-    g_hat = g_sum / k_devices
-
-    if cfg.sigma2 > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma2 > 0")
-        noise = rng.standard_normal(dim) * (math.sqrt(cfg.sigma2) / (_SQRT2 * zeta))
-        g_hat = g_hat + noise
-    else:
-        noise = np.zeros(dim)
-
+    g_hat = np.zeros(dim)
+    noise = np.zeros(dim)
+    if active_set:
+        for k in range(k_devices):
+            g_hat += xi[k] * gradients[k]
+        g_hat /= k_devices
+        if cfg.sigma2 > 0.0:
+            if rng is None:
+                raise ValueError("rng required when sigma2 > 0")
+            noise = rng.standard_normal(dim) * (math.sqrt(cfg.sigma2) / (_SQRT2 * zeta))
+            g_hat += noise
     return AggregationOutcome(
         g_hat=g_hat,
         active_set=active_set,
@@ -210,5 +202,5 @@ def aggregate(
         noise_realization=noise,
         zeta=zeta,
         lam=lam,
-        skipped=False,
+        skipped=not active_set,
     )

@@ -107,10 +107,3 @@ def draw_channel_block(model: EstimationModel, n: int, gen: np.random.Generator)
     h = model.rho * h_hat + math.sqrt(1.0 - model.rho * model.rho) * v
     return h, h_hat, v
 
-
-def is_active(h_hat: complex, gamma_th: float) -> bool:
-    """Truncation test |h_hat|^2 >= gamma_th; the boundary is active."""
-    if not (gamma_th > 0.0 and math.isfinite(gamma_th)):
-        raise ValueError(f"gamma_th must be positive and finite, got {gamma_th}")
-    gain = h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
-    return gain >= gamma_th

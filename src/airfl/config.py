@@ -40,6 +40,14 @@ _MAX_GAMMA_TH = 0.5 * math.log(np.finfo(float).max)
 _UNIFORM_RE = re.compile(r"^uniform\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\]$")
 
 
+def _finite(value) -> bool:
+    """Whether value() evaluates to a finite double without an arithmetic error."""
+    try:
+        return math.isfinite(value())
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training-task knobs; eta and seed are synced from SystemConfig."""
@@ -115,19 +123,27 @@ class SystemConfig:
             raise ValueError(
                 f"gamma_th = {self.gamma_th} overflows e^(2 gamma_th); it must not exceed {_MAX_GAMMA_TH:.2f}"
             )
+        if not _finite(lambda: 1.0 / (self.rho * self.rho)):
+            raise ValueError(f"rho = {self.rho} overflows 1/rho^2")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (self.p_max > 0.0 and math.isfinite(self.p_max)):
             raise ValueError(f"p_max must be positive, got {self.p_max}")
         if not math.isfinite(self.sigma2_dbm):
             raise ValueError(f"sigma2_dbm must be finite, got {self.sigma2_dbm}")
+        if not _finite(lambda: dbm_to_watts(self.sigma2_dbm)):
+            raise ValueError(f"sigma2_dbm = {self.sigma2_dbm} overflows the noise power in watts")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive, got {self.eta}")
         if isinstance(self.distances, str):
-            if _UNIFORM_RE.match(self.distances) is None:
+            match = _UNIFORM_RE.match(self.distances)
+            if match is None:
                 raise ValueError(
                     f"symbolic distances must look like 'uniform(0,500]', got {self.distances!r}"
                 )
+            lo, d_max = (float(g) for g in match.groups())
+            if not (0.0 <= lo < d_max < math.inf):
+                raise ValueError(f"bad distance range ({lo}, {d_max}]")
         else:
             if len(self.distances) != self.k_devices:
                 raise ValueError(
@@ -135,6 +151,12 @@ class SystemConfig:
                 )
             if any(not (d > 0.0 and math.isfinite(d)) for d in self.distances):
                 raise ValueError("distances must be positive and finite")
+            d_max = max(self.distances)
+        if not (_finite(lambda: d_max**self.alpha) and d_max**self.alpha > 0.0):
+            raise ValueError(
+                f"alpha = {self.alpha} takes d_max**alpha = {d_max}**{self.alpha} "
+                "outside the positive finite doubles"
+            )
         if self.g_bound is not None and not (self.g_bound > 0.0 and math.isfinite(self.g_bound)):
             raise ValueError(f"g_bound must be positive, got {self.g_bound}")
         if self.g_mode not in _G_MODES:
@@ -182,8 +204,6 @@ def resolve(cfg: SystemConfig) -> ResolvedExperiment:
     """
     if isinstance(cfg.distances, str):
         lo, hi = (float(g) for g in _UNIFORM_RE.match(cfg.distances).groups())
-        if not (0.0 <= lo < hi):
-            raise ValueError(f"bad distance range ({lo}, {hi}]")
         gen = substream(cfg.seed, STREAM_DISTANCES)
         # hi - u*(hi-lo) with u in [0,1) lands in (lo, hi]: the lower
         # endpoint (zero distance) is excluded, the upper included.

@@ -25,7 +25,13 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import dblquad, quad
 
-from .aircomp import PowerConfig, aggregate, compensation_lambda, dbm_to_watts, scaling_zeta
+from .aircomp import (
+    PowerConfig,
+    compensation_lambda,
+    dbm_to_watts,
+    effective_coefficients,
+    scaling_zeta,
+)
 from .analysis import (
     LearningConstants,
     conditional_second_moment,
@@ -36,7 +42,7 @@ from .analysis import (
     joint_pdf_xy,
     xi_variance,
 )
-from .channel import EstimationModel, draw_channel, draw_channel_block, substream
+from .channel import EstimationModel, draw_channel_block, substream
 from .config import (
     STREAM_INIT,
     STREAM_MC_DIVERGENCE,
@@ -62,6 +68,11 @@ _MIN_XI_SAMPLES = 10_000
 _MIN_JOINT_SAMPLES = 1_000_000
 _MIN_TRIALS = 1_000
 _MASS_CONSISTENCY_TOL = 1e-9  # quadrature vs CDF-rectangle cross-check
+# divergence trials per kernel block: 256 runs as fast as 1,024 and keeps
+# the block's temporaries near 1 MB at K = 40
+_TRIAL_BLOCK = 256
+_BLOCK_FLOATS = 1 << 16  # caps a block's (trials, d) arrays at 512 kB each
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,20 +643,46 @@ def _frozen_setup(cfg: SystemConfig):
 
 
 def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
-    cfg, lo, hi = args
-    exp, grads, power = _frozen_setup(cfg)
-    g_ideal = ideal_aggregate(grads)
+    """Squared divergence and skip flag of trials [lo, hi) over frozen gradients.
+
+    args is (grads of shape (K, d), power, gamma_th, rho, seed, key, lo, hi).
+    Trial t draws from substream(seed, STREAM_MC_DIVERGENCE, *key, t) what
+    K `draw_channel` calls and one `aggregate` would: K x 4 channel normals,
+    then d noise normals if some device is active and sigma2 > 0.  Each trial
+    keeps its own stream and array row, so block and chunk bounds change no bit.
+    """
+    grads, power, gamma_th, rho, seed, key, lo, hi = args
+    k_devices, d_model = grads.shape
+    lam = compensation_lambda(gamma_th, rho)
+    zeta = scaling_zeta(k_devices, rho, power, gamma_th)
+    noise_scale = math.sqrt(power.sigma2) / (math.sqrt(2.0) * zeta)
+    mix = math.sqrt(1.0 - rho * rho)
+    g_ideal = ideal_aggregate(list(grads))
+    block = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
     div = np.empty(hi - lo)
-    skips = np.zeros(hi - lo, dtype=bool)
-    for t in range(lo, hi):
-        gen = substream(exp.seed, STREAM_MC_DIVERGENCE, t)
-        draws = [
-            draw_channel(exp.est, exp.distances[k], gen) for k in range(exp.k_devices)
-        ]
-        out = aggregate(grads, draws, exp.gamma_th, exp.rho, power, gen)
-        diff = out.g_hat - g_ideal
-        div[t - lo] = float(diff @ diff)
-        skips[t - lo] = out.skipped
+    skips = np.empty(hi - lo, dtype=bool)
+    for b_lo in range(lo, hi, block):
+        b_hi = min(b_lo + block, hi)
+        gens = [substream(seed, STREAM_MC_DIVERGENCE, *key, t) for t in range(b_lo, b_hi)]
+        z = np.empty((len(gens), k_devices, 4))
+        for gen, row in zip(gens, z):
+            gen.standard_normal(out=row)
+        # (Re h_hat, Im h_hat, Re v, Im v) per device, as in draw_channel
+        h_hat, v = np.moveaxis((z * _INV_SQRT2).view(np.complex128), -1, 0)
+        xi, active = effective_coefficients(rho * h_hat + mix * v, h_hat, gamma_th, lam)
+        sent = active.any(axis=1)
+        g_hat = np.zeros((len(gens), d_model))
+        for k in range(k_devices):
+            g_hat += xi[:, k : k + 1] * grads[k]
+        g_hat /= k_devices
+        if power.sigma2 > 0.0:
+            for i in np.flatnonzero(sent):
+                g_hat[i] += gens[i].standard_normal(d_model) * noise_scale
+        g_hat[~sent] = 0.0
+        diff = g_hat - g_ideal
+        out = slice(b_lo - lo, b_hi - lo)
+        div[out] = [float(r @ r) for r in diff]
+        skips[out] = ~sent
     return div, skips
 
 
@@ -671,11 +708,13 @@ def _pmap(fn, items, jobs: int) -> list:
 def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> SweepResult:
     """Monte-Carlo E||g_hat - g||^2 with one round's gradients held fixed.
 
-    Freezes the K mini-batch gradients of round zero, then repeats the
-    over-the-air aggregation n_trials times with independent channel and
-    noise draws (per-trial streams, so any jobs split reproduces the serial
-    numbers exactly).  The row reports the MC estimate with its SE next to
-    the exact expectation for those gradients and the a-priori bound.
+    Freezes the K mini-batch gradients of round zero once, then repeats the
+    over-the-air aggregation n_trials times in the block kernel
+    `_divergence_trials`.  Trial t draws its channels and noise from its own
+    stream substream(seed, STREAM_MC_DIVERGENCE, t), so neither the kernel's
+    block size nor the jobs split changes a byte of the serial result.  The
+    row reports the MC estimate with its SE next to the exact expectation
+    for those gradients and the a-priori bound.
 
     Rounds whose active set is empty contribute ||g||^2 and no noise (the
     skipped-round convention); their analytic probability (1 - e^-g)^K is
@@ -684,7 +723,8 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
     exp, grads, power = _frozen_setup(cfg)
-    chunks = [(cfg, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)]
+    frozen = (np.array(grads), power, exp.gamma_th, exp.rho, exp.seed, ())
+    chunks = [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)]
     results = _pmap(_divergence_trials, chunks, jobs)
     div = np.concatenate([r[0] for r in results])
     skips = np.concatenate([r[1] for r in results])
@@ -745,37 +785,8 @@ def divergence_gates(result: SweepResult, limit: float = 4.0) -> list[Gate]:
     ]
 
 
-def _basis_gradients(k_devices: int, d_model: int) -> list[np.ndarray]:
-    grads = []
-    for i in range(k_devices):
-        g = np.zeros(d_model)
-        g[i % d_model] = 1.0
-        grads.append(g)
-    return grads
-
-
-def _slope_trials(args) -> tuple[np.ndarray, np.ndarray]:
-    cfg, k, d_model, distance, lo, hi = args
-    est = EstimationModel(rho=cfg.rho, alpha=cfg.alpha)
-    power = PowerConfig(
-        p_max=cfg.p_max,
-        sigma2=dbm_to_watts(cfg.sigma2_dbm),
-        g_bound=1.0,
-        d_max_alpha=distance**cfg.alpha,
-    )
-    gamma_th = float(cfg.gamma_th)
-    grads = _basis_gradients(k, d_model)
-    g_ideal = ideal_aggregate(grads)
-    div = np.empty(hi - lo)
-    skips = np.zeros(hi - lo, dtype=bool)
-    for t in range(lo, hi):
-        gen = substream(cfg.seed, STREAM_MC_DIVERGENCE, k, t)
-        draws = [draw_channel(est, distance, gen) for _ in range(k)]
-        out = aggregate(grads, draws, gamma_th, cfg.rho, power, gen)
-        diff = out.g_hat - g_ideal
-        div[t - lo] = float(diff @ diff)
-        skips[t - lo] = out.skipped
-    return div, skips
+def _basis_gradients(k_devices: int, d_model: int) -> np.ndarray:
+    return np.eye(d_model)[np.arange(k_devices) % d_model]
 
 
 def k_slope_scan(
@@ -789,36 +800,36 @@ def k_slope_scan(
     """Informational K-scaling of the divergence at unit gradient norms.
 
     Every device transmits a fixed unit-norm gradient from a common
-    distance, so only the fleet size varies across rows; the fitted log-log
-    slope is reported in meta next to the slopes of the exact expression
-    and of the printed bound (-2).  The exact expression's variance term
-    scales as 1/K, its noise term as 1/K^2, so the fit lands between -1
-    and -2 depending on which share dominates.
+    distance, so only the fleet size varies across rows.  Trials run in the
+    same block kernel as mc_weight_divergence, trial t of fleet size K on
+    the stream substream(seed, STREAM_MC_DIVERGENCE, K, t), so neither the
+    block size nor jobs changes a byte.  The fitted log-log slope is
+    reported in meta next to the slopes of the exact expression and of the
+    printed bound (-2).  The exact expression's variance term scales as
+    1/K, its noise term as 1/K^2, so the fit lands between -1 and -2
+    depending on which share dominates.
     """
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
     if len(ks) < 2:
         raise ValueError("need at least two fleet sizes for a slope")
     gamma_th = resolve(cfg).gamma_th
-    base = replace(cfg, gamma_th=gamma_th)
+    power = PowerConfig(
+        p_max=cfg.p_max,
+        sigma2=dbm_to_watts(cfg.sigma2_dbm),
+        g_bound=1.0,
+        d_max_alpha=distance**cfg.alpha,
+    )
     rows = []
     means = []
     exacts = []
     for k in ks:
-        chunks = [
-            (base, k, d_model, distance, lo, hi)
-            for lo, hi in _trial_chunks(n_trials, jobs)
-        ]
-        results = _pmap(_slope_trials, chunks, jobs)
+        frozen = (_basis_gradients(k, d_model), power, gamma_th, cfg.rho, cfg.seed, (k,))
+        chunks = [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)]
+        results = _pmap(_divergence_trials, chunks, jobs)
         div = np.concatenate([r[0] for r in results])
         mean = float(np.mean(div))
         se = float(np.std(div, ddof=1) / math.sqrt(n_trials))
-        power = PowerConfig(
-            p_max=cfg.p_max,
-            sigma2=dbm_to_watts(cfg.sigma2_dbm),
-            g_bound=1.0,
-            d_max_alpha=distance**cfg.alpha,
-        )
         exact = divergence_exact([1.0] * k, k, gamma_th, cfg.rho, power, d_model)
         bound = divergence_bound(k, gamma_th, cfg.rho, power)
         rows.append((k, mean, se, exact, bound))
@@ -850,8 +861,8 @@ _SWEEP_MODES = ("joint", "communication_oriented", "computation_oriented", "fixe
 
 
 def _train_cell(cfg: SystemConfig) -> tuple[float, float, float, float, float]:
-    trace = train(cfg, mode="aircomp")
     exp = resolve(cfg)
+    trace = train(exp, mode="aircomp")
     power = exp.power_config(trace.g_bound)
     bound = divergence_bound(exp.k_devices, exp.gamma_th, exp.rho, power)
     return (

@@ -12,7 +12,7 @@ from airfl.aircomp import (
     aggregate,
     compensation_lambda,
     dbm_to_watts,
-    effective_xi,
+    effective_coefficients,
     preprocessing_beta,
     scaling_zeta,
 )
@@ -86,24 +86,35 @@ class TestScalingZeta:
             scaling_zeta(0, 0.8, DEFAULT_POWER, 0.5)
 
 
+def coefficient(h_hat: complex, gamma_th: float, lam: float, h: complex | None = None) -> float:
+    xi, _ = effective_coefficients(
+        np.array([h_hat if h is None else h]), np.array([h_hat]), gamma_th, lam
+    )
+    return float(xi[0])
+
+
 class TestEffectiveXi:
     def test_truncated_device_contributes_zero(self):
-        draw = make_draw(complex(0.1, 0.0))
-        assert effective_xi(draw, 0.5, 2.0) == 0.0
+        assert coefficient(complex(0.1, 0.0), 0.5, 2.0) == 0.0
 
     def test_perfect_csi_active_equals_lambda(self):
         lam = compensation_lambda(0.5, 1.0)
-        draw = make_draw(complex(1.0, 1.0))
-        assert effective_xi(draw, 0.5, lam) == lam
+        assert coefficient(complex(1.0, 1.0), 0.5, lam) == lam
 
     def test_misaligned_channel(self):
         # h orthogonal to h_hat -> Re{h* h_hat} = 0 -> xi = 0 despite activity
-        draw = make_draw(complex(1.0, 0.0), h=complex(0.0, 1.0))
-        assert effective_xi(draw, 0.5, 2.0) == 0.0
+        assert coefficient(complex(1.0, 0.0), 0.5, 2.0, h=complex(0.0, 1.0)) == 0.0
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
-            effective_xi(make_draw(complex(1.0, 0.0)), 0.5, 0.0)
+            coefficient(complex(1.0, 0.0), 0.5, 0.0)
+
+    def test_elementwise_over_a_block(self):
+        h_hat = np.array([[2.0 + 0j, 0.1 + 0j], [0.5 + 0j, 1.0 + 1.0j]])
+        h = np.array([[1.0 + 1.0j, 2.0 + 0j], [0.5 + 0j, 0.0 + 1.0j]])
+        xi, active = effective_coefficients(h, h_hat, 0.25, 2.0)
+        assert active.tolist() == [[True, False], [True, True]]
+        assert xi.tolist() == [[1.0, 0.0], [2.0, 1.0]]
 
 
 class TestPreprocessingBeta:

@@ -8,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from airfl.aircomp import effective_coefficients
 from airfl.channel import (
     ChannelDraw,
     EstimationModel,
     draw_channel,
     draw_channel_block,
-    is_active,
     pathloss_amplitude,
     substream,
 )
@@ -117,6 +117,11 @@ class TestDrawChannel:
     def test_block_rejects_empty(self):
         with pytest.raises(ValueError):
             draw_channel_block(EstimationModel(rho=1.0, alpha=2.0), 0, substream(1, 1))
+
+
+def is_active(h_hat: complex, gamma_th: float) -> bool:
+    _, active = effective_coefficients(np.array([h_hat]), np.array([h_hat]), gamma_th, 1.0)
+    return bool(active[0])
 
 
 class TestIsActive:

@@ -69,6 +69,17 @@ class TestParsing:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "key, value", [("sigma2_dbm", "4000"), ("alpha", "400"), ("rho", "1e-200")]
+    )
+    def test_overflowing_value_names_its_key(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "extreme.cfg"
+        cfg_path.write_text(f"{key} = {value}\n")
+        rc = main(["optimize-threshold", "--config", str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
 
 class TestVerifyXi:
     def test_single_cell_gate_and_replay(self, tmp_path, capsys):

@@ -76,6 +76,11 @@ class TestSystemConfigValidation:
             {"g_mode": "adaptive"},
             {"trials": 0},
             {"gamma_th": 800.0},  # e^(2 gamma_th) overflows a double
+            {"sigma2_dbm": 4000.0},  # the noise power in watts overflows
+            {"alpha": 400.0},  # d_max**alpha overflows
+            {"rho": 1e-200},  # 1/rho^2 overflows
+            {"distances": "uniform(0,1e-3]", "alpha": 400.0},  # d_max**alpha underflows
+            {"distances": "uniform(5,5]"},  # empty range
         ],
     )
     def test_rejects(self, kw):

@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 
 import oracles
+from airfl import harness
+from airfl.aircomp import PowerConfig, aggregate
 from airfl.analysis import conditional_second_moment, xi_variance
-from airfl.config import SystemConfig, TrainConfig, load_config
+from airfl.channel import EstimationModel, draw_channel, substream
+from airfl.config import STREAM_MC_DIVERGENCE, SystemConfig, TrainConfig, load_config
 from airfl.harness import (
+    _TRIAL_BLOCK,
     Gate,
     SweepResult,
+    _basis_gradients,
+    _divergence_trials,
+    _frozen_setup,
     _git_blob_sha1,
     _pool_size,
     cdf_pdf_consistency,
@@ -30,7 +37,7 @@ from airfl.harness import (
     write_csv,
     xi_gates,
 )
-from airfl.fltrain import train
+from airfl.fltrain import ideal_aggregate, train
 
 SMALL_TRAIN = TrainConfig(
     task="synthetic_logistic",
@@ -308,6 +315,98 @@ class TestKSlopeScan:
         div = res.column("divergence_mc")
         assert div[1] < div[0]
         assert res.column("k_devices") == [5, 20]
+
+
+def scalar_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
+    """Reference for the block kernel: one draw_channel per device and one
+    aggregate per trial, on the trial's own stream."""
+    model = EstimationModel(rho=rho, alpha=2.0)
+    grads = list(grads)
+    g_ideal = ideal_aggregate(grads)
+    div, skips = [], []
+    for t in range(lo, hi):
+        gen = substream(seed, STREAM_MC_DIVERGENCE, *key, t)
+        draws = [draw_channel(model, 100.0, gen) for _ in grads]
+        out = aggregate(grads, draws, gamma_th, rho, power, gen)
+        diff = out.g_hat - g_ideal
+        div.append(float(diff @ diff))
+        skips.append(out.skipped)
+    return np.array(div), np.array(skips)
+
+
+def frozen(cfg, key=()):
+    exp, grads, power = _frozen_setup(cfg)
+    return (np.array(grads), power, exp.gamma_th, exp.rho, exp.seed, key)
+
+
+SCAN_POWER = PowerConfig(p_max=0.1, sigma2=1e-7, g_bound=1.0, d_max_alpha=100.0**2.2)
+
+
+class TestDivergenceKernel:
+    @pytest.mark.parametrize(
+        "case",
+        ["defaults", "rho=1", "K=1", "skipping", "sigma2=0", "kscan"],
+    )
+    def test_matches_the_scalar_loop(self, case):
+        if case == "defaults":
+            args = frozen(SystemConfig())
+        elif case == "rho=1":
+            args = frozen(small_cfg(rho=1.0))
+        elif case == "K=1":
+            args = frozen(small_cfg(k_devices=1))
+        elif case == "skipping":
+            args = frozen(small_cfg(gamma_th=3.0))
+        elif case == "sigma2=0":
+            grads, power, *rest = frozen(small_cfg())
+            args = (grads, replace(power, sigma2=0.0), *rest)
+        else:
+            args = (_basis_gradients(20, 10), SCAN_POWER, 0.5, 0.8, 2026, (20,))
+        div, skips = _divergence_trials((*args, 0, 300))
+        ref_div, ref_skips = scalar_trials(*args, 0, 300)
+        assert np.array_equal(div, ref_div)
+        assert np.array_equal(skips, ref_skips)
+        if case == "skipping":
+            assert 0 < skips.sum() < skips.size
+
+    def test_offset_range_across_blocks(self):
+        args = frozen(small_cfg())
+        lo, hi = 7, 7 + _TRIAL_BLOCK + 45
+        div, skips = _divergence_trials((*args, lo, hi))
+        ref_div, ref_skips = scalar_trials(*args, lo, hi)
+        assert np.array_equal(div, ref_div)
+        assert np.array_equal(skips, ref_skips)
+
+    def test_chunk_split_off_block_boundary(self):
+        args = frozen(small_cfg(gamma_th=2.0))
+        n, cut = 2 * _TRIAL_BLOCK + 100, _TRIAL_BLOCK + 37
+        whole = _divergence_trials((*args, 0, n))
+        head = _divergence_trials((*args, 0, cut))
+        tail = _divergence_trials((*args, cut, n))
+        assert np.array_equal(whole[0], np.concatenate([head[0], tail[0]]))
+        assert np.array_equal(whole[1], np.concatenate([head[1], tail[1]]))
+
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-7])
+    def test_stream_consumption(self, monkeypatch, sigma2):
+        # each trial draws 4K channel normals, then d noise normals only when
+        # some device is active and sigma2 > 0
+        grads = _basis_gradients(3, 4)
+        power = replace(SCAN_POWER, sigma2=sigma2)
+        opened = []
+
+        def recording(*key):
+            gen = substream(*key)
+            opened.append(gen)
+            return gen
+
+        monkeypatch.setattr(harness, "substream", recording)
+        _, skips = _divergence_trials((grads, power, 1.5, 0.8, 5, (), 0, 200))
+        assert len(opened) == 200 and 0 < skips.sum() < 200
+        for t, (gen, skipped) in enumerate(zip(opened, skips)):
+            ref = substream(5, STREAM_MC_DIVERGENCE, t)
+            ref.standard_normal((3, 4))
+            if sigma2 > 0.0 and not skipped:
+                ref.standard_normal(4)
+            assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestThresholdSweep:
