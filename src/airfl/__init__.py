@@ -7,8 +7,8 @@ convex truncation-threshold optimization), and verifies every closed form
 against independent Monte-Carlo oracles at desk scale.
 """
 
-from .specfun import Accuracy, erf, erfc, exp_integral_ei, heaviside
-from .channel import ChannelDraw, EstimationModel, draw_channel, pathloss_amplitude
+from .specfun import erf, erfc, exp_integral_ei
+from .channel import ChannelDraw, EstimationModel, draw_channel
 from .aircomp import (
     AggregationOutcome,
     PowerConfig,
@@ -47,7 +47,6 @@ from .harness import SweepResult, mc_joint_distribution_check, mc_weight_diverge
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accuracy",
     "AggregationOutcome",
     "ChannelDraw",
     "ClosedFormReport",
@@ -75,7 +74,6 @@ __all__ = [
     "erfc",
     "evaluate",
     "exp_integral_ei",
-    "heaviside",
     "joint_cdf_xy",
     "joint_pdf_xy",
     "load_config",
@@ -84,7 +82,6 @@ __all__ = [
     "mc_xi_moments",
     "objective_h",
     "optimal_threshold",
-    "pathloss_amplitude",
     "preprocessing_beta",
     "resolve",
     "scaling_zeta",

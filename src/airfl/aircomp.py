@@ -27,6 +27,22 @@ from .channel import ChannelDraw
 _SQRT2 = math.sqrt(2.0)
 
 
+def check_positive(name: str, value: float) -> float:
+    """value as a float, if positive and finite; otherwise a ValueError naming it."""
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_rho(rho: float) -> float:
+    """The estimation correlation as a float, if it lies in (0, 1]."""
+    rho = float(rho)
+    if not (0.0 < rho <= 1.0):
+        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    return rho
+
+
 @dataclass(frozen=True)
 class PowerConfig:
     """Transmit/receive power budget resolved to watts."""
@@ -37,14 +53,11 @@ class PowerConfig:
     d_max_alpha: float  # max_k d_k^alpha over the device fleet
 
     def __post_init__(self) -> None:
-        if not (self.p_max > 0.0 and math.isfinite(self.p_max)):
-            raise ValueError(f"p_max must be positive and finite, got {self.p_max}")
+        check_positive("p_max", self.p_max)
         if not (self.sigma2 >= 0.0 and math.isfinite(self.sigma2)):
             raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2}")
-        if not (self.g_bound > 0.0 and math.isfinite(self.g_bound)):
-            raise ValueError(f"g_bound must be positive and finite, got {self.g_bound}")
-        if not (self.d_max_alpha > 0.0 and math.isfinite(self.d_max_alpha)):
-            raise ValueError(f"d_max_alpha must be positive and finite, got {self.d_max_alpha}")
+        check_positive("g_bound", self.g_bound)
+        check_positive("d_max_alpha", self.d_max_alpha)
 
 
 @dataclass
@@ -72,20 +85,14 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def _check_gamma_rho(gamma_th: float, rho: float) -> None:
-    if not (gamma_th > 0.0 and math.isfinite(gamma_th)):
-        raise ValueError(f"gamma_th must be positive and finite, got {gamma_th}")
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-
-
 def compensation_lambda(gamma_th: float, rho: float) -> float:
     """Unbiasedness constant exp(gamma_th)/rho.
 
     Cancels both the truncation survival probability exp(-gamma_th) and the
     mean CSI misalignment rho, making the effective coefficient unit-mean.
     """
-    _check_gamma_rho(gamma_th, rho)
+    gamma_th = check_positive("gamma_th", gamma_th)
+    rho = check_rho(rho)
     return math.exp(gamma_th) / rho
 
 
@@ -99,7 +106,8 @@ def scaling_zeta(k_devices: int, rho: float, cfg: PowerConfig, gamma_th: float) 
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
-    _check_gamma_rho(gamma_th, rho)
+    gamma_th = check_positive("gamma_th", gamma_th)
+    rho = check_rho(rho)
     return (
         k_devices
         * rho
@@ -119,10 +127,8 @@ def effective_coefficients(
     collapses to lambda.  h and h_hat are complex arrays of one shape;
     returns (xi, active) of that shape.
     """
-    if not (gamma_th > 0.0 and math.isfinite(gamma_th)):
-        raise ValueError(f"gamma_th must be positive and finite, got {gamma_th}")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    gamma_th = check_positive("gamma_th", gamma_th)
+    lam = check_positive("lam", lam)
     gain = h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
     active = gain >= gamma_th
     aligned = h.real * h_hat.real + h.imag * h_hat.imag
@@ -138,10 +144,8 @@ def preprocessing_beta(draw: ChannelDraw, zeta: float, lam: float, k_devices: in
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
-    if not (zeta > 0.0 and math.isfinite(zeta)):
-        raise ValueError(f"zeta must be positive and finite, got {zeta}")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    zeta = check_positive("zeta", zeta)
+    lam = check_positive("lam", lam)
     gain = draw.h_hat.real * draw.h_hat.real + draw.h_hat.imag * draw.h_hat.imag
     if gain == 0.0:
         raise RuntimeError("pre-processing undefined for a zero channel estimate")

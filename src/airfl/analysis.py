@@ -16,22 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .aircomp import PowerConfig, compensation_lambda, scaling_zeta
+from .aircomp import PowerConfig, check_positive, check_rho, compensation_lambda, scaling_zeta
 from .specfun import erf, erfc, exp_integral_ei
-
-
-def _check_gamma(gamma_th: float) -> float:
-    gamma_th = float(gamma_th)
-    if not (gamma_th > 0.0 and math.isfinite(gamma_th)):
-        raise ValueError(f"gamma_th must be positive and finite, got {gamma_th}")
-    return gamma_th
-
-
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    return rho
 
 
 @dataclass(frozen=True)
@@ -90,8 +76,8 @@ def xi_variance(gamma_th: float, rho: float) -> float:
     joint limit gamma_th -> 0+, rho -> 1.  At rho = 1 the Ei coefficient is
     zero analytically and the value reduces to expm1(gamma_th).
     """
-    gamma_th = _check_gamma(gamma_th)
-    rho = _check_rho(rho)
+    gamma_th = check_positive("gamma_th", gamma_th)
+    rho = check_rho(rho)
     if rho == 1.0:
         return math.expm1(gamma_th)
     k1 = (1.0 - rho * rho) / (2.0 * rho * rho)
@@ -104,8 +90,8 @@ def xi_mean_offset(gamma_th: float, rho: float) -> float:
     Shifts the conditional second moment of x so that the variance assembly
     identity holds; undefined at rho = 1, where the machinery is bypassed.
     """
-    gamma_th = _check_gamma(gamma_th)
-    rho = _check_rho(rho)
+    gamma_th = check_positive("gamma_th", gamma_th)
+    rho = check_rho(rho)
     if rho == 1.0:
         raise ValueError("offset undefined at rho = 1 (no estimation-noise component)")
     eg = math.exp(gamma_th)
@@ -118,7 +104,7 @@ def conditional_second_moment(gamma_th: float, c: float) -> float:
     x is symmetric about zero conditionally on the truncation event, so the
     offset contributes additively in c^2.
     """
-    gamma_th = _check_gamma(gamma_th)
+    gamma_th = check_positive("gamma_th", gamma_th)
     c = float(c)
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
@@ -165,8 +151,8 @@ def divergence_bound(k_devices: int, gamma_th: float, rho: float, cfg: PowerConf
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
-    gamma_th = _check_gamma(gamma_th)
-    rho = _check_rho(rho)
+    gamma_th = check_positive("gamma_th", gamma_th)
+    rho = check_rho(rho)
     noise_term = (
         cfg.sigma2
         * cfg.d_max_alpha

@@ -64,16 +64,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def pathloss_amplitude(d: float, alpha: float) -> float:
-    """Amplitude attenuation d^(-alpha/2) at distance d meters."""
-    d = float(d)
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"distance must be positive and finite, got {d}")
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    return d ** (-alpha / 2.0)
-
-
 def draw_channel(
     model: EstimationModel, d: float, gen: np.random.Generator
 ) -> ChannelDraw:

@@ -157,6 +157,13 @@ class SystemConfig:
                 f"alpha = {self.alpha} takes d_max**alpha = {d_max}**{self.alpha} "
                 "outside the positive finite doubles"
             )
+        # the noise weight k2 of the threshold objective must stay a finite double
+        sigma2 = dbm_to_watts(self.sigma2_dbm)
+        if not _finite(lambda: sigma2 * d_max**self.alpha / (2.0 * self.p_max * self.rho * self.rho)):
+            raise ValueError(
+                f"sigma2_dbm = {self.sigma2_dbm}, alpha = {self.alpha}, p_max = {self.p_max} and "
+                f"rho = {self.rho} overflow sigma2 * d_max**alpha / (2 p_max rho^2)"
+            )
         if self.g_bound is not None and not (self.g_bound > 0.0 and math.isfinite(self.g_bound)):
             raise ValueError(f"g_bound must be positive, got {self.g_bound}")
         if self.g_mode not in _G_MODES:

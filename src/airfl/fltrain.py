@@ -7,21 +7,17 @@ the server applies one gradient step.  Rounds whose active set is empty are
 skipped: the model is left untouched and the event is counted in the trace.
 
 Two desk-scale tasks are built in: a two-class Gaussian-blob logistic
-regression and a one-hidden-layer MLP on the same data.  An IDX loader is
-provided for image/label files if real data is wanted instead.
+regression and a one-hidden-layer MLP on the same data.
 """
 
 from __future__ import annotations
 
-import gzip
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .aircomp import PowerConfig, aggregate, preprocessing_beta, scaling_zeta
+from .aircomp import PowerConfig, aggregate, preprocessing_beta
 from .channel import draw_channel, substream
 from .config import (
     STREAM_BATCH,
@@ -38,17 +34,6 @@ from .config import (
 _MODES = ("aircomp", "ideal")
 _WARMUP_ROUNDS = 10
 _G_MARGIN = 1.1
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Flat parameter vector of the global model."""
-
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("model parameters must be finite")
 
 
 @dataclass
@@ -75,7 +60,7 @@ class RoundRecord:
 @dataclass
 class TrainingTrace:
     records: list[RoundRecord]
-    final: ModelParams
+    final: np.ndarray  # flat parameter vector of the global model
     mode: str
     gamma_th: float | None
     g_bound: float | None
@@ -228,60 +213,6 @@ def build_test_set(exp: ResolvedExperiment) -> DeviceDataset:
 
 
 # ---------------------------------------------------------------------------
-# IDX loader (optional real data)
-
-
-def load_idx(path: str | Path) -> np.ndarray:
-    """Read one IDX image (magic 2051) or label (magic 2049) file.
-
-    Both raw and gzip-compressed files are accepted; multi-byte fields are
-    big-endian per the format.
-    """
-    data = Path(path).read_bytes()
-    if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
-    if len(data) < 8:
-        raise ValueError(f"{path}: truncated IDX header")
-    (magic,) = struct.unpack(">i", data[:4])
-    if magic == 2051:
-        n, rows, cols = struct.unpack(">iii", data[4:16])
-        expected = 16 + n * rows * cols
-        if len(data) < expected:
-            raise ValueError(f"{path}: expected {expected} bytes, got {len(data)}")
-        return np.frombuffer(data, dtype=np.uint8, count=n * rows * cols, offset=16).reshape(
-            n, rows, cols
-        )
-    if magic == 2049:
-        (n,) = struct.unpack(">i", data[4:8])
-        if len(data) < 8 + n:
-            raise ValueError(f"{path}: expected {8 + n} bytes, got {len(data)}")
-        return np.frombuffer(data, dtype=np.uint8, count=n, offset=8)
-    raise ValueError(f"{path}: unknown IDX magic {magic} (expected 2051 or 2049)")
-
-
-def load_idx_pair(images_path: str | Path, labels_path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened, unit-scaled image matrix and integer label vector."""
-    images = load_idx(images_path)
-    labels = load_idx(labels_path)
-    if images.ndim != 3:
-        raise ValueError(f"{images_path}: not an image file")
-    if labels.ndim != 1:
-        raise ValueError(f"{labels_path}: not a label file")
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
-        )
-    x = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return x, labels.astype(np.int64)
-
-
-def binary_subset(x: np.ndarray, y: np.ndarray, class_zero: int, class_one: int) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict a labeled set to two classes, relabeled to {0, 1}."""
-    mask = (y == class_zero) | (y == class_one)
-    return x[mask], (y[mask] == class_one).astype(np.float64)
-
-
-# ---------------------------------------------------------------------------
 # aggregation primitives
 
 
@@ -341,14 +272,8 @@ def run_round(
     all_train: DeviceDataset,
     power: PowerConfig | None,
     mode: str,
-    xi_override: float | None = None,
 ) -> tuple[np.ndarray, RoundRecord]:
-    """One aggregation round; returns the updated model and its record.
-
-    xi_override is a test hook: it replaces every effective coefficient by
-    a constant without drawing any channel realizations, so an override of
-    1.0 with zero noise reproduces the ideal-mode update bit-identically.
-    """
+    """One aggregation round; returns the updated model and its record."""
     grads = round_gradients(task, w, devices, exp, round_index)
     g_ideal = ideal_aggregate(grads)
     spread = float(np.mean([np.sum((g - g_ideal) ** 2) for g in grads]))
@@ -356,15 +281,6 @@ def run_round(
     skipped = False
     if mode == "ideal":
         g_hat = g_ideal
-        active_count = len(devices)
-    elif xi_override is not None:
-        g_hat = ideal_aggregate([xi_override * g for g in grads])
-        if power is not None and power.sigma2 > 0.0:
-            outcome_gen = substream(exp.seed, STREAM_NOISE, round_index)
-            zeta = scaling_zeta(exp.k_devices, exp.rho, power, exp.gamma_th)
-            g_hat = g_hat + outcome_gen.standard_normal(w.shape) * (
-                math.sqrt(power.sigma2) / (math.sqrt(2.0) * zeta)
-            )
         active_count = len(devices)
     else:
         draws = [
@@ -454,7 +370,6 @@ def calibrate_g_bound(
 def train(
     cfg: SystemConfig | ResolvedExperiment,
     mode: str = "aircomp",
-    xi_override: float | None = None,
 ) -> TrainingTrace:
     """Run a full federated experiment and return its trace.
 
@@ -490,13 +405,15 @@ def train(
     records = []
     for m in range(exp.train.rounds_m):
         w, record = run_round(
-            w, m, exp, task, devices, test, all_train, power, mode, xi_override
+            w, m, exp, task, devices, test, all_train, power, mode
         )
         records.append(record)
 
+    if not np.all(np.isfinite(w)):
+        raise ValueError("model parameters must be finite")
     return TrainingTrace(
         records=records,
-        final=ModelParams(w=w),
+        final=w,
         mode=mode,
         gamma_th=gamma_th,
         g_bound=g_bound,

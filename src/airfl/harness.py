@@ -242,9 +242,9 @@ def mc_xi_moments(
 ) -> XiMomentsResult:
     """Sample the effective aggregation coefficient and compare moments.
 
-    Draws n_samples independent channel/estimate pairs, forms
-    xi = lambda Re{h* h_hat}/|h_hat|^2 on the active event and 0 otherwise,
-    and returns the sample mean and unbiased variance with standard errors
+    Draws n_samples independent channel/estimate pairs, forms xi with
+    aircomp.effective_coefficients (lambda Re{h* h_hat}/|h_hat|^2 on the
+    active event, 0 otherwise), and returns the sample mean and unbiased variance with standard errors
     (the variance SE uses the fourth-central-moment formula).  Sums are
     accumulated around the known unit mean to keep the moment arithmetic
     well conditioned.
@@ -261,15 +261,8 @@ def mc_xi_moments(
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        h, h_hat, v = draw_channel_block(model, m, gen)
-        gain = h_hat.real**2 + h_hat.imag**2
-        active = gain >= gamma_th
-        xi = np.zeros(m)
-        xi[active] = (
-            lam
-            * (h.real[active] * h_hat.real[active] + h.imag[active] * h_hat.imag[active])
-            / gain[active]
-        )
+        h, h_hat, _ = draw_channel_block(model, m, gen)
+        xi, active = effective_coefficients(h, h_hat, gamma_th, lam)
         y = xi - 1.0
         y2 = y * y
         parts[0].append(float(np.sum(y)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .aircomp import PowerConfig
+from .aircomp import PowerConfig, check_positive, check_rho
 from .specfun import exp_integral_ei
 
 _BRACKET_LO = 1e-8
@@ -53,8 +53,7 @@ class ThresholdSolution:
 
 def coefficients_from_system(rho: float, cfg: PowerConfig) -> ObjectiveCoefficients:
     """Objective weights for a physical configuration."""
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    rho = check_rho(rho)
     if cfg.sigma2 == 0.0:
         raise ValueError("degenerate config: sigma2 = 0 removes the noise term entirely")
     k1 = (1.0 - rho * rho) / (2.0 * rho * rho)
@@ -62,16 +61,9 @@ def coefficients_from_system(rho: float, cfg: PowerConfig) -> ObjectiveCoefficie
     return ObjectiveCoefficients(k1=k1, k2=k2)
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"threshold argument must be positive and finite, got {x}")
-    return x
-
-
 def objective_h(x: float, coef: ObjectiveCoefficients) -> float:
     """h(x) = e^x - k1 Ei(-x) e^(2x) + k2 e^(2x)/x."""
-    x = _check_x(x)
+    x = check_positive("x", x)
     ex = math.exp(x)
     e2x = ex * ex
     ei_term = -coef.k1 * exp_integral_ei(-x) * e2x if coef.k1 != 0.0 else 0.0
@@ -80,7 +72,7 @@ def objective_h(x: float, coef: ObjectiveCoefficients) -> float:
 
 def derivative_h(x: float, coef: ObjectiveCoefficients) -> float:
     """h'(x) = e^x - k1 e^x/x - 2 k1 Ei(-x) e^(2x) + k2 e^(2x)(2x - 1)/x^2."""
-    x = _check_x(x)
+    x = check_positive("x", x)
     ex = math.exp(x)
     e2x = ex * ex
     ei_part = 0.0
@@ -96,7 +88,7 @@ def second_derivative_h(x: float, coef: ObjectiveCoefficients) -> float:
     Strictly positive on x > 0: the k1 bracket exceeds (x - 1)^2/(x + 1) by
     the lower estimate -Ei(-x) > e^(-x)/(x + 1), and 2x^2 - 2x + 1 > 0.
     """
-    x = _check_x(x)
+    x = check_positive("x", x)
     ex = math.exp(x)
     e2x = ex * ex
     k1_part = 0.0
@@ -163,7 +155,7 @@ def optimal_threshold(
     if mode == "fixed":
         if fixed_value is None:
             raise ValueError("fixed mode requires fixed_value")
-        x = _check_x(fixed_value)
+        x = check_positive("fixed_value", fixed_value)
         return ThresholdSolution(
             gamma_star=x,
             h_value=objective_h(x, coef),

@@ -1,4 +1,6 @@
-"""Real-valued special functions used by the aggregation closed forms.
+"""Real-valued special functions used by the aggregation closed forms: Ei
+(coefficient variance and threshold objective) and erf/erfc (joint law of
+the auxiliary pair).
 
 Everything here is implemented from scratch (power series plus continued
 fractions) so the closed-form layer carries no special-function dependency.
@@ -14,7 +16,6 @@ series oracles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -26,20 +27,6 @@ _EI_SEAM = 4.0
 _ERF_SEAM = 1.0
 _MAX_ITER = 500
 _TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """A relative/absolute tolerance pair carried by verification routines."""
-
-    rel_tol: float
-    abs_tol: float
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be positive and finite")
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError("abs_tol must be positive and finite")
 
 
 def _require_finite(x: float, name: str) -> float:
@@ -171,10 +158,3 @@ def erfc(x: float) -> float:
         return 1.0 - _erf_series(x)
     return _erfc_continued_fraction(x)
 
-
-def heaviside(x: float) -> float:
-    """Unit step with the left-continuous convention U(0) = 0."""
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("heaviside undefined for NaN")
-    return 1.0 if x > 0.0 else 0.0

@@ -120,6 +120,5 @@ LAMBDA_G05_R08 = 2.0609015883751602      # e^0.5 / 0.8
 GAMMA_STAR_K10_K21 = 0.43808114654707675  # arg min of e^x + e^(2x)/x
 H_AT_GAMMA_STAR_K10_K21 = 7.03196866320077
 D500_POW_22 = 866431.0539439330          # 500^2.2
-D500_POW_M11 = 0.0010743183535273754     # 500^(-1.1)
 DIV_BOUND_DEFAULTS_G1 = 0.047566834892626815  # K=10 g=0.5 rho=0.8 G=1 dmax=500
 EMPTY_BLOB_SHA1 = "e69de29bb2d1d6434b8b29ae775ad8c2e48c5391"

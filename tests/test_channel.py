@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import oracles
 from airfl.aircomp import effective_coefficients
 from airfl.channel import (
     ChannelDraw,
     EstimationModel,
     draw_channel,
     draw_channel_block,
-    pathloss_amplitude,
     substream,
 )
 
@@ -55,19 +53,6 @@ class TestEstimationModel:
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ValueError):
             EstimationModel(rho=0.8, alpha=alpha)
-
-
-class TestPathloss:
-    def test_reference_value(self):
-        assert abs(pathloss_amplitude(500.0, 2.2) - oracles.D500_POW_M11) < 1e-18
-
-    def test_unit_distance(self):
-        assert pathloss_amplitude(1.0, 2.2) == 1.0
-
-    @pytest.mark.parametrize("d", [0.0, -1.0, math.inf])
-    def test_rejects_bad_distance(self, d):
-        with pytest.raises(ValueError):
-            pathloss_amplitude(d, 2.0)
 
 
 class TestDrawChannel:

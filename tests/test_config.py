@@ -81,6 +81,7 @@ class TestSystemConfigValidation:
             {"rho": 1e-200},  # 1/rho^2 overflows
             {"distances": "uniform(0,1e-3]", "alpha": 400.0},  # d_max**alpha underflows
             {"distances": "uniform(5,5]"},  # empty range
+            {"sigma2_dbm": 3100.0},  # sigma2 * d_max**alpha / (2 p_max rho^2) overflows
         ],
     )
     def test_rejects(self, kw):

@@ -1,8 +1,6 @@
-"""Training loop: tasks, data shards, IDX loading, and full runs."""
+"""Training loop: tasks, data shards, and full runs."""
 
-import gzip
 import math
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +8,11 @@ import pytest
 
 from airfl.channel import substream
 from airfl.config import STREAM_INIT, SystemConfig, TrainConfig, resolve
+import airfl.fltrain
 from airfl.fltrain import (
     DeviceDataset,
     LogisticTask,
     MlpTask,
-    ModelParams,
-    binary_subset,
     build_devices,
     build_task,
     build_test_set,
@@ -23,8 +20,6 @@ from airfl.fltrain import (
     evaluate,
     global_update,
     ideal_aggregate,
-    load_idx,
-    load_idx_pair,
     local_gradient,
     round_gradients,
     train,
@@ -149,86 +144,6 @@ class TestData:
         assert np.mean(test.labels) == 0.5
 
 
-def write_idx_images(path, arr):
-    n, rows, cols = arr.shape
-    path.write_bytes(struct.pack(">iiii", 2051, n, rows, cols) + arr.tobytes())
-
-
-def write_idx_labels(path, labels):
-    path.write_bytes(struct.pack(">ii", 2049, labels.size) + labels.tobytes())
-
-
-class TestIdxLoader:
-    def test_image_round_trip(self, tmp_path):
-        arr = np.arange(12, dtype=np.uint8).reshape(3, 2, 2)
-        p = tmp_path / "imgs.idx"
-        write_idx_images(p, arr)
-        assert np.array_equal(load_idx(p), arr)
-
-    def test_label_round_trip(self, tmp_path):
-        labels = np.array([0, 1, 7], dtype=np.uint8)
-        p = tmp_path / "labels.idx"
-        write_idx_labels(p, labels)
-        assert np.array_equal(load_idx(p), labels)
-
-    def test_gzip_transparent(self, tmp_path):
-        arr = np.arange(12, dtype=np.uint8).reshape(3, 2, 2)
-        raw = tmp_path / "imgs.idx"
-        write_idx_images(raw, arr)
-        gz = tmp_path / "imgs.idx.gz"
-        gz.write_bytes(gzip.compress(raw.read_bytes()))
-        assert np.array_equal(load_idx(gz), arr)
-
-    def test_truncated_header(self, tmp_path):
-        p = tmp_path / "short.idx"
-        p.write_bytes(b"\x00\x00")
-        with pytest.raises(ValueError, match="truncated"):
-            load_idx(p)
-
-    def test_truncated_payload(self, tmp_path):
-        p = tmp_path / "cut.idx"
-        p.write_bytes(struct.pack(">iiii", 2051, 3, 2, 2) + b"\x00" * 5)
-        with pytest.raises(ValueError, match="expected"):
-            load_idx(p)
-
-    def test_unknown_magic(self, tmp_path):
-        p = tmp_path / "bad.idx"
-        p.write_bytes(struct.pack(">ii", 1234, 0))
-        with pytest.raises(ValueError, match="magic"):
-            load_idx(p)
-
-    def test_pair_loader_scales_and_flattens(self, tmp_path):
-        arr = np.full((3, 2, 2), 255, dtype=np.uint8)
-        labels = np.array([3, 8, 3], dtype=np.uint8)
-        pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_images(pi, arr)
-        write_idx_labels(pl, labels)
-        x, y = load_idx_pair(pi, pl)
-        assert x.shape == (3, 4)
-        assert np.all(x == 1.0)
-        assert y.dtype == np.int64
-
-    def test_pair_loader_count_mismatch(self, tmp_path):
-        pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_images(pi, np.zeros((3, 2, 2), dtype=np.uint8))
-        write_idx_labels(pl, np.zeros(4, dtype=np.uint8))
-        with pytest.raises(ValueError, match="mismatch"):
-            load_idx_pair(pi, pl)
-
-    def test_pair_loader_rejects_swapped_files(self, tmp_path):
-        pl = tmp_path / "l.idx"
-        write_idx_labels(pl, np.zeros(4, dtype=np.uint8))
-        with pytest.raises(ValueError, match="not an image file"):
-            load_idx_pair(pl, pl)
-
-    def test_binary_subset_relabels(self):
-        x = np.arange(10, dtype=np.float64).reshape(5, 2)
-        y = np.array([3, 8, 5, 3, 8])
-        xs, ys = binary_subset(x, y, class_zero=3, class_one=8)
-        assert xs.shape == (4, 2)
-        assert np.array_equal(ys, [0.0, 1.0, 0.0, 1.0])
-
-
 class TestPrimitives:
     def test_local_gradient_validation(self):
         task = LogisticTask(2)
@@ -259,16 +174,12 @@ class TestPrimitives:
         _, accuracy = evaluate(task, np.zeros(5), test)
         assert accuracy == 0.5
 
-    def test_model_params_reject_nonfinite(self):
-        with pytest.raises(ValueError):
-            ModelParams(w=np.array([1.0, math.nan]))
-
 
 class TestTraining:
     def test_ideal_run_is_deterministic(self):
         a = train(small_cfg(), mode="ideal")
         b = train(small_cfg(), mode="ideal")
-        assert np.array_equal(a.final.w, b.final.w)
+        assert np.array_equal(a.final, b.final)
         assert a.records == b.records
 
     def test_ideal_trace_has_no_channel_fields(self):
@@ -280,12 +191,29 @@ class TestTraining:
         assert all(r.divergence_sq == 0.0 for r in trace.records)
         assert all(r.active_count == 3 for r in trace.records)
 
-    def test_unity_override_with_zero_noise_reproduces_ideal(self):
+    def test_unity_override_with_zero_noise_reproduces_ideal(self, monkeypatch):
+        # every coefficient forced to 1: the aggregate is the exact mean and
+        # no round is skipped, so aircomp mode must replay the ideal run
+        real_aggregate = airfl.fltrain.aggregate
+
+        def unity_aggregate(gradients, *args):
+            outcome = real_aggregate(gradients, *args)
+            return replace(outcome, g_hat=ideal_aggregate(gradients), skipped=False)
+
         exp = replace(resolve(small_cfg(rho=1.0)), sigma2=0.0)
         ideal = train(exp, mode="ideal")
-        faked = train(exp, mode="aircomp", xi_override=1.0)
-        assert np.array_equal(ideal.final.w, faked.final.w)
+        monkeypatch.setattr(airfl.fltrain, "aggregate", unity_aggregate)
+        faked = train(exp, mode="aircomp")
+        assert np.array_equal(ideal.final, faked.final)
+        assert [r.loss for r in faked.records] == [r.loss for r in ideal.records]
         assert faked.mean_divergence_sq == 0.0
+
+    def test_nonfinite_weights_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            airfl.fltrain, "global_update", lambda w, g_hat, eta: np.full_like(w, math.nan)
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="model parameters must be finite"):
+            train(small_cfg(), mode="ideal")
 
     def test_aircomp_noise_shows_up_in_divergence(self):
         trace = train(small_cfg(sigma2_dbm=-20.0), mode="aircomp")
@@ -305,7 +233,7 @@ class TestTraining:
         assert trace.skipped_rounds == len(trace.records) == 4
         assert all(r.active_count == 0 for r in trace.records)
         # logistic init is the zero vector and no update ever fires
-        assert np.all(trace.final.w == 0.0)
+        assert np.all(trace.final == 0.0)
 
     def test_genie_mode_runs(self):
         trace = train(small_cfg(g_mode="genie"), mode="aircomp")
@@ -325,7 +253,7 @@ class TestTraining:
         exp = resolve(small_cfg())
         a = train(exp, mode="ideal")
         b = train(small_cfg(), mode="ideal")
-        assert np.array_equal(a.final.w, b.final.w)
+        assert np.array_equal(a.final, b.final)
 
     def test_calibration_is_margin_times_peak_warmup_norm(self):
         exp = resolve(small_cfg())
@@ -358,4 +286,4 @@ class TestTraining:
         )
         trace = train(small_cfg(train=tc), mode="aircomp")
         assert len(trace.records) == 2
-        assert trace.final.w.size == 4 * 5 + 4 + 4 + 1
+        assert trace.final.size == 4 * 5 + 4 + 4 + 1

@@ -1,14 +1,12 @@
 """Special functions against high-precision mpmath oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from airfl.specfun import Accuracy, erf, erfc, exp_integral_ei, heaviside
+from airfl.specfun import erf, erfc, exp_integral_ei
 
 
 def rel_err(got: float, want: float) -> float:
@@ -108,25 +106,3 @@ class TestErfc:
         assert erfc(10.0) > 0.0
         assert rel_err(erfc(10.0), oracles.erfc_ref(10.0)) < 1e-12
 
-
-class TestHeaviside:
-    def test_left_continuous_convention(self):
-        assert heaviside(0.0) == 0.0
-        assert heaviside(1e-300) == 1.0
-        assert heaviside(-1e-300) == 0.0
-
-    def test_nan_raises(self):
-        with pytest.raises(ValueError):
-            heaviside(float("nan"))
-
-
-class TestAccuracy:
-    def test_holds_tolerances(self):
-        acc = Accuracy(rel_tol=1e-12, abs_tol=1e-15)
-        assert acc.rel_tol == 1e-12
-
-    @pytest.mark.parametrize("kw", [{"rel_tol": 0.0}, {"abs_tol": -1.0}, {"rel_tol": math.inf}])
-    def test_rejects_bad_tolerances(self, kw):
-        base = {"rel_tol": 1e-12, "abs_tol": 1e-15}
-        with pytest.raises(ValueError):
-            Accuracy(**{**base, **kw})
