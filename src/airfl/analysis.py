@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .aircomp import PowerConfig, check_positive, check_rho, compensation_lambda, scaling_zeta
-from .specfun import erf, erfc, exp_integral_ei
+from .specfun import exp_integral_ei
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,8 @@ def joint_cdf_xy(t: float, gamma: float) -> float:
     if gamma >= 0.0:
         return 0.5 + base
     s = math.sqrt(-gamma)
-    return base * (1.0 - erf(s * math.sqrt(1.0 + t * t))) + 0.5 * math.exp(gamma) * erfc(-s * t)
+    tail = 0.5 * math.exp(gamma) * math.erfc(-s * t)
+    return base * (1.0 - math.erf(s * math.sqrt(1.0 + t * t))) + tail
 
 
 def joint_pdf_xy(t: float, gamma: float) -> float:

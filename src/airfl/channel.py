@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with this module, not on the first draw
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MASK64 = (1 << 64) - 1
@@ -82,6 +83,17 @@ def draw_channel(
     return ChannelDraw(h=h, h_hat=h_hat, v=v, d=d, alpha=model.alpha)
 
 
+def draw_channel_rows(n: int, gen: np.random.Generator) -> np.ndarray:
+    """The real rows behind draw_channel_block, for kernels that need no
+    complex arrays: shape (4, n), rows (Re h_hat, Im h_hat, Re v, Im v),
+    each N(0, 1/2), from one standard_normal((4, n)) call."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    z = gen.standard_normal((4, n))
+    z *= _INV_SQRT2
+    return z
+
+
 def draw_channel_block(model: EstimationModel, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sibling of draw_channel for Monte-Carlo sweeps.
 
@@ -89,9 +101,7 @@ def draw_channel_block(model: EstimationModel, n: int, gen: np.random.Generator)
     CN(0, 1) construction as the scalar draw; distances play no role in the
     coefficient statistics, so none are attached.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z = gen.standard_normal((4, n)) * _INV_SQRT2
+    z = draw_channel_rows(n, gen)
     h_hat = z[0] + 1j * z[1]
     v = z[2] + 1j * z[3]
     h = model.rho * h_hat + math.sqrt(1.0 - model.rho * model.rho) * v

@@ -37,7 +37,7 @@ from .harness import (
     k_slope_scan,
     mc_joint_distribution_check,
     mc_weight_divergence,
-    mc_xi_moments,
+    mc_xi_moments_grid,
     pdf_gates,
     pdf_normalization,
     report,
@@ -93,7 +93,7 @@ def _verify_xi(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
     rhos = _float_list(extras, "verify_xi.rhos", _XI_RHOS)
     gammas = _float_list(extras, "verify_xi.gammas", _XI_GAMMAS)
     n = cfg.trials
-    results = [mc_xi_moments(rho, gamma, n, cfg.seed) for rho in rhos for gamma in gammas]
+    results = mc_xi_moments_grid([(rho, gamma) for rho in rhos for gamma in gammas], n, cfg.seed)
     table = SweepResult(
         columns=("rho", "gamma_th", "n_samples", "mean_mc", "mean_se", "var_mc", "var_se",
                  "var_closed", "active_fraction", "active_expected"),

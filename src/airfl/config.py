@@ -83,6 +83,11 @@ class TrainConfig:
             raise ValueError(f"test_size must be even and >= 2, got {self.test_size}")
         if not (self.blob_separation > 0.0 and math.isfinite(self.blob_separation)):
             raise ValueError(f"blob_separation must be positive, got {self.blob_separation}")
+        if not _finite(lambda: self.blob_separation**2):
+            raise ValueError(
+                f"train.blob_separation = {self.blob_separation} overflows its square, "
+                "the scale of the squared feature and gradient norms"
+            )
         if not (0.0 <= self.label_skew < 1.0):
             raise ValueError(f"label_skew must lie in [0, 1), got {self.label_skew}")
         if self.hidden_units < 1:

@@ -10,6 +10,12 @@ divergence_gates, shared by the CLI and the acceptance suite.
 
 Trials are keyed by per-trial RNG streams, so a parallel run (jobs > 1)
 merges to the exact same numbers as a serial one.
+
+The sampling kernels avoid repeated work: verify-xi's grid cells share one
+draw (mc_xi_moments_grid), the joint law is histogrammed by arithmetic bin
+index and np.bincount (histogram2d_counts), and its CDF cross-check reads
+one grid of CDF values (cdf_rect_masses).  scipy's quadrature is imported
+only when a quadrature check runs.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .aircomp import (
     PowerConfig,
@@ -42,7 +47,7 @@ from .analysis import (
     joint_pdf_xy,
     xi_variance,
 )
-from .channel import EstimationModel, draw_channel_block, substream
+from .channel import EstimationModel, draw_channel_block, draw_channel_rows, substream
 from .config import (
     STREAM_INIT,
     STREAM_MC_DIVERGENCE,
@@ -72,6 +77,8 @@ _MASS_CONSISTENCY_TOL = 1e-9  # quadrature vs CDF-rectangle cross-check
 # the block's temporaries near 1 MB at K = 40
 _TRIAL_BLOCK = 256
 _BLOCK_FLOATS = 1 << 16  # caps a block's (trials, d) arrays at 512 kB each
+# samples per slice of a joint-law chunk: keeps its temporaries at 512 kB each
+_JOINT_SLICE = 1 << 16
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -247,31 +254,64 @@ def mc_xi_moments(
     active event, 0 otherwise), and returns the sample mean and unbiased variance with standard errors
     (the variance SE uses the fourth-central-moment formula).  Sums are
     accumulated around the known unit mean to keep the moment arithmetic
-    well conditioned.
+    well conditioned.  The one-cell case of mc_xi_moments_grid, which
+    verify-xi uses: there all cells share one draw, so their z-scores are
+    correlated.
+    """
+    return mc_xi_moments_grid([(rho, gamma_th)], n_samples, seed, chunk)[0]
+
+
+def mc_xi_moments_grid(
+    cells, n_samples: int, seed: int, chunk: int = _CHUNK
+) -> list[XiMomentsResult]:
+    """mc_xi_moments for every (rho, gamma_th) cell, on one shared draw.
+
+    Each chunk of substream(seed, STREAM_MC_XI) is drawn once; h is formed
+    once per distinct rho and xi once per cell.  Every cell's result equals
+    its own mc_xi_moments call with the same seed and chunk.  Because the
+    cells share their draws (common random numbers), their estimates and
+    z-scores are correlated, not independent.
     """
     if n_samples < _MIN_XI_SAMPLES:
         raise ValueError(f"need at least {_MIN_XI_SAMPLES} samples, got {n_samples}")
-    # alpha plays no role in the coefficient; any valid value works here
-    model = EstimationModel(rho=rho, alpha=2.0)
-    lam = compensation_lambda(gamma_th, rho)
+    lams = []
+    by_rho: dict[float, list[int]] = {}
+    for k, (rho, gamma_th) in enumerate(cells):
+        # alpha plays no role in the coefficient; any valid value works here
+        EstimationModel(rho=rho, alpha=2.0)
+        lams.append(compensation_lambda(gamma_th, rho))
+        by_rho.setdefault(rho, []).append(k)
+    if not cells:
+        return []
+    first = EstimationModel(rho=cells[0][0], alpha=2.0)
     gen = substream(seed, STREAM_MC_XI)
 
-    parts: tuple[list[float], ...] = ([], [], [], [])
-    n_active = 0
+    parts = [([], [], [], []) for _ in cells]
+    n_active = [0] * len(cells)
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        h, h_hat, _ = draw_channel_block(model, m, gen)
-        xi, active = effective_coefficients(h, h_hat, gamma_th, lam)
-        y = xi - 1.0
-        y2 = y * y
-        parts[0].append(float(np.sum(y)))
-        parts[1].append(float(np.sum(y2)))
-        parts[2].append(float(np.sum(y2 * y)))
-        parts[3].append(float(np.sum(y2 * y2)))
-        n_active += int(np.count_nonzero(active))
+        h_first, h_hat, v = draw_channel_block(first, m, gen)
+        for rho, ks in by_rho.items():
+            # draw_channel_block's own expression, so each cell sees the h of its own call
+            h = h_first if rho == first.rho else rho * h_hat + math.sqrt(1.0 - rho * rho) * v
+            for k in ks:
+                xi, active = effective_coefficients(h, h_hat, cells[k][1], lams[k])
+                y = xi - 1.0
+                y2 = y * y
+                parts[k][0].append(float(np.sum(y)))
+                parts[k][1].append(float(np.sum(y2)))
+                parts[k][2].append(float(np.sum(y2 * y)))
+                parts[k][3].append(float(np.sum(y2 * y2)))
+                n_active[k] += int(np.count_nonzero(active))
         done += m
+    return [
+        _xi_result(rho, gamma_th, n_samples, parts[k], n_active[k])
+        for k, (rho, gamma_th) in enumerate(cells)
+    ]
 
+
+def _xi_result(rho, gamma_th, n_samples: int, parts, n_active: int) -> XiMomentsResult:
     s1, s2, s3, s4 = (math.fsum(p) for p in parts)
     n = float(n_samples)
     a = s1 / n  # sample mean of xi - 1
@@ -333,6 +373,7 @@ def _bin_mass(t0: float, t1: float, g0: float, g1: float) -> float:
     slice), leaving the smooth 1-D integrand e^g (erf(t1 s) - erf(t0 s))/2
     with s = sqrt(-g), which adaptive quadrature handles to ~1e-13.
     """
+    from scipy.integrate import quad  # deferred: scipy costs ~0.6 s at import
 
     def integrand(g: float) -> float:
         s = math.sqrt(-g)
@@ -342,14 +383,38 @@ def _bin_mass(t0: float, t1: float, g0: float, g1: float) -> float:
     return val
 
 
-def _rect_mass(t0: float, t1: float, g0: float, g1: float) -> float:
-    # same mass from CDF differences; used as an internal consistency guard
-    return (
-        joint_cdf_xy(t1, g1)
-        - joint_cdf_xy(t0, g1)
-        - joint_cdf_xy(t1, g0)
-        + joint_cdf_xy(t0, g0)
-    )
+def cdf_rect_masses(t_edges: np.ndarray, g_edges: np.ndarray) -> np.ndarray:
+    """Mass of every [t_i, t_i+1] x [g_j, g_j+1] rectangle from CDF differences,
+    F(t1, g1) - F(t0, g1) - F(t1, g0) + F(t0, g0), with F evaluated once per
+    grid point."""
+    F = np.array([[joint_cdf_xy(t, g) for g in g_edges] for t in t_edges])
+    return F[1:, 1:] - F[:-1, 1:] - F[1:, :-1] + F[:-1, :-1]
+
+
+def _bin_index(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    # bin of each v in [edges[0], edges[-1]] for uniform edges, assigned as
+    # np.histogram does: arithmetic index, then a one-step correction
+    # against the edges themselves, with the last bin closed on the right
+    n = edges.size - 1
+    idx = ((v - edges[0]) * (n / (edges[-1] - edges[0]))).astype(np.intp)
+    np.minimum(idx, n - 1, out=idx)
+    idx -= v < edges[idx]
+    idx += (v >= edges[idx + 1]) & (idx != n - 1)
+    return idx
+
+
+def histogram2d_counts(
+    x: np.ndarray, y: np.ndarray, x_edges: np.ndarray, y_edges: np.ndarray
+) -> np.ndarray:
+    """np.histogram2d(x, y, bins=(x_edges, y_edges))[0] as int64 counts, for
+    uniform (np.linspace) edges: values outside the window are dropped and
+    the last edge of each axis is closed.  Indexes bins arithmetically and
+    counts them with np.bincount instead of searchsorted."""
+    keep = (x >= x_edges[0]) & (x <= x_edges[-1]) & (y >= y_edges[0]) & (y <= y_edges[-1])
+    x, y = x[keep], y[keep]
+    ny = y_edges.size - 1
+    flat = _bin_index(x, x_edges) * ny + _bin_index(y, y_edges)
+    return np.bincount(flat, minlength=(x_edges.size - 1) * ny).reshape(-1, ny)
 
 
 def mc_joint_distribution_check(
@@ -386,45 +451,45 @@ def mc_joint_distribution_check(
     t_edges = np.linspace(t_lo, t_hi, bins + 1)
     g_edges = np.linspace(g_lo, g_hi, bins + 1)
     # the pair (x, y) involves only the estimate and the estimation noise,
-    # so rho does not enter; any valid model produces the same law
-    model = EstimationModel(rho=1.0, alpha=2.0)
+    # so rho does not enter and h is never formed
     gen = substream(seed, STREAM_MC_JOINT)
 
-    hist = np.zeros((bins, bins))
+    counts = np.zeros((bins, bins), dtype=np.int64)
     tail_count = 0
     q_sums: list[float] = []
     q2_sums: list[float] = []
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        _, h_hat, v = draw_channel_block(model, m, gen)
-        gain = h_hat.real**2 + h_hat.imag**2
-        re_vh = v.real * h_hat.real + v.imag * h_hat.imag
-        pos = gain > 0.0  # zero gain has probability zero; guard the division
-        x = re_vh[pos] / gain[pos]
-        y = -gain[pos]
-        hist += np.histogram2d(x, y, bins=(t_edges, g_edges))[0]
-        kept = gain >= tail_gamma
-        tail_count += int(np.count_nonzero(kept))
-        q = (re_vh[kept] / gain[kept]) ** 2
+        z = draw_channel_rows(m, gen)
+        q_parts = []
+        for lo in range(0, m, _JOINT_SLICE):
+            h_re, h_im, v_re, v_im = z[:, lo:lo + _JOINT_SLICE]
+            gain = h_re * h_re + h_im * h_im
+            re_vh = v_re * h_re + v_im * h_im
+            pos = gain > 0.0  # zero gain has probability zero; guard the division
+            counts += histogram2d_counts(re_vh[pos] / gain[pos], -gain[pos], t_edges, g_edges)
+            kept = gain >= tail_gamma
+            q_parts.append((re_vh[kept] / gain[kept]) ** 2)
+        # one sum per chunk, over the chunk's tail in draw order
+        q = np.concatenate(q_parts)
+        tail_count += q.size
         q_sums.append(float(np.sum(q)))
         q2_sums.append(float(np.sum(q * q)))
         done += m
 
     mass = np.empty((bins, bins))
-    worst_gap = 0.0
     for i in range(bins):
         for j in range(bins):
             mass[i, j] = _bin_mass(t_edges[i], t_edges[i + 1], g_edges[j], g_edges[j + 1])
-            gap = abs(mass[i, j] - _rect_mass(t_edges[i], t_edges[i + 1], g_edges[j], g_edges[j + 1]))
-            worst_gap = max(worst_gap, gap)
+    worst_gap = float(np.max(np.abs(mass - cdf_rect_masses(t_edges, g_edges))))
     if worst_gap > _MASS_CONSISTENCY_TOL:
         raise RuntimeError(
             f"density and CDF disagree on a bin mass by {worst_gap}; internal inconsistency"
         )
 
     n = float(n_samples)
-    p_emp = hist / n
+    p_emp = counts / n
     inside_emp = float(p_emp.sum())
     inside_ana = float(mass.sum())
     tv = 0.5 * (float(np.abs(p_emp - mass).sum()) + abs(inside_ana - inside_emp))
@@ -533,6 +598,8 @@ def pdf_normalization(gamma_min: float = -40.0) -> float:
     """
     if not (gamma_min < 0.0 and math.isfinite(gamma_min)):
         raise ValueError(f"gamma_min must be negative, got {gamma_min}")
+    from scipy.integrate import dblquad  # deferred, as in _bin_mass
+
     s_max = math.sqrt(-gamma_min)
     val, _ = dblquad(
         lambda t, s: 2.0 * s * joint_pdf_xy(t, -s * s),

@@ -1,6 +1,7 @@
-"""Real-valued special functions used by the aggregation closed forms: Ei
+"""Real-valued special functions of the aggregation closed forms: Ei
 (coefficient variance and threshold objective) and erf/erfc (joint law of
-the auxiliary pair).
+the auxiliary pair; analysis.joint_cdf_xy evaluates it with math.erf and
+math.erfc, and these stay as verified references).
 
 Everything here is implemented from scratch (power series plus continued
 fractions) so the closed-form layer carries no special-function dependency.

@@ -71,7 +71,8 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("sigma2_dbm", "4000"), ("alpha", "400"), ("rho", "1e-200"), ("sigma2_dbm", "3100")],
+        [("sigma2_dbm", "4000"), ("alpha", "400"), ("rho", "1e-200"), ("sigma2_dbm", "3100"),
+         ("train.blob_separation", "1e300")],
     )
     def test_overflowing_value_names_its_key(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "extreme.cfg"

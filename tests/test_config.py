@@ -40,6 +40,7 @@ class TestTrainConfigValidation:
             {"test_size": 3},
             {"test_size": 0},
             {"blob_separation": 0.0},
+            {"blob_separation": 1e300},  # its square overflows a double
             {"label_skew": 1.0},
             {"label_skew": -0.1},
             {"hidden_units": 0},

@@ -8,10 +8,16 @@ import pytest
 
 import oracles
 from airfl import harness
-from airfl.aircomp import PowerConfig, aggregate
-from airfl.analysis import conditional_second_moment, xi_variance
-from airfl.channel import EstimationModel, draw_channel, substream
-from airfl.config import STREAM_MC_DIVERGENCE, SystemConfig, TrainConfig, load_config
+from airfl.aircomp import PowerConfig, aggregate, compensation_lambda, effective_coefficients
+from airfl.analysis import conditional_second_moment, joint_cdf_xy, xi_variance
+from airfl.channel import EstimationModel, draw_channel, draw_channel_block, substream
+from airfl.config import (
+    STREAM_MC_DIVERGENCE,
+    STREAM_MC_XI,
+    SystemConfig,
+    TrainConfig,
+    load_config,
+)
 from airfl.harness import (
     _TRIAL_BLOCK,
     Gate,
@@ -22,13 +28,16 @@ from airfl.harness import (
     _git_blob_sha1,
     _pool_size,
     cdf_pdf_consistency,
+    cdf_rect_masses,
     convergence_report,
     divergence_gates,
+    histogram2d_counts,
     k_slope_scan,
     mc_conditional_second_moment,
     mc_joint_distribution_check,
     mc_weight_divergence,
     mc_xi_moments,
+    mc_xi_moments_grid,
     pdf_normalization,
     read_sweep_csv,
     report,
@@ -108,6 +117,92 @@ class TestXiMoments:
     def test_perfect_csi_cell(self):
         res = mc_xi_moments(1.0, 1.0, 50_000, seed=4)
         assert abs(res.variance - math.expm1(1.0)) <= 4.0 * res.se_var
+
+
+def _per_cell_sums(rho, gamma, n, seed, chunk):
+    # each cell drawing its own copy of the stream, chunk by chunk
+    model = EstimationModel(rho=rho, alpha=2.0)
+    lam = compensation_lambda(gamma, rho)
+    gen = substream(seed, STREAM_MC_XI)
+    s1, s2, n_active, done = [], [], 0, 0
+    while done < n:
+        m = min(chunk, n - done)
+        h, h_hat, _ = draw_channel_block(model, m, gen)
+        xi, active = effective_coefficients(h, h_hat, gamma, lam)
+        y = xi - 1.0
+        s1.append(float(np.sum(y)))
+        s2.append(float(np.sum(y * y)))
+        n_active += int(np.count_nonzero(active))
+        done += m
+    return math.fsum(s1), math.fsum(s2), n_active
+
+
+class TestXiMomentsGrid:
+    CELLS = [(rho, gamma) for rho in (0.5, 0.95, 1.0) for gamma in (0.1, 2.0)]
+
+    @pytest.mark.parametrize("n, chunk", [(50_000, 7_777), (30_000, 1 << 20), (40_000, 10_000)])
+    def test_equals_the_per_cell_calls(self, n, chunk):
+        grid = mc_xi_moments_grid(self.CELLS, n, seed=5, chunk=chunk)
+        assert grid == [mc_xi_moments(r, g, n, seed=5, chunk=chunk) for r, g in self.CELLS]
+
+    def test_shares_the_stream_each_cell_would_draw(self):
+        n, chunk = 25_000, 6_000
+        grid = mc_xi_moments_grid(self.CELLS, n, seed=11, chunk=chunk)
+        for (rho, gamma), res in zip(self.CELLS, grid):
+            s1, s2, n_active = _per_cell_sums(rho, gamma, n, 11, chunk)
+            a = s1 / n
+            assert res.mean == 1.0 + a
+            assert res.variance == (s2 / n - a * a) * n / (n - 1.0)
+            assert res.active_fraction == n_active / n
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="at least"):
+            mc_xi_moments_grid(self.CELLS, 100, seed=0)
+        with pytest.raises(ValueError, match="rho"):
+            mc_xi_moments_grid([(0.8, 0.5), (1.5, 0.5)], 20_000, seed=0)
+        with pytest.raises(ValueError, match="gamma_th"):
+            mc_xi_moments_grid([(0.8, -1.0)], 20_000, seed=0)
+        assert mc_xi_moments_grid([], 20_000, seed=0) == []
+
+
+class TestHistogramCounts:
+    T_EDGES = np.linspace(-3.0, 3.0, 41)
+    G_EDGES = np.linspace(-4.0, -0.1, 41)
+
+    def check(self, x, y):
+        want = np.histogram2d(x, y, bins=(self.T_EDGES, self.G_EDGES))[0]
+        got = histogram2d_counts(x, y, self.T_EDGES, self.G_EDGES)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_random_values(self):
+        rng = np.random.default_rng(3)
+        self.check(rng.normal(0.0, 2.0, 200_000), -rng.exponential(1.5, 200_000))
+
+    def test_values_on_every_edge(self):
+        # every edge of one axis against every edge of the other, including
+        # the closed rightmost edge of both
+        x, y = (a.ravel() for a in np.meshgrid(self.T_EDGES, self.G_EDGES))
+        self.check(x, y)
+
+    def test_values_next_to_every_edge(self):
+        below = np.nextafter(self.T_EDGES, -np.inf)
+        above = np.nextafter(self.T_EDGES, np.inf)
+        gb = np.nextafter(self.G_EDGES, -np.inf)
+        ga = np.nextafter(self.G_EDGES, np.inf)
+        for x in (below, above):
+            for y in (gb, ga, self.G_EDGES):
+                self.check(*(a.ravel() for a in np.meshgrid(x, y)))
+
+    def test_values_outside_the_window_are_dropped(self):
+        t_lo, t_hi, g_lo, g_hi = -3.0, 3.0, -4.0, -0.1
+        x = np.array([t_lo, t_hi, np.nextafter(t_lo, -9), np.nextafter(t_hi, 9), 0.0, 0.0, -50.0])
+        y = np.array([g_lo, g_hi, -1.0, -1.0, np.nextafter(g_lo, -9), np.nextafter(g_hi, 9), -1.0])
+        self.check(x, y)
+        assert histogram2d_counts(x, y, self.T_EDGES, self.G_EDGES).sum() == 2
+
+    def test_empty_input(self):
+        self.check(np.array([]), np.array([]))
 
 
 class TestGate:
@@ -256,6 +351,22 @@ class TestDensityQuadrature:
     def test_rejects_nonnegative_window(self):
         with pytest.raises(ValueError):
             pdf_normalization(gamma_min=0.0)
+
+    def test_rect_masses_match_the_four_call_form(self):
+        t_edges = np.linspace(-3.0, 3.0, 9)
+        g_edges = np.linspace(-4.0, -0.1, 7)
+        got = cdf_rect_masses(t_edges, g_edges)
+        assert got.shape == (8, 6)
+        for i in range(8):
+            for j in range(6):
+                t0, t1, g0, g1 = t_edges[i], t_edges[i + 1], g_edges[j], g_edges[j + 1]
+                want = (
+                    joint_cdf_xy(t1, g1)
+                    - joint_cdf_xy(t0, g1)
+                    - joint_cdf_xy(t1, g0)
+                    + joint_cdf_xy(t0, g0)
+                )
+                assert got[i, j] == want
 
     def test_cdf_pdf_consistency_small_grid(self):
         worst = cdf_pdf_consistency((-2.0, 0.0, 1.0), (-3.0, -1.0, -0.5))

@@ -1,6 +1,10 @@
 """The package's public surface: airfl.__all__ and what it no longer holds."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import airfl
 
@@ -28,3 +32,13 @@ def test_all_is_the_public_surface():
             assert name not in names
             assert not hasattr(airfl, name)
             assert not hasattr(mod, name)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is for the quadrature oracles only; it loads when one runs
+    code = "import sys, airfl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(airfl.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
