@@ -26,6 +26,7 @@ from .analysis import (
     convergence_bound,
     divergence_bound,
     divergence_exact,
+    divergence_exact_always_noise,
     joint_cdf_xy,
     joint_pdf_xy,
     xi_mean_offset,
@@ -41,7 +42,7 @@ from .optimizer import (
     second_derivative_h,
 )
 from .config import SystemConfig, TrainConfig, load_config, resolve
-from .fltrain import TrainingTrace, evaluate, train
+from .fltrain import SeedDraws, TrainingTrace, evaluate, train
 from .harness import SweepResult, mc_joint_distribution_check, mc_weight_divergence, mc_xi_moments, sweep_threshold
 
 __version__ = "0.1.0"
@@ -54,6 +55,7 @@ __all__ = [
     "LearningConstants",
     "ObjectiveCoefficients",
     "PowerConfig",
+    "SeedDraws",
     "SweepResult",
     "SystemConfig",
     "ThresholdSolution",
@@ -68,6 +70,7 @@ __all__ = [
     "derivative_h",
     "divergence_bound",
     "divergence_exact",
+    "divergence_exact_always_noise",
     "draw_channel",
     "effective_coefficients",
     "erf",

@@ -163,21 +163,21 @@ def divergence_bound(k_devices: int, gamma_th: float, rho: float, cfg: PowerConf
     return (cfg.g_bound**2 / k_devices**2) * (xi_variance(gamma_th, rho) + noise_term)
 
 
-def divergence_exact(
+def skip_probability(k_devices: int, gamma_th: float) -> float:
+    """Probability (1 - e^(-gamma_th))^K that every device is truncated,
+    i.e. that a round has no transmitter and is skipped."""
+    return (1.0 - math.exp(-gamma_th)) ** k_devices
+
+
+def _divergence_terms(
     per_device_grad_sq: list[float],
     k_devices: int,
     gamma_th: float,
     rho: float,
     cfg: PowerConfig,
     d_model: int,
-) -> float:
-    """Exact expected squared aggregation error for given gradient energies,
-
-        (1/K^2) * Var[xi] * sum_k E||g_k||^2 + d_model * sigma2 / (2 zeta^2).
-
-    The noise term is dimension-aware: the receiver adds an independent
-    N(0, sigma2/(2 zeta^2)) entry per model coordinate.
-    """
+) -> tuple[float, float]:
+    # (CSI term, noise term of a round that transmits)
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     if len(per_device_grad_sq) != k_devices:
@@ -190,9 +190,53 @@ def divergence_exact(
         raise ValueError(f"d_model must be >= 1, got {d_model}")
     var = xi_variance(gamma_th, rho)
     zeta = scaling_zeta(k_devices, rho, cfg, gamma_th)
-    return var * math.fsum(per_device_grad_sq) / k_devices**2 + d_model * cfg.sigma2 / (
-        2.0 * zeta * zeta
-    )
+    csi = var * math.fsum(per_device_grad_sq) / k_devices**2
+    noise = d_model * cfg.sigma2 / (2.0 * zeta * zeta)
+    return csi, noise
+
+
+def divergence_exact_always_noise(
+    per_device_grad_sq: list[float],
+    k_devices: int,
+    gamma_th: float,
+    rho: float,
+    cfg: PowerConfig,
+    d_model: int,
+) -> float:
+    """The paper's expected squared aggregation error for given gradient
+    energies, with receiver noise in every round,
+
+        (1/K^2) * Var[xi] * sum_k E||g_k||^2 + d_model * sigma2 / (2 zeta^2).
+
+    The noise term is dimension-aware: the receiver adds an independent
+    N(0, sigma2/(2 zeta^2)) entry per model coordinate.  A skipped round
+    (no active device) adds no noise, so this overstates the simulated
+    expectation by p_skip times the noise term; divergence_exact is exact.
+    """
+    csi, noise = _divergence_terms(per_device_grad_sq, k_devices, gamma_th, rho, cfg, d_model)
+    return csi + noise
+
+
+def divergence_exact(
+    per_device_grad_sq: list[float],
+    k_devices: int,
+    gamma_th: float,
+    rho: float,
+    cfg: PowerConfig,
+    d_model: int,
+) -> float:
+    """Exact expected squared aggregation error for given gradient energies,
+
+        (1/K^2) * Var[xi] * sum_k E||g_k||^2
+            + (1 - p_skip) * d_model * sigma2 / (2 zeta^2),
+
+    with p_skip = (1 - e^(-gamma_th))^K.  A round with no active device
+    sends nothing and adds no receiver noise (the skipped-round
+    convention), so the noise term counts only the rounds that transmit;
+    the CSI term already covers skipped rounds, where every xi_k is 0.
+    """
+    csi, noise = _divergence_terms(per_device_grad_sq, k_devices, gamma_th, rho, cfg, d_model)
+    return csi + (1.0 - skip_probability(k_devices, gamma_th)) * noise
 
 
 def convergence_bound(lc: LearningConstants, delta2_total: float) -> float:

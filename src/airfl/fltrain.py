@@ -8,17 +8,23 @@ skipped: the model is left untouched and the event is counted in the trace.
 
 Two desk-scale tasks are built in: a two-class Gaussian-blob logistic
 regression and a one-hidden-layer MLP on the same data.
+
+Everything a run draws that depends only on the seed and the config (the
+device shards, the test set, each round's mini-batches and channel draws,
+and the calibrated gradient bound) lives in a SeedDraws.  Runs that differ
+only in gamma_th can share one: each draw comes from the same substream a
+private run would use, so sharing changes no bit of any run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .aircomp import PowerConfig, aggregate, preprocessing_beta
-from .channel import draw_channel, substream
+from .channel import ChannelDraw, draw_channel, substream
 from .config import (
     STREAM_BATCH,
     STREAM_CHANNEL,
@@ -251,42 +257,30 @@ def evaluate(task, w: np.ndarray, data: DeviceDataset) -> tuple[float, float]:
     return loss, accuracy
 
 
-def round_gradients(task, w, devices, exp, round_index):
-    """All K mini-batch gradients of one round (batches drawn without
-    replacement from per-(round, device) streams)."""
-    grads = []
-    for k, dev in enumerate(devices):
-        gen = substream(exp.seed, STREAM_BATCH, round_index, k)
-        idx = gen.choice(dev.size, size=exp.train.batch_size, replace=False)
-        grads.append(local_gradient(task, w, dev.features[idx], dev.labels[idx]))
-    return grads
+def round_gradients(w, draws: SeedDraws, round_index: int) -> list[np.ndarray]:
+    """All K mini-batch gradients of one round, at the batches of draws."""
+    return [local_gradient(draws.task, w, x, y) for x, y in draws.batches(round_index)]
 
 
 def run_round(
     w: np.ndarray,
     round_index: int,
     exp: ResolvedExperiment,
-    task,
-    devices: list[DeviceDataset],
-    test: DeviceDataset,
-    all_train: DeviceDataset,
+    draws: SeedDraws,
     power: PowerConfig | None,
     mode: str,
 ) -> tuple[np.ndarray, RoundRecord]:
     """One aggregation round; returns the updated model and its record."""
-    grads = round_gradients(task, w, devices, exp, round_index)
+    grads = round_gradients(w, draws, round_index)
     g_ideal = ideal_aggregate(grads)
     spread = float(np.mean([np.sum((g - g_ideal) ** 2) for g in grads]))
 
     skipped = False
     if mode == "ideal":
         g_hat = g_ideal
-        active_count = len(devices)
+        active_count = len(grads)
     else:
-        draws = [
-            draw_channel(exp.est, exp.distances[k], substream(exp.seed, STREAM_CHANNEL, round_index, k))
-            for k in range(exp.k_devices)
-        ]
+        channels = draws.channels(round_index)
         round_power = power
         if exp.cfg.g_mode == "genie":
             g_now = max(float(np.linalg.norm(g)) for g in grads)
@@ -300,13 +294,13 @@ def run_round(
             )
         outcome = aggregate(
             grads,
-            draws,
+            channels,
             exp.gamma_th,
             exp.rho,
             round_power,
             substream(exp.seed, STREAM_NOISE, round_index),
         )
-        _assert_power_feasible(grads, draws, outcome, round_power, exp)
+        _assert_power_feasible(grads, channels, outcome, round_power, exp)
         skipped = outcome.skipped
         g_hat = outcome.g_hat
         active_count = len(outcome.active_set)
@@ -316,8 +310,8 @@ def run_round(
     else:
         w_next = global_update(w, g_hat, exp.train.eta)
 
-    loss, _ = evaluate(task, w_next, all_train)
-    _, accuracy = evaluate(task, w_next, test)
+    loss, _ = evaluate(draws.task, w_next, draws.all_train)
+    _, accuracy = evaluate(draws.task, w_next, draws.test)
     diff = g_hat - g_ideal
     record = RoundRecord(
         round_index=round_index,
@@ -331,7 +325,7 @@ def run_round(
     return w_next, record
 
 
-def _assert_power_feasible(grads, draws, outcome, power: PowerConfig, exp) -> None:
+def _assert_power_feasible(grads, channels, outcome, power: PowerConfig, exp) -> None:
     # Instantaneous power check for every active device whose gradient obeys
     # the norm bound; a tiny slack absorbs rounding in the boundary case
     # |h_hat|^2 == gamma_th.
@@ -339,7 +333,7 @@ def _assert_power_feasible(grads, draws, outcome, power: PowerConfig, exp) -> No
         g_norm_sq = float(np.dot(grads[k], grads[k]))
         if g_norm_sq > power.g_bound**2:
             continue
-        beta = preprocessing_beta(draws[k], outcome.zeta, outcome.lam, exp.k_devices)
+        beta = preprocessing_beta(channels[k], outcome.zeta, outcome.lam, exp.k_devices)
         sent = (beta.real**2 + beta.imag**2) * g_norm_sq
         if sent > power.p_max * (1.0 + 1e-9):
             raise AssertionError(
@@ -347,19 +341,18 @@ def _assert_power_feasible(grads, draws, outcome, power: PowerConfig, exp) -> No
             )
 
 
-def calibrate_g_bound(
-    exp: ResolvedExperiment, task, devices: list[DeviceDataset], rounds: int = _WARMUP_ROUNDS
-) -> float:
+def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
     """Gradient-norm bound from an ideal-mode warm-up pass.
 
-    Runs the first `rounds` rounds with exact aggregation under the same
-    seed (hence the same batches the real run will draw) and returns 1.1x
-    the largest per-device gradient norm observed.
+    Runs the first `rounds` rounds with exact aggregation on the batches of
+    draws (hence the batches the real run will see) and returns 1.1x the
+    largest per-device gradient norm observed.
     """
+    task, exp = draws.task, draws.exp
     w = task.init_params(substream(exp.seed, STREAM_INIT))
     g_max = 0.0
     for m in range(rounds):
-        grads = round_gradients(task, w, devices, exp, m)
+        grads = round_gradients(w, draws, m)
         g_max = max(g_max, max(float(np.linalg.norm(g)) for g in grads))
         w = global_update(w, ideal_aggregate(grads), exp.train.eta)
     if g_max == 0.0:
@@ -367,26 +360,101 @@ def calibrate_g_bound(
     return _G_MARGIN * g_max
 
 
+def _draws_key(exp: ResolvedExperiment) -> tuple:
+    # every field of the experiment and of its config but the threshold
+    return tuple(
+        (f.name, getattr(obj, f.name))
+        for obj, skip in ((exp.cfg, ("gamma_th",)), (exp, ("cfg", "gamma_th", "gamma_policy")))
+        for f in fields(obj)
+        if f.name not in skip
+    )
+
+
+class SeedDraws:
+    """What one seed's training runs draw, drawn once and shared.
+
+    Holds the task, the device shards, the test set and their union, each
+    round's mini-batch indices and channel draws (filled lazily, round by
+    round, from the substreams a private run would use), and the calibrated
+    gradient bound (computed on first use).  None of it depends on gamma_th
+    or on the model weights, so `train` accepts one SeedDraws for every run
+    whose config differs from `exp`'s in gamma_th alone.  The receiver noise
+    is not held: it is drawn per run and round.
+    """
+
+    def __init__(self, cfg: SystemConfig | ResolvedExperiment):
+        exp = cfg if isinstance(cfg, ResolvedExperiment) else resolve(cfg)
+        self.exp = exp
+        self.key = _draws_key(exp)
+        self.task = build_task(exp.train)
+        self.devices = build_devices(exp)
+        self.test = build_test_set(exp)
+        self.all_train = DeviceDataset(
+            features=np.concatenate([d.features for d in self.devices]),
+            labels=np.concatenate([d.labels for d in self.devices]),
+        )
+        self._picks: dict[int, list[np.ndarray]] = {}
+        self._channels: dict[int, list[ChannelDraw]] = {}
+        self._g_bound: float | None = None
+
+    def batches(self, round_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per device, the round's (features, labels) batch, drawn without
+        replacement from substream(seed, STREAM_BATCH, round, k).
+
+        Only the indices are held, so the draws stay small next to the
+        shards; each call gathers fresh arrays from them.
+        """
+        picks = self._picks.get(round_index)
+        if picks is None:
+            picks = [
+                substream(self.exp.seed, STREAM_BATCH, round_index, k).choice(
+                    dev.size, size=self.exp.train.batch_size, replace=False
+                )
+                for k, dev in enumerate(self.devices)
+            ]
+            self._picks[round_index] = picks
+        return [(dev.features[idx], dev.labels[idx]) for dev, idx in zip(self.devices, picks)]
+
+    def channels(self, round_index: int) -> list[ChannelDraw]:
+        """Per device, the round's channel draw from
+        substream(seed, STREAM_CHANNEL, round, k)."""
+        out = self._channels.get(round_index)
+        if out is None:
+            exp = self.exp
+            out = [
+                draw_channel(exp.est, exp.distances[k], substream(exp.seed, STREAM_CHANNEL, round_index, k))
+                for k in range(exp.k_devices)
+            ]
+            self._channels[round_index] = out
+        return out
+
+    def calibrated_g_bound(self) -> float:
+        """calibrate_g_bound on these draws, run once."""
+        if self._g_bound is None:
+            self._g_bound = calibrate_g_bound(self)
+        return self._g_bound
+
+
 def train(
     cfg: SystemConfig | ResolvedExperiment,
     mode: str = "aircomp",
+    draws: SeedDraws | None = None,
 ) -> TrainingTrace:
     """Run a full federated experiment and return its trace.
 
     mode "ideal" aggregates exactly (no channel); "aircomp" sends gradients
     over the simulated channel with truncated inversion.  With the same
-    seed, both modes draw identical data and batches.
+    seed, both modes draw identical data and batches.  `draws` may come from
+    a config that differs from cfg in gamma_th alone; without it the run
+    builds its own, with the same result.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     exp = cfg if isinstance(cfg, ResolvedExperiment) else resolve(cfg)
-    task = build_task(exp.train)
-    devices = build_devices(exp)
-    test = build_test_set(exp)
-    all_train = DeviceDataset(
-        features=np.concatenate([d.features for d in devices]),
-        labels=np.concatenate([d.labels for d in devices]),
-    )
+    if draws is None:
+        draws = SeedDraws(exp)
+    elif draws.key != _draws_key(exp):
+        raise ValueError("draws were built for a config that differs in more than gamma_th")
 
     power = None
     gamma_th: float | None = None
@@ -398,15 +466,13 @@ def train(
                 raise ValueError("g_mode 'fixed' requires g_bound")
             g_bound = exp.cfg.g_bound
         else:
-            g_bound = exp.cfg.g_bound if exp.cfg.g_bound is not None else calibrate_g_bound(exp, task, devices)
+            g_bound = exp.cfg.g_bound if exp.cfg.g_bound is not None else draws.calibrated_g_bound()
         power = exp.power_config(g_bound)
 
-    w = task.init_params(substream(exp.seed, STREAM_INIT))
+    w = draws.task.init_params(substream(exp.seed, STREAM_INIT))
     records = []
     for m in range(exp.train.rounds_m):
-        w, record = run_round(
-            w, m, exp, task, devices, test, all_train, power, mode
-        )
+        w, record = run_round(w, m, exp, draws, power, mode)
         records.append(record)
 
     if not np.all(np.isfinite(w)):

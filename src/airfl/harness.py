@@ -14,8 +14,9 @@ merges to the exact same numbers as a serial one.
 The sampling kernels avoid repeated work: verify-xi's grid cells share one
 draw (mc_xi_moments_grid), the joint law is histogrammed by arithmetic bin
 index and np.bincount (histogram2d_counts), and its CDF cross-check reads
-one grid of CDF values (cdf_rect_masses).  scipy's quadrature is imported
-only when a quadrature check runs.
+one grid of CDF values (cdf_rect_masses), and the threshold sweep trains
+the cells of one seed on one fltrain.SeedDraws.  scipy's quadrature is
+imported only when a quadrature check runs.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .analysis import (
     divergence_exact,
     joint_cdf_xy,
     joint_pdf_xy,
+    skip_probability,
     xi_variance,
 )
 from .channel import EstimationModel, draw_channel_block, draw_channel_rows, substream
@@ -58,10 +60,8 @@ from .config import (
     resolve,
 )
 from .fltrain import (
+    SeedDraws,
     TrainingTrace,
-    build_devices,
-    build_task,
-    calibrate_g_bound,
     ideal_aggregate,
     round_gradients,
     train,
@@ -682,23 +682,23 @@ def pdf_gates(
 # frozen-gradient weight divergence
 
 
-def _resolve_g_bound(exp, task, devices, grads) -> float:
-    if exp.cfg.g_bound is not None:
-        return exp.cfg.g_bound
-    if exp.cfg.g_mode == "fixed":
+def _resolve_g_bound(draws: SeedDraws, grads) -> float:
+    cfg = draws.exp.cfg
+    if cfg.g_bound is not None:
+        return cfg.g_bound
+    if cfg.g_mode == "fixed":
         raise ValueError("g_mode 'fixed' requires g_bound")
-    if exp.cfg.g_mode == "genie":
+    if cfg.g_mode == "genie":
         return max(float(np.linalg.norm(g)) for g in grads)
-    return calibrate_g_bound(exp, task, devices)
+    return draws.calibrated_g_bound()
 
 
 def _frozen_setup(cfg: SystemConfig):
     exp = resolve(cfg)
-    task = build_task(exp.train)
-    devices = build_devices(exp)
-    w0 = task.init_params(substream(exp.seed, STREAM_INIT))
-    grads = round_gradients(task, w0, devices, exp, 0)
-    g_bound = _resolve_g_bound(exp, task, devices, grads)
+    draws = SeedDraws(exp)
+    w0 = draws.task.init_params(substream(exp.seed, STREAM_INIT))
+    grads = round_gradients(w0, draws, 0)
+    g_bound = _resolve_g_bound(draws, grads)
     return exp, grads, exp.power_config(g_bound)
 
 
@@ -777,8 +777,9 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     for those gradients and the a-priori bound.
 
     Rounds whose active set is empty contribute ||g||^2 and no noise (the
-    skipped-round convention); their analytic probability (1 - e^-g)^K is
-    reported in meta so the induced bias can be judged against the SE.
+    skipped-round convention); the exact expectation and meta's
+    noise_term_exact weight the noise by the probability 1 - p_skip of a
+    round that transmits, and p_skip = (1 - e^-g)^K is reported in meta.
     """
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
@@ -796,6 +797,7 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     exact = divergence_exact(energies, exp.k_devices, exp.gamma_th, exp.rho, power, d_model)
     bound = divergence_bound(exp.k_devices, exp.gamma_th, exp.rho, power)
     zeta = scaling_zeta(exp.k_devices, exp.rho, power, exp.gamma_th)
+    p_skip = skip_probability(exp.k_devices, exp.gamma_th)
     row = (
         exp.k_devices,
         exp.rho,
@@ -813,8 +815,8 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
         "zeta": zeta,
         "lam": compensation_lambda(exp.gamma_th, exp.rho),
         "sum_grad_sq": math.fsum(energies),
-        "noise_term_exact": d_model * power.sigma2 / (2.0 * zeta * zeta),
-        "skip_prob_analytic": (1.0 - math.exp(-exp.gamma_th)) ** exp.k_devices,
+        "noise_term_exact": (1.0 - p_skip) * (d_model * power.sigma2 / (2.0 * zeta * zeta)),
+        "skip_prob_analytic": p_skip,
     }
     return SweepResult(
         columns=(
@@ -920,9 +922,8 @@ def k_slope_scan(
 _SWEEP_MODES = ("joint", "communication_oriented", "computation_oriented", "fixed")
 
 
-def _train_cell(cfg: SystemConfig) -> tuple[float, float, float, float, float]:
-    exp = resolve(cfg)
-    trace = train(exp, mode="aircomp")
+def _train_cell(exp, draws: SeedDraws) -> tuple[float, float, float, float, float]:
+    trace = train(exp, mode="aircomp", draws=draws)
     power = exp.power_config(trace.g_bound)
     bound = divergence_bound(exp.k_devices, exp.gamma_th, exp.rho, power)
     return (
@@ -932,6 +933,13 @@ def _train_cell(cfg: SystemConfig) -> tuple[float, float, float, float, float]:
         bound,
         trace.skipped_rounds / len(trace.records),
     )
+
+
+def _train_seed_cells(cfgs: list[SystemConfig]) -> list[tuple[float, float, float, float, float]]:
+    """Train cells that share a seed, in order, on one SeedDraws."""
+    exps = [resolve(c) for c in cfgs]
+    draws = SeedDraws(exps[0])
+    return [_train_cell(exp, draws) for exp in exps]
 
 
 def _computation_gamma(cfg: SystemConfig) -> float:
@@ -959,6 +967,12 @@ def sweep_threshold(
     the CSI-error term alone.  Each row aggregates n_seeds repetitions into
     mean and standard error of the final test accuracy and of the measured
     per-round divergence.
+
+    The cells that share a seed differ only in gamma_th, so they train on
+    one SeedDraws: shards, batches, channel draws and the calibrated
+    gradient bound are drawn once per seed, not once per cell.  A seed group
+    is the parallel unit, so at most n_seeds workers run; neither the
+    sharing nor jobs changes a byte of the result.
     """
     gammas = [float(g) for g in gammas]
     if len(gammas) < 8:
@@ -995,8 +1009,13 @@ def sweep_threshold(
                 (mode, [replace(cfg, gamma_th=g_comp, seed=cfg.seed + i) for i in range(n_seeds)])
             )
 
+    # every group lists its cells in seed order, so cells[i::n_seeds] are
+    # the cells of seed cfg.seed + i
     cells = [c for _, cfgs in groups for c in cfgs]
-    results = _pmap(_train_cell, cells, jobs)
+    results = [None] * len(cells)
+    by_seed = _pmap(_train_seed_cells, [cells[i::n_seeds] for i in range(n_seeds)], jobs)
+    for i, part in enumerate(by_seed):
+        results[i::n_seeds] = part
 
     rows = []
     idx = 0
@@ -1048,6 +1067,25 @@ def sweep_threshold(
 # training summary (convergence-bound report with estimated constants)
 
 
+def _mean_sq_row_norm(x: np.ndarray) -> float:
+    """Mean squared row norm of x, inf when it exceeds the double range.
+
+    x is scaled by a power of two before squaring, so a sum over many rows
+    cannot overflow on the way to a finite mean; the scaling is exact, and
+    the terms it pushes below the normal range are far under the rounding
+    of the sum, so it changes no bit of a result that fits.
+    """
+    _, e = np.frexp(np.max(np.abs(x)))
+    e = int(e)
+    with np.errstate(under="ignore"):
+        scaled = np.ldexp(x, -e)
+        mean = float(np.mean(np.sum(scaled * scaled, axis=1)))
+    try:
+        return math.ldexp(mean, 2 * e)
+    except OverflowError:
+        return math.inf
+
+
 def convergence_report(cfg: SystemConfig, trace: TrainingTrace) -> dict[str, float] | None:
     """Convergence-bound evaluation with empirically estimated constants.
 
@@ -1060,16 +1098,14 @@ def convergence_report(cfg: SystemConfig, trace: TrainingTrace) -> dict[str, flo
     exp = resolve(cfg)
     if exp.train.task != "synthetic_logistic":
         return None
-    devices = build_devices(exp)
-    feats = np.concatenate([d.features for d in devices])
-    l_hat = float(np.mean(np.sum(feats * feats, axis=1))) / 4.0
-    if not exp.train.eta < 2.0 / l_hat:
+    draws = SeedDraws(exp)
+    l_hat = _mean_sq_row_norm(draws.all_train.features) / 4.0
+    if not (math.isfinite(l_hat) and exp.train.eta < 2.0 / l_hat):
         return None
     gap = max(math.log(2.0) - min(r.loss for r in trace.records), 1e-12)
     g_bound = trace.g_bound
     if g_bound is None:
-        task = build_task(exp.train)
-        g_bound = calibrate_g_bound(exp, task, devices)
+        g_bound = draws.calibrated_g_bound()
     lc = LearningConstants(
         lipschitz_l=l_hat,
         eta=exp.train.eta,

@@ -17,6 +17,7 @@ from airfl.analysis import (
     convergence_bound,
     divergence_bound,
     divergence_exact,
+    divergence_exact_always_noise,
     joint_cdf_xy,
     joint_pdf_xy,
     xi_mean_offset,
@@ -190,7 +191,7 @@ class TestDivergence:
 
     def test_exact_formula_by_hand(self):
         energies = [1.0, 4.0, 0.25]
-        got = divergence_exact(energies, 3, 0.5, 0.8, POWER, d_model=7)
+        got = divergence_exact_always_noise(energies, 3, 0.5, 0.8, POWER, d_model=7)
         from airfl.aircomp import scaling_zeta
 
         zeta = scaling_zeta(3, 0.8, POWER, 0.5)
@@ -199,13 +200,30 @@ class TestDivergence:
 
     def test_exact_noise_term_scales_with_dimension(self):
         energies = [1.0] * 5
-        d1 = divergence_exact(energies, 5, 0.5, 0.8, POWER, d_model=1)
-        d11 = divergence_exact(energies, 5, 0.5, 0.8, POWER, d_model=11)
+        d1 = divergence_exact_always_noise(energies, 5, 0.5, 0.8, POWER, d_model=1)
+        d11 = divergence_exact_always_noise(energies, 5, 0.5, 0.8, POWER, d_model=11)
         from airfl.aircomp import scaling_zeta
 
         zeta = scaling_zeta(5, 0.8, POWER, 0.5)
         noise1 = 1e-7 / (2 * zeta * zeta)
         assert abs((d11 - d1) - 10 * noise1) < 1e-15
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0, 2.0, 4.0])
+    def test_exact_counts_noise_only_in_rounds_that_transmit(self, gamma):
+        # Var[xi] sum_k ||g_k||^2 / K^2 + (1 - p_skip) d sigma2 / (2 zeta^2):
+        # a round with every device truncated adds no receiver noise
+        from airfl.aircomp import scaling_zeta
+
+        energies = [1.0, 4.0, 0.25]
+        got = divergence_exact(energies, 3, gamma, 0.8, POWER, d_model=7)
+        zeta = scaling_zeta(3, 0.8, POWER, gamma)
+        p_skip = (1.0 - math.exp(-gamma)) ** 3
+        csi = xi_variance(gamma, 0.8) * sum(energies) / 9
+        noise = 7 * 1e-7 / (2 * zeta * zeta)
+        want = csi + (1.0 - p_skip) * noise
+        assert abs(got - want) < 1e-15 * want
+        paper = divergence_exact_always_noise(energies, 3, gamma, 0.8, POWER, d_model=7)
+        assert abs((paper - got) - p_skip * noise) < 1e-12 * paper
 
     def test_exact_validation(self):
         with pytest.raises(ValueError):
@@ -214,6 +232,8 @@ class TestDivergence:
             divergence_exact([1.0, -2.0], 2, 0.5, 0.8, POWER, 4)
         with pytest.raises(ValueError):
             divergence_exact([1.0], 1, 0.5, 0.8, POWER, 0)
+        with pytest.raises(ValueError):
+            divergence_exact_always_noise([1.0, 2.0], 3, 0.5, 0.8, POWER, 4)
 
 
 class TestConvergence:

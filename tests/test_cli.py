@@ -136,6 +136,20 @@ class TestVerifyPdf:
 
 
 class TestVerifyDivergence:
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_gate_holds_where_rounds_skip(self, tmp_path, capsys, gamma):
+        # p_skip = (1 - e^-gamma)^3 is 0.25 at gamma 1 and 0.65 at gamma 2;
+        # skipped rounds add no noise, and the exact expectation says so
+        cfg_path = write_cfg(
+            tmp_path / "div.cfg",
+            SystemConfig(k_devices=3, gamma_th=gamma, sigma2_dbm=-20.0, train=SMALL_TRAIN),
+            {"verify_divergence.k_scan": "0"},
+        )
+        rc = main(["verify-divergence", "--config", cfg_path, "--trials", "4000"])
+        printed = capsys.readouterr().out
+        assert rc == 0, printed
+        assert "PASS divergence_exact_4se" in printed
+
     def test_gate_and_replay(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path / "div.cfg",

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airfl.channel import substream
-from airfl.config import STREAM_INIT, SystemConfig, TrainConfig, resolve
+from airfl.channel import draw_channel, substream
+from airfl.config import STREAM_BATCH, STREAM_CHANNEL, STREAM_INIT, SystemConfig, TrainConfig, resolve
 import airfl.fltrain
 from airfl.fltrain import (
     DeviceDataset,
     LogisticTask,
     MlpTask,
+    SeedDraws,
     build_devices,
     build_task,
     build_test_set,
@@ -21,7 +22,6 @@ from airfl.fltrain import (
     global_update,
     ideal_aggregate,
     local_gradient,
-    round_gradients,
     train,
 )
 
@@ -257,14 +257,18 @@ class TestTraining:
 
     def test_calibration_is_margin_times_peak_warmup_norm(self):
         exp = resolve(small_cfg())
+        got = calibrate_g_bound(SeedDraws(exp), rounds=3)
+
         task = build_task(exp.train)
         devices = build_devices(exp)
-        got = calibrate_g_bound(exp, task, devices, rounds=3)
-
         w = task.init_params(substream(exp.seed, STREAM_INIT))
         g_max = 0.0
         for m in range(3):
-            grads = round_gradients(task, w, devices, exp, m)
+            grads = []
+            for k, dev in enumerate(devices):
+                gen = substream(exp.seed, STREAM_BATCH, m, k)
+                idx = gen.choice(dev.size, size=exp.train.batch_size, replace=False)
+                grads.append(local_gradient(task, w, dev.features[idx], dev.labels[idx]))
             g_max = max(g_max, max(float(np.linalg.norm(g)) for g in grads))
             w = global_update(w, ideal_aggregate(grads), exp.train.eta)
         assert got == 1.1 * g_max
@@ -287,3 +291,58 @@ class TestTraining:
         trace = train(small_cfg(train=tc), mode="aircomp")
         assert len(trace.records) == 2
         assert trace.final.size == 4 * 5 + 4 + 4 + 1
+
+
+class TestSeedDraws:
+    def test_batches_are_drawn_once_and_gathered_fresh(self, monkeypatch):
+        draws = SeedDraws(small_cfg())
+        first = draws.batches(2)
+        # a second read must not draw again, and a caller writing into its
+        # arrays must not change what the next run sees
+        monkeypatch.setattr(airfl.fltrain, "substream", None)
+        first[0][0][0, 0] = 1e9
+        assert draws.batches(2)[0][0][0, 0] != 1e9
+
+    def test_draws_come_from_the_round_and_device_streams(self):
+        exp = resolve(small_cfg())
+        draws = SeedDraws(exp)
+        train(exp, mode="aircomp", draws=draws)
+        for m in range(exp.train.rounds_m):
+            for k, dev in enumerate(draws.devices):
+                gen = substream(exp.seed, STREAM_BATCH, m, k)
+                idx = gen.choice(dev.size, size=exp.train.batch_size, replace=False)
+                x, y = draws.batches(m)[k]
+                assert np.array_equal(x, dev.features[idx]) and np.array_equal(y, dev.labels[idx])
+                gen = substream(exp.seed, STREAM_CHANNEL, m, k)
+                assert draws.channels(m)[k] == draw_channel(exp.est, exp.distances[k], gen)
+
+    def test_runs_differing_in_gamma_th_share_one_draw(self, monkeypatch):
+        calls = {"calibrate": 0, "channel": 0}
+        real_calibrate, real_channel = airfl.fltrain.calibrate_g_bound, airfl.fltrain.draw_channel
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(airfl.fltrain, "calibrate_g_bound", count("calibrate", real_calibrate))
+        monkeypatch.setattr(airfl.fltrain, "draw_channel", count("channel", real_channel))
+        draws = SeedDraws(small_cfg())
+        for gamma in (0.1, 0.5, "optimize"):
+            train(small_cfg(gamma_th=gamma), mode="aircomp", draws=draws)
+        assert calls == {"calibrate": 1, "channel": 3 * 4}
+
+    def test_ideal_run_on_shared_draws_equals_a_private_one(self):
+        draws = SeedDraws(small_cfg())
+        train(small_cfg(gamma_th=3.0), mode="aircomp", draws=draws)
+        shared = train(small_cfg(gamma_th="optimize"), mode="ideal", draws=draws)
+        private = train(small_cfg(), mode="ideal")
+        assert np.array_equal(shared.final, private.final)
+        assert shared.records == private.records
+
+    @pytest.mark.parametrize("kw", [{"seed": 12}, {"k_devices": 4}, {"g_bound": 2.0}])
+    def test_draws_of_another_config_are_refused(self, kw):
+        draws = SeedDraws(small_cfg())
+        with pytest.raises(ValueError, match="more than gamma_th"):
+            train(small_cfg(**kw), mode="aircomp", draws=draws)

@@ -26,6 +26,7 @@ from airfl.harness import (
     _divergence_trials,
     _frozen_setup,
     _git_blob_sha1,
+    _mean_sq_row_norm,
     _pool_size,
     cdf_pdf_consistency,
     cdf_rect_masses,
@@ -569,6 +570,41 @@ class TestThresholdSweep:
         assert serial.rows == split.rows
 
 
+class TestSharedSeedDraws:
+    GRID = (0.05, 0.1, 0.3, 0.5, 0.8, 1.5, 2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"g_bound": None}, {"g_bound": None, "g_mode": "genie"}, {"g_bound": 2.0}],
+        ids=["calibrated", "genie", "fixed_g_bound"],
+    )
+    def test_seed_groups_equal_private_runs(self, monkeypatch, kw):
+        runs = []
+
+        def recording_train(exp, **train_kw):
+            trace = train(exp, **train_kw)
+            runs.append((exp, train_kw["draws"], trace))
+            return trace
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        sweep_threshold(small_cfg(**kw), gammas=self.GRID, n_seeds=3)
+        assert len(runs) == 11 * 3
+        assert len({id(draws) for _, draws, _ in runs}) == 3
+        assert any(t.skipped_rounds for *_, t in runs)
+        assert {exp.gamma_policy for exp, *_ in runs} == {"fixed", "optimize"}
+        for exp, _, trace in runs:
+            private = train(exp.cfg, mode="aircomp")
+            assert np.array_equal(trace.final, private.final)
+            assert trace.records == private.records
+            assert trace.g_bound == private.g_bound
+
+    def test_jobs_split_matches_serial(self):
+        serial = sweep_threshold(small_cfg(g_bound=None), gammas=self.GRID, jobs=1)
+        split = sweep_threshold(small_cfg(g_bound=None), gammas=self.GRID, jobs=2)
+        assert serial.rows == split.rows
+        assert serial.meta == split.meta
+
+
 class TestConvergenceReport:
     def test_logistic_report(self):
         cfg = small_cfg()
@@ -596,6 +632,25 @@ class TestConvergenceReport:
         cfg = small_cfg()
         trace = train(cfg, mode="ideal")
         assert convergence_report(small_cfg(eta=1.3), trace) is None
+
+    def test_huge_blob_separation_gets_no_report_without_overflow(self):
+        # accepted at load (its square is finite), yet the squared feature
+        # norms of all 200 samples sum past the double range
+        cfg = small_cfg(train=replace(SMALL_TRAIN, blob_separation=1.3e154))
+        trace = train(cfg, mode="aircomp")
+        with np.errstate(all="raise"):
+            assert convergence_report(cfg, trace) is None
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 7.0, 1e150])
+    def test_scaled_mean_square_norm_is_the_plain_one(self, scale):
+        x = np.random.default_rng(3).standard_normal((300, 6)) * scale
+        assert _mean_sq_row_norm(x) == float(np.mean(np.sum(x * x, axis=1)))
+
+    def test_scaled_mean_square_norm_past_the_plain_sum(self):
+        with np.errstate(all="raise"):
+            assert _mean_sq_row_norm(np.full((300, 1), 1e154)) == pytest.approx(1e308, rel=1e-12)
+            assert _mean_sq_row_norm(np.full((300, 2), 1e154)) == math.inf
+            assert _mean_sq_row_norm(np.zeros((3, 2))) == 0.0
 
 
 class TestCsvAndManifest:
