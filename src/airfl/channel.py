@@ -9,6 +9,11 @@ h_hat; estimation quality is a correlation rho in (0, 1]:
 A device takes part in a round iff |h_hat|^2 >= gamma_th (the boundary
 counts as active); |h_hat|^2 is unit-mean exponential, so the activation
 probability is exp(-gamma_th).
+
+Randomness comes from substream(seed, *key): one numpy Generator per layered
+key, seeded by SeedSequence.  substream_rows derives the same PCG64 states
+for a block of keys that differ in their last part, without building a
+SeedSequence per key, and fills one row of normals per key.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with this module, not on the first draw
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 
 
@@ -57,12 +63,116 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Child generator for a layered purpose key, independent per key."""
     if not key:
         raise ValueError("substream requires at least one key component")
+    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=tuple(_key_words(key)))
+    return np.random.default_rng(ss)
+
+
+def _key_words(key) -> list[int]:
+    """Two uint32 words per key part, low word first, after masking to 64 bits."""
     words: list[int] = []
     for part in key:
         part = int(part) & _MASK64
-        words.extend((part & 0xFFFFFFFF, part >> 32))
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=tuple(words))
-    return np.random.default_rng(ss)
+        words.extend((part & _MASK32, part >> 32))
+    return words
+
+
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit
+# LCG multiplier, as int literals so that importing costs nothing
+_MASK128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, hash_const: int):
+    """numpy's hashmix: returns the mixed value and the next hash constant."""
+    hash_const_next = (hash_const * _MULT_A) & _MASK32
+    value = ((value ^ hash_const) * hash_const_next) & _MASK32
+    return value ^ (value >> 16), hash_const_next
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def substream_states(seed: int, key_prefix: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of substream(seed, *key_prefix, t) for t in [lo, hi).
+
+    Replays numpy's SeedSequence(entropy, spawn_key).generate_state(4, uint64)
+    and PCG64's srandom step without building either object per key.  Words
+    shared by every t (the seed, padded to the pool's 4 words, and the key
+    prefix) are hashed once as ints; the two words of t, and every pool word
+    they touch, are uint64 columns of one value per t, masked to 32 bits.
+    """
+    t = np.arange(hi - lo, dtype=np.uint64) + np.uint64(int(lo) & _MASK64)
+    # the seed's one or two words, zero-padded to the pool size, then the key
+    entropy: list = _key_words((seed,)) + [0, 0] + _key_words(key_prefix)
+    entropy += [t & np.uint64(_MASK32), t >> np.uint64(32)]
+
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+
+    hash_const = _INIT_B
+    state32 = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state32.append(value ^ (value >> 16))
+    # generate_state(4, uint64) pairs the words little-end first; PCG64 seeds
+    # with initstate = (w0, w1) and initseq = (w2, w3), high word first
+    cols = [(state32[2 * j] | (state32[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
+    out = []
+    for w0, w1, w2, w3 in zip(*cols):
+        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+        out.append(((((inc + ((w0 << 64) | w1)) * _PCG64_MULT) + inc) & _MASK128, inc))
+    return out
+
+
+def substream_rows(seed: int, key_prefix: tuple[int, ...], lo: int, hi: int, width: int) -> np.ndarray:
+    """Row i is substream(seed, *key_prefix, lo + i).standard_normal(width).
+
+    One generator is reseeded per row from substream_states, so a block of
+    keyed streams costs one vectorised hash and no SeedSequence objects.
+    """
+    rows = np.empty((hi - lo, width))
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for row, (s, inc) in zip(rows, substream_states(seed, key_prefix, lo, hi)):
+        state["state"] = {"state": s, "inc": inc}
+        bit_gen.state = state
+        gen.standard_normal(out=row)
+    return rows
+
+
+def check_substream_states(seed: int, key_prefix: tuple[int, ...], t: int) -> None:
+    """Raise RuntimeError unless substream_states reproduces numpy's own
+    state for substream(seed, *key_prefix, t)."""
+    (s, inc), = substream_states(seed, key_prefix, t, t + 1)
+    ref = substream(seed, *key_prefix, t).bit_generator.state
+    if ref["bit_generator"] != "PCG64" or ref["state"] != {"state": s, "inc": inc}:
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds substream{(seed, *key_prefix, t)} differently "
+            "from substream_states; the divergence kernel cannot reproduce its streams"
+        )
 
 
 def draw_channel(

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import SystemConfig, load_config, resolve, resolved_to_config
-from .fltrain import train
+from .fltrain import SeedDraws, train
 from .harness import (
     Gate,
     SweepResult,
@@ -205,8 +205,9 @@ def _sweep_threshold(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Ou
 
 def _train(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
     mode = extras.get("run.mode", "aircomp")
-    trace = train(cfg, mode=mode)
     exp = resolve(cfg)
+    draws = SeedDraws(exp)
+    trace = train(exp, mode=mode, draws=draws)
     last = trace.records[-1]
     lines = [f"mode = {mode}"]
     if trace.gamma_th is not None:
@@ -218,7 +219,7 @@ def _train(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
         "skipped_rounds": trace.skipped_rounds,
     }
     lines += [f"{key} = {meta[key]!r}" for key in meta]
-    conv = convergence_report(cfg, trace)
+    conv = convergence_report(draws, trace)
     if conv is not None:
         lines.append("convergence bound with estimated constants (not a certificate):")
         lines += [f"  {key} = {value!r}" for key, value in conv.items()]

@@ -9,7 +9,9 @@ are Gate records built from the results by xi_gates, pdf_gates and
 divergence_gates, shared by the CLI and the acceptance suite.
 
 Trials are keyed by per-trial RNG streams, so a parallel run (jobs > 1)
-merges to the exact same numbers as a serial one.
+merges to the exact same numbers as a serial one.  The divergence kernel
+seeds a block of those streams at once (channel.substream_rows), with the
+same stream layout, and checks the seeding against substream once per call.
 
 The sampling kernels avoid repeated work: verify-xi's grid cells share one
 draw (mc_xi_moments_grid), the joint law is histogrammed by arithmetic bin
@@ -49,7 +51,14 @@ from .analysis import (
     skip_probability,
     xi_variance,
 )
-from .channel import EstimationModel, draw_channel_block, draw_channel_rows, substream
+from .channel import (
+    EstimationModel,
+    check_substream_states,
+    draw_channel_block,
+    draw_channel_rows,
+    substream,
+    substream_rows,
+)
 from .config import (
     STREAM_INIT,
     STREAM_MC_DIVERGENCE,
@@ -708,36 +717,42 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     args is (grads of shape (K, d), power, gamma_th, rho, seed, key, lo, hi).
     Trial t draws from substream(seed, STREAM_MC_DIVERGENCE, *key, t) what
     K `draw_channel` calls and one `aggregate` would: K x 4 channel normals,
-    then d noise normals if some device is active and sigma2 > 0.  Each trial
-    keeps its own stream and array row, so block and chunk bounds change no bit.
+    then d noise normals if some device is active and sigma2 > 0.  A block's
+    streams are seeded at once by `substream_rows`, one row per trial, and
+    the d noise normals are drawn for every trial and dropped for a skipped
+    one, which changes nothing else on its own stream.  Each trial keeps its
+    own stream and array row, so block and chunk bounds change no bit.  The
+    first trial's seeding is checked against `substream` itself, which
+    raises RuntimeError if numpy ever seeds its streams differently.
     """
     grads, power, gamma_th, rho, seed, key, lo, hi = args
     k_devices, d_model = grads.shape
+    stream = (STREAM_MC_DIVERGENCE, *key)
+    check_substream_states(seed, stream, lo)
     lam = compensation_lambda(gamma_th, rho)
     zeta = scaling_zeta(k_devices, rho, power, gamma_th)
     noise_scale = math.sqrt(power.sigma2) / (math.sqrt(2.0) * zeta)
     mix = math.sqrt(1.0 - rho * rho)
     g_ideal = ideal_aggregate(list(grads))
     block = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
+    n_channel = 4 * k_devices
+    width = n_channel + (d_model if power.sigma2 > 0.0 else 0)
     div = np.empty(hi - lo)
     skips = np.empty(hi - lo, dtype=bool)
     for b_lo in range(lo, hi, block):
         b_hi = min(b_lo + block, hi)
-        gens = [substream(seed, STREAM_MC_DIVERGENCE, *key, t) for t in range(b_lo, b_hi)]
-        z = np.empty((len(gens), k_devices, 4))
-        for gen, row in zip(gens, z):
-            gen.standard_normal(out=row)
+        rows = substream_rows(seed, stream, b_lo, b_hi, width)
+        z = rows[:, :n_channel].reshape(b_hi - b_lo, k_devices, 4)
         # (Re h_hat, Im h_hat, Re v, Im v) per device, as in draw_channel
         h_hat, v = np.moveaxis((z * _INV_SQRT2).view(np.complex128), -1, 0)
         xi, active = effective_coefficients(rho * h_hat + mix * v, h_hat, gamma_th, lam)
         sent = active.any(axis=1)
-        g_hat = np.zeros((len(gens), d_model))
+        g_hat = np.zeros((b_hi - b_lo, d_model))
         for k in range(k_devices):
             g_hat += xi[:, k : k + 1] * grads[k]
         g_hat /= k_devices
         if power.sigma2 > 0.0:
-            for i in np.flatnonzero(sent):
-                g_hat[i] += gens[i].standard_normal(d_model) * noise_scale
+            np.add(g_hat, rows[:, n_channel:] * noise_scale, out=g_hat, where=sent[:, None])
         g_hat[~sent] = 0.0
         diff = g_hat - g_ideal
         out = slice(b_lo - lo, b_hi - lo)
@@ -1086,19 +1101,21 @@ def _mean_sq_row_norm(x: np.ndarray) -> float:
         return math.inf
 
 
-def convergence_report(cfg: SystemConfig, trace: TrainingTrace) -> dict[str, float] | None:
+def convergence_report(draws: SeedDraws, trace: TrainingTrace) -> dict[str, float] | None:
     """Convergence-bound evaluation with empirically estimated constants.
 
-    Only the logistic task admits an honest smoothness constant (a quarter
-    of the mean squared feature norm bounds the Hessian); the optimality
-    gap is taken from the zero-initialization loss log 2 down to the best
-    observed loss, and the gradient-variance level from the measured
-    per-round spread.  Every entry is an estimate, not a certificate.
+    `draws` are the run's own (`train(..., draws=draws)`), so the report
+    reads the run's shards and, for a trace without a gradient bound (ideal
+    mode), calibrates on them once.  Only the logistic task admits an honest
+    smoothness constant (a quarter of the mean squared feature norm bounds
+    the Hessian); the optimality gap is taken from the zero-initialization
+    loss log 2 down to the best observed loss, and the gradient-variance
+    level from the measured per-round spread.  Every entry is an estimate,
+    not a certificate.
     """
-    exp = resolve(cfg)
+    exp = draws.exp
     if exp.train.task != "synthetic_logistic":
         return None
-    draws = SeedDraws(exp)
     l_hat = _mean_sq_row_norm(draws.all_train.features) / 4.0
     if not (math.isfinite(l_hat) and exp.train.eta < 2.0 / l_hat):
         return None

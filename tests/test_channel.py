@@ -14,6 +14,8 @@ from airfl.channel import (
     draw_channel,
     draw_channel_block,
     substream,
+    substream_rows,
+    substream_states,
 )
 
 
@@ -41,6 +43,52 @@ class TestSubstream:
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=2**20))
     def test_streams_are_pure_functions_of_the_key(self, seed, stream):
         assert substream(seed, stream).integers(1 << 30) == substream(seed, stream).integers(1 << 30)
+
+
+_EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1)
+_KEY_PARTS = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=2**32 - 2, max_value=2**64 + 5),
+    st.integers(min_value=-(2**64), max_value=-1),
+)
+
+
+class TestSubstreamRows:
+    """substream_states and substream_rows replay numpy's own seeding; if
+    numpy ever seeds SeedSequence or PCG64 differently, these fail."""
+
+    @given(
+        st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(min_value=-(2**70), max_value=2**70)),
+        st.lists(_KEY_PARTS, max_size=3).map(tuple),
+        st.one_of(
+            st.integers(min_value=-5, max_value=50),
+            st.integers(min_value=2**32 - 4, max_value=2**32 + 1),
+            st.integers(min_value=2**64 - 3, max_value=2**64 + 3),
+            st.integers(min_value=-(2**63), max_value=2**63),
+        ),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_rows_equal_numpy_streams(self, seed, key_prefix, lo, n):
+        hi = lo + n
+        states = substream_states(seed, key_prefix, lo, hi)
+        rows = substream_rows(seed, key_prefix, lo, hi, 64)
+        assert len(states) == n and rows.shape == (n, 64)
+        for t, (state, inc), row in zip(range(lo, hi), states, rows):
+            gen = substream(seed, *key_prefix, t)
+            assert gen.bit_generator.state["state"] == {"state": state, "inc": inc}
+            assert np.array_equal(row, gen.standard_normal(64))
+
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_range_across_a_word_boundary(self, seed):
+        # t crosses 2^32, where its high spawn-key word turns over
+        lo, hi = 2**32 - 3, 2**32 + 3
+        rows = substream_rows(seed, (6, 2**40), lo, hi, 8)
+        ref = [substream(seed, 6, 2**40, t).standard_normal(8) for t in range(lo, hi)]
+        assert np.array_equal(rows, np.array(ref))
+
+    def test_empty_range(self):
+        assert substream_states(1, (2,), 5, 5) == []
+        assert substream_rows(1, (2,), 5, 5, 3).shape == (0, 3)
 
 
 class TestEstimationModel:

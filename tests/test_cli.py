@@ -3,10 +3,14 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import airfl.channel
+import airfl.cli
+import airfl.fltrain
 from airfl.cli import main
 from airfl.config import SystemConfig, TrainConfig, config_to_kv
 from airfl.harness import read_sweep_csv
@@ -150,6 +154,19 @@ class TestVerifyDivergence:
         assert rc == 0, printed
         assert "PASS divergence_exact_4se" in printed
 
+    def test_stream_seeding_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a numpy that seeded its streams differently would fail the kernel's
+        # guard: one error line naming the numpy version, no traceback
+        monkeypatch.setattr(airfl.channel, "_PCG64_MULT", airfl.channel._PCG64_MULT + 2)
+        cfg_path = write_cfg(tmp_path / "div.cfg", SystemConfig(k_devices=3, train=SMALL_TRAIN))
+        rc = main(["verify-divergence", "--config", cfg_path, "--trials", "1000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: numpy ")
+        assert np.__version__ in lines[0] and "Traceback" not in captured.err
+
     def test_gate_and_replay(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path / "div.cfg",
@@ -227,6 +244,43 @@ class TestTrain:
         rc = main(["train", "--config", str(manifest), "--out", str(out2)])
         assert rc == 0
         assert (out2 / "train_trace.csv").read_bytes() == csv1.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
+    def test_report_reuses_the_run_draws(self, tmp_path, capsys, monkeypatch, mode):
+        # one SeedDraws serves the run and its convergence report: the shards
+        # are built once and the calibration runs once (the run's in aircomp
+        # mode, the report's in ideal mode), with the bytes of a report that
+        # builds its own draws
+        calls = {"build_devices": 0, "calibrate_g_bound": 0}
+
+        def counting(name):
+            original = getattr(airfl.fltrain, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(airfl.fltrain, name, wrapper)
+
+        cfg_path = write_cfg(
+            tmp_path / "train.cfg", SystemConfig(k_devices=3, train=SMALL_TRAIN), {"run.mode": mode}
+        )
+        counting("build_devices")
+        counting("calibrate_g_bound")
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "shared")]) == 0
+        assert calls == {"build_devices": 1, "calibrate_g_bound": 1}
+        shared = capsys.readouterr().out
+        assert "convergence_bound_estimate" in shared
+
+        own_draws = airfl.cli.convergence_report
+        monkeypatch.setattr(
+            airfl.cli, "convergence_report",
+            lambda draws, trace: own_draws(airfl.fltrain.SeedDraws(draws.exp), trace),
+        )
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "own")]) == 0
+        assert capsys.readouterr().out == shared
+        for name in ("train_trace.csv", "train_manifest.txt"):
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
     def test_ideal_mode_via_extras(self, tmp_path, capsys):
         cfg_path = write_cfg(

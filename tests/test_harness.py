@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
-from airfl import harness
-from airfl.aircomp import PowerConfig, aggregate, compensation_lambda, effective_coefficients
+from airfl import channel, harness
+from airfl.aircomp import PowerConfig, aggregate, compensation_lambda, effective_coefficients, scaling_zeta
 from airfl.analysis import conditional_second_moment, joint_cdf_xy, xi_variance
 from airfl.channel import EstimationModel, draw_channel, draw_channel_block, substream
 from airfl.config import (
@@ -47,7 +47,7 @@ from airfl.harness import (
     write_csv,
     xi_gates,
 )
-from airfl.fltrain import ideal_aggregate, train
+from airfl.fltrain import SeedDraws, ideal_aggregate, train
 
 SMALL_TRAIN = TrainConfig(
     task="synthetic_logistic",
@@ -498,27 +498,42 @@ class TestDivergenceKernel:
         assert np.array_equal(whole[1], np.concatenate([head[1], tail[1]]))
 
     @pytest.mark.parametrize("sigma2", [0.0, 1e-7])
-    def test_stream_consumption(self, monkeypatch, sigma2):
-        # each trial draws 4K channel normals, then d noise normals only when
-        # some device is active and sigma2 > 0
-        grads = _basis_gradients(3, 4)
+    def test_stream_consumption(self, sigma2):
+        # trial t reads its K x 4 channel normals from the head of its own
+        # stream, then adds the next d normals times the noise scale when
+        # some device is active and sigma2 > 0; a skipped trial adds none
+        k_devices, d_model, gamma_th, rho, seed = 3, 4, 1.5, 0.8, 5
+        grads = _basis_gradients(k_devices, d_model)
         power = replace(SCAN_POWER, sigma2=sigma2)
-        opened = []
+        lam = compensation_lambda(gamma_th, rho)
+        zeta = scaling_zeta(k_devices, rho, power, gamma_th)
+        noise_scale = math.sqrt(sigma2) / (math.sqrt(2.0) * zeta)
+        g_ideal = ideal_aggregate(list(grads))
+        div, skips = _divergence_trials((grads, power, gamma_th, rho, seed, (), 0, 200))
+        assert 0 < skips.sum() < 200
+        for t in range(200):
+            gen = substream(seed, STREAM_MC_DIVERGENCE, t)
+            z = gen.standard_normal((k_devices, 4)) * (1.0 / math.sqrt(2.0))
+            h_hat = z[:, 0] + 1j * z[:, 1]
+            h = rho * h_hat + math.sqrt(1.0 - rho * rho) * (z[:, 2] + 1j * z[:, 3])
+            xi, active = effective_coefficients(h, h_hat, gamma_th, lam)
+            g_hat = np.zeros(d_model)
+            for k in range(k_devices):
+                g_hat += xi[k] * grads[k]
+            g_hat /= k_devices
+            if not active.any():
+                g_hat[:] = 0.0
+            elif sigma2 > 0.0:
+                g_hat += gen.standard_normal(d_model) * noise_scale
+            diff = g_hat - g_ideal
+            assert skips[t] == (not active.any())
+            assert div[t] == float(diff @ diff)
 
-        def recording(*key):
-            gen = substream(*key)
-            opened.append(gen)
-            return gen
-
-        monkeypatch.setattr(harness, "substream", recording)
-        _, skips = _divergence_trials((grads, power, 1.5, 0.8, 5, (), 0, 200))
-        assert len(opened) == 200 and 0 < skips.sum() < 200
-        for t, (gen, skipped) in enumerate(zip(opened, skips)):
-            ref = substream(5, STREAM_MC_DIVERGENCE, t)
-            ref.standard_normal((3, 4))
-            if sigma2 > 0.0 and not skipped:
-                ref.standard_normal(4)
-            assert gen.bit_generator.state == ref.bit_generator.state
+    def test_seeding_guard_names_numpy(self, monkeypatch):
+        # the first trial's derived stream state is checked against numpy's
+        monkeypatch.setattr(channel, "_PCG64_MULT", channel._PCG64_MULT + 2)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            _divergence_trials((_basis_gradients(3, 4), SCAN_POWER, 1.5, 0.8, 5, (), 0, 10))
 
 
 class TestThresholdSweep:
@@ -609,7 +624,7 @@ class TestConvergenceReport:
     def test_logistic_report(self):
         cfg = small_cfg()
         trace = train(cfg, mode="aircomp")
-        rep = convergence_report(cfg, trace)
+        rep = convergence_report(SeedDraws(cfg), trace)
         assert rep is not None
         for key in (
             "lipschitz_estimate",
@@ -626,12 +641,12 @@ class TestConvergenceReport:
         tc = replace(SMALL_TRAIN, task="small_mlp", hidden_units=4)
         cfg = small_cfg(train=tc)
         trace = train(cfg, mode="ideal")
-        assert convergence_report(cfg, trace) is None
+        assert convergence_report(SeedDraws(cfg), trace) is None
 
     def test_large_eta_gets_no_report(self):
         cfg = small_cfg()
         trace = train(cfg, mode="ideal")
-        assert convergence_report(small_cfg(eta=1.3), trace) is None
+        assert convergence_report(SeedDraws(small_cfg(eta=1.3)), trace) is None
 
     def test_huge_blob_separation_gets_no_report_without_overflow(self):
         # accepted at load (its square is finite), yet the squared feature
@@ -639,7 +654,7 @@ class TestConvergenceReport:
         cfg = small_cfg(train=replace(SMALL_TRAIN, blob_separation=1.3e154))
         trace = train(cfg, mode="aircomp")
         with np.errstate(all="raise"):
-            assert convergence_report(cfg, trace) is None
+            assert convergence_report(SeedDraws(cfg), trace) is None
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 7.0, 1e150])
     def test_scaled_mean_square_norm_is_the_plain_one(self, scale):
