@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from airfl import SystemConfig, load_config, train
+from airfl import SeedDraws, SystemConfig, load_config, train
 
 
 def run(argv=None) -> int:
@@ -30,8 +30,10 @@ def run(argv=None) -> int:
     if args.rounds is not None:
         cfg = replace(cfg, train=replace(cfg.train, rounds_m=args.rounds))
 
-    ideal = train(cfg, mode="ideal")
-    noisy = train(cfg, mode="aircomp")
+    # both runs read the same shards, batches and streams: draw them once
+    draws = SeedDraws(cfg)
+    ideal = train(cfg, mode="ideal", draws=draws)
+    noisy = train(cfg, mode="aircomp", draws=draws)
 
     print(f"gamma_th={noisy.gamma_th!r}  g_bound={noisy.g_bound!r}")
     print(f"{'round':>5} {'loss_ideal':>12} {'loss_air':>12} {'acc_ideal':>10} {'acc_air':>9} {'div_sq':>12}")

@@ -7,6 +7,9 @@ convex truncation-threshold optimization), and verifies every closed form
 against independent Monte-Carlo oracles at desk scale.
 """
 
+# before the submodules, which read it (the run manifest records it)
+__version__ = "0.1.0"
+
 from .specfun import erf, erfc, exp_integral_ei
 from .channel import ChannelDraw, EstimationModel, draw_channel
 from .aircomp import (
@@ -44,8 +47,6 @@ from .optimizer import (
 from .config import SystemConfig, TrainConfig, load_config, resolve
 from .fltrain import SeedDraws, TrainingTrace, evaluate, train
 from .harness import SweepResult, mc_joint_distribution_check, mc_weight_divergence, mc_xi_moments, sweep_threshold
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AggregationOutcome",

@@ -153,7 +153,7 @@ def preprocessing_beta(draw: ChannelDraw, zeta: float, lam: float, k_devices: in
 
 
 def aggregate(
-    gradients: list[np.ndarray],
+    gradients: np.ndarray | list[np.ndarray],
     draws: list[ChannelDraw],
     gamma_th: float,
     rho: float,
@@ -168,7 +168,8 @@ def aggregate(
 
     Parameters
     ----------
-    gradients : length-K list of equal-length real vectors.
+    gradients : (K, d) real array, one device gradient per row (a length-K
+        list of equal-length real vectors works too).
     draws : length-K channel draws, index-aligned with gradients.
     rng : source for the receiver noise; may be None when cfg.sigma2 == 0.
     """

@@ -11,9 +11,11 @@ counts as active); |h_hat|^2 is unit-mean exponential, so the activation
 probability is exp(-gamma_th).
 
 Randomness comes from substream(seed, *key): one numpy Generator per layered
-key, seeded by SeedSequence.  substream_rows derives the same PCG64 states
-for a block of keys that differ in their last part, without building a
-SeedSequence per key, and fills one row of normals per key.
+key, seeded by SeedSequence.  substream_states derives the same PCG64 states
+for a block of keys that differ in their last one or two parts, without
+building a SeedSequence per key; a Reseeder sets one reused generator to
+such a state per draw, and substream_rows fills one row of normals per key
+that way.
 """
 
 from __future__ import annotations
@@ -100,19 +102,30 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def substream_states(seed: int, key_prefix: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, int]]:
+def substream_states(
+    seed: int, key_prefix: tuple[int, ...], lo: int, hi: int, inner: int | None = None
+) -> list[tuple[int, int]]:
     """PCG64 (state, inc) of substream(seed, *key_prefix, t) for t in [lo, hi).
+
+    With `inner`, the key gains a second varying part: the states of
+    substream(seed, *key_prefix, t, k) for every t in [lo, hi) and k in
+    [0, inner), t-major, so entry (t - lo) * inner + k is key (t, k).
 
     Replays numpy's SeedSequence(entropy, spawn_key).generate_state(4, uint64)
     and PCG64's srandom step without building either object per key.  Words
-    shared by every t (the seed, padded to the pool's 4 words, and the key
-    prefix) are hashed once as ints; the two words of t, and every pool word
-    they touch, are uint64 columns of one value per t, masked to 32 bits.
+    shared by every key (the seed, padded to the pool's 4 words, and the key
+    prefix) are hashed once as ints; the words of the varying parts, and
+    every pool word they touch, are uint64 columns of one value per key,
+    masked to 32 bits.
     """
     t = np.arange(hi - lo, dtype=np.uint64) + np.uint64(int(lo) & _MASK64)
+    parts = [t] if inner is None else [
+        np.repeat(t, inner), np.tile(np.arange(inner, dtype=np.uint64), hi - lo)
+    ]
     # the seed's one or two words, zero-padded to the pool size, then the key
     entropy: list = _key_words((seed,)) + [0, 0] + _key_words(key_prefix)
-    entropy += [t & np.uint64(_MASK32), t >> np.uint64(32)]
+    for part in parts:
+        entropy += [part & np.uint64(_MASK32), part >> np.uint64(32)]
 
     hash_const = _INIT_A
     pool = []
@@ -146,20 +159,37 @@ def substream_states(seed: int, key_prefix: tuple[int, ...], lo: int, hi: int) -
     return out
 
 
+class Reseeder:
+    """One reused PCG64 Generator, set to a substream_states entry per draw.
+
+    Called with a key's (state, inc), it returns the generator in exactly
+    the state a fresh substream(...) of that key starts in, so draws from it
+    are that substream's draws, bit for bit.  The generator is shared: finish one
+    stream's draws before reseeding it for the next.
+    """
+
+    def __init__(self):
+        self._bit_gen = np.random.PCG64(0)
+        self._gen = np.random.Generator(self._bit_gen)
+        self._state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+
+    def __call__(self, state: tuple[int, int]) -> np.random.Generator:
+        s, inc = state
+        self._state["state"] = {"state": s, "inc": inc}
+        self._bit_gen.state = self._state
+        return self._gen
+
+
 def substream_rows(seed: int, key_prefix: tuple[int, ...], lo: int, hi: int, width: int) -> np.ndarray:
     """Row i is substream(seed, *key_prefix, lo + i).standard_normal(width).
 
-    One generator is reseeded per row from substream_states, so a block of
-    keyed streams costs one vectorised hash and no SeedSequence objects.
+    One Reseeder fills every row, so a block of keyed streams costs one
+    vectorised hash and no SeedSequence objects.
     """
     rows = np.empty((hi - lo, width))
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for row, (s, inc) in zip(rows, substream_states(seed, key_prefix, lo, hi)):
-        state["state"] = {"state": s, "inc": inc}
-        bit_gen.state = state
-        gen.standard_normal(out=row)
+    reseed = Reseeder()
+    for row, state in zip(rows, substream_states(seed, key_prefix, lo, hi)):
+        reseed(state).standard_normal(out=row)
     return rows
 
 
@@ -171,7 +201,7 @@ def check_substream_states(seed: int, key_prefix: tuple[int, ...], t: int) -> No
     if ref["bit_generator"] != "PCG64" or ref["state"] != {"state": s, "inc": inc}:
         raise RuntimeError(
             f"numpy {np.__version__} seeds substream{(seed, *key_prefix, t)} differently "
-            "from substream_states; the divergence kernel cannot reproduce its streams"
+            "from substream_states; derived streams cannot reproduce it"
         )
 
 

@@ -9,11 +9,21 @@ skipped: the model is left untouched and the event is counted in the trace.
 Two desk-scale tasks are built in: a two-class Gaussian-blob logistic
 regression and a one-hidden-layer MLP on the same data.
 
+A round is one array step over the K devices: the batches are gathered
+with one fancy index into the stacked shards, the task computes all K
+gradients with stacked matmuls (each slice makes the same BLAS call as a
+per-device product, so every row equals local_gradient bit for bit), and
+the spread and the power check are one reduction each.
+
 Everything a run draws that depends only on the seed and the config (the
 device shards, the test set, each round's mini-batches and channel draws,
-and the calibrated gradient bound) lives in a SeedDraws.  Runs that differ
-only in gamma_th can share one: each draw comes from the same substream a
-private run would use, so sharing changes no bit of any run.
+the receiver-noise stream states and the calibrated gradient bound) lives
+in a SeedDraws.  Runs that differ only in gamma_th can share one.  The
+stream states of every (round, device) batch and channel key, and of every
+round's noise key, are derived once per SeedDraws by
+channel.substream_states; one reused generator is reseeded to a state per
+draw, so each draw reads exactly the substream a private run would use and
+sharing changes no bit of any run.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aircomp import PowerConfig, aggregate, preprocessing_beta
-from .channel import ChannelDraw, draw_channel, substream
+from .aircomp import PowerConfig, aggregate
+from .channel import ChannelDraw, Reseeder, check_substream_states, draw_channel, substream, substream_states
 from .config import (
     STREAM_BATCH,
     STREAM_CHANNEL,
@@ -126,6 +136,11 @@ class LogisticTask:
         residual = _sigmoid(self.scores(w, x)) - y
         return x.T @ residual / x.shape[0]
 
+    def gradients(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Row k is gradient(w, x[k], y[k]) for x of shape (K, B, f)."""
+        residual = _sigmoid(np.matmul(x, w)) - y
+        return np.matmul(residual[:, None, :], x)[:, 0, :] / x.shape[1]
+
 
 class MlpTask:
     """One hidden relu layer (hidden_units wide), sigmoid output, packed as
@@ -170,6 +185,21 @@ class MlpTask:
         d_w1 = dz1.T @ x
         d_b1 = dz1.sum(axis=0)
         return np.concatenate([d_w1.ravel(), d_b1, d_w2, [d_b2]])
+
+    def gradients(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Row k is gradient(w, x[k], y[k]) for x of shape (K, B, f)."""
+        w1, b1, w2, b2 = self._unpack(w)
+        n_dev, batch = y.shape
+        z1 = np.matmul(x, w1.T) + b1
+        a1 = np.maximum(z1, 0.0)
+        scores = np.matmul(a1, w2) + b2
+        dscore = (_sigmoid(scores) - y) / batch
+        d_w2 = np.matmul(dscore[:, None, :], a1)[:, 0, :]
+        d_b2 = np.sum(dscore, axis=1)
+        dz1 = dscore[:, :, None] * w2 * (z1 > 0.0)
+        d_w1 = np.matmul(dz1.transpose(0, 2, 1), x)
+        d_b1 = dz1.sum(axis=1)
+        return np.concatenate([d_w1.reshape(n_dev, -1), d_b1, d_w2, d_b2[:, None]], axis=1)
 
 
 def build_task(train_cfg) -> LogisticTask | MlpTask:
@@ -231,9 +261,10 @@ def local_gradient(task, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
     return task.gradient(w, x, y)
 
 
-def ideal_aggregate(gradients: list[np.ndarray]) -> np.ndarray:
-    """Exact gradient mean, accumulated in device order."""
-    if not gradients:
+def ideal_aggregate(gradients) -> np.ndarray:
+    """Exact gradient mean, accumulated in device order, of a list of
+    vectors or the rows of a (K, d) array."""
+    if len(gradients) == 0:
         raise ValueError("no gradients to aggregate")
     total = np.zeros_like(gradients[0])
     for g in gradients:
@@ -257,9 +288,10 @@ def evaluate(task, w: np.ndarray, data: DeviceDataset) -> tuple[float, float]:
     return loss, accuracy
 
 
-def round_gradients(w, draws: SeedDraws, round_index: int) -> list[np.ndarray]:
-    """All K mini-batch gradients of one round, at the batches of draws."""
-    return [local_gradient(draws.task, w, x, y) for x, y in draws.batches(round_index)]
+def round_gradients(w, draws: SeedDraws, round_index: int) -> np.ndarray:
+    """All K mini-batch gradients of one round, at the batches of draws, as a
+    (K, d) array; row k equals local_gradient at device k's batch."""
+    return draws.task.gradients(w, *draws.batches(round_index))
 
 
 def run_round(
@@ -273,7 +305,7 @@ def run_round(
     """One aggregation round; returns the updated model and its record."""
     grads = round_gradients(w, draws, round_index)
     g_ideal = ideal_aggregate(grads)
-    spread = float(np.mean([np.sum((g - g_ideal) ** 2) for g in grads]))
+    spread = float(np.mean(np.sum((grads - g_ideal) ** 2, axis=1)))
 
     skipped = False
     if mode == "ideal":
@@ -298,9 +330,9 @@ def run_round(
             exp.gamma_th,
             exp.rho,
             round_power,
-            substream(exp.seed, STREAM_NOISE, round_index),
+            draws.noise(round_index),
         )
-        _assert_power_feasible(grads, channels, outcome, round_power, exp)
+        _assert_power_feasible(grads, channels, outcome, round_power, exp.k_devices)
         skipped = outcome.skipped
         g_hat = outcome.g_hat
         active_count = len(outcome.active_set)
@@ -325,20 +357,32 @@ def run_round(
     return w_next, record
 
 
-def _assert_power_feasible(grads, channels, outcome, power: PowerConfig, exp) -> None:
+def _sent_power(grads: np.ndarray, channels, outcome, k_devices: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|beta_k|^2 ||g_k||^2, ||g_k||^2) of the devices in outcome.active_set,
+    in its order, with beta_k as in aircomp.preprocessing_beta:
+    |beta_k|^2 ||g_k||^2 = (zeta lambda)^2 d_k^alpha ||g_k||^2 / (K^2 |h_hat_k|^2).
+    """
+    active = outcome.active_set
+    g = grads[active]
+    g_norm_sq = np.einsum("ij,ij->i", g, g)
+    h_hat = np.array([channels[k].h_hat for k in active])
+    d_alpha = np.array([channels[k].d ** channels[k].alpha for k in active])
+    gain = h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
+    scale = outcome.zeta * outcome.lam
+    return scale * scale * d_alpha * g_norm_sq / (k_devices * k_devices * gain), g_norm_sq
+
+
+def _assert_power_feasible(grads, channels, outcome, power: PowerConfig, k_devices: int) -> None:
     # Instantaneous power check for every active device whose gradient obeys
     # the norm bound; a tiny slack absorbs rounding in the boundary case
     # |h_hat|^2 == gamma_th.
-    for k in outcome.active_set:
-        g_norm_sq = float(np.dot(grads[k], grads[k]))
-        if g_norm_sq > power.g_bound**2:
-            continue
-        beta = preprocessing_beta(channels[k], outcome.zeta, outcome.lam, exp.k_devices)
-        sent = (beta.real**2 + beta.imag**2) * g_norm_sq
-        if sent > power.p_max * (1.0 + 1e-9):
-            raise AssertionError(
-                f"device {k} exceeded the power budget: {sent} > {power.p_max}"
-            )
+    sent, g_norm_sq = _sent_power(grads, channels, outcome, k_devices)
+    over = (sent > power.p_max * (1.0 + 1e-9)) & (g_norm_sq <= power.g_bound**2)
+    if over.any():
+        i = int(np.argmax(over))
+        raise AssertionError(
+            f"device {outcome.active_set[i]} exceeded the power budget: {sent[i]} > {power.p_max}"
+        )
 
 
 def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
@@ -373,13 +417,20 @@ def _draws_key(exp: ResolvedExperiment) -> tuple:
 class SeedDraws:
     """What one seed's training runs draw, drawn once and shared.
 
-    Holds the task, the device shards, the test set and their union, each
-    round's mini-batch indices and channel draws (filled lazily, round by
-    round, from the substreams a private run would use), and the calibrated
-    gradient bound (computed on first use).  None of it depends on gamma_th
-    or on the model weights, so `train` accepts one SeedDraws for every run
-    whose config differs from `exp`'s in gamma_th alone.  The receiver noise
-    is not held: it is drawn per run and round.
+    Holds the task, the device shards stacked into (K, D, f) features and
+    (K, D) labels, the test set and the shards' union, each round's
+    mini-batch indices and channel draws (filled lazily, round by round),
+    the stream states of the receiver noise, and the calibrated gradient
+    bound (computed on first use).  None of it depends on gamma_th or on the
+    model weights, so `train` accepts one SeedDraws for every run whose
+    config differs from `exp`'s in gamma_th alone.
+
+    The stream states of substream(seed, STREAM_BATCH | STREAM_CHANNEL,
+    round, device) and of substream(seed, STREAM_NOISE, round) are derived
+    once per purpose, on first use, for max(rounds_m, 10) rounds so that the
+    calibration warm-up is covered; every draw reseeds one reused generator
+    to its key's state and so reads exactly that substream.  The noise
+    normals themselves are drawn per run and round, by `aggregate`.
     """
 
     def __init__(self, cfg: SystemConfig | ResolvedExperiment):
@@ -387,33 +438,55 @@ class SeedDraws:
         self.exp = exp
         self.key = _draws_key(exp)
         self.task = build_task(exp.train)
-        self.devices = build_devices(exp)
+        shards = build_devices(exp)
+        self.features = np.stack([d.features for d in shards])
+        self.labels = np.stack([d.labels for d in shards])
+        self.devices = [DeviceDataset(x, y) for x, y in zip(self.features, self.labels)]
         self.test = build_test_set(exp)
         self.all_train = DeviceDataset(
-            features=np.concatenate([d.features for d in self.devices]),
-            labels=np.concatenate([d.labels for d in self.devices]),
+            features=self.features.reshape(-1, self.features.shape[-1]),
+            labels=self.labels.reshape(-1),
         )
-        self._picks: dict[int, list[np.ndarray]] = {}
+        check_substream_states(exp.seed, (STREAM_NOISE,), 0)
+        self.n_rounds = max(exp.train.rounds_m, _WARMUP_ROUNDS)
+        self._reseed = Reseeder()
+        self._rows = np.arange(exp.k_devices)[:, None]
+        self._states: dict[int, list[tuple[int, int]]] = {}
+        self._picks: dict[int, np.ndarray] = {}
         self._channels: dict[int, list[ChannelDraw]] = {}
         self._g_bound: float | None = None
 
-    def batches(self, round_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per device, the round's (features, labels) batch, drawn without
-        replacement from substream(seed, STREAM_BATCH, round, k).
+    def _round_states(self, purpose: int, round_index: int) -> list[tuple[int, int]]:
+        # one round's stream states: the K (round, device) keys of the batch
+        # and channel purposes, the one (round,) key of the noise; derived
+        # for every round on the purpose's first use
+        if not 0 <= round_index < self.n_rounds:
+            raise IndexError(f"round {round_index} is outside the {self.n_rounds} rounds these draws cover")
+        width = 1 if purpose == STREAM_NOISE else self.exp.k_devices
+        states = self._states.get(purpose)
+        if states is None:
+            inner = None if purpose == STREAM_NOISE else width
+            states = substream_states(self.exp.seed, (purpose,), 0, self.n_rounds, inner)
+            self._states[purpose] = states
+        return states[round_index * width : (round_index + 1) * width]
+
+    def batches(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """The round's (features, labels) batches, shapes (K, B, f) and (K, B);
+        device k's batch is drawn without replacement from
+        substream(seed, STREAM_BATCH, round, k).
 
         Only the indices are held, so the draws stay small next to the
         shards; each call gathers fresh arrays from them.
         """
         picks = self._picks.get(round_index)
         if picks is None:
-            picks = [
-                substream(self.exp.seed, STREAM_BATCH, round_index, k).choice(
-                    dev.size, size=self.exp.train.batch_size, replace=False
-                )
-                for k, dev in enumerate(self.devices)
-            ]
+            size, batch = self.labels.shape[1], self.exp.train.batch_size
+            picks = np.array([
+                self._reseed(state).choice(size, size=batch, replace=False)
+                for state in self._round_states(STREAM_BATCH, round_index)
+            ])
             self._picks[round_index] = picks
-        return [(dev.features[idx], dev.labels[idx]) for dev, idx in zip(self.devices, picks)]
+        return self.features[self._rows, picks], self.labels[self._rows, picks]
 
     def channels(self, round_index: int) -> list[ChannelDraw]:
         """Per device, the round's channel draw from
@@ -422,11 +495,20 @@ class SeedDraws:
         if out is None:
             exp = self.exp
             out = [
-                draw_channel(exp.est, exp.distances[k], substream(exp.seed, STREAM_CHANNEL, round_index, k))
-                for k in range(exp.k_devices)
+                draw_channel(exp.est, exp.distances[k], self._reseed(state))
+                for k, state in enumerate(self._round_states(STREAM_CHANNEL, round_index))
             ]
             self._channels[round_index] = out
         return out
+
+    def noise(self, round_index: int) -> np.random.Generator:
+        """A generator at the start of substream(seed, STREAM_NOISE, round).
+
+        It is the reused generator: draw from it before the next call on
+        these draws reseeds it.
+        """
+        (state,) = self._round_states(STREAM_NOISE, round_index)
+        return self._reseed(state)
 
     def calibrated_g_bound(self) -> float:
         """calibrate_g_bound on these draws, run once."""

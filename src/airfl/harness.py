@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .aircomp import (
     PowerConfig,
     compensation_lambda,
@@ -733,7 +734,7 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     zeta = scaling_zeta(k_devices, rho, power, gamma_th)
     noise_scale = math.sqrt(power.sigma2) / (math.sqrt(2.0) * zeta)
     mix = math.sqrt(1.0 - rho * rho)
-    g_ideal = ideal_aggregate(list(grads))
+    g_ideal = ideal_aggregate(grads)
     block = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
     n_channel = 4 * k_devices
     width = n_channel + (d_model if power.sigma2 > 0.0 else 0)
@@ -799,7 +800,7 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
     exp, grads, power = _frozen_setup(cfg)
-    frozen = (np.array(grads), power, exp.gamma_th, exp.rho, exp.seed, ())
+    frozen = (grads, power, exp.gamma_th, exp.rho, exp.seed, ())
     chunks = [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)]
     results = _pmap(_divergence_trials, chunks, jobs)
     div = np.concatenate([r[0] for r in results])
@@ -1189,15 +1190,6 @@ def _git_blob_sha1(data: bytes) -> str:
     return h.hexdigest()
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("airfl")
-    except Exception:
-        return "unknown"
-
-
 def write_manifest(
     path: Path,
     cfg: SystemConfig,
@@ -1212,7 +1204,7 @@ def write_manifest(
     lines = [
         "# run manifest: the key=value body below replays this run verbatim",
         f"# command: {command}",
-        f"# package_version: {_package_version()}",
+        f"# package_version: {__version__}",
         f"# config_sha1: {_git_blob_sha1(body.encode('utf-8'))}",
     ]
     for p in csv_paths:

@@ -11,6 +11,7 @@ from airfl.aircomp import effective_coefficients
 from airfl.channel import (
     ChannelDraw,
     EstimationModel,
+    Reseeder,
     draw_channel,
     draw_channel_block,
     substream,
@@ -85,6 +86,27 @@ class TestSubstreamRows:
         rows = substream_rows(seed, (6, 2**40), lo, hi, 8)
         ref = [substream(seed, 6, 2**40, t).standard_normal(8) for t in range(lo, hi)]
         assert np.array_equal(rows, np.array(ref))
+
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_two_varying_parts(self, seed):
+        # entry (t - lo) * inner + k is the state of key (*prefix, t, k)
+        states = substream_states(seed, (5,), 2**32 - 2, 2**32 + 1, inner=4)
+        keys = [(t, k) for t in range(2**32 - 2, 2**32 + 1) for k in range(4)]
+        ref = [substream(seed, 5, t, k).bit_generator.state["state"] for t, k in keys]
+        assert [{"state": s, "inc": inc} for s, inc in states] == ref
+
+    def test_reseeder_restarts_each_stream(self):
+        states = substream_states(7, (6,), 0, 2, inner=3)
+        reseed = Reseeder()
+        for (t, k), state in zip([(t, k) for t in range(2) for k in range(3)], states):
+            # a 32-bit draw leaves half a word buffered; the next reseed drops it
+            used = reseed(state)
+            used.random(3, dtype=np.float32)
+            assert used.bit_generator.state["has_uint32"] == 1
+            got = reseed(state).choice(40, size=8, replace=False), reseed(state).standard_normal(4)
+            gen = substream(7, 6, t, k)
+            assert np.array_equal(got[0], gen.choice(40, size=8, replace=False))
+            assert np.array_equal(got[1], substream(7, 6, t, k).standard_normal(4))
 
     def test_empty_range(self):
         assert substream_states(1, (2,), 5, 5) == []

@@ -6,14 +6,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airfl.channel import draw_channel, substream
-from airfl.config import STREAM_BATCH, STREAM_CHANNEL, STREAM_INIT, SystemConfig, TrainConfig, resolve
+import airfl.channel
+from airfl.aircomp import PowerConfig, aggregate, preprocessing_beta
+from airfl.channel import ChannelDraw, EstimationModel, draw_channel, substream
+from airfl.config import (
+    STREAM_BATCH,
+    STREAM_CHANNEL,
+    STREAM_INIT,
+    STREAM_NOISE,
+    SystemConfig,
+    TrainConfig,
+    resolve,
+)
 import airfl.fltrain
 from airfl.fltrain import (
     DeviceDataset,
     LogisticTask,
     MlpTask,
     SeedDraws,
+    _assert_power_feasible,
+    _sent_power,
     build_devices,
     build_task,
     build_test_set,
@@ -22,6 +34,7 @@ from airfl.fltrain import (
     global_update,
     ideal_aggregate,
     local_gradient,
+    round_gradients,
     train,
 )
 
@@ -39,6 +52,24 @@ def small_cfg(**kw):
     base = dict(k_devices=3, train=SMALL_TRAIN, seed=11)
     base.update(kw)
     return SystemConfig(**base)
+
+
+def warmup_bound(exp, rounds):
+    """1.1x the peak device gradient norm of an ideal warm-up, drawn the slow
+    way: one substream and one local_gradient per device and round."""
+    task = build_task(exp.train)
+    devices = build_devices(exp)
+    w = task.init_params(substream(exp.seed, STREAM_INIT))
+    g_max = 0.0
+    for m in range(rounds):
+        grads = []
+        for k, dev in enumerate(devices):
+            gen = substream(exp.seed, STREAM_BATCH, m, k)
+            idx = gen.choice(dev.size, size=exp.train.batch_size, replace=False)
+            grads.append(local_gradient(task, w, dev.features[idx], dev.labels[idx]))
+        g_max = max(g_max, max(float(np.linalg.norm(g)) for g in grads))
+        w = global_update(w, ideal_aggregate(grads), exp.train.eta)
+    return 1.1 * g_max
 
 
 def fd_gradient(task, w, x, y, step=1e-6):
@@ -258,20 +289,14 @@ class TestTraining:
     def test_calibration_is_margin_times_peak_warmup_norm(self):
         exp = resolve(small_cfg())
         got = calibrate_g_bound(SeedDraws(exp), rounds=3)
+        assert got == warmup_bound(exp, 3)
 
-        task = build_task(exp.train)
-        devices = build_devices(exp)
-        w = task.init_params(substream(exp.seed, STREAM_INIT))
-        g_max = 0.0
-        for m in range(3):
-            grads = []
-            for k, dev in enumerate(devices):
-                gen = substream(exp.seed, STREAM_BATCH, m, k)
-                idx = gen.choice(dev.size, size=exp.train.batch_size, replace=False)
-                grads.append(local_gradient(task, w, dev.features[idx], dev.labels[idx]))
-            g_max = max(g_max, max(float(np.linalg.norm(g)) for g in grads))
-            w = global_update(w, ideal_aggregate(grads), exp.train.eta)
-        assert got == 1.1 * g_max
+    def test_run_shorter_than_the_warmup_still_calibrates(self):
+        # 4 rounds of training, 10 of warm-up: the draws cover both
+        exp = resolve(small_cfg())
+        assert exp.train.rounds_m < 10
+        trace = train(exp, mode="aircomp")
+        assert trace.g_bound == warmup_bound(exp, 10)
 
     def test_ideal_learns_the_synthetic_task(self):
         tc = replace(SMALL_TRAIN, rounds_m=150)
@@ -303,18 +328,53 @@ class TestSeedDraws:
         first[0][0][0, 0] = 1e9
         assert draws.batches(2)[0][0][0, 0] != 1e9
 
-    def test_draws_come_from_the_round_and_device_streams(self):
+    def test_draws_come_from_the_round_and_device_streams(self, monkeypatch):
+        # the generator aggregate gets in round m starts where
+        # substream(seed, STREAM_NOISE, m) starts
+        noise_states = []
+
+        def recording_aggregate(*args):
+            noise_states.append(args[-1].bit_generator.state)
+            return aggregate(*args)
+
+        monkeypatch.setattr(airfl.fltrain, "aggregate", recording_aggregate)
         exp = resolve(small_cfg())
         draws = SeedDraws(exp)
         train(exp, mode="aircomp", draws=draws)
+        assert len(noise_states) == exp.train.rounds_m
         for m in range(exp.train.rounds_m):
+            assert noise_states[m] == substream(exp.seed, STREAM_NOISE, m).bit_generator.state
+            xs, ys = draws.batches(m)
+            assert xs.shape == (exp.k_devices, exp.train.batch_size, exp.train.n_features)
             for k, dev in enumerate(draws.devices):
                 gen = substream(exp.seed, STREAM_BATCH, m, k)
                 idx = gen.choice(dev.size, size=exp.train.batch_size, replace=False)
-                x, y = draws.batches(m)[k]
-                assert np.array_equal(x, dev.features[idx]) and np.array_equal(y, dev.labels[idx])
+                assert np.array_equal(xs[k], dev.features[idx]) and np.array_equal(ys[k], dev.labels[idx])
                 gen = substream(exp.seed, STREAM_CHANNEL, m, k)
                 assert draws.channels(m)[k] == draw_channel(exp.est, exp.distances[k], gen)
+
+    @pytest.mark.parametrize("task", ["synthetic_logistic", "small_mlp"])
+    def test_round_gradients_are_the_local_gradient_rows(self, task):
+        tc = replace(SMALL_TRAIN, task=task, batch_size=32, data_per_device=64, n_features=10, hidden_units=16)
+        draws = SeedDraws(small_cfg(train=tc, k_devices=5))
+        gen = np.random.default_rng(3)
+        for m in range(tc.rounds_m):
+            w = gen.standard_normal(draws.task.dim)
+            got = round_gradients(w, draws, m)
+            rows = [local_gradient(draws.task, w, x, y) for x, y in zip(*draws.batches(m))]
+            assert np.array_equal(got, np.array(rows))
+
+    def test_seeding_guard_names_numpy(self, monkeypatch):
+        # the derived stream states are checked against numpy's own once
+        monkeypatch.setattr(airfl.channel, "_PCG64_MULT", airfl.channel._PCG64_MULT + 2)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            SeedDraws(small_cfg())
+
+    def test_rounds_past_the_draws_are_refused(self):
+        draws = SeedDraws(small_cfg())
+        assert draws.n_rounds == 10
+        with pytest.raises(IndexError, match="round 10"):
+            draws.batches(10)
 
     def test_runs_differing_in_gamma_th_share_one_draw(self, monkeypatch):
         calls = {"calibrate": 0, "channel": 0}
@@ -346,3 +406,58 @@ class TestSeedDraws:
         draws = SeedDraws(small_cfg())
         with pytest.raises(ValueError, match="more than gamma_th"):
             train(small_cfg(**kw), mode="aircomp", draws=draws)
+
+
+class TestPowerCheck:
+    """_assert_power_feasible checks every active device at once."""
+
+    K, GAMMA, RHO, ALPHA, D_MAX, G = 3, 0.7, 0.8, 2.2, 120.0, 0.9
+
+    def power(self):
+        return PowerConfig(p_max=0.1, sigma2=1e-8, g_bound=self.G, d_max_alpha=self.D_MAX**self.ALPHA)
+
+    def worst_case(self, g_scale=1.0):
+        # device 1 sits exactly at the design corner: |h_hat|^2 = gamma_th,
+        # d = d_max, ||g|| = G; the others are close and strong
+        draws = [
+            ChannelDraw(h=2.0 + 0.5j, h_hat=2.0 + 0.5j, v=0j, d=30.0, alpha=self.ALPHA),
+            ChannelDraw(h=complex(math.sqrt(self.GAMMA)), h_hat=complex(math.sqrt(self.GAMMA)), v=0j,
+                        d=self.D_MAX, alpha=self.ALPHA),
+            ChannelDraw(h=-1.5 + 1.5j, h_hat=-1.5 + 1.5j, v=0j, d=50.0, alpha=self.ALPHA),
+        ]
+        grads = np.zeros((self.K, 4))
+        grads[:, 0] = 0.1
+        grads[1, 0] = self.G * g_scale
+        outcome = aggregate(grads, draws, self.GAMMA, self.RHO, self.power(), np.random.default_rng(0))
+        assert outcome.active_set == [0, 1, 2]
+        return grads, draws, outcome
+
+    def test_sent_power_is_preprocessing_beta_squared(self):
+        gen = np.random.default_rng(5)
+        model = EstimationModel(rho=self.RHO, alpha=self.ALPHA)
+        for _ in range(200):
+            k_devices = int(gen.integers(1, 12))
+            draws = [draw_channel(model, float(gen.uniform(10.0, 200.0)), gen) for _ in range(k_devices)]
+            grads = gen.standard_normal((k_devices, 7)) * gen.uniform(0.1, 3.0)
+            outcome = aggregate(grads, draws, 0.3, self.RHO, self.power(), gen)
+            sent, g_norm_sq = _sent_power(grads, draws, outcome, k_devices)
+            for i, k in enumerate(outcome.active_set):
+                beta = preprocessing_beta(draws[k], outcome.zeta, outcome.lam, k_devices)
+                assert g_norm_sq[i] == pytest.approx(grads[k] @ grads[k], rel=1e-12)
+                ref = abs(beta) ** 2 * float(grads[k] @ grads[k])
+                assert sent[i] == pytest.approx(ref, rel=1e-12)
+
+    def test_worst_case_device_fits_the_designed_zeta_only(self):
+        grads, draws, outcome = self.worst_case()
+        sent, _ = _sent_power(grads, draws, outcome, self.K)
+        assert sent[1] == pytest.approx(self.power().p_max, rel=1e-12)
+        _assert_power_feasible(grads, draws, outcome, self.power(), self.K)
+        louder = replace(outcome, zeta=outcome.zeta * 1.001)
+        with pytest.raises(AssertionError, match="device 1 exceeded the power budget"):
+            _assert_power_feasible(grads, draws, louder, self.power(), self.K)
+
+    def test_device_above_the_norm_bound_is_not_checked(self):
+        grads, draws, outcome = self.worst_case(g_scale=2.0)
+        sent, _ = _sent_power(grads, draws, outcome, self.K)
+        assert sent[1] > 3.9 * self.power().p_max
+        _assert_power_feasible(grads, draws, outcome, self.power(), self.K)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import airfl
 from airfl import channel, harness
 from airfl.aircomp import PowerConfig, aggregate, compensation_lambda, effective_coefficients, scaling_zeta
 from airfl.analysis import conditional_second_moment, joint_cdf_xy, xi_variance
@@ -723,6 +724,12 @@ class TestCsvAndManifest:
         recorded = dict(part.split("=", 1) for part in output_line.split() if "=" in part)
         assert recorded["sha1"] == _git_blob_sha1(paths["unit"].read_bytes())
         assert int(recorded["bytes"]) == len(paths["unit"].read_bytes())
+
+    def test_manifest_records_the_package_version(self, tmp_path):
+        res = SweepResult(columns=("x", "x_se"), rows=[(1.5, 0.25)])
+        paths = report({"unit": res}, tmp_path, "unit", small_cfg(), command="verify-xi")
+        lines = paths["manifest"].read_text().splitlines()
+        assert f"# package_version: {airfl.__version__}" in lines
 
     def test_report_rejects_empty_rows(self, tmp_path):
         res = SweepResult(columns=("x", "x_se"), rows=[(1.0, 0.1)])

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import airfl
 
 # removed public names, by the module that used to define them
@@ -42,3 +44,10 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_pyproject_version_is_the_package_version():
+    # the run manifest records airfl.__version__; the build metadata must agree
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(airfl.__file__).resolve().parents[2] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == airfl.__version__
