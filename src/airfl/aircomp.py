@@ -173,13 +173,15 @@ def aggregate(
     draws : length-K channel draws, index-aligned with gradients.
     rng : source for the receiver noise; may be None when cfg.sigma2 == 0.
     """
+    if isinstance(gradients, np.ndarray) and gradients.ndim != 2:
+        raise ValueError(f"gradients must be a (K, d) array, got shape {gradients.shape}")
     k_devices = len(gradients)
     if k_devices < 1:
         raise ValueError("need at least one device")
     if len(draws) != k_devices:
         raise ValueError(f"{k_devices} gradients but {len(draws)} channel draws")
     dim = gradients[0].shape
-    if any(g.shape != dim for g in gradients):
+    if not isinstance(gradients, np.ndarray) and any(g.shape != dim for g in gradients):
         raise ValueError("gradient dimensions differ across devices")
 
     lam = compensation_lambda(gamma_th, rho)

@@ -9,11 +9,20 @@ skipped: the model is left untouched and the event is counted in the trace.
 Two desk-scale tasks are built in: a two-class Gaussian-blob logistic
 regression and a one-hidden-layer MLP on the same data.
 
-A round is one array step over the K devices: the batches are gathered
-with one fancy index into the stacked shards, the task computes all K
-gradients with stacked matmuls (each slice makes the same BLAS call as a
-per-device product, so every row equals local_gradient bit for bit), and
-the spread and the power check are one reduction each.
+train_cells is the one training loop.  It trains the experiments that
+share a SeedDraws (runs that differ only in gamma_th) in lock-step, one
+array step per round for the whole group: the batches are gathered once
+with one fancy index into the stacked shards, the task computes every
+cell's K gradients with broadcast stacked matmuls (each slice makes the
+same BLAS call as a per-device product, so every row equals
+local_gradient bit for bit), and the ideal mean and the spread are one
+pass each.  Each cell then aggregates, checks its power and updates on its
+own, in the order a single run uses, so a cell's numbers do not depend on
+the group it trained in.  `train` is train_cells on a group of one.
+
+A trace keeps each round's weights and statistics; the training loss and
+test accuracy are evaluated only when they are read (all rounds for
+`records`, the last round alone for `final_accuracy`).
 
 Everything a run draws that depends only on the seed and the config (the
 device shards, the test set, each round's mini-batches and channel draws,
@@ -21,19 +30,19 @@ the receiver-noise stream states and the calibrated gradient bound) lives
 in a SeedDraws.  Runs that differ only in gamma_th can share one.  The
 stream states of every (round, device) batch and channel key, and of every
 round's noise key, are derived once per SeedDraws by
-channel.substream_states; one reused generator is reseeded to a state per
-draw, so each draw reads exactly the substream a private run would use and
+channel.substream_states, a block of 10 rounds at a time on the block's
+first use; one reused generator is reseeded to a state per draw, so each draw reads exactly the substream a private run would use and
 sharing changes no bit of any run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .aircomp import PowerConfig, aggregate
+from .aircomp import AggregationOutcome, PowerConfig, aggregate
 from .channel import ChannelDraw, Reseeder, check_substream_states, draw_channel, substream, substream_states
 from .config import (
     STREAM_BATCH,
@@ -73,30 +82,74 @@ class RoundRecord:
     skipped: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainingTrace:
-    records: list[RoundRecord]
-    final: np.ndarray  # flat parameter vector of the global model
+    """One run's weights and per-round statistics.
+
+    Each round's training loss and test accuracy are evaluated on the
+    run's draws when first read: `records` evaluates every round once and
+    keeps the result, `final_accuracy` evaluates the last weights alone
+    (or reads the kept records).  The other summaries evaluate nothing.
+    """
+
+    weights: np.ndarray         # (M, d): the global model after each round
+    divergence_sq: np.ndarray   # (M,) ||g_hat - ideal mean||^2
+    grad_spread_sq: np.ndarray  # (M,) mean_k ||g_k - ideal mean||^2
+    active_count: np.ndarray    # (M,)
+    skipped: np.ndarray         # (M,) bool
     mode: str
     gamma_th: float | None
     g_bound: float | None
+    draws: SeedDraws = field(repr=False)
+    _records: list[RoundRecord] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def final(self) -> np.ndarray:
+        """Flat parameter vector of the final global model."""
+        return self.weights[-1]
+
+    @property
+    def rounds(self) -> int:
+        return len(self.weights)
+
+    def _evaluate(self, w: np.ndarray) -> tuple[float, float]:
+        return evaluate(self.draws.task, w, self.draws.all_train, self.draws.test)
+
+    @property
+    def records(self) -> list[RoundRecord]:
+        if self._records is None:
+            self._records = [
+                RoundRecord(
+                    round_index=m,
+                    loss=loss,
+                    accuracy=accuracy,
+                    divergence_sq=float(self.divergence_sq[m]),
+                    grad_spread_sq=float(self.grad_spread_sq[m]),
+                    active_count=int(self.active_count[m]),
+                    skipped=bool(self.skipped[m]),
+                )
+                for m, (loss, accuracy) in enumerate(map(self._evaluate, self.weights))
+            ]
+        return self._records
 
     @property
     def skipped_rounds(self) -> int:
-        return sum(r.skipped for r in self.records)
+        return int(np.count_nonzero(self.skipped))
 
     @property
     def final_accuracy(self) -> float:
-        return self.records[-1].accuracy
+        if self._records is not None:
+            return self._records[-1].accuracy
+        return self._evaluate(self.final)[1]
 
     @property
     def mean_divergence_sq(self) -> float:
-        return float(np.mean([r.divergence_sq for r in self.records]))
+        return float(np.mean(self.divergence_sq))
 
     @property
     def delta2_hat(self) -> float:
         """Empirical local-gradient variance level (mean over rounds)."""
-        return float(np.mean([r.grad_spread_sq for r in self.records]))
+        return float(np.mean(self.grad_spread_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +190,10 @@ class LogisticTask:
         return x.T @ residual / x.shape[0]
 
     def gradients(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Row k is gradient(w, x[k], y[k]) for x of shape (K, B, f)."""
-        residual = _sigmoid(np.matmul(x, w)) - y
-        return np.matmul(residual[:, None, :], x)[:, 0, :] / x.shape[1]
+        """Entry [c, k] is gradient(w[c], x[k], y[k]) for w of shape (C, d)
+        and x of shape (K, B, f)."""
+        residual = _sigmoid(np.matmul(x[None], w[:, None, :, None])[..., 0]) - y
+        return np.matmul(residual[:, :, None, :], x[None])[:, :, 0, :] / x.shape[1]
 
 
 class MlpTask:
@@ -152,11 +206,12 @@ class MlpTask:
         self.dim = hidden_units * n_features + hidden_units + hidden_units + 1
 
     def _unpack(self, w: np.ndarray):
+        # along the last axis, so that a (C, d) stack unpacks per row
         h, d = self.n_hid, self.n_in
-        w1 = w[: h * d].reshape(h, d)
-        b1 = w[h * d : h * d + h]
-        w2 = w[h * d + h : h * d + 2 * h]
-        b2 = w[-1]
+        w1 = w[..., : h * d].reshape(*w.shape[:-1], h, d)
+        b1 = w[..., h * d : h * d + h]
+        w2 = w[..., h * d + h : h * d + 2 * h]
+        b2 = w[..., -1]
         return w1, b1, w2, b2
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
@@ -187,19 +242,23 @@ class MlpTask:
         return np.concatenate([d_w1.ravel(), d_b1, d_w2, [d_b2]])
 
     def gradients(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Row k is gradient(w, x[k], y[k]) for x of shape (K, B, f)."""
+        """Entry [c, k] is gradient(w[c], x[k], y[k]) for w of shape (C, d)
+        and x of shape (K, B, f)."""
         w1, b1, w2, b2 = self._unpack(w)
+        n_cells = w.shape[0]
         n_dev, batch = y.shape
-        z1 = np.matmul(x, w1.T) + b1
+        z1 = np.matmul(x[None], w1.transpose(0, 2, 1)[:, None]) + b1[:, None, None, :]
         a1 = np.maximum(z1, 0.0)
-        scores = np.matmul(a1, w2) + b2
+        scores = np.matmul(a1, w2[:, None, :, None])[..., 0] + b2[:, None, None]
         dscore = (_sigmoid(scores) - y) / batch
-        d_w2 = np.matmul(dscore[:, None, :], a1)[:, 0, :]
-        d_b2 = np.sum(dscore, axis=1)
-        dz1 = dscore[:, :, None] * w2 * (z1 > 0.0)
-        d_w1 = np.matmul(dz1.transpose(0, 2, 1), x)
-        d_b1 = dz1.sum(axis=1)
-        return np.concatenate([d_w1.reshape(n_dev, -1), d_b1, d_w2, d_b2[:, None]], axis=1)
+        d_w2 = np.matmul(dscore[:, :, None, :], a1)[:, :, 0, :]
+        d_b2 = np.sum(dscore, axis=2)
+        dz1 = dscore[..., None] * w2[:, None, None, :] * (z1 > 0.0)
+        d_w1 = np.matmul(dz1.swapaxes(2, 3), x[None])
+        d_b1 = dz1.sum(axis=2)
+        return np.concatenate(
+            [d_w1.reshape(n_cells, n_dev, -1), d_b1, d_w2, d_b2[..., None]], axis=2
+        )
 
 
 def build_task(train_cfg) -> LogisticTask | MlpTask:
@@ -263,7 +322,8 @@ def local_gradient(task, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
 
 def ideal_aggregate(gradients) -> np.ndarray:
     """Exact gradient mean, accumulated in device order, of a list of
-    vectors or the rows of a (K, d) array."""
+    vectors or the rows of a (K, d) array (or the (C, d) slices of a
+    (K, C, d) array, one mean per cell)."""
     if len(gradients) == 0:
         raise ValueError("no gradients to aggregate")
     total = np.zeros_like(gradients[0])
@@ -280,81 +340,36 @@ def global_update(w: np.ndarray, g_hat: np.ndarray, eta: float) -> np.ndarray:
     return w - eta * g_hat
 
 
-def evaluate(task, w: np.ndarray, data: DeviceDataset) -> tuple[float, float]:
-    """(mean loss, accuracy); scores of exactly zero predict class 0."""
-    scores = task.scores(w, data.features)
-    loss = _bce_loss(scores, data.labels)
-    accuracy = float(np.mean((scores > 0.0) == (data.labels > 0.5)))
+def evaluate(task, w: np.ndarray, train_data: DeviceDataset, test_data: DeviceDataset) -> tuple[float, float]:
+    """(mean loss on train_data, accuracy on test_data); scores of exactly
+    zero predict class 0."""
+    loss = _bce_loss(task.scores(w, train_data.features), train_data.labels)
+    scores = task.scores(w, test_data.features)
+    accuracy = float(np.mean((scores > 0.0) == (test_data.labels > 0.5)))
     return loss, accuracy
 
 
 def round_gradients(w, draws: SeedDraws, round_index: int) -> np.ndarray:
-    """All K mini-batch gradients of one round, at the batches of draws, as a
-    (K, d) array; row k equals local_gradient at device k's batch."""
-    return draws.task.gradients(w, *draws.batches(round_index))
+    """All K mini-batch gradients of one round, at the batches of draws.
+
+    For w of shape (d,) a (K, d) array whose row k equals local_gradient at
+    device k's batch; for the weights of C cells, shape (C, d), a (C, K, d)
+    array whose entry [c] is what w[c] alone would give.
+    """
+    grads = draws.task.gradients(np.atleast_2d(w), *draws.batches(round_index))
+    return grads if np.ndim(w) == 2 else grads[0]
 
 
-def run_round(
-    w: np.ndarray,
-    round_index: int,
-    exp: ResolvedExperiment,
-    draws: SeedDraws,
-    power: PowerConfig | None,
-    mode: str,
-) -> tuple[np.ndarray, RoundRecord]:
-    """One aggregation round; returns the updated model and its record."""
-    grads = round_gradients(w, draws, round_index)
-    g_ideal = ideal_aggregate(grads)
-    spread = float(np.mean(np.sum((grads - g_ideal) ** 2, axis=1)))
-
-    skipped = False
-    if mode == "ideal":
-        g_hat = g_ideal
-        active_count = len(grads)
-    else:
-        channels = draws.channels(round_index)
-        round_power = power
-        if exp.cfg.g_mode == "genie":
-            g_now = max(float(np.linalg.norm(g)) for g in grads)
-            if g_now == 0.0:
-                raise RuntimeError("genie power control with all-zero gradients")
-            round_power = PowerConfig(
-                p_max=power.p_max,
-                sigma2=power.sigma2,
-                g_bound=g_now,
-                d_max_alpha=power.d_max_alpha,
-            )
-        outcome = aggregate(
-            grads,
-            channels,
-            exp.gamma_th,
-            exp.rho,
-            round_power,
-            draws.noise(round_index),
-        )
-        _assert_power_feasible(grads, channels, outcome, round_power, exp.k_devices)
-        skipped = outcome.skipped
-        g_hat = outcome.g_hat
-        active_count = len(outcome.active_set)
-
-    if skipped:
-        w_next = w
-    else:
-        w_next = global_update(w, g_hat, exp.train.eta)
-
-    loss, _ = evaluate(draws.task, w_next, draws.all_train)
-    _, accuracy = evaluate(draws.task, w_next, draws.test)
-    diff = g_hat - g_ideal
-    record = RoundRecord(
-        round_index=round_index,
-        loss=loss,
-        accuracy=accuracy,
-        divergence_sq=float(np.dot(diff, diff)),
-        grad_spread_sq=spread,
-        active_count=active_count,
-        skipped=skipped,
-    )
-    return w_next, record
+def _air_round(grads, channels, exp, draws: SeedDraws, power: PowerConfig, round_index: int) -> AggregationOutcome:
+    """One cell's over-the-air aggregation of its (K, d) gradients."""
+    if exp.cfg.g_mode == "genie":
+        g_now = max(float(np.linalg.norm(g)) for g in grads)
+        if g_now == 0.0:
+            raise RuntimeError("genie power control with all-zero gradients")
+        power = replace(power, g_bound=g_now)
+    outcome = aggregate(grads, channels, exp.gamma_th, exp.rho, power, draws.noise(round_index))
+    _assert_power_feasible(grads, channels, outcome, power, exp.k_devices)
+    return outcome
 
 
 def _sent_power(grads: np.ndarray, channels, outcome, k_devices: int) -> tuple[np.ndarray, np.ndarray]:
@@ -426,11 +441,13 @@ class SeedDraws:
     config differs from `exp`'s in gamma_th alone.
 
     The stream states of substream(seed, STREAM_BATCH | STREAM_CHANNEL,
-    round, device) and of substream(seed, STREAM_NOISE, round) are derived
-    once per purpose, on first use, for max(rounds_m, 10) rounds so that the
-    calibration warm-up is covered; every draw reseeds one reused generator
-    to its key's state and so reads exactly that substream.  The noise
-    normals themselves are drawn per run and round, by `aggregate`.
+    round, device) and of substream(seed, STREAM_NOISE, round) cover
+    max(rounds_m, 10) rounds, so that the calibration warm-up is included;
+    they are derived per purpose in blocks of 10 rounds, each on its first
+    use, so a caller that reads only the warm-up rounds derives only those.
+    Every draw reseeds one reused generator to its key's state and so reads
+    exactly that substream.  The noise normals themselves are drawn per run
+    and round, by `aggregate`.
     """
 
     def __init__(self, cfg: SystemConfig | ResolvedExperiment):
@@ -451,24 +468,27 @@ class SeedDraws:
         self.n_rounds = max(exp.train.rounds_m, _WARMUP_ROUNDS)
         self._reseed = Reseeder()
         self._rows = np.arange(exp.k_devices)[:, None]
-        self._states: dict[int, list[tuple[int, int]]] = {}
+        self._states: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._picks: dict[int, np.ndarray] = {}
         self._channels: dict[int, list[ChannelDraw]] = {}
         self._g_bound: float | None = None
 
     def _round_states(self, purpose: int, round_index: int) -> list[tuple[int, int]]:
         # one round's stream states: the K (round, device) keys of the batch
-        # and channel purposes, the one (round,) key of the noise; derived
-        # for every round on the purpose's first use
+        # and channel purposes, the one (round,) key of the noise; derived a
+        # block of _WARMUP_ROUNDS rounds at a time, on the block's first use
         if not 0 <= round_index < self.n_rounds:
             raise IndexError(f"round {round_index} is outside the {self.n_rounds} rounds these draws cover")
         width = 1 if purpose == STREAM_NOISE else self.exp.k_devices
-        states = self._states.get(purpose)
+        block, offset = divmod(round_index, _WARMUP_ROUNDS)
+        states = self._states.get((purpose, block))
         if states is None:
+            lo = block * _WARMUP_ROUNDS
+            hi = min(lo + _WARMUP_ROUNDS, self.n_rounds)
             inner = None if purpose == STREAM_NOISE else width
-            states = substream_states(self.exp.seed, (purpose,), 0, self.n_rounds, inner)
-            self._states[purpose] = states
-        return states[round_index * width : (round_index + 1) * width]
+            states = substream_states(self.exp.seed, (purpose,), lo, hi, inner)
+            self._states[(purpose, block)] = states
+        return states[offset * width : (offset + 1) * width]
 
     def batches(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
         """The round's (features, labels) batches, shapes (K, B, f) and (K, B);
@@ -517,6 +537,81 @@ class SeedDraws:
         return self._g_bound
 
 
+def train_cells(
+    exps: list[ResolvedExperiment],
+    draws: SeedDraws,
+    mode: str = "aircomp",
+) -> list[TrainingTrace]:
+    """Train experiments that differ from draws.exp in gamma_th alone, in
+    lock-step, and return one trace per experiment.
+
+    Every round gathers the batches once and computes every cell's K
+    gradients in one call; each cell then aggregates (ideally, or over the
+    air with its own threshold), checks its power and updates its weights
+    exactly as a run on its own would, so a cell's trace does not depend on
+    the other cells.  A skipped round leaves the cell's weights unchanged.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if not exps:
+        raise ValueError("no experiments to train")
+    if any(draws.key != _draws_key(exp) for exp in exps):
+        raise ValueError("draws were built for a config that differs in more than gamma_th")
+
+    # every field but the threshold is shared, so the group reads it once
+    exp = draws.exp
+    power = None
+    g_bound: float | None = None
+    if mode == "aircomp":
+        g_bound = exp.cfg.g_bound
+        if g_bound is None:
+            if exp.cfg.g_mode == "fixed":
+                raise ValueError("g_mode 'fixed' requires g_bound")
+            g_bound = draws.calibrated_g_bound()
+        power = exp.power_config(g_bound)
+
+    n_cells, n_rounds, k_devices = len(exps), exp.train.rounds_m, exp.k_devices
+    weights = np.tile(draws.task.init_params(substream(exp.seed, STREAM_INIT)), (n_cells, 1))
+    history = np.empty((n_cells, n_rounds, weights.shape[1]))
+    divergence = np.empty((n_cells, n_rounds))
+    spread = np.empty((n_cells, n_rounds))
+    active = np.empty((n_cells, n_rounds), dtype=int)
+    skipped = np.zeros((n_cells, n_rounds), dtype=bool)
+    for m in range(n_rounds):
+        grads = round_gradients(weights, draws, m)
+        g_ideal = ideal_aggregate(grads.swapaxes(0, 1))  # (C, d), in device order
+        spread[:, m] = np.mean(np.sum((grads - g_ideal[:, None]) ** 2, axis=2), axis=1)
+        channels = draws.channels(m) if mode == "aircomp" else None
+        for c, cell in enumerate(exps):
+            if mode == "ideal":
+                g_hat, active[c, m] = g_ideal[c], k_devices
+            else:
+                outcome = _air_round(grads[c], channels, cell, draws, power, m)
+                g_hat, active[c, m], skipped[c, m] = outcome.g_hat, len(outcome.active_set), outcome.skipped
+            if not skipped[c, m]:
+                weights[c] = global_update(weights[c], g_hat, exp.train.eta)
+            diff = g_hat - g_ideal[c]
+            divergence[c, m] = float(np.dot(diff, diff))
+        history[:, m] = weights
+
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("model parameters must be finite")
+    return [
+        TrainingTrace(
+            weights=history[c],
+            divergence_sq=divergence[c],
+            grad_spread_sq=spread[c],
+            active_count=active[c],
+            skipped=skipped[c],
+            mode=mode,
+            gamma_th=cell.gamma_th if mode == "aircomp" else None,
+            g_bound=g_bound,
+            draws=draws,
+        )
+        for c, cell in enumerate(exps)
+    ]
+
+
 def train(
     cfg: SystemConfig | ResolvedExperiment,
     mode: str = "aircomp",
@@ -528,41 +623,10 @@ def train(
     over the simulated channel with truncated inversion.  With the same
     seed, both modes draw identical data and batches.  `draws` may come from
     a config that differs from cfg in gamma_th alone; without it the run
-    builds its own, with the same result.
+    builds its own, with the same result.  This is train_cells on one
+    experiment.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     exp = cfg if isinstance(cfg, ResolvedExperiment) else resolve(cfg)
     if draws is None:
         draws = SeedDraws(exp)
-    elif draws.key != _draws_key(exp):
-        raise ValueError("draws were built for a config that differs in more than gamma_th")
-
-    power = None
-    gamma_th: float | None = None
-    g_bound: float | None = None
-    if mode == "aircomp":
-        gamma_th = exp.gamma_th
-        if exp.cfg.g_mode == "fixed":
-            if exp.cfg.g_bound is None:
-                raise ValueError("g_mode 'fixed' requires g_bound")
-            g_bound = exp.cfg.g_bound
-        else:
-            g_bound = exp.cfg.g_bound if exp.cfg.g_bound is not None else draws.calibrated_g_bound()
-        power = exp.power_config(g_bound)
-
-    w = draws.task.init_params(substream(exp.seed, STREAM_INIT))
-    records = []
-    for m in range(exp.train.rounds_m):
-        w, record = run_round(w, m, exp, draws, power, mode)
-        records.append(record)
-
-    if not np.all(np.isfinite(w)):
-        raise ValueError("model parameters must be finite")
-    return TrainingTrace(
-        records=records,
-        final=w,
-        mode=mode,
-        gamma_th=gamma_th,
-        g_bound=g_bound,
-    )
+    return train_cells([exp], draws, mode)[0]

@@ -17,8 +17,8 @@ The sampling kernels avoid repeated work: verify-xi's grid cells share one
 draw (mc_xi_moments_grid), the joint law is histogrammed by arithmetic bin
 index and np.bincount (histogram2d_counts), and its CDF cross-check reads
 one grid of CDF values (cdf_rect_masses), and the threshold sweep trains
-the cells of one seed on one fltrain.SeedDraws.  scipy's quadrature is
-imported only when a quadrature check runs.
+the cells of one seed in lock-step on one fltrain.SeedDraws.  scipy's
+quadrature is imported only when a quadrature check runs.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .fltrain import (
     TrainingTrace,
     ideal_aggregate,
     round_gradients,
-    train,
+    train_cells,
 )
 from .optimizer import coefficients_from_system, optimal_threshold
 
@@ -938,8 +938,7 @@ def k_slope_scan(
 _SWEEP_MODES = ("joint", "communication_oriented", "computation_oriented", "fixed")
 
 
-def _train_cell(exp, draws: SeedDraws) -> tuple[float, float, float, float, float]:
-    trace = train(exp, mode="aircomp", draws=draws)
+def _cell_row(exp, trace: TrainingTrace) -> tuple[float, float, float, float, float]:
     power = exp.power_config(trace.g_bound)
     bound = divergence_bound(exp.k_devices, exp.gamma_th, exp.rho, power)
     return (
@@ -947,15 +946,15 @@ def _train_cell(exp, draws: SeedDraws) -> tuple[float, float, float, float, floa
         trace.mean_divergence_sq,
         float(trace.gamma_th),
         bound,
-        trace.skipped_rounds / len(trace.records),
+        trace.skipped_rounds / trace.rounds,
     )
 
 
 def _train_seed_cells(cfgs: list[SystemConfig]) -> list[tuple[float, float, float, float, float]]:
-    """Train cells that share a seed, in order, on one SeedDraws."""
+    """Train cells that share a seed in lock-step on one SeedDraws."""
     exps = [resolve(c) for c in cfgs]
-    draws = SeedDraws(exps[0])
-    return [_train_cell(exp, draws) for exp in exps]
+    traces = train_cells(exps, SeedDraws(exps[0]))
+    return [_cell_row(exp, trace) for exp, trace in zip(exps, traces)]
 
 
 def _computation_gamma(cfg: SystemConfig) -> float:
@@ -986,9 +985,11 @@ def sweep_threshold(
 
     The cells that share a seed differ only in gamma_th, so they train on
     one SeedDraws: shards, batches, channel draws and the calibrated
-    gradient bound are drawn once per seed, not once per cell.  A seed group
-    is the parallel unit, so at most n_seeds workers run; neither the
-    sharing nor jobs changes a byte of the result.
+    gradient bound are drawn once per seed, not once per cell, and the
+    cells train in lock-step (fltrain.train_cells), one gradient call per
+    round for the group.  Only each cell's final accuracy is evaluated.  A
+    seed group is the parallel unit, so at most n_seeds workers run;
+    neither the sharing nor jobs changes a byte of the result.
     """
     gammas = [float(g) for g in gammas]
     if len(gammas) < 8:
@@ -1129,7 +1130,7 @@ def convergence_report(draws: SeedDraws, trace: TrainingTrace) -> dict[str, floa
         eta=exp.train.eta,
         delta2=trace.delta2_hat,
         g_bound2=g_bound * g_bound,
-        rounds_m=len(trace.records),
+        rounds_m=trace.rounds,
         f0_minus_fstar=gap,
     )
     delta2_total = trace.mean_divergence_sq + trace.delta2_hat

@@ -17,8 +17,8 @@ import conftest
 import oracles
 from airfl.analysis import xi_mean_offset
 from airfl.cli import main as cli_main
-from airfl.config import SystemConfig, TrainConfig, config_to_kv
-from airfl.fltrain import SeedDraws, train
+from airfl.config import SystemConfig, TrainConfig, config_to_kv, resolve
+from airfl.fltrain import SeedDraws, train_cells
 from airfl.harness import (
     Gate,
     cdf_pdf_consistency,
@@ -269,15 +269,14 @@ def test_criterion_09_training_trend():
     cfg = SystemConfig(sigma2_dbm=-20.0)
     t0 = time.monotonic()
 
-    # the three thresholds of one seed train on one set of draws
+    # the three thresholds of one seed train in lock-step on one set of draws
     gammas = ("optimize", 0.05, 3.0)
     accs = {g: [] for g in gammas}
     divs = {g: [] for g in gammas}
     for i in range(3):
         seeded = replace(cfg, seed=cfg.seed + i)
-        draws = SeedDraws(seeded)
-        for gamma in gammas:
-            trace = train(replace(seeded, gamma_th=gamma), mode="aircomp", draws=draws)
+        exps = [resolve(replace(seeded, gamma_th=gamma)) for gamma in gammas]
+        for gamma, trace in zip(gammas, train_cells(exps, SeedDraws(seeded))):
             accs[gamma].append(trace.final_accuracy)
             divs[gamma].append(trace.mean_divergence_sq)
     acc_star, acc_lo, acc_hi = (float(np.mean(accs[g])) for g in gammas)

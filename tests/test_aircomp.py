@@ -251,8 +251,20 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(grads, draws[:-1], 0.5, 0.8, DEFAULT_POWER, None)
         bad = grads[:3] + [np.zeros(7)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="differ across devices"):
             aggregate(bad, draws, 0.5, 0.8, DEFAULT_POWER, None)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3, 1)])
+    def test_gradient_array_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=r"\(K, d\) array"):
+            aggregate(np.zeros(shape), self.draws(), 0.5, 0.8, DEFAULT_POWER, None)
+
+    def test_array_and_list_of_rows_agree(self):
+        grads, draws = self.grads(), self.draws()
+        rows = aggregate(grads, draws, 0.5, 0.8, DEFAULT_POWER, substream(1, 7))
+        stacked = aggregate(np.array(grads), draws, 0.5, 0.8, DEFAULT_POWER, substream(1, 7))
+        assert np.array_equal(rows.g_hat, stacked.g_hat)
+        assert rows.active_set == stacked.active_set
 
     def test_unbiased_over_many_rounds(self):
         # mean of g_hat over repeated channel draws approaches the ideal

@@ -36,6 +36,7 @@ from airfl.fltrain import (
     local_gradient,
     round_gradients,
     train,
+    train_cells,
 )
 
 SMALL_TRAIN = TrainConfig(
@@ -202,8 +203,9 @@ class TestPrimitives:
         exp = resolve(small_cfg())
         test = build_test_set(exp)
         task = LogisticTask(5)
-        _, accuracy = evaluate(task, np.zeros(5), test)
+        loss, accuracy = evaluate(task, np.zeros(5), build_devices(exp)[0], test)
         assert accuracy == 0.5
+        assert loss == math.log(2.0)
 
 
 class TestTraining:
@@ -258,6 +260,38 @@ class TestTraining:
         assert trace.final_accuracy == trace.records[-1].accuracy
         spread = np.mean([r.grad_spread_sq for r in trace.records])
         assert abs(trace.delta2_hat - float(spread)) < 1e-15
+
+    def test_final_accuracy_read_first_equals_the_last_record(self, monkeypatch):
+        evaluated = []
+        real = airfl.fltrain.evaluate
+
+        def counted(task, w, *data):
+            evaluated.append(w.copy())
+            return real(task, w, *data)
+
+        monkeypatch.setattr(airfl.fltrain, "evaluate", counted)
+        trace = train(small_cfg(sigma2_dbm=-20.0), mode="aircomp")
+        assert evaluated == []
+        first = trace.final_accuracy
+        assert len(evaluated) == 1 and np.array_equal(evaluated[0], trace.final)
+        assert trace.records[-1].accuracy == first
+        assert len(evaluated) == 1 + 4
+        assert trace.final_accuracy == first and len(evaluated) == 5
+
+    def test_records_cost_one_loss_per_round(self, monkeypatch):
+        # the loss on the training union only; the test set gives the accuracy
+        calls = []
+        real = airfl.fltrain._bce_loss
+
+        def counted(scores, y):
+            calls.append(len(y))
+            return real(scores, y)
+
+        monkeypatch.setattr(airfl.fltrain, "_bce_loss", counted)
+        trace = train(small_cfg(), mode="aircomp")
+        trace.records
+        trace.records
+        assert calls == [3 * 40] * 4
 
     def test_huge_threshold_skips_every_round(self):
         trace = train(small_cfg(k_devices=2, gamma_th=12.0), mode="aircomp")
@@ -364,6 +398,53 @@ class TestSeedDraws:
             rows = [local_gradient(draws.task, w, x, y) for x, y in zip(*draws.batches(m))]
             assert np.array_equal(got, np.array(rows))
 
+    @pytest.mark.parametrize("task", ["synthetic_logistic", "small_mlp"])
+    def test_cell_gradients_are_each_cells_rows(self, task):
+        # weights of C cells in one call: entry [c] is what w[c] alone gives
+        tc = replace(SMALL_TRAIN, task=task, batch_size=32, data_per_device=64, n_features=10, hidden_units=16)
+        draws = SeedDraws(small_cfg(train=tc, k_devices=5))
+        gen = np.random.default_rng(4)
+        for m in range(tc.rounds_m):
+            weights = gen.standard_normal((11, draws.task.dim))
+            got = round_gradients(weights, draws, m)
+            assert got.shape == (11, 5, draws.task.dim)
+            for c, w in enumerate(weights):
+                assert np.array_equal(got[c], round_gradients(w, draws, m))
+                rows = [local_gradient(draws.task, w, x, y) for x, y in zip(*draws.batches(m))]
+                assert np.array_equal(got[c], np.array(rows))
+
+    def test_states_are_derived_by_round_block(self, monkeypatch):
+        # 15 rounds: blocks [0, 10) and [10, 15), each derived on first use
+        exp = resolve(small_cfg(train=replace(SMALL_TRAIN, rounds_m=15)))
+        derived = []
+        real = airfl.fltrain.substream_states
+
+        def recording(seed, prefix, lo, hi, inner=None):
+            derived.append((prefix[0], lo, hi))
+            return real(seed, prefix, lo, hi, inner)
+
+        monkeypatch.setattr(airfl.fltrain, "substream_states", recording)
+        draws = SeedDraws(exp)
+        draws.batches(0)
+        assert derived == [(STREAM_BATCH, 0, 10)]
+        for m in (9, 10, 14):
+            xs, _ = draws.batches(m)
+            for k, dev in enumerate(draws.devices):
+                idx = substream(exp.seed, STREAM_BATCH, m, k).choice(dev.size, size=8, replace=False)
+                assert np.array_equal(xs[k], dev.features[idx])
+                gen = substream(exp.seed, STREAM_CHANNEL, m, k)
+                assert draws.channels(m)[k] == draw_channel(exp.est, exp.distances[k], gen)
+            want = substream(exp.seed, STREAM_NOISE, m).bit_generator.state
+            assert draws.noise(m).bit_generator.state == want
+        assert sorted(derived) == sorted(
+            (purpose, lo, hi)
+            for purpose in (STREAM_BATCH, STREAM_CHANNEL, STREAM_NOISE)
+            for lo, hi in ((0, 10), (10, 15))
+        )
+        for read in (draws.batches, draws.channels, draws.noise):
+            with pytest.raises(IndexError, match="round 15"):
+                read(15)
+
     def test_seeding_guard_names_numpy(self, monkeypatch):
         # the derived stream states are checked against numpy's own once
         monkeypatch.setattr(airfl.channel, "_PCG64_MULT", airfl.channel._PCG64_MULT + 2)
@@ -392,6 +473,25 @@ class TestSeedDraws:
         for gamma in (0.1, 0.5, "optimize"):
             train(small_cfg(gamma_th=gamma), mode="aircomp", draws=draws)
         assert calls == {"calibrate": 1, "channel": 3 * 4}
+
+    @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
+    def test_cells_in_lock_step_equal_private_runs(self, mode):
+        exps = [resolve(small_cfg(gamma_th=g, g_mode="genie")) for g in (0.1, 3.0, "optimize")]
+        traces = train_cells(exps, SeedDraws(exps[0]), mode)
+        for exp, trace in zip(exps, traces):
+            private = train(exp, mode=mode)
+            assert np.array_equal(trace.weights, private.weights)
+            assert trace.records == private.records
+            assert (trace.gamma_th, trace.g_bound) == (private.gamma_th, private.g_bound)
+
+    def test_train_cells_validates_the_group(self):
+        draws = SeedDraws(small_cfg())
+        with pytest.raises(ValueError, match="no experiments"):
+            train_cells([], draws)
+        with pytest.raises(ValueError, match="more than gamma_th"):
+            train_cells([resolve(small_cfg()), resolve(small_cfg(seed=12))], draws)
+        with pytest.raises(ValueError, match="mode"):
+            train_cells([resolve(small_cfg())], draws, "perfect")
 
     def test_ideal_run_on_shared_draws_equals_a_private_one(self):
         draws = SeedDraws(small_cfg())

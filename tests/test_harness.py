@@ -48,7 +48,7 @@ from airfl.harness import (
     write_csv,
     xi_gates,
 )
-from airfl.fltrain import SeedDraws, ideal_aggregate, train
+from airfl.fltrain import SeedDraws, ideal_aggregate, train, train_cells
 
 SMALL_TRAIN = TrainConfig(
     task="synthetic_logistic",
@@ -591,28 +591,47 @@ class TestSharedSeedDraws:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"g_bound": None}, {"g_bound": None, "g_mode": "genie"}, {"g_bound": 2.0}],
-        ids=["calibrated", "genie", "fixed_g_bound"],
+        [
+            {"g_bound": None},
+            {"g_bound": None, "g_mode": "genie"},
+            {"g_bound": 2.0},
+            {"g_bound": None, "train": replace(SMALL_TRAIN, task="small_mlp", hidden_units=4)},
+        ],
+        ids=["calibrated", "genie", "fixed_g_bound", "small_mlp"],
     )
     def test_seed_groups_equal_private_runs(self, monkeypatch, kw):
-        runs = []
+        # every cell of a lock-step group equals a run of its own config
+        groups = []
 
-        def recording_train(exp, **train_kw):
-            trace = train(exp, **train_kw)
-            runs.append((exp, train_kw["draws"], trace))
-            return trace
+        def recording_train_cells(exps, draws, *args):
+            traces = train_cells(exps, draws, *args)
+            groups.append(list(zip(exps, traces)))
+            return traces
 
-        monkeypatch.setattr(harness, "train", recording_train)
+        monkeypatch.setattr(harness, "train_cells", recording_train_cells)
         sweep_threshold(small_cfg(**kw), gammas=self.GRID, n_seeds=3)
-        assert len(runs) == 11 * 3
-        assert len({id(draws) for _, draws, _ in runs}) == 3
-        assert any(t.skipped_rounds for *_, t in runs)
-        assert {exp.gamma_policy for exp, *_ in runs} == {"fixed", "optimize"}
-        for exp, _, trace in runs:
+        assert [len(g) for g in groups] == [11, 11, 11]
+        runs = [run for g in groups for run in g]
+        assert any(t.skipped_rounds for _, t in runs)
+        assert {exp.gamma_policy for exp, _ in runs} == {"fixed", "optimize"}
+        for exp, trace in runs:
             private = train(exp.cfg, mode="aircomp")
             assert np.array_equal(trace.final, private.final)
             assert trace.records == private.records
             assert trace.g_bound == private.g_bound
+
+    def test_sweep_evaluates_one_loss_per_cell(self, monkeypatch):
+        # the sweep reads only each cell's final accuracy
+        calls = []
+        real = airfl.fltrain._bce_loss
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(airfl.fltrain, "_bce_loss", counted)
+        sweep_threshold(small_cfg(), gammas=self.GRID, n_seeds=3)
+        assert len(calls) == 11 * 3
 
     def test_jobs_split_matches_serial(self):
         serial = sweep_threshold(small_cfg(g_bound=None), gammas=self.GRID, jobs=1)
