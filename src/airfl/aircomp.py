@@ -13,6 +13,10 @@ where xi_k = lambda * Re{conj(h_k) h_hat_k} / |h_hat_k|^2 for active devices
 and 0 for truncated ones, and z_bar has per-entry variance sigma2/(2 zeta^2).
 The compensation constant lambda = exp(gamma_th)/rho makes E[xi] = 1, so the
 aggregate is an unbiased estimate of the ideal gradient average.
+
+aggregate_batch is the one aggregation kernel: a round for a batch of
+systems at once, the cells of a threshold sweep or the trials of the
+divergence Monte-Carlo.  aggregate is its one-system form.
 """
 
 from __future__ import annotations
@@ -127,13 +131,43 @@ def effective_coefficients(
     collapses to lambda.  h and h_hat are complex arrays of one shape;
     returns (xi, active) of that shape.
     """
-    gamma_th = check_positive("gamma_th", gamma_th)
-    lam = check_positive("lam", lam)
+    return _coefficients(h, h_hat, check_positive("gamma_th", gamma_th), check_positive("lam", lam))
+
+
+def _coefficients(h, h_hat, gamma_th, lam) -> tuple[np.ndarray, np.ndarray]:
+    # effective_coefficients unchecked, for aggregate_batch's broadcast thresholds (checked by compensation_lambda)
     gain = h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
     active = gain >= gamma_th
     aligned = h.real * h_hat.real + h.imag * h_hat.imag
-    xi = np.divide(lam * aligned, gain, out=np.zeros(gain.shape), where=active)
+    xi = np.divide(lam * aligned, gain, out=np.zeros(active.shape), where=active)
     return xi, active
+
+
+def aggregate_batch(
+    grads: np.ndarray, h: np.ndarray, h_hat: np.ndarray, gamma_th, lam, noise: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One over-the-air round of a batch of systems of K devices each.
+
+    h, h_hat: (..., K) complex; gamma_th and lam broadcast against them, as
+    (C, 1) arrays for a batch of cells on one (K,) channel, or as numbers
+    for a batch of trials on (T, K) channels.  grads: (..., K, d), or one
+    (K, d) block the batch shares.  noise: None, or rows of receiver noise
+    already scaled by sqrt(sigma2) / (sqrt(2) zeta).  Returns (xi, active,
+    sent, g_hat), g_hat = (1/K) sum_k xi_k g_k + noise summed over k in
+    device order; a row with no active device did not send, and its g_hat
+    is 0, without noise.
+    """
+    xi, active = _coefficients(h, h_hat, gamma_th, lam)
+    sent = active.any(axis=-1)
+    k_devices = xi.shape[-1]
+    g_hat = np.zeros(xi.shape[:-1] + grads.shape[-1:])
+    for k in range(k_devices):
+        g_hat += xi[..., k, None] * grads[..., k, :]
+    g_hat /= k_devices
+    if noise is not None:
+        g_hat += noise
+    g_hat[~sent] = 0.0
+    return xi, active, sent, g_hat
 
 
 def preprocessing_beta(draw: ChannelDraw, zeta: float, lam: float, k_devices: int) -> complex:
@@ -160,11 +194,12 @@ def aggregate(
     cfg: PowerConfig,
     rng: np.random.Generator | None,
 ) -> AggregationOutcome:
-    """One over-the-air aggregation of K device gradients.
+    """One over-the-air aggregation of K device gradients (aggregate_batch).
 
     An empty active set (every estimate truncated) is flagged as skipped
     with a zero aggregate: with no transmitter there is nothing for the
-    receive scaling to normalize, so the round produces no update.
+    receive scaling to normalize, so the round produces no update and
+    draws no noise from rng.
 
     Parameters
     ----------
@@ -186,28 +221,20 @@ def aggregate(
 
     lam = compensation_lambda(gamma_th, rho)
     zeta = scaling_zeta(k_devices, rho, cfg, gamma_th)
-    xi, active = effective_coefficients(
-        np.array([dr.h for dr in draws]), np.array([dr.h_hat for dr in draws]), gamma_th, lam
-    )
-    active_set = active.nonzero()[0].tolist()
-
-    g_hat = np.zeros(dim)
+    h, h_hat = (np.array([getattr(dr, part) for dr in draws]) for part in ("h", "h_hat"))
+    xi, active, sent, g_hat = aggregate_batch(np.asarray(gradients), h, h_hat, gamma_th, lam)
     noise = np.zeros(dim)
-    if active_set:
-        for k in range(k_devices):
-            g_hat += xi[k] * gradients[k]
-        g_hat /= k_devices
-        if cfg.sigma2 > 0.0:
-            if rng is None:
-                raise ValueError("rng required when sigma2 > 0")
-            noise = rng.standard_normal(dim) * (math.sqrt(cfg.sigma2) / (_SQRT2 * zeta))
-            g_hat += noise
+    if sent and cfg.sigma2 > 0.0:
+        if rng is None:
+            raise ValueError("rng required when sigma2 > 0")
+        noise = rng.standard_normal(dim) * (math.sqrt(cfg.sigma2) / (_SQRT2 * zeta))
+        g_hat += noise
     return AggregationOutcome(
         g_hat=g_hat,
-        active_set=active_set,
+        active_set=active.nonzero()[0].tolist(),
         xi=xi,
         noise_realization=noise,
         zeta=zeta,
         lam=lam,
-        skipped=not active_set,
+        skipped=not sent,
     )

@@ -11,39 +11,41 @@ regression and a one-hidden-layer MLP on the same data.
 
 train_cells is the one training loop.  It trains the experiments that
 share a SeedDraws (runs that differ only in gamma_th) in lock-step, one
-array step per round for the whole group: the batches are gathered once
-with one fancy index into the stacked shards, the task computes every
-cell's K gradients with broadcast stacked matmuls (each slice makes the
-same BLAS call as a per-device product, so every row equals
-local_gradient bit for bit), and the ideal mean and the spread are one
-pass each.  Each cell then aggregates, checks its power and updates on its
-own, in the order a single run uses, so a cell's numbers do not depend on
-the group it trained in.  `train` is train_cells on a group of one.
+array step per round for the whole group: one batch gather, one gradient
+call (broadcast stacked matmuls, each slice the same BLAS call as a
+per-device product, so every row equals local_gradient bit for bit), one
+pass each for the ideal mean and the spread, and one
+aircomp.aggregate_batch call and one power check over every (cell,
+device) pair, on the round's one channel block and one noise draw.  Each
+cell's arithmetic is a single run's, in the same order, so its numbers do
+not depend on the group.  `train` is train_cells on a group of one.
 
 A trace keeps each round's weights and statistics; the training loss and
 test accuracy are evaluated only when they are read (all rounds for
 `records`, the last round alone for `final_accuracy`).
 
 Everything a run draws that depends only on the seed and the config (the
-device shards, the test set, each round's mini-batches and channel draws,
-the receiver-noise stream states and the calibrated gradient bound) lives
-in a SeedDraws.  Runs that differ only in gamma_th can share one.  The
-stream states of every (round, device) batch and channel key, and of every
-round's noise key, are derived once per SeedDraws by
-channel.substream_states, a block of 10 rounds at a time on the block's
-first use; one reused generator is reseeded to a state per draw, so each draw reads exactly the substream a private run would use and
-sharing changes no bit of any run.
+device shards, the test set, each round's mini-batches and channel
+arrays, the receiver-noise stream states and the calibrated gradient
+bound) lives in a SeedDraws.  Runs that differ only in gamma_th can share
+one.  The stream states of every (round, device) batch and channel key,
+and of every round's noise key, are derived once per SeedDraws by
+channel.substream_states, per purpose in two blocks: the 10 warm-up
+rounds, then every later round.  One reused generator is reseeded to a
+state per draw, so each draw reads exactly the substream a private run
+would use and sharing changes no bit of any run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .aircomp import AggregationOutcome, PowerConfig, aggregate
-from .channel import ChannelDraw, Reseeder, check_substream_states, draw_channel, substream, substream_states
+from .aircomp import PowerConfig, aggregate_batch, compensation_lambda, scaling_zeta
+from .channel import ChannelArrays, Reseeder, channel_from_normals, check_substream_states, substream, substream_states
 from .config import (
     STREAM_BATCH,
     STREAM_CHANNEL,
@@ -59,6 +61,7 @@ from .config import (
 _MODES = ("aircomp", "ideal")
 _WARMUP_ROUNDS = 10
 _G_MARGIN = 1.1
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -360,44 +363,60 @@ def round_gradients(w, draws: SeedDraws, round_index: int) -> np.ndarray:
     return grads if np.ndim(w) == 2 else grads[0]
 
 
-def _air_round(grads, channels, exp, draws: SeedDraws, power: PowerConfig, round_index: int) -> AggregationOutcome:
-    """One cell's over-the-air aggregation of its (K, d) gradients."""
-    if exp.cfg.g_mode == "genie":
-        g_now = max(float(np.linalg.norm(g)) for g in grads)
-        if g_now == 0.0:
+class _Cells(NamedTuple):
+    """Each cell's gamma_th, lambda, zeta and gradient bound G (or one G for all), shape (C, 1)."""
+
+    gamma_th: np.ndarray
+    lam: np.ndarray
+    zeta: np.ndarray
+    g_bound: np.ndarray | float
+
+
+def _zetas(exps, power: PowerConfig, g_bounds) -> np.ndarray:
+    """scaling_zeta of each cell at its own gradient bound, shape (C, 1)."""
+    return np.array([[scaling_zeta(e.k_devices, e.rho, replace(power, g_bound=float(g)), e.gamma_th)]
+                     for e, g in zip(exps, g_bounds)])
+
+
+def _air_round(grads, exps, cells: _Cells, draws: SeedDraws, power: PowerConfig, round_index: int):
+    """Every cell's over-the-air aggregation of grads (C, K, d) in one
+    aggregate_batch call: g_hat (C, d), active counts and skip flags (C,).
+    Genie power control sets a cell's G to its largest gradient norm."""
+    if exps[0].cfg.g_mode == "genie":
+        g_now = [max(float(np.linalg.norm(g)) for g in cell) for cell in grads]
+        if min(g_now) == 0.0:
             raise RuntimeError("genie power control with all-zero gradients")
-        power = replace(power, g_bound=g_now)
-    outcome = aggregate(grads, channels, exp.gamma_th, exp.rho, power, draws.noise(round_index))
-    _assert_power_feasible(grads, channels, outcome, power, exp.k_devices)
-    return outcome
+        cells = cells._replace(zeta=_zetas(exps, power, g_now), g_bound=np.array(g_now)[:, None])
+    noise = None
+    if power.sigma2 > 0.0:
+        scale = math.sqrt(power.sigma2) / (_SQRT2 * cells.zeta)  # (C, 1): one noise draw, scaled per cell
+        noise = draws.noise(round_index).standard_normal(grads.shape[2]) * scale
+    channels = draws.channels(round_index)
+    _, active, sent, g_hat = aggregate_batch(grads, channels.h, channels.h_hat, cells.gamma_th, cells.lam, noise)
+    _assert_power_feasible(grads, channels, active, cells, power.p_max)
+    return g_hat, active.sum(axis=1), ~sent
 
 
-def _sent_power(grads: np.ndarray, channels, outcome, k_devices: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|beta_k|^2 ||g_k||^2, ||g_k||^2) of the devices in outcome.active_set,
-    in its order, with beta_k as in aircomp.preprocessing_beta:
-    |beta_k|^2 ||g_k||^2 = (zeta lambda)^2 d_k^alpha ||g_k||^2 / (K^2 |h_hat_k|^2).
-    """
-    active = outcome.active_set
-    g = grads[active]
-    g_norm_sq = np.einsum("ij,ij->i", g, g)
-    h_hat = np.array([channels[k].h_hat for k in active])
-    d_alpha = np.array([channels[k].d ** channels[k].alpha for k in active])
+def _sent_power(grads: np.ndarray, channels: ChannelArrays, cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
+    """(|beta_k|^2 ||g_k||^2, ||g_k||^2) of cell c's device k at [c, k], with beta_k
+    as in aircomp.preprocessing_beta: (zeta lambda)^2 d_k^alpha ||g_k||^2 / (K^2 |h_hat_k|^2)."""
+    g_norm_sq = np.einsum("ckd,ckd->ck", grads, grads)
+    h_hat, k_devices = channels.h_hat, grads.shape[1]
     gain = h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
-    scale = outcome.zeta * outcome.lam
-    return scale * scale * d_alpha * g_norm_sq / (k_devices * k_devices * gain), g_norm_sq
+    scale = cells.zeta * cells.lam
+    return scale * scale * channels.d_alpha * g_norm_sq / (k_devices * k_devices * gain), g_norm_sq
 
 
-def _assert_power_feasible(grads, channels, outcome, power: PowerConfig, k_devices: int) -> None:
-    # Instantaneous power check for every active device whose gradient obeys
-    # the norm bound; a tiny slack absorbs rounding in the boundary case
-    # |h_hat|^2 == gamma_th.
-    sent, g_norm_sq = _sent_power(grads, channels, outcome, k_devices)
-    over = (sent > power.p_max * (1.0 + 1e-9)) & (g_norm_sq <= power.g_bound**2)
+def _assert_power_feasible(grads, channels: ChannelArrays, active, cells: _Cells, p_max: float) -> None:
+    # Instantaneous power check for every active (cell, device) pair whose
+    # gradient obeys the norm bound; a tiny slack absorbs rounding in the
+    # boundary case |h_hat|^2 == gamma_th.
+    sent, g_norm_sq = _sent_power(grads, channels, cells)
+    over = active & (sent > p_max * (1.0 + 1e-9)) & (g_norm_sq <= np.square(cells.g_bound))
     if over.any():
-        i = int(np.argmax(over))
-        raise AssertionError(
-            f"device {outcome.active_set[i]} exceeded the power budget: {sent[i]} > {power.p_max}"
-        )
+        c, k = np.argwhere(over)[0]
+        raise AssertionError(f"device {k} exceeded the power budget at gamma_th="
+                             f"{float(cells.gamma_th[c, 0])}: {sent[c, k]} > {p_max}")
 
 
 def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
@@ -434,7 +453,7 @@ class SeedDraws:
 
     Holds the task, the device shards stacked into (K, D, f) features and
     (K, D) labels, the test set and the shards' union, each round's
-    mini-batch indices and channel draws (filled lazily, round by round),
+    mini-batch indices and channel arrays (filled lazily, round by round),
     the stream states of the receiver noise, and the calibrated gradient
     bound (computed on first use).  None of it depends on gamma_th or on the
     model weights, so `train` accepts one SeedDraws for every run whose
@@ -442,12 +461,11 @@ class SeedDraws:
 
     The stream states of substream(seed, STREAM_BATCH | STREAM_CHANNEL,
     round, device) and of substream(seed, STREAM_NOISE, round) cover
-    max(rounds_m, 10) rounds, so that the calibration warm-up is included;
-    they are derived per purpose in blocks of 10 rounds, each on its first
-    use, so a caller that reads only the warm-up rounds derives only those.
-    Every draw reseeds one reused generator to its key's state and so reads
-    exactly that substream.  The noise normals themselves are drawn per run
-    and round, by `aggregate`.
+    max(rounds_m, 10) rounds, the calibration warm-up included, and are
+    derived per purpose in two blocks, each on its first use: the warm-up
+    rounds [0, 10), which are all a frozen-gradient check reads, then every
+    later round.  Every draw reseeds one reused generator to its key's
+    state and so reads exactly that substream.
     """
 
     def __init__(self, cfg: SystemConfig | ResolvedExperiment):
@@ -468,26 +486,27 @@ class SeedDraws:
         self.n_rounds = max(exp.train.rounds_m, _WARMUP_ROUNDS)
         self._reseed = Reseeder()
         self._rows = np.arange(exp.k_devices)[:, None]
+        self._distances = np.array(exp.distances, dtype=float)
+        self._d_alpha = np.array([d ** exp.est.alpha for d in exp.distances])
         self._states: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._picks: dict[int, np.ndarray] = {}
-        self._channels: dict[int, list[ChannelDraw]] = {}
+        self._channels: dict[int, ChannelArrays] = {}
         self._g_bound: float | None = None
 
     def _round_states(self, purpose: int, round_index: int) -> list[tuple[int, int]]:
         # one round's stream states: the K (round, device) keys of the batch
-        # and channel purposes, the one (round,) key of the noise; derived a
-        # block of _WARMUP_ROUNDS rounds at a time, on the block's first use
+        # and channel purposes, the one (round,) key of the noise; derived for
+        # the warm-up rounds, or for every later round, on the block's first use
         if not 0 <= round_index < self.n_rounds:
             raise IndexError(f"round {round_index} is outside the {self.n_rounds} rounds these draws cover")
         width = 1 if purpose == STREAM_NOISE else self.exp.k_devices
-        block, offset = divmod(round_index, _WARMUP_ROUNDS)
-        states = self._states.get((purpose, block))
+        lo = 0 if round_index < _WARMUP_ROUNDS else _WARMUP_ROUNDS
+        states = self._states.get((purpose, lo))
         if states is None:
-            lo = block * _WARMUP_ROUNDS
-            hi = min(lo + _WARMUP_ROUNDS, self.n_rounds)
-            inner = None if purpose == STREAM_NOISE else width
-            states = substream_states(self.exp.seed, (purpose,), lo, hi, inner)
-            self._states[(purpose, block)] = states
+            hi = self.n_rounds if lo else _WARMUP_ROUNDS
+            states = substream_states(self.exp.seed, (purpose,), lo, hi, None if purpose == STREAM_NOISE else width)
+            self._states[(purpose, lo)] = states
+        offset = round_index - lo
         return states[offset * width : (offset + 1) * width]
 
     def batches(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -508,16 +527,16 @@ class SeedDraws:
             self._picks[round_index] = picks
         return self.features[self._rows, picks], self.labels[self._rows, picks]
 
-    def channels(self, round_index: int) -> list[ChannelDraw]:
-        """Per device, the round's channel draw from
-        substream(seed, STREAM_CHANNEL, round, k)."""
+    def channels(self, round_index: int) -> ChannelArrays:
+        """The round's K channel draws as arrays: device k's from the four
+        normals draw_channel reads from substream(seed, STREAM_CHANNEL, round, k)."""
         out = self._channels.get(round_index)
         if out is None:
-            exp = self.exp
-            out = [
-                draw_channel(exp.est, exp.distances[k], self._reseed(state))
-                for k, state in enumerate(self._round_states(STREAM_CHANNEL, round_index))
-            ]
+            z = np.empty((self.exp.k_devices, 4))
+            for row, state in zip(z, self._round_states(STREAM_CHANNEL, round_index)):
+                self._reseed(state).standard_normal(out=row)
+            est = self.exp.est
+            out = ChannelArrays(*channel_from_normals(z, est.rho), self._distances, est.alpha, self._d_alpha)
             self._channels[round_index] = out
         return out
 
@@ -545,11 +564,12 @@ def train_cells(
     """Train experiments that differ from draws.exp in gamma_th alone, in
     lock-step, and return one trace per experiment.
 
-    Every round gathers the batches once and computes every cell's K
-    gradients in one call; each cell then aggregates (ideally, or over the
-    air with its own threshold), checks its power and updates its weights
-    exactly as a run on its own would, so a cell's trace does not depend on
-    the other cells.  A skipped round leaves the cell's weights unchanged.
+    Every round gathers the batches once, computes every cell's K
+    gradients in one call and aggregates every cell at once (ideally, or
+    over the air with each cell's own threshold), with each cell's
+    arithmetic exactly that of a run on its own, so a cell's trace does not
+    depend on the other cells.  A skipped round leaves the cell's weights
+    unchanged.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -560,8 +580,8 @@ def train_cells(
 
     # every field but the threshold is shared, so the group reads it once
     exp = draws.exp
-    power = None
-    g_bound: float | None = None
+    n_cells, n_rounds, k_devices = len(exps), exp.train.rounds_m, exp.k_devices
+    power = g_bound = None
     if mode == "aircomp":
         g_bound = exp.cfg.g_bound
         if g_bound is None:
@@ -569,8 +589,10 @@ def train_cells(
                 raise ValueError("g_mode 'fixed' requires g_bound")
             g_bound = draws.calibrated_g_bound()
         power = exp.power_config(g_bound)
-
-    n_cells, n_rounds, k_devices = len(exps), exp.train.rounds_m, exp.k_devices
+        # lambda and zeta once per run (genie power control redoes zeta per round)
+        cells = _Cells(np.array([[e.gamma_th] for e in exps]),
+                       np.array([[compensation_lambda(e.gamma_th, e.rho)] for e in exps]),
+                       _zetas(exps, power, [g_bound] * n_cells), g_bound)
     weights = np.tile(draws.task.init_params(substream(exp.seed, STREAM_INIT)), (n_cells, 1))
     history = np.empty((n_cells, n_rounds, weights.shape[1]))
     divergence = np.empty((n_cells, n_rounds))
@@ -581,17 +603,12 @@ def train_cells(
         grads = round_gradients(weights, draws, m)
         g_ideal = ideal_aggregate(grads.swapaxes(0, 1))  # (C, d), in device order
         spread[:, m] = np.mean(np.sum((grads - g_ideal[:, None]) ** 2, axis=2), axis=1)
-        channels = draws.channels(m) if mode == "aircomp" else None
-        for c, cell in enumerate(exps):
-            if mode == "ideal":
-                g_hat, active[c, m] = g_ideal[c], k_devices
-            else:
-                outcome = _air_round(grads[c], channels, cell, draws, power, m)
-                g_hat, active[c, m], skipped[c, m] = outcome.g_hat, len(outcome.active_set), outcome.skipped
-            if not skipped[c, m]:
-                weights[c] = global_update(weights[c], g_hat, exp.train.eta)
-            diff = g_hat - g_ideal[c]
-            divergence[c, m] = float(np.dot(diff, diff))
+        if mode == "ideal":
+            g_hat, active[:, m] = g_ideal, k_devices
+        else:
+            g_hat, active[:, m], skipped[:, m] = _air_round(grads, exps, cells, draws, power, m)
+        weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, exp.train.eta))
+        divergence[:, m] = [float(r @ r) for r in g_hat - g_ideal]
         history[:, m] = weights
 
     if not np.all(np.isfinite(weights)):

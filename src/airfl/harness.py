@@ -10,8 +10,9 @@ divergence_gates, shared by the CLI and the acceptance suite.
 
 Trials are keyed by per-trial RNG streams, so a parallel run (jobs > 1)
 merges to the exact same numbers as a serial one.  The divergence kernel
-seeds a block of those streams at once (channel.substream_rows), with the
-same stream layout, and checks the seeding against substream once per call.
+seeds a block of those streams at once (channel.substream_rows), checks the
+seeding against substream once per call, and aggregates the block in one
+aircomp.aggregate_batch call, the kernel training uses.
 
 The sampling kernels avoid repeated work: verify-xi's grid cells share one
 draw (mc_xi_moments_grid), the joint law is histogrammed by arithmetic bin
@@ -36,6 +37,7 @@ import numpy as np
 from . import __version__
 from .aircomp import (
     PowerConfig,
+    aggregate_batch,
     compensation_lambda,
     dbm_to_watts,
     effective_coefficients,
@@ -54,6 +56,7 @@ from .analysis import (
 )
 from .channel import (
     EstimationModel,
+    channel_from_normals,
     check_substream_states,
     draw_channel_block,
     draw_channel_rows,
@@ -89,7 +92,6 @@ _TRIAL_BLOCK = 256
 _BLOCK_FLOATS = 1 << 16  # caps a block's (trials, d) arrays at 512 kB each
 # samples per slice of a joint-law chunk: keeps its temporaries at 512 kB each
 _JOINT_SLICE = 1 << 16
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +544,7 @@ def mc_joint_distribution_check(
         meta["cond_m2_expected"] = conditional_second_moment(tail_gamma, 0.0)
         meta["cond_count"] = tail_count
     return SweepResult(
-        columns=(
-            "t_lo",
-            "t_hi",
-            "gamma_lo",
-            "gamma_hi",
-            "mass_mc",
-            "mass_mc_se",
-            "mass_analytic",
-        ),
+        columns=("t_lo", "t_hi", "gamma_lo", "gamma_hi", "mass_mc", "mass_mc_se", "mass_analytic"),
         rows=rows,
         meta=meta,
     )
@@ -720,11 +714,12 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     K `draw_channel` calls and one `aggregate` would: K x 4 channel normals,
     then d noise normals if some device is active and sigma2 > 0.  A block's
     streams are seeded at once by `substream_rows`, one row per trial, and
-    the d noise normals are drawn for every trial and dropped for a skipped
-    one, which changes nothing else on its own stream.  Each trial keeps its
-    own stream and array row, so block and chunk bounds change no bit.  The
-    first trial's seeding is checked against `substream` itself, which
-    raises RuntimeError if numpy ever seeds its streams differently.
+    aggregated by one aircomp.aggregate_batch call, its batch axis over
+    trials; the d noise normals are drawn for every trial and dropped for a
+    skipped one.  Each trial keeps its own stream and array row, so block
+    and chunk bounds change no bit.  The first trial's seeding is checked
+    against `substream`, which raises RuntimeError if numpy ever seeds its
+    streams differently.
     """
     grads, power, gamma_th, rho, seed, key, lo, hi = args
     k_devices, d_model = grads.shape
@@ -733,7 +728,6 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     lam = compensation_lambda(gamma_th, rho)
     zeta = scaling_zeta(k_devices, rho, power, gamma_th)
     noise_scale = math.sqrt(power.sigma2) / (math.sqrt(2.0) * zeta)
-    mix = math.sqrt(1.0 - rho * rho)
     g_ideal = ideal_aggregate(grads)
     block = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
     n_channel = 4 * k_devices
@@ -743,23 +737,20 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     for b_lo in range(lo, hi, block):
         b_hi = min(b_lo + block, hi)
         rows = substream_rows(seed, stream, b_lo, b_hi, width)
+        noise = rows[:, n_channel:] * noise_scale if power.sigma2 > 0.0 else None
+        # the block's channel arrays live only for the call: (B, K) complex each
         z = rows[:, :n_channel].reshape(b_hi - b_lo, k_devices, 4)
-        # (Re h_hat, Im h_hat, Re v, Im v) per device, as in draw_channel
-        h_hat, v = np.moveaxis((z * _INV_SQRT2).view(np.complex128), -1, 0)
-        xi, active = effective_coefficients(rho * h_hat + mix * v, h_hat, gamma_th, lam)
-        sent = active.any(axis=1)
-        g_hat = np.zeros((b_hi - b_lo, d_model))
-        for k in range(k_devices):
-            g_hat += xi[:, k : k + 1] * grads[k]
-        g_hat /= k_devices
-        if power.sigma2 > 0.0:
-            np.add(g_hat, rows[:, n_channel:] * noise_scale, out=g_hat, where=sent[:, None])
-        g_hat[~sent] = 0.0
+        _, _, sent, g_hat = aggregate_batch(grads, *channel_from_normals(z, rho)[:2], gamma_th, lam, noise)
         diff = g_hat - g_ideal
         out = slice(b_lo - lo, b_hi - lo)
         div[out] = [float(r @ r) for r in diff]
         skips[out] = ~sent
     return div, skips
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean of x and its standard error."""
+    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
 
 
 def _pool_size(jobs: int, n_items: int) -> int:
@@ -801,30 +792,26 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
     exp, grads, power = _frozen_setup(cfg)
     frozen = (grads, power, exp.gamma_th, exp.rho, exp.seed, ())
-    chunks = [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)]
-    results = _pmap(_divergence_trials, chunks, jobs)
+    results = _pmap(_divergence_trials, [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)], jobs)
     div = np.concatenate([r[0] for r in results])
     skips = np.concatenate([r[1] for r in results])
 
-    mean = float(np.mean(div))
-    se = float(np.std(div, ddof=1) / math.sqrt(n_trials))
     energies = [float(g @ g) for g in grads]
     d_model = grads[0].shape[0]
-    exact = divergence_exact(energies, exp.k_devices, exp.gamma_th, exp.rho, power, d_model)
-    bound = divergence_bound(exp.k_devices, exp.gamma_th, exp.rho, power)
     zeta = scaling_zeta(exp.k_devices, exp.rho, power, exp.gamma_th)
     p_skip = skip_probability(exp.k_devices, exp.gamma_th)
-    row = (
-        exp.k_devices,
-        exp.rho,
-        exp.gamma_th,
-        n_trials,
-        mean,
-        se,
-        exact,
-        bound,
-        float(np.mean(skips)),
-    )
+    mean, se = _mean_se(div)
+    row = {
+        "k_devices": exp.k_devices,
+        "rho": exp.rho,
+        "gamma_th": exp.gamma_th,
+        "n_trials": n_trials,
+        "divergence_mc": mean,
+        "divergence_se": se,
+        "divergence_exact": divergence_exact(energies, exp.k_devices, exp.gamma_th, exp.rho, power, d_model),
+        "divergence_bound": divergence_bound(exp.k_devices, exp.gamma_th, exp.rho, power),
+        "skip_fraction": float(np.mean(skips)),
+    }
     meta: dict[str, object] = {
         "d_model": d_model,
         "g_bound": power.g_bound,
@@ -834,21 +821,7 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
         "noise_term_exact": (1.0 - p_skip) * (d_model * power.sigma2 / (2.0 * zeta * zeta)),
         "skip_prob_analytic": p_skip,
     }
-    return SweepResult(
-        columns=(
-            "k_devices",
-            "rho",
-            "gamma_th",
-            "n_trials",
-            "divergence_mc",
-            "divergence_se",
-            "divergence_exact",
-            "divergence_bound",
-            "skip_fraction",
-        ),
-        rows=[row],
-        meta=meta,
-    )
+    return SweepResult(columns=tuple(row), rows=[tuple(row.values())], meta=meta)
 
 
 def divergence_gates(result: SweepResult, limit: float = 4.0) -> list[Gate]:
@@ -899,21 +872,14 @@ def k_slope_scan(
         d_max_alpha=distance**cfg.alpha,
     )
     rows = []
-    means = []
-    exacts = []
     for k in ks:
         frozen = (_basis_gradients(k, d_model), power, gamma_th, cfg.rho, cfg.seed, (k,))
-        chunks = [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)]
-        results = _pmap(_divergence_trials, chunks, jobs)
-        div = np.concatenate([r[0] for r in results])
-        mean = float(np.mean(div))
-        se = float(np.std(div, ddof=1) / math.sqrt(n_trials))
+        results = _pmap(_divergence_trials, [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)], jobs)
+        mean, se = _mean_se(np.concatenate([r[0] for r in results]))
         exact = divergence_exact([1.0] * k, k, gamma_th, cfg.rho, power, d_model)
-        bound = divergence_bound(k, gamma_th, cfg.rho, power)
-        rows.append((k, mean, se, exact, bound))
-        means.append(mean)
-        exacts.append(exact)
+        rows.append((k, mean, se, exact, divergence_bound(k, gamma_th, cfg.rho, power)))
 
+    _, means, _, exacts, _ = zip(*rows)
     log_k = np.log(np.asarray(ks, dtype=float))
     slope_mc = float(np.polyfit(log_k, np.log(means), 1)[0])
     slope_exact = float(np.polyfit(log_k, np.log(exacts), 1)[0])
@@ -1005,26 +971,16 @@ def sweep_threshold(
         if mode not in _SWEEP_MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {_SWEEP_MODES}")
 
+    def seeded(gamma_th) -> list[SystemConfig]:
+        return [replace(cfg, gamma_th=gamma_th, seed=cfg.seed + i) for i in range(n_seeds)]
+
     groups: list[tuple[str, list[SystemConfig]]] = []
     for mode in modes:
         if mode == "fixed":
-            for g in gammas:
-                groups.append(
-                    (mode, [replace(cfg, gamma_th=g, seed=cfg.seed + i) for i in range(n_seeds)])
-                )
-        elif mode == "joint":
-            groups.append(
-                (mode, [replace(cfg, gamma_th="optimize", seed=cfg.seed + i) for i in range(n_seeds)])
-            )
-        elif mode == "communication_oriented":
-            groups.append(
-                (mode, [replace(cfg, gamma_th=0.5, seed=cfg.seed + i) for i in range(n_seeds)])
-            )
+            groups += [(mode, seeded(g)) for g in gammas]
         else:
-            g_comp = _computation_gamma(cfg)
-            groups.append(
-                (mode, [replace(cfg, gamma_th=g_comp, seed=cfg.seed + i) for i in range(n_seeds)])
-            )
+            pinned = {"joint": "optimize", "communication_oriented": 0.5}.get(mode)
+            groups.append((mode, seeded(pinned or _computation_gamma(cfg))))
 
     # every group lists its cells in seed order, so cells[i::n_seeds] are
     # the cells of seed cfg.seed + i
@@ -1039,36 +995,13 @@ def sweep_threshold(
     for mode, cfgs in groups:
         part = results[idx : idx + len(cfgs)]
         idx += len(cfgs)
-        accs = np.array([r[0] for r in part])
-        divs = np.array([r[1] for r in part])
-        gams = np.array([r[2] for r in part])
-        bounds = np.array([r[3] for r in part])
-        skipped = np.array([r[4] for r in part])
-        n = len(part)
-        rows.append(
-            (
-                mode,
-                float(np.mean(gams)),
-                float(np.mean(accs)),
-                float(np.std(accs, ddof=1) / math.sqrt(n)),
-                float(np.mean(divs)),
-                float(np.std(divs, ddof=1) / math.sqrt(n)),
-                float(np.mean(bounds)),
-                float(np.mean(skipped)),
-            )
-        )
+        accs, divs, gams, bounds, skipped = (np.array(column) for column in zip(*part))
+        rows.append((mode, float(np.mean(gams)), *_mean_se(accs), *_mean_se(divs),
+                     float(np.mean(bounds)), float(np.mean(skipped))))
 
     return SweepResult(
-        columns=(
-            "mode",
-            "gamma_th",
-            "accuracy_mean",
-            "accuracy_se",
-            "divergence_mean",
-            "divergence_se",
-            "divergence_bound_mean",
-            "skipped_fraction_mean",
-        ),
+        columns=("mode", "gamma_th", "accuracy_mean", "accuracy_se", "divergence_mean", "divergence_se",
+                 "divergence_bound_mean", "skipped_fraction_mean"),
         rows=rows,
         meta={
             "n_seeds": n_seeds,

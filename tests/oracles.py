@@ -1,13 +1,18 @@
-"""Independent high-precision oracles for the test suite.
+"""Independent oracles for the test suite.
 
-Everything here is computed with mpmath at 40 significant digits and never
-touches the package under test.  The frozen constants below were produced
-by the helpers in this module (rounded to double precision); tests compare
-against the constants for headline values and against the live helpers for
-grid sweeps.
+Nothing here touches the package under test.  The special functions and
+closed forms are computed with mpmath at 40 significant digits; the frozen
+constants below were produced by those helpers (rounded to double
+precision), and tests compare against the constants for headline values and
+against the live helpers for grid sweeps.  air_round_ref is one
+over-the-air round in plain numpy and Python scalars, for bit-exact
+comparison with the package's array kernels.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -102,6 +107,44 @@ def gamma_star_ref(k1: float, k2: float) -> float:
         return val
 
     return float(mp.findroot(hp, mp.mpf("0.4")))
+
+
+def air_round_ref(grads, channel_normals, noise_normals, rho, gamma_th, p_max, g_bound, d_max_alpha, sigma2):
+    """One cell's over-the-air round the scalar way: (g_hat, xi, active, noise).
+
+    grads is (K, d); channel_normals holds K rows of four standard normals
+    (Re h_hat, Im h_hat, Re v, Im v), each scaled by 1/sqrt(2) to build
+    h_hat, v ~ CN(0, 1) and h = rho h_hat + sqrt(1 - rho^2) v as complex
+    scalars.  A device with |h_hat|^2 >= gamma_th has
+    xi = lambda Re{conj(h) h_hat} / |h_hat|^2 with lambda = e^gamma / rho.
+    If any device is active, g_hat = (1/K) sum_k xi_k g_k accumulated in
+    device order, plus noise_normals * sqrt(sigma2) / (sqrt(2) zeta) when
+    sigma2 > 0, with zeta = K rho sqrt(P_max gamma) / (G sqrt(d_max^alpha) e^gamma);
+    otherwise g_hat and the noise are 0.
+    """
+    k_devices, dim = grads.shape
+    lam = math.exp(gamma_th) / rho
+    zeta = k_devices * rho * math.sqrt(p_max * gamma_th) / (g_bound * math.sqrt(d_max_alpha) * math.exp(gamma_th))
+    xi = np.zeros(k_devices)
+    active = np.zeros(k_devices, dtype=bool)
+    for k, z in enumerate(channel_normals):
+        z = z * (1.0 / math.sqrt(2.0))
+        h_hat = complex(z[0], z[1])
+        h = rho * h_hat + math.sqrt(1.0 - rho * rho) * complex(z[2], z[3])
+        gain = (h_hat * h_hat.conjugate()).real
+        if gain >= gamma_th:
+            active[k] = True
+            xi[k] = lam * (h.conjugate() * h_hat).real / gain
+    g_hat = np.zeros(dim)
+    noise = np.zeros(dim)
+    if active.any():
+        for k in range(k_devices):
+            g_hat += xi[k] * grads[k]
+        g_hat /= k_devices
+        if sigma2 > 0.0:
+            noise = noise_normals * (math.sqrt(sigma2) / (math.sqrt(2.0) * zeta))
+            g_hat += noise
+    return g_hat, xi, active, noise
 
 
 # Frozen values (mpmath, dps=40, rounded to the nearest double).

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 import airfl.channel
 from airfl.aircomp import PowerConfig, aggregate, preprocessing_beta
-from airfl.channel import ChannelDraw, EstimationModel, draw_channel, substream
+from airfl.channel import ChannelArrays, ChannelDraw, EstimationModel, draw_channel, substream
 from airfl.config import (
     STREAM_BATCH,
     STREAM_CHANNEL,
@@ -24,6 +25,7 @@ from airfl.fltrain import (
     LogisticTask,
     MlpTask,
     SeedDraws,
+    _Cells,
     _assert_power_feasible,
     _sent_power,
     build_devices,
@@ -227,15 +229,15 @@ class TestTraining:
     def test_unity_override_with_zero_noise_reproduces_ideal(self, monkeypatch):
         # every coefficient forced to 1: the aggregate is the exact mean and
         # no round is skipped, so aircomp mode must replay the ideal run
-        real_aggregate = airfl.fltrain.aggregate
+        real_kernel = airfl.fltrain.aggregate_batch
 
-        def unity_aggregate(gradients, *args):
-            outcome = real_aggregate(gradients, *args)
-            return replace(outcome, g_hat=ideal_aggregate(gradients), skipped=False)
+        def unity_kernel(grads, *args):
+            xi, active, sent, _ = real_kernel(grads, *args)
+            return xi, active, np.ones_like(sent), ideal_aggregate(grads.swapaxes(0, 1))
 
         exp = replace(resolve(small_cfg(rho=1.0)), sigma2=0.0)
         ideal = train(exp, mode="ideal")
-        monkeypatch.setattr(airfl.fltrain, "aggregate", unity_aggregate)
+        monkeypatch.setattr(airfl.fltrain, "aggregate_batch", unity_kernel)
         faked = train(exp, mode="aircomp")
         assert np.array_equal(ideal.final, faked.final)
         assert [r.loss for r in faked.records] == [r.loss for r in ideal.records]
@@ -363,15 +365,17 @@ class TestSeedDraws:
         assert draws.batches(2)[0][0][0, 0] != 1e9
 
     def test_draws_come_from_the_round_and_device_streams(self, monkeypatch):
-        # the generator aggregate gets in round m starts where
+        # the generator round m's receiver noise is drawn from starts where
         # substream(seed, STREAM_NOISE, m) starts
         noise_states = []
+        real_noise = SeedDraws.noise
 
-        def recording_aggregate(*args):
-            noise_states.append(args[-1].bit_generator.state)
-            return aggregate(*args)
+        def recording_noise(self, round_index):
+            gen = real_noise(self, round_index)
+            noise_states.append(gen.bit_generator.state)
+            return gen
 
-        monkeypatch.setattr(airfl.fltrain, "aggregate", recording_aggregate)
+        monkeypatch.setattr(SeedDraws, "noise", recording_noise)
         exp = resolve(small_cfg())
         draws = SeedDraws(exp)
         train(exp, mode="aircomp", draws=draws)
@@ -412,6 +416,21 @@ class TestSeedDraws:
                 assert np.array_equal(got[c], round_gradients(w, draws, m))
                 rows = [local_gradient(draws.task, w, x, y) for x, y in zip(*draws.batches(m))]
                 assert np.array_equal(got[c], np.array(rows))
+
+    @pytest.mark.parametrize("rho", [0.3, 0.8, 1.0])
+    def test_channel_arrays_are_the_scalar_draws(self, rho):
+        exp = resolve(small_cfg(rho=rho, k_devices=6, train=replace(SMALL_TRAIN, rounds_m=12)))
+        draws = SeedDraws(exp)
+        for m in range(12):
+            got = draws.channels(m)
+            want = [draw_channel(exp.est, exp.distances[k], substream(exp.seed, STREAM_CHANNEL, m, k))
+                    for k in range(exp.k_devices)]
+            for name in ("h", "h_hat", "v", "d"):
+                assert np.array_equal(getattr(got, name), [getattr(dr, name) for dr in want])
+            assert np.array_equal(got.d_alpha, [d ** exp.est.alpha for d in exp.distances])
+            if rho == 1.0:
+                assert np.array_equal(got.h, got.h_hat)
+            assert draws.channels(m) is got
 
     def test_states_are_derived_by_round_block(self, monkeypatch):
         # 15 rounds: blocks [0, 10) and [10, 15), each derived on first use
@@ -459,7 +478,7 @@ class TestSeedDraws:
 
     def test_runs_differing_in_gamma_th_share_one_draw(self, monkeypatch):
         calls = {"calibrate": 0, "channel": 0}
-        real_calibrate, real_channel = airfl.fltrain.calibrate_g_bound, airfl.fltrain.draw_channel
+        real_calibrate, real_channel = airfl.fltrain.calibrate_g_bound, airfl.fltrain.channel_from_normals
 
         def count(name, fn):
             def counted(*args, **kwargs):
@@ -468,11 +487,12 @@ class TestSeedDraws:
             return counted
 
         monkeypatch.setattr(airfl.fltrain, "calibrate_g_bound", count("calibrate", real_calibrate))
-        monkeypatch.setattr(airfl.fltrain, "draw_channel", count("channel", real_channel))
+        monkeypatch.setattr(airfl.fltrain, "channel_from_normals", count("channel", real_channel))
         draws = SeedDraws(small_cfg())
         for gamma in (0.1, 0.5, "optimize"):
             train(small_cfg(gamma_th=gamma), mode="aircomp", draws=draws)
-        assert calls == {"calibrate": 1, "channel": 3 * 4}
+        # one block of K channels per round, for all three runs
+        assert calls == {"calibrate": 1, "channel": 4}
 
     @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
     def test_cells_in_lock_step_equal_private_runs(self, mode):
@@ -508,8 +528,18 @@ class TestSeedDraws:
             train(small_cfg(**kw), mode="aircomp", draws=draws)
 
 
+def channel_arrays(draws) -> ChannelArrays:
+    """The arrays SeedDraws.channels holds, built from scalar draws."""
+    parts = [np.array([getattr(dr, name) for dr in draws]) for name in ("h", "h_hat", "v", "d")]
+    return ChannelArrays(*parts, draws[0].alpha, np.array([dr.d ** dr.alpha for dr in draws]))
+
+
+def one_cell(outcome, gamma_th, g_bound) -> _Cells:
+    return _Cells(np.array([[gamma_th]]), np.array([[outcome.lam]]), np.array([[outcome.zeta]]), g_bound)
+
+
 class TestPowerCheck:
-    """_assert_power_feasible checks every active device at once."""
+    """_assert_power_feasible checks every active (cell, device) pair at once."""
 
     K, GAMMA, RHO, ALPHA, D_MAX, G = 3, 0.7, 0.8, 2.2, 120.0, 0.9
 
@@ -518,7 +548,9 @@ class TestPowerCheck:
 
     def worst_case(self, g_scale=1.0):
         # device 1 sits exactly at the design corner: |h_hat|^2 = gamma_th,
-        # d = d_max, ||g|| = G; the others are close and strong
+        # d = d_max, ||g|| = G; the others are close and strong.  Returned as
+        # one cell: grads (1, K, d), the channel arrays, the (1, K) activity
+        # and the cell's constants
         draws = [
             ChannelDraw(h=2.0 + 0.5j, h_hat=2.0 + 0.5j, v=0j, d=30.0, alpha=self.ALPHA),
             ChannelDraw(h=complex(math.sqrt(self.GAMMA)), h_hat=complex(math.sqrt(self.GAMMA)), v=0j,
@@ -530,7 +562,8 @@ class TestPowerCheck:
         grads[1, 0] = self.G * g_scale
         outcome = aggregate(grads, draws, self.GAMMA, self.RHO, self.power(), np.random.default_rng(0))
         assert outcome.active_set == [0, 1, 2]
-        return grads, draws, outcome
+        active = np.isin(np.arange(self.K), outcome.active_set)[None]
+        return grads[None], channel_arrays(draws), active, one_cell(outcome, self.GAMMA, self.G)
 
     def test_sent_power_is_preprocessing_beta_squared(self):
         gen = np.random.default_rng(5)
@@ -540,7 +573,8 @@ class TestPowerCheck:
             draws = [draw_channel(model, float(gen.uniform(10.0, 200.0)), gen) for _ in range(k_devices)]
             grads = gen.standard_normal((k_devices, 7)) * gen.uniform(0.1, 3.0)
             outcome = aggregate(grads, draws, 0.3, self.RHO, self.power(), gen)
-            sent, g_norm_sq = _sent_power(grads, draws, outcome, k_devices)
+            cell = one_cell(outcome, 0.3, self.G)
+            sent, g_norm_sq = (a[0, outcome.active_set] for a in _sent_power(grads[None], channel_arrays(draws), cell))
             for i, k in enumerate(outcome.active_set):
                 beta = preprocessing_beta(draws[k], outcome.zeta, outcome.lam, k_devices)
                 assert g_norm_sq[i] == pytest.approx(grads[k] @ grads[k], rel=1e-12)
@@ -548,16 +582,108 @@ class TestPowerCheck:
                 assert sent[i] == pytest.approx(ref, rel=1e-12)
 
     def test_worst_case_device_fits_the_designed_zeta_only(self):
-        grads, draws, outcome = self.worst_case()
-        sent, _ = _sent_power(grads, draws, outcome, self.K)
+        grads, channels, active, cells = self.worst_case()
+        (sent,), _ = _sent_power(grads, channels, cells)
         assert sent[1] == pytest.approx(self.power().p_max, rel=1e-12)
-        _assert_power_feasible(grads, draws, outcome, self.power(), self.K)
-        louder = replace(outcome, zeta=outcome.zeta * 1.001)
+        _assert_power_feasible(grads, channels, active, cells, self.power().p_max)
+        louder = cells._replace(zeta=cells.zeta * 1.001)
         with pytest.raises(AssertionError, match="device 1 exceeded the power budget"):
-            _assert_power_feasible(grads, draws, louder, self.power(), self.K)
+            _assert_power_feasible(grads, channels, active, louder, self.power().p_max)
 
     def test_device_above_the_norm_bound_is_not_checked(self):
-        grads, draws, outcome = self.worst_case(g_scale=2.0)
-        sent, _ = _sent_power(grads, draws, outcome, self.K)
+        grads, channels, active, cells = self.worst_case(g_scale=2.0)
+        (sent,), _ = _sent_power(grads, channels, cells)
         assert sent[1] > 3.9 * self.power().p_max
-        _assert_power_feasible(grads, draws, outcome, self.power(), self.K)
+        _assert_power_feasible(grads, channels, active, cells, self.power().p_max)
+
+    def test_message_names_the_device_and_the_cells_threshold(self):
+        # two cells on one channel block: only the second one's zeta is too
+        # loud, so the failure must point at that cell's gamma_th
+        grads, channels, active, cells = self.worst_case()
+        two = _Cells(np.array([[self.GAMMA], [0.5]]), np.repeat(cells.lam, 2, axis=0),
+                     cells.zeta * np.array([[1.0], [1.001]]), self.G)
+        with pytest.raises(AssertionError, match=r"^device 1 exceeded the power budget at gamma_th=0\.5: "):
+            _assert_power_feasible(np.repeat(grads, 2, axis=0), channels, np.repeat(active, 2, axis=0),
+                                   two, self.power().p_max)
+        _assert_power_feasible(np.repeat(grads, 2, axis=0), channels, np.repeat(active, 2, axis=0),
+                               two._replace(zeta=np.repeat(cells.zeta, 2, axis=0)), self.power().p_max)
+
+
+def record_kernel(monkeypatch):
+    """Wrap the training loop's aggregate_batch; each call appends
+    (grads, noise, xi, active, sent, g_hat), copied."""
+    calls = []
+    real = airfl.fltrain.aggregate_batch
+
+    def recording(grads, h, h_hat, gamma_th, lam, noise=None):
+        out = real(grads, h, h_hat, gamma_th, lam, noise)
+        calls.append((grads.copy(), None if noise is None else noise.copy(), *(a.copy() for a in out)))
+        return out
+
+    monkeypatch.setattr(airfl.fltrain, "aggregate_batch", recording)
+    return calls
+
+
+MLP_TRAIN = replace(SMALL_TRAIN, task="small_mlp", hidden_units=4)
+
+
+class TestKernelAgainstOracle:
+    """Every cell of every round of train_cells against oracles.air_round_ref,
+    fed from the streams themselves: bit for bit."""
+
+    GRID = (0.05, 0.5, 3.0, "optimize")
+
+    @pytest.mark.parametrize("case", ["calibrated", "genie", "fixed", "small_mlp", "sigma2=0", "all_skipped"])
+    def test_every_cell_and_round_matches(self, monkeypatch, case):
+        rounds = replace(SMALL_TRAIN, rounds_m=12)
+        kw, grid = {"train": rounds}, self.GRID
+        if case == "genie":
+            kw["g_mode"] = "genie"
+        elif case == "fixed":
+            kw.update(g_mode="fixed", g_bound=2.0)
+        elif case == "small_mlp":
+            kw["train"] = replace(MLP_TRAIN, rounds_m=12)
+        elif case == "all_skipped":
+            kw["k_devices"], grid = 2, (3.0, 4.0)
+        exps = [resolve(small_cfg(gamma_th=g, **kw)) for g in grid]
+        if case == "sigma2=0":
+            exps = [replace(exp, sigma2=0.0) for exp in exps]
+        calls = record_kernel(monkeypatch)
+        traces = train_cells(exps, SeedDraws(exps[0]))
+        exp = exps[0]
+        assert len(calls) == exp.train.rounds_m
+        w0 = build_task(exp.train).init_params(substream(exp.seed, STREAM_INIT))
+        for m, (grads, noise, xi, active, sent, g_hat) in enumerate(calls):
+            normals = [substream(exp.seed, STREAM_CHANNEL, m, k).standard_normal(4) for k in range(exp.k_devices)]
+            noise_normals = substream(exp.seed, STREAM_NOISE, m).standard_normal(grads.shape[2])
+            for c, cell in enumerate(exps):
+                g_bound = traces[c].g_bound
+                if case == "genie":
+                    g_bound = max(float(np.linalg.norm(g)) for g in grads[c])
+                power = cell.power_config(g_bound)
+                ref = oracles.air_round_ref(grads[c], normals, noise_normals, cell.rho, cell.gamma_th,
+                                            power.p_max, g_bound, power.d_max_alpha, power.sigma2)
+                ref_g_hat, ref_xi, ref_active, ref_noise = ref
+                assert np.array_equal(g_hat[c], ref_g_hat)
+                assert np.array_equal(xi[c], ref_xi)
+                assert np.array_equal(active[c], ref_active)
+                assert sent[c] == ref_active.any()
+                if noise is None:
+                    assert cell.sigma2 == 0.0 and not ref_noise.any()
+                elif sent[c]:
+                    assert np.array_equal(noise[c], ref_noise)
+                assert traces[c].active_count[m] == ref_active.sum()
+                assert traces[c].skipped[m] == (not ref_active.any())
+                # the update and the divergence, from the oracle's g_hat
+                w_prev = traces[c].weights[m - 1] if m else w0
+                w_ref = w_prev - cell.train.eta * ref_g_hat if ref_active.any() else w_prev
+                assert np.array_equal(traces[c].weights[m], w_ref)
+                g_ideal = np.zeros(grads.shape[2])
+                for g in grads[c]:
+                    g_ideal += g
+                diff = ref_g_hat - g_ideal / exp.k_devices
+                assert traces[c].divergence_sq[m] == float(diff @ diff)
+        if case == "all_skipped":
+            assert any(not s.any() for *_, s, _ in calls)
+        if case == "sigma2=0":
+            assert all(call[1] is None for call in calls)

@@ -447,6 +447,29 @@ def scalar_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
     return np.array(div), np.array(skips)
 
 
+def oracle_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
+    """The same trials through oracles.air_round_ref, which shares no code
+    with the package: K rows of 4 channel normals, then d noise normals,
+    from each trial's own stream."""
+    k_devices, d_model = grads.shape
+    g_ideal = np.zeros(d_model)
+    for g in grads:
+        g_ideal += g
+    g_ideal /= k_devices
+    div, skips = [], []
+    for t in range(lo, hi):
+        gen = substream(seed, STREAM_MC_DIVERGENCE, *key, t)
+        normals = gen.standard_normal((k_devices, 4))
+        g_hat, _, active, _ = oracles.air_round_ref(
+            grads, normals, gen.standard_normal(d_model), rho, gamma_th, power.p_max, power.g_bound,
+            power.d_max_alpha, power.sigma2,
+        )
+        diff = g_hat - g_ideal
+        div.append(float(diff @ diff))
+        skips.append(not active.any())
+    return np.array(div), np.array(skips)
+
+
 def frozen(cfg, key=()):
     exp, grads, power = _frozen_setup(cfg)
     return (np.array(grads), power, exp.gamma_th, exp.rho, exp.seed, key)
@@ -475,9 +498,10 @@ class TestDivergenceKernel:
         else:
             args = (_basis_gradients(20, 10), SCAN_POWER, 0.5, 0.8, 2026, (20,))
         div, skips = _divergence_trials((*args, 0, 300))
-        ref_div, ref_skips = scalar_trials(*args, 0, 300)
-        assert np.array_equal(div, ref_div)
-        assert np.array_equal(skips, ref_skips)
+        for reference in (scalar_trials, oracle_trials):
+            ref_div, ref_skips = reference(*args, 0, 300)
+            assert np.array_equal(div, ref_div)
+            assert np.array_equal(skips, ref_skips)
         if case == "skipping":
             assert 0 < skips.sum() < skips.size
 
