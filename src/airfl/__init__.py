@@ -23,7 +23,6 @@ from .aircomp import (
     scaling_zeta,
 )
 from .analysis import (
-    ClosedFormReport,
     LearningConstants,
     conditional_second_moment,
     convergence_bound,
@@ -51,7 +50,6 @@ from .harness import SweepResult, mc_joint_distribution_check, mc_weight_diverge
 __all__ = [
     "AggregationOutcome",
     "ChannelDraw",
-    "ClosedFormReport",
     "EstimationModel",
     "LearningConstants",
     "ObjectiveCoefficients",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .aircomp import PowerConfig, check_positive, check_rho, compensation_lambda, scaling_zeta
+from .aircomp import PowerConfig, check_positive, check_rho, scaling_zeta
 from .specfun import exp_integral_ei
 
 
@@ -46,25 +46,6 @@ class LearningConstants:
             raise ValueError(f"rounds_m must be >= 1, got {self.rounds_m}")
         if not (self.f0_minus_fstar >= 0.0 and math.isfinite(self.f0_minus_fstar)):
             raise ValueError(f"f0_minus_fstar must be nonnegative, got {self.f0_minus_fstar}")
-
-
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Bundle of the closed-form values for one system configuration.
-
-    exact_exceeds_bound flags configurations where the exact divergence is
-    larger than the printed bound (the bound's variance term does not carry
-    the 1/K averaging of the exact expression, so this can happen once the
-    noise share is small).
-    """
-
-    lam: float
-    xi_var: float
-    divergence_bound: float
-    divergence_exact: float
-    divergence_exact_scalar_noise: float
-    exact_exceeds_bound: bool
-    convergence_bound: float | None = None
 
 
 def xi_variance(gamma_th: float, rho: float) -> float:
@@ -143,12 +124,16 @@ def joint_pdf_xy(t: float, gamma: float) -> float:
 
 
 def divergence_bound(k_devices: int, gamma_th: float, rho: float, cfg: PowerConfig) -> float:
-    """Upper bound on the per-round weight divergence,
+    """The paper's printed bound on the per-round weight divergence,
 
         (G^2/K^2) * (Var[xi] + sigma2 * d_max_alpha * e^(2g) / (2 P_max rho^2 g)).
 
-    Scales exactly as 1/K^2 for fixed physical parameters and decreases
-    monotonically in P_max toward the CSI-error floor (G^2/K^2) Var[xi].
+    It is divergence_exact_always_noise with d_model = 1 and gradient
+    energies that sum to G^2 (a total-energy G).  Under this package's
+    per-device G, where each device's energy may reach G^2, the exact
+    CSI term is up to K times the bound's, so for K > 1 the "bound" can
+    lie below divergence_exact, as it does at the defaults.  Scales as
+    1/K^2 and decreases in P_max toward the floor (G^2/K^2) Var[xi].
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
@@ -252,39 +237,3 @@ def convergence_bound(lc: LearningConstants, delta2_total: float) -> float:
     l, eta = lc.lipschitz_l, lc.eta
     denom = eta - 0.5 * l * eta * eta
     return lc.f0_minus_fstar / (lc.rounds_m * denom) + l * eta * delta2_total / (2.0 - l * eta)
-
-
-def closed_form_report(
-    k_devices: int,
-    gamma_th: float,
-    rho: float,
-    cfg: PowerConfig,
-    d_model: int,
-    per_device_grad_sq: list[float] | None = None,
-    lc: LearningConstants | None = None,
-) -> ClosedFormReport:
-    """Evaluate every closed form at one configuration.
-
-    When per-device gradient energies are not supplied, each is taken at the
-    bound level G^2.  The scalar-noise variant counts the receiver noise once
-    instead of per coordinate, matching the bound's normalization.
-    """
-    if per_device_grad_sq is None:
-        per_device_grad_sq = [cfg.g_bound**2] * k_devices
-    lam = compensation_lambda(gamma_th, rho)
-    var = xi_variance(gamma_th, rho)
-    bound = divergence_bound(k_devices, gamma_th, rho, cfg)
-    exact = divergence_exact(per_device_grad_sq, k_devices, gamma_th, rho, cfg, d_model)
-    exact_scalar = divergence_exact(per_device_grad_sq, k_devices, gamma_th, rho, cfg, 1)
-    conv = None
-    if lc is not None:
-        conv = convergence_bound(lc, exact + lc.delta2)
-    return ClosedFormReport(
-        lam=lam,
-        xi_var=var,
-        divergence_bound=bound,
-        divergence_exact=exact,
-        divergence_exact_scalar_noise=exact_scalar,
-        exact_exceeds_bound=exact > bound,
-        convergence_bound=conv,
-    )

@@ -232,7 +232,7 @@ def channel_from_normals(z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class ChannelArrays:
-    """K devices' channel draws and path losses d^alpha as (K,) arrays; [k] is a ChannelDraw."""
+    """K devices' channel draws and path losses d^alpha as (K,) arrays."""
 
     h: np.ndarray
     h_hat: np.ndarray
@@ -240,10 +240,6 @@ class ChannelArrays:
     d: np.ndarray
     alpha: float
     d_alpha: np.ndarray
-
-    def __getitem__(self, k: int) -> ChannelDraw:
-        h, h_hat, v = (complex(part[k]) for part in (self.h, self.h_hat, self.v))
-        return ChannelDraw(h, h_hat, v, float(self.d[k]), self.alpha)
 
 
 def draw_channel_rows(n: int, gen: np.random.Generator) -> np.ndarray:

@@ -13,8 +13,9 @@ no dedicated flag travel as dotted config keys, e.g.
 `verify_xi.rhos = 0.5,0.8`, `sweep.gammas = 0.05,...`, `run.mode = ideal`.
 
 Each gate prints one verdict line, `PASS name: <numbers> z=... limit=...
-margin=...` (deterministic gates print no z).  Exit status: 0 when every
-gate passes, 1 when one FAILs, 2 on bad input.
+margin=...` (deterministic gates print no z; z and the margin switch to
+exponent form from 1e6).  Exit status: 0 when every gate passes, 1 when
+one FAILs, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _verify_pdf(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome
     bins = int(extras.get("verify_pdf.bins", 40))
     tail_gamma = float(extras.get("verify_pdf.tail_gamma", 1.0))
     result = mc_joint_distribution_check(
-        g_range, t_range, cfg.trials, cfg.seed, bins=bins, tail_gamma=tail_gamma
+        g_range, t_range, cfg.trials, cfg.seed, bins=bins, tail_gammas=(tail_gamma,)
     )
     norm = pdf_normalization()
     fd_worst = cdf_pdf_consistency(_centers(*t_range, bins), _centers(*g_range, bins))

@@ -13,8 +13,8 @@ train_cells is the one training loop.  It trains the experiments that
 share a SeedDraws (runs that differ only in gamma_th) in lock-step, one
 array step per round for the whole group: one batch gather, one gradient
 call (broadcast stacked matmuls, each slice the same BLAS call as a
-per-device product, so every row equals local_gradient bit for bit), one
-pass each for the ideal mean and the spread, and one
+per-device product, so every row equals the tests' per-device oracle bit
+for bit), one pass each for the ideal mean and the spread, and one
 aircomp.aggregate_batch call and one power check over every (cell,
 device) pair, on the round's one channel block and one noise draw.  Each
 cell's arithmetic is a single run's, in the same order, so its numbers do
@@ -188,13 +188,9 @@ class LogisticTask:
     def loss(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         return _bce_loss(self.scores(w, x), y)
 
-    def gradient(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        residual = _sigmoid(self.scores(w, x)) - y
-        return x.T @ residual / x.shape[0]
-
     def gradients(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Entry [c, k] is gradient(w[c], x[k], y[k]) for w of shape (C, d)
-        and x of shape (K, B, f)."""
+        """Entry [c, k] is the gradient of the mean loss at w[c] on the
+        batch (x[k], y[k]), for w of shape (C, d) and x of shape (K, B, f)."""
         residual = _sigmoid(np.matmul(x[None], w[:, None, :, None])[..., 0]) - y
         return np.matmul(residual[:, :, None, :], x[None])[:, :, 0, :] / x.shape[1]
 
@@ -231,22 +227,8 @@ class MlpTask:
     def loss(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         return _bce_loss(self.scores(w, x), y)
 
-    def gradient(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = self._unpack(w)
-        z1 = x @ w1.T + b1
-        a1 = np.maximum(z1, 0.0)
-        scores = a1 @ w2 + b2
-        dscore = (_sigmoid(scores) - y) / x.shape[0]
-        d_w2 = a1.T @ dscore
-        d_b2 = np.sum(dscore)
-        dz1 = np.outer(dscore, w2) * (z1 > 0.0)
-        d_w1 = dz1.T @ x
-        d_b1 = dz1.sum(axis=0)
-        return np.concatenate([d_w1.ravel(), d_b1, d_w2, [d_b2]])
-
     def gradients(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Entry [c, k] is gradient(w[c], x[k], y[k]) for w of shape (C, d)
-        and x of shape (K, B, f)."""
+        """As LogisticTask.gradients, over the packed parameters."""
         w1, b1, w2, b2 = self._unpack(w)
         n_cells = w.shape[0]
         n_dev, batch = y.shape
@@ -314,15 +296,6 @@ def build_test_set(exp: ResolvedExperiment) -> DeviceDataset:
 # aggregation primitives
 
 
-def local_gradient(task, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mini-batch gradient of the mean cross-entropy loss at w."""
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"batch mismatch: {x.shape[0]} samples vs {y.shape[0]} labels")
-    return task.gradient(w, x, y)
-
-
 def ideal_aggregate(gradients) -> np.ndarray:
     """Exact gradient mean, accumulated in device order, of a list of
     vectors or the rows of a (K, d) array (or the (C, d) slices of a
@@ -355,8 +328,8 @@ def evaluate(task, w: np.ndarray, train_data: DeviceDataset, test_data: DeviceDa
 def round_gradients(w, draws: SeedDraws, round_index: int) -> np.ndarray:
     """All K mini-batch gradients of one round, at the batches of draws.
 
-    For w of shape (d,) a (K, d) array whose row k equals local_gradient at
-    device k's batch; for the weights of C cells, shape (C, d), a (C, K, d)
+    For w of shape (d,) a (K, d) array whose row k is device k's mini-batch
+    gradient; for the weights of C cells, shape (C, d), a (C, K, d)
     array whose entry [c] is what w[c] alone would give.
     """
     grads = draws.task.gradients(np.atleast_2d(w), *draws.batches(round_index))

@@ -16,10 +16,12 @@ aircomp.aggregate_batch call, the kernel training uses.
 
 The sampling kernels avoid repeated work: verify-xi's grid cells share one
 draw (mc_xi_moments_grid), the joint law is histogrammed by arithmetic bin
-index and np.bincount (histogram2d_counts), and its CDF cross-check reads
-one grid of CDF values (cdf_rect_masses), and the threshold sweep trains
-the cells of one seed in lock-step on one fltrain.SeedDraws.  scipy's
-quadrature is imported only when a quadrature check runs.
+index and np.bincount (histogram2d_counts), its CDF cross-check reads
+one grid of CDF values (cdf_rect_masses), its tail pass keeps power sums
+of x from which every conditional moment follows (TailSums), and the
+threshold sweep trains the cells of one seed in lock-step on one
+fltrain.SeedDraws.  scipy's quadrature is imported only when a quadrature
+check runs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,9 +102,7 @@ _JOINT_SLICE = 1 << 16
 
 
 def _norm_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return int(v)
-    if isinstance(v, np.integer):
+    if isinstance(v, (bool, np.bool_, np.integer)):
         return int(v)
     if isinstance(v, np.floating):
         return float(v)
@@ -144,6 +145,11 @@ class SweepResult:
 
 
 _GATE_KINDS = ("z", "abs", "rel", "tv")
+
+
+def _fixed(v: float) -> str:
+    # two decimals, or exponent form once the fixed form would run past 10 digits
+    return f"{v:.3e}" if abs(v) >= 1e6 else f"{v:.2f}"
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,7 @@ class Gate:
 
     def summary(self) -> str:
         if self.kind == "z":
-            tail = f"z={self.z:.2f} limit={self.limit:g} margin={self.margin:.2f}"
+            tail = f"z={_fixed(self.z)} limit={self.limit:g} margin={_fixed(self.margin)}"
         else:
             tail = f"limit={self.limit:g} margin={self.margin:.3g}"
         return f"{self.detail} {tail}" if self.detail else tail
@@ -239,17 +245,34 @@ class XiMomentsResult:
     active_expected: float
 
 
-@dataclass(frozen=True)
-class CondMomentResult:
-    """Conditional second moment E[(x - c)^2 | y <= -gamma_th], sampled."""
+class TailSums(NamedTuple):
+    """The samples of one draw with y <= -gamma: their count and the power
+    sums (sum x, sum x^2, sum x^3, sum x^4) of x."""
 
-    gamma_th: float
-    c: float
-    n_samples: int
-    n_kept: int
-    estimate: float
-    se: float
-    expected: float
+    gamma: float
+    count: int
+    sums: tuple[float, float, float, float]
+
+    def second_moment(self, c: float) -> tuple[float, float]:
+        """E[(x - c)^2 | y <= -gamma] and its standard error, from the sums
+        of (x - c)^2 and (x - c)^4 expanded in powers of x."""
+        n = self.count
+        if n < 2:
+            raise RuntimeError(f"only {n} samples cleared gamma_th={self.gamma!r}; cannot estimate")
+        s1, s2, s3, s4 = self.sums
+        c2 = c * c
+        s_q = s2 - 2.0 * c * s1 + c2 * n
+        s_q2 = s4 - 4.0 * c * s3 + 6.0 * c2 * s2 - 4.0 * c2 * c * s1 + c2 * c2 * n
+        mean_q = s_q / n
+        var_q = max(s_q2 / n - mean_q * mean_q, 0.0)
+        return mean_q, math.sqrt(var_q / n)
+
+
+@dataclass
+class JointLawResult(SweepResult):
+    """The joint-law bin table, plus the tail sums of every threshold."""
+
+    tails: tuple[TailSums, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +458,19 @@ def mc_joint_distribution_check(
     n_samples: int,
     seed: int,
     bins: int = 40,
-    tail_gamma: float = 1.0,
+    tail_gammas: tuple[float, ...] = (1.0,),
     chunk: int = _CHUNK,
-) -> SweepResult:
+) -> JointLawResult:
     """Histogram the sampled (x, y) pair against the analytic density.
 
     Returns one row per bin with the empirical mass, its binomial standard
     error, and the analytic mass (density integrated over the bin).  meta
-    carries the window summaries: total-variation distance between the
-    binned laws (mass outside the window lumped into one cell), the tail
-    probability Pr{y <= -tail_gamma} against exp(-tail_gamma), and the
-    conditional second moment of x given that tail against the closed form.
+    carries the total-variation distance between the binned laws (mass
+    outside the window lumped into one cell) and, at the first of
+    tail_gammas, the tail probability Pr{y <= -tail_gamma} against
+    exp(-tail_gamma) and E[x^2 | tail] against the closed form.  tails
+    holds the count and power sums of x on every threshold's tail of the
+    one draw, from which E[(x - c)^2 | tail] follows for any c.
     """
     if n_samples < _MIN_JOINT_SAMPLES:
         raise ValueError(f"need at least {_MIN_JOINT_SAMPLES} samples, got {n_samples}")
@@ -457,8 +482,9 @@ def mc_joint_distribution_check(
         raise ValueError(f"empty t window ({t_lo}, {t_hi})")
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
-    if not (tail_gamma > 0.0 and math.isfinite(tail_gamma)):
-        raise ValueError(f"tail_gamma must be positive, got {tail_gamma}")
+    tail_gammas = tuple(float(g) for g in tail_gammas)
+    if not tail_gammas or not all(g > 0.0 and math.isfinite(g) for g in tail_gammas):
+        raise ValueError(f"tail_gammas must be one or more positive thresholds, got {tail_gammas}")
 
     t_edges = np.linspace(t_lo, t_hi, bins + 1)
     g_edges = np.linspace(g_lo, g_hi, bins + 1)
@@ -467,28 +493,36 @@ def mc_joint_distribution_check(
     gen = substream(seed, STREAM_MC_JOINT)
 
     counts = np.zeros((bins, bins), dtype=np.int64)
-    tail_count = 0
-    q_sums: list[float] = []
-    q2_sums: list[float] = []
+    chunk_sums: list[list[tuple]] = [[] for _ in tail_gammas]
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
         z = draw_channel_rows(m, gen)
-        q_parts = []
+        x_parts: list[list[np.ndarray]] = [[] for _ in tail_gammas]
         for lo in range(0, m, _JOINT_SLICE):
             h_re, h_im, v_re, v_im = z[:, lo:lo + _JOINT_SLICE]
             gain = h_re * h_re + h_im * h_im
             re_vh = v_re * h_re + v_im * h_im
             pos = gain > 0.0  # zero gain has probability zero; guard the division
             counts += histogram2d_counts(re_vh[pos] / gain[pos], -gain[pos], t_edges, g_edges)
-            kept = gain >= tail_gamma
-            q_parts.append((re_vh[kept] / gain[kept]) ** 2)
-        # one sum per chunk, over the chunk's tail in draw order
-        q = np.concatenate(q_parts)
-        tail_count += q.size
-        q_sums.append(float(np.sum(q)))
-        q2_sums.append(float(np.sum(q * q)))
+            for parts, tail_gamma in zip(x_parts, tail_gammas):
+                kept = gain >= tail_gamma
+                parts.append(re_vh[kept] / gain[kept])
+        # one sum per power and chunk, over the chunk's tail in draw order;
+        # x^3 and x^4 overwrite x and x^2, so the tail holds two arrays
+        for sums, parts in zip(chunk_sums, x_parts):
+            x = np.concatenate(parts)
+            x2 = x * x
+            s1, s2 = float(np.sum(x)), float(np.sum(x2))
+            x *= x2
+            x2 *= x2
+            sums.append((x.size, s1, s2, float(np.sum(x)), float(np.sum(x2))))
+        del x_parts, x, x2  # the tail arrays go before the next chunk is drawn
         done += m
+    tails = []
+    for tail_gamma, sums in zip(tail_gammas, chunk_sums):
+        count, *power = zip(*sums)
+        tails.append(TailSums(tail_gamma, sum(count), tuple(math.fsum(s) for s in power)))
 
     mass = np.empty((bins, bins))
     for i in range(bins):
@@ -506,89 +540,35 @@ def mc_joint_distribution_check(
     inside_ana = float(mass.sum())
     tv = 0.5 * (float(np.abs(p_emp - mass).sum()) + abs(inside_ana - inside_emp))
 
-    rows = []
-    for i in range(bins):
-        for j in range(bins):
-            p = p_emp[i, j]
-            rows.append(
-                (
-                    float(t_edges[i]),
-                    float(t_edges[i + 1]),
-                    float(g_edges[j]),
-                    float(g_edges[j + 1]),
-                    float(p),
-                    math.sqrt(p * (1.0 - p) / n),
-                    float(mass[i, j]),
-                )
-            )
+    p_se = np.sqrt(p_emp * (1.0 - p_emp) / n)
+    rows = [
+        (float(t_edges[i]), float(t_edges[i + 1]), float(g_edges[j]), float(g_edges[j + 1]),
+         float(p_emp[i, j]), float(p_se[i, j]), float(mass[i, j]))
+        for i in range(bins) for j in range(bins)
+    ]
 
-    p_tail = tail_count / n
+    first = tails[0]
+    p_tail = first.count / n
     meta: dict[str, object] = {
         "n_samples": n_samples,
         "bins": bins,
         "tv_distance": tv,
         "outside_mass_mc": 1.0 - inside_emp,
         "outside_mass_analytic": 1.0 - inside_ana,
-        "tail_gamma": tail_gamma,
+        "tail_gamma": first.gamma,
         "tail_prob_mc": p_tail,
         "tail_prob_se": math.sqrt(p_tail * (1.0 - p_tail) / n),
-        "tail_prob_expected": math.exp(-tail_gamma),
+        "tail_prob_expected": math.exp(-first.gamma),
     }
-    if tail_count > 1:
-        s_q = math.fsum(q_sums)
-        s_q2 = math.fsum(q2_sums)
-        mean_q = s_q / tail_count
-        var_q = max(s_q2 / tail_count - mean_q * mean_q, 0.0)
-        meta["cond_m2_mc"] = mean_q
-        meta["cond_m2_se"] = math.sqrt(var_q / tail_count)
-        meta["cond_m2_expected"] = conditional_second_moment(tail_gamma, 0.0)
-        meta["cond_count"] = tail_count
-    return SweepResult(
+    if first.count > 1:
+        meta["cond_m2_mc"], meta["cond_m2_se"] = first.second_moment(0.0)
+        meta["cond_m2_expected"] = conditional_second_moment(first.gamma, 0.0)
+        meta["cond_count"] = first.count
+    return JointLawResult(
         columns=("t_lo", "t_hi", "gamma_lo", "gamma_hi", "mass_mc", "mass_mc_se", "mass_analytic"),
         rows=rows,
         meta=meta,
-    )
-
-
-def mc_conditional_second_moment(
-    gamma_th: float, c: float, n_samples: int, seed: int, chunk: int = _CHUNK
-) -> CondMomentResult:
-    """Sample E[(x - c)^2 | y <= -gamma_th] and its standard error."""
-    if n_samples < _MIN_XI_SAMPLES:
-        raise ValueError(f"need at least {_MIN_XI_SAMPLES} samples, got {n_samples}")
-    if not (gamma_th > 0.0 and math.isfinite(gamma_th)):
-        raise ValueError(f"gamma_th must be positive, got {gamma_th}")
-    model = EstimationModel(rho=1.0, alpha=2.0)
-    gen = substream(seed, STREAM_MC_JOINT)
-    q_sums: list[float] = []
-    q2_sums: list[float] = []
-    kept_total = 0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        _, h_hat, v = draw_channel_block(model, m, gen)
-        gain = h_hat.real**2 + h_hat.imag**2
-        kept = gain >= gamma_th
-        x = (v.real[kept] * h_hat.real[kept] + v.imag[kept] * h_hat.imag[kept]) / gain[kept]
-        q = (x - c) ** 2
-        q_sums.append(float(np.sum(q)))
-        q2_sums.append(float(np.sum(q * q)))
-        kept_total += int(np.count_nonzero(kept))
-        done += m
-    if kept_total < 2:
-        raise RuntimeError(
-            f"only {kept_total} samples cleared gamma_th={gamma_th}; cannot estimate"
-        )
-    mean_q = math.fsum(q_sums) / kept_total
-    var_q = max(math.fsum(q2_sums) / kept_total - mean_q * mean_q, 0.0)
-    return CondMomentResult(
-        gamma_th=gamma_th,
-        c=float(c),
-        n_samples=n_samples,
-        n_kept=kept_total,
-        estimate=mean_q,
-        se=math.sqrt(var_q / kept_total),
-        expected=conditional_second_moment(gamma_th, c),
+        tails=tuple(tails),
     )
 
 
@@ -654,7 +634,8 @@ def pdf_gates(
 ) -> list[Gate]:
     """Gates of the joint-law check: binned total variation, density
     normalization, CDF/density consistency, and the tail probability and
-    conditional second moment at `limit` SEs.  A tail too thin to estimate
+    conditional second moment (c = 0) at the first tail threshold, at
+    `limit` SEs.  A tail too thin to estimate
     the conditional moment fails that gate."""
     meta = result.meta
     tv = meta["tv_distance"]
@@ -1093,29 +1074,6 @@ def write_csv(path: Path, columns, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell_text(v) for v in row])
-
-
-def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def read_sweep_csv(path) -> tuple[tuple[str, ...], list[tuple]]:
-    """Inverse of the CSV writer; floats round-trip bit-exactly via repr."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            columns = tuple(next(reader))
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        rows = [tuple(_parse_cell(c) for c in row) for row in reader]
-    return columns, rows
 
 
 def _git_blob_sha1(data: bytes) -> str:

@@ -5,10 +5,13 @@ closed forms are computed with mpmath at 40 significant digits; the frozen
 constants below were produced by those helpers (rounded to double
 precision), and tests compare against the constants for headline values and
 against the live helpers for grid sweeps.  air_round_ref is one
-over-the-air round in plain numpy and Python scalars, for bit-exact
-comparison with the package's array kernels.
+over-the-air round, and logistic_gradient_ref and mlp_gradient_ref are one
+device's mini-batch gradient, in plain numpy and Python scalars, for
+bit-exact comparison with the package's array kernels.  read_sweep_csv
+reads back a CSV the package wrote.
 """
 
+import csv
 import math
 
 import mpmath as mp
@@ -145,6 +148,56 @@ def air_round_ref(grads, channel_normals, noise_normals, rho, gamma_th, p_max, g
             noise = noise_normals * (math.sqrt(sigma2) / (math.sqrt(2.0) * zeta))
             g_hat += noise
     return g_hat, xi, active, noise
+
+
+def _sigmoid_ref(s):
+    # the stable split: 1/(1 + e^-s) for s >= 0, e^s/(1 + e^s) below
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out
+
+
+def logistic_gradient_ref(w, x, y):
+    """Gradient of the mean cross-entropy of sigmoid(x @ w) at w, batch (x, y)."""
+    residual = _sigmoid_ref(x @ w) - y
+    return x.T @ residual / x.shape[0]
+
+
+def mlp_gradient_ref(w, x, y, hidden_units):
+    """The same for one relu hidden layer, w packed as [W1.ravel(), b1, w2, b2]."""
+    h, d = hidden_units, x.shape[1]
+    w1 = w[: h * d].reshape(h, d)
+    b1, w2, b2 = w[h * d : h * d + h], w[h * d + h : h * d + 2 * h], w[-1]
+    z1 = x @ w1.T + b1
+    a1 = np.maximum(z1, 0.0)
+    dscore = (_sigmoid_ref(a1 @ w2 + b2) - y) / x.shape[0]
+    dz1 = np.outer(dscore, w2) * (z1 > 0.0)
+    return np.concatenate([(dz1.T @ x).ravel(), dz1.sum(axis=0), a1.T @ dscore, [np.sum(dscore)]])
+
+
+def _parse_cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_sweep_csv(path):
+    """(columns, rows) of a CSV written by the package; ints and floats are
+    parsed back, floats bit-exactly (the writer uses repr)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            columns = tuple(next(reader))
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV") from None
+        rows = [tuple(_parse_cell(c) for c in row) for row in reader]
+    return columns, rows
 
 
 # Frozen values (mpmath, dps=40, rounded to the nearest double).

@@ -8,11 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from airfl.aircomp import PowerConfig, compensation_lambda
+from airfl.aircomp import PowerConfig, compensation_lambda, scaling_zeta
 from airfl.analysis import (
-    ClosedFormReport,
     LearningConstants,
-    closed_form_report,
     conditional_second_moment,
     convergence_bound,
     divergence_bound,
@@ -192,8 +190,6 @@ class TestDivergence:
     def test_exact_formula_by_hand(self):
         energies = [1.0, 4.0, 0.25]
         got = divergence_exact_always_noise(energies, 3, 0.5, 0.8, POWER, d_model=7)
-        from airfl.aircomp import scaling_zeta
-
         zeta = scaling_zeta(3, 0.8, POWER, 0.5)
         want = xi_variance(0.5, 0.8) * sum(energies) / 9 + 7 * 1e-7 / (2 * zeta * zeta)
         assert abs(got - want) < 1e-15 * want
@@ -202,8 +198,6 @@ class TestDivergence:
         energies = [1.0] * 5
         d1 = divergence_exact_always_noise(energies, 5, 0.5, 0.8, POWER, d_model=1)
         d11 = divergence_exact_always_noise(energies, 5, 0.5, 0.8, POWER, d_model=11)
-        from airfl.aircomp import scaling_zeta
-
         zeta = scaling_zeta(5, 0.8, POWER, 0.5)
         noise1 = 1e-7 / (2 * zeta * zeta)
         assert abs((d11 - d1) - 10 * noise1) < 1e-15
@@ -212,8 +206,6 @@ class TestDivergence:
     def test_exact_counts_noise_only_in_rounds_that_transmit(self, gamma):
         # Var[xi] sum_k ||g_k||^2 / K^2 + (1 - p_skip) d sigma2 / (2 zeta^2):
         # a round with every device truncated adds no receiver noise
-        from airfl.aircomp import scaling_zeta
-
         energies = [1.0, 4.0, 0.25]
         got = divergence_exact(energies, 3, gamma, 0.8, POWER, d_model=7)
         zeta = scaling_zeta(3, 0.8, POWER, gamma)
@@ -287,32 +279,53 @@ class TestConvergence:
 
 
 class TestClosedFormReport:
+    """The divergence and convergence closed forms side by side at one
+    configuration, and the convention behind the printed bound."""
+
     def test_consistent_with_parts(self):
-        rep = closed_form_report(10, 0.5, 0.8, POWER, d_model=10)
-        assert rep.lam == compensation_lambda(0.5, 0.8)
-        assert rep.xi_var == xi_variance(0.5, 0.8)
-        assert rep.divergence_bound == divergence_bound(10, 0.5, 0.8, POWER)
-        assert rep.divergence_exact == divergence_exact(
-            [1.0] * 10, 10, 0.5, 0.8, POWER, 10
-        )
-        assert rep.convergence_bound is None
+        g2, k, gamma, rho, d = POWER.g_bound**2, 10, 0.5, 0.8, 10
+        var = xi_variance(gamma, rho)
+        zeta = scaling_zeta(k, rho, POWER, gamma)
+        noise = d * POWER.sigma2 / (2.0 * zeta * zeta)
+        p_skip = (1.0 - math.exp(-gamma)) ** k
+        exact = divergence_exact([g2] * k, k, gamma, rho, POWER, d)
+        assert exact == pytest.approx(var * g2 / k + (1.0 - p_skip) * noise, rel=1e-15)
+        noise_bound = (POWER.sigma2 * POWER.d_max_alpha * math.exp(2.0 * gamma)
+                       / (2.0 * POWER.p_max * rho * rho * gamma))
+        bound = divergence_bound(k, gamma, rho, POWER)
+        assert bound == pytest.approx(g2 / k**2 * (var + noise_bound), rel=1e-15)
 
     def test_exact_exceeds_bound_flag(self):
-        # at the default geometry the exact expression (1/K scaling) sits
-        # above the printed bound (1/K^2 scaling) once noise is small
-        rep = closed_form_report(10, 0.5, 0.8, POWER, d_model=10)
-        assert rep.exact_exceeds_bound == (rep.divergence_exact > rep.divergence_bound)
-        assert rep.exact_exceeds_bound
+        # under the per-device G used here the exact CSI term keeps K times
+        # the bound's, so at the defaults the "bound" sits below the exact value
+        exact = divergence_exact([1.0] * 10, 10, 0.5, 0.8, POWER, 10)
+        assert exact > divergence_bound(10, 0.5, 0.8, POWER)
+        # with one device the two conventions agree and the bound holds
+        assert divergence_exact([1.0], 1, 0.5, 0.8, POWER, 1) < divergence_bound(1, 0.5, 0.8, POWER)
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 40])
+    @pytest.mark.parametrize("g_bound", [0.3, 2.0])
+    def test_bound_is_the_always_noise_value_under_a_total_energy_g(self, k, g_bound):
+        # energies summing to G^2 and scalar noise: the printed bound is exact
+        cfg = PowerConfig(p_max=0.1, sigma2=1e-7, g_bound=g_bound, d_max_alpha=oracles.D500_POW_22)
+        for gamma in (0.05, 0.5, 3.0):
+            for rho in (0.1, 0.5, 1.0):
+                always = divergence_exact_always_noise([g_bound**2 / k] * k, k, gamma, rho, cfg, 1)
+                assert divergence_bound(k, gamma, rho, cfg) == pytest.approx(always, rel=1e-12, abs=0.0)
 
     def test_scalar_noise_variant(self):
-        rep = closed_form_report(10, 0.5, 0.8, POWER, d_model=10)
-        assert rep.divergence_exact_scalar_noise == divergence_exact(
-            [1.0] * 10, 10, 0.5, 0.8, POWER, 1
-        )
+        # the noise term is per coordinate: d = 10 adds nine scalar noise terms
+        zeta = scaling_zeta(10, 0.8, POWER, 0.5)
+        transmit = 1.0 - (1.0 - math.exp(-0.5)) ** 10
+        d1 = divergence_exact([1.0] * 10, 10, 0.5, 0.8, POWER, 1)
+        d10 = divergence_exact([1.0] * 10, 10, 0.5, 0.8, POWER, 10)
+        assert d10 - d1 == pytest.approx(9.0 * transmit * POWER.sigma2 / (2.0 * zeta * zeta), rel=1e-9)
 
     def test_with_learning_constants(self):
+        # the bound is affine in the per-round distortion, slope L eta / (2 - L eta)
         lc = LearningConstants(
             lipschitz_l=1.0, eta=0.5, delta2=0.25, g_bound2=1.0, rounds_m=10, f0_minus_fstar=1.0
         )
-        rep = closed_form_report(10, 0.5, 0.8, POWER, d_model=10, lc=lc)
-        assert rep.convergence_bound == convergence_bound(lc, rep.divergence_exact + 0.25)
+        exact = divergence_exact([1.0] * 10, 10, 0.5, 0.8, POWER, 10)
+        gap = convergence_bound(lc, exact + lc.delta2) - convergence_bound(lc, lc.delta2)
+        assert gap == pytest.approx(exact / 3.0, rel=1e-12)

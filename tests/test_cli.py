@@ -13,7 +13,7 @@ import airfl.cli
 import airfl.fltrain
 from airfl.cli import main
 from airfl.config import SystemConfig, TrainConfig, config_to_kv
-from airfl.harness import read_sweep_csv
+from oracles import read_sweep_csv
 
 SMALL_TRAIN = TrainConfig(
     task="synthetic_logistic",

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import read_sweep_csv
 import airfl
 from airfl import channel, harness
 from airfl.aircomp import PowerConfig, aggregate, compensation_lambda, effective_coefficients, scaling_zeta
-from airfl.analysis import conditional_second_moment, joint_cdf_xy, xi_variance
-from airfl.channel import EstimationModel, draw_channel, draw_channel_block, substream
+from airfl.analysis import conditional_second_moment, joint_cdf_xy, xi_mean_offset, xi_variance
+from airfl.channel import EstimationModel, draw_channel, draw_channel_block, draw_channel_rows, substream
 from airfl.config import (
     STREAM_MC_DIVERGENCE,
+    STREAM_MC_JOINT,
     STREAM_MC_XI,
     SystemConfig,
     TrainConfig,
@@ -35,13 +37,12 @@ from airfl.harness import (
     divergence_gates,
     histogram2d_counts,
     k_slope_scan,
-    mc_conditional_second_moment,
     mc_joint_distribution_check,
     mc_weight_divergence,
     mc_xi_moments,
     mc_xi_moments_grid,
+    pdf_gates,
     pdf_normalization,
-    read_sweep_csv,
     report,
     sweep_threshold,
     verdict_lines,
@@ -240,6 +241,13 @@ class TestGate:
         with pytest.raises(ValueError, match="se"):
             Gate("c", 1.0, 1.0, 0.1, 4.0, kind="abs")
 
+    def test_large_values_print_in_exponent_form(self):
+        # below 1e6 two decimals; from there three significant digits
+        assert Gate("c", 999_999.99, 0.0, 1.0, 4.0).summary() == "z=999999.99 limit=4 margin=-999995.99"
+        assert Gate("c", 3e29, 0.0, 1.0, 4.0).summary() == "z=3.000e+29 limit=4 margin=-3.000e+29"
+        assert Gate("c", -2e6, 0.0, 1.0, 4.0, detail="d").summary() == "d z=2.000e+06 limit=4 margin=-2.000e+06"
+        assert Gate("c", 1.0, 0.0, 0.0, 4.0).summary() == "z=inf limit=4 margin=-inf"
+
     def test_verdict_lines_merge_gates_of_one_name(self):
         lines = verdict_lines(
             [
@@ -285,26 +293,64 @@ class TestPoolSize:
         assert _pool_size(4, 4) == 1
 
 
+def joint_tails(seed, tail_gammas, n=1_000_000):
+    # the joint check with a coarse histogram: only its tail pass is read
+    return mc_joint_distribution_check((-2.0, -0.2), (-2.0, 2.0), n, seed, bins=2, tail_gammas=tail_gammas)
+
+
 class TestConditionalMoment:
     def test_agrees_with_closed_form(self):
-        res = mc_conditional_second_moment(1.0, 0.3, 100_000, seed=5)
-        assert res.expected == conditional_second_moment(1.0, 0.3)
-        assert abs(res.estimate - res.expected) <= 4.0 * res.se
-        assert res.n_kept < res.n_samples
+        res = joint_tails(5, (1.0,))
+        (tail,) = res.tails
+        est, se = tail.second_moment(0.3)
+        assert abs(est - conditional_second_moment(1.0, 0.3)) <= 4.0 * se
+        assert 0 < tail.count < 1_000_000 and tail.gamma == 1.0
 
     def test_zero_offset_reference(self):
-        res = mc_conditional_second_moment(1.0, 0.0, 100_000, seed=6)
-        assert abs(res.estimate - oracles.COND_M2_G1_C0) <= 4.0 * res.se
+        res = joint_tails(6, (1.0,))
+        est, se = res.tails[0].second_moment(0.0)
+        assert abs(est - oracles.COND_M2_G1_C0) <= 4.0 * se
+        # the meta's moment is the fold at c = 0
+        assert (est, se) == (res.meta["cond_m2_mc"], res.meta["cond_m2_se"])
+        assert res.meta["cond_count"] == res.tails[0].count
 
     def test_unreachable_threshold(self):
-        with pytest.raises(RuntimeError, match="cleared"):
-            mc_conditional_second_moment(30.0, 0.0, 10_000, seed=0)
+        # an empty tail cannot be estimated, whichever threshold it is
+        res = joint_tails(0, (1.0, 30.0))
+        assert res.tails[1].count == 0
+        with pytest.raises(RuntimeError, match="cleared gamma_th=30.0; cannot estimate"):
+            res.tails[1].second_moment(0.0)
+        assert res.tails[0].second_moment(0.0)[0] == res.meta["cond_m2_mc"]
+
+        res = joint_tails(0, (30.0, 1.0))
+        assert "cond_m2_mc" not in res.meta and res.meta["tail_gamma"] == 30.0
+        (gate,) = [g for g in pdf_gates(res, 1.0, 0.0) if g.name == "conditional_second_moment"]
+        assert not gate.passed and "cannot estimate" in gate.detail
+        with pytest.raises(RuntimeError, match="cannot estimate"):
+            res.tails[0].second_moment(0.5)
+        assert res.tails[1].second_moment(0.0)[1] > 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least"):
-            mc_conditional_second_moment(1.0, 0.0, 10, seed=0)
-        with pytest.raises(ValueError, match="gamma_th"):
-            mc_conditional_second_moment(-1.0, 0.0, 10_000, seed=0)
+        for tails in [(), (1.0, -1.0), (0.0,), (1.0, math.inf), (math.nan,)]:
+            with pytest.raises(ValueError, match="tail_gamma"):
+                joint_tails(0, tails)
+
+    def test_fold_is_the_direct_estimate_on_the_same_draw(self):
+        gammas = (0.1, 0.5, 1.0, 2.0)
+        res = joint_tails(777, gammas)
+        # the same STREAM_MC_JOINT draw, one chunk of 10^6 samples
+        h_re, h_im, v_re, v_im = draw_channel_rows(1_000_000, substream(777, STREAM_MC_JOINT))
+        gain = h_re * h_re + h_im * h_im
+        x_all = (v_re * h_re + v_im * h_im) / gain
+        for tail, gamma in zip(res.tails, gammas):
+            x = x_all[gain >= gamma]
+            assert tail.gamma == gamma and tail.count == x.size
+            for rho in (0.5, 0.8, 0.95):
+                c = xi_mean_offset(gamma, rho)
+                q = (x - c) ** 2
+                est, se = tail.second_moment(c)
+                assert est == pytest.approx(np.mean(q), rel=1e-12, abs=0.0)
+                assert se == pytest.approx(math.sqrt(np.var(q) / x.size), rel=1e-12, abs=0.0)
 
 
 class TestJointDistribution:
@@ -321,7 +367,7 @@ class TestJointDistribution:
             mc_joint_distribution_check((-2.0, -0.1), (-2.0, 2.0), 1_000_000, seed=0, bins=1)
         with pytest.raises(ValueError, match="tail_gamma"):
             mc_joint_distribution_check(
-                (-2.0, -0.1), (-2.0, 2.0), 1_000_000, seed=0, tail_gamma=-1.0
+                (-2.0, -0.1), (-2.0, 2.0), 1_000_000, seed=0, tail_gammas=(-1.0,)
             )
 
     def test_small_window_run(self):
@@ -329,6 +375,8 @@ class TestJointDistribution:
             (-2.0, -0.2), (-2.0, 2.0), 1_000_000, seed=7, bins=8
         )
         assert len(res.rows) == 64
+        # the binomial standard error of each bin's mass, as one scalar expression
+        assert all(r[5] == math.sqrt(r[4] * (1.0 - r[4]) / 1_000_000) for r in res.rows)
         assert res.meta["tv_distance"] < 0.05
         # binned masses sum to at most one on both sides
         assert 0.0 < res.meta["outside_mass_mc"] < 1.0
