@@ -1,0 +1,70 @@
+"""Pinned CSV bytes of the commands whose output does not depend on the CPU.
+
+Each command runs in-process through airfl.cli.main at a small size and
+every CSV it writes must have the sha1 recorded here.  A refactor that
+claims "same CSV bytes" is then checked by this test instead of by hand.
+The values hold only under the numpy and scipy versions they were recorded
+with: numpy does not keep Generator streams stable across releases (NEP 19)
+and the bin masses of verify-pdf come from scipy's quadrature.  Training
+CSVs are left out, since their bytes follow the CPU's BLAS kernels and
+numpy's SIMD dispatch of exp.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+import scipy
+
+from airfl.cli import main
+
+RECORDED_NUMPY = "2.4.6"
+RECORDED_SCIPY = "1.17.1"
+
+pytestmark = pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != (RECORDED_NUMPY, RECORDED_SCIPY),
+    reason=f"sha1s recorded under numpy {RECORDED_NUMPY} and scipy {RECORDED_SCIPY}, "
+    f"running numpy {np.__version__} and scipy {scipy.__version__}",
+)
+
+# (argv, config lines, CSV name -> sha1)
+GOLDEN = {
+    "verify-xi": (
+        ["verify-xi", "--trials", "100000"],
+        "",
+        {"verify_xi.csv": "568400c8c23f5e5866b398ccf617478aebeee8a9"},
+    ),
+    "verify-pdf": (
+        ["verify-pdf", "--trials", "1000000"],
+        "",
+        {"verify_pdf.csv": "09b23c7393c790e161a89dabb6bf6610360526d0"},
+    ),
+    "verify-divergence": (
+        ["verify-divergence", "--trials", "1000", "--jobs", "1"],
+        "verify_divergence.scan_trials = 1000\n",
+        {
+            "verify_divergence.csv": "ee6dc45b5de2d39f3c1257bce0811515f0f74cd2",
+            "verify_divergence_kscan.csv": "79492a0ac8410c2a8e6bf996a35cfe1aded8706a",
+        },
+    ),
+    "optimize-threshold": (
+        ["optimize-threshold"],
+        "",
+        {"optimize_threshold.csv": "948421e849cb52ca327a244c9342ed6eb6e2e5ac"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_csv_bytes_match_the_pinned_sha1(command, tmp_path):
+    argv, config, expected = GOLDEN[command]
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    written = {p.name: hashlib.sha1(p.read_bytes()).hexdigest() for p in (tmp_path / "out").glob("*.csv")}
+    assert written == expected
