@@ -135,10 +135,29 @@ def effective_coefficients(
 
 
 def _coefficients(h, h_hat, gamma_th, lam) -> tuple[np.ndarray, np.ndarray]:
-    # effective_coefficients unchecked, for aggregate_batch's broadcast thresholds (checked by compensation_lambda)
-    gain = h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
+    """effective_coefficients unchecked, for aggregate_batch's broadcast
+    thresholds (checked by compensation_lambda).  A caller with many
+    thresholds on one channel forms the two part products once and calls
+    _truncated_ratio itself."""
+    return _truncated_ratio(_gain(h_hat), _aligned(h, h_hat), gamma_th, lam)
+
+
+def _gain(h_hat: np.ndarray) -> np.ndarray:
+    """|h_hat|^2, elementwise."""
+    return h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
+
+
+def _aligned(h: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
+    """Re{conj(h) h_hat}, elementwise."""
+    return h.real * h_hat.real + h.imag * h_hat.imag
+
+
+def _truncated_ratio(gain, aligned, gamma_th, lam) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, active): lam * aligned / gain where gain >= gamma_th, else 0.
+
+    The one xi formula; gain and aligned broadcast against gamma_th and lam.
+    """
     active = gain >= gamma_th
-    aligned = h.real * h_hat.real + h.imag * h_hat.imag
     xi = np.divide(lam * aligned, gain, out=np.zeros(active.shape), where=active)
     return xi, active
 

@@ -223,22 +223,19 @@ def draw_channel(
     return ChannelDraw(h=h, h_hat=h_hat, v=v, d=d, alpha=model.alpha)
 
 
-def channel_from_normals(z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, h_hat, v) of shape z.shape[:-1] from standard normals z of shape
+def channel_from_normals(z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(h, h_hat) of shape z.shape[:-1] from standard normals z of shape
     (..., 4) in draw_channel's order: draw_channel's values, bit for bit."""
     h_hat, v = np.moveaxis((z * _INV_SQRT2).view(np.complex128), -1, 0)
-    return rho * h_hat + math.sqrt(1.0 - rho * rho) * v, h_hat, v
+    return rho * h_hat + math.sqrt(1.0 - rho * rho) * v, h_hat
 
 
 @dataclass(frozen=True)
 class ChannelArrays:
-    """K devices' channel draws and path losses d^alpha as (K,) arrays."""
+    """K devices' channels, estimates and path losses d^alpha as (K,) arrays."""
 
     h: np.ndarray
     h_hat: np.ndarray
-    v: np.ndarray
-    d: np.ndarray
-    alpha: float
     d_alpha: np.ndarray
 
 

@@ -459,7 +459,6 @@ class SeedDraws:
         self.n_rounds = max(exp.train.rounds_m, _WARMUP_ROUNDS)
         self._reseed = Reseeder()
         self._rows = np.arange(exp.k_devices)[:, None]
-        self._distances = np.array(exp.distances, dtype=float)
         self._d_alpha = np.array([d ** exp.est.alpha for d in exp.distances])
         self._states: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._picks: dict[int, np.ndarray] = {}
@@ -508,8 +507,7 @@ class SeedDraws:
             z = np.empty((self.exp.k_devices, 4))
             for row, state in zip(z, self._round_states(STREAM_CHANNEL, round_index)):
                 self._reseed(state).standard_normal(out=row)
-            est = self.exp.est
-            out = ChannelArrays(*channel_from_normals(z, est.rho), self._distances, est.alpha, self._d_alpha)
+            out = ChannelArrays(*channel_from_normals(z, self.exp.est.rho), self._d_alpha)
             self._channels[round_index] = out
         return out
 

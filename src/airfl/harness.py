@@ -15,8 +15,10 @@ seeding against substream once per call, and aggregates the block in one
 aircomp.aggregate_batch call, the kernel training uses.
 
 The sampling kernels avoid repeated work: verify-xi's grid cells share one
-draw (mc_xi_moments_grid), the joint law is histogrammed by arithmetic bin
-index and np.bincount (histogram2d_counts), its CDF cross-check reads
+draw and each quantity the cells share is formed once per chunk or per rho
+(mc_xi_moments_grid), the joint law divides x once per sample for its
+histogram and every tail, and is histogrammed by arithmetic bin index and
+np.bincount (histogram2d_counts), its CDF cross-check reads
 one grid of CDF values (cdf_rect_masses), its tail pass keeps power sums
 of x from which every conditional moment follows (TailSums), and the
 threshold sweep trains the cells of one seed in lock-step on one
@@ -40,10 +42,12 @@ import numpy as np
 from . import __version__
 from .aircomp import (
     PowerConfig,
+    _aligned,
+    _gain,
+    _truncated_ratio,
     aggregate_batch,
     compensation_lambda,
     dbm_to_watts,
-    effective_coefficients,
     scaling_zeta,
 )
 from .analysis import (
@@ -284,10 +288,11 @@ def mc_xi_moments(
 ) -> XiMomentsResult:
     """Sample the effective aggregation coefficient and compare moments.
 
-    Draws n_samples independent channel/estimate pairs, forms xi with
-    aircomp.effective_coefficients (lambda Re{h* h_hat}/|h_hat|^2 on the
-    active event, 0 otherwise), and returns the sample mean and unbiased variance with standard errors
-    (the variance SE uses the fourth-central-moment formula).  Sums are
+    Draws n_samples independent channel/estimate pairs, forms xi by
+    aircomp's one formula, that of effective_coefficients (lambda
+    Re{h* h_hat}/|h_hat|^2 on the active event, 0 otherwise), and returns
+    the sample mean and unbiased variance with standard errors (the
+    variance SE uses the fourth-central-moment formula).  Sums are
     accumulated around the known unit mean to keep the moment arithmetic
     well conditioned.  The one-cell case of mc_xi_moments_grid, which
     verify-xi uses: there all cells share one draw, so their z-scores are
@@ -301,11 +306,13 @@ def mc_xi_moments_grid(
 ) -> list[XiMomentsResult]:
     """mc_xi_moments for every (rho, gamma_th) cell, on one shared draw.
 
-    Each chunk of substream(seed, STREAM_MC_XI) is drawn once; h is formed
-    once per distinct rho and xi once per cell.  Every cell's result equals
-    its own mc_xi_moments call with the same seed and chunk.  Because the
-    cells share their draws (common random numbers), their estimates and
-    z-scores are correlated, not independent.
+    Each chunk of substream(seed, STREAM_MC_XI) is drawn once, and each
+    quantity is formed once for the cells that share it: |h_hat|^2 once
+    per chunk, h and Re{conj(h) h_hat} once per distinct rho, and xi once
+    per cell, by aircomp's one xi formula (_truncated_ratio).  Every cell's
+    result equals its own mc_xi_moments call with the same seed and chunk.
+    Because the cells share their draws (common random numbers), their
+    estimates and z-scores are correlated, not independent.
     """
     if n_samples < _MIN_XI_SAMPLES:
         raise ValueError(f"need at least {_MIN_XI_SAMPLES} samples, got {n_samples}")
@@ -321,33 +328,47 @@ def mc_xi_moments_grid(
     first = EstimationModel(rho=cells[0][0], alpha=2.0)
     gen = substream(seed, STREAM_MC_XI)
 
-    parts = [([], [], [], []) for _ in cells]
-    n_active = [0] * len(cells)
+    # each array is deleted before the next one is formed, so that no step
+    # holds more than the draw itself did
+    chunk_sums: list[list[tuple]] = [[] for _ in cells]
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
         h_first, h_hat, v = draw_channel_block(first, m, gen)
+        gain = _gain(h_hat)
         for rho, ks in by_rho.items():
             # draw_channel_block's own expression, so each cell sees the h of its own call
             h = h_first if rho == first.rho else rho * h_hat + math.sqrt(1.0 - rho * rho) * v
+            aligned = _aligned(h, h_hat)
+            del h
             for k in ks:
-                xi, active = effective_coefficients(h, h_hat, cells[k][1], lams[k])
-                y = xi - 1.0
-                y2 = y * y
-                parts[k][0].append(float(np.sum(y)))
-                parts[k][1].append(float(np.sum(y2)))
-                parts[k][2].append(float(np.sum(y2 * y)))
-                parts[k][3].append(float(np.sum(y2 * y2)))
-                n_active[k] += int(np.count_nonzero(active))
+                chunk_sums[k].append(_xi_cell_sums(gain, aligned, cells[k][1], lams[k]))
+            del aligned
+        del h_first, h_hat, v, gain
         done += m
     return [
-        _xi_result(rho, gamma_th, n_samples, parts[k], n_active[k])
+        _xi_result(rho, gamma_th, n_samples, chunk_sums[k])
         for k, (rho, gamma_th) in enumerate(cells)
     ]
 
 
-def _xi_result(rho, gamma_th, n_samples: int, parts, n_active: int) -> XiMomentsResult:
+def _xi_cell_sums(gain, aligned, gamma_th: float, lam: float) -> tuple[int, float, float, float, float]:
+    """One cell on one chunk: the active count and the sums of y, y^2, y^3
+    and y^4 for y = xi - 1, formed in place over xi's own array, whose
+    temporaries are gone when the next cell starts."""
+    y, active = _truncated_ratio(gain, aligned, gamma_th, lam)
+    y -= 1.0
+    y2 = y * y
+    s1, s2 = float(np.sum(y)), float(np.sum(y2))
+    y *= y2
+    y2 *= y2
+    return int(np.count_nonzero(active)), s1, s2, float(np.sum(y)), float(np.sum(y2))
+
+
+def _xi_result(rho, gamma_th, n_samples: int, chunk_sums) -> XiMomentsResult:
+    counts, *parts = zip(*chunk_sums)
     s1, s2, s3, s4 = (math.fsum(p) for p in parts)
+    n_active = sum(counts)
     n = float(n_samples)
     a = s1 / n  # sample mean of xi - 1
     m2 = s2 / n - a * a
@@ -448,8 +469,44 @@ def histogram2d_counts(
     keep = (x >= x_edges[0]) & (x <= x_edges[-1]) & (y >= y_edges[0]) & (y <= y_edges[-1])
     x, y = x[keep], y[keep]
     ny = y_edges.size - 1
-    flat = _bin_index(x, x_edges) * ny + _bin_index(y, y_edges)
+    flat = _bin_index(x, x_edges)
+    flat *= ny
+    flat += _bin_index(y, y_edges)
     return np.bincount(flat, minlength=(x_edges.size - 1) * ny).reshape(-1, ny)
+
+
+def _joint_chunk(z: np.ndarray, t_edges, g_edges, tail_gammas) -> tuple[np.ndarray, list[tuple]]:
+    """The bin counts of one chunk of draw_channel_rows, and per threshold
+    the count and the power sums of x on the chunk's tail in draw order.
+
+    Works in slices of _JOINT_SLICE samples: x = Re{v* h_hat}/|h_hat|^2 is
+    divided once per slice, and each tail is the slice's x where
+    |h_hat|^2 >= gamma.
+    """
+    counts = np.zeros((t_edges.size - 1, g_edges.size - 1), dtype=np.int64)
+    x_parts: list[list[np.ndarray]] = [[] for _ in tail_gammas]
+    for lo in range(0, z.shape[1], _JOINT_SLICE):
+        h_re, h_im, v_re, v_im = z[:, lo:lo + _JOINT_SLICE]
+        gain = h_re * h_re + h_im * h_im
+        x = v_re * h_re + v_im * h_im
+        if not gain.all():  # zero gain has probability zero; drop it before dividing
+            pos = gain > 0.0
+            gain, x = gain[pos], x[pos]
+        x /= gain
+        counts += histogram2d_counts(x, -gain, t_edges, g_edges)
+        for parts, tail_gamma in zip(x_parts, tail_gammas):
+            parts.append(x[gain >= tail_gamma])
+    # one sum per power over the chunk's tail; x^3 and x^4 overwrite x and
+    # x^2, so the tail holds two arrays
+    tail_sums = []
+    for parts in x_parts:
+        x = np.concatenate(parts)
+        x2 = x * x
+        s1, s2 = float(np.sum(x)), float(np.sum(x2))
+        x *= x2
+        x2 *= x2
+        tail_sums.append((x.size, s1, s2, float(np.sum(x)), float(np.sum(x2))))
+    return counts, tail_sums
 
 
 def mc_joint_distribution_check(
@@ -471,6 +528,11 @@ def mc_joint_distribution_check(
     exp(-tail_gamma) and E[x^2 | tail] against the closed form.  tails
     holds the count and power sums of x on every threshold's tail of the
     one draw, from which E[(x - c)^2 | tail] follows for any c.
+
+    The draw is made chunk by chunk, and a chunk's arrays are gone before
+    the next is drawn.  Within a chunk x is divided once per sample and
+    serves the histogram and every tail (_joint_chunk); a sample with
+    |h_hat|^2 = 0, which has probability zero, is dropped first.
     """
     if n_samples < _MIN_JOINT_SAMPLES:
         raise ValueError(f"need at least {_MIN_JOINT_SAMPLES} samples, got {n_samples}")
@@ -493,34 +555,17 @@ def mc_joint_distribution_check(
     gen = substream(seed, STREAM_MC_JOINT)
 
     counts = np.zeros((bins, bins), dtype=np.int64)
-    chunk_sums: list[list[tuple]] = [[] for _ in tail_gammas]
+    chunk_tails = []
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        z = draw_channel_rows(m, gen)
-        x_parts: list[list[np.ndarray]] = [[] for _ in tail_gammas]
-        for lo in range(0, m, _JOINT_SLICE):
-            h_re, h_im, v_re, v_im = z[:, lo:lo + _JOINT_SLICE]
-            gain = h_re * h_re + h_im * h_im
-            re_vh = v_re * h_re + v_im * h_im
-            pos = gain > 0.0  # zero gain has probability zero; guard the division
-            counts += histogram2d_counts(re_vh[pos] / gain[pos], -gain[pos], t_edges, g_edges)
-            for parts, tail_gamma in zip(x_parts, tail_gammas):
-                kept = gain >= tail_gamma
-                parts.append(re_vh[kept] / gain[kept])
-        # one sum per power and chunk, over the chunk's tail in draw order;
-        # x^3 and x^4 overwrite x and x^2, so the tail holds two arrays
-        for sums, parts in zip(chunk_sums, x_parts):
-            x = np.concatenate(parts)
-            x2 = x * x
-            s1, s2 = float(np.sum(x)), float(np.sum(x2))
-            x *= x2
-            x2 *= x2
-            sums.append((x.size, s1, s2, float(np.sum(x)), float(np.sum(x2))))
-        del x_parts, x, x2  # the tail arrays go before the next chunk is drawn
+        # the chunk's arrays are freed when the pass returns, before the next draw
+        chunk_counts, tail_sums = _joint_chunk(draw_channel_rows(m, gen), t_edges, g_edges, tail_gammas)
+        counts += chunk_counts
+        chunk_tails.append(tail_sums)
         done += m
     tails = []
-    for tail_gamma, sums in zip(tail_gammas, chunk_sums):
+    for tail_gamma, sums in zip(tail_gammas, zip(*chunk_tails)):
         count, *power = zip(*sums)
         tails.append(TailSums(tail_gamma, sum(count), tuple(math.fsum(s) for s in power)))
 
@@ -721,10 +766,11 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
         noise = rows[:, n_channel:] * noise_scale if power.sigma2 > 0.0 else None
         # the block's channel arrays live only for the call: (B, K) complex each
         z = rows[:, :n_channel].reshape(b_hi - b_lo, k_devices, 4)
-        _, _, sent, g_hat = aggregate_batch(grads, *channel_from_normals(z, rho)[:2], gamma_th, lam, noise)
+        _, _, sent, g_hat = aggregate_batch(grads, *channel_from_normals(z, rho), gamma_th, lam, noise)
         diff = g_hat - g_ideal
         out = slice(b_lo - lo, b_hi - lo)
-        div[out] = [float(r @ r) for r in diff]
+        # one stacked (1, d) @ (d, 1) product per trial: numpy's vector dot, as r @ r is
+        div[out] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
         skips[out] = ~sent
     return div, skips
 

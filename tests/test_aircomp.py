@@ -9,6 +9,9 @@ import oracles
 from airfl.aircomp import (
     AggregationOutcome,
     PowerConfig,
+    _aligned,
+    _gain,
+    _truncated_ratio,
     aggregate,
     compensation_lambda,
     dbm_to_watts,
@@ -115,6 +118,24 @@ class TestEffectiveXi:
         xi, active = effective_coefficients(h, h_hat, 0.25, 2.0)
         assert active.tolist() == [[True, False], [True, True]]
         assert xi.tolist() == [[1.0, 0.0], [2.0, 1.0]]
+
+    def test_ratio_of_the_part_products_is_the_coefficient(self):
+        # thresholds taken from the sample's own gains, so some gains lie
+        # exactly on gamma_th (and count as active); one column per cell too
+        gen = np.random.default_rng(4)
+        h_hat, h = (gen.standard_normal(1000) + 1j * gen.standard_normal(1000) for _ in range(2))
+        gain, aligned = _gain(h_hat), _aligned(h, h_hat)
+        gammas = [0.05, *np.sort(gain)[[10, 500, 990]], 3.0]
+        lams = [compensation_lambda(g, 0.7) for g in gammas]
+        for gamma_th, lam in zip(gammas, lams):
+            xi, active = _truncated_ratio(gain, aligned, gamma_th, lam)
+            want_xi, want_active = effective_coefficients(h, h_hat, gamma_th, lam)
+            assert np.array_equal(xi, want_xi) and np.array_equal(active, want_active)
+            assert active[gain == gamma_th].all()
+        xi, active = _truncated_ratio(gain, aligned, np.array(gammas)[:, None], np.array(lams)[:, None])
+        for row, (gamma_th, lam) in enumerate(zip(gammas, lams)):
+            want_xi, want_active = effective_coefficients(h, h_hat, gamma_th, lam)
+            assert np.array_equal(xi[row], want_xi) and np.array_equal(active[row], want_active)
 
 
 class TestPreprocessingBeta:

@@ -87,8 +87,8 @@ def warmup_bound(exp, rounds):
 
 
 def assert_channel_row(arrays, k, draw):
-    got = (arrays.h[k], arrays.h_hat[k], arrays.v[k], arrays.d[k], arrays.alpha)
-    assert got == (draw.h, draw.h_hat, draw.v, draw.d, draw.alpha)
+    got = (arrays.h[k], arrays.h_hat[k], arrays.d_alpha[k])
+    assert got == (draw.h, draw.h_hat, draw.d ** draw.alpha)
 
 
 def fd_gradient(task, w, x, y, step=1e-6):
@@ -433,7 +433,7 @@ class TestSeedDraws:
             got = draws.channels(m)
             want = [draw_channel(exp.est, exp.distances[k], substream(exp.seed, STREAM_CHANNEL, m, k))
                     for k in range(exp.k_devices)]
-            for name in ("h", "h_hat", "v", "d"):
+            for name in ("h", "h_hat"):
                 assert np.array_equal(getattr(got, name), [getattr(dr, name) for dr in want])
             assert np.array_equal(got.d_alpha, [d ** exp.est.alpha for d in exp.distances])
             if rho == 1.0:
@@ -538,8 +538,8 @@ class TestSeedDraws:
 
 def channel_arrays(draws) -> ChannelArrays:
     """The arrays SeedDraws.channels holds, built from scalar draws."""
-    parts = [np.array([getattr(dr, name) for dr in draws]) for name in ("h", "h_hat", "v", "d")]
-    return ChannelArrays(*parts, draws[0].alpha, np.array([dr.d ** dr.alpha for dr in draws]))
+    parts = [np.array([getattr(dr, name) for dr in draws]) for name in ("h", "h_hat")]
+    return ChannelArrays(*parts, np.array([dr.d ** dr.alpha for dr in draws]))
 
 
 def one_cell(outcome, gamma_th, g_bound) -> _Cells:

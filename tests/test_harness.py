@@ -123,21 +123,23 @@ class TestXiMoments:
 
 
 def _per_cell_sums(rho, gamma, n, seed, chunk):
-    # each cell drawing its own copy of the stream, chunk by chunk
+    # each cell drawing its own copy of the stream, chunk by chunk: the sums
+    # of y = xi - 1 and of its powers y^2, y^3, y^4, and the active count
     model = EstimationModel(rho=rho, alpha=2.0)
     lam = compensation_lambda(gamma, rho)
     gen = substream(seed, STREAM_MC_XI)
-    s1, s2, n_active, done = [], [], 0, 0
+    sums, n_active, done = ([], [], [], []), 0, 0
     while done < n:
         m = min(chunk, n - done)
         h, h_hat, _ = draw_channel_block(model, m, gen)
         xi, active = effective_coefficients(h, h_hat, gamma, lam)
         y = xi - 1.0
-        s1.append(float(np.sum(y)))
-        s2.append(float(np.sum(y * y)))
+        y2 = y * y
+        for part, power in zip(sums, (y, y2, y2 * y, y2 * y2)):
+            part.append(float(np.sum(power)))
         n_active += int(np.count_nonzero(active))
         done += m
-    return math.fsum(s1), math.fsum(s2), n_active
+    return (*(math.fsum(part) for part in sums), n_active)
 
 
 class TestXiMomentsGrid:
@@ -152,10 +154,14 @@ class TestXiMomentsGrid:
         n, chunk = 25_000, 6_000
         grid = mc_xi_moments_grid(self.CELLS, n, seed=11, chunk=chunk)
         for (rho, gamma), res in zip(self.CELLS, grid):
-            s1, s2, n_active = _per_cell_sums(rho, gamma, n, 11, chunk)
+            s1, s2, s3, s4, n_active = _per_cell_sums(rho, gamma, n, 11, chunk)
             a = s1 / n
+            m2 = s2 / n - a * a
+            m4 = s4 / n - 4.0 * a * s3 / n + 6.0 * a * a * s2 / n - 3.0 * a**4
             assert res.mean == 1.0 + a
-            assert res.variance == (s2 / n - a * a) * n / (n - 1.0)
+            assert res.variance == m2 * n / (n - 1.0)
+            assert res.se_var == math.sqrt(max(m4 - m2 * m2 * (n - 3.0) / (n - 1.0), 0.0) / n)
+            assert res.se_var > 0.0
             assert res.active_fraction == n_active / n
 
     def test_validation(self):
@@ -387,6 +393,40 @@ class TestJointDistribution:
         cond_gap = abs(res.meta["cond_m2_mc"] - res.meta["cond_m2_expected"])
         assert cond_gap <= 5.0 * res.meta["cond_m2_se"]
 
+    def test_zero_gain_samples_are_dropped(self, monkeypatch):
+        # h_hat = 0 has probability zero, so the draw is patched to hold some:
+        # in the first and a later slice, on a slice edge and at the end;
+        # two more samples sit exactly on the threshold 1 and stay in its tail
+        n, seed, gammas = 1_000_000, 9, (0.5, 1.0, 2.0)
+        zero = [0, 17, harness._JOINT_SLICE, 3 * harness._JOINT_SLICE + 5, n - 1]
+        on_threshold = [18, 2 * harness._JOINT_SLICE]
+        real_rows = harness.draw_channel_rows
+
+        def rows_with_zero_gain(m, gen):
+            z = real_rows(m, gen)
+            z[:2, zero] = 0.0
+            z[:2, on_threshold] = [[1.0], [0.0]]
+            return z
+
+        monkeypatch.setattr(harness, "draw_channel_rows", rows_with_zero_gain)
+        t_edges, g_edges = np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, -0.2, 9)
+        res = mc_joint_distribution_check((-2.0, -0.2), (-2.0, 2.0), n, seed, bins=8, tail_gammas=gammas)
+
+        z = draw_channel_rows(n, substream(seed, STREAM_MC_JOINT))
+        z[:2, on_threshold] = [[1.0], [0.0]]
+        keep = np.ones(n, dtype=bool)
+        keep[zero] = False
+        h_re, h_im, v_re, v_im = z[:, keep]
+        gain = h_re * h_re + h_im * h_im
+        x = (v_re * h_re + v_im * h_im) / gain
+        counts = np.histogram2d(x, -gain, bins=(t_edges, g_edges))[0]
+        assert [r[4] for r in res.rows] == (counts / n).ravel().tolist()
+        for tail, gamma in zip(res.tails, gammas):
+            xt = x[gain >= gamma]
+            x2 = xt * xt
+            sums = tuple(float(np.sum(p)) for p in (xt, x2, xt * x2, x2 * x2))
+            assert tail == (gamma, xt.size, sums)
+
     def test_deterministic_under_seed(self):
         kw = dict(bins=4)
         a = mc_joint_distribution_check((-1.0, -0.5), (-1.0, 1.0), 1_000_000, seed=8, **kw)
@@ -529,11 +569,15 @@ SCAN_POWER = PowerConfig(p_max=0.1, sigma2=1e-7, g_bound=1.0, d_max_alpha=100.0*
 class TestDivergenceKernel:
     @pytest.mark.parametrize(
         "case",
-        ["defaults", "rho=1", "K=1", "skipping", "sigma2=0", "kscan"],
+        ["defaults", "mlp", "rho=1", "K=1", "skipping", "sigma2=0", "kscan"],
     )
     def test_matches_the_scalar_loop(self, case):
         if case == "defaults":
             args = frozen(SystemConfig())
+        elif case == "mlp":
+            cfg = SystemConfig()
+            args = frozen(replace(cfg, train=replace(cfg.train, task="small_mlp")))
+            assert args[0].shape == (10, 193)
         elif case == "rho=1":
             args = frozen(small_cfg(rho=1.0))
         elif case == "K=1":
@@ -552,6 +596,14 @@ class TestDivergenceKernel:
             assert np.array_equal(skips, ref_skips)
         if case == "skipping":
             assert 0 < skips.sum() < skips.size
+
+    @pytest.mark.parametrize("d_model", [10, 193])
+    def test_stacked_squared_norms_are_the_row_dots(self, d_model):
+        # the kernel's one stacked product per block gives each trial's
+        # diff @ diff bit for bit (both reach numpy's vector dot)
+        diff = np.random.default_rng(d_model).standard_normal((_TRIAL_BLOCK, d_model))
+        stacked = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+        assert np.array_equal(stacked, [float(r @ r) for r in diff])
 
     def test_offset_range_across_blocks(self):
         args = frozen(small_cfg())
