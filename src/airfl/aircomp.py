@@ -199,7 +199,7 @@ def preprocessing_beta(draw: ChannelDraw, zeta: float, lam: float, k_devices: in
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     zeta = check_positive("zeta", zeta)
     lam = check_positive("lam", lam)
-    gain = draw.h_hat.real * draw.h_hat.real + draw.h_hat.imag * draw.h_hat.imag
+    gain = _gain(draw.h_hat)
     if gain == 0.0:
         raise RuntimeError("pre-processing undefined for a zero channel estimate")
     return zeta * lam * draw.d ** (draw.alpha / 2.0) * draw.h_hat.conjugate() / (k_devices * gain)

@@ -154,15 +154,8 @@ def skip_probability(k_devices: int, gamma_th: float) -> float:
     return (1.0 - math.exp(-gamma_th)) ** k_devices
 
 
-def _divergence_terms(
-    per_device_grad_sq: list[float],
-    k_devices: int,
-    gamma_th: float,
-    rho: float,
-    cfg: PowerConfig,
-    d_model: int,
-) -> tuple[float, float]:
-    # (CSI term, noise term of a round that transmits)
+def _csi_term(per_device_grad_sq: list[float], k_devices: int, gamma_th: float, rho: float) -> float:
+    # Var[xi] * sum_k E||g_k||^2 / K^2
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     if len(per_device_grad_sq) != k_devices:
@@ -171,13 +164,22 @@ def _divergence_terms(
         )
     if any(not (g >= 0.0 and math.isfinite(g)) for g in per_device_grad_sq):
         raise ValueError("gradient energies must be nonnegative and finite")
+    return xi_variance(gamma_th, rho) * math.fsum(per_device_grad_sq) / k_devices**2
+
+
+def _noise_term(k_devices: int, gamma_th: float, rho: float, cfg: PowerConfig, d_model: int) -> float:
+    # d_model * sigma2 / (2 zeta^2): the receiver noise of a round that transmits
     if d_model < 1:
         raise ValueError(f"d_model must be >= 1, got {d_model}")
-    var = xi_variance(gamma_th, rho)
     zeta = scaling_zeta(k_devices, rho, cfg, gamma_th)
-    csi = var * math.fsum(per_device_grad_sq) / k_devices**2
-    noise = d_model * cfg.sigma2 / (2.0 * zeta * zeta)
-    return csi, noise
+    return d_model * cfg.sigma2 / (2.0 * zeta * zeta)
+
+
+def noise_term_exact(k_devices: int, gamma_th: float, rho: float, cfg: PowerConfig, d_model: int) -> float:
+    """The noise term of divergence_exact, (1 - p_skip) * d_model * sigma2 / (2 zeta^2):
+    the receiver noise of a round that transmits, weighted by the probability
+    that a round does."""
+    return (1.0 - skip_probability(k_devices, gamma_th)) * _noise_term(k_devices, gamma_th, rho, cfg, d_model)
 
 
 def divergence_exact_always_noise(
@@ -198,8 +200,9 @@ def divergence_exact_always_noise(
     (no active device) adds no noise, so this overstates the simulated
     expectation by p_skip times the noise term; divergence_exact is exact.
     """
-    csi, noise = _divergence_terms(per_device_grad_sq, k_devices, gamma_th, rho, cfg, d_model)
-    return csi + noise
+    return _csi_term(per_device_grad_sq, k_devices, gamma_th, rho) + _noise_term(
+        k_devices, gamma_th, rho, cfg, d_model
+    )
 
 
 def divergence_exact(
@@ -220,8 +223,9 @@ def divergence_exact(
     convention), so the noise term counts only the rounds that transmit;
     the CSI term already covers skipped rounds, where every xi_k is 0.
     """
-    csi, noise = _divergence_terms(per_device_grad_sq, k_devices, gamma_th, rho, cfg, d_model)
-    return csi + (1.0 - skip_probability(k_devices, gamma_th)) * noise
+    return _csi_term(per_device_grad_sq, k_devices, gamma_th, rho) + noise_term_exact(
+        k_devices, gamma_th, rho, cfg, d_model
+    )
 
 
 def convergence_bound(lc: LearningConstants, delta2_total: float) -> float:

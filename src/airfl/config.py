@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .aircomp import PowerConfig, dbm_to_watts
-from .channel import EstimationModel, substream
+from .channel import substream
 
 # Stream purposes.  Every random decision in an experiment hangs off
 # (seed, purpose, ...indices) so that modes and replays stay aligned.
@@ -50,10 +50,9 @@ def _finite(value) -> bool:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training-task knobs; eta and seed are synced from SystemConfig."""
+    """Training-task knobs; the learning rate and the seed are SystemConfig's."""
 
     task: str = "synthetic_logistic"
-    eta: float = 0.005        # learning rate
     batch_size: int = 32
     rounds_m: int = 200
     data_per_device: int = 200
@@ -62,13 +61,10 @@ class TrainConfig:
     blob_separation: float = 2.5   # class-mean distance of the synthetic task
     label_skew: float = 0.0        # 0 = IID shards, -> 1 = single-class devices
     hidden_units: int = 16         # small_mlp hidden width
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.task not in _TASKS:
             raise ValueError(f"task must be one of {_TASKS}, got {self.task!r}")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive, got {self.eta}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.rounds_m < 1:
@@ -108,8 +104,8 @@ class SystemConfig:
     sigma2_dbm: float = -40.0          # receiver noise power in dBm
     eta: float = 0.005
     distances: str | tuple[float, ...] = "uniform(0,500]"
-    g_bound: float | None = None       # None -> calibrate on a warm-up pass
-    g_mode: str = "calibrated"         # calibrated | fixed | genie
+    g_bound: float | None = None       # None -> calibrate on a warm-up pass; fixed needs one
+    g_mode: str = "calibrated"         # calibrated | fixed | genie (G = the round's largest norm)
     seed: int = 2026
     trials: int | None = None          # per-command default when None
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -173,23 +169,22 @@ class SystemConfig:
             raise ValueError(f"g_bound must be positive, got {self.g_bound}")
         if self.g_mode not in _G_MODES:
             raise ValueError(f"g_mode must be one of {_G_MODES}, got {self.g_mode!r}")
+        if self.g_mode == "fixed" and self.g_bound is None:
+            raise ValueError("g_mode 'fixed' requires g_bound")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
 class ResolvedExperiment:
-    """SystemConfig with every symbolic field made concrete."""
+    """SystemConfig with every symbolic field made concrete; the other
+    settings are read through from cfg."""
 
     cfg: SystemConfig
-    train: TrainConfig
-    est: EstimationModel
     distances: tuple[float, ...]
     d_max_alpha: float
     sigma2: float            # watts
     gamma_th: float
-    gamma_policy: str        # "fixed" or "optimize"
-    seed: int
 
     @property
     def k_devices(self) -> int:
@@ -198,6 +193,14 @@ class ResolvedExperiment:
     @property
     def rho(self) -> float:
         return self.cfg.rho
+
+    @property
+    def seed(self) -> int:
+        return self.cfg.seed
+
+    @property
+    def train(self) -> TrainConfig:
+        return self.cfg.train
 
     def power_config(self, g_bound: float) -> PowerConfig:
         return PowerConfig(
@@ -232,23 +235,9 @@ def resolve(cfg: SystemConfig) -> ResolvedExperiment:
         probe = PowerConfig(p_max=cfg.p_max, sigma2=sigma2, g_bound=1.0, d_max_alpha=d_max_alpha)
         coef = coefficients_from_system(cfg.rho, probe)
         gamma_th = optimal_threshold(coef).gamma_star
-        gamma_policy = "optimize"
     else:
         gamma_th = float(cfg.gamma_th)
-        gamma_policy = "fixed"
-
-    train = replace(cfg.train, eta=cfg.eta, seed=cfg.seed)
-    return ResolvedExperiment(
-        cfg=cfg,
-        train=train,
-        est=EstimationModel(rho=cfg.rho, alpha=cfg.alpha),
-        distances=dist,
-        d_max_alpha=d_max_alpha,
-        sigma2=sigma2,
-        gamma_th=gamma_th,
-        gamma_policy=gamma_policy,
-        seed=cfg.seed,
-    )
+    return ResolvedExperiment(cfg=cfg, distances=dist, d_max_alpha=d_max_alpha, sigma2=sigma2, gamma_th=gamma_th)
 
 
 # ---------------------------------------------------------------------------
@@ -273,79 +262,53 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_float(key: str, value: str) -> float:
+def _parse_field(key: str, annotation: str, value: str) -> object:
+    """The text of config key `key` as its field's annotation reads it.
+
+    A str field takes the text; a field that also admits a str takes the
+    word 'optimize' or a 'uniform(...)' range; 'float | None' (g_bound)
+    reads 'calibrate' as None.  Other text parses as the annotation's int
+    or float, or as comma-separated floats for a tuple.
+    """
+    if annotation == "str" or ("str" in annotation and (value == "optimize" or value.startswith("uniform"))):
+        return value
+    if annotation == "float | None" and value == "calibrate":
+        return None
+    number, expected = (int, "an integer") if annotation.startswith("int") else (float, "a number")
     try:
-        return float(value)
+        return tuple(float(v) for v in value.split(",")) if "tuple" in annotation else number(value)
     except ValueError as exc:
-        raise ValueError(f"config key {key!r}: expected a number, got {value!r}") from exc
+        raise ValueError(f"config key {key!r}: expected {expected}, got {value!r}") from exc
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: expected an integer, got {value!r}") from exc
-
-
-_SYS_FLOATS = {"rho", "alpha", "p_max", "sigma2_dbm", "eta"}
-_SYS_INTS = {"k_devices", "seed", "trials"}
-_TRAIN_FLOATS = {"blob_separation", "label_skew"}
-_TRAIN_INTS = {
-    "batch_size",
-    "rounds_m",
-    "data_per_device",
-    "n_features",
-    "test_size",
-    "hidden_units",
-}
+_SYS_FIELDS = {f.name: f.type for f in fields(SystemConfig) if f.name != "train"}
+_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
 
 
 def config_from_kv(kv: dict[str, str]) -> tuple[SystemConfig, dict[str, str]]:
     """Build a SystemConfig from parsed keys.
 
-    Unknown dotted keys (e.g. 'verify_xi.rho_grid') are returned as extras
-    for command-specific parameters; unknown bare keys are rejected.
-    'train.eta' and 'train.seed' are rejected: both are owned by the
-    top-level keys and synced during resolution.
+    A bare key is a SystemConfig field and 'train.<name>' a TrainConfig
+    field, each parsed by its annotation.  Unknown dotted keys (e.g.
+    'verify_xi.rho_grid') are returned as extras for command-specific
+    parameters; unknown bare keys are rejected, and so is a 'train.' key
+    that names a SystemConfig field, such as 'train.eta'.
     """
     sys_kwargs: dict[str, object] = {}
     train_kwargs: dict[str, object] = {}
     extras: dict[str, str] = {}
     for key, value in kv.items():
-        if key in _SYS_FLOATS:
-            sys_kwargs[key] = _parse_float(key, value)
-        elif key in _SYS_INTS:
-            sys_kwargs[key] = _parse_int(key, value)
-        elif key == "gamma_th":
-            sys_kwargs[key] = value if value == "optimize" else _parse_float(key, value)
-        elif key == "distances":
-            if value.startswith("uniform"):
-                sys_kwargs[key] = value
-            else:
-                sys_kwargs[key] = tuple(_parse_float(key, v) for v in value.split(","))
-        elif key == "g_bound":
-            sys_kwargs[key] = None if value == "calibrate" else _parse_float(key, value)
-        elif key == "g_mode":
-            sys_kwargs[key] = value
-        elif key.startswith("train."):
-            sub = key[len("train.") :]
-            if sub in _TRAIN_FLOATS:
-                train_kwargs[sub] = _parse_float(key, value)
-            elif sub in _TRAIN_INTS:
-                train_kwargs[sub] = _parse_int(key, value)
-            elif sub == "task":
-                train_kwargs[sub] = value
-            elif sub in ("eta", "seed"):
-                raise ValueError(f"set top-level {sub!r} instead of {key!r}")
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-        elif "." in key:
+        name = key.removeprefix("train.")
+        schema, kwargs = (_SYS_FIELDS, sys_kwargs) if name == key else (_TRAIN_FIELDS, train_kwargs)
+        if name in schema:
+            kwargs[name] = _parse_field(key, schema[name], value)
+        elif name != key and name in _SYS_FIELDS:
+            raise ValueError(f"set top-level {name!r} instead of {key!r}")
+        elif name == key and "." in key:
             extras[key] = value
         else:
             raise ValueError(f"unknown config key {key!r}")
-    train = TrainConfig(**train_kwargs)
-    cfg = SystemConfig(train=train, **sys_kwargs)
-    return cfg, extras
+    return SystemConfig(train=TrainConfig(**train_kwargs), **sys_kwargs), extras
 
 
 def load_config(path: str) -> tuple[SystemConfig, dict[str, str]]:
@@ -379,8 +342,6 @@ def config_to_kv(cfg: SystemConfig, extras: dict[str, str] | None = None) -> lis
         else:
             pairs.append((f.name, _fmt(value)))
     for f in fields(TrainConfig):
-        if f.name in ("eta", "seed"):
-            continue
         pairs.append((f"train.{f.name}", _fmt(getattr(cfg.train, f.name))))
     for key in sorted(extras or {}):
         pairs.append((key, extras[key]))

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aircomp import PowerConfig, aggregate_batch, compensation_lambda, scaling_zeta
+from .aircomp import PowerConfig, _gain, aggregate_batch, compensation_lambda, scaling_zeta
 from .channel import ChannelArrays, Reseeder, channel_from_normals, check_substream_states, substream, substream_states
 from .config import (
     STREAM_BATCH,
@@ -68,10 +68,6 @@ _SQRT2 = math.sqrt(2.0)
 class DeviceDataset:
     features: np.ndarray  # (D, n_features)
     labels: np.ndarray    # (D,) in {0, 1}
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass(frozen=True)
@@ -185,9 +181,6 @@ class LogisticTask:
     def scores(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return x @ w
 
-    def loss(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        return _bce_loss(self.scores(w, x), y)
-
     def gradients(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Entry [c, k] is the gradient of the mean loss at w[c] on the
         batch (x[k], y[k]), for w of shape (C, d) and x of shape (K, B, f)."""
@@ -223,9 +216,6 @@ class MlpTask:
         w1, b1, w2, b2 = self._unpack(w)
         a1 = np.maximum(x @ w1.T + b1, 0.0)
         return a1 @ w2 + b2
-
-    def loss(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        return _bce_loss(self.scores(w, x), y)
 
     def gradients(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """As LogisticTask.gradients, over the packed parameters."""
@@ -356,7 +346,7 @@ def _air_round(grads, exps, cells: _Cells, draws: SeedDraws, power: PowerConfig,
     aggregate_batch call: g_hat (C, d), active counts and skip flags (C,).
     Genie power control sets a cell's G to its largest gradient norm."""
     if exps[0].cfg.g_mode == "genie":
-        g_now = [max(float(np.linalg.norm(g)) for g in cell) for cell in grads]
+        g_now = [max_grad_norm(cell) for cell in grads]
         if min(g_now) == 0.0:
             raise RuntimeError("genie power control with all-zero gradients")
         cells = cells._replace(zeta=_zetas(exps, power, g_now), g_bound=np.array(g_now)[:, None])
@@ -374,10 +364,9 @@ def _sent_power(grads: np.ndarray, channels: ChannelArrays, cells: _Cells) -> tu
     """(|beta_k|^2 ||g_k||^2, ||g_k||^2) of cell c's device k at [c, k], with beta_k
     as in aircomp.preprocessing_beta: (zeta lambda)^2 d_k^alpha ||g_k||^2 / (K^2 |h_hat_k|^2)."""
     g_norm_sq = np.einsum("ckd,ckd->ck", grads, grads)
-    h_hat, k_devices = channels.h_hat, grads.shape[1]
-    gain = h_hat.real * h_hat.real + h_hat.imag * h_hat.imag
+    k_devices = grads.shape[1]
     scale = cells.zeta * cells.lam
-    return scale * scale * channels.d_alpha * g_norm_sq / (k_devices * k_devices * gain), g_norm_sq
+    return scale * scale * channels.d_alpha * g_norm_sq / (k_devices * k_devices * _gain(channels.h_hat)), g_norm_sq
 
 
 def _assert_power_feasible(grads, channels: ChannelArrays, active, cells: _Cells, p_max: float) -> None:
@@ -392,6 +381,11 @@ def _assert_power_feasible(grads, channels: ChannelArrays, active, cells: _Cells
                              f"{float(cells.gamma_th[c, 0])}: {sent[c, k]} > {p_max}")
 
 
+def max_grad_norm(grads) -> float:
+    """The largest of one round's K gradient norms: genie power control's G."""
+    return max(float(np.linalg.norm(g)) for g in grads)
+
+
 def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
     """Gradient-norm bound from an ideal-mode warm-up pass.
 
@@ -404,8 +398,8 @@ def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
     g_max = 0.0
     for m in range(rounds):
         grads = round_gradients(w, draws, m)
-        g_max = max(g_max, max(float(np.linalg.norm(g)) for g in grads))
-        w = global_update(w, ideal_aggregate(grads), exp.train.eta)
+        g_max = max(g_max, max_grad_norm(grads))
+        w = global_update(w, ideal_aggregate(grads), exp.cfg.eta)
     if g_max == 0.0:
         raise RuntimeError("warm-up saw only zero gradients; cannot calibrate a norm bound")
     return _G_MARGIN * g_max
@@ -415,7 +409,7 @@ def _draws_key(exp: ResolvedExperiment) -> tuple:
     # every field of the experiment and of its config but the threshold
     return tuple(
         (f.name, getattr(obj, f.name))
-        for obj, skip in ((exp.cfg, ("gamma_th",)), (exp, ("cfg", "gamma_th", "gamma_policy")))
+        for obj, skip in ((exp.cfg, ("gamma_th",)), (exp, ("cfg", "gamma_th")))
         for f in fields(obj)
         if f.name not in skip
     )
@@ -449,7 +443,6 @@ class SeedDraws:
         shards = build_devices(exp)
         self.features = np.stack([d.features for d in shards])
         self.labels = np.stack([d.labels for d in shards])
-        self.devices = [DeviceDataset(x, y) for x, y in zip(self.features, self.labels)]
         self.test = build_test_set(exp)
         self.all_train = DeviceDataset(
             features=self.features.reshape(-1, self.features.shape[-1]),
@@ -459,7 +452,7 @@ class SeedDraws:
         self.n_rounds = max(exp.train.rounds_m, _WARMUP_ROUNDS)
         self._reseed = Reseeder()
         self._rows = np.arange(exp.k_devices)[:, None]
-        self._d_alpha = np.array([d ** exp.est.alpha for d in exp.distances])
+        self._d_alpha = np.array([d ** exp.cfg.alpha for d in exp.distances])
         self._states: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._picks: dict[int, np.ndarray] = {}
         self._channels: dict[int, ChannelArrays] = {}
@@ -507,7 +500,7 @@ class SeedDraws:
             z = np.empty((self.exp.k_devices, 4))
             for row, state in zip(z, self._round_states(STREAM_CHANNEL, round_index)):
                 self._reseed(state).standard_normal(out=row)
-            out = ChannelArrays(*channel_from_normals(z, self.exp.est.rho), self._d_alpha)
+            out = ChannelArrays(*channel_from_normals(z, self.exp.rho), self._d_alpha)
             self._channels[round_index] = out
         return out
 
@@ -554,11 +547,7 @@ def train_cells(
     n_cells, n_rounds, k_devices = len(exps), exp.train.rounds_m, exp.k_devices
     power = g_bound = None
     if mode == "aircomp":
-        g_bound = exp.cfg.g_bound
-        if g_bound is None:
-            if exp.cfg.g_mode == "fixed":
-                raise ValueError("g_mode 'fixed' requires g_bound")
-            g_bound = draws.calibrated_g_bound()
+        g_bound = exp.cfg.g_bound or draws.calibrated_g_bound()
         power = exp.power_config(g_bound)
         # lambda and zeta once per run (genie power control redoes zeta per round)
         cells = _Cells(np.array([[e.gamma_th] for e in exps]),
@@ -578,7 +567,7 @@ def train_cells(
             g_hat, active[:, m] = g_ideal, k_devices
         else:
             g_hat, active[:, m], skipped[:, m] = _air_round(grads, exps, cells, draws, power, m)
-        weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, exp.train.eta))
+        weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, exp.cfg.eta))
         divergence[:, m] = [float(r @ r) for r in g_hat - g_ideal]
         history[:, m] = weights
 

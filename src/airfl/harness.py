@@ -58,6 +58,7 @@ from .analysis import (
     divergence_exact,
     joint_cdf_xy,
     joint_pdf_xy,
+    noise_term_exact,
     skip_probability,
     xi_variance,
 )
@@ -83,6 +84,7 @@ from .fltrain import (
     SeedDraws,
     TrainingTrace,
     ideal_aggregate,
+    max_grad_norm,
     round_gradients,
     train_cells,
 )
@@ -93,6 +95,9 @@ _MIN_XI_SAMPLES = 10_000
 _MIN_JOINT_SAMPLES = 1_000_000
 _MIN_TRIALS = 1_000
 _MASS_CONSISTENCY_TOL = 1e-9  # quadrature vs CDF-rectangle cross-check
+_NORM_GAMMA_MIN = -40.0  # lower gamma edge of the density normalization
+_FD_STEP = 1e-4  # spacing of the CDF/density finite-difference stencil
+_SCAN_DISTANCE = 100.0  # the K-scan's common device distance, meters
 # divergence trials per kernel block: 256 runs as fast as 1,024 and keeps
 # the block's temporaries near 1 MB at K = 40
 _TRIAL_BLOCK = 256
@@ -617,19 +622,17 @@ def mc_joint_distribution_check(
     )
 
 
-def pdf_normalization(gamma_min: float = -40.0) -> float:
-    """Quadrature of the joint density over t in R, gamma in [gamma_min, 0).
+def pdf_normalization() -> float:
+    """Quadrature of the joint density over t in R, gamma in [-40, 0).
 
     Substituting gamma = -s^2 removes the square-root singularity at the
     origin; the remaining integrand is smooth and dblquad resolves it well
-    below the 1e-6 acceptance tolerance.  The mass below gamma_min is
-    e^{gamma_min}, negligible for the default window.
+    below the 1e-6 acceptance tolerance.  The mass below -40 is e^-40,
+    negligible.
     """
-    if not (gamma_min < 0.0 and math.isfinite(gamma_min)):
-        raise ValueError(f"gamma_min must be negative, got {gamma_min}")
     from scipy.integrate import dblquad  # deferred, as in _bin_mass
 
-    s_max = math.sqrt(-gamma_min)
+    s_max = math.sqrt(-_NORM_GAMMA_MIN)
     val, _ = dblquad(
         lambda t, s: 2.0 * s * joint_pdf_xy(t, -s * s),
         0.0,
@@ -642,17 +645,14 @@ def pdf_normalization(gamma_min: float = -40.0) -> float:
     return float(val)
 
 
-def cdf_pdf_consistency(
-    t_values, gamma_values, step: float = 1e-4
-) -> float:
+def cdf_pdf_consistency(t_values, gamma_values) -> float:
     """Worst |mixed central difference of the CDF - density| over a grid.
 
     The CDF is differenced with the standard four-point stencil at spacing
-    `step` in both arguments; gamma points must stay below -step so the
+    1e-4 in both arguments; gamma points must stay below -1e-4 so the
     stencil never crosses the support boundary.
     """
-    if not (0.0 < step < 1e-2):
-        raise ValueError(f"step must lie in (0, 0.01), got {step}")
+    step = _FD_STEP
     worst = 0.0
     for g in gamma_values:
         if g + step >= 0.0:
@@ -712,23 +712,15 @@ def pdf_gates(
 # frozen-gradient weight divergence
 
 
-def _resolve_g_bound(draws: SeedDraws, grads) -> float:
-    cfg = draws.exp.cfg
-    if cfg.g_bound is not None:
-        return cfg.g_bound
-    if cfg.g_mode == "fixed":
-        raise ValueError("g_mode 'fixed' requires g_bound")
-    if cfg.g_mode == "genie":
-        return max(float(np.linalg.norm(g)) for g in grads)
-    return draws.calibrated_g_bound()
-
-
 def _frozen_setup(cfg: SystemConfig):
+    """Round zero's K gradients and the power config at the G training would
+    use in that round: the round's largest norm under genie power control,
+    else the pinned or the calibrated bound."""
     exp = resolve(cfg)
     draws = SeedDraws(exp)
     w0 = draws.task.init_params(substream(exp.seed, STREAM_INIT))
     grads = round_gradients(w0, draws, 0)
-    g_bound = _resolve_g_bound(draws, grads)
+    g_bound = max_grad_norm(grads) if cfg.g_mode == "genie" else cfg.g_bound or draws.calibrated_g_bound()
     return exp, grads, exp.power_config(g_bound)
 
 
@@ -845,7 +837,7 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
         "zeta": zeta,
         "lam": compensation_lambda(exp.gamma_th, exp.rho),
         "sum_grad_sq": math.fsum(energies),
-        "noise_term_exact": (1.0 - p_skip) * (d_model * power.sigma2 / (2.0 * zeta * zeta)),
+        "noise_term_exact": noise_term_exact(exp.k_devices, exp.gamma_th, exp.rho, power, d_model),
         "skip_prob_analytic": p_skip,
     }
     return SweepResult(columns=tuple(row), rows=[tuple(row.values())], meta=meta)
@@ -873,19 +865,18 @@ def k_slope_scan(
     n_trials: int = 4000,
     jobs: int = 1,
     d_model: int = 10,
-    distance: float = 100.0,
 ) -> SweepResult:
     """Informational K-scaling of the divergence at unit gradient norms.
 
     Every device transmits a fixed unit-norm gradient from a common
-    distance, so only the fleet size varies across rows.  Trials run in the
-    same block kernel as mc_weight_divergence, trial t of fleet size K on
-    the stream substream(seed, STREAM_MC_DIVERGENCE, K, t), so neither the
-    block size nor jobs changes a byte.  The fitted log-log slope is
-    reported in meta next to the slopes of the exact expression and of the
-    printed bound (-2).  The exact expression's variance term scales as
-    1/K, its noise term as 1/K^2, so the fit lands between -1 and -2
-    depending on which share dominates.
+    distance of 100 m, so only the fleet size varies across rows.  Trials
+    run in the same block kernel as mc_weight_divergence, trial t of fleet
+    size K on the stream substream(seed, STREAM_MC_DIVERGENCE, K, t), so
+    neither the block size nor jobs changes a byte.  The fitted log-log
+    slope is reported in meta next to the slopes of the exact expression
+    and of the printed bound (-2).  The exact expression's variance term
+    scales as 1/K, its noise term as 1/K^2, so the fit lands between -1
+    and -2 depending on which share dominates.
     """
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
@@ -896,7 +887,7 @@ def k_slope_scan(
         p_max=cfg.p_max,
         sigma2=dbm_to_watts(cfg.sigma2_dbm),
         g_bound=1.0,
-        d_max_alpha=distance**cfg.alpha,
+        d_max_alpha=_SCAN_DISTANCE**cfg.alpha,
     )
     rows = []
     for k in ks:
@@ -1079,7 +1070,7 @@ def convergence_report(draws: SeedDraws, trace: TrainingTrace) -> dict[str, floa
     if exp.train.task != "synthetic_logistic":
         return None
     l_hat = _mean_sq_row_norm(draws.all_train.features) / 4.0
-    if not (math.isfinite(l_hat) and exp.train.eta < 2.0 / l_hat):
+    if not (math.isfinite(l_hat) and exp.cfg.eta < 2.0 / l_hat):
         return None
     gap = max(math.log(2.0) - min(r.loss for r in trace.records), 1e-12)
     g_bound = trace.g_bound
@@ -1087,7 +1078,7 @@ def convergence_report(draws: SeedDraws, trace: TrainingTrace) -> dict[str, floa
         g_bound = draws.calibrated_g_bound()
     lc = LearningConstants(
         lipschitz_l=l_hat,
-        eta=exp.train.eta,
+        eta=exp.cfg.eta,
         delta2=trace.delta2_hat,
         g_bound2=g_bound * g_bound,
         rounds_m=trace.rounds,

@@ -20,8 +20,9 @@ from .aircomp import PowerConfig, check_positive, check_rho
 from .specfun import exp_integral_ei
 
 _BRACKET_LO = 1e-8
-_WIDTH_TOL = 1e-12
-_MODES = ("joint", "communication_oriented", "computation_oriented", "fixed")
+_DERIVATIVE_TOL = 1e-10  # bisection stops at |h'| <= this
+_WIDTH_TOL = 1e-12       # or at a bracket this narrow
+_MODES = ("joint", "communication_oriented", "computation_oriented")
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,11 @@ def second_derivative_h(x: float, coef: ObjectiveCoefficients) -> float:
     return ex + k1_part + 2.0 * coef.k2 * e2x * (2.0 * x * x - 2.0 * x + 1.0) / (x * x * x)
 
 
-def _bisect_root(
-    fprime, tol: float, width_tol: float = _WIDTH_TOL
-) -> tuple[float, float, int]:
+def _bisect_root(fprime) -> tuple[float, float, int]:
     """Bisection root of an increasing-through-zero derivative.
 
     Brackets from [1e-8, hi], doubling hi from 1 until the derivative is
-    positive; terminates on |f'| <= tol or interval width <= width_tol.
+    positive; terminates on |f'| <= 1e-10 or interval width <= 1e-12.
     """
     lo = _BRACKET_LO
     f_lo = fprime(lo)
@@ -121,7 +120,7 @@ def _bisect_root(
         mid = 0.5 * (lo + hi)
         f_mid = fprime(mid)
         iterations += 1
-        if abs(f_mid) <= tol or (hi - lo) <= width_tol:
+        if abs(f_mid) <= _DERIVATIVE_TOL or (hi - lo) <= _WIDTH_TOL:
             return mid, f_mid, iterations
         if f_mid < 0.0:
             lo = mid
@@ -129,12 +128,7 @@ def _bisect_root(
             hi = mid
 
 
-def optimal_threshold(
-    coef: ObjectiveCoefficients,
-    tol: float = 1e-10,
-    mode: str = "joint",
-    fixed_value: float | None = None,
-) -> ThresholdSolution:
+def optimal_threshold(coef: ObjectiveCoefficients, mode: str = "joint") -> ThresholdSolution:
     """Truncation threshold minimizing the selected objective term(s).
 
     Modes:
@@ -145,24 +139,9 @@ def optimal_threshold(
     * ``computation_oriented``: minimize the CSI term
       e^x - k1 Ei(-x) e^(2x) - 1; requires k1 > 0, otherwise the term is
       monotone with no interior minimum.
-    * ``fixed``: echo fixed_value, reporting h and h' there.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
-    if mode == "fixed":
-        if fixed_value is None:
-            raise ValueError("fixed mode requires fixed_value")
-        x = check_positive("fixed_value", fixed_value)
-        return ThresholdSolution(
-            gamma_star=x,
-            h_value=objective_h(x, coef),
-            derivative_residual=derivative_h(x, coef),
-            iterations=0,
-            mode=mode,
-        )
 
     if mode == "communication_oriented":
         # d/dx [k2 e^(2x)/x] = k2 e^(2x)(2x - 1)/x^2 vanishes exactly at 1/2.
@@ -184,7 +163,7 @@ def optimal_threshold(
     else:
         fprime = lambda x: derivative_h(x, coef)
 
-    gamma_star, residual, iterations = _bisect_root(fprime, tol)
+    gamma_star, residual, iterations = _bisect_root(fprime)
     return ThresholdSolution(
         gamma_star=gamma_star,
         h_value=objective_h(gamma_star, coef),

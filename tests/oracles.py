@@ -7,7 +7,8 @@ precision), and tests compare against the constants for headline values and
 against the live helpers for grid sweeps.  air_round_ref is one
 over-the-air round, and logistic_gradient_ref and mlp_gradient_ref are one
 device's mini-batch gradient, in plain numpy and Python scalars, for
-bit-exact comparison with the package's array kernels.  read_sweep_csv
+bit-exact comparison with the package's array kernels; bce_loss_ref is the
+loss whose finite differences check those gradients.  read_sweep_csv
 reads back a CSV the package wrote.
 """
 
@@ -158,6 +159,11 @@ def _sigmoid_ref(s):
     es = np.exp(s[~pos])
     out[~pos] = es / (1.0 + es)
     return out
+
+
+def bce_loss_ref(scores, y):
+    """Mean cross-entropy of sigmoid(scores) against labels y, as log(1 + e^s) - y s."""
+    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
 
 
 def logistic_gradient_ref(w, x, y):

@@ -18,6 +18,7 @@ from airfl.analysis import (
     divergence_exact_always_noise,
     joint_cdf_xy,
     joint_pdf_xy,
+    noise_term_exact,
     xi_mean_offset,
     xi_variance,
 )
@@ -216,6 +217,16 @@ class TestDivergence:
         assert abs(got - want) < 1e-15 * want
         paper = divergence_exact_always_noise(energies, 3, gamma, 0.8, POWER, d_model=7)
         assert abs((paper - got) - p_skip * noise) < 1e-12 * paper
+
+    @pytest.mark.parametrize("gamma", [0.05, 2.0])
+    def test_noise_term_exact_is_the_skip_weighted_noise(self, gamma):
+        # the noise term of divergence_exact, which verify-divergence reports
+        zeta = scaling_zeta(3, 0.8, POWER, gamma)
+        p_skip = (1.0 - math.exp(-gamma)) ** 3
+        want = (1.0 - p_skip) * (7 * 1e-7 / (2 * zeta * zeta))
+        got = noise_term_exact(3, gamma, 0.8, POWER, 7)
+        assert abs(got - want) <= 1e-15 * want
+        assert divergence_exact([0.0] * 3, 3, gamma, 0.8, POWER, 7) == got
 
     def test_exact_validation(self):
         with pytest.raises(ValueError):

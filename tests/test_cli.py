@@ -73,6 +73,17 @@ class TestParsing:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_fixed_g_without_a_bound_is_a_config_error(self, tmp_path, capsys):
+        # rejected when the config loads, even by a command that trains nothing
+        cfg_path = tmp_path / "fixed.cfg"
+        cfg_path.write_text("g_mode = fixed\n")
+        rc = main(["optimize-threshold", "--config", str(cfg_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "g_bound" in lines[0]
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "key, value",
         [("sigma2_dbm", "4000"), ("alpha", "400"), ("rho", "1e-200"), ("sigma2_dbm", "3100"),

@@ -1,7 +1,7 @@
 """Config dataclasses, key=value files, and symbolic-field resolution."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -31,8 +31,6 @@ class TestTrainConfigValidation:
         "kw",
         [
             {"task": "logistic"},
-            {"eta": 0.0},
-            {"eta": math.inf},
             {"batch_size": 0},
             {"rounds_m": 0},
             {"data_per_device": 8, "batch_size": 32},
@@ -83,11 +81,16 @@ class TestSystemConfigValidation:
             {"distances": "uniform(0,1e-3]", "alpha": 400.0},  # d_max**alpha underflows
             {"distances": "uniform(5,5]"},  # empty range
             {"sigma2_dbm": 3100.0},  # sigma2 * d_max**alpha / (2 p_max rho^2) overflows
+            {"g_mode": "fixed"},  # a fixed G needs its g_bound
         ],
     )
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             SystemConfig(**kw)
+
+    def test_no_train_field_shadows_a_system_field(self):
+        shared = {f.name for f in fields(TrainConfig)} & {f.name for f in fields(SystemConfig)}
+        assert not shared
 
     def test_symbolic_and_explicit_forms_accepted(self):
         SystemConfig(gamma_th="optimize")
@@ -126,7 +129,6 @@ class TestResolve:
     def test_fixed_policy(self):
         exp = resolve(SystemConfig(gamma_th=0.7))
         assert exp.gamma_th == 0.7
-        assert exp.gamma_policy == "fixed"
 
     def test_optimize_policy_matches_solver(self):
         from airfl.optimizer import coefficients_from_system, optimal_threshold
@@ -135,20 +137,16 @@ class TestResolve:
         probe = exp.power_config(1.0)
         want = optimal_threshold(coefficients_from_system(exp.rho, probe)).gamma_star
         assert exp.gamma_th == want
-        assert exp.gamma_policy == "optimize"
+        assert exp.cfg.gamma_th == "optimize"
         assert exp.gamma_th > 0.0
 
-    def test_train_fields_synced(self):
-        cfg = SystemConfig(eta=0.01, seed=99, train=TrainConfig(eta=0.5, seed=3))
-        exp = resolve(cfg)
-        assert exp.train.eta == 0.01
-        assert exp.train.seed == 99
-        assert exp.seed == 99
-
     def test_properties_and_power_config(self):
-        exp = resolve(SystemConfig(k_devices=4, rho=0.9))
+        train = TrainConfig(rounds_m=7)
+        exp = resolve(SystemConfig(k_devices=4, rho=0.9, seed=99, train=train))
         assert exp.k_devices == 4
         assert exp.rho == 0.9
+        assert exp.seed == 99
+        assert exp.train is train
         power = exp.power_config(2.0)
         assert power.g_bound == 2.0
         assert power.p_max == exp.cfg.p_max
@@ -250,6 +248,22 @@ class TestRoundTrip:
         assert back.gamma_th == exp.gamma_th
         assert extras == {"run.mode": "aircomp"}
 
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_every_field_round_trips_at_a_non_default_value(self, symbolic):
+        train = TrainConfig(task="small_mlp", batch_size=8, rounds_m=7, data_per_device=40, n_features=3,
+                            test_size=20, blob_separation=1.5, label_skew=0.25, hidden_units=5)
+        cfg = SystemConfig(k_devices=3, rho=0.9, gamma_th=0.7, alpha=3.1, p_max=0.2, sigma2_dbm=-50.5,
+                           eta=0.01, distances=(10.0, 20.5, 1 / 3), g_bound=1.5, g_mode="fixed", seed=5,
+                           trials=1234, train=train)
+        if symbolic:
+            cfg = replace(cfg, gamma_th="optimize", distances="uniform(5,100]", g_mode="genie")
+        for obj, default in ((cfg, SystemConfig()), (train, TrainConfig())):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+        back, extras = config_from_kv(parse_kv_text(kv_text(config_to_kv(cfg))))
+        assert back == cfg
+        assert extras == {}
+
     def test_trials_omitted_when_unset(self):
         keys = [k for k, _ in config_to_kv(SystemConfig())]
         assert "trials" not in keys
@@ -286,7 +300,7 @@ class TestLoadAndReplay:
         assert again.distances == exp.distances
         assert again.gamma_th == exp.gamma_th
         assert again.sigma2 == exp.sigma2
-        assert again.gamma_policy == "fixed"
+        assert again.cfg.gamma_th == exp.gamma_th
 
     def test_stream_constants_are_distinct(self):
         import airfl.config as cfg_mod

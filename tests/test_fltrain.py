@@ -79,11 +79,15 @@ def warmup_bound(exp, rounds):
         grads = []
         for k, dev in enumerate(devices):
             gen = substream(exp.seed, STREAM_BATCH, m, k)
-            idx = gen.choice(dev.size, size=exp.train.batch_size, replace=False)
+            idx = gen.choice(len(dev.labels), size=exp.train.batch_size, replace=False)
             grads.append(local_gradient(task, w, dev.features[idx], dev.labels[idx]))
         g_max = max(g_max, max(float(np.linalg.norm(g)) for g in grads))
-        w = global_update(w, ideal_aggregate(grads), exp.train.eta)
+        w = global_update(w, ideal_aggregate(grads), exp.cfg.eta)
     return 1.1 * g_max
+
+
+def estimation_model(exp):
+    return EstimationModel(rho=exp.rho, alpha=exp.cfg.alpha)
 
 
 def assert_channel_row(arrays, k, draw):
@@ -96,7 +100,8 @@ def fd_gradient(task, w, x, y, step=1e-6):
     for i in range(w.size):
         e = np.zeros_like(w)
         e[i] = step
-        out[i] = (task.loss(w + e, x, y) - task.loss(w - e, x, y)) / (2 * step)
+        loss_hi = oracles.bce_loss_ref(task.scores(w + e, x), y)
+        out[i] = (loss_hi - oracles.bce_loss_ref(task.scores(w - e, x), y)) / (2 * step)
     return out
 
 
@@ -124,10 +129,9 @@ class TestTasks:
 
     def test_loss_is_stable_at_extreme_scores(self):
         task = LogisticTask(1)
-        x = np.array([[1.0], [1.0]])
-        y = np.array([1.0, 0.0])
-        loss_hi = task.loss(np.array([1000.0]), x, y)
-        loss_lo = task.loss(np.array([-1000.0]), x, y)
+        data = DeviceDataset(np.array([[1.0], [1.0]]), np.array([1.0, 0.0]))
+        loss_hi = evaluate(task, np.array([1000.0]), data, data)[0]
+        loss_lo = evaluate(task, np.array([-1000.0]), data, data)[0]
         assert math.isfinite(loss_hi) and math.isfinite(loss_lo)
         assert abs(loss_hi - 500.0) < 1e-9
         assert abs(loss_lo - 500.0) < 1e-9
@@ -157,7 +161,7 @@ class TestData:
         assert len(devices) == 3
         for dev in devices:
             assert dev.features.shape == (40, 5)
-            assert dev.size == 40
+            assert dev.labels.shape == (40,)
             assert set(np.unique(dev.labels)) <= {0.0, 1.0}
 
     def test_shards_are_seed_deterministic(self):
@@ -190,7 +194,7 @@ class TestData:
 
     def test_test_set_is_exactly_balanced(self):
         test = build_test_set(resolve(small_cfg()))
-        assert test.size == 200
+        assert test.labels.shape == (200,)
         assert np.mean(test.labels) == 0.5
 
 
@@ -392,12 +396,12 @@ class TestSeedDraws:
             assert noise_states[m] == substream(exp.seed, STREAM_NOISE, m).bit_generator.state
             xs, ys = draws.batches(m)
             assert xs.shape == (exp.k_devices, exp.train.batch_size, exp.train.n_features)
-            for k, dev in enumerate(draws.devices):
+            for k, (features, labels) in enumerate(zip(draws.features, draws.labels)):
                 gen = substream(exp.seed, STREAM_BATCH, m, k)
-                idx = gen.choice(dev.size, size=exp.train.batch_size, replace=False)
-                assert np.array_equal(xs[k], dev.features[idx]) and np.array_equal(ys[k], dev.labels[idx])
+                idx = gen.choice(len(labels), size=exp.train.batch_size, replace=False)
+                assert np.array_equal(xs[k], features[idx]) and np.array_equal(ys[k], labels[idx])
                 gen = substream(exp.seed, STREAM_CHANNEL, m, k)
-                assert_channel_row(draws.channels(m), k, draw_channel(exp.est, exp.distances[k], gen))
+                assert_channel_row(draws.channels(m), k, draw_channel(estimation_model(exp), exp.distances[k], gen))
 
     @pytest.mark.parametrize("task", ["synthetic_logistic", "small_mlp"])
     def test_round_gradients_are_the_local_gradient_rows(self, task):
@@ -431,11 +435,11 @@ class TestSeedDraws:
         draws = SeedDraws(exp)
         for m in range(12):
             got = draws.channels(m)
-            want = [draw_channel(exp.est, exp.distances[k], substream(exp.seed, STREAM_CHANNEL, m, k))
+            want = [draw_channel(estimation_model(exp), exp.distances[k], substream(exp.seed, STREAM_CHANNEL, m, k))
                     for k in range(exp.k_devices)]
             for name in ("h", "h_hat"):
                 assert np.array_equal(getattr(got, name), [getattr(dr, name) for dr in want])
-            assert np.array_equal(got.d_alpha, [d ** exp.est.alpha for d in exp.distances])
+            assert np.array_equal(got.d_alpha, [d ** exp.cfg.alpha for d in exp.distances])
             if rho == 1.0:
                 assert np.array_equal(got.h, got.h_hat)
             assert draws.channels(m) is got
@@ -456,11 +460,11 @@ class TestSeedDraws:
         assert derived == [(STREAM_BATCH, 0, 10)]
         for m in (9, 10, 14):
             xs, _ = draws.batches(m)
-            for k, dev in enumerate(draws.devices):
-                idx = substream(exp.seed, STREAM_BATCH, m, k).choice(dev.size, size=8, replace=False)
-                assert np.array_equal(xs[k], dev.features[idx])
+            for k, features in enumerate(draws.features):
+                idx = substream(exp.seed, STREAM_BATCH, m, k).choice(len(features), size=8, replace=False)
+                assert np.array_equal(xs[k], features[idx])
                 gen = substream(exp.seed, STREAM_CHANNEL, m, k)
-                assert_channel_row(draws.channels(m), k, draw_channel(exp.est, exp.distances[k], gen))
+                assert_channel_row(draws.channels(m), k, draw_channel(estimation_model(exp), exp.distances[k], gen))
             want = substream(exp.seed, STREAM_NOISE, m).bit_generator.state
             assert draws.noise(m).bit_generator.state == want
         assert sorted(derived) == sorted(
@@ -684,7 +688,7 @@ class TestKernelAgainstOracle:
                 assert traces[c].skipped[m] == (not ref_active.any())
                 # the update and the divergence, from the oracle's g_hat
                 w_prev = traces[c].weights[m - 1] if m else w0
-                w_ref = w_prev - cell.train.eta * ref_g_hat if ref_active.any() else w_prev
+                w_ref = w_prev - cell.cfg.eta * ref_g_hat if ref_active.any() else w_prev
                 assert np.array_equal(traces[c].weights[m], w_ref)
                 g_ideal = np.zeros(grads.shape[2])
                 for g in grads[c]:

@@ -132,22 +132,11 @@ class TestSolver:
         with pytest.raises(ValueError):
             optimal_threshold(ObjectiveCoefficients(0.0, 1.0), mode="computation_oriented")
 
-    def test_fixed_mode_echoes_and_reports(self):
-        sol = optimal_threshold(COEF_MIX, mode="fixed", fixed_value=0.9)
-        assert sol.gamma_star == 0.9
-        assert sol.h_value == objective_h(0.9, COEF_MIX)
-        assert sol.derivative_residual == derivative_h(0.9, COEF_MIX)
-        assert sol.mode == "fixed"
-
-    def test_fixed_mode_requires_value(self):
-        with pytest.raises(ValueError):
-            optimal_threshold(COEF_MIX, mode="fixed")
-        with pytest.raises(ValueError):
-            optimal_threshold(COEF_MIX, mode="fixed", fixed_value=-0.5)
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             optimal_threshold(COEF_MIX, mode="fastest")
+        with pytest.raises(ValueError):
+            optimal_threshold(COEF_MIX, mode="fixed")
 
     def test_tiny_k2_pushes_root_toward_computation_optimum(self):
         near = optimal_threshold(ObjectiveCoefficients(0.3, 1e-9)).gamma_star
