@@ -31,6 +31,8 @@ class TestTrainConfigValidation:
         "kw",
         [
             {"task": "logistic"},
+            {"blob_separation": math.nan},
+            {"label_skew": math.nan},
             {"batch_size": 0},
             {"rounds_m": 0},
             {"data_per_device": 8, "batch_size": 32},
