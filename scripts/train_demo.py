@@ -24,7 +24,7 @@ def run(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=None)
     args = ap.parse_args(argv)
 
-    cfg = load_config(args.config)[0] if args.config else SystemConfig()
+    cfg = load_config(args.config) if args.config else SystemConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.rounds is not None:

@@ -8,9 +8,11 @@ truncation threshold; `sweep-threshold` trains across a threshold grid; and
 
 Every command accepts `--config` (key=value file; a previously written
 manifest is itself a valid config and replays the run bit-identically),
-`--seed`, `--trials`, `--out`, and `--jobs`.  Grid and mode knobs that have
-no dedicated flag travel as dotted config keys, e.g.
-`verify_xi.rhos = 0.5,0.8`, `sweep.gammas = 0.05,...`, `run.mode = ideal`.
+`--seed`, `--trials`, `--out`, and `--jobs`.  Each command reads its grid
+and mode settings from its own section of the config, set by dotted keys
+such as `verify_xi.rhos = 0.5,0.8`, `sweep.gammas = 0.05,...` or
+`run.mode = ideal`; every section is checked at load, and a manifest
+carries the running command's section in canonical form.
 
 Each gate prints one verdict line, `PASS name: <numbers> z=... limit=...
 margin=...` (deterministic gates print no z; z and the margin switch to
@@ -30,6 +32,7 @@ import numpy as np
 from .config import SystemConfig, load_config, resolve, resolved_to_config
 from .fltrain import SeedDraws, train
 from .harness import (
+    _SWEEP_MODES,
     Gate,
     SweepResult,
     cdf_pdf_consistency,
@@ -48,13 +51,6 @@ from .harness import (
 )
 from .optimizer import coefficients_from_system, optimal_threshold
 
-_XI_RHOS = (0.5, 0.8, 0.95, 1.0)
-_XI_GAMMAS = (0.1, 0.5, 1.0, 2.0)
-_PDF_T_RANGE = (-3.0, 3.0)
-_PDF_GAMMA_RANGE = (-4.0, -0.1)
-_SWEEP_GAMMAS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.5, 3.0)
-_SCAN_KS = (5, 10, 20, 40)
-
 
 class Outcome(NamedTuple):
     """What a command computed, before anything is printed or written."""
@@ -63,7 +59,6 @@ class Outcome(NamedTuple):
     gates: list[Gate]
     lines: list[str]  # printed after the verdict lines
     meta: dict[str, object]
-    extras: dict[str, str]  # defaults of the extras keys the command read
     cfg: SystemConfig  # the config that replays the run
 
 
@@ -72,29 +67,15 @@ class Command:
     name: str
     help: str
     trials: int | None  # default --trials; None when the command takes none
-    compute: Callable[[SystemConfig, dict[str, str], int], Outcome]
+    compute: Callable[[SystemConfig, int], Outcome]
     manifest: str  # writes <manifest>_manifest.txt
+    section: str | None  # the config section it reads, which its manifest carries
 
 
-def _str_list(extras: dict[str, str], key: str, default) -> list[str]:
-    text = extras.get(key)
-    parts = [] if text is None else [p for p in (s.strip() for s in text.split(",")) if p]
-    return parts or [str(d) for d in default]
-
-
-def _float_list(extras: dict[str, str], key: str, default) -> list[float]:
-    return [float(p) for p in _str_list(extras, key, default)]
-
-
-def _joined(values) -> str:
-    return ",".join(repr(v) for v in values)
-
-
-def _verify_xi(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
-    rhos = _float_list(extras, "verify_xi.rhos", _XI_RHOS)
-    gammas = _float_list(extras, "verify_xi.gammas", _XI_GAMMAS)
+def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
+    grid = cfg.verify_xi
     n = cfg.trials
-    results = mc_xi_moments_grid([(rho, gamma) for rho in rhos for gamma in gammas], n, cfg.seed)
+    results = mc_xi_moments_grid([(rho, gamma) for rho in grid.rhos for gamma in grid.gammas], n, cfg.seed)
     table = SweepResult(
         columns=("rho", "gamma_th", "n_samples", "mean_mc", "mean_se", "var_mc", "var_se",
                  "var_closed", "active_fraction", "active_expected"),
@@ -105,8 +86,7 @@ def _verify_xi(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
         ],
         meta={"n_samples": n},
     )
-    extras_used = {"verify_xi.rhos": _joined(rhos), "verify_xi.gammas": _joined(gammas)}
-    return Outcome({"verify_xi": table}, xi_gates(results), [], table.meta, extras_used, cfg)
+    return Outcome({"verify_xi": table}, xi_gates(results), [], table.meta, cfg)
 
 
 def _centers(lo: float, hi: float, bins: int) -> np.ndarray:
@@ -114,38 +94,26 @@ def _centers(lo: float, hi: float, bins: int) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
 
-def _verify_pdf(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
-    t_range = tuple(_float_list(extras, "verify_pdf.t_range", _PDF_T_RANGE))
-    g_range = tuple(_float_list(extras, "verify_pdf.gamma_range", _PDF_GAMMA_RANGE))
-    bins = int(extras.get("verify_pdf.bins", 40))
-    tail_gamma = float(extras.get("verify_pdf.tail_gamma", 1.0))
+def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:
+    pdf = cfg.verify_pdf
     result = mc_joint_distribution_check(
-        g_range, t_range, cfg.trials, cfg.seed, bins=bins, tail_gammas=(tail_gamma,)
+        pdf.gamma_range, pdf.t_range, cfg.trials, cfg.seed, bins=pdf.bins, tail_gammas=(pdf.tail_gamma,)
     )
     norm = pdf_normalization()
-    fd_worst = cdf_pdf_consistency(_centers(*t_range, bins), _centers(*g_range, bins))
+    fd_worst = cdf_pdf_consistency(_centers(*pdf.t_range, pdf.bins), _centers(*pdf.gamma_range, pdf.bins))
     meta = {**result.meta, "pdf_normalization": norm, "cdf_pdf_fd_worst": fd_worst}
-    extras_used = {
-        "verify_pdf.t_range": _joined(t_range),
-        "verify_pdf.gamma_range": _joined(g_range),
-        "verify_pdf.bins": str(bins),
-        "verify_pdf.tail_gamma": repr(tail_gamma),
-    }
     gates = pdf_gates(result, norm, fd_worst)
-    return Outcome({"verify_pdf": result}, gates, [], meta, extras_used, cfg)
+    return Outcome({"verify_pdf": result}, gates, [], meta, cfg)
 
 
-def _verify_divergence(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
-    do_scan = extras.get("verify_divergence.k_scan", "1") not in ("0", "false", "no")
-    scan_trials = int(extras.get("verify_divergence.scan_trials", 4000))
-    scan_ks = [int(k) for k in _str_list(extras, "verify_divergence.scan_ks", _SCAN_KS)]
-
+def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
+    div = cfg.verify_divergence
     result = mc_weight_divergence(cfg, cfg.trials, jobs=jobs)
     tables = {"verify_divergence": result}
     meta = dict(result.meta)
     lines = []
-    if do_scan:
-        scan = k_slope_scan(cfg, ks=tuple(scan_ks), n_trials=scan_trials, jobs=jobs)
+    if div.k_scan:
+        scan = k_slope_scan(cfg, ks=div.scan_ks, n_trials=div.scan_trials, jobs=jobs)
         tables["verify_divergence_kscan"] = scan
         meta.update({f"kscan_{k}": v for k, v in scan.meta.items()})
         lines.append(
@@ -153,16 +121,11 @@ def _verify_divergence(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> 
             f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope=-2.0 "
             f"supported={scan.meta['supported_scaling']}"
         )
-    extras_used = {
-        "verify_divergence.k_scan": "1" if do_scan else "0",
-        "verify_divergence.scan_trials": str(scan_trials),
-        "verify_divergence.scan_ks": ",".join(str(k) for k in scan_ks),
-    }
     pinned = resolved_to_config(resolve(cfg))
-    return Outcome(tables, divergence_gates(result), lines, meta, extras_used, pinned)
+    return Outcome(tables, divergence_gates(result), lines, meta, pinned)
 
 
-def _optimize_threshold(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
+def _optimize_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
     exp = resolve(cfg)
     coef = coefficients_from_system(exp.rho, exp.power_config(1.0))
     modes = ["joint", "communication_oriented"] + (["computation_oriented"] if coef.k1 > 0.0 else [])
@@ -178,7 +141,7 @@ def _optimize_threshold(cfg: SystemConfig, extras: dict[str, str], jobs: int) ->
          for s in solutions],
     )
     meta = {"k1": coef.k1, "k2": coef.k2}
-    return Outcome({"optimize_threshold": table}, [], lines, meta, {}, resolved_to_config(exp))
+    return Outcome({"optimize_threshold": table}, [], lines, meta, resolved_to_config(exp))
 
 
 def _round_for_print(v) -> str:
@@ -187,25 +150,20 @@ def _round_for_print(v) -> str:
     return str(v)
 
 
-def _sweep_threshold(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
-    gammas = _float_list(extras, "sweep.gammas", _SWEEP_GAMMAS)
-    default_modes = ["joint", "communication_oriented", "computation_oriented", "fixed"]
-    if cfg.rho == 1.0:
-        default_modes.remove("computation_oriented")
-    modes = _str_list(extras, "sweep.modes", default_modes)
-    n_seeds = int(extras.get("sweep.seeds", 3))
-
-    result = sweep_threshold(cfg, gammas, modes=tuple(modes), n_seeds=n_seeds, jobs=jobs)
+def _sweep_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
+    # no modes set: every mode that applies at this rho, pinned for replay
+    modes = cfg.sweep.modes or tuple(m for m in _SWEEP_MODES if cfg.rho < 1.0 or m != "computation_oriented")
+    cfg = replace(cfg, sweep=replace(cfg.sweep, modes=modes))
+    result = sweep_threshold(cfg, cfg.sweep.gammas, modes=modes, n_seeds=cfg.sweep.seeds, jobs=jobs)
     lines = [
         ", ".join(f"{c}={_round_for_print(v)}" for c, v in zip(result.columns, row))
         for row in result.rows
     ]
-    extras_used = {"sweep.gammas": _joined(gammas), "sweep.modes": ",".join(modes), "sweep.seeds": str(n_seeds)}
-    return Outcome({"sweep_threshold": result}, [], lines, result.meta, extras_used, cfg)
+    return Outcome({"sweep_threshold": result}, [], lines, result.meta, cfg)
 
 
-def _train(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
-    mode = extras.get("run.mode", "aircomp")
+def _train(cfg: SystemConfig, jobs: int) -> Outcome:
+    mode = cfg.run.mode
     exp = resolve(cfg)
     draws = SeedDraws(exp)
     trace = train(exp, mode=mode, draws=draws)
@@ -231,26 +189,26 @@ def _train(cfg: SystemConfig, extras: dict[str, str], jobs: int) -> Outcome:
           int(r.skipped)) for r in trace.records],
     )
     pinned = resolved_to_config(exp, g_bound=trace.g_bound)
-    return Outcome({"train_trace": table}, [], lines, meta, {"run.mode": mode}, pinned)
+    return Outcome({"train_trace": table}, [], lines, meta, pinned)
 
 
 COMMANDS = (
     Command("verify-xi", "Monte-Carlo check of the aggregation-coefficient moments",
-            10**6, _verify_xi, "verify_xi"),
+            10**6, _verify_xi, "verify_xi", "verify_xi"),
     Command("verify-pdf", "Monte-Carlo and quadrature check of the joint (x, y) law",
-            10**7, _verify_pdf, "verify_pdf"),
+            10**7, _verify_pdf, "verify_pdf", "verify_pdf"),
     Command("verify-divergence", "frozen-gradient weight-divergence check",
-            10**5, _verify_divergence, "verify_divergence"),
+            10**5, _verify_divergence, "verify_divergence", "verify_divergence"),
     Command("optimize-threshold", "solve for the truncation threshold",
-            None, _optimize_threshold, "optimize_threshold"),
+            None, _optimize_threshold, "optimize_threshold", None),
     Command("sweep-threshold", "train across a threshold grid and optimizer modes",
-            None, _sweep_threshold, "sweep_threshold"),
-    Command("train", "run one federated training experiment", None, _train, "train"),
+            None, _sweep_threshold, "sweep_threshold", "sweep"),
+    Command("train", "run one federated training experiment", None, _train, "train", "run"),
 )
 
 
 def _run(cmd: Command, args) -> int:
-    cfg, extras = load_config(args.config) if args.config else (SystemConfig(), {})
+    cfg = load_config(args.config) if args.config else SystemConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.trials is not None:
@@ -258,15 +216,12 @@ def _run(cmd: Command, args) -> int:
     if cfg.trials is None and cmd.trials is not None:
         cfg = replace(cfg, trials=cmd.trials)
 
-    out = cmd.compute(cfg, extras, args.jobs)
+    out = cmd.compute(cfg, args.jobs)
     lines = verdict_lines(out.gates) + out.lines
     for line in lines:
         print(line)
     if args.out:
-        extras_out = dict(extras)
-        for key, value in out.extras.items():
-            extras_out.setdefault(key, value)
-        report(out.tables, args.out, cmd.manifest, out.cfg, cmd.name, extras_out, out.meta, lines)
+        report(out.tables, args.out, cmd.manifest, out.cfg, cmd.name, cmd.section, out.meta, lines)
     return 0 if all(g.passed for g in out.gates) else 1
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -90,6 +90,42 @@ class TrainConfig:
             raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
 
 
+# One section per command, set by '<section>.<name>' keys and held by SystemConfig.
+
+
+@dataclass(frozen=True)
+class VerifyXiConfig:
+    rhos: tuple[float, ...] = (0.5, 0.8, 0.95, 1.0)   # every rho against every gamma_th
+    gammas: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0)
+
+
+@dataclass(frozen=True)
+class VerifyPdfConfig:
+    t_range: tuple[float, ...] = (-3.0, 3.0)          # t = ln of the gain ratio
+    gamma_range: tuple[float, ...] = (-4.0, -0.1)     # gamma = ln |h_hat|^2
+    bins: int = 40
+    tail_gamma: float = 1.0   # threshold of the conditional-second-moment check
+
+
+@dataclass(frozen=True)
+class VerifyDivergenceConfig:
+    k_scan: bool = True       # run the O(1/K^2) scan over the device count K
+    scan_trials: int = 4000
+    scan_ks: tuple[int, ...] = (5, 10, 20, 40)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    gammas: tuple[float, ...] = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.5, 3.0)
+    modes: tuple[str, ...] | None = None   # None -> every mode that applies at this rho
+    seeds: int = 3            # repetition seeds per cell
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    mode: str = "aircomp"     # train's aggregation: aircomp | ideal
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Full experiment description; defaults follow the reference setup
@@ -109,6 +145,11 @@ class SystemConfig:
     seed: int = 2026
     trials: int | None = None          # per-command default when None
     train: TrainConfig = field(default_factory=TrainConfig)
+    verify_xi: VerifyXiConfig = field(default_factory=VerifyXiConfig)
+    verify_pdf: VerifyPdfConfig = field(default_factory=VerifyPdfConfig)
+    verify_divergence: VerifyDivergenceConfig = field(default_factory=VerifyDivergenceConfig)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    run: RunConfig = field(default_factory=RunConfig)
 
     def __post_init__(self) -> None:
         if self.k_devices < 1:
@@ -262,90 +303,89 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
+_TUPLE_RE = re.compile(r"tuple\[(\w+), \.\.\.\]")
+_READERS = {"int": (int, "an integer"), "bool": ({"1": True, "0": False}.__getitem__, "1 or 0")}
+
+
 def _parse_field(key: str, annotation: str, value: str) -> object:
     """The text of config key `key` as its field's annotation reads it.
 
     A str field takes the text; a field that also admits a str takes the
     word 'optimize' or a 'uniform(...)' range; 'float | None' (g_bound)
-    reads 'calibrate' as None.  Other text parses as the annotation's int
-    or float, or as comma-separated floats for a tuple.
+    reads 'calibrate' as None; a bool reads 1 or 0.  A tuple reads a comma
+    list, each item as the tuple's element type; other text parses as the
+    annotation's int or float.
     """
-    if annotation == "str" or ("str" in annotation and (value == "optimize" or value.startswith("uniform"))):
+    symbolic = value == "optimize" or value.startswith("uniform")
+    if annotation == "str" or (symbolic and "str" in annotation.split(" | ")):
         return value
     if annotation == "float | None" and value == "calibrate":
         return None
-    number, expected = (int, "an integer") if annotation.startswith("int") else (float, "a number")
+    element = _TUPLE_RE.search(annotation)
+    if element:
+        return tuple(_parse_field(key, element.group(1), v.strip()) for v in value.split(","))
+    read, expected = _READERS.get(annotation.split(" | ")[0], (float, "a number"))
     try:
-        return tuple(float(v) for v in value.split(",")) if "tuple" in annotation else number(value)
-    except ValueError as exc:
+        return read(value)
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"config key {key!r}: expected {expected}, got {value!r}") from exc
 
 
-_SYS_FIELDS = {f.name: f.type for f in fields(SystemConfig) if f.name != "train"}
-_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+# section prefix -> its dataclass (None holds the bare keys), and each one's key schema
+_SECTIONS = {None: SystemConfig} | {
+    f.name: f.default_factory for f in fields(SystemConfig) if f.default_factory is not MISSING
+}
+_SCHEMAS = {s: {f.name: f.type for f in fields(cls) if f.default_factory is MISSING} for s, cls in _SECTIONS.items()}
 
 
-def config_from_kv(kv: dict[str, str]) -> tuple[SystemConfig, dict[str, str]]:
+def config_from_kv(kv: dict[str, str]) -> SystemConfig:
     """Build a SystemConfig from parsed keys.
 
-    A bare key is a SystemConfig field and 'train.<name>' a TrainConfig
-    field, each parsed by its annotation.  Unknown dotted keys (e.g.
-    'verify_xi.rho_grid') are returned as extras for command-specific
-    parameters; unknown bare keys are rejected, and so is a 'train.' key
-    that names a SystemConfig field, such as 'train.eta'.
+    A bare key is a SystemConfig field and '<section>.<name>' a field of
+    the section SystemConfig holds under that name ('train' or a
+    command's, such as 'verify_xi'), each parsed by its annotation.
+    Every other key is rejected.
     """
-    sys_kwargs: dict[str, object] = {}
-    train_kwargs: dict[str, object] = {}
-    extras: dict[str, str] = {}
+    kwargs: dict[str | None, dict[str, object]] = {section: {} for section in _SECTIONS}
     for key, value in kv.items():
-        name = key.removeprefix("train.")
-        schema, kwargs = (_SYS_FIELDS, sys_kwargs) if name == key else (_TRAIN_FIELDS, train_kwargs)
-        if name in schema:
-            kwargs[name] = _parse_field(key, schema[name], value)
-        elif name != key and name in _SYS_FIELDS:
-            raise ValueError(f"set top-level {name!r} instead of {key!r}")
-        elif name == key and "." in key:
-            extras[key] = value
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return SystemConfig(train=TrainConfig(**train_kwargs), **sys_kwargs), extras
+        section, name = key.rsplit(".", 1) if "." in key else (None, key)
+        schema = _SCHEMAS.get(section, {})
+        if name not in schema:
+            hint = f"; {name!r} is a top-level key" if section is not None and name in _SCHEMAS[None] else ""
+            raise ValueError(f"unknown config key {key!r}{hint}")
+        kwargs[section][name] = _parse_field(key, schema[name], value)
+    bare = kwargs.pop(None)
+    return SystemConfig(**bare, **{section: _SECTIONS[section](**kw) for section, kw in kwargs.items()})
 
 
-def load_config(path: str) -> tuple[SystemConfig, dict[str, str]]:
+def load_config(path: str) -> SystemConfig:
     """Load a config or manifest file (same format) from disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_kv(parse_kv_text(fh.read()))
 
 
 def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def config_to_kv(cfg: SystemConfig, extras: dict[str, str] | None = None) -> list[tuple[str, str]]:
-    """Serialize a config to ordered key/value pairs (field order, then
-    train.* fields, then sorted extras).  Floats use repr so a round trip
-    through text is bit-exact."""
-    pairs: list[tuple[str, str]] = []
-    for f in fields(SystemConfig):
-        if f.name == "train":
-            continue
-        value = getattr(cfg, f.name)
-        if f.name == "distances" and not isinstance(value, str):
-            pairs.append((f.name, ",".join(repr(d) for d in value)))
-        elif f.name == "g_bound":
-            pairs.append((f.name, "calibrate" if value is None else repr(value)))
-        elif f.name == "trials":
-            if value is not None:
-                pairs.append((f.name, str(value)))
-        else:
-            pairs.append((f.name, _fmt(value)))
-    for f in fields(TrainConfig):
-        pairs.append((f"train.{f.name}", _fmt(getattr(cfg.train, f.name))))
-    for key in sorted(extras or {}):
-        pairs.append((key, extras[key]))
-    return pairs
+def config_to_kv(cfg: SystemConfig, section: str | None = None) -> list[tuple[str, str]]:
+    """Serialize a config to ordered key/value pairs: the bare fields and
+    the train.* fields in field order, then the named command section's
+    fields sorted by key.  Floats use repr, tuples are comma lists and
+    bools 1 or 0, so a round trip through text is bit-exact.  A None is
+    written as 'calibrate' in a 'float | None' field and omitted elsewhere."""
+
+    def pairs(obj, prefix: str) -> list[tuple[str, str]]:
+        plain = [(f, getattr(obj, f.name)) for f in fields(obj) if f.default_factory is MISSING]
+        return [(prefix + f.name, "calibrate" if value is None else _fmt(value))
+                for f, value in plain if value is not None or f.type == "float | None"]
+
+    tail = sorted(pairs(getattr(cfg, section), f"{section}.")) if section else []
+    return pairs(cfg, "") + pairs(cfg.train, "train.") + tail
 
 
 def resolved_to_config(exp: ResolvedExperiment, g_bound: float | None = None) -> SystemConfig:

@@ -98,7 +98,7 @@ class TrainingTrace:
     skipped: np.ndarray         # (M,) bool
     mode: str
     gamma_th: float | None
-    g_bound: float | None
+    g_bound: float | None       # the largest G power control used; None in ideal mode
     draws: SeedDraws = field(repr=False)
     _records: list[RoundRecord] | None = field(default=None, init=False, repr=False)
 
@@ -343,8 +343,9 @@ def _zetas(exps, power: PowerConfig, g_bounds) -> np.ndarray:
 
 def _air_round(grads, exps, cells: _Cells, draws: SeedDraws, power: PowerConfig, round_index: int):
     """Every cell's over-the-air aggregation of grads (C, K, d) in one
-    aggregate_batch call: g_hat (C, d), active counts and skip flags (C,).
-    Genie power control sets a cell's G to its largest gradient norm."""
+    aggregate_batch call: g_hat (C, d), active counts and skip flags (C,),
+    and the G each cell's power control used.  Genie power control sets a
+    cell's G to its largest gradient norm."""
     if exps[0].cfg.g_mode == "genie":
         g_now = [max_grad_norm(cell) for cell in grads]
         if min(g_now) == 0.0:
@@ -357,7 +358,7 @@ def _air_round(grads, exps, cells: _Cells, draws: SeedDraws, power: PowerConfig,
     channels = draws.channels(round_index)
     _, active, sent, g_hat = aggregate_batch(grads, channels.h, channels.h_hat, cells.gamma_th, cells.lam, noise)
     _assert_power_feasible(grads, channels, active, cells, power.p_max)
-    return g_hat, active.sum(axis=1), ~sent
+    return g_hat, active.sum(axis=1), ~sent, cells.g_bound
 
 
 def _sent_power(grads: np.ndarray, channels: ChannelArrays, cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
@@ -559,6 +560,7 @@ def train_cells(
     spread = np.empty((n_cells, n_rounds))
     active = np.empty((n_cells, n_rounds), dtype=int)
     skipped = np.zeros((n_cells, n_rounds), dtype=bool)
+    g_used = np.zeros((n_cells, 1))  # the largest G each cell's power control used
     for m in range(n_rounds):
         grads = round_gradients(weights, draws, m)
         g_ideal = ideal_aggregate(grads.swapaxes(0, 1))  # (C, d), in device order
@@ -566,7 +568,8 @@ def train_cells(
         if mode == "ideal":
             g_hat, active[:, m] = g_ideal, k_devices
         else:
-            g_hat, active[:, m], skipped[:, m] = _air_round(grads, exps, cells, draws, power, m)
+            g_hat, active[:, m], skipped[:, m], g_now = _air_round(grads, exps, cells, draws, power, m)
+            g_used = np.maximum(g_used, g_now)
         weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, exp.cfg.eta))
         divergence[:, m] = [float(r @ r) for r in g_hat - g_ideal]
         history[:, m] = weights
@@ -582,7 +585,7 @@ def train_cells(
             skipped=skipped[c],
             mode=mode,
             gamma_th=cell.gamma_th if mode == "aircomp" else None,
-            g_bound=g_bound,
+            g_bound=float(g_used[c, 0]) if mode == "aircomp" else None,
             draws=draws,
         )
         for c, cell in enumerate(exps)

@@ -1122,13 +1122,13 @@ def _git_blob_sha1(data: bytes) -> str:
 def write_manifest(
     path: Path,
     cfg: SystemConfig,
-    extras: dict[str, str],
+    section: str | None,
     command: str,
     csv_paths: list[Path],
     meta: dict[str, object],
     notes=(),
 ) -> None:
-    kv = config_to_kv(cfg, extras)
+    kv = config_to_kv(cfg, section)
     body = "".join(f"{k} = {v}\n" for k, v in kv)
     lines = [
         "# run manifest: the key=value body below replays this run verbatim",
@@ -1153,7 +1153,7 @@ def report(
     name: str,
     cfg: SystemConfig,
     command: str,
-    extras: dict[str, str] | None = None,
+    section: str | None = None,
     meta: dict[str, object] | None = None,
     notes=(),
 ) -> dict[str, Path]:
@@ -1161,7 +1161,8 @@ def report(
 
     tables maps a CSV stem to a SweepResult or, for a deterministic table,
     a plain (columns, rows) pair.  The manifest's key=value body is a
-    loadable config that replays the run bit-identically; its comment lines
+    loadable config, with the named config section last, that replays the
+    run bit-identically; its comment lines
     record the command, a git-style blob hash of the config body and of
     each CSV, the meta summaries, and any caller notes (gate verdicts, for
     instance).  Returns the path of each CSV by stem, and of the manifest
@@ -1177,6 +1178,6 @@ def report(
         paths[stem] = out / f"{stem}.csv"
         write_csv(paths[stem], columns, rows)
     manifest_path = out / f"{name}_manifest.txt"
-    write_manifest(manifest_path, cfg, extras or {}, command, list(paths.values()), meta or {}, notes)
+    write_manifest(manifest_path, cfg, section, command, list(paths.values()), meta or {}, notes)
     paths["manifest"] = manifest_path
     return paths

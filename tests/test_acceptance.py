@@ -17,7 +17,15 @@ import conftest
 import oracles
 from airfl.analysis import conditional_second_moment, xi_mean_offset
 from airfl.cli import main as cli_main
-from airfl.config import SystemConfig, TrainConfig, config_to_kv, resolve
+from airfl.config import (
+    SystemConfig,
+    TrainConfig,
+    VerifyDivergenceConfig,
+    VerifyPdfConfig,
+    VerifyXiConfig,
+    config_to_kv,
+    resolve,
+)
 from airfl.fltrain import SeedDraws, train_cells
 from airfl.harness import (
     Gate,
@@ -307,8 +315,8 @@ def test_criterion_09_training_trend():
     )
 
 
-def _write_cfg(path, cfg, extras=None):
-    pairs = config_to_kv(cfg, extras or {})
+def _write_cfg(path, cfg, section=None):
+    pairs = config_to_kv(cfg, section)
     path.write_text("\n".join(f"{k} = {v}" for k, v in pairs) + "\n")
     return str(path)
 
@@ -322,9 +330,7 @@ def test_criterion_10_manifest_replay(tmp_path):
     matches = []
 
     f = _write_cfg(
-        tmp_path / "xi.cfg",
-        SystemConfig(),
-        {"verify_xi.rhos": "0.8", "verify_xi.gammas": "0.5"},
+        tmp_path / "xi.cfg", SystemConfig(verify_xi=VerifyXiConfig(rhos=(0.8,), gammas=(0.5,))), "verify_xi"
     )
     _run(["verify-xi", "--config", f, "--trials", "100000", "--out", str(tmp_path / "xi1")])
     _run(
@@ -344,15 +350,8 @@ def test_criterion_10_manifest_replay(tmp_path):
         )
     )
 
-    f = _write_cfg(
-        tmp_path / "pdf.cfg",
-        SystemConfig(),
-        {
-            "verify_pdf.t_range": "-2.0,2.0",
-            "verify_pdf.gamma_range": "-2.0,-0.2",
-            "verify_pdf.bins": "8",
-        },
-    )
+    pdf = VerifyPdfConfig(t_range=(-2.0, 2.0), gamma_range=(-2.0, -0.2), bins=8)
+    f = _write_cfg(tmp_path / "pdf.cfg", SystemConfig(verify_pdf=pdf), "verify_pdf")
     _run(["verify-pdf", "--config", f, "--trials", "1000000", "--out", str(tmp_path / "pdf1")])
     _run(
         [
@@ -374,10 +373,11 @@ def test_criterion_10_manifest_replay(tmp_path):
     small_train = TrainConfig(
         batch_size=8, data_per_device=40, n_features=5, test_size=100, rounds_m=5
     )
+    scan = VerifyDivergenceConfig(scan_trials=1000, scan_ks=(5, 10))
     f = _write_cfg(
         tmp_path / "div.cfg",
-        SystemConfig(k_devices=5, g_bound=2.0, train=small_train),
-        {"verify_divergence.scan_trials": "1000", "verify_divergence.scan_ks": "5,10"},
+        SystemConfig(k_devices=5, g_bound=2.0, train=small_train, verify_divergence=scan),
+        "verify_divergence",
     )
     _run(
         [

@@ -12,7 +12,15 @@ import airfl.channel
 import airfl.cli
 import airfl.fltrain
 from airfl.cli import main
-from airfl.config import SystemConfig, TrainConfig, config_to_kv
+from airfl.config import (
+    RunConfig,
+    SystemConfig,
+    TrainConfig,
+    VerifyDivergenceConfig,
+    VerifyPdfConfig,
+    VerifyXiConfig,
+    config_to_kv,
+)
 from oracles import read_sweep_csv
 
 SMALL_TRAIN = TrainConfig(
@@ -25,8 +33,11 @@ SMALL_TRAIN = TrainConfig(
 )
 
 
-def write_cfg(path, cfg, extras=None):
-    pairs = config_to_kv(cfg, extras or {})
+NO_SCAN = VerifyDivergenceConfig(k_scan=False)
+
+
+def write_cfg(path, cfg, section=None):
+    pairs = config_to_kv(cfg, section)
     path.write_text("\n".join(f"{k} = {v}" for k, v in pairs) + "\n")
     return str(path)
 
@@ -85,6 +96,25 @@ class TestParsing:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "text, key",
+        [("verify_xi.rho = 0.5", "verify_xi.rho"),  # misspelled: the key is rhos
+         ("verify_pdf.bins = forty", "verify_pdf.bins"),
+         ("sweep.seeds = 3.5", "sweep.seeds"),
+         ("verify_divergence.k_scan = off", "verify_divergence.k_scan"),  # only 1 or 0
+         ("verify_xi.rhos =", "verify_xi.rhos")],
+    )
+    def test_bad_section_key_is_a_config_error(self, tmp_path, capsys, text, key):
+        # checked when the config loads, by every command, whichever section it reads
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text + "\n")
+        rc = main(["optimize-threshold", "--config", str(cfg_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and repr(key) in lines[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "key, value",
         [("sigma2_dbm", "4000"), ("alpha", "400"), ("rho", "1e-200"), ("sigma2_dbm", "3100"),
          ("train.blob_separation", "1e300")],
@@ -102,8 +132,8 @@ class TestVerifyXi:
     def test_single_cell_gate_and_replay(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path / "xi.cfg",
-            SystemConfig(train=SMALL_TRAIN),
-            {"verify_xi.rhos": "1.0", "verify_xi.gammas": "0.5"},
+            SystemConfig(train=SMALL_TRAIN, verify_xi=VerifyXiConfig(rhos=(1.0,), gammas=(0.5,))),
+            "verify_xi",
         )
         out1 = tmp_path / "run1"
         rc = main(
@@ -129,16 +159,8 @@ class TestVerifyXi:
 
 class TestVerifyPdf:
     def test_empty_tail_fails_the_moment_gate(self, tmp_path, capsys):
-        cfg_path = write_cfg(
-            tmp_path / "pdf.cfg",
-            SystemConfig(),
-            {
-                "verify_pdf.t_range": "-2.0,2.0",
-                "verify_pdf.gamma_range": "-2.0,-0.2",
-                "verify_pdf.bins": "2",
-                "verify_pdf.tail_gamma": "25",
-            },
-        )
+        pdf = VerifyPdfConfig(t_range=(-2.0, 2.0), gamma_range=(-2.0, -0.2), bins=2, tail_gamma=25.0)
+        cfg_path = write_cfg(tmp_path / "pdf.cfg", SystemConfig(verify_pdf=pdf), "verify_pdf")
         out = tmp_path / "run"
         rc = main(["verify-pdf", "--config", cfg_path, "--trials", "1000000", "--out", str(out)])
         assert rc == 1
@@ -157,8 +179,9 @@ class TestVerifyDivergence:
         # skipped rounds add no noise, and the exact expectation says so
         cfg_path = write_cfg(
             tmp_path / "div.cfg",
-            SystemConfig(k_devices=3, gamma_th=gamma, sigma2_dbm=-20.0, train=SMALL_TRAIN),
-            {"verify_divergence.k_scan": "0"},
+            SystemConfig(k_devices=3, gamma_th=gamma, sigma2_dbm=-20.0, train=SMALL_TRAIN,
+                         verify_divergence=NO_SCAN),
+            "verify_divergence",
         )
         rc = main(["verify-divergence", "--config", cfg_path, "--trials", "4000"])
         printed = capsys.readouterr().out
@@ -181,8 +204,8 @@ class TestVerifyDivergence:
     def test_gate_and_replay(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path / "div.cfg",
-            SystemConfig(k_devices=3, g_bound=2.0, train=SMALL_TRAIN),
-            {"verify_divergence.k_scan": "0"},
+            SystemConfig(k_devices=3, g_bound=2.0, train=SMALL_TRAIN, verify_divergence=NO_SCAN),
+            "verify_divergence",
         )
         out1 = tmp_path / "run1"
         rc = main(
@@ -274,7 +297,7 @@ class TestTrain:
             monkeypatch.setattr(airfl.fltrain, name, wrapper)
 
         cfg_path = write_cfg(
-            tmp_path / "train.cfg", SystemConfig(k_devices=3, train=SMALL_TRAIN), {"run.mode": mode}
+            tmp_path / "train.cfg", SystemConfig(k_devices=3, train=SMALL_TRAIN, run=RunConfig(mode)), "run"
         )
         counting("build_devices")
         counting("calibrate_g_bound")
@@ -293,11 +316,20 @@ class TestTrain:
         for name in ("train_trace.csv", "train_manifest.txt"):
             assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
+    def test_genie_pins_the_g_it_used_and_replays(self, tmp_path, capsys):
+        cfg = SystemConfig(k_devices=3, g_mode="genie", train=SMALL_TRAIN)
+        g_used = airfl.fltrain.train(cfg).g_bound
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        assert main(["train", "--config", write_cfg(tmp_path / "genie.cfg", cfg), "--out", str(out1)]) == 0
+        assert f"g_bound = {g_used!r}\n" in capsys.readouterr().out
+        manifest = out1 / "train_manifest.txt"
+        assert f"\ng_bound = {g_used!r}\n" in manifest.read_text()
+        assert main(["train", "--config", str(manifest), "--out", str(out2)]) == 0
+        assert (out2 / "train_trace.csv").read_bytes() == (out1 / "train_trace.csv").read_bytes()
+
     def test_ideal_mode_via_extras(self, tmp_path, capsys):
         cfg_path = write_cfg(
-            tmp_path / "ideal.cfg",
-            SystemConfig(k_devices=3, train=SMALL_TRAIN),
-            {"run.mode": "ideal"},
+            tmp_path / "ideal.cfg", SystemConfig(k_devices=3, train=SMALL_TRAIN, run=RunConfig("ideal")), "run"
         )
         rc = main(["train", "--config", cfg_path])
         assert rc == 0
@@ -337,13 +369,14 @@ _CFG_VALUES = {
     "train.blob_separation": ["2.5", "1e300"],
     "verify_xi.rhos": ["0.8", "1.0,0.5", ",", "abc", "2"],
     "verify_xi.gammas": ["0.5", "1e-300", "700", "-1"],
-    "verify_divergence.k_scan": ["0", "1", "maybe"],
+    "verify_divergence.k_scan": ["0", "1", "maybe", "off"],
     "verify_divergence.scan_ks": ["2,3", "0,1", "-1,2", "3", "x"],
     "verify_divergence.scan_trials": ["1000", "10", "x"],
     "sweep.modes": ["communication_oriented", "joint", "bogus"],
     "sweep.seeds": ["3", "2", "x"],
     "sweep.gammas": ["0.1", "800,1,2,3,4,5,6,7"],
     "run.mode": ["aircomp", "ideal", "other"],
+    "verify_xi.rho": ["0.5"],  # misspelled: the key is rhos
 }
 # per command, trial counts below, at and just above its minimum
 _TRIALS = {

@@ -1,15 +1,22 @@
 """Config dataclasses, key=value files, and symbolic-field resolution."""
 
 import math
-from dataclasses import fields, replace
+import re
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
 from airfl.config import (
     STREAM_DISTANCES,
     ResolvedExperiment,
+    RunConfig,
+    SweepConfig,
     SystemConfig,
     TrainConfig,
+    VerifyDivergenceConfig,
+    VerifyPdfConfig,
+    VerifyXiConfig,
     config_from_kv,
     config_to_kv,
     load_config,
@@ -184,7 +191,7 @@ class TestKvParsing:
 
 class TestConfigFromKv:
     def test_typed_fields(self):
-        cfg, extras = config_from_kv(
+        cfg = config_from_kv(
             {
                 "k_devices": "4",
                 "rho": "0.95",
@@ -195,6 +202,8 @@ class TestConfigFromKv:
                 "train.rounds_m": "50",
                 "train.task": "small_mlp",
                 "verify_xi.rhos": "1.0",
+                "verify_divergence.k_scan": "0",
+                "sweep.modes": "joint, fixed",
             }
         )
         assert cfg.k_devices == 4
@@ -205,10 +214,12 @@ class TestConfigFromKv:
         assert cfg.g_mode == "genie"
         assert cfg.train.rounds_m == 50
         assert cfg.train.task == "small_mlp"
-        assert extras == {"verify_xi.rhos": "1.0"}
+        assert cfg.verify_xi == VerifyXiConfig(rhos=(1.0,))
+        assert cfg.verify_divergence.k_scan is False
+        assert cfg.sweep.modes == ("joint", "fixed")
 
     def test_numeric_gamma_and_g_bound(self):
-        cfg, _ = config_from_kv({"gamma_th": "0.25", "g_bound": "1.5"})
+        cfg = config_from_kv({"gamma_th": "0.25", "g_bound": "1.5"})
         assert cfg.gamma_th == 0.25
         assert cfg.g_bound == 1.5
 
@@ -236,35 +247,44 @@ class TestRoundTrip:
     def test_default_config_round_trips(self):
         cfg = SystemConfig()
         text = kv_text(config_to_kv(cfg))
-        back, extras = config_from_kv(parse_kv_text(text))
-        assert back == cfg
-        assert extras == {}
+        assert config_from_kv(parse_kv_text(text)) == cfg
 
     def test_resolved_config_round_trips_bit_exactly(self):
         exp = resolve(SystemConfig(gamma_th="optimize", seed=11))
         pinned = resolved_to_config(exp, g_bound=0.9968578402352466)
-        text = kv_text(config_to_kv(pinned, {"run.mode": "aircomp"}))
-        back, extras = config_from_kv(parse_kv_text(text))
+        text = kv_text(config_to_kv(pinned, "run"))
+        assert "run.mode = aircomp" in text
+        back = config_from_kv(parse_kv_text(text))
         assert back == pinned
         assert back.distances == exp.distances
         assert back.gamma_th == exp.gamma_th
-        assert extras == {"run.mode": "aircomp"}
 
     @pytest.mark.parametrize("symbolic", [False, True])
     def test_every_field_round_trips_at_a_non_default_value(self, symbolic):
         train = TrainConfig(task="small_mlp", batch_size=8, rounds_m=7, data_per_device=40, n_features=3,
                             test_size=20, blob_separation=1.5, label_skew=0.25, hidden_units=5)
+        sections = {
+            "verify_xi": VerifyXiConfig(rhos=(0.3, 1 / 3), gammas=(2.5,)),
+            "verify_pdf": VerifyPdfConfig(t_range=(-2.0, 1.5), gamma_range=(-3.0, -0.2), bins=8, tail_gamma=0.1),
+            "verify_divergence": VerifyDivergenceConfig(k_scan=False, scan_trials=1000, scan_ks=(2, 3)),
+            "sweep": SweepConfig(gammas=(0.1, 0.7), modes=("fixed", "joint"), seeds=4),
+            "run": RunConfig(mode="ideal"),
+        }
         cfg = SystemConfig(k_devices=3, rho=0.9, gamma_th=0.7, alpha=3.1, p_max=0.2, sigma2_dbm=-50.5,
                            eta=0.01, distances=(10.0, 20.5, 1 / 3), g_bound=1.5, g_mode="fixed", seed=5,
-                           trials=1234, train=train)
+                           trials=1234, train=train, **sections)
         if symbolic:
             cfg = replace(cfg, gamma_th="optimize", distances="uniform(5,100]", g_mode="genie")
-        for obj, default in ((cfg, SystemConfig()), (train, TrainConfig())):
+        defaults = SystemConfig()
+        nested = [f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))]
+        for obj, default in [(cfg, defaults)] + [(getattr(cfg, n), getattr(defaults, n)) for n in nested]:
             for f in fields(obj):
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
-        back, extras = config_from_kv(parse_kv_text(kv_text(config_to_kv(cfg))))
-        assert back == cfg
-        assert extras == {}
+        # the bare and train.* keys, plus one command section per pass
+        for section in sections:
+            back = config_from_kv(parse_kv_text(kv_text(config_to_kv(cfg, section))))
+            assert back == replace(defaults, **{f.name: getattr(cfg, f.name) for f in fields(cfg)
+                                                if f.name not in sections or f.name == section})
 
     def test_trials_omitted_when_unset(self):
         keys = [k for k, _ in config_to_kv(SystemConfig())]
@@ -283,18 +303,46 @@ class TestRoundTrip:
         assert "train.task" in keys
 
     def test_extras_sorted_last(self):
-        pairs = config_to_kv(SystemConfig(), {"z.last": "1", "a.first": "2"})
-        tail = [k for k, _ in pairs[-2:]]
-        assert tail == ["a.first", "z.last"]
+        # only the named command's section is written: last, sorted by key
+        pairs = config_to_kv(SystemConfig(), "verify_pdf")
+        tail = [k for k, _ in pairs[-4:]]
+        assert tail == ["verify_pdf.bins", "verify_pdf.gamma_range", "verify_pdf.t_range", "verify_pdf.tail_gamma"]
+        assert [k for k, _ in pairs if "verify" in k] == tail
+        assert not any(k.startswith("verify_") for k, _ in config_to_kv(SystemConfig()))
+
+    def test_section_values_are_written_canonically(self):
+        cfg = config_from_kv({"verify_xi.rhos": "1", "verify_divergence.k_scan": "0"})
+        assert dict(config_to_kv(cfg, "verify_xi"))["verify_xi.rhos"] == "1.0"
+        assert dict(config_to_kv(cfg, "verify_divergence"))["verify_divergence.k_scan"] == "0"
+        # unset modes (every mode that applies) are left out
+        assert not any(k.startswith("sweep.modes") for k, _ in config_to_kv(cfg, "sweep"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sweep.gammas", "0.1,,0.2"), ("verify_divergence.scan_ks", "5,10.5"),
+         ("verify_divergence.k_scan", "true"), ("run", "ideal"), ("verify_xi.rhos.x", "1")],
+    )
+    def test_rejects_bad_section_keys(self, key, value):
+        # more cases of tests/test_cli.py::TestParsing::test_bad_section_key_is_a_config_error
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            config_from_kv({key: value})
 
 
 class TestLoadAndReplay:
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(kv_text(config_to_kv(SystemConfig(k_devices=3, seed=5))))
-        cfg, extras = load_config(str(path))
-        assert cfg == SystemConfig(k_devices=3, seed=5)
-        assert extras == {}
+        assert load_config(str(path)) == SystemConfig(k_devices=3, seed=5)
+
+    def test_readme_config_block_is_the_default(self):
+        # the documented defaults are the schema's: the README's config block
+        # (every bare, train.* and command key) loads as SystemConfig()
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = text.split("### Configuration", 1)[1].split("```\n", 2)[1]
+        kv = parse_kv_text(block)
+        assert config_from_kv(kv) == SystemConfig()
+        sections = {f.name for f in fields(SystemConfig) if is_dataclass(getattr(SystemConfig(), f.name))}
+        assert {k.split(".")[0] for k in kv if "." in k} == sections
 
     def test_replay_reproduces_the_resolution(self):
         exp = resolve(SystemConfig(gamma_th="optimize", seed=42))

@@ -318,6 +318,18 @@ class TestTraining:
         trace = train(small_cfg(g_mode="genie"), mode="aircomp")
         assert len(trace.records) == 4
 
+    def test_genie_reports_the_largest_g_it_used(self):
+        # genie power control sizes zeta from each round's largest gradient
+        # norm; the trace reports the largest of those, not the calibrated bound
+        cfg = small_cfg(g_mode="genie", train=replace(SMALL_TRAIN, rounds_m=12))
+        draws = SeedDraws(cfg)
+        trace = train(cfg, mode="aircomp", draws=draws)
+        w0 = draws.task.init_params(substream(cfg.seed, STREAM_INIT))
+        used = [max(float(np.linalg.norm(g)) for g in round_gradients(w, draws, m))
+                for m, w in enumerate([w0, *trace.weights[:-1]])]
+        assert trace.g_bound == max(used)
+        assert trace.g_bound != draws.calibrated_g_bound()
+
     def test_fixed_mode_requires_bound(self):
         with pytest.raises(ValueError, match="g_bound"):
             train(small_cfg(g_mode="fixed"), mode="aircomp")

@@ -17,8 +17,10 @@ from airfl.config import (
     STREAM_MC_DIVERGENCE,
     STREAM_MC_JOINT,
     STREAM_MC_XI,
+    SweepConfig,
     SystemConfig,
     TrainConfig,
+    VerifyXiConfig,
     load_config,
 )
 from airfl.harness import (
@@ -847,14 +849,14 @@ class TestCsvAndManifest:
 
     def test_report_writes_csv_and_replayable_manifest(self, tmp_path):
         res = SweepResult(columns=("x", "x_se"), rows=[(1.5, 0.25)], meta={"note": 7})
-        cfg = small_cfg()
+        cfg = small_cfg(verify_xi=VerifyXiConfig(rhos=(1.0,)), sweep=SweepConfig(seeds=4))
         paths = report(
             {"unit": res},
             tmp_path,
             "unit",
             cfg,
             command="verify-xi",
-            extras={"verify_xi.rhos": "1.0"},
+            section="verify_xi",
             meta=res.meta,
             notes=("gate: PASS",),
         )
@@ -867,9 +869,10 @@ class TestCsvAndManifest:
         assert "# gate: PASS" in text
 
         # the key=value body is itself a loadable config that replays the run
-        back, extras = load_config(str(paths["manifest"]))
-        assert back == cfg
-        assert extras == {"verify_xi.rhos": "1.0"}
+        # with the named section, not the others
+        assert load_config(str(paths["manifest"])) == replace(cfg, sweep=SweepConfig())
+        assert "verify_xi.rhos = 1.0\n" in text
+        assert "sweep.seeds" not in text
 
         # recorded hashes match the body and the emitted CSV
         body = "".join(
