@@ -106,18 +106,18 @@ def scaling_zeta(k_devices: int, rho: float, cfg: PowerConfig, gamma_th: float) 
         zeta = K * rho * sqrt(P_max * gamma_th) / (G * sqrt(d_max_alpha) * exp(gamma_th))
 
     With this choice an active device's instantaneous power never exceeds
-    P_max whenever its gradient norm stays within G.
+    P_max whenever its gradient norm stays within G.  The noise terms divide
+    by zeta^2, so a zeta whose square is not a normal double is refused.
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     gamma_th = check_positive("gamma_th", gamma_th)
     rho = check_rho(rho)
-    return (
-        k_devices
-        * rho
-        * math.sqrt(cfg.p_max * gamma_th)
-        / (cfg.g_bound * math.sqrt(cfg.d_max_alpha) * math.exp(gamma_th))
-    )
+    zeta = k_devices * rho * math.sqrt(cfg.p_max * gamma_th) / (cfg.g_bound * math.sqrt(cfg.d_max_alpha) * math.exp(gamma_th))
+    if not np.finfo(float).tiny <= zeta * zeta < math.inf:
+        raise ValueError(f"zeta = {zeta!r} at p_max = {cfg.p_max!r}, gamma_th = {gamma_th!r}, G = {cfg.g_bound!r} "
+                         f"and d_max^alpha = {cfg.d_max_alpha!r}: zeta^2 is not a normal double")
+    return zeta
 
 
 def effective_coefficients(

@@ -6,7 +6,7 @@ expression are drawn from their own stream, the noise power is converted from dB
 to watts, and a symbolic truncation threshold ("optimize") is replaced by
 the convex-objective minimizer.  A resolved experiment serializes back to
 the same key=value format, which is what run manifests are made of; loading
-a manifest therefore replays the run bit-identically.
+a manifest of this STREAM_LAYOUT therefore replays the run bit-identically.
 """
 
 from __future__ import annotations
@@ -32,6 +32,17 @@ STREAM_NOISE = 7
 STREAM_MC_XI = 8
 STREAM_MC_JOINT = 9
 STREAM_MC_DIVERGENCE = 10
+# which stream key each draw reads (2: one per divergence trial block and per
+# training purpose and round); manifests record it, and load_config checks it
+STREAM_LAYOUT = 2
+_MANIFEST_HEADER = "# run manifest:"
+_LAYOUT_RE = re.compile(r"^# env .*?\bstream_layout=(\S+)", re.MULTILINE)
+
+_RUN_MODES = ("aircomp", "ideal")
+_SWEEP_MODES = ("joint", "communication_oriented", "computation_oriented", "fixed")
+_MIN_TRIALS = 1_000       # divergence trials per Monte-Carlo estimate
+_MIN_SWEEP_GAMMAS = 8     # points of a threshold sweep's grid
+_MIN_SWEEP_SEEDS = 3      # repetition seeds per sweep cell
 
 _TASKS = ("synthetic_logistic", "small_mlp")
 _G_MODES = ("calibrated", "fixed", "genie")
@@ -46,6 +57,76 @@ def _finite(value) -> bool:
         return math.isfinite(value())
     except (OverflowError, ZeroDivisionError):
         return False
+
+
+def _is_rho(rho: float) -> bool:
+    """A CSI correlation in (0, 1] whose 1/rho^2 is a finite double."""
+    return 0.0 < rho <= 1.0 and _finite(lambda: 1.0 / (rho * rho))
+
+
+def _is_threshold(gamma: float) -> bool:
+    """A positive threshold whose e^(2 gamma) is a finite double."""
+    return 0.0 < gamma <= _MAX_GAMMA_TH
+
+
+def _is_window(pair: tuple[float, ...]) -> bool:
+    return len(pair) == 2 and all(map(math.isfinite, pair)) and pair[0] < pair[1]
+
+
+def _positive(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+_IN = f"in (0, {_MAX_GAMMA_TH:.2f}]"
+# key -> (check of its value, what the check asks): a bare key is a
+# SystemConfig field, '<section>.<name>' a field of that section.  Checks
+# that span several keys are in SystemConfig.__post_init__.
+_RULES = {
+    "k_devices": (lambda v: v >= 1, "expected at least 1 device"),
+    "rho": (_is_rho, "expected a value in (0, 1] with 1/rho^2 finite"),
+    "gamma_th": (lambda v: v == "optimize" if isinstance(v, str) else _is_threshold(v),
+                 f"expected 'optimize' or a threshold {_IN}, where e^(2 gamma_th) stays finite"),
+    "alpha": (_positive, "expected a positive finite value"),
+    "p_max": (_positive, "expected a positive finite value"),
+    "sigma2_dbm": (lambda v: math.isfinite(v) and _finite(lambda: dbm_to_watts(v)) and dbm_to_watts(v) > 0.0,
+                   "expected a noise power that is a positive finite double in watts"),
+    "eta": (_positive, "expected a positive finite value"),
+    "g_bound": (lambda v: v is None or (v > 0.0 and np.finfo(float).tiny <= v * v < math.inf),
+                "expected a positive value whose square is a finite normal double"),
+    "g_mode": (lambda v: v in _G_MODES, f"expected one of {_G_MODES}"),
+    "trials": (lambda v: v is None or v >= 1, "expected at least 1"),
+    "train.task": (lambda v: v in _TASKS, f"expected one of {_TASKS}"),
+    "train.batch_size": (lambda v: v >= 1, "expected at least 1"),
+    "train.rounds_m": (lambda v: v >= 1, "expected at least 1"),
+    "train.n_features": (lambda v: v >= 1, "expected at least 1"),
+    "train.test_size": (lambda v: v >= 2 and v % 2 == 0, "expected an even size of at least 2"),
+    "train.blob_separation": (lambda v: _positive(v) and _finite(lambda: v * v),
+                              "expected a positive value whose square, the scale of the squared norms, is finite"),
+    "train.label_skew": (lambda v: 0.0 <= v < 1.0, "expected a value in [0, 1)"),
+    "train.hidden_units": (lambda v: v >= 1, "expected at least 1"),
+    "verify_xi.rhos": (lambda v: all(map(_is_rho, v)), "each rho must lie in (0, 1] with 1/rho^2 finite"),
+    "verify_xi.gammas": (lambda v: all(map(_is_threshold, v)), f"each threshold must lie {_IN}"),
+    "verify_pdf.t_range": (_is_window, "expected two finite values lo < hi"),
+    "verify_pdf.gamma_range": (lambda v: _is_window(v) and v[1] <= 0.0, "expected two finite values lo < hi <= 0"),
+    "verify_pdf.bins": (lambda v: v >= 2, "expected at least 2 bins"),
+    "verify_pdf.tail_gamma": (_is_threshold, f"the threshold must lie {_IN}"),
+    "verify_divergence.scan_trials": (lambda v: v >= _MIN_TRIALS, f"expected at least {_MIN_TRIALS} trials"),
+    "verify_divergence.scan_ks": (lambda v: len(set(v)) >= 2 and min(v) >= 1,
+                                  "a slope needs at least two distinct fleet sizes, each >= 1"),
+    "sweep.gammas": (lambda v: len(v) >= _MIN_SWEEP_GAMMAS and all(map(_is_threshold, v)),
+                     f"expected at least {_MIN_SWEEP_GAMMAS} thresholds, each {_IN}"),
+    "sweep.modes": (lambda v: v is None or set(v) <= set(_SWEEP_MODES), f"each mode must be one of {_SWEEP_MODES}"),
+    "sweep.seeds": (lambda v: v >= _MIN_SWEEP_SEEDS, f"expected at least {_MIN_SWEEP_SEEDS} seeds"),
+    "run.mode": (lambda v: v in _RUN_MODES, f"expected one of {_RUN_MODES}"),
+}
+
+
+def _check(obj, prefix: str = "") -> None:
+    """Reject the first field of obj that fails its rule, naming its key."""
+    for f in fields(obj):
+        key, value = prefix + f.name, getattr(obj, f.name)
+        if key in _RULES and not _RULES[key][0](value):
+            raise ValueError(f"config key {key!r}: {_RULES[key][1]}, got {_fmt(value)}")
 
 
 @dataclass(frozen=True)
@@ -63,31 +144,11 @@ class TrainConfig:
     hidden_units: int = 16         # small_mlp hidden width
 
     def __post_init__(self) -> None:
-        if self.task not in _TASKS:
-            raise ValueError(f"task must be one of {_TASKS}, got {self.task!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.rounds_m < 1:
-            raise ValueError(f"rounds_m must be >= 1, got {self.rounds_m}")
+        _check(self, "train.")
         if self.data_per_device < self.batch_size:
             raise ValueError(
-                f"data_per_device ({self.data_per_device}) must cover one batch ({self.batch_size})"
+                f"train.data_per_device ({self.data_per_device}) must cover one batch ({self.batch_size})"
             )
-        if self.n_features < 1:
-            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
-        if self.test_size < 2 or self.test_size % 2 != 0:
-            raise ValueError(f"test_size must be even and >= 2, got {self.test_size}")
-        if not (self.blob_separation > 0.0 and math.isfinite(self.blob_separation)):
-            raise ValueError(f"blob_separation must be positive, got {self.blob_separation}")
-        if not _finite(lambda: self.blob_separation**2):
-            raise ValueError(
-                f"train.blob_separation = {self.blob_separation} overflows its square, "
-                "the scale of the squared feature and gradient norms"
-            )
-        if not (0.0 <= self.label_skew < 1.0):
-            raise ValueError(f"label_skew must lie in [0, 1), got {self.label_skew}")
-        if self.hidden_units < 1:
-            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
 
 
 # One section per command, set by '<section>.<name>' keys and held by SystemConfig.
@@ -152,31 +213,10 @@ class SystemConfig:
     run: RunConfig = field(default_factory=RunConfig)
 
     def __post_init__(self) -> None:
-        if self.k_devices < 1:
-            raise ValueError(f"k_devices must be >= 1, got {self.k_devices}")
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        if isinstance(self.gamma_th, str):
-            if self.gamma_th != "optimize":
-                raise ValueError(f"symbolic gamma_th must be 'optimize', got {self.gamma_th!r}")
-        elif not (self.gamma_th > 0.0 and math.isfinite(self.gamma_th)):
-            raise ValueError(f"gamma_th must be positive and finite, got {self.gamma_th}")
-        elif self.gamma_th > _MAX_GAMMA_TH:
-            raise ValueError(
-                f"gamma_th = {self.gamma_th} overflows e^(2 gamma_th); it must not exceed {_MAX_GAMMA_TH:.2f}"
-            )
-        if not _finite(lambda: 1.0 / (self.rho * self.rho)):
-            raise ValueError(f"rho = {self.rho} overflows 1/rho^2")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (self.p_max > 0.0 and math.isfinite(self.p_max)):
-            raise ValueError(f"p_max must be positive, got {self.p_max}")
-        if not math.isfinite(self.sigma2_dbm):
-            raise ValueError(f"sigma2_dbm must be finite, got {self.sigma2_dbm}")
-        if not _finite(lambda: dbm_to_watts(self.sigma2_dbm)):
-            raise ValueError(f"sigma2_dbm = {self.sigma2_dbm} overflows the noise power in watts")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        _check(self)
+        for f in fields(self):
+            if f.default_factory is not MISSING:
+                _check(getattr(self, f.name), f"{f.name}.")
         if isinstance(self.distances, str):
             match = _UNIFORM_RE.match(self.distances)
             if match is None:
@@ -185,7 +225,7 @@ class SystemConfig:
                 )
             lo, d_max = (float(g) for g in match.groups())
             if not (0.0 <= lo < d_max < math.inf):
-                raise ValueError(f"bad distance range ({lo}, {d_max}]")
+                raise ValueError(f"bad distances range ({lo}, {d_max}]")
         else:
             if len(self.distances) != self.k_devices:
                 raise ValueError(
@@ -206,14 +246,8 @@ class SystemConfig:
                 f"sigma2_dbm = {self.sigma2_dbm}, alpha = {self.alpha}, p_max = {self.p_max} and "
                 f"rho = {self.rho} overflow sigma2 * d_max**alpha / (2 p_max rho^2)"
             )
-        if self.g_bound is not None and not (self.g_bound > 0.0 and math.isfinite(self.g_bound)):
-            raise ValueError(f"g_bound must be positive, got {self.g_bound}")
-        if self.g_mode not in _G_MODES:
-            raise ValueError(f"g_mode must be one of {_G_MODES}, got {self.g_mode!r}")
         if self.g_mode == "fixed" and self.g_bound is None:
             raise ValueError("g_mode 'fixed' requires g_bound")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -359,9 +393,18 @@ def config_from_kv(kv: dict[str, str]) -> SystemConfig:
 
 
 def load_config(path: str) -> SystemConfig:
-    """Load a config or manifest file (same format) from disk."""
+    """Load a config or manifest file (same format) from disk.  A run
+    manifest must record this STREAM_LAYOUT on its '# env' line (none means
+    layout 1), or its run would not replay."""
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_kv(parse_kv_text(fh.read()))
+        text = fh.read()
+    if text.startswith(_MANIFEST_HEADER):
+        match = _LAYOUT_RE.search(text)
+        layout = match.group(1) if match else "1"
+        if layout != str(STREAM_LAYOUT):
+            raise ValueError(f"{path} records a run under stream layout {layout}, but this airfl "
+                             f"draws under stream layout {STREAM_LAYOUT}; that run cannot replay")
+    return config_from_kv(parse_kv_text(text))
 
 
 def _fmt(value: object) -> str:

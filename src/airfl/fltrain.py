@@ -9,31 +9,19 @@ skipped: the model is left untouched and the event is counted in the trace.
 Two desk-scale tasks are built in: a two-class Gaussian-blob logistic
 regression and a one-hidden-layer MLP on the same data.
 
-train_cells is the one training loop.  It trains the experiments that
-share a SeedDraws (runs that differ only in gamma_th) in lock-step, one
-array step per round for the whole group: one batch gather, one gradient
-call (broadcast stacked matmuls, each slice the same BLAS call as a
-per-device product, so every row equals the tests' per-device oracle bit
-for bit), one pass each for the ideal mean and the spread, and one
-aircomp.aggregate_batch call and one power check over every (cell,
-device) pair, on the round's one channel block and one noise draw.  Each
-cell's arithmetic is a single run's, in the same order, so its numbers do
-not depend on the group.  `train` is train_cells on a group of one.
+train_cells is the one training loop: it trains the runs that share a
+SeedDraws (they differ only in gamma_th) in lock-step, one array step per
+round for the group, each cell's arithmetic exactly a single run's.
+`train` is train_cells on a group of one.
 
 A trace keeps each round's weights and statistics; the training loss and
 test accuracy are evaluated only when they are read (all rounds for
 `records`, the last round alone for `final_accuracy`).
 
-Everything a run draws that depends only on the seed and the config (the
-device shards, the test set, each round's mini-batches and channel
-arrays, the receiver-noise stream states and the calibrated gradient
-bound) lives in a SeedDraws.  Runs that differ only in gamma_th can share
-one.  The stream states of every (round, device) batch and channel key,
-and of every round's noise key, are derived once per SeedDraws by
-channel.substream_states, per purpose in two blocks: the 10 warm-up
-rounds, then every later round.  One reused generator is reseeded to a
-state per draw, so each draw reads exactly the substream a private run
-would use and sharing changes no bit of any run.
+Everything a run draws that depends only on the seed and the config lives
+in a SeedDraws.  Under stream layout 2 round m reads one numpy stream per
+purpose, substream(seed, purpose, m), so a shared draw is exactly a private
+run's.
 """
 
 from __future__ import annotations
@@ -45,8 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .aircomp import PowerConfig, _gain, aggregate_batch, compensation_lambda, scaling_zeta
-from .channel import ChannelArrays, Reseeder, channel_from_normals, check_substream_states, substream, substream_states
+from .channel import ChannelArrays, channel_from_normals, substream
 from .config import (
+    _RUN_MODES,
     STREAM_BATCH,
     STREAM_CHANNEL,
     STREAM_DATA,
@@ -58,7 +47,6 @@ from .config import (
     resolve,
 )
 
-_MODES = ("aircomp", "ideal")
 _WARMUP_ROUNDS = 10
 _G_MARGIN = 1.1
 _SQRT2 = math.sqrt(2.0)
@@ -348,8 +336,9 @@ def _air_round(grads, exps, cells: _Cells, draws: SeedDraws, power: PowerConfig,
     cell's G to its largest gradient norm."""
     if exps[0].cfg.g_mode == "genie":
         g_now = [max_grad_norm(cell) for cell in grads]
-        if min(g_now) == 0.0:
-            raise RuntimeError("genie power control with all-zero gradients")
+        bad = [g for g in g_now if not 0.0 < g < math.inf]
+        if bad:
+            raise RuntimeError(f"g_mode = genie has no G in round {round_index}: a cell's largest gradient norm is {bad[0]!r}")
         cells = cells._replace(zeta=_zetas(exps, power, g_now), g_bound=np.array(g_now)[:, None])
     noise = None
     if power.sigma2 > 0.0:
@@ -397,10 +386,13 @@ def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
     task, exp = draws.task, draws.exp
     w = task.init_params(substream(exp.seed, STREAM_INIT))
     g_max = 0.0
-    for m in range(rounds):
-        grads = round_gradients(w, draws, m)
-        g_max = max(g_max, max_grad_norm(grads))
-        w = global_update(w, ideal_aggregate(grads), exp.cfg.eta)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging warm-up is reported below
+        for m in range(rounds):
+            grads = round_gradients(w, draws, m)
+            g_max = max(g_max, max_grad_norm(grads))
+            w = global_update(w, ideal_aggregate(grads), exp.cfg.eta)
+            if not (np.all(np.isfinite(grads)) and np.all(np.isfinite(w))):
+                raise ValueError(f"the calibration warm-up diverged in round {m} with eta = {exp.cfg.eta!r}")
     if g_max == 0.0:
         raise RuntimeError("warm-up saw only zero gradients; cannot calibrate a norm bound")
     return _G_MARGIN * g_max
@@ -422,18 +414,11 @@ class SeedDraws:
     Holds the task, the device shards stacked into (K, D, f) features and
     (K, D) labels, the test set and the shards' union, each round's
     mini-batch indices and channel arrays (filled lazily, round by round),
-    the stream states of the receiver noise, and the calibrated gradient
-    bound (computed on first use).  None of it depends on gamma_th or on the
-    model weights, so `train` accepts one SeedDraws for every run whose
-    config differs from `exp`'s in gamma_th alone.
-
-    The stream states of substream(seed, STREAM_BATCH | STREAM_CHANNEL,
-    round, device) and of substream(seed, STREAM_NOISE, round) cover
-    max(rounds_m, 10) rounds, the calibration warm-up included, and are
-    derived per purpose in two blocks, each on its first use: the warm-up
-    rounds [0, 10), which are all a frozen-gradient check reads, then every
-    later round.  Every draw reseeds one reused generator to its key's
-    state and so reads exactly that substream.
+    and the calibrated gradient bound (computed on first use).  None of it
+    depends on gamma_th or on the model weights, so `train` accepts one
+    SeedDraws for every run whose config differs from `exp`'s in gamma_th
+    alone.  Round m of any purpose reads substream(seed, purpose, m), so
+    any round can be drawn, in any order.
     """
 
     def __init__(self, cfg: SystemConfig | ResolvedExperiment):
@@ -449,36 +434,16 @@ class SeedDraws:
             features=self.features.reshape(-1, self.features.shape[-1]),
             labels=self.labels.reshape(-1),
         )
-        check_substream_states(exp.seed, (STREAM_NOISE,), 0)
-        self.n_rounds = max(exp.train.rounds_m, _WARMUP_ROUNDS)
-        self._reseed = Reseeder()
         self._rows = np.arange(exp.k_devices)[:, None]
         self._d_alpha = np.array([d ** exp.cfg.alpha for d in exp.distances])
-        self._states: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._picks: dict[int, np.ndarray] = {}
         self._channels: dict[int, ChannelArrays] = {}
         self._g_bound: float | None = None
 
-    def _round_states(self, purpose: int, round_index: int) -> list[tuple[int, int]]:
-        # one round's stream states: the K (round, device) keys of the batch
-        # and channel purposes, the one (round,) key of the noise; derived for
-        # the warm-up rounds, or for every later round, on the block's first use
-        if not 0 <= round_index < self.n_rounds:
-            raise IndexError(f"round {round_index} is outside the {self.n_rounds} rounds these draws cover")
-        width = 1 if purpose == STREAM_NOISE else self.exp.k_devices
-        lo = 0 if round_index < _WARMUP_ROUNDS else _WARMUP_ROUNDS
-        states = self._states.get((purpose, lo))
-        if states is None:
-            hi = self.n_rounds if lo else _WARMUP_ROUNDS
-            states = substream_states(self.exp.seed, (purpose,), lo, hi, None if purpose == STREAM_NOISE else width)
-            self._states[(purpose, lo)] = states
-        offset = round_index - lo
-        return states[offset * width : (offset + 1) * width]
-
     def batches(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
         """The round's (features, labels) batches, shapes (K, B, f) and (K, B);
-        device k's batch is drawn without replacement from
-        substream(seed, STREAM_BATCH, round, k).
+        the K devices' batches are drawn without replacement, in device
+        order, from substream(seed, STREAM_BATCH, round).
 
         Only the indices are held, so the draws stay small next to the
         shards; each call gathers fresh arrays from them.
@@ -486,33 +451,25 @@ class SeedDraws:
         picks = self._picks.get(round_index)
         if picks is None:
             size, batch = self.labels.shape[1], self.exp.train.batch_size
-            picks = np.array([
-                self._reseed(state).choice(size, size=batch, replace=False)
-                for state in self._round_states(STREAM_BATCH, round_index)
-            ])
+            gen = substream(self.exp.seed, STREAM_BATCH, round_index)
+            picks = np.array([gen.choice(size, size=batch, replace=False) for _ in range(self.exp.k_devices)])
             self._picks[round_index] = picks
         return self.features[self._rows, picks], self.labels[self._rows, picks]
 
     def channels(self, round_index: int) -> ChannelArrays:
-        """The round's K channel draws as arrays: device k's from the four
-        normals draw_channel reads from substream(seed, STREAM_CHANNEL, round, k)."""
+        """The round's K channel draws as arrays: device k's from row k of
+        one (K, 4) normal draw from substream(seed, STREAM_CHANNEL, round),
+        in draw_channel's order."""
         out = self._channels.get(round_index)
         if out is None:
-            z = np.empty((self.exp.k_devices, 4))
-            for row, state in zip(z, self._round_states(STREAM_CHANNEL, round_index)):
-                self._reseed(state).standard_normal(out=row)
+            z = substream(self.exp.seed, STREAM_CHANNEL, round_index).standard_normal((self.exp.k_devices, 4))
             out = ChannelArrays(*channel_from_normals(z, self.exp.rho), self._d_alpha)
             self._channels[round_index] = out
         return out
 
     def noise(self, round_index: int) -> np.random.Generator:
-        """A generator at the start of substream(seed, STREAM_NOISE, round).
-
-        It is the reused generator: draw from it before the next call on
-        these draws reseeds it.
-        """
-        (state,) = self._round_states(STREAM_NOISE, round_index)
-        return self._reseed(state)
+        """A fresh substream(seed, STREAM_NOISE, round)."""
+        return substream(self.exp.seed, STREAM_NOISE, round_index)
 
     def calibrated_g_bound(self) -> float:
         """calibrate_g_bound on these draws, run once."""
@@ -536,8 +493,8 @@ def train_cells(
     depend on the other cells.  A skipped round leaves the cell's weights
     unchanged.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in _RUN_MODES:
+        raise ValueError(f"mode must be one of {_RUN_MODES}, got {mode!r}")
     if not exps:
         raise ValueError("no experiments to train")
     if any(draws.key != _draws_key(exp) for exp in exps):
@@ -548,7 +505,8 @@ def train_cells(
     n_cells, n_rounds, k_devices = len(exps), exp.train.rounds_m, exp.k_devices
     power = g_bound = None
     if mode == "aircomp":
-        g_bound = exp.cfg.g_bound or draws.calibrated_g_bound()
+        # genie power control replaces G every round, so it calibrates nothing
+        g_bound = exp.cfg.g_bound or (1.0 if exp.cfg.g_mode == "genie" else draws.calibrated_g_bound())
         power = exp.power_config(g_bound)
         # lambda and zeta once per run (genie power control redoes zeta per round)
         cells = _Cells(np.array([[e.gamma_th] for e in exps]),
@@ -561,21 +519,23 @@ def train_cells(
     active = np.empty((n_cells, n_rounds), dtype=int)
     skipped = np.zeros((n_cells, n_rounds), dtype=bool)
     g_used = np.zeros((n_cells, 1))  # the largest G each cell's power control used
-    for m in range(n_rounds):
-        grads = round_gradients(weights, draws, m)
-        g_ideal = ideal_aggregate(grads.swapaxes(0, 1))  # (C, d), in device order
-        spread[:, m] = np.mean(np.sum((grads - g_ideal[:, None]) ** 2, axis=2), axis=1)
-        if mode == "ideal":
-            g_hat, active[:, m] = g_ideal, k_devices
-        else:
-            g_hat, active[:, m], skipped[:, m], g_now = _air_round(grads, exps, cells, draws, power, m)
-            g_used = np.maximum(g_used, g_now)
-        weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, exp.cfg.eta))
-        divergence[:, m] = [float(r @ r) for r in g_hat - g_ideal]
-        history[:, m] = weights
+    # the steps of a diverging run overflow; the first non-finite step is reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(n_rounds):
+            grads = round_gradients(weights, draws, m)
+            g_ideal = ideal_aggregate(grads.swapaxes(0, 1))  # (C, d), in device order
+            spread[:, m] = np.mean(np.sum((grads - g_ideal[:, None]) ** 2, axis=2), axis=1)
+            if mode == "ideal":
+                g_hat, active[:, m] = g_ideal, k_devices
+            else:
+                g_hat, active[:, m], skipped[:, m], g_now = _air_round(grads, exps, cells, draws, power, m)
+                g_used = np.maximum(g_used, g_now)
+            weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, exp.cfg.eta))
+            if not np.all(np.isfinite(weights)):
+                raise ValueError(f"model parameters must be finite; round {m}'s step with eta = {exp.cfg.eta!r} overflowed")
+            divergence[:, m] = [float(r @ r) for r in g_hat - g_ideal]
+            history[:, m] = weights
 
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("model parameters must be finite")
     return [
         TrainingTrace(
             weights=history[c],

@@ -8,22 +8,12 @@ SweepResult and written as CSV plus a replayable run manifest.  Verdicts
 are Gate records built from the results by xi_gates, pdf_gates and
 divergence_gates, shared by the CLI and the acceptance suite.
 
-Trials are keyed by per-trial RNG streams, so a parallel run (jobs > 1)
-merges to the exact same numbers as a serial one.  The divergence kernel
-seeds a block of those streams at once (channel.substream_rows), checks the
-seeding against substream once per call, and aggregates the block in one
-aircomp.aggregate_batch call, the kernel training uses.
-
-The sampling kernels avoid repeated work: verify-xi's grid cells share one
-draw and each quantity the cells share is formed once per chunk or per rho
-(mc_xi_moments_grid), the joint law divides x once per sample for its
-histogram and every tail, and is histogrammed by arithmetic bin index and
-np.bincount (histogram2d_counts), its CDF cross-check reads
-one grid of CDF values (cdf_rect_masses), its tail pass keeps power sums
-of x from which every conditional moment follows (TailSums), and the
-threshold sweep trains the cells of one seed in lock-step on one
-fltrain.SeedDraws.  scipy's quadrature is imported only when a quadrature
-check runs.
+Divergence trials are keyed by block (stream layout 2): trial t is row
+t mod 256 of one draw from substream(seed, STREAM_MC_DIVERGENCE, *key,
+t // 256), so neither the kernel's slices nor the jobs split changes a
+byte.  The sampling kernels form each shared quantity once per chunk; see
+mc_xi_moments_grid, _joint_chunk and TailSums.  scipy's quadrature is
+imported only when a quadrature check runs.
 """
 
 from __future__ import annotations
@@ -65,14 +55,18 @@ from .analysis import (
 from .channel import (
     EstimationModel,
     channel_from_normals,
-    check_substream_states,
     draw_channel_block,
     draw_channel_rows,
     substream,
-    substream_rows,
 )
 from .config import (
+    _MANIFEST_HEADER,
+    _MIN_SWEEP_GAMMAS,
+    _MIN_SWEEP_SEEDS,
+    _MIN_TRIALS,
+    _SWEEP_MODES,
     STREAM_INIT,
+    STREAM_LAYOUT,
     STREAM_MC_DIVERGENCE,
     STREAM_MC_JOINT,
     STREAM_MC_XI,
@@ -93,15 +87,14 @@ from .optimizer import coefficients_from_system, optimal_threshold
 _CHUNK = 1 << 20
 _MIN_XI_SAMPLES = 10_000
 _MIN_JOINT_SAMPLES = 1_000_000
-_MIN_TRIALS = 1_000
 _MASS_CONSISTENCY_TOL = 1e-9  # quadrature vs CDF-rectangle cross-check
 _NORM_GAMMA_MIN = -40.0  # lower gamma edge of the density normalization
 _FD_STEP = 1e-4  # spacing of the CDF/density finite-difference stencil
 _SCAN_DISTANCE = 100.0  # the K-scan's common device distance, meters
-# divergence trials per kernel block: 256 runs as fast as 1,024 and keeps
-# the block's temporaries near 1 MB at K = 40
+# divergence trials per stream, a constant of stream layout 2: trial t is
+# row t mod 256 of substream(seed, STREAM_MC_DIVERGENCE, *key, t // 256)
 _TRIAL_BLOCK = 256
-_BLOCK_FLOATS = 1 << 16  # caps a block's (trials, d) arrays at 512 kB each
+_BLOCK_FLOATS = 1 << 16  # caps a kernel slice's (trials, d) arrays at 512 kB each
 # samples per slice of a joint-law chunk: keeps its temporaries at 512 kB each
 _JOINT_SLICE = 1 << 16
 
@@ -320,7 +313,7 @@ def mc_xi_moments_grid(
     estimates and z-scores are correlated, not independent.
     """
     if n_samples < _MIN_XI_SAMPLES:
-        raise ValueError(f"need at least {_MIN_XI_SAMPLES} samples, got {n_samples}")
+        raise ValueError(f"need at least {_MIN_XI_SAMPLES} samples (trials), got {n_samples}")
     lams = []
     by_rho: dict[float, list[int]] = {}
     for k, (rho, gamma_th) in enumerate(cells):
@@ -540,7 +533,7 @@ def mc_joint_distribution_check(
     |h_hat|^2 = 0, which has probability zero, is dropped first.
     """
     if n_samples < _MIN_JOINT_SAMPLES:
-        raise ValueError(f"need at least {_MIN_JOINT_SAMPLES} samples, got {n_samples}")
+        raise ValueError(f"need at least {_MIN_JOINT_SAMPLES} samples (trials), got {n_samples}")
     g_lo, g_hi = (float(g) for g in gamma_range)
     t_lo, t_hi = (float(t) for t in t_range)
     if not (g_lo < g_hi <= 0.0):
@@ -724,43 +717,53 @@ def _frozen_setup(cfg: SystemConfig):
     return exp, grads, exp.power_config(g_bound)
 
 
+def _trial_rows(seed: int, stream: tuple[int, ...], lo: int, hi: int, width: int, step: int):
+    """(t, rows) slices of at most `step` rows covering trials [lo, hi).
+    Trial t's row is row t mod B of one (B, width) normal draw from
+    substream(seed, *stream, t // B); numpy fills it row by row, so a block
+    is drawn in slices from its one generator, rows before lo dropped."""
+    for block in range(lo // _TRIAL_BLOCK, -(-hi // _TRIAL_BLOCK)):
+        gen = substream(seed, *stream, block)
+        t = block * _TRIAL_BLOCK
+        stop = min(hi, t + _TRIAL_BLOCK)
+        while t < stop:
+            n = min(step, (lo if t < lo else stop) - t)
+            rows = gen.standard_normal((n, width))
+            if t >= lo:
+                yield t, rows
+            t += n
+
+
 def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     """Squared divergence and skip flag of trials [lo, hi) over frozen gradients.
 
     args is (grads of shape (K, d), power, gamma_th, rho, seed, key, lo, hi).
-    Trial t draws from substream(seed, STREAM_MC_DIVERGENCE, *key, t) what
-    K `draw_channel` calls and one `aggregate` would: K x 4 channel normals,
-    then d noise normals if some device is active and sigma2 > 0.  A block's
-    streams are seeded at once by `substream_rows`, one row per trial, and
-    aggregated by one aircomp.aggregate_batch call, its batch axis over
-    trials; the d noise normals are drawn for every trial and dropped for a
-    skipped one.  Each trial keeps its own stream and array row, so block
-    and chunk bounds change no bit.  The first trial's seeding is checked
-    against `substream`, which raises RuntimeError if numpy ever seeds its
-    streams differently.
+    Trial t reads its row of normals from `_trial_rows` on the stream
+    (STREAM_MC_DIVERGENCE, *key): K x 4 channel normals in draw_channel's
+    order, then, when sigma2 > 0, the d receiver-noise normals that one
+    `aggregate` call would add, used only if some device is active.  Each
+    slice of trials is aggregated by one aircomp.aggregate_batch call, its
+    batch axis over trials.  A trial's row depends on t alone, so the slice
+    and chunk bounds change no bit.
     """
     grads, power, gamma_th, rho, seed, key, lo, hi = args
     k_devices, d_model = grads.shape
-    stream = (STREAM_MC_DIVERGENCE, *key)
-    check_substream_states(seed, stream, lo)
     lam = compensation_lambda(gamma_th, rho)
     zeta = scaling_zeta(k_devices, rho, power, gamma_th)
     noise_scale = math.sqrt(power.sigma2) / (math.sqrt(2.0) * zeta)
     g_ideal = ideal_aggregate(grads)
-    block = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
+    step = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
     n_channel = 4 * k_devices
     width = n_channel + (d_model if power.sigma2 > 0.0 else 0)
     div = np.empty(hi - lo)
     skips = np.empty(hi - lo, dtype=bool)
-    for b_lo in range(lo, hi, block):
-        b_hi = min(b_lo + block, hi)
-        rows = substream_rows(seed, stream, b_lo, b_hi, width)
+    for t, rows in _trial_rows(seed, (STREAM_MC_DIVERGENCE, *key), lo, hi, width, step):
         noise = rows[:, n_channel:] * noise_scale if power.sigma2 > 0.0 else None
-        # the block's channel arrays live only for the call: (B, K) complex each
-        z = rows[:, :n_channel].reshape(b_hi - b_lo, k_devices, 4)
+        # the slice's channel arrays live only for the call: (n, K) complex each
+        z = rows[:, :n_channel].reshape(len(rows), k_devices, 4)
         _, _, sent, g_hat = aggregate_batch(grads, *channel_from_normals(z, rho), gamma_th, lam, noise)
         diff = g_hat - g_ideal
-        out = slice(b_lo - lo, b_hi - lo)
+        out = slice(t - lo, t - lo + len(rows))
         # one stacked (1, d) @ (d, 1) product per trial: numpy's vector dot, as r @ r is
         div[out] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
         skips[out] = ~sent
@@ -778,7 +781,9 @@ def _pool_size(jobs: int, n_items: int) -> int:
 
 
 def _trial_chunks(n: int, jobs: int) -> list[tuple[int, int]]:
+    # whole trial blocks per chunk, so that no block's stream is drawn twice
     size = -(-n // _pool_size(jobs, n))
+    size = -(-size // _TRIAL_BLOCK) * _TRIAL_BLOCK
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
@@ -796,9 +801,10 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
 
     Freezes the K mini-batch gradients of round zero once, then repeats the
     over-the-air aggregation n_trials times in the block kernel
-    `_divergence_trials`.  Trial t draws its channels and noise from its own
-    stream substream(seed, STREAM_MC_DIVERGENCE, t), so neither the kernel's
-    block size nor the jobs split changes a byte of the serial result.  The
+    `_divergence_trials`.  Trial t draws its channels and noise from row t
+    mod 256 of its block's stream substream(seed, STREAM_MC_DIVERGENCE, t //
+    256), so neither the kernel's slices nor the jobs split changes a byte
+    of the serial result.  The
     row reports the MC estimate with its SE next to the exact expectation
     for those gradients and the a-priori bound.
 
@@ -871,8 +877,8 @@ def k_slope_scan(
     Every device transmits a fixed unit-norm gradient from a common
     distance of 100 m, so only the fleet size varies across rows.  Trials
     run in the same block kernel as mc_weight_divergence, trial t of fleet
-    size K on the stream substream(seed, STREAM_MC_DIVERGENCE, K, t), so
-    neither the block size nor jobs changes a byte.  The fitted log-log
+    size K on row t mod 256 of substream(seed, STREAM_MC_DIVERGENCE, K, t //
+    256), so neither the kernel's slices nor jobs changes a byte.  The fitted log-log
     slope is reported in meta next to the slopes of the exact expression
     and of the printed bound (-2).  The exact expression's variance term
     scales as 1/K, its noise term as 1/K^2, so the fit lands between -1
@@ -880,15 +886,14 @@ def k_slope_scan(
     """
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
-    if len(ks) < 2:
-        raise ValueError("need at least two fleet sizes for a slope")
+    if len(set(ks)) < 2:
+        raise ValueError("need at least two distinct fleet sizes for a slope")
     gamma_th = resolve(cfg).gamma_th
-    power = PowerConfig(
-        p_max=cfg.p_max,
-        sigma2=dbm_to_watts(cfg.sigma2_dbm),
-        g_bound=1.0,
-        d_max_alpha=_SCAN_DISTANCE**cfg.alpha,
-    )
+    try:
+        d_max_alpha = _SCAN_DISTANCE**cfg.alpha
+    except OverflowError:
+        raise ValueError(f"alpha = {cfg.alpha!r} overflows the scan's path loss {_SCAN_DISTANCE} ** alpha") from None
+    power = PowerConfig(p_max=cfg.p_max, sigma2=dbm_to_watts(cfg.sigma2_dbm), g_bound=1.0, d_max_alpha=d_max_alpha)
     rows = []
     for k in ks:
         frozen = (_basis_gradients(k, d_model), power, gamma_th, cfg.rho, cfg.seed, (k,))
@@ -917,9 +922,6 @@ def k_slope_scan(
 
 # ---------------------------------------------------------------------------
 # threshold sweep (training runs)
-
-
-_SWEEP_MODES = ("joint", "communication_oriented", "computation_oriented", "fixed")
 
 
 def _cell_row(exp, trace: TrainingTrace) -> tuple[float, float, float, float, float]:
@@ -976,12 +978,12 @@ def sweep_threshold(
     neither the sharing nor jobs changes a byte of the result.
     """
     gammas = [float(g) for g in gammas]
-    if len(gammas) < 8:
-        raise ValueError(f"threshold grid needs >= 8 points, got {len(gammas)}")
+    if len(gammas) < _MIN_SWEEP_GAMMAS:
+        raise ValueError(f"threshold grid needs >= {_MIN_SWEEP_GAMMAS} points, got {len(gammas)}")
     if any(not (g > 0.0 and math.isfinite(g)) for g in gammas):
         raise ValueError("thresholds must be positive and finite")
-    if n_seeds < 3:
-        raise ValueError(f"need >= 3 repetition seeds, got {n_seeds}")
+    if n_seeds < _MIN_SWEEP_SEEDS:
+        raise ValueError(f"need >= {_MIN_SWEEP_SEEDS} repetition seeds, got {n_seeds}")
     modes = tuple(modes)
     if not modes:
         raise ValueError("no modes selected")
@@ -1131,9 +1133,10 @@ def write_manifest(
     kv = config_to_kv(cfg, section)
     body = "".join(f"{k} = {v}\n" for k, v in kv)
     lines = [
-        "# run manifest: the key=value body below replays this run verbatim",
+        f"{_MANIFEST_HEADER} the key=value body below replays this run verbatim",
         f"# command: {command}",
         f"# package_version: {__version__}",
+        f"# env stream_layout={STREAM_LAYOUT}",
         f"# config_sha1: {_git_blob_sha1(body.encode('utf-8'))}",
     ]
     for p in csv_paths:
@@ -1162,11 +1165,11 @@ def report(
     tables maps a CSV stem to a SweepResult or, for a deterministic table,
     a plain (columns, rows) pair.  The manifest's key=value body is a
     loadable config, with the named config section last, that replays the
-    run bit-identically; its comment lines
-    record the command, a git-style blob hash of the config body and of
-    each CSV, the meta summaries, and any caller notes (gate verdicts, for
-    instance).  Returns the path of each CSV by stem, and of the manifest
-    under "manifest".
+    run bit-identically; its comment lines record the command, the stream
+    layout (which load_config checks on replay), a git-style blob hash of
+    the config body and of each CSV, the meta summaries, and any caller
+    notes (gate verdicts, for instance).  Returns the path of each CSV by
+    stem, and of the manifest under "manifest".
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -108,7 +108,10 @@ def _bisect_root(fprime) -> tuple[float, float, int]:
     lo = _BRACKET_LO
     f_lo = fprime(lo)
     if f_lo >= 0.0:
-        raise RuntimeError(f"derivative not negative at bracket start: f({lo}) = {f_lo}")
+        raise ValueError(
+            f"derivative not negative at bracket start: f({lo}) = {f_lo}; the objective weights are too "
+            "small (k1 falls as rho nears 1, k2 = sigma2 d_max^alpha / (2 p_max rho^2) as p_max grows)"
+        )
     hi = 1.0
     while fprime(hi) <= 0.0:
         hi *= 2.0

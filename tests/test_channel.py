@@ -1,6 +1,7 @@
 """Channel draws, RNG streams, and the truncation test."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ from airfl.aircomp import effective_coefficients
 from airfl.channel import (
     ChannelDraw,
     EstimationModel,
-    Reseeder,
     draw_channel,
     draw_channel_block,
+    draw_channel_rows,
     substream,
-    substream_rows,
-    substream_states,
 )
 
 
@@ -44,73 +43,6 @@ class TestSubstream:
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=2**20))
     def test_streams_are_pure_functions_of_the_key(self, seed, stream):
         assert substream(seed, stream).integers(1 << 30) == substream(seed, stream).integers(1 << 30)
-
-
-_EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1)
-_KEY_PARTS = st.one_of(
-    st.integers(min_value=0, max_value=40),
-    st.integers(min_value=2**32 - 2, max_value=2**64 + 5),
-    st.integers(min_value=-(2**64), max_value=-1),
-)
-
-
-class TestSubstreamRows:
-    """substream_states and substream_rows replay numpy's own seeding; if
-    numpy ever seeds SeedSequence or PCG64 differently, these fail."""
-
-    @given(
-        st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(min_value=-(2**70), max_value=2**70)),
-        st.lists(_KEY_PARTS, max_size=3).map(tuple),
-        st.one_of(
-            st.integers(min_value=-5, max_value=50),
-            st.integers(min_value=2**32 - 4, max_value=2**32 + 1),
-            st.integers(min_value=2**64 - 3, max_value=2**64 + 3),
-            st.integers(min_value=-(2**63), max_value=2**63),
-        ),
-        st.integers(min_value=0, max_value=6),
-    )
-    def test_rows_equal_numpy_streams(self, seed, key_prefix, lo, n):
-        hi = lo + n
-        states = substream_states(seed, key_prefix, lo, hi)
-        rows = substream_rows(seed, key_prefix, lo, hi, 64)
-        assert len(states) == n and rows.shape == (n, 64)
-        for t, (state, inc), row in zip(range(lo, hi), states, rows):
-            gen = substream(seed, *key_prefix, t)
-            assert gen.bit_generator.state["state"] == {"state": state, "inc": inc}
-            assert np.array_equal(row, gen.standard_normal(64))
-
-    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
-    def test_range_across_a_word_boundary(self, seed):
-        # t crosses 2^32, where its high spawn-key word turns over
-        lo, hi = 2**32 - 3, 2**32 + 3
-        rows = substream_rows(seed, (6, 2**40), lo, hi, 8)
-        ref = [substream(seed, 6, 2**40, t).standard_normal(8) for t in range(lo, hi)]
-        assert np.array_equal(rows, np.array(ref))
-
-    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
-    def test_two_varying_parts(self, seed):
-        # entry (t - lo) * inner + k is the state of key (*prefix, t, k)
-        states = substream_states(seed, (5,), 2**32 - 2, 2**32 + 1, inner=4)
-        keys = [(t, k) for t in range(2**32 - 2, 2**32 + 1) for k in range(4)]
-        ref = [substream(seed, 5, t, k).bit_generator.state["state"] for t, k in keys]
-        assert [{"state": s, "inc": inc} for s, inc in states] == ref
-
-    def test_reseeder_restarts_each_stream(self):
-        states = substream_states(7, (6,), 0, 2, inner=3)
-        reseed = Reseeder()
-        for (t, k), state in zip([(t, k) for t in range(2) for k in range(3)], states):
-            # a 32-bit draw leaves half a word buffered; the next reseed drops it
-            used = reseed(state)
-            used.random(3, dtype=np.float32)
-            assert used.bit_generator.state["has_uint32"] == 1
-            got = reseed(state).choice(40, size=8, replace=False), reseed(state).standard_normal(4)
-            gen = substream(7, 6, t, k)
-            assert np.array_equal(got[0], gen.choice(40, size=8, replace=False))
-            assert np.array_equal(got[1], substream(7, 6, t, k).standard_normal(4))
-
-    def test_empty_range(self):
-        assert substream_states(1, (2,), 5, 5) == []
-        assert substream_rows(1, (2,), 5, 5, 3).shape == (0, 3)
 
 
 class TestEstimationModel:
@@ -168,6 +100,29 @@ class TestDrawChannel:
         h, h_hat, v = draw_channel_block(model, 1, substream(11, 6))
         scalar = draw_channel(model, 5.0, substream(11, 6))
         assert h_hat[0] == scalar.h_hat and v[0] == scalar.v and h[0] == scalar.h
+
+    @pytest.mark.parametrize("rho", [0.3, 0.8, 1.0])
+    def test_block_is_the_normals_expression(self, rho):
+        # bit for bit the arithmetic on the rows: h_hat = z0 + i z1, v = z2 + i z3
+        model = EstimationModel(rho=rho, alpha=2.2)
+        h, h_hat, v = draw_channel_block(model, 1000, substream(4, 8))
+        z = draw_channel_rows(1000, substream(4, 8))
+        assert np.array_equal(h_hat, z[0] + 1j * z[1]) and np.array_equal(v, z[2] + 1j * z[3])
+        assert np.array_equal(h, rho * (z[0] + 1j * z[1]) + math.sqrt(1.0 - rho * rho) * (z[2] + 1j * z[3]))
+
+    def test_block_peaks_at_64_bytes_per_sample(self):
+        # it returns 48 B per sample; the normals (32 B) go before h is formed
+        n = 100_000
+        model = EstimationModel(rho=0.8, alpha=2.2)
+        gen = substream(4, 8)
+        tracemalloc.start()
+        try:
+            out = draw_channel_block(model, n, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in out) == 48 * n
+        assert peak < 66 * n
 
     def test_block_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,21 @@
 """Command-line harness: gates, outputs, and manifest replay."""
 
+import contextlib
+import io
 import tempfile
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import airfl.channel
 import airfl.cli
 import airfl.fltrain
 from airfl.cli import main
 from airfl.config import (
+    STREAM_LAYOUT,
     RunConfig,
     SystemConfig,
     TrainConfig,
@@ -101,7 +104,13 @@ class TestParsing:
          ("verify_pdf.bins = forty", "verify_pdf.bins"),
          ("sweep.seeds = 3.5", "sweep.seeds"),
          ("verify_divergence.k_scan = off", "verify_divergence.k_scan"),  # only 1 or 0
-         ("verify_xi.rhos =", "verify_xi.rhos")],
+         ("verify_xi.rhos =", "verify_xi.rhos"),
+         ("verify_divergence.scan_ks = 1,1", "verify_divergence.scan_ks"),  # a slope needs two sizes
+         ("verify_xi.rhos = 1e-300", "verify_xi.rhos"),  # 1/rho^2 overflows
+         ("verify_pdf.t_range = -3,0,3", "verify_pdf.t_range"),  # a window is two values
+         ("verify_pdf.tail_gamma = 1e300", "verify_pdf.tail_gamma"),  # e^(2 gamma) overflows
+         ("sweep.gammas = 0.1", "sweep.gammas"),
+         ("run.mode = other", "run.mode")],
     )
     def test_bad_section_key_is_a_config_error(self, tmp_path, capsys, text, key):
         # checked when the config loads, by every command, whichever section it reads
@@ -126,6 +135,27 @@ class TestParsing:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+
+    @pytest.mark.parametrize(
+        "command, extra, key",
+        [("verify-divergence", {"p_max": "1e-300", "gamma_th": "300"}, "p_max"),  # zeta^2 underflows
+         ("optimize-threshold", {"p_max": "1e300", "rho": "1.0"}, "p_max"),  # no minimum above 1e-8
+         ("sweep-threshold", {"eta": "1e300", "train.task": "small_mlp"}, "eta"),  # the warm-up diverges
+         ("train", {"eta": "1e300", "gamma_th": "1e-300"}, "eta"),  # a training step overflows
+         ("verify-divergence", {"alpha": "400", "distances": "1e-300,1,2"}, "alpha"),  # 100 m ** alpha
+         ("optimize-threshold", {"sigma2_dbm": "-4000"}, "sigma2_dbm")],  # 0 W of noise
+    )
+    def test_numeric_failure_names_a_key(self, tmp_path, capsys, command, extra, key):
+        # combinations the exit-code fuzz found: one error line, no warning
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in {**_BASE_CFG, **extra}.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", str(cfg_path), "--trials", "1000"])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
 
 
 class TestVerifyXi:
@@ -188,18 +218,46 @@ class TestVerifyDivergence:
         assert rc == 0, printed
         assert "PASS divergence_exact_4se" in printed
 
-    def test_stream_seeding_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
-        # a numpy that seeded its streams differently would fail the kernel's
-        # guard: one error line naming the numpy version, no traceback
-        monkeypatch.setattr(airfl.channel, "_PCG64_MULT", airfl.channel._PCG64_MULT + 2)
-        cfg_path = write_cfg(tmp_path / "div.cfg", SystemConfig(k_devices=3, train=SMALL_TRAIN))
-        rc = main(["verify-divergence", "--config", cfg_path, "--trials", "1000"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: numpy ")
-        assert np.__version__ in lines[0] and "Traceback" not in captured.err
+    def test_stream_seeding_mismatch_exits_2(self, tmp_path, capsys):
+        # a manifest written under stream layout 1 (no env line, or one that
+        # says 1) records draws this layout does not make: one error line
+        # naming both layouts, no traceback, nothing run
+        cfg = SystemConfig(k_devices=3, train=SMALL_TRAIN, verify_divergence=NO_SCAN)
+        argv = ["verify-divergence", "--config", write_cfg(tmp_path / "div.cfg", cfg), "--trials", "1000"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        manifest = tmp_path / "run" / "verify_divergence_manifest.txt"
+        text = manifest.read_text()
+        env = f"# env stream_layout={STREAM_LAYOUT}\n"
+        assert f"\n{env}" in text
+        for layout_1 in ("", "# env stream_layout=1\n"):
+            manifest.write_text(text.replace(env, layout_1))
+            capsys.readouterr()
+            assert main(["verify-divergence", "--config", str(manifest)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "stream layout 1" in lines[0] and f"stream layout {STREAM_LAYOUT}" in lines[0]
+
+    def test_plain_config_needs_no_layout(self, tmp_path, capsys):
+        # only a manifest carries a layout; a hand-written config loads as before
+        cfg_path = tmp_path / "plain.cfg"
+        cfg_path.write_text("# my run\nk_devices = 3\nverify_divergence.k_scan = 0\n")
+        assert main(["verify-divergence", "--config", str(cfg_path), "--trials", "1000"]) == 0
+
+    @pytest.mark.parametrize("n_features", [5, 300])
+    def test_jobs_change_no_byte(self, tmp_path, capsys, n_features):
+        # 1000 trials is not a whole number of 256-trial blocks, and at d =
+        # 300 the kernel draws each block's rows in slices
+        cfg = SystemConfig(k_devices=3, train=replace(SMALL_TRAIN, n_features=n_features),
+                           verify_divergence=VerifyDivergenceConfig(scan_trials=1000, scan_ks=(2, 3)))
+        cfg_path = write_cfg(tmp_path / "div.cfg", cfg, "verify_divergence")
+        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            argv = ["verify-divergence", "--config", cfg_path, "--trials", "1000", "--jobs", str(jobs)]
+            assert main(argv + ["--out", str(out)]) in (0, 1)
+        for name in ("verify_divergence.csv", "verify_divergence_kscan.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_gate_and_replay(self, tmp_path, capsys):
         cfg_path = write_cfg(
@@ -226,10 +284,13 @@ class TestVerifyDivergence:
         assert csv1.exists() and manifest.exists()
         assert not (out1 / "verify_divergence_kscan.csv").exists()
 
+        assert f"\n# env stream_layout={STREAM_LAYOUT}\n" in manifest.read_text()
+
         out2 = tmp_path / "run2"
         rc = main(["verify-divergence", "--config", str(manifest), "--out", str(out2)])
         assert rc == 0
         assert (out2 / "verify_divergence.csv").read_bytes() == csv1.read_bytes()
+        assert (out2 / "verify_divergence_manifest.txt").read_bytes() == manifest.read_bytes()
 
 
 class TestOptimizeThreshold:
@@ -367,15 +428,17 @@ _CFG_VALUES = {
     "train.task": ["synthetic_logistic", "small_mlp", "mnist"],
     "train.label_skew": ["0.0", "0.9", "1.0"],
     "train.blob_separation": ["2.5", "1e300"],
-    "verify_xi.rhos": ["0.8", "1.0,0.5", ",", "abc", "2"],
+    "verify_xi.rhos": ["0.8", "1.0,0.5", ",", "abc", "2", "1e-300"],
     "verify_xi.gammas": ["0.5", "1e-300", "700", "-1"],
     "verify_divergence.k_scan": ["0", "1", "maybe", "off"],
-    "verify_divergence.scan_ks": ["2,3", "0,1", "-1,2", "3", "x"],
+    "verify_divergence.scan_ks": ["2,3", "0,1", "-1,2", "3", "x", "1,1"],
     "verify_divergence.scan_trials": ["1000", "10", "x"],
     "sweep.modes": ["communication_oriented", "joint", "bogus"],
     "sweep.seeds": ["3", "2", "x"],
     "sweep.gammas": ["0.1", "800,1,2,3,4,5,6,7"],
     "run.mode": ["aircomp", "ideal", "other"],
+    "verify_pdf.t_range": ["-3,3", "-3,0,3", "3,-3"],
+    "verify_pdf.tail_gamma": ["1.0", "1e300", "0"],
     "verify_xi.rho": ["0.5"],  # misspelled: the key is rhos
 }
 # per command, trial counts below, at and just above its minimum
@@ -397,17 +460,28 @@ def _invocations(draw):
     seed = draw(st.none() | st.integers(min_value=-5, max_value=2**40))
     if seed is not None:
         flags += ["--seed", str(seed)]
-    return command, cfg, flags, draw(st.booleans())
+    return command, keys, cfg, flags, draw(st.booleans())
 
 
 class TestNoTraceback:
     @given(_invocations())
     def test_main_returns_an_exit_code(self, invocation):
-        command, cfg, flags, write = invocation
+        # bad input exits 2 with exactly one stderr line, an error: line that
+        # names a drawn key (or the trial count), and no warning before it
+        command, keys, cfg, flags, write = invocation
+        err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "run.cfg"
             cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
             argv = [command, "--config", str(cfg_path), *flags]
             if write:
                 argv += ["--out", str(Path(tmp) / "out")]
-            assert main(argv) in (0, 1, 2)
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            lines = [str(w.message) for w in caught] + err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert any(key in lines[0] for key in [*keys, "trials"]), lines

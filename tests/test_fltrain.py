@@ -70,15 +70,16 @@ def one_gradient(task, w, x, y):
 
 def warmup_bound(exp, rounds):
     """1.1x the peak device gradient norm of an ideal warm-up, drawn the slow
-    way: one substream and one reference gradient per device and round."""
+    way: one reference gradient per device and round, the devices' batches
+    picked in device order from the round's one substream."""
     task = build_task(exp.train)
     devices = build_devices(exp)
     w = task.init_params(substream(exp.seed, STREAM_INIT))
     g_max = 0.0
     for m in range(rounds):
         grads = []
-        for k, dev in enumerate(devices):
-            gen = substream(exp.seed, STREAM_BATCH, m, k)
+        gen = substream(exp.seed, STREAM_BATCH, m)
+        for dev in devices:
             idx = gen.choice(len(dev.labels), size=exp.train.batch_size, replace=False)
             grads.append(local_gradient(task, w, dev.features[idx], dev.labels[idx]))
         g_max = max(g_max, max(float(np.linalg.norm(g)) for g in grads))
@@ -330,6 +331,17 @@ class TestTraining:
         assert trace.g_bound == max(used)
         assert trace.g_bound != draws.calibrated_g_bound()
 
+    def test_genie_calibrates_nothing(self, monkeypatch):
+        # genie power control sets G every round, so no warm-up pass runs,
+        # and the run equals one whose G was pinned in the config
+        calls = []
+        real = airfl.fltrain.calibrate_g_bound
+        monkeypatch.setattr(airfl.fltrain, "calibrate_g_bound", lambda *a, **k: calls.append(a) or real(*a, **k))
+        trace = train(small_cfg(g_mode="genie"), mode="aircomp")
+        assert calls == []
+        pinned = train(small_cfg(g_mode="genie", g_bound=5.0), mode="aircomp")
+        assert np.array_equal(trace.weights, pinned.weights) and trace.g_bound == pinned.g_bound
+
     def test_fixed_mode_requires_bound(self):
         with pytest.raises(ValueError, match="g_bound"):
             train(small_cfg(g_mode="fixed"), mode="aircomp")
@@ -388,9 +400,11 @@ class TestSeedDraws:
         first[0][0][0, 0] = 1e9
         assert draws.batches(2)[0][0][0, 0] != 1e9
 
-    def test_draws_come_from_the_round_and_device_streams(self, monkeypatch):
-        # the generator round m's receiver noise is drawn from starts where
-        # substream(seed, STREAM_NOISE, m) starts
+    def test_draws_come_from_the_round_streams(self, monkeypatch):
+        # round m reads one stream per purpose: the generator its receiver
+        # noise is drawn from starts where substream(seed, STREAM_NOISE, m)
+        # starts, and the K batches and K channels are read in device order
+        # from substream(seed, STREAM_BATCH | STREAM_CHANNEL, m)
         noise_states = []
         real_noise = SeedDraws.noise
 
@@ -408,12 +422,13 @@ class TestSeedDraws:
             assert noise_states[m] == substream(exp.seed, STREAM_NOISE, m).bit_generator.state
             xs, ys = draws.batches(m)
             assert xs.shape == (exp.k_devices, exp.train.batch_size, exp.train.n_features)
+            batch_gen = substream(exp.seed, STREAM_BATCH, m)
+            channel_gen = substream(exp.seed, STREAM_CHANNEL, m)
             for k, (features, labels) in enumerate(zip(draws.features, draws.labels)):
-                gen = substream(exp.seed, STREAM_BATCH, m, k)
-                idx = gen.choice(len(labels), size=exp.train.batch_size, replace=False)
+                idx = batch_gen.choice(len(labels), size=exp.train.batch_size, replace=False)
                 assert np.array_equal(xs[k], features[idx]) and np.array_equal(ys[k], labels[idx])
-                gen = substream(exp.seed, STREAM_CHANNEL, m, k)
-                assert_channel_row(draws.channels(m), k, draw_channel(estimation_model(exp), exp.distances[k], gen))
+                draw = draw_channel(estimation_model(exp), exp.distances[k], channel_gen)
+                assert_channel_row(draws.channels(m), k, draw)
 
     @pytest.mark.parametrize("task", ["synthetic_logistic", "small_mlp"])
     def test_round_gradients_are_the_local_gradient_rows(self, task):
@@ -447,8 +462,8 @@ class TestSeedDraws:
         draws = SeedDraws(exp)
         for m in range(12):
             got = draws.channels(m)
-            want = [draw_channel(estimation_model(exp), exp.distances[k], substream(exp.seed, STREAM_CHANNEL, m, k))
-                    for k in range(exp.k_devices)]
+            gen = substream(exp.seed, STREAM_CHANNEL, m)
+            want = [draw_channel(estimation_model(exp), exp.distances[k], gen) for k in range(exp.k_devices)]
             for name in ("h", "h_hat"):
                 assert np.array_equal(getattr(got, name), [getattr(dr, name) for dr in want])
             assert np.array_equal(got.d_alpha, [d ** exp.cfg.alpha for d in exp.distances])
@@ -456,49 +471,14 @@ class TestSeedDraws:
                 assert np.array_equal(got.h, got.h_hat)
             assert draws.channels(m) is got
 
-    def test_states_are_derived_by_round_block(self, monkeypatch):
-        # 15 rounds: blocks [0, 10) and [10, 15), each derived on first use
-        exp = resolve(small_cfg(train=replace(SMALL_TRAIN, rounds_m=15)))
-        derived = []
-        real = airfl.fltrain.substream_states
-
-        def recording(seed, prefix, lo, hi, inner=None):
-            derived.append((prefix[0], lo, hi))
-            return real(seed, prefix, lo, hi, inner)
-
-        monkeypatch.setattr(airfl.fltrain, "substream_states", recording)
-        draws = SeedDraws(exp)
-        draws.batches(0)
-        assert derived == [(STREAM_BATCH, 0, 10)]
-        for m in (9, 10, 14):
-            xs, _ = draws.batches(m)
-            for k, features in enumerate(draws.features):
-                idx = substream(exp.seed, STREAM_BATCH, m, k).choice(len(features), size=8, replace=False)
-                assert np.array_equal(xs[k], features[idx])
-                gen = substream(exp.seed, STREAM_CHANNEL, m, k)
-                assert_channel_row(draws.channels(m), k, draw_channel(estimation_model(exp), exp.distances[k], gen))
-            want = substream(exp.seed, STREAM_NOISE, m).bit_generator.state
-            assert draws.noise(m).bit_generator.state == want
-        assert sorted(derived) == sorted(
-            (purpose, lo, hi)
-            for purpose in (STREAM_BATCH, STREAM_CHANNEL, STREAM_NOISE)
-            for lo, hi in ((0, 10), (10, 15))
-        )
-        for read in (draws.batches, draws.channels, draws.noise):
-            with pytest.raises(IndexError, match="round 15"):
-                read(15)
-
-    def test_seeding_guard_names_numpy(self, monkeypatch):
-        # the derived stream states are checked against numpy's own once
-        monkeypatch.setattr(airfl.channel, "_PCG64_MULT", airfl.channel._PCG64_MULT + 2)
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-            SeedDraws(small_cfg())
-
-    def test_rounds_past_the_draws_are_refused(self):
-        draws = SeedDraws(small_cfg())
-        assert draws.n_rounds == 10
-        with pytest.raises(IndexError, match="round 10"):
-            draws.batches(10)
+    def test_any_round_reads_its_own_streams(self):
+        # no round bound and no order: round m of a 4-round config, read
+        # first, is the round's own streams, as in a longer run
+        short, long = (SeedDraws(small_cfg(train=replace(SMALL_TRAIN, rounds_m=r))) for r in (4, 60))
+        for m in (57, 3, 0):
+            assert np.array_equal(short.batches(m)[0], long.batches(m)[0])
+            assert np.array_equal(short.channels(m).h, long.channels(m).h)
+            assert short.noise(m).bit_generator.state == substream(11, STREAM_NOISE, m).bit_generator.state
 
     def test_runs_differing_in_gamma_th_share_one_draw(self, monkeypatch):
         calls = {"calibrate": 0, "channel": 0}
@@ -678,7 +658,7 @@ class TestKernelAgainstOracle:
         assert len(calls) == exp.train.rounds_m
         w0 = build_task(exp.train).init_params(substream(exp.seed, STREAM_INIT))
         for m, (grads, noise, xi, active, sent, g_hat) in enumerate(calls):
-            normals = [substream(exp.seed, STREAM_CHANNEL, m, k).standard_normal(4) for k in range(exp.k_devices)]
+            normals = substream(exp.seed, STREAM_CHANNEL, m).standard_normal((exp.k_devices, 4))
             noise_normals = substream(exp.seed, STREAM_NOISE, m).standard_normal(grads.shape[2])
             for c, cell in enumerate(exps):
                 g_bound = traces[c].g_bound

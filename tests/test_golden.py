@@ -5,7 +5,9 @@ every CSV it writes must have the sha1 recorded here.  A refactor that
 claims "same CSV bytes" is then checked by this test instead of by hand.
 The values hold only under the numpy and scipy versions they were recorded
 with: numpy does not keep Generator streams stable across releases (NEP 19)
-and the bin masses of verify-pdf come from scipy's quadrature.  Training
+and the bin masses of verify-pdf come from scipy's quadrature.  They also
+hold only under the stream layout they were drawn in (config.STREAM_LAYOUT);
+verify-divergence's were recorded under layout 2.  Training
 CSVs are left out, since their bytes follow the CPU's BLAS kernels and
 numpy's SIMD dispatch of exp.
 """
@@ -45,8 +47,8 @@ GOLDEN = {
         ["verify-divergence", "--trials", "1000", "--jobs", "1"],
         "verify_divergence.scan_trials = 1000\n",
         {
-            "verify_divergence.csv": "ee6dc45b5de2d39f3c1257bce0811515f0f74cd2",
-            "verify_divergence_kscan.csv": "79492a0ac8410c2a8e6bf996a35cfe1aded8706a",
+            "verify_divergence.csv": "4c3f388db0e10f2ab7f683096f64f25d961f974b",
+            "verify_divergence_kscan.csv": "0185d876b22e464e599229a01a7b578158544f71",
         },
     ),
     "optimize-threshold": (

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from oracles import read_sweep_csv
 import airfl
-from airfl import channel, harness
+from airfl import harness
 from airfl.aircomp import PowerConfig, aggregate, compensation_lambda, effective_coefficients, scaling_zeta
 from airfl.analysis import conditional_second_moment, joint_cdf_xy, xi_mean_offset, xi_variance
 from airfl.channel import EstimationModel, draw_channel, draw_channel_block, draw_channel_rows, substream
@@ -534,15 +534,47 @@ class TestKSlopeScan:
         assert res.column("k_devices") == [5, 20]
 
 
+def layout2_rows(seed, key, lo, hi, width):
+    """(t, row) for trials [lo, hi) under stream layout 2: trial t's row is
+    row t mod 256 of one (256, width) draw from substream(seed,
+    STREAM_MC_DIVERGENCE, *key, t // 256), drawn whole here."""
+    blocks = {}
+    for t in range(lo, hi):
+        b = t // _TRIAL_BLOCK
+        if b not in blocks:
+            blocks[b] = substream(seed, STREAM_MC_DIVERGENCE, *key, b).standard_normal((_TRIAL_BLOCK, width))
+        yield t, blocks[b][t % _TRIAL_BLOCK]
+
+
+class RowStream:
+    """Stands in for a generator: hands out one row of normals in order."""
+
+    def __init__(self, row):
+        self.row, self.used = row, 0
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        out = self.row[self.used : self.used + n]
+        assert len(out) == n, "read past the trial's row"
+        self.used += n
+        return out.reshape(size)
+
+
+def row_width(grads, power):
+    """K x 4 channel normals, then d noise normals when sigma2 > 0."""
+    k_devices, d_model = np.shape(grads)
+    return 4 * k_devices + (d_model if power.sigma2 > 0.0 else 0)
+
+
 def scalar_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
     """Reference for the block kernel: one draw_channel per device and one
-    aggregate per trial, on the trial's own stream."""
+    aggregate per trial, each reading on from the trial's row."""
     model = EstimationModel(rho=rho, alpha=2.0)
     grads = list(grads)
     g_ideal = ideal_aggregate(grads)
     div, skips = [], []
-    for t in range(lo, hi):
-        gen = substream(seed, STREAM_MC_DIVERGENCE, *key, t)
+    for _, row in layout2_rows(seed, key, lo, hi, row_width(grads, power)):
+        gen = RowStream(row)
         draws = [draw_channel(model, 100.0, gen) for _ in grads]
         out = aggregate(grads, draws, gamma_th, rho, power, gen)
         diff = out.g_hat - g_ideal
@@ -554,18 +586,18 @@ def scalar_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
 def oracle_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
     """The same trials through oracles.air_round_ref, which shares no code
     with the package: K rows of 4 channel normals, then d noise normals,
-    from each trial's own stream."""
+    from each trial's row."""
     k_devices, d_model = grads.shape
     g_ideal = np.zeros(d_model)
     for g in grads:
         g_ideal += g
     g_ideal /= k_devices
     div, skips = [], []
-    for t in range(lo, hi):
-        gen = substream(seed, STREAM_MC_DIVERGENCE, *key, t)
-        normals = gen.standard_normal((k_devices, 4))
+    for _, row in layout2_rows(seed, key, lo, hi, row_width(grads, power)):
+        normals = row[: 4 * k_devices].reshape(k_devices, 4)
+        noise = row[4 * k_devices :] if power.sigma2 > 0.0 else np.zeros(d_model)
         g_hat, _, active, _ = oracles.air_round_ref(
-            grads, normals, gen.standard_normal(d_model), rho, gamma_th, power.p_max, power.g_bound,
+            grads, normals, noise, rho, gamma_th, power.p_max, power.g_bound,
             power.d_max_alpha, power.sigma2,
         )
         diff = g_hat - g_ideal
@@ -585,7 +617,7 @@ SCAN_POWER = PowerConfig(p_max=0.1, sigma2=1e-7, g_bound=1.0, d_max_alpha=100.0*
 class TestDivergenceKernel:
     @pytest.mark.parametrize(
         "case",
-        ["defaults", "mlp", "rho=1", "K=1", "skipping", "sigma2=0", "kscan"],
+        ["defaults", "mlp", "rho=1", "K=1", "skipping", "sigma2=0", "kscan", "sliced"],
     )
     def test_matches_the_scalar_loop(self, case):
         if case == "defaults":
@@ -603,8 +635,12 @@ class TestDivergenceKernel:
         elif case == "sigma2=0":
             grads, power, *rest = frozen(small_cfg())
             args = (grads, replace(power, sigma2=0.0), *rest)
-        else:
+        elif case == "kscan":
             args = (_basis_gradients(20, 10), SCAN_POWER, 0.5, 0.8, 2026, (20,))
+        else:
+            # d = 300 > 256: the kernel draws each block's rows in slices
+            args = (_basis_gradients(4, 300), SCAN_POWER, 0.5, 0.8, 2026, (4,))
+            assert harness._BLOCK_FLOATS // 300 < _TRIAL_BLOCK
         div, skips = _divergence_trials((*args, 0, 300))
         for reference in (scalar_trials, oracle_trials):
             ref_div, ref_skips = reference(*args, 0, 300)
@@ -640,9 +676,9 @@ class TestDivergenceKernel:
 
     @pytest.mark.parametrize("sigma2", [0.0, 1e-7])
     def test_stream_consumption(self, sigma2):
-        # trial t reads its K x 4 channel normals from the head of its own
-        # stream, then adds the next d normals times the noise scale when
-        # some device is active and sigma2 > 0; a skipped trial adds none
+        # trial t reads its K x 4 channel normals from the head of its row,
+        # then adds the row's next d normals times the noise scale when some
+        # device is active and sigma2 > 0; a skipped trial adds none
         k_devices, d_model, gamma_th, rho, seed = 3, 4, 1.5, 0.8, 5
         grads = _basis_gradients(k_devices, d_model)
         power = replace(SCAN_POWER, sigma2=sigma2)
@@ -650,11 +686,11 @@ class TestDivergenceKernel:
         zeta = scaling_zeta(k_devices, rho, power, gamma_th)
         noise_scale = math.sqrt(sigma2) / (math.sqrt(2.0) * zeta)
         g_ideal = ideal_aggregate(list(grads))
-        div, skips = _divergence_trials((grads, power, gamma_th, rho, seed, (), 0, 200))
-        assert 0 < skips.sum() < 200
-        for t in range(200):
-            gen = substream(seed, STREAM_MC_DIVERGENCE, t)
-            z = gen.standard_normal((k_devices, 4)) * (1.0 / math.sqrt(2.0))
+        div, skips = _divergence_trials((grads, power, gamma_th, rho, seed, (), 0, 300))
+        assert 0 < skips.sum() < 300
+        for t, row in layout2_rows(seed, (), 0, 300, row_width(grads, power)):
+            assert row.size == 4 * k_devices + (d_model if sigma2 > 0.0 else 0)
+            z = row[: 4 * k_devices].reshape(k_devices, 4) * (1.0 / math.sqrt(2.0))
             h_hat = z[:, 0] + 1j * z[:, 1]
             h = rho * h_hat + math.sqrt(1.0 - rho * rho) * (z[:, 2] + 1j * z[:, 3])
             xi, active = effective_coefficients(h, h_hat, gamma_th, lam)
@@ -665,16 +701,19 @@ class TestDivergenceKernel:
             if not active.any():
                 g_hat[:] = 0.0
             elif sigma2 > 0.0:
-                g_hat += gen.standard_normal(d_model) * noise_scale
+                g_hat += row[4 * k_devices :] * noise_scale
             diff = g_hat - g_ideal
             assert skips[t] == (not active.any())
             assert div[t] == float(diff @ diff)
 
-    def test_seeding_guard_names_numpy(self, monkeypatch):
-        # the first trial's derived stream state is checked against numpy's
-        monkeypatch.setattr(channel, "_PCG64_MULT", channel._PCG64_MULT + 2)
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-            _divergence_trials((_basis_gradients(3, 4), SCAN_POWER, 1.5, 0.8, 5, (), 0, 10))
+    @pytest.mark.parametrize("n, jobs", [(1000, 2), (300, 2), (2 * _TRIAL_BLOCK + 1, 3), (100, 4)])
+    def test_trial_chunks_are_whole_blocks(self, monkeypatch, n, jobs):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        chunks = harness._trial_chunks(n, jobs)
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(lo % _TRIAL_BLOCK == 0 for lo, _ in chunks)
+        assert len(chunks) <= jobs
 
 
 class TestThresholdSweep:
