@@ -8,8 +8,9 @@ truncation threshold; `sweep-threshold` trains across a threshold grid; and
 
 Every command accepts `--config` (key=value file; a previously written
 manifest is itself a valid config and replays the run bit-identically),
-`--seed`, `--trials`, `--out`, and `--jobs`.  Each command reads its grid
-and mode settings from its own section of the config, set by dotted keys
+`--seed`, `--trials`, `--out`, and `--jobs` (at least 1; a command starts
+at most one worker pool and joins it before it prints).  Each command reads
+its grid and mode settings from its own section of the config, set by dotted keys
 such as `verify_xi.rhos = 0.5,0.8`, `sweep.gammas = 0.05,...` or
 `run.mode = ideal`; every section is checked at load, and a manifest
 carries the running command's section in canonical form.
@@ -47,6 +48,7 @@ from .harness import (
     report,
     sweep_threshold,
     verdict_lines,
+    worker_pool,
     xi_gates,
 )
 from .optimizer import coefficients_from_system, optimal_threshold
@@ -208,6 +210,8 @@ COMMANDS = (
 
 
 def _run(cmd: Command, args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config) if args.config else SystemConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -216,7 +220,9 @@ def _run(cmd: Command, args) -> int:
     if cfg.trials is None and cmd.trials is not None:
         cfg = replace(cfg, trials=cmd.trials)
 
-    out = cmd.compute(cfg, args.jobs)
+    # the command's parallel maps share one pool, joined before anything prints
+    with worker_pool():
+        out = cmd.compute(cfg, args.jobs)
     lines = verdict_lines(out.gates) + out.lines
     for line in lines:
         print(line)

@@ -23,6 +23,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -787,13 +788,47 @@ def _trial_chunks(n: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
+class _PoolScope:
+    pool: ProcessPoolExecutor | None = None
+
+
+_scope: _PoolScope | None = None  # the open worker_pool scope, if any
+
+
+@contextmanager
+def worker_pool():
+    """Scope in which every `_pmap` shares one process pool.
+
+    The pool starts at the first map that needs two or more workers, sized
+    for that map.  Leaving the outermost scope, on success or on an
+    exception, shuts the pool down and joins its workers, so no process
+    outlives it; an inner scope reuses the outer one's pool.
+    """
+    global _scope
+    if _scope is not None:
+        yield _scope
+        return
+    _scope = scope = _PoolScope()
+    try:
+        yield scope
+    finally:
+        _scope = None
+        if scope.pool is not None:
+            scope.pool.shutdown(cancel_futures=True)
+
+
 def _pmap(fn, items, jobs: int) -> list:
+    """[fn(it) for it in items], on the open worker_pool's processes when
+    jobs and the item count allow two or more; outside a scope, one is
+    opened for this call."""
     items = list(items)
     workers = _pool_size(jobs, len(items))
     if workers == 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    with worker_pool() as scope:
+        if scope.pool is None:
+            scope.pool = ProcessPoolExecutor(max_workers=workers)
+        return list(scope.pool.map(fn, items))
 
 
 def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> SweepResult:
@@ -894,11 +929,17 @@ def k_slope_scan(
     except OverflowError:
         raise ValueError(f"alpha = {cfg.alpha!r} overflows the scan's path loss {_SCAN_DISTANCE} ** alpha") from None
     power = PowerConfig(p_max=cfg.p_max, sigma2=dbm_to_watts(cfg.sigma2_dbm), g_bound=1.0, d_max_alpha=d_max_alpha)
-    rows = []
+    # one map over every (K, chunk) unit: no barrier between fleet sizes
+    chunks = _trial_chunks(n_trials, jobs)
+    units = []
     for k in ks:
         frozen = (_basis_gradients(k, d_model), power, gamma_th, cfg.rho, cfg.seed, (k,))
-        results = _pmap(_divergence_trials, [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)], jobs)
-        mean, se = _mean_se(np.concatenate([r[0] for r in results]))
+        units += [(*frozen, lo, hi) for lo, hi in chunks]
+    results = _pmap(_divergence_trials, units, jobs)
+    rows = []
+    for i, k in enumerate(ks):
+        per_k = results[i * len(chunks) : (i + 1) * len(chunks)]
+        mean, se = _mean_se(np.concatenate([r[0] for r in per_k]))
         exact = divergence_exact([1.0] * k, k, gamma_th, cfg.rho, power, d_model)
         rows.append((k, mean, se, exact, divergence_bound(k, gamma_th, cfg.rho, power)))
 

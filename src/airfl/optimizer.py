@@ -14,14 +14,16 @@ root of h', found by bisection.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .aircomp import PowerConfig, check_positive, check_rho
 from .specfun import exp_integral_ei
 
 _BRACKET_LO = 1e-8
+_BRACKET_FLOOR = math.sqrt(sys.float_info.min)  # h' divides by x*x, kept a normal double
 _DERIVATIVE_TOL = 1e-10  # bisection stops at |h'| <= this
-_WIDTH_TOL = 1e-12       # or at a bracket this narrow
+_WIDTH_TOL = 1e-12       # or at a bracket this narrow (relative to hi below 1e-8)
 _MODES = ("joint", "communication_oriented", "computation_oriented")
 
 
@@ -103,15 +105,23 @@ def _bisect_root(fprime) -> tuple[float, float, int]:
     """Bisection root of an increasing-through-zero derivative.
 
     Brackets from [1e-8, hi], doubling hi from 1 until the derivative is
-    positive; terminates on |f'| <= 1e-10 or interval width <= 1e-12.
+    positive; terminates on |f'| <= 1e-10 or interval width <= 1e-12.  A
+    root below 1e-8 is bracketed by halving lo until f' < 0, which ends
+    because h' -> -inf as x -> 0+ when k1 > 0 or k2 > 0, unless lo would
+    pass the floor where x^2 stops being a normal double; the width test is
+    then relative to hi.
     """
     lo = _BRACKET_LO
     f_lo = fprime(lo)
-    if f_lo >= 0.0:
-        raise ValueError(
-            f"derivative not negative at bracket start: f({lo}) = {f_lo}; the objective weights are too "
-            "small (k1 falls as rho nears 1, k2 = sigma2 d_max^alpha / (2 p_max rho^2) as p_max grows)"
-        )
+    while f_lo >= 0.0:
+        if lo * 0.5 < _BRACKET_FLOOR:
+            raise ValueError(
+                f"derivative not negative at bracket start: f({lo}) = {f_lo}; the objective weights are too "
+                "small (k1 falls as rho nears 1, k2 = sigma2 d_max^alpha / (2 p_max rho^2) as p_max grows)"
+            )
+        lo *= 0.5
+        f_lo = fprime(lo)
+    relative = lo < _BRACKET_LO
     hi = 1.0
     while fprime(hi) <= 0.0:
         hi *= 2.0
@@ -123,7 +133,8 @@ def _bisect_root(fprime) -> tuple[float, float, int]:
         mid = 0.5 * (lo + hi)
         f_mid = fprime(mid)
         iterations += 1
-        if abs(f_mid) <= _DERIVATIVE_TOL or (hi - lo) <= _WIDTH_TOL:
+        width = (hi - lo) / hi if relative else hi - lo
+        if abs(f_mid) <= _DERIVATIVE_TOL or width <= _WIDTH_TOL:
             return mid, f_mid, iterations
         if f_mid < 0.0:
             lo = mid

@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import math
+import multiprocessing
 import tempfile
 import warnings
 from dataclasses import replace
@@ -140,7 +142,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "command, extra, key",
         [("verify-divergence", {"p_max": "1e-300", "gamma_th": "300"}, "p_max"),  # zeta^2 underflows
-         ("optimize-threshold", {"p_max": "1e300", "rho": "1.0"}, "p_max"),  # no minimum above 1e-8
+         ("optimize-threshold", {"p_max": "1e307", "rho": "1.0"}, "p_max"),  # gamma* below the solver's floor
          ("sweep-threshold", {"eta": "1e300", "train.task": "small_mlp"}, "eta"),  # the warm-up diverges
          ("train", {"eta": "1e300", "gamma_th": "1e-300"}, "eta"),  # a training step overflows
          ("verify-divergence", {"alpha": "400", "distances": "1e-300,1,2"}, "alpha"),  # 100 m ** alpha
@@ -156,6 +158,51 @@ class TestParsing:
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+
+
+class TestWorkerPool:
+    SCAN_CFG = SystemConfig(k_devices=3, train=SMALL_TRAIN, verify_divergence=VerifyDivergenceConfig(scan_trials=1000))
+
+    def test_divergence_and_its_k_scan_share_one_pool(self, tmp_path, capsys, pools):
+        # the main check and the four-K scan: one pool, not one per map
+        cfg_path = write_cfg(tmp_path / "div.cfg", self.SCAN_CFG, "verify_divergence")
+        assert main(["verify-divergence", "--config", cfg_path, "--trials", "1000", "--jobs", "2"]) == 0
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_makes_one_pool(self, tmp_path, capsys, pools):
+        cfg = replace(SystemConfig(k_devices=3, train=SMALL_TRAIN), sweep=replace(SystemConfig().sweep, modes=("fixed",)))
+        cfg_path = write_cfg(tmp_path / "sweep.cfg", cfg, "sweep")
+        assert main(["sweep-threshold", "--config", cfg_path, "--jobs", "2"]) == 0
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["verify-divergence", "sweep-threshold"])
+    def test_one_job_makes_no_pool(self, tmp_path, capsys, pools, command):
+        cfg_path = write_cfg(tmp_path / "run.cfg", self.SCAN_CFG)
+        trials = ["--trials", "1000"] if command == "verify-divergence" else []
+        assert main([command, "--config", cfg_path, *trials, "--jobs", "1"]) == 0
+        assert pools == []
+
+    def test_an_error_after_the_pool_started_joins_it(self, tmp_path, capsys, pools, monkeypatch):
+        def failing_scan(*args, **kwargs):
+            raise ValueError("scan failed")
+
+        monkeypatch.setattr(airfl.cli, "k_slope_scan", failing_scan)
+        cfg_path = write_cfg(tmp_path / "div.cfg", self.SCAN_CFG, "verify_divergence")
+        assert main(["verify-divergence", "--config", cfg_path, "--trials", "1000", "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == "error: scan failed\n"
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_bad_input(self, capsys, pools, jobs):
+        assert main(["verify-divergence", "--trials", "1000", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--jobs" in lines[0]
+        assert captured.out == ""
+        assert pools == []
 
 
 class TestVerifyXi:
@@ -309,6 +356,16 @@ class TestOptimizeThreshold:
         by_mode = {row[0]: dict(zip(columns, row)) for row in rows}
         assert abs(by_mode["joint"]["derivative_residual"]) <= 1e-10
         assert by_mode["communication_oriented"]["gamma_th"] == 0.5
+
+    def test_a_minimum_below_the_bracket_start_is_found(self, tmp_path, capsys):
+        # k1 = 0 and k2 near 3e-32: gamma* = sqrt(k2) lies far below 1e-8
+        cfg_path = tmp_path / "opt.cfg"
+        cfg_path.write_text("p_max = 1e30\nrho = 1.0\n")
+        assert main(["optimize-threshold", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        columns, rows = read_sweep_csv(tmp_path / "optimize_threshold.csv")
+        joint = dict(zip(columns, rows[0]))
+        assert joint["mode"] == "joint"
+        assert joint["gamma_th"] == pytest.approx(math.sqrt(joint["k2"]), rel=1e-9)
 
     def test_perfect_csi_drops_computation_mode(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path / "r1.cfg", SystemConfig(rho=1.0))

@@ -1,6 +1,7 @@
 """Monte-Carlo estimators, sweeps, and CSV/manifest reporting."""
 
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -299,6 +300,45 @@ class TestPoolSize:
         assert _pool_size(-3, 5) == 1
         monkeypatch.setattr("airfl.harness.os.cpu_count", lambda: None)
         assert _pool_size(4, 4) == 1
+
+
+class TestWorkerPool:
+    def test_a_scope_shares_one_lazy_pool(self, pools):
+        with harness.worker_pool():
+            assert harness._pmap(abs, [-1, -2, -3], jobs=1) == [1, 2, 3]
+            assert pools == []  # one worker needs no pool
+            assert harness._pmap(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
+            with harness.worker_pool():  # an inner scope reuses the outer pool
+                assert harness._pmap(abs, range(-5, 0), jobs=2) == [5, 4, 3, 2, 1]
+            assert multiprocessing.active_children()  # the pool lives until the scope ends
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_a_map_outside_a_scope_joins_its_own_pool(self, pools):
+        assert harness._pmap(abs, [-1, -2], jobs=2) == [1, 2]
+        assert harness._pmap(abs, [-1, -2], jobs=2) == [1, 2]
+        assert pools == [2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_an_exception_joins_the_pool(self, pools):
+        with pytest.raises(ZeroDivisionError):
+            with harness.worker_pool():
+                harness._pmap(abs, [-1, -2], jobs=2)
+                1 / 0
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_k_scan_makes_one_map(self, monkeypatch):
+        calls = []
+        pmap = harness._pmap
+
+        def counting(fn, items, jobs):
+            calls.append(len(items))
+            return pmap(fn, items, jobs)
+
+        monkeypatch.setattr(harness, "_pmap", counting)
+        k_slope_scan(small_cfg(), ks=(2, 3, 4), n_trials=1000, jobs=2)
+        assert calls == [3 * len(harness._trial_chunks(1000, 2))]
 
 
 def joint_tails(seed, tail_gammas, n=1_000_000):

@@ -143,6 +143,19 @@ class TestSolver:
         pure = optimal_threshold(ObjectiveCoefficients(0.3, 0.0)).gamma_star
         assert abs(near - pure) < 1e-3
 
+    @pytest.mark.parametrize("mode", ["joint", "computation_oriented"])
+    def test_a_root_below_the_bracket_start_is_bracketed(self, mode):
+        # gamma* = sqrt(k2) = 1e-10 for the noise term, about k1 for the CSI term
+        coef = ObjectiveCoefficients(0.0, 1e-20) if mode == "joint" else ObjectiveCoefficients(1e-17, 0.0)
+        g = optimal_threshold(coef, mode=mode).gamma_star
+        assert g < 1e-8
+        assert derivative_h(g * (1 - 1e-9), coef) < 0.0 < derivative_h(g * (1 + 1e-9), coef)
+
+    def test_a_root_below_the_floor_is_refused(self):
+        # the root sqrt(k2) ~ 3e-162 lies where x^2 is no longer a normal double
+        with pytest.raises(ValueError, match="derivative not negative at bracket start"):
+            optimal_threshold(ObjectiveCoefficients(0.0, 1e-323))
+
     def test_solution_record_is_frozen(self):
         sol = optimal_threshold(COEF_SPEC)
         with pytest.raises(AttributeError):
