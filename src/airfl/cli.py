@@ -33,7 +33,6 @@ import numpy as np
 from .config import SystemConfig, load_config, resolve, resolved_to_config
 from .fltrain import SeedDraws, train
 from .harness import (
-    _SWEEP_MODES,
     Gate,
     SweepResult,
     cdf_pdf_consistency,
@@ -46,6 +45,7 @@ from .harness import (
     pdf_gates,
     pdf_normalization,
     report,
+    sweep_modes,
     sweep_threshold,
     verdict_lines,
     worker_pool,
@@ -109,13 +109,12 @@ def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:
 
 
 def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
-    div = cfg.verify_divergence
     result = mc_weight_divergence(cfg, cfg.trials, jobs=jobs)
     tables = {"verify_divergence": result}
     meta = dict(result.meta)
     lines = []
-    if div.k_scan:
-        scan = k_slope_scan(cfg, ks=div.scan_ks, n_trials=div.scan_trials, jobs=jobs)
+    if cfg.verify_divergence.k_scan:
+        scan = k_slope_scan(cfg, jobs=jobs)
         tables["verify_divergence_kscan"] = scan
         meta.update({f"kscan_{k}": v for k, v in scan.meta.items()})
         lines.append(
@@ -153,10 +152,9 @@ def _round_for_print(v) -> str:
 
 
 def _sweep_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
-    # no modes set: every mode that applies at this rho, pinned for replay
-    modes = cfg.sweep.modes or tuple(m for m in _SWEEP_MODES if cfg.rho < 1.0 or m != "computation_oriented")
-    cfg = replace(cfg, sweep=replace(cfg.sweep, modes=modes))
-    result = sweep_threshold(cfg, cfg.sweep.gammas, modes=modes, n_seeds=cfg.sweep.seeds, jobs=jobs)
+    # the modes that run, pinned for replay
+    cfg = replace(cfg, sweep=replace(cfg.sweep, modes=sweep_modes(cfg)))
+    result = sweep_threshold(cfg, jobs=jobs)
     lines = [
         ", ".join(f"{c}={_round_for_print(v)}" for c, v in zip(result.columns, row))
         for row in result.rows

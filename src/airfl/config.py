@@ -115,18 +115,25 @@ _RULES = {
                                   "a slope needs at least two distinct fleet sizes, each >= 1"),
     "sweep.gammas": (lambda v: len(v) >= _MIN_SWEEP_GAMMAS and all(map(_is_threshold, v)),
                      f"expected at least {_MIN_SWEEP_GAMMAS} thresholds, each {_IN}"),
-    "sweep.modes": (lambda v: v is None or set(v) <= set(_SWEEP_MODES), f"each mode must be one of {_SWEEP_MODES}"),
+    "sweep.modes": (lambda v: v is None or (len(v) >= 1 and set(v) <= set(_SWEEP_MODES)),
+                    f"expected one or more modes, each one of {_SWEEP_MODES}"),
     "sweep.seeds": (lambda v: v >= _MIN_SWEEP_SEEDS, f"expected at least {_MIN_SWEEP_SEEDS} seeds"),
     "run.mode": (lambda v: v in _RUN_MODES, f"expected one of {_RUN_MODES}"),
 }
 
 
+def check_key(key: str, value) -> None:
+    """Reject a value that fails the rule of config key `key`, naming the key."""
+    rule, expected = _RULES[key]
+    if not rule(value):
+        raise ValueError(f"config key {key!r}: {expected}, got {_fmt(value) or 'nothing'}")
+
+
 def _check(obj, prefix: str = "") -> None:
     """Reject the first field of obj that fails its rule, naming its key."""
     for f in fields(obj):
-        key, value = prefix + f.name, getattr(obj, f.name)
-        if key in _RULES and not _RULES[key][0](value):
-            raise ValueError(f"config key {key!r}: {_RULES[key][1]}, got {_fmt(value)}")
+        if prefix + f.name in _RULES:
+            check_key(prefix + f.name, getattr(obj, f.name))
 
 
 @dataclass(frozen=True)

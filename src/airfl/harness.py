@@ -62,8 +62,6 @@ from .channel import (
 )
 from .config import (
     _MANIFEST_HEADER,
-    _MIN_SWEEP_GAMMAS,
-    _MIN_SWEEP_SEEDS,
     _MIN_TRIALS,
     _SWEEP_MODES,
     STREAM_INIT,
@@ -72,6 +70,7 @@ from .config import (
     STREAM_MC_JOINT,
     STREAM_MC_XI,
     SystemConfig,
+    check_key,
     config_to_kv,
     resolve,
 )
@@ -92,6 +91,8 @@ _MASS_CONSISTENCY_TOL = 1e-9  # quadrature vs CDF-rectangle cross-check
 _NORM_GAMMA_MIN = -40.0  # lower gamma edge of the density normalization
 _FD_STEP = 1e-4  # spacing of the CDF/density finite-difference stencil
 _SCAN_DISTANCE = 100.0  # the K-scan's common device distance, meters
+_SCAN_D_MODEL = 10  # the K-scan's model dimension: device k sends basis vector k mod 10
+_Z_LIMIT = 4.0  # the 4-standard-error rule of every 'z' gate
 # divergence trials per stream, a constant of stream layout 2: trial t is
 # row t mod 256 of substream(seed, STREAM_MC_DIVERGENCE, *key, t // 256)
 _TRIAL_BLOCK = 256
@@ -318,12 +319,11 @@ def mc_xi_moments_grid(
     lams = []
     by_rho: dict[float, list[int]] = {}
     for k, (rho, gamma_th) in enumerate(cells):
-        # alpha plays no role in the coefficient; any valid value works here
-        EstimationModel(rho=rho, alpha=2.0)
-        lams.append(compensation_lambda(gamma_th, rho))
+        lams.append(compensation_lambda(gamma_th, rho))  # checks gamma_th and rho
         by_rho.setdefault(rho, []).append(k)
     if not cells:
         return []
+    # alpha plays no role in the coefficient; any valid value works here
     first = EstimationModel(rho=cells[0][0], alpha=2.0)
     gen = substream(seed, STREAM_MC_XI)
 
@@ -357,17 +357,28 @@ def _xi_cell_sums(gain, aligned, gamma_th: float, lam: float) -> tuple[int, floa
     temporaries are gone when the next cell starts."""
     y, active = _truncated_ratio(gain, aligned, gamma_th, lam)
     y -= 1.0
+    return int(np.count_nonzero(active)), *_power_sums(y)
+
+
+def _power_sums(y: np.ndarray) -> tuple[float, float, float, float]:
+    """The sums of y, y^2, y^3 and y^4; y^3 and y^4 overwrite y and y^2, so
+    two arrays are held."""
     y2 = y * y
     s1, s2 = float(np.sum(y)), float(np.sum(y2))
     y *= y2
     y2 *= y2
-    return int(np.count_nonzero(active)), s1, s2, float(np.sum(y)), float(np.sum(y2))
+    return s1, s2, float(np.sum(y)), float(np.sum(y2))
+
+
+def _merge_sums(chunk_sums) -> tuple[int, tuple[float, ...]]:
+    """The total count and the math.fsum of each power sum over chunks of
+    (count, s1, s2, s3, s4)."""
+    counts, *parts = zip(*chunk_sums)
+    return sum(counts), tuple(math.fsum(p) for p in parts)
 
 
 def _xi_result(rho, gamma_th, n_samples: int, chunk_sums) -> XiMomentsResult:
-    counts, *parts = zip(*chunk_sums)
-    s1, s2, s3, s4 = (math.fsum(p) for p in parts)
-    n_active = sum(counts)
+    n_active, (s1, s2, s3, s4) = _merge_sums(chunk_sums)
     n = float(n_samples)
     a = s1 / n  # sample mean of xi - 1
     m2 = s2 / n - a * a
@@ -391,27 +402,25 @@ def _xi_result(rho, gamma_th, n_samples: int, chunk_sums) -> XiMomentsResult:
     )
 
 
-def xi_gates(
-    results, limit: float = 4.0, rel_limit: float = 0.02, rel_floor: float = 0.1
-) -> list[Gate]:
+def xi_gates(results) -> list[Gate]:
     """Per cell: the mean against 1 and the variance against the closed form
-    at `limit` SEs; where the closed variance exceeds rel_floor the variance
-    must also sit within rel_limit of it."""
+    at 4 SEs; where the closed variance exceeds 0.1 the variance must also
+    sit within 2 % of it."""
     gates = []
     for r in results:
         cell = f"rho={r.rho:g} gamma={r.gamma_th:g}"
         gates.append(
-            Gate(f"xi_mean[{cell}]", r.mean, 1.0, r.se_mean, limit,
+            Gate(f"xi_mean[{cell}]", r.mean, 1.0, r.se_mean, _Z_LIMIT,
                  detail=f"mean={r.mean:.6f} se={r.se_mean:.2e}")
         )
         gates.append(
-            Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, r.se_var, limit,
+            Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, r.se_var, _Z_LIMIT,
                  detail=f"mc={r.variance:.6f} closed={r.variance_closed:.6f} se={r.se_var:.2e}")
         )
-        if r.variance_closed > rel_floor:
+        if r.variance_closed > 0.1:
             rel = abs(r.variance - r.variance_closed) / r.variance_closed
             gates.append(
-                Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, None, rel_limit,
+                Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, None, 0.02,
                      kind="rel", detail=f"rel={rel:.4f}")
             )
     return gates
@@ -495,16 +504,11 @@ def _joint_chunk(z: np.ndarray, t_edges, g_edges, tail_gammas) -> tuple[np.ndarr
         counts += histogram2d_counts(x, -gain, t_edges, g_edges)
         for parts, tail_gamma in zip(x_parts, tail_gammas):
             parts.append(x[gain >= tail_gamma])
-    # one sum per power over the chunk's tail; x^3 and x^4 overwrite x and
-    # x^2, so the tail holds two arrays
+    # one sum per power over the chunk's tail
     tail_sums = []
     for parts in x_parts:
         x = np.concatenate(parts)
-        x2 = x * x
-        s1, s2 = float(np.sum(x)), float(np.sum(x2))
-        x *= x2
-        x2 *= x2
-        tail_sums.append((x.size, s1, s2, float(np.sum(x)), float(np.sum(x2))))
+        tail_sums.append((x.size, *_power_sums(x)))
     return counts, tail_sums
 
 
@@ -535,17 +539,15 @@ def mc_joint_distribution_check(
     """
     if n_samples < _MIN_JOINT_SAMPLES:
         raise ValueError(f"need at least {_MIN_JOINT_SAMPLES} samples (trials), got {n_samples}")
-    g_lo, g_hi = (float(g) for g in gamma_range)
-    t_lo, t_hi = (float(t) for t in t_range)
-    if not (g_lo < g_hi <= 0.0):
-        raise ValueError(f"gamma window must satisfy lo < hi <= 0, got ({g_lo}, {g_hi})")
-    if not (t_lo < t_hi):
-        raise ValueError(f"empty t window ({t_lo}, {t_hi})")
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    gamma_range, t_range = (tuple(float(v) for v in r) for r in (gamma_range, t_range))
     tail_gammas = tuple(float(g) for g in tail_gammas)
-    if not tail_gammas or not all(g > 0.0 and math.isfinite(g) for g in tail_gammas):
-        raise ValueError(f"tail_gammas must be one or more positive thresholds, got {tail_gammas}")
+    if not tail_gammas:
+        raise ValueError("tail_gammas must hold one or more thresholds")
+    # each setting meets the rule of the verify_pdf key that holds it
+    for key, value in (("verify_pdf.gamma_range", gamma_range), ("verify_pdf.t_range", t_range),
+                       ("verify_pdf.bins", bins), *(("verify_pdf.tail_gamma", g) for g in tail_gammas)):
+        check_key(key, value)
+    (g_lo, g_hi), (t_lo, t_hi) = gamma_range, t_range
 
     t_edges = np.linspace(t_lo, t_hi, bins + 1)
     g_edges = np.linspace(g_lo, g_hi, bins + 1)
@@ -563,10 +565,7 @@ def mc_joint_distribution_check(
         counts += chunk_counts
         chunk_tails.append(tail_sums)
         done += m
-    tails = []
-    for tail_gamma, sums in zip(tail_gammas, zip(*chunk_tails)):
-        count, *power = zip(*sums)
-        tails.append(TailSums(tail_gamma, sum(count), tuple(math.fsum(s) for s in power)))
+    tails = [TailSums(g, *_merge_sums(sums)) for g, sums in zip(tail_gammas, zip(*chunk_tails))]
 
     mass = np.empty((bins, bins))
     for i in range(bins):
@@ -662,20 +661,12 @@ def cdf_pdf_consistency(t_values, gamma_values) -> float:
     return worst
 
 
-def pdf_gates(
-    result: SweepResult,
-    norm: float,
-    fd_worst: float,
-    tv_limit: float = 0.02,
-    norm_tol: float = 1e-6,
-    fd_tol: float = 1e-4,
-    limit: float = 4.0,
-) -> list[Gate]:
-    """Gates of the joint-law check: binned total variation, density
-    normalization, CDF/density consistency, and the tail probability and
-    conditional second moment (c = 0) at the first tail threshold, at
-    `limit` SEs.  A tail too thin to estimate
-    the conditional moment fails that gate."""
+def pdf_gates(result: SweepResult, norm: float, fd_worst: float) -> list[Gate]:
+    """Gates of the joint-law check: binned total variation below 0.02,
+    density normalization within 1e-6 of 1, CDF/density consistency within
+    1e-4, and the tail probability and conditional second moment (c = 0) at
+    the first tail threshold, at 4 SEs.  A tail too thin to estimate the
+    conditional moment fails that gate."""
     meta = result.meta
     tv = meta["tv_distance"]
     p_tail, se_tail, p_exp = meta["tail_prob_mc"], meta["tail_prob_se"], meta["tail_prob_expected"]
@@ -690,15 +681,15 @@ def pdf_gates(
             f"tail_gamma={meta['tail_gamma']!r}; cannot estimate"
         )
     return [
-        Gate("pdf_tv_distance", tv, 0.0, None, tv_limit, kind="tv",
+        Gate("pdf_tv_distance", tv, 0.0, None, 0.02, kind="tv",
              detail=f"tv={tv:.5f} n={meta['n_samples']}"),
-        Gate("pdf_normalization", norm, 1.0, None, norm_tol, kind="abs",
+        Gate("pdf_normalization", norm, 1.0, None, 1e-6, kind="abs",
              detail=f"integral={norm!r}"),
-        Gate("cdf_pdf_consistency", fd_worst, 0.0, None, fd_tol, kind="abs",
+        Gate("cdf_pdf_consistency", fd_worst, 0.0, None, 1e-4, kind="abs",
              detail=f"worst_abs_err={fd_worst:.3e}"),
-        Gate("truncation_tail", p_tail, p_exp, se_tail, limit,
+        Gate("truncation_tail", p_tail, p_exp, se_tail, _Z_LIMIT,
              detail=f"mc={p_tail:.6f} expected={p_exp:.6f} se={se_tail:.2e}"),
-        Gate("conditional_second_moment", m2, m2_exp, m2_se, limit, detail=m2_detail),
+        Gate("conditional_second_moment", m2, m2_exp, m2_se, _Z_LIMIT, detail=m2_detail),
     ]
 
 
@@ -884,12 +875,12 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     return SweepResult(columns=tuple(row), rows=[tuple(row.values())], meta=meta)
 
 
-def divergence_gates(result: SweepResult, limit: float = 4.0) -> list[Gate]:
-    """The Monte-Carlo divergence against its exact expectation at `limit`
-    SEs; the a-priori bound travels in the detail, not in the verdict."""
+def divergence_gates(result: SweepResult) -> list[Gate]:
+    """The Monte-Carlo divergence against its exact expectation at 4 SEs;
+    the a-priori bound travels in the detail, not in the verdict."""
     return [
         Gate("divergence_exact_4se", row["divergence_mc"], row["divergence_exact"],
-             row["divergence_se"], limit,
+             row["divergence_se"], _Z_LIMIT,
              detail=f"mc={row['divergence_mc']:.6e} exact={row['divergence_exact']:.6e} "
              f"se={row['divergence_se']:.2e} bound={row['divergence_bound']:.6e}")
         for row in (dict(zip(result.columns, r)) for r in result.rows)
@@ -900,29 +891,21 @@ def _basis_gradients(k_devices: int, d_model: int) -> np.ndarray:
     return np.eye(d_model)[np.arange(k_devices) % d_model]
 
 
-def k_slope_scan(
-    cfg: SystemConfig,
-    ks: tuple[int, ...] = (5, 10, 20, 40),
-    n_trials: int = 4000,
-    jobs: int = 1,
-    d_model: int = 10,
-) -> SweepResult:
+def k_slope_scan(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
     """Informational K-scaling of the divergence at unit gradient norms.
 
-    Every device transmits a fixed unit-norm gradient from a common
-    distance of 100 m, so only the fleet size varies across rows.  Trials
-    run in the same block kernel as mc_weight_divergence, trial t of fleet
-    size K on row t mod 256 of substream(seed, STREAM_MC_DIVERGENCE, K, t //
-    256), so neither the kernel's slices nor jobs changes a byte.  The fitted log-log
-    slope is reported in meta next to the slopes of the exact expression
-    and of the printed bound (-2).  The exact expression's variance term
-    scales as 1/K, its noise term as 1/K^2, so the fit lands between -1
-    and -2 depending on which share dominates.
+    Runs cfg.verify_divergence.scan_trials trials at each fleet size K of
+    its scan_ks.  Every device transmits a fixed unit-norm gradient from a
+    common distance of 100 m, so only the fleet size varies across rows.
+    Trials run in the same block kernel as mc_weight_divergence, trial t of
+    fleet size K on row t mod 256 of substream(seed, STREAM_MC_DIVERGENCE,
+    K, t // 256), so neither the kernel's slices nor jobs changes a byte.
+    The fitted log-log slope is reported in meta next to the slopes of the
+    exact expression and of the printed bound (-2).  The exact expression's
+    variance term scales as 1/K, its noise term as 1/K^2, so the fit lands
+    between -1 and -2 depending on which share dominates.
     """
-    if n_trials < _MIN_TRIALS:
-        raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
-    if len(set(ks)) < 2:
-        raise ValueError("need at least two distinct fleet sizes for a slope")
+    ks, n_trials = cfg.verify_divergence.scan_ks, cfg.verify_divergence.scan_trials
     gamma_th = resolve(cfg).gamma_th
     try:
         d_max_alpha = _SCAN_DISTANCE**cfg.alpha
@@ -933,14 +916,14 @@ def k_slope_scan(
     chunks = _trial_chunks(n_trials, jobs)
     units = []
     for k in ks:
-        frozen = (_basis_gradients(k, d_model), power, gamma_th, cfg.rho, cfg.seed, (k,))
+        frozen = (_basis_gradients(k, _SCAN_D_MODEL), power, gamma_th, cfg.rho, cfg.seed, (k,))
         units += [(*frozen, lo, hi) for lo, hi in chunks]
     results = _pmap(_divergence_trials, units, jobs)
     rows = []
     for i, k in enumerate(ks):
         per_k = results[i * len(chunks) : (i + 1) * len(chunks)]
         mean, se = _mean_se(np.concatenate([r[0] for r in per_k]))
-        exact = divergence_exact([1.0] * k, k, gamma_th, cfg.rho, power, d_model)
+        exact = divergence_exact([1.0] * k, k, gamma_th, cfg.rho, power, _SCAN_D_MODEL)
         rows.append((k, mean, se, exact, divergence_bound(k, gamma_th, cfg.rho, power)))
 
     _, means, _, exacts, _ = zip(*rows)
@@ -994,43 +977,34 @@ def _computation_gamma(cfg: SystemConfig) -> float:
     return optimal_threshold(coef, mode="computation_oriented").gamma_star
 
 
-def sweep_threshold(
-    cfg: SystemConfig,
-    gammas,
-    modes=_SWEEP_MODES,
-    n_seeds: int = 3,
-    jobs: int = 1,
-) -> SweepResult:
+def sweep_modes(cfg: SystemConfig) -> tuple[str, ...]:
+    """cfg.sweep.modes, or when unset every mode that applies at cfg.rho:
+    under perfect CSI the computation term is monotone, so
+    'computation_oriented' has no threshold there."""
+    return cfg.sweep.modes or tuple(m for m in _SWEEP_MODES if cfg.rho < 1.0 or m != "computation_oriented")
+
+
+def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
     """Train across a threshold grid and the optimizer's operating points.
 
-    'fixed' trains once per grid threshold; 'joint' resolves gamma* per
-    repetition seed (the optimum depends on the drawn distances);
-    'communication_oriented' pins 0.5 and 'computation_oriented' minimizes
-    the CSI-error term alone.  Each row aggregates n_seeds repetitions into
-    mean and standard error of the final test accuracy and of the measured
-    per-round divergence.
+    Reads the grid cfg.sweep.gammas, the repetition count cfg.sweep.seeds
+    and the modes of sweep_modes(cfg).  'fixed' trains once per grid
+    threshold; 'joint' resolves gamma* per repetition seed (the optimum
+    depends on the drawn distances); 'communication_oriented' pins 0.5 and
+    'computation_oriented' minimizes the CSI-error term alone.  Each row
+    aggregates the seeds' repetitions into mean and standard error of the
+    final test accuracy and of the measured per-round divergence.
 
     The cells that share a seed differ only in gamma_th, so they train on
     one SeedDraws: shards, batches, channel draws and the calibrated
     gradient bound are drawn once per seed, not once per cell, and the
     cells train in lock-step (fltrain.train_cells), one gradient call per
     round for the group.  Only each cell's final accuracy is evaluated.  A
-    seed group is the parallel unit, so at most n_seeds workers run;
+    seed group is the parallel unit, so at most cfg.sweep.seeds workers run;
     neither the sharing nor jobs changes a byte of the result.
     """
-    gammas = [float(g) for g in gammas]
-    if len(gammas) < _MIN_SWEEP_GAMMAS:
-        raise ValueError(f"threshold grid needs >= {_MIN_SWEEP_GAMMAS} points, got {len(gammas)}")
-    if any(not (g > 0.0 and math.isfinite(g)) for g in gammas):
-        raise ValueError("thresholds must be positive and finite")
-    if n_seeds < _MIN_SWEEP_SEEDS:
-        raise ValueError(f"need >= {_MIN_SWEEP_SEEDS} repetition seeds, got {n_seeds}")
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError("no modes selected")
-    for mode in modes:
-        if mode not in _SWEEP_MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {_SWEEP_MODES}")
+    gammas = [float(g) for g in cfg.sweep.gammas]
+    modes, n_seeds = sweep_modes(cfg), cfg.sweep.seeds
 
     def seeded(gamma_th) -> list[SystemConfig]:
         return [replace(cfg, gamma_th=gamma_th, seed=cfg.seed + i) for i in range(n_seeds)]

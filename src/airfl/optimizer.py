@@ -81,7 +81,8 @@ def derivative_h(x: float, coef: ObjectiveCoefficients) -> float:
     ei_part = 0.0
     if coef.k1 != 0.0:
         ei_part = -coef.k1 * ex / x - 2.0 * coef.k1 * exp_integral_ei(-x) * e2x
-    return ex + ei_part + coef.k2 * e2x * (2.0 * x - 1.0) / (x * x)
+    k2_part = coef.k2 * e2x * (2.0 * x - 1.0) / (x * x) if coef.k2 != 0.0 else 0.0
+    return ex + ei_part + k2_part
 
 
 def second_derivative_h(x: float, coef: ObjectiveCoefficients) -> float:
@@ -98,7 +99,10 @@ def second_derivative_h(x: float, coef: ObjectiveCoefficients) -> float:
     if coef.k1 != 0.0:
         bracket = -4.0 * x * x * ex * exp_integral_ei(-x) - 3.0 * x + 1.0
         k1_part = coef.k1 * ex / (x * x) * bracket
-    return ex + k1_part + 2.0 * coef.k2 * e2x * (2.0 * x * x - 2.0 * x + 1.0) / (x * x * x)
+    k2_part = 0.0
+    if coef.k2 != 0.0:
+        k2_part = 2.0 * coef.k2 * e2x * (2.0 * x * x - 2.0 * x + 1.0) / (x * x * x)
+    return ex + k1_part + k2_part
 
 
 def _bisect_root(fprime) -> tuple[float, float, int]:

@@ -73,7 +73,7 @@ def xi_grid():
 
 
 def test_criterion_01_coefficient_unbiasedness(xi_grid):
-    gates = [g for g in xi_gates(xi_grid.values(), limit=4.0) if g.name.startswith("xi_mean")]
+    gates = [g for g in xi_gates(xi_grid.values()) if g.name.startswith("xi_mean")]
     worst = max(gates, key=lambda g: g.z)
     verdict(
         1,
@@ -84,11 +84,7 @@ def test_criterion_01_coefficient_unbiasedness(xi_grid):
 
 
 def test_criterion_02_coefficient_variance(xi_grid):
-    gates = [
-        g
-        for g in xi_gates(xi_grid.values(), limit=4.0, rel_limit=0.02, rel_floor=0.1)
-        if g.name.startswith("xi_var")
-    ]
+    gates = [g for g in xi_gates(xi_grid.values()) if g.name.startswith("xi_var")]
     worst_z = max(g.z for g in gates if g.kind == "z")
     worst_rel = max(g.deviation for g in gates if g.kind == "rel")
     ok = all(g.passed for g in gates)
@@ -118,7 +114,7 @@ def test_criterion_03_joint_density(joint_law):
     fd_worst = cdf_pdf_consistency(
         0.5 * (edges_t[:-1] + edges_t[1:]), 0.5 * (edges_g[:-1] + edges_g[1:])
     )
-    gates = pdf_gates(res, norm, fd_worst, tv_limit=0.02, norm_tol=1e-6, fd_tol=1e-4)
+    gates = pdf_gates(res, norm, fd_worst)
     checked = ("pdf_tv_distance", "pdf_normalization", "cdf_pdf_consistency")
     ok = all(g.passed for g in gates if g.name in checked)
     verdict(
@@ -166,10 +162,11 @@ def test_criterion_05_weight_divergence():
     ]
     gates = {}
     for name, cfg, trials in configs:
-        (gates[name],) = divergence_gates(mc_weight_divergence(cfg, trials), limit=4.0)
+        (gates[name],) = divergence_gates(mc_weight_divergence(cfg, trials))
         print(f"INFO divergence[{name}]: {gates[name].summary()} n={trials}")
     worst_name = max(gates, key=lambda name: gates[name].z)
-    scan = k_slope_scan(base, ks=(5, 10, 20, 40), n_trials=1200)
+    scan_section = VerifyDivergenceConfig(scan_ks=(5, 10, 20, 40), scan_trials=1200)
+    scan = k_slope_scan(replace(base, verify_divergence=scan_section))
     print(
         f"INFO k_scaling: fitted_slope={scan.meta['fitted_slope']:.3f} "
         f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope=-2.0 "

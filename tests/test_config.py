@@ -97,6 +97,27 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "section, kw, key",
+        [
+            (SweepConfig, {"gammas": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)}, "sweep.gammas"),
+            (SweepConfig, {"gammas": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, -0.1)}, "sweep.gammas"),
+            (SweepConfig, {"seeds": 2}, "sweep.seeds"),
+            (SweepConfig, {"modes": ("greedy",)}, "sweep.modes"),
+            (SweepConfig, {"modes": ()}, "sweep.modes"),  # None, not (), means every mode that applies
+            (VerifyDivergenceConfig, {"scan_trials": 10}, "verify_divergence.scan_trials"),
+            (VerifyDivergenceConfig, {"scan_ks": (5,)}, "verify_divergence.scan_ks"),
+        ],
+        ids=["seven_point_grid", "negative_threshold", "two_seeds", "unknown_mode", "no_modes",
+             "ten_scan_trials", "one_fleet_size"],
+    )
+    def test_rejects_command_settings(self, section, kw, key):
+        # the sweep and the K-scan read these settings from their sections,
+        # whose rules are the only range checks they get
+        name = key.split(".")[0]
+        with pytest.raises(ValueError, match=re.escape(f"config key {key!r}")):
+            SystemConfig(**{name: section(**kw)})
+
     def test_no_train_field_shadows_a_system_field(self):
         shared = {f.name for f in fields(TrainConfig)} & {f.name for f in fields(SystemConfig)}
         assert not shared

@@ -21,6 +21,7 @@ from airfl.config import (
     SweepConfig,
     SystemConfig,
     TrainConfig,
+    VerifyDivergenceConfig,
     VerifyXiConfig,
     load_config,
 )
@@ -47,6 +48,7 @@ from airfl.harness import (
     pdf_gates,
     pdf_normalization,
     report,
+    sweep_modes,
     sweep_threshold,
     verdict_lines,
     write_csv,
@@ -271,15 +273,17 @@ class TestGate:
         ]
 
     def test_xi_gates_add_the_relative_check_above_the_floor(self):
-        results = [mc_xi_moments(rho, 0.5, 20_000, seed=3) for rho in (0.95, 1.0)]
+        cells = ((0.95, 0.5), (1.0, 0.5), (1.0, 0.05))
+        results = [mc_xi_moments(rho, gamma, 20_000, seed=3) for rho, gamma in cells]
         by_name = {}
         for g in xi_gates(results):
             by_name.setdefault(g.name, []).append(g.kind)
-        # var_closed is about 0.73 at rho = 0.95 and 0.65 at rho = 1, both above 0.1
+        # var_closed is about 0.73 at rho = 0.95 and 0.65 at rho = 1, both above
+        # the 0.1 floor, and 0.05 at gamma = 0.05, below it
         assert by_name["xi_var[rho=1 gamma=0.5]"] == ["z", "rel"]
         assert by_name["xi_mean[rho=0.95 gamma=0.5]"] == ["z"]
-        low = xi_gates(results, rel_floor=1.0)
-        assert [g.kind for g in low if g.name.startswith("xi_var")] == ["z", "z"]
+        assert by_name["xi_var[rho=1 gamma=0.05]"] == ["z"]
+        assert {g.limit for g in xi_gates(results) if g.kind == "z"} == {4.0}
 
     def test_divergence_gate_reads_the_row(self):
         res = mc_weight_divergence(small_cfg(), n_trials=1000)
@@ -337,7 +341,7 @@ class TestWorkerPool:
             return pmap(fn, items, jobs)
 
         monkeypatch.setattr(harness, "_pmap", counting)
-        k_slope_scan(small_cfg(), ks=(2, 3, 4), n_trials=1000, jobs=2)
+        k_slope_scan(scan_cfg(scan_ks=(2, 3, 4), scan_trials=1000), jobs=2)
         assert calls == [3 * len(harness._trial_chunks(1000, 2))]
 
 
@@ -379,9 +383,12 @@ class TestConditionalMoment:
         assert res.tails[1].second_moment(0.0)[1] > 0.0
 
     def test_validation(self):
-        for tails in [(), (1.0, -1.0), (0.0,), (1.0, math.inf), (math.nan,)]:
-            with pytest.raises(ValueError, match="tail_gamma"):
+        # each threshold meets the rule of the config key verify_pdf.tail_gamma
+        for tails in [(1.0, -1.0), (0.0,), (1.0, math.inf), (math.nan,), (800.0,)]:
+            with pytest.raises(ValueError, match=r"config key 'verify_pdf\.tail_gamma'"):
                 joint_tails(0, tails)
+        with pytest.raises(ValueError, match="one or more thresholds"):
+            joint_tails(0, ())
 
     def test_fold_is_the_direct_estimate_on_the_same_draw(self):
         gammas = (0.1, 0.5, 1.0, 2.0)
@@ -403,20 +410,20 @@ class TestConditionalMoment:
 
 class TestJointDistribution:
     def test_validation(self):
+        # each setting meets the rule of the verify_pdf key that holds it
+        def rejects(key, *args, **kw):
+            with pytest.raises(ValueError, match=f"config key 'verify_pdf\\.{key}'"):
+                mc_joint_distribution_check(*args, 1_000_000, seed=0, **kw)
+
         with pytest.raises(ValueError, match="at least"):
             mc_joint_distribution_check((-2.0, -0.1), (-2.0, 2.0), 10, seed=0)
-        with pytest.raises(ValueError, match="gamma window"):
-            mc_joint_distribution_check((-0.1, -2.0), (-2.0, 2.0), 1_000_000, seed=0)
-        with pytest.raises(ValueError, match="gamma window"):
-            mc_joint_distribution_check((-2.0, 0.5), (-2.0, 2.0), 1_000_000, seed=0)
-        with pytest.raises(ValueError, match="t window"):
-            mc_joint_distribution_check((-2.0, -0.1), (2.0, -2.0), 1_000_000, seed=0)
-        with pytest.raises(ValueError, match="bins"):
-            mc_joint_distribution_check((-2.0, -0.1), (-2.0, 2.0), 1_000_000, seed=0, bins=1)
-        with pytest.raises(ValueError, match="tail_gamma"):
-            mc_joint_distribution_check(
-                (-2.0, -0.1), (-2.0, 2.0), 1_000_000, seed=0, tail_gammas=(-1.0,)
-            )
+        rejects("gamma_range", (-0.1, -2.0), (-2.0, 2.0))
+        rejects("gamma_range", (-2.0, 0.5), (-2.0, 2.0))
+        rejects("gamma_range", (-3.0, -2.0, -1.0), (-2.0, 2.0))
+        rejects("t_range", (-2.0, -0.1), (2.0, -2.0))
+        rejects("t_range", (-2.0, -0.1), (-2.0, math.inf))
+        rejects("bins", (-2.0, -0.1), (-2.0, 2.0), bins=1)
+        rejects("tail_gamma", (-2.0, -0.1), (-2.0, 2.0), tail_gammas=(-1.0,))
 
     def test_small_window_run(self):
         res = mc_joint_distribution_check(
@@ -555,15 +562,13 @@ class TestWeightDivergence:
         assert abs(ratio - 100.0) < 1e-9
 
 
-class TestKSlopeScan:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least"):
-            k_slope_scan(small_cfg(), ks=(5, 10), n_trials=10)
-        with pytest.raises(ValueError, match="fleet sizes"):
-            k_slope_scan(small_cfg(), ks=(5,), n_trials=1000)
+def scan_cfg(**kw):
+    return small_cfg(verify_divergence=VerifyDivergenceConfig(**kw))
 
+
+class TestKSlopeScan:
     def test_slope_lands_between_the_two_scalings(self):
-        res = k_slope_scan(small_cfg(), ks=(5, 20), n_trials=2000, d_model=4)
+        res = k_slope_scan(scan_cfg(scan_ks=(5, 20), scan_trials=2000))
         assert res.meta["bound_slope"] == -2.0
         slope = res.meta["fitted_slope"]
         assert -2.2 < slope < -0.8
@@ -572,6 +577,7 @@ class TestKSlopeScan:
         div = res.column("divergence_mc")
         assert div[1] < div[0]
         assert res.column("k_devices") == [5, 20]
+        assert res.meta["n_trials"] == 2000
 
 
 def layout2_rows(seed, key, lo, hi, width):
@@ -756,27 +762,34 @@ class TestDivergenceKernel:
         assert len(chunks) <= jobs
 
 
+def sweep_cfg(**kw):
+    return small_cfg(**kw.pop("system", {}), sweep=SweepConfig(**kw))
+
+
 class TestThresholdSweep:
-    def test_validation(self):
-        grid8 = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-        with pytest.raises(ValueError, match=">= 8"):
-            sweep_threshold(small_cfg(), gammas=grid8[:7])
-        with pytest.raises(ValueError, match="positive"):
-            sweep_threshold(small_cfg(), gammas=grid8[:7] + (-0.1,))
-        with pytest.raises(ValueError, match="seeds"):
-            sweep_threshold(small_cfg(), gammas=grid8, n_seeds=2)
-        with pytest.raises(ValueError, match="unknown mode"):
-            sweep_threshold(small_cfg(), gammas=grid8, modes=("greedy",))
-        with pytest.raises(ValueError, match="no modes"):
-            sweep_threshold(small_cfg(), gammas=grid8, modes=())
+    GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+
+    def test_modes_that_apply_at_rho(self):
+        assert sweep_modes(small_cfg()) == ("joint", "communication_oriented", "computation_oriented", "fixed")
+        # under perfect CSI the computation term is monotone: no computation-oriented optimum
+        assert sweep_modes(small_cfg(rho=1.0)) == ("joint", "communication_oriented", "fixed")
+        assert sweep_modes(sweep_cfg(modes=("fixed", "joint"), system={"rho": 1.0})) == ("fixed", "joint")
+
+    def test_perfect_csi_runs_the_modes_that_apply(self):
+        res = sweep_threshold(sweep_cfg(gammas=self.GRID, system={"rho": 1.0}))
+        assert res.meta["modes"] == "joint,communication_oriented,fixed"
+        assert res.column("mode") == ["joint", "communication_oriented"] + ["fixed"] * 8
+
+    def test_reads_the_sweep_section(self):
+        grid = (0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 1 / 3)
+        res = sweep_threshold(sweep_cfg(gammas=grid, modes=("fixed", "joint"), seeds=4))
+        assert res.meta["n_seeds"] == 4 and res.meta["modes"] == "fixed,joint"
+        assert res.meta["gamma_grid"] == ",".join(repr(g) for g in grid)
+        assert res.column("mode") == ["fixed"] * 8 + ["joint"]
 
     def test_row_layout(self):
-        grid = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
         res = sweep_threshold(
-            small_cfg(),
-            gammas=grid,
-            modes=("joint", "communication_oriented", "computation_oriented"),
-            n_seeds=3,
+            sweep_cfg(gammas=self.GRID, modes=("joint", "communication_oriented", "computation_oriented"), seeds=3)
         )
         assert len(res.rows) == 3
         assert res.column("mode") == [
@@ -789,19 +802,17 @@ class TestThresholdSweep:
         assert res.meta["n_seeds"] == 3
 
     def test_fixed_mode_one_row_per_threshold(self):
-        grid = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-        res = sweep_threshold(small_cfg(), gammas=grid, modes=("fixed",), n_seeds=3)
+        res = sweep_threshold(sweep_cfg(gammas=self.GRID, modes=("fixed",), seeds=3))
         assert len(res.rows) == 8
         # the column holds the per-seed mean, so identical cells can pick up
         # one ulp of rounding from the mean
         got = res.column("gamma_th")
-        assert all(abs(g - want) < 1e-15 for g, want in zip(got, grid))
+        assert all(abs(g - want) < 1e-15 for g, want in zip(got, self.GRID))
 
     def test_parallel_cells_match_serial(self):
-        grid = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-        kw = dict(gammas=grid, modes=("communication_oriented",), n_seeds=3)
-        serial = sweep_threshold(small_cfg(), jobs=1, **kw)
-        split = sweep_threshold(small_cfg(), jobs=2, **kw)
+        cfg = sweep_cfg(gammas=self.GRID, modes=("communication_oriented",), seeds=3)
+        serial = sweep_threshold(cfg, jobs=1)
+        split = sweep_threshold(cfg, jobs=2)
         assert serial.rows == split.rows
 
 
@@ -828,7 +839,7 @@ class TestSharedSeedDraws:
             return traces
 
         monkeypatch.setattr(harness, "train_cells", recording_train_cells)
-        sweep_threshold(small_cfg(**kw), gammas=self.GRID, n_seeds=3)
+        sweep_threshold(sweep_cfg(gammas=self.GRID, system=kw))
         assert [len(g) for g in groups] == [11, 11, 11]
         runs = [run for g in groups for run in g]
         assert any(t.skipped_rounds for _, t in runs)
@@ -849,12 +860,13 @@ class TestSharedSeedDraws:
             return real(*args)
 
         monkeypatch.setattr(airfl.fltrain, "_bce_loss", counted)
-        sweep_threshold(small_cfg(), gammas=self.GRID, n_seeds=3)
+        sweep_threshold(sweep_cfg(gammas=self.GRID))
         assert len(calls) == 11 * 3
 
     def test_jobs_split_matches_serial(self):
-        serial = sweep_threshold(small_cfg(g_bound=None), gammas=self.GRID, jobs=1)
-        split = sweep_threshold(small_cfg(g_bound=None), gammas=self.GRID, jobs=2)
+        cfg = sweep_cfg(gammas=self.GRID, system={"g_bound": None})
+        serial = sweep_threshold(cfg, jobs=1)
+        split = sweep_threshold(cfg, jobs=2)
         assert serial.rows == split.rows
         assert serial.meta == split.meta
 

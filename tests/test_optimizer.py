@@ -85,6 +85,13 @@ class TestObjectiveValues:
     def test_convex_on_positive_axis(self, k1, k2, x):
         assert second_derivative_h(x, ObjectiveCoefficients(k1, k2)) > 0.0
 
+    def test_a_zero_noise_weight_adds_no_term(self):
+        # with k2 = 0 the noise term is skipped, as the k1 term is at k1 = 0,
+        # not divided by an x^2 or x^3 that underflows to zero
+        coef = ObjectiveCoefficients(1.0, 0.0)
+        assert derivative_h(1e-170, coef) == pytest.approx(-1e170, rel=1e-12)
+        assert second_derivative_h(1e-120, coef) == pytest.approx(1e240, rel=1e-12)
+
     def test_rejects_nonpositive_x(self):
         for fn in (objective_h, derivative_h, second_derivative_h):
             with pytest.raises(ValueError):
