@@ -120,6 +120,12 @@ def scaling_zeta(k_devices: int, rho: float, cfg: PowerConfig, gamma_th: float) 
     return zeta
 
 
+def receiver_noise_scale(sigma2: float, zeta):
+    """The per-entry scale sqrt(sigma2) / (sqrt(2) zeta) of the receiver
+    noise after the receive scaling; zeta may be an array, one per system."""
+    return math.sqrt(sigma2) / (_SQRT2 * zeta)
+
+
 def effective_coefficients(
     h: np.ndarray, h_hat: np.ndarray, gamma_th: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +177,7 @@ def aggregate_batch(
     (C, 1) arrays for a batch of cells on one (K,) channel, or as numbers
     for a batch of trials on (T, K) channels.  grads: (..., K, d), or one
     (K, d) block the batch shares.  noise: None, or rows of receiver noise
-    already scaled by sqrt(sigma2) / (sqrt(2) zeta).  Returns (xi, active,
+    already scaled by receiver_noise_scale.  Returns (xi, active,
     sent, g_hat), g_hat = (1/K) sum_k xi_k g_k + noise summed over k in
     device order; a row with no active device did not send, and its g_hat
     is 0, without noise.
@@ -246,7 +252,7 @@ def aggregate(
     if sent and cfg.sigma2 > 0.0:
         if rng is None:
             raise ValueError("rng required when sigma2 > 0")
-        noise = rng.standard_normal(dim) * (math.sqrt(cfg.sigma2) / (_SQRT2 * zeta))
+        noise = rng.standard_normal(dim) * receiver_noise_scale(cfg.sigma2, zeta)
         g_hat += noise
     return AggregationOutcome(
         g_hat=g_hat,

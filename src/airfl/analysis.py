@@ -26,8 +26,6 @@ class LearningConstants:
 
     lipschitz_l: float   # gradient Lipschitz constant of the global loss
     eta: float           # learning rate, must satisfy eta < 2/L
-    delta2: float        # local-gradient variance level (empirical estimate)
-    g_bound2: float      # squared gradient-norm bound G^2
     rounds_m: int        # number of aggregation rounds M
     f0_minus_fstar: float  # initial optimality gap upper estimate
 
@@ -38,10 +36,6 @@ class LearningConstants:
             raise ValueError(
                 f"eta must lie in (0, 2/L) = (0, {2.0 / self.lipschitz_l}), got {self.eta}"
             )
-        if not (self.delta2 >= 0.0 and math.isfinite(self.delta2)):
-            raise ValueError(f"delta2 must be nonnegative, got {self.delta2}")
-        if not (self.g_bound2 > 0.0 and math.isfinite(self.g_bound2)):
-            raise ValueError(f"g_bound2 must be positive, got {self.g_bound2}")
         if self.rounds_m < 1:
             raise ValueError(f"rounds_m must be >= 1, got {self.rounds_m}")
         if not (self.f0_minus_fstar >= 0.0 and math.isfinite(self.f0_minus_fstar)):

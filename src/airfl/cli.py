@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import SystemConfig, load_config, resolve, resolved_to_config
-from .fltrain import SeedDraws, train
+from .fltrain import train
 from .harness import (
     Gate,
     SweepResult,
@@ -51,7 +51,7 @@ from .harness import (
     worker_pool,
     xi_gates,
 )
-from .optimizer import coefficients_from_system, optimal_threshold
+from .optimizer import optimal_threshold, threshold_modes
 
 
 class Outcome(NamedTuple):
@@ -128,9 +128,8 @@ def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
 
 def _optimize_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
     exp = resolve(cfg)
-    coef = coefficients_from_system(exp.rho, exp.power_config(1.0))
-    modes = ["joint", "communication_oriented"] + (["computation_oriented"] if coef.k1 > 0.0 else [])
-    solutions = [optimal_threshold(coef, mode=mode) for mode in modes]
+    coef = exp.coefficients
+    solutions = [optimal_threshold(coef, mode=mode) for mode in threshold_modes(exp.rho)]
     lines = [f"k1 = {coef.k1!r}", f"k2 = {coef.k2!r}"] + [
         f"{sol.mode}: gamma = {sol.gamma_star!r}  h = {sol.h_value!r}  "
         f"h' = {sol.derivative_residual:.3e}  iterations = {sol.iterations}"
@@ -165,8 +164,7 @@ def _sweep_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
 def _train(cfg: SystemConfig, jobs: int) -> Outcome:
     mode = cfg.run.mode
     exp = resolve(cfg)
-    draws = SeedDraws(exp)
-    trace = train(exp, mode=mode, draws=draws)
+    trace = train(exp, mode=mode)
     last = trace.records[-1]
     lines = [f"mode = {mode}"]
     if trace.gamma_th is not None:
@@ -178,7 +176,7 @@ def _train(cfg: SystemConfig, jobs: int) -> Outcome:
         "skipped_rounds": trace.skipped_rounds,
     }
     lines += [f"{key} = {meta[key]!r}" for key in meta]
-    conv = convergence_report(draws, trace)
+    conv = convergence_report(trace)
     if conv is not None:
         lines.append("convergence bound with estimated constants (not a certificate):")
         lines += [f"  {key} = {value!r}" for key, value in conv.items()]

@@ -19,6 +19,7 @@ import numpy as np
 
 from .aircomp import PowerConfig, dbm_to_watts
 from .channel import substream
+from .optimizer import _MODES, ObjectiveCoefficients, coefficients_from_system, optimal_threshold
 
 # Stream purposes.  Every random decision in an experiment hangs off
 # (seed, purpose, ...indices) so that modes and replays stay aligned.
@@ -39,7 +40,7 @@ _MANIFEST_HEADER = "# run manifest:"
 _LAYOUT_RE = re.compile(r"^# env .*?\bstream_layout=(\S+)", re.MULTILINE)
 
 _RUN_MODES = ("aircomp", "ideal")
-_SWEEP_MODES = ("joint", "communication_oriented", "computation_oriented", "fixed")
+_SWEEP_MODES = (*_MODES, "fixed")
 _MIN_TRIALS = 1_000       # divergence trials per Monte-Carlo estimate
 _MIN_SWEEP_GAMMAS = 8     # points of a threshold sweep's grid
 _MIN_SWEEP_SEEDS = 3      # repetition seeds per sweep cell
@@ -104,8 +105,10 @@ _RULES = {
                               "expected a positive value whose square, the scale of the squared norms, is finite"),
     "train.label_skew": (lambda v: 0.0 <= v < 1.0, "expected a value in [0, 1)"),
     "train.hidden_units": (lambda v: v >= 1, "expected at least 1"),
-    "verify_xi.rhos": (lambda v: all(map(_is_rho, v)), "each rho must lie in (0, 1] with 1/rho^2 finite"),
-    "verify_xi.gammas": (lambda v: all(map(_is_threshold, v)), f"each threshold must lie {_IN}"),
+    "verify_xi.rhos": (lambda v: len(v) >= 1 and all(map(_is_rho, v)),
+                       "expected one or more rhos, each in (0, 1] with 1/rho^2 finite"),
+    "verify_xi.gammas": (lambda v: len(v) >= 1 and all(map(_is_threshold, v)),
+                         f"expected one or more thresholds, each {_IN}"),
     "verify_pdf.t_range": (_is_window, "expected two finite values lo < hi"),
     "verify_pdf.gamma_range": (lambda v: _is_window(v) and v[1] <= 0.0, "expected two finite values lo < hi <= 0"),
     "verify_pdf.bins": (lambda v: v >= 2, "expected at least 2 bins"),
@@ -292,6 +295,11 @@ class ResolvedExperiment:
             d_max_alpha=self.d_max_alpha,
         )
 
+    @property
+    def coefficients(self) -> ObjectiveCoefficients:
+        """The threshold objective's weights k1 and k2; G does not enter them."""
+        return coefficients_from_system(self.rho, self.power_config(1.0))
+
 
 def resolve(cfg: SystemConfig) -> ResolvedExperiment:
     """Make distances, noise power, and the threshold concrete.
@@ -308,18 +316,11 @@ def resolve(cfg: SystemConfig) -> ResolvedExperiment:
     else:
         dist = tuple(float(d) for d in cfg.distances)
 
-    d_max_alpha = max(dist) ** cfg.alpha
-    sigma2 = dbm_to_watts(cfg.sigma2_dbm)
-
+    exp = ResolvedExperiment(cfg, dist, max(dist) ** cfg.alpha, dbm_to_watts(cfg.sigma2_dbm), math.nan)
+    # the objective's weights do not depend on the threshold they choose
     if isinstance(cfg.gamma_th, str):
-        from .optimizer import coefficients_from_system, optimal_threshold
-
-        probe = PowerConfig(p_max=cfg.p_max, sigma2=sigma2, g_bound=1.0, d_max_alpha=d_max_alpha)
-        coef = coefficients_from_system(cfg.rho, probe)
-        gamma_th = optimal_threshold(coef).gamma_star
-    else:
-        gamma_th = float(cfg.gamma_th)
-    return ResolvedExperiment(cfg=cfg, distances=dist, d_max_alpha=d_max_alpha, sigma2=sigma2, gamma_th=gamma_th)
+        return replace(exp, gamma_th=optimal_threshold(exp.coefficients).gamma_star)
+    return replace(exp, gamma_th=float(cfg.gamma_th))
 
 
 # ---------------------------------------------------------------------------

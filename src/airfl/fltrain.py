@@ -9,10 +9,11 @@ skipped: the model is left untouched and the event is counted in the trace.
 Two desk-scale tasks are built in: a two-class Gaussian-blob logistic
 regression and a one-hidden-layer MLP on the same data.
 
-train_cells is the one training loop: it trains the runs that share a
-SeedDraws (they differ only in gamma_th) in lock-step, one array step per
-round for the group, each cell's arithmetic exactly a single run's.
-`train` is train_cells on a group of one.
+train_cells is the one training loop: it trains one SeedDraws' config at
+several thresholds in lock-step, one array step per round for the group,
+each cell's arithmetic exactly a single run's.  `train` is train_cells on
+a group of one.  gradient_bound is the one rule for the G that power
+control scales by.
 
 A trace keeps each round's weights and statistics; the training loss and
 test accuracy are evaluated only when they are read (all rounds for
@@ -27,12 +28,12 @@ run's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .aircomp import PowerConfig, _gain, aggregate_batch, compensation_lambda, scaling_zeta
+from .aircomp import _gain, aggregate_batch, compensation_lambda, receiver_noise_scale, scaling_zeta
 from .channel import ChannelArrays, channel_from_normals, substream
 from .config import (
     _RUN_MODES,
@@ -49,7 +50,6 @@ from .config import (
 
 _WARMUP_ROUNDS = 10
 _G_MARGIN = 1.1
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -315,39 +315,32 @@ def round_gradients(w, draws: SeedDraws, round_index: int) -> np.ndarray:
 
 
 class _Cells(NamedTuple):
-    """Each cell's gamma_th, lambda, zeta and gradient bound G (or one G for all), shape (C, 1)."""
+    """Each cell's gamma_th, lambda, zeta and gradient bound G, shape (C, 1)."""
 
     gamma_th: np.ndarray
     lam: np.ndarray
     zeta: np.ndarray
-    g_bound: np.ndarray | float
+    g_bound: np.ndarray
 
 
-def _zetas(exps, power: PowerConfig, g_bounds) -> np.ndarray:
-    """scaling_zeta of each cell at its own gradient bound, shape (C, 1)."""
-    return np.array([[scaling_zeta(e.k_devices, e.rho, replace(power, g_bound=float(g)), e.gamma_th)]
-                     for e, g in zip(exps, g_bounds)])
+def _zetas(exp: ResolvedExperiment, gammas, g_bounds) -> np.ndarray:
+    """scaling_zeta of each cell at its own threshold and gradient bound, shape (C, 1)."""
+    return np.array([[scaling_zeta(exp.k_devices, exp.rho, exp.power_config(g), gamma)]
+                     for gamma, g in zip(gammas, g_bounds)])
 
 
-def _air_round(grads, exps, cells: _Cells, draws: SeedDraws, power: PowerConfig, round_index: int):
+def _air_round(grads, cells: _Cells, draws: SeedDraws, round_index: int):
     """Every cell's over-the-air aggregation of grads (C, K, d) in one
-    aggregate_batch call: g_hat (C, d), active counts and skip flags (C,),
-    and the G each cell's power control used.  Genie power control sets a
-    cell's G to its largest gradient norm."""
-    if exps[0].cfg.g_mode == "genie":
-        g_now = [max_grad_norm(cell) for cell in grads]
-        bad = [g for g in g_now if not 0.0 < g < math.inf]
-        if bad:
-            raise RuntimeError(f"g_mode = genie has no G in round {round_index}: a cell's largest gradient norm is {bad[0]!r}")
-        cells = cells._replace(zeta=_zetas(exps, power, g_now), g_bound=np.array(g_now)[:, None])
+    aggregate_batch call: g_hat (C, d), active counts and skip flags (C,)."""
+    exp = draws.exp
     noise = None
-    if power.sigma2 > 0.0:
-        scale = math.sqrt(power.sigma2) / (_SQRT2 * cells.zeta)  # (C, 1): one noise draw, scaled per cell
+    if exp.sigma2 > 0.0:
+        scale = receiver_noise_scale(exp.sigma2, cells.zeta)  # (C, 1): one noise draw, scaled per cell
         noise = draws.noise(round_index).standard_normal(grads.shape[2]) * scale
     channels = draws.channels(round_index)
     _, active, sent, g_hat = aggregate_batch(grads, channels.h, channels.h_hat, cells.gamma_th, cells.lam, noise)
-    _assert_power_feasible(grads, channels, active, cells, power.p_max)
-    return g_hat, active.sum(axis=1), ~sent, cells.g_bound
+    _assert_power_feasible(grads, channels, active, cells, exp.cfg.p_max)
+    return g_hat, active.sum(axis=1), ~sent
 
 
 def _sent_power(grads: np.ndarray, channels: ChannelArrays, cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
@@ -374,6 +367,19 @@ def _assert_power_feasible(grads, channels: ChannelArrays, active, cells: _Cells
 def max_grad_norm(grads) -> float:
     """The largest of one round's K gradient norms: genie power control's G."""
     return max(float(np.linalg.norm(g)) for g in grads)
+
+
+def gradient_bound(draws: SeedDraws, grads: np.ndarray, round_index: int) -> float:
+    """The G that power control scales by in a round whose K gradients are
+    grads (K, d): under g_mode genie their largest norm, otherwise the
+    pinned g_bound, else the bound calibrated on draws (once)."""
+    cfg = draws.exp.cfg
+    if cfg.g_mode != "genie":
+        return cfg.g_bound or draws.calibrated_g_bound()
+    g = max_grad_norm(grads)
+    if not 0.0 < g < math.inf:
+        raise RuntimeError(f"g_mode = genie has no G in round {round_index}: the largest gradient norm is {g!r}")
+    return g
 
 
 def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
@@ -415,10 +421,11 @@ class SeedDraws:
     (K, D) labels, the test set and the shards' union, each round's
     mini-batch indices and channel arrays (filled lazily, round by round),
     and the calibrated gradient bound (computed on first use).  None of it
-    depends on gamma_th or on the model weights, so `train` accepts one
-    SeedDraws for every run whose config differs from `exp`'s in gamma_th
-    alone.  Round m of any purpose reads substream(seed, purpose, m), so
-    any round can be drawn, in any order.
+    depends on gamma_th or on the model weights, so train_cells trains
+    exp's config at any thresholds on it, and `train` accepts it for every
+    run whose config differs from `exp`'s in gamma_th alone.  Round m of
+    any purpose reads substream(seed, purpose, m), so any round can be
+    drawn, in any order.
     """
 
     def __init__(self, cfg: SystemConfig | ResolvedExperiment):
@@ -478,40 +485,29 @@ class SeedDraws:
         return self._g_bound
 
 
-def train_cells(
-    exps: list[ResolvedExperiment],
-    draws: SeedDraws,
-    mode: str = "aircomp",
-) -> list[TrainingTrace]:
-    """Train experiments that differ from draws.exp in gamma_th alone, in
-    lock-step, and return one trace per experiment.
+def train_cells(draws: SeedDraws, gammas, mode: str = "aircomp") -> list[TrainingTrace]:
+    """Train draws.exp's config at each threshold of gammas in lock-step,
+    and return one trace per threshold.
 
     Every round gathers the batches once, computes every cell's K
     gradients in one call and aggregates every cell at once (ideally, or
-    over the air with each cell's own threshold), with each cell's
-    arithmetic exactly that of a run on its own, so a cell's trace does not
-    depend on the other cells.  A skipped round leaves the cell's weights
-    unchanged.
+    over the air with each cell's own threshold and the G of
+    gradient_bound), with each cell's arithmetic exactly that of a run on
+    its own, so a cell's trace does not depend on the other cells.  A
+    skipped round leaves the cell's weights unchanged.
     """
     if mode not in _RUN_MODES:
         raise ValueError(f"mode must be one of {_RUN_MODES}, got {mode!r}")
-    if not exps:
-        raise ValueError("no experiments to train")
-    if any(draws.key != _draws_key(exp) for exp in exps):
-        raise ValueError("draws were built for a config that differs in more than gamma_th")
+    if len(gammas) == 0:
+        raise ValueError("no thresholds to train")
 
-    # every field but the threshold is shared, so the group reads it once
     exp = draws.exp
-    n_cells, n_rounds, k_devices = len(exps), exp.train.rounds_m, exp.k_devices
-    power = g_bound = None
+    n_cells, n_rounds, k_devices = len(gammas), exp.train.rounds_m, exp.k_devices
     if mode == "aircomp":
-        # genie power control replaces G every round, so it calibrates nothing
-        g_bound = exp.cfg.g_bound or (1.0 if exp.cfg.g_mode == "genie" else draws.calibrated_g_bound())
-        power = exp.power_config(g_bound)
-        # lambda and zeta once per run (genie power control redoes zeta per round)
-        cells = _Cells(np.array([[e.gamma_th] for e in exps]),
-                       np.array([[compensation_lambda(e.gamma_th, e.rho)] for e in exps]),
-                       _zetas(exps, power, [g_bound] * n_cells), g_bound)
+        # lambda once per run; zeta whenever a cell's G changes, which only genie power control does
+        cells = _Cells(np.array([[g] for g in gammas]),
+                       np.array([[compensation_lambda(g, exp.rho)] for g in gammas]), None, None)
+        g_prev = None
     weights = np.tile(draws.task.init_params(substream(exp.seed, STREAM_INIT)), (n_cells, 1))
     history = np.empty((n_cells, n_rounds, weights.shape[1]))
     divergence = np.empty((n_cells, n_rounds))
@@ -528,8 +524,12 @@ def train_cells(
             if mode == "ideal":
                 g_hat, active[:, m] = g_ideal, k_devices
             else:
-                g_hat, active[:, m], skipped[:, m], g_now = _air_round(grads, exps, cells, draws, power, m)
-                g_used = np.maximum(g_used, g_now)
+                g_now = [gradient_bound(draws, cell, m) for cell in grads]
+                if g_now != g_prev:
+                    cells = cells._replace(zeta=_zetas(exp, gammas, g_now), g_bound=np.array(g_now)[:, None])
+                    g_prev = g_now
+                g_hat, active[:, m], skipped[:, m] = _air_round(grads, cells, draws, m)
+                g_used = np.maximum(g_used, cells.g_bound)
             weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, exp.cfg.eta))
             if not np.all(np.isfinite(weights)):
                 raise ValueError(f"model parameters must be finite; round {m}'s step with eta = {exp.cfg.eta!r} overflowed")
@@ -544,11 +544,11 @@ def train_cells(
             active_count=active[c],
             skipped=skipped[c],
             mode=mode,
-            gamma_th=cell.gamma_th if mode == "aircomp" else None,
+            gamma_th=float(gamma) if mode == "aircomp" else None,
             g_bound=float(g_used[c, 0]) if mode == "aircomp" else None,
             draws=draws,
         )
-        for c, cell in enumerate(exps)
+        for c, gamma in enumerate(gammas)
     ]
 
 
@@ -569,4 +569,6 @@ def train(
     exp = cfg if isinstance(cfg, ResolvedExperiment) else resolve(cfg)
     if draws is None:
         draws = SeedDraws(exp)
-    return train_cells([exp], draws, mode)[0]
+    elif draws.key != _draws_key(exp):
+        raise ValueError("draws were built for a config that differs in more than gamma_th")
+    return train_cells(draws, [exp.gamma_th], mode)[0]

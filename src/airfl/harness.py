@@ -39,6 +39,7 @@ from .aircomp import (
     aggregate_batch,
     compensation_lambda,
     dbm_to_watts,
+    receiver_noise_scale,
     scaling_zeta,
 )
 from .analysis import (
@@ -63,7 +64,6 @@ from .channel import (
 from .config import (
     _MANIFEST_HEADER,
     _MIN_TRIALS,
-    _SWEEP_MODES,
     STREAM_INIT,
     STREAM_LAYOUT,
     STREAM_MC_DIVERGENCE,
@@ -77,12 +77,12 @@ from .config import (
 from .fltrain import (
     SeedDraws,
     TrainingTrace,
+    gradient_bound,
     ideal_aggregate,
-    max_grad_norm,
     round_gradients,
     train_cells,
 )
-from .optimizer import coefficients_from_system, optimal_threshold
+from .optimizer import _COMMUNICATION_GAMMA, optimal_threshold, threshold_modes
 
 _CHUNK = 1 << 20
 _MIN_XI_SAMPLES = 10_000
@@ -698,15 +698,13 @@ def pdf_gates(result: SweepResult, norm: float, fd_worst: float) -> list[Gate]:
 
 
 def _frozen_setup(cfg: SystemConfig):
-    """Round zero's K gradients and the power config at the G training would
-    use in that round: the round's largest norm under genie power control,
-    else the pinned or the calibrated bound."""
+    """Round zero's K gradients and the power config at the G training uses
+    in that round (fltrain.gradient_bound)."""
     exp = resolve(cfg)
     draws = SeedDraws(exp)
     w0 = draws.task.init_params(substream(exp.seed, STREAM_INIT))
     grads = round_gradients(w0, draws, 0)
-    g_bound = max_grad_norm(grads) if cfg.g_mode == "genie" else cfg.g_bound or draws.calibrated_g_bound()
-    return exp, grads, exp.power_config(g_bound)
+    return exp, grads, exp.power_config(gradient_bound(draws, grads, 0))
 
 
 def _trial_rows(seed: int, stream: tuple[int, ...], lo: int, hi: int, width: int, step: int):
@@ -741,8 +739,7 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     grads, power, gamma_th, rho, seed, key, lo, hi = args
     k_devices, d_model = grads.shape
     lam = compensation_lambda(gamma_th, rho)
-    zeta = scaling_zeta(k_devices, rho, power, gamma_th)
-    noise_scale = math.sqrt(power.sigma2) / (math.sqrt(2.0) * zeta)
+    noise_scale = receiver_noise_scale(power.sigma2, scaling_zeta(k_devices, rho, power, gamma_th))
     g_ideal = ideal_aggregate(grads)
     step = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
     n_channel = 4 * k_devices
@@ -948,40 +945,23 @@ def k_slope_scan(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
 # threshold sweep (training runs)
 
 
-def _cell_row(exp, trace: TrainingTrace) -> tuple[float, float, float, float, float]:
-    power = exp.power_config(trace.g_bound)
-    bound = divergence_bound(exp.k_devices, exp.gamma_th, exp.rho, power)
-    return (
-        trace.final_accuracy,
-        trace.mean_divergence_sq,
-        float(trace.gamma_th),
-        bound,
-        trace.skipped_rounds / trace.rounds,
-    )
-
-
-def _train_seed_cells(cfgs: list[SystemConfig]) -> list[tuple[float, float, float, float, float]]:
-    """Train cells that share a seed in lock-step on one SeedDraws."""
-    exps = [resolve(c) for c in cfgs]
-    traces = train_cells(exps, SeedDraws(exps[0]))
-    return [_cell_row(exp, trace) for exp, trace in zip(exps, traces)]
-
-
-def _computation_gamma(cfg: SystemConfig) -> float:
-    # k2 never enters the computation-oriented objective; the probe power
-    # config only feeds the k1 = (1 - rho^2)/(2 rho^2) path
-    probe = PowerConfig(
-        p_max=cfg.p_max, sigma2=dbm_to_watts(cfg.sigma2_dbm), g_bound=1.0, d_max_alpha=1.0
-    )
-    coef = coefficients_from_system(cfg.rho, probe)
-    return optimal_threshold(coef, mode="computation_oriented").gamma_star
+def _train_seed(job) -> list[tuple[float, float, float, float, float]]:
+    """Train one seed's experiment at each of its thresholds, in lock-step
+    on one SeedDraws: per cell the final accuracy, the mean divergence, the
+    threshold, the printed bound at the G it used and the skipped share."""
+    exp, gammas = job
+    rows = []
+    for trace in train_cells(SeedDraws(exp), gammas):
+        bound = divergence_bound(exp.k_devices, trace.gamma_th, exp.rho, exp.power_config(trace.g_bound))
+        rows.append((trace.final_accuracy, trace.mean_divergence_sq, trace.gamma_th, bound,
+                     trace.skipped_rounds / trace.rounds))
+    return rows
 
 
 def sweep_modes(cfg: SystemConfig) -> tuple[str, ...]:
-    """cfg.sweep.modes, or when unset every mode that applies at cfg.rho:
-    under perfect CSI the computation term is monotone, so
-    'computation_oriented' has no threshold there."""
-    return cfg.sweep.modes or tuple(m for m in _SWEEP_MODES if cfg.rho < 1.0 or m != "computation_oriented")
+    """cfg.sweep.modes, or when unset every optimizer mode that has a
+    threshold at cfg.rho (optimizer.threshold_modes), then 'fixed'."""
+    return cfg.sweep.modes or (*threshold_modes(cfg.rho), "fixed")
 
 
 def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
@@ -989,48 +969,38 @@ def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
 
     Reads the grid cfg.sweep.gammas, the repetition count cfg.sweep.seeds
     and the modes of sweep_modes(cfg).  'fixed' trains once per grid
-    threshold; 'joint' resolves gamma* per repetition seed (the optimum
+    threshold; 'joint' solves gamma* per repetition seed (the optimum
     depends on the drawn distances); 'communication_oriented' pins 0.5 and
-    'computation_oriented' minimizes the CSI-error term alone.  Each row
-    aggregates the seeds' repetitions into mean and standard error of the
-    final test accuracy and of the measured per-round divergence.
+    'computation_oriented' minimizes the CSI-error term alone, which
+    depends on rho only, so it is solved once.  Each row aggregates the
+    seeds' repetitions into mean and standard error of the final test
+    accuracy and of the measured per-round divergence.
 
-    The cells that share a seed differ only in gamma_th, so they train on
-    one SeedDraws: shards, batches, channel draws and the calibrated
-    gradient bound are drawn once per seed, not once per cell, and the
-    cells train in lock-step (fltrain.train_cells), one gradient call per
-    round for the group.  Only each cell's final accuracy is evaluated.  A
-    seed group is the parallel unit, so at most cfg.sweep.seeds workers run;
-    neither the sharing nor jobs changes a byte of the result.
+    Each seed's config is resolved once, and its cells, which differ only
+    in gamma_th, train on one SeedDraws: shards, batches, channel draws and
+    the calibrated gradient bound are drawn once per seed, not once per
+    cell, and the cells train in lock-step (fltrain.train_cells), one
+    gradient call per round for the group.  Only each cell's final accuracy
+    is evaluated.  A seed is the parallel unit, so at most cfg.sweep.seeds
+    workers run; neither the sharing nor jobs changes a byte of the result.
     """
-    gammas = [float(g) for g in cfg.sweep.gammas]
+    grid = [float(g) for g in cfg.sweep.gammas]
     modes, n_seeds = sweep_modes(cfg), cfg.sweep.seeds
-
-    def seeded(gamma_th) -> list[SystemConfig]:
-        return [replace(cfg, gamma_th=gamma_th, seed=cfg.seed + i) for i in range(n_seeds)]
-
-    groups: list[tuple[str, list[SystemConfig]]] = []
-    for mode in modes:
-        if mode == "fixed":
-            groups += [(mode, seeded(g)) for g in gammas]
-        else:
-            pinned = {"joint": "optimize", "communication_oriented": 0.5}.get(mode)
-            groups.append((mode, seeded(pinned or _computation_gamma(cfg))))
-
-    # every group lists its cells in seed order, so cells[i::n_seeds] are
-    # the cells of seed cfg.seed + i
-    cells = [c for _, cfgs in groups for c in cfgs]
-    results = [None] * len(cells)
-    by_seed = _pmap(_train_seed_cells, [cells[i::n_seeds] for i in range(n_seeds)], jobs)
-    for i, part in enumerate(by_seed):
-        results[i::n_seeds] = part
+    exps = [resolve(replace(cfg, seed=cfg.seed + i)) for i in range(n_seeds)]
+    # each mode's thresholds; of these only the joint optimum depends on the seed (its distances)
+    picks = {"fixed": grid, "communication_oriented": [_COMMUNICATION_GAMMA]}
+    if "computation_oriented" in modes:
+        picks["computation_oriented"] = [optimal_threshold(exps[0].coefficients, "computation_oriented").gamma_star]
+    seed_gammas = []
+    for exp in exps:
+        if "joint" in modes:
+            picks["joint"] = [optimal_threshold(exp.coefficients).gamma_star]
+        seed_gammas.append([g for mode in modes for g in picks[mode]])
+    by_seed = _pmap(_train_seed, list(zip(exps, seed_gammas)), jobs)
 
     rows = []
-    idx = 0
-    for mode, cfgs in groups:
-        part = results[idx : idx + len(cfgs)]
-        idx += len(cfgs)
-        accs, divs, gams, bounds, skipped = (np.array(column) for column in zip(*part))
+    for mode, *per_seed in zip([mode for mode in modes for _ in picks[mode]], *by_seed):
+        accs, divs, gams, bounds, skipped = (np.array(column) for column in zip(*per_seed))
         rows.append((mode, float(np.mean(gams)), *_mean_se(accs), *_mean_se(divs),
                      float(np.mean(bounds)), float(np.mean(skipped))))
 
@@ -1043,7 +1013,7 @@ def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
             "rounds_m": cfg.train.rounds_m,
             "task": cfg.train.task,
             "modes": ",".join(modes),
-            "gamma_grid": ",".join(repr(g) for g in gammas),
+            "gamma_grid": ",".join(repr(g) for g in grid),
         },
     )
 
@@ -1071,36 +1041,24 @@ def _mean_sq_row_norm(x: np.ndarray) -> float:
         return math.inf
 
 
-def convergence_report(draws: SeedDraws, trace: TrainingTrace) -> dict[str, float] | None:
+def convergence_report(trace: TrainingTrace) -> dict[str, float] | None:
     """Convergence-bound evaluation with empirically estimated constants.
 
-    `draws` are the run's own (`train(..., draws=draws)`), so the report
-    reads the run's shards and, for a trace without a gradient bound (ideal
-    mode), calibrates on them once.  Only the logistic task admits an honest
-    smoothness constant (a quarter of the mean squared feature norm bounds
-    the Hessian); the optimality gap is taken from the zero-initialization
-    loss log 2 down to the best observed loss, and the gradient-variance
-    level from the measured per-round spread.  Every entry is an estimate,
-    not a certificate.
+    Reads the run's own shards from trace.draws.  Only the logistic task
+    admits an honest smoothness constant (a quarter of the mean squared
+    feature norm bounds the Hessian); the optimality gap is taken from the
+    zero-initialization loss log 2 down to the best observed loss, and the
+    gradient-variance level from the measured per-round spread.  Every
+    entry is an estimate, not a certificate.
     """
-    exp = draws.exp
+    exp = trace.draws.exp
     if exp.train.task != "synthetic_logistic":
         return None
-    l_hat = _mean_sq_row_norm(draws.all_train.features) / 4.0
+    l_hat = _mean_sq_row_norm(trace.draws.all_train.features) / 4.0
     if not (math.isfinite(l_hat) and exp.cfg.eta < 2.0 / l_hat):
         return None
     gap = max(math.log(2.0) - min(r.loss for r in trace.records), 1e-12)
-    g_bound = trace.g_bound
-    if g_bound is None:
-        g_bound = draws.calibrated_g_bound()
-    lc = LearningConstants(
-        lipschitz_l=l_hat,
-        eta=exp.cfg.eta,
-        delta2=trace.delta2_hat,
-        g_bound2=g_bound * g_bound,
-        rounds_m=trace.rounds,
-        f0_minus_fstar=gap,
-    )
+    lc = LearningConstants(lipschitz_l=l_hat, eta=exp.cfg.eta, rounds_m=trace.rounds, f0_minus_fstar=gap)
     delta2_total = trace.mean_divergence_sq + trace.delta2_hat
     return {
         "lipschitz_estimate": l_hat,

@@ -25,6 +25,7 @@ _BRACKET_FLOOR = math.sqrt(sys.float_info.min)  # h' divides by x*x, kept a norm
 _DERIVATIVE_TOL = 1e-10  # bisection stops at |h'| <= this
 _WIDTH_TOL = 1e-12       # or at a bracket this narrow (relative to hi below 1e-8)
 _MODES = ("joint", "communication_oriented", "computation_oriented")
+_COMMUNICATION_GAMMA = 0.5  # the noise term's minimizer, whatever the weights
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ class ThresholdSolution:
     derivative_residual: float
     iterations: int
     mode: str
+
+
+def threshold_modes(rho: float) -> tuple[str, ...]:
+    """The modes that have a threshold at rho, in _MODES order: under perfect
+    CSI (rho = 1, the one rho where k1 = 0) the computation term is
+    monotone, so 'computation_oriented' has none."""
+    return tuple(m for m in _MODES if rho < 1.0 or m != "computation_oriented")
 
 
 def coefficients_from_system(rho: float, cfg: PowerConfig) -> ObjectiveCoefficients:
@@ -164,8 +172,8 @@ def optimal_threshold(coef: ObjectiveCoefficients, mode: str = "joint") -> Thres
     if mode == "communication_oriented":
         # d/dx [k2 e^(2x)/x] = k2 e^(2x)(2x - 1)/x^2 vanishes exactly at 1/2.
         return ThresholdSolution(
-            gamma_star=0.5,
-            h_value=objective_h(0.5, coef),
+            gamma_star=_COMMUNICATION_GAMMA,
+            h_value=objective_h(_COMMUNICATION_GAMMA, coef),
             derivative_residual=0.0,
             iterations=0,
             mode=mode,

@@ -24,7 +24,6 @@ from airfl.config import (
     VerifyPdfConfig,
     VerifyXiConfig,
     config_to_kv,
-    resolve,
 )
 from airfl.fltrain import SeedDraws, train_cells
 from airfl.harness import (
@@ -288,9 +287,9 @@ def test_criterion_09_training_trend():
     accs = {g: [] for g in gammas}
     divs = {g: [] for g in gammas}
     for i in range(3):
-        seeded = replace(cfg, seed=cfg.seed + i)
-        exps = [resolve(replace(seeded, gamma_th=gamma)) for gamma in gammas]
-        for gamma, trace in zip(gammas, train_cells(exps, SeedDraws(seeded))):
+        draws = SeedDraws(replace(cfg, seed=cfg.seed + i, gamma_th="optimize"))
+        thresholds = [draws.exp.gamma_th if gamma == "optimize" else gamma for gamma in gammas]
+        for gamma, trace in zip(gammas, train_cells(draws, thresholds)):
             accs[gamma].append(trace.final_accuracy)
             divs[gamma].append(trace.mean_divergence_sq)
     acc_star, acc_lo, acc_hi = (float(np.mean(accs[g])) for g in gammas)

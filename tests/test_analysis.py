@@ -241,50 +241,37 @@ class TestDivergence:
 
 class TestConvergence:
     def test_hand_example(self):
-        lc = LearningConstants(
-            lipschitz_l=1.0,
-            eta=0.5,
-            delta2=0.0,
-            g_bound2=1.0,
-            rounds_m=10,
-            f0_minus_fstar=1.0,
-        )
+        lc = LearningConstants(lipschitz_l=1.0, eta=0.5, rounds_m=10, f0_minus_fstar=1.0)
         # 1/(10 (0.5 - 0.125)) + 0.5/(2 - 0.5) = 4/15 + 5/15
         assert abs(convergence_bound(lc, 1.0) - 0.6) < 1e-15
 
     def test_more_rounds_tighten_the_first_term(self):
-        kw = dict(lipschitz_l=1.0, eta=0.5, delta2=0.0, g_bound2=1.0, f0_minus_fstar=1.0)
+        kw = dict(lipschitz_l=1.0, eta=0.5, f0_minus_fstar=1.0)
         few = convergence_bound(LearningConstants(rounds_m=10, **kw), 0.5)
         many = convergence_bound(LearningConstants(rounds_m=1000, **kw), 0.5)
         assert many < few
 
     def test_eta_domain_enforced(self):
         with pytest.raises(ValueError):
-            LearningConstants(
-                lipschitz_l=1.0, eta=2.0, delta2=0.0, g_bound2=1.0, rounds_m=10, f0_minus_fstar=1.0
-            )
+            LearningConstants(lipschitz_l=1.0, eta=2.0, rounds_m=10, f0_minus_fstar=1.0)
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"lipschitz_l": 0.0},
-            {"delta2": -1.0},
-            {"g_bound2": 0.0},
+            {"lipschitz_l": float("inf")},
+            {"eta": 0.0},
             {"rounds_m": 0},
             {"f0_minus_fstar": -0.1},
         ],
     )
     def test_rejects_bad_constants(self, kw):
-        base = dict(
-            lipschitz_l=1.0, eta=0.5, delta2=0.0, g_bound2=1.0, rounds_m=10, f0_minus_fstar=1.0
-        )
+        base = dict(lipschitz_l=1.0, eta=0.5, rounds_m=10, f0_minus_fstar=1.0)
         with pytest.raises(ValueError):
             LearningConstants(**{**base, **kw})
 
     def test_rejects_bad_delta2_total(self):
-        lc = LearningConstants(
-            lipschitz_l=1.0, eta=0.5, delta2=0.0, g_bound2=1.0, rounds_m=10, f0_minus_fstar=1.0
-        )
+        lc = LearningConstants(lipschitz_l=1.0, eta=0.5, rounds_m=10, f0_minus_fstar=1.0)
         with pytest.raises(ValueError):
             convergence_bound(lc, -1.0)
 
@@ -334,9 +321,8 @@ class TestClosedFormReport:
 
     def test_with_learning_constants(self):
         # the bound is affine in the per-round distortion, slope L eta / (2 - L eta)
-        lc = LearningConstants(
-            lipschitz_l=1.0, eta=0.5, delta2=0.25, g_bound2=1.0, rounds_m=10, f0_minus_fstar=1.0
-        )
+        lc = LearningConstants(lipschitz_l=1.0, eta=0.5, rounds_m=10, f0_minus_fstar=1.0)
+        delta2 = 0.25
         exact = divergence_exact([1.0] * 10, 10, 0.5, 0.8, POWER, 10)
-        gap = convergence_bound(lc, exact + lc.delta2) - convergence_bound(lc, lc.delta2)
+        gap = convergence_bound(lc, exact + delta2) - convergence_bound(lc, delta2)
         assert gap == pytest.approx(exact / 3.0, rel=1e-12)

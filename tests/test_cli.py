@@ -399,9 +399,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
     def test_report_reuses_the_run_draws(self, tmp_path, capsys, monkeypatch, mode):
-        # one SeedDraws serves the run and its convergence report: the shards
-        # are built once and the calibration runs once (the run's in aircomp
-        # mode, the report's in ideal mode), with the bytes of a report that
+        # the run's SeedDraws serves its convergence report: the shards are
+        # built once, the calibration runs once in aircomp mode and never in
+        # ideal mode (the report needs no G), with the bytes of a report that
         # builds its own draws
         calls = {"build_devices": 0, "calibrate_g_bound": 0}
 
@@ -420,14 +420,14 @@ class TestTrain:
         counting("build_devices")
         counting("calibrate_g_bound")
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "shared")]) == 0
-        assert calls == {"build_devices": 1, "calibrate_g_bound": 1}
+        assert calls == {"build_devices": 1, "calibrate_g_bound": int(mode == "aircomp")}
         shared = capsys.readouterr().out
         assert "convergence_bound_estimate" in shared
 
         own_draws = airfl.cli.convergence_report
         monkeypatch.setattr(
             airfl.cli, "convergence_report",
-            lambda draws, trace: own_draws(airfl.fltrain.SeedDraws(draws.exp), trace),
+            lambda trace: own_draws(replace(trace, draws=airfl.fltrain.SeedDraws(trace.draws.exp))),
         )
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "own")]) == 0
         assert capsys.readouterr().out == shared

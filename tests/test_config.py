@@ -107,13 +107,15 @@ class TestSystemConfigValidation:
             (SweepConfig, {"modes": ()}, "sweep.modes"),  # None, not (), means every mode that applies
             (VerifyDivergenceConfig, {"scan_trials": 10}, "verify_divergence.scan_trials"),
             (VerifyDivergenceConfig, {"scan_ks": (5,)}, "verify_divergence.scan_ks"),
+            (VerifyXiConfig, {"rhos": ()}, "verify_xi.rhos"),  # an empty grid checks nothing
+            (VerifyXiConfig, {"gammas": ()}, "verify_xi.gammas"),
         ],
         ids=["seven_point_grid", "negative_threshold", "two_seeds", "unknown_mode", "no_modes",
-             "ten_scan_trials", "one_fleet_size"],
+             "ten_scan_trials", "one_fleet_size", "no_xi_rhos", "no_xi_gammas"],
     )
     def test_rejects_command_settings(self, section, kw, key):
-        # the sweep and the K-scan read these settings from their sections,
-        # whose rules are the only range checks they get
+        # the commands read these settings from their sections, whose rules
+        # are the only range checks they get
         name = key.split(".")[0]
         with pytest.raises(ValueError, match=re.escape(f"config key {key!r}")):
             SystemConfig(**{name: section(**kw)})
@@ -169,6 +171,13 @@ class TestResolve:
         assert exp.gamma_th == want
         assert exp.cfg.gamma_th == "optimize"
         assert exp.gamma_th > 0.0
+
+    def test_coefficients_are_the_systems_at_any_g(self):
+        from airfl.optimizer import coefficients_from_system
+
+        exp = resolve(SystemConfig(seed=5, rho=0.6))
+        assert exp.coefficients == coefficients_from_system(exp.rho, exp.power_config(3.0))
+        assert exp.coefficients.k1 == (1.0 - 0.36) / (2.0 * 0.36)
 
     def test_properties_and_power_config(self):
         train = TrainConfig(rounds_m=7)

@@ -34,7 +34,9 @@ from airfl.fltrain import (
     calibrate_g_bound,
     evaluate,
     global_update,
+    gradient_bound,
     ideal_aggregate,
+    max_grad_norm,
     round_gradients,
     train,
     train_cells,
@@ -342,6 +344,17 @@ class TestTraining:
         pinned = train(small_cfg(g_mode="genie", g_bound=5.0), mode="aircomp")
         assert np.array_equal(trace.weights, pinned.weights) and trace.g_bound == pinned.g_bound
 
+    def test_one_g_rule(self):
+        # genie: the round's largest gradient norm, whatever is pinned;
+        # otherwise the pinned g_bound, else the calibrated bound
+        draws = SeedDraws(small_cfg())
+        grads = round_gradients(draws.task.init_params(substream(11, STREAM_INIT)), draws, 0)
+        assert gradient_bound(SeedDraws(small_cfg(g_mode="genie", g_bound=5.0)), grads, 0) == max_grad_norm(grads)
+        assert gradient_bound(SeedDraws(small_cfg(g_bound=5.0)), grads, 0) == 5.0
+        assert gradient_bound(draws, grads, 0) == draws.calibrated_g_bound() == warmup_bound(draws.exp, 10)
+        with pytest.raises(RuntimeError, match="no G in round 4"):
+            gradient_bound(SeedDraws(small_cfg(g_mode="genie")), np.zeros_like(grads), 4)
+
     def test_fixed_mode_requires_bound(self):
         with pytest.raises(ValueError, match="g_bound"):
             train(small_cfg(g_mode="fixed"), mode="aircomp")
@@ -501,7 +514,7 @@ class TestSeedDraws:
     @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
     def test_cells_in_lock_step_equal_private_runs(self, mode):
         exps = [resolve(small_cfg(gamma_th=g, g_mode="genie")) for g in (0.1, 3.0, "optimize")]
-        traces = train_cells(exps, SeedDraws(exps[0]), mode)
+        traces = train_cells(SeedDraws(exps[0]), [exp.gamma_th for exp in exps], mode)
         for exp, trace in zip(exps, traces):
             private = train(exp, mode=mode)
             assert np.array_equal(trace.weights, private.weights)
@@ -510,12 +523,10 @@ class TestSeedDraws:
 
     def test_train_cells_validates_the_group(self):
         draws = SeedDraws(small_cfg())
-        with pytest.raises(ValueError, match="no experiments"):
-            train_cells([], draws)
-        with pytest.raises(ValueError, match="more than gamma_th"):
-            train_cells([resolve(small_cfg()), resolve(small_cfg(seed=12))], draws)
+        with pytest.raises(ValueError, match="no thresholds"):
+            train_cells(draws, [])
         with pytest.raises(ValueError, match="mode"):
-            train_cells([resolve(small_cfg())], draws, "perfect")
+            train_cells(draws, [0.5], "perfect")
 
     def test_ideal_run_on_shared_draws_equals_a_private_one(self):
         draws = SeedDraws(small_cfg())
@@ -653,7 +664,7 @@ class TestKernelAgainstOracle:
         if case == "sigma2=0":
             exps = [replace(exp, sigma2=0.0) for exp in exps]
         calls = record_kernel(monkeypatch)
-        traces = train_cells(exps, SeedDraws(exps[0]))
+        traces = train_cells(SeedDraws(exps[0]), [cell.gamma_th for cell in exps])
         exp = exps[0]
         assert len(calls) == exp.train.rounds_m
         w0 = build_task(exp.train).init_params(substream(exp.seed, STREAM_INIT))

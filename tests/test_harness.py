@@ -809,6 +809,27 @@ class TestThresholdSweep:
         got = res.column("gamma_th")
         assert all(abs(g - want) < 1e-15 for g, want in zip(got, self.GRID))
 
+    def test_resolves_each_seed_once(self, monkeypatch):
+        # a cell is a threshold, not a config: one resolve per seed, one
+        # joint solve per seed and one computation-oriented solve per sweep
+        calls = {"resolve": 0, "optimal_threshold": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (airfl.config, harness):
+            counting(module, "resolve")
+            counting(module, "optimal_threshold")
+        res = sweep_threshold(sweep_cfg())
+        assert res.meta["n_seeds"] == 3 and len(res.rows) == 11
+        assert calls == {"resolve": 3, "optimal_threshold": 3 + 1}
+
     def test_parallel_cells_match_serial(self):
         cfg = sweep_cfg(gammas=self.GRID, modes=("communication_oriented",), seeds=3)
         serial = sweep_threshold(cfg, jobs=1)
@@ -830,22 +851,26 @@ class TestSharedSeedDraws:
         ids=["calibrated", "genie", "fixed_g_bound", "small_mlp"],
     )
     def test_seed_groups_equal_private_runs(self, monkeypatch, kw):
-        # every cell of a lock-step group equals a run of its own config
+        # every cell of a lock-step group equals a run of its own config:
+        # the seed's config at the cell's threshold, 'optimize' for the
+        # joint cell, which comes first
         groups = []
 
-        def recording_train_cells(exps, draws, *args):
-            traces = train_cells(exps, draws, *args)
-            groups.append(list(zip(exps, traces)))
+        def recording_train_cells(draws, gammas, *args):
+            traces = train_cells(draws, gammas, *args)
+            groups.append([(replace(draws.exp.cfg, gamma_th="optimize" if c == 0 else gamma), trace)
+                           for c, (gamma, trace) in enumerate(zip(gammas, traces))])
             return traces
 
         monkeypatch.setattr(harness, "train_cells", recording_train_cells)
         sweep_threshold(sweep_cfg(gammas=self.GRID, system=kw))
         assert [len(g) for g in groups] == [11, 11, 11]
+        assert len({cfg.seed for g in groups for cfg, _ in g}) == 3
         runs = [run for g in groups for run in g]
         assert any(t.skipped_rounds for _, t in runs)
-        assert {exp.cfg.gamma_th == "optimize" for exp, _ in runs} == {False, True}
-        for exp, trace in runs:
-            private = train(exp.cfg, mode="aircomp")
+        for cfg, trace in runs:
+            private = train(cfg, mode="aircomp")
+            assert trace.gamma_th == private.gamma_th
             assert np.array_equal(trace.final, private.final)
             assert trace.records == private.records
             assert trace.g_bound == private.g_bound
@@ -875,7 +900,7 @@ class TestConvergenceReport:
     def test_logistic_report(self):
         cfg = small_cfg()
         trace = train(cfg, mode="aircomp")
-        rep = convergence_report(SeedDraws(cfg), trace)
+        rep = convergence_report(trace)
         assert rep is not None
         for key in (
             "lipschitz_estimate",
@@ -892,12 +917,11 @@ class TestConvergenceReport:
         tc = replace(SMALL_TRAIN, task="small_mlp", hidden_units=4)
         cfg = small_cfg(train=tc)
         trace = train(cfg, mode="ideal")
-        assert convergence_report(SeedDraws(cfg), trace) is None
+        assert convergence_report(trace) is None
 
     def test_large_eta_gets_no_report(self):
-        cfg = small_cfg()
-        trace = train(cfg, mode="ideal")
-        assert convergence_report(SeedDraws(small_cfg(eta=1.3)), trace) is None
+        trace = train(small_cfg(), mode="ideal")
+        assert convergence_report(replace(trace, draws=SeedDraws(small_cfg(eta=1.3)))) is None
 
     def test_huge_blob_separation_gets_no_report_without_overflow(self):
         # accepted at load (its square is finite), yet the squared feature
@@ -905,7 +929,7 @@ class TestConvergenceReport:
         cfg = small_cfg(train=replace(SMALL_TRAIN, blob_separation=1.3e154))
         trace = train(cfg, mode="aircomp")
         with np.errstate(all="raise"):
-            assert convergence_report(SeedDraws(cfg), trace) is None
+            assert convergence_report(trace) is None
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 7.0, 1e150])
     def test_scaled_mean_square_norm_is_the_plain_one(self, scale):

@@ -16,6 +16,7 @@ from airfl.optimizer import (
     objective_h,
     optimal_threshold,
     second_derivative_h,
+    threshold_modes,
 )
 
 COEF_SPEC = ObjectiveCoefficients(k1=0.0, k2=1.0)
@@ -42,6 +43,20 @@ class TestCoefficients:
         power = PowerConfig(p_max=0.1, sigma2=0.0, g_bound=1.0, d_max_alpha=1.0)
         with pytest.raises(ValueError):
             coefficients_from_system(0.8, power)
+
+    def test_modes_that_have_a_threshold(self):
+        # k1 = 0 exactly at rho = 1, where the computation term is monotone
+        assert threshold_modes(0.8) == ("joint", "communication_oriented", "computation_oriented")
+        assert threshold_modes(1.0 - 2.0**-53) == threshold_modes(0.8)
+        assert threshold_modes(1.0) == ("joint", "communication_oriented")
+        power = PowerConfig(p_max=0.1, sigma2=1e-7, g_bound=1.0, d_max_alpha=1.0)
+        for rho in (0.8, 1.0 - 2.0**-53, 1.0):
+            coef = coefficients_from_system(rho, power)
+            assert (coef.k1 > 0.0) == ("computation_oriented" in threshold_modes(rho))
+            for mode in threshold_modes(rho):
+                assert optimal_threshold(coef, mode).gamma_star > 0.0
+        with pytest.raises(ValueError, match="monotone"):
+            optimal_threshold(coefficients_from_system(1.0, power), "computation_oriented")
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
