@@ -6,8 +6,8 @@ Chains the CLI subcommands verify-xi, verify-pdf and verify-divergence
 directory.  Exit status is nonzero as soon as one gate fails, so this is
 suitable for CI or an overnight check.
 
-Sample sizes default to the acceptance-grade settings and can take a
-while; pass --quick for a desk-scale smoke run.
+Sample sizes default to each command's acceptance-grade trial count and
+can take a while; pass --quick for a desk-scale smoke run.
 """
 
 import argparse
@@ -18,11 +18,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from airfl.cli import main as cli_main
 
+# (command, output leaf, trial count under --quick; None for a command without trials)
 STAGES = (
-    ("verify-xi", "xi", 1_000_000, 100_000),
-    ("verify-pdf", "pdf", 10_000_000, 1_000_000),
-    ("verify-divergence", "divergence", 100_000, 2_000),
-    ("optimize-threshold", "threshold", None, None),
+    ("verify-xi", "xi", 100_000),
+    ("verify-pdf", "pdf", 1_000_000),
+    ("verify-divergence", "divergence", 2_000),
+    ("optimize-threshold", "threshold", None),
 )
 
 
@@ -36,11 +37,10 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
 
     failures = []
-    for command, leaf, trials, quick_trials in STAGES:
+    for command, leaf, quick_trials in STAGES:
         cmd = [command, "--out", str(Path(args.out) / leaf), "--jobs", str(args.jobs)]
-        n = quick_trials if args.quick else trials
-        if n is not None:
-            cmd += ["--trials", str(n)]
+        if args.quick and quick_trials is not None:
+            cmd += ["--trials", str(quick_trials)]
         if args.config is not None:
             cmd += ["--config", args.config]
         if args.seed is not None:

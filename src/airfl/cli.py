@@ -8,8 +8,9 @@ truncation threshold; `sweep-threshold` trains across a threshold grid; and
 
 Every command accepts `--config` (key=value file; a previously written
 manifest is itself a valid config and replays the run bit-identically),
-`--seed`, `--trials`, `--out`, and `--jobs` (at least 1; a command starts
-at most one worker pool and joins it before it prints).  Each command reads
+`--seed`, `--out`, and `--jobs` (at least 1; a command starts at most one
+worker pool and joins it before it prints); the three Monte-Carlo checks
+also take `--trials`.  Each command reads
 its grid and mode settings from its own section of the config, set by dotted keys
 such as `verify_xi.rhos = 0.5,0.8`, `sweep.gammas = 0.05,...` or
 `run.mode = ideal`; every section is checked at load, and a manifest
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import SystemConfig, load_config, resolve, resolved_to_config
+from .config import SystemConfig, load_config, resolve
 from .fltrain import train
 from .harness import (
     Gate,
@@ -70,7 +71,6 @@ class Command:
     help: str
     trials: int | None  # default --trials; None when the command takes none
     compute: Callable[[SystemConfig, int], Outcome]
-    manifest: str  # writes <manifest>_manifest.txt
     section: str | None  # the config section it reads, which its manifest carries
 
 
@@ -122,8 +122,7 @@ def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
             f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope=-2.0 "
             f"supported={scan.meta['supported_scaling']}"
         )
-    pinned = resolved_to_config(resolve(cfg))
-    return Outcome(tables, divergence_gates(result), lines, meta, pinned)
+    return Outcome(tables, divergence_gates(result), lines, meta, resolve(cfg).cfg)
 
 
 def _optimize_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
@@ -141,7 +140,7 @@ def _optimize_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
          for s in solutions],
     )
     meta = {"k1": coef.k1, "k2": coef.k2}
-    return Outcome({"optimize_threshold": table}, [], lines, meta, resolved_to_config(exp))
+    return Outcome({"optimize_threshold": table}, [], lines, meta, exp.cfg)
 
 
 def _round_for_print(v) -> str:
@@ -186,22 +185,22 @@ def _train(cfg: SystemConfig, jobs: int) -> Outcome:
         [(r.round_index, r.loss, r.accuracy, r.divergence_sq, r.grad_spread_sq, r.active_count,
           int(r.skipped)) for r in trace.records],
     )
-    pinned = resolved_to_config(exp, g_bound=trace.g_bound)
+    pinned = exp.cfg
+    if exp.cfg.g_bound == "calibrate" and trace.g_bound is not None:
+        pinned = replace(pinned, g_bound=trace.g_bound)
     return Outcome({"train_trace": table}, [], lines, meta, pinned)
 
 
 COMMANDS = (
     Command("verify-xi", "Monte-Carlo check of the aggregation-coefficient moments",
-            10**6, _verify_xi, "verify_xi", "verify_xi"),
+            10**6, _verify_xi, "verify_xi"),
     Command("verify-pdf", "Monte-Carlo and quadrature check of the joint (x, y) law",
-            10**7, _verify_pdf, "verify_pdf", "verify_pdf"),
+            10**7, _verify_pdf, "verify_pdf"),
     Command("verify-divergence", "frozen-gradient weight-divergence check",
-            10**5, _verify_divergence, "verify_divergence", "verify_divergence"),
-    Command("optimize-threshold", "solve for the truncation threshold",
-            None, _optimize_threshold, "optimize_threshold", None),
-    Command("sweep-threshold", "train across a threshold grid and optimizer modes",
-            None, _sweep_threshold, "sweep_threshold", "sweep"),
-    Command("train", "run one federated training experiment", None, _train, "train", "run"),
+            10**5, _verify_divergence, "verify_divergence"),
+    Command("optimize-threshold", "solve for the truncation threshold", None, _optimize_threshold, None),
+    Command("sweep-threshold", "train across a threshold grid and optimizer modes", None, _sweep_threshold, "sweep"),
+    Command("train", "run one federated training experiment", None, _train, "run"),
 )
 
 
@@ -223,7 +222,7 @@ def _run(cmd: Command, args) -> int:
     for line in lines:
         print(line)
     if args.out:
-        report(out.tables, args.out, cmd.manifest, out.cfg, cmd.name, cmd.section, out.meta, lines)
+        report(out.tables, args.out, cmd.name.replace("-", "_"), out.cfg, cmd.name, cmd.section, out.meta, lines)
     return 0 if all(g.passed for g in out.gates) else 1
 
 
@@ -237,10 +236,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(cmd.name, help=cmd.help)
         p.add_argument("--config", help="key=value config file (a written manifest replays its run)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--trials", type=int, default=None, help="override the sample/trial count")
+        if cmd.trials is not None:
+            p.add_argument("--trials", type=int, help="override the sample/trial count")
         p.add_argument("--out", default=None, help="directory for CSV and manifest output")
         p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-        p.set_defaults(cmd=cmd)
+        p.set_defaults(cmd=cmd, trials=None)
     args = parser.parse_args(argv)
     try:
         return _run(args.cmd, args)

@@ -46,7 +46,6 @@ _MIN_SWEEP_GAMMAS = 8     # points of a threshold sweep's grid
 _MIN_SWEEP_SEEDS = 3      # repetition seeds per sweep cell
 
 _TASKS = ("synthetic_logistic", "small_mlp")
-_G_MODES = ("calibrated", "fixed", "genie")
 # the closed forms carry e^(2 gamma_th), which must stay a finite double
 _MAX_GAMMA_TH = 0.5 * math.log(np.finfo(float).max)
 _UNIFORM_RE = re.compile(r"^uniform\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\]$")
@@ -92,9 +91,9 @@ _RULES = {
     "sigma2_dbm": (lambda v: math.isfinite(v) and _finite(lambda: dbm_to_watts(v)) and dbm_to_watts(v) > 0.0,
                    "expected a noise power that is a positive finite double in watts"),
     "eta": (_positive, "expected a positive finite value"),
-    "g_bound": (lambda v: v is None or (v > 0.0 and np.finfo(float).tiny <= v * v < math.inf),
-                "expected a positive value whose square is a finite normal double"),
-    "g_mode": (lambda v: v in _G_MODES, f"expected one of {_G_MODES}"),
+    "g_bound": (lambda v: v in ("calibrate", "genie") if isinstance(v, str)
+                else v > 0.0 and np.finfo(float).tiny <= v * v < math.inf,
+                "expected 'calibrate', 'genie' or a G whose square is a positive finite normal double"),
     "trials": (lambda v: v is None or v >= 1, "expected at least 1"),
     "train.task": (lambda v: v in _TASKS, f"expected one of {_TASKS}"),
     "train.batch_size": (lambda v: v >= 1, "expected at least 1"),
@@ -211,8 +210,8 @@ class SystemConfig:
     sigma2_dbm: float = -40.0          # receiver noise power in dBm
     eta: float = 0.005
     distances: str | tuple[float, ...] = "uniform(0,500]"
-    g_bound: float | None = None       # None -> calibrate on a warm-up pass; fixed needs one
-    g_mode: str = "calibrated"         # calibrated | fixed | genie (G = the round's largest norm)
+    # G of power control: "calibrate" (on a warm-up pass), "genie" (the round's largest norm) or a pinned G
+    g_bound: float | str = "calibrate"
     seed: int = 2026
     trials: int | None = None          # per-command default when None
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -231,7 +230,8 @@ class SystemConfig:
             match = _UNIFORM_RE.match(self.distances)
             if match is None:
                 raise ValueError(
-                    f"symbolic distances must look like 'uniform(0,500]', got {self.distances!r}"
+                    f"config key 'distances': expected a range such as 'uniform(0,500]' or a comma list "
+                    f"of distances, got {self.distances!r}"
                 )
             lo, d_max = (float(g) for g in match.groups())
             if not (0.0 <= lo < d_max < math.inf):
@@ -256,20 +256,24 @@ class SystemConfig:
                 f"sigma2_dbm = {self.sigma2_dbm}, alpha = {self.alpha}, p_max = {self.p_max} and "
                 f"rho = {self.rho} overflow sigma2 * d_max**alpha / (2 p_max rho^2)"
             )
-        if self.g_mode == "fixed" and self.g_bound is None:
-            raise ValueError("g_mode 'fixed' requires g_bound")
 
 
 @dataclass(frozen=True)
 class ResolvedExperiment:
-    """SystemConfig with every symbolic field made concrete; the other
-    settings are read through from cfg."""
+    """A concrete SystemConfig (a float gamma_th and a tuple of distances)
+    and what derives from it; its settings are read through from cfg."""
 
     cfg: SystemConfig
-    distances: tuple[float, ...]
     d_max_alpha: float
     sigma2: float            # watts
-    gamma_th: float
+
+    @property
+    def gamma_th(self) -> float:
+        return self.cfg.gamma_th
+
+    @property
+    def distances(self) -> tuple[float, ...]:
+        return self.cfg.distances
 
     @property
     def k_devices(self) -> int:
@@ -305,7 +309,8 @@ def resolve(cfg: SystemConfig) -> ResolvedExperiment:
     """Make distances, noise power, and the threshold concrete.
 
     Distance draws use their own stream, so experiments with different
-    trial counts or modes share the same geometry under one seed.
+    trial counts or modes share the same geometry under one seed.  The
+    result's cfg, written out, replays the run bit-identically.
     """
     if isinstance(cfg.distances, str):
         lo, hi = (float(g) for g in _UNIFORM_RE.match(cfg.distances).groups())
@@ -316,11 +321,12 @@ def resolve(cfg: SystemConfig) -> ResolvedExperiment:
     else:
         dist = tuple(float(d) for d in cfg.distances)
 
-    exp = ResolvedExperiment(cfg, dist, max(dist) ** cfg.alpha, dbm_to_watts(cfg.sigma2_dbm), math.nan)
-    # the objective's weights do not depend on the threshold they choose
-    if isinstance(cfg.gamma_th, str):
-        return replace(exp, gamma_th=optimal_threshold(exp.coefficients).gamma_star)
-    return replace(exp, gamma_th=float(cfg.gamma_th))
+    d_max_alpha, sigma2 = max(dist) ** cfg.alpha, dbm_to_watts(cfg.sigma2_dbm)
+    gamma = cfg.gamma_th
+    if isinstance(gamma, str):
+        # the objective's weights do not depend on the threshold they choose
+        gamma = optimal_threshold(ResolvedExperiment(cfg, d_max_alpha, sigma2).coefficients).gamma_star
+    return ResolvedExperiment(replace(cfg, gamma_th=float(gamma), distances=dist), d_max_alpha, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +358,25 @@ _READERS = {"int": (int, "an integer"), "bool": ({"1": True, "0": False}.__getit
 def _parse_field(key: str, annotation: str, value: str) -> object:
     """The text of config key `key` as its field's annotation reads it.
 
-    A str field takes the text; a field that also admits a str takes the
-    word 'optimize' or a 'uniform(...)' range; 'float | None' (g_bound)
-    reads 'calibrate' as None; a bool reads 1 or 0.  A tuple reads a comma
-    list, each item as the tuple's element type; other text parses as the
-    annotation's int or float.
+    A str field takes the text, and a field that also admits a str takes
+    the text that its other type does not read (a symbolic value such as
+    'optimize', 'genie' or 'uniform(0,500]'), which the key's rule then
+    checks; a bool reads 1 or 0.  A tuple reads a comma list, each item as
+    the tuple's element type; other text parses as the annotation's int or
+    float.
     """
-    symbolic = value == "optimize" or value.startswith("uniform")
-    if annotation == "str" or (symbolic and "str" in annotation.split(" | ")):
+    types = annotation.split(" | ")
+    if types == ["str"]:
         return value
-    if annotation == "float | None" and value == "calibrate":
-        return None
+    if "str" in types:
+        try:
+            return _parse_field(key, " | ".join(t for t in types if t != "str"), value)
+        except ValueError:
+            return value
     element = _TUPLE_RE.search(annotation)
     if element:
         return tuple(_parse_field(key, element.group(1), v.strip()) for v in value.split(","))
-    read, expected = _READERS.get(annotation.split(" | ")[0], (float, "a number"))
+    read, expected = _READERS.get(types[0], (float, "a number"))
     try:
         return read(value)
     except (KeyError, ValueError) as exc:
@@ -427,23 +437,13 @@ def config_to_kv(cfg: SystemConfig, section: str | None = None) -> list[tuple[st
     """Serialize a config to ordered key/value pairs: the bare fields and
     the train.* fields in field order, then the named command section's
     fields sorted by key.  Floats use repr, tuples are comma lists and
-    bools 1 or 0, so a round trip through text is bit-exact.  A None is
-    written as 'calibrate' in a 'float | None' field and omitted elsewhere."""
+    bools 1 or 0, so a round trip through text is bit-exact; a None is
+    omitted."""
 
     def pairs(obj, prefix: str) -> list[tuple[str, str]]:
-        plain = [(f, getattr(obj, f.name)) for f in fields(obj) if f.default_factory is MISSING]
-        return [(prefix + f.name, "calibrate" if value is None else _fmt(value))
-                for f, value in plain if value is not None or f.type == "float | None"]
+        plain = [(prefix + f.name, getattr(obj, f.name)) for f in fields(obj) if f.default_factory is MISSING]
+        return [(key, _fmt(value)) for key, value in plain if value is not None]
 
     tail = sorted(pairs(getattr(cfg, section), f"{section}.")) if section else []
     return pairs(cfg, "") + pairs(cfg.train, "train.") + tail
 
-
-def resolved_to_config(exp: ResolvedExperiment, g_bound: float | None = None) -> SystemConfig:
-    """Concrete SystemConfig that replays this experiment bit-identically."""
-    return replace(
-        exp.cfg,
-        gamma_th=exp.gamma_th,
-        distances=exp.distances,
-        g_bound=exp.cfg.g_bound if g_bound is None else g_bound,
-    )

@@ -371,14 +371,17 @@ def max_grad_norm(grads) -> float:
 
 def gradient_bound(draws: SeedDraws, grads: np.ndarray, round_index: int) -> float:
     """The G that power control scales by in a round whose K gradients are
-    grads (K, d): under g_mode genie their largest norm, otherwise the
-    pinned g_bound, else the bound calibrated on draws (once)."""
-    cfg = draws.exp.cfg
-    if cfg.g_mode != "genie":
-        return cfg.g_bound or draws.calibrated_g_bound()
+    grads (K, d), by the config's g_bound: under 'genie' their largest
+    norm, under 'calibrate' the bound calibrated on draws (once), else the
+    pinned G."""
+    g_bound = draws.exp.cfg.g_bound
+    if g_bound == "calibrate":
+        return draws.calibrated_g_bound()
+    if g_bound != "genie":
+        return g_bound
     g = max_grad_norm(grads)
     if not 0.0 < g < math.inf:
-        raise RuntimeError(f"g_mode = genie has no G in round {round_index}: the largest gradient norm is {g!r}")
+        raise RuntimeError(f"g_bound = genie has no G in round {round_index}: the largest gradient norm is {g!r}")
     return g
 
 
@@ -405,13 +408,8 @@ def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
 
 
 def _draws_key(exp: ResolvedExperiment) -> tuple:
-    # every field of the experiment and of its config but the threshold
-    return tuple(
-        (f.name, getattr(obj, f.name))
-        for obj, skip in ((exp.cfg, ("gamma_th",)), (exp, ("cfg", "gamma_th")))
-        for f in fields(obj)
-        if f.name not in skip
-    )
+    # every field of the concrete config but the threshold
+    return tuple((f.name, getattr(exp.cfg, f.name)) for f in fields(exp.cfg) if f.name != "gamma_th")
 
 
 class SeedDraws:

@@ -32,13 +32,11 @@ import numpy as np
 
 from . import __version__
 from .aircomp import (
-    PowerConfig,
     _aligned,
     _gain,
     _truncated_ratio,
     aggregate_batch,
     compensation_lambda,
-    dbm_to_watts,
     receiver_noise_scale,
     scaling_zeta,
 )
@@ -903,12 +901,10 @@ def k_slope_scan(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
     between -1 and -2 depending on which share dominates.
     """
     ks, n_trials = cfg.verify_divergence.scan_ks, cfg.verify_divergence.scan_trials
-    gamma_th = resolve(cfg).gamma_th
-    try:
-        d_max_alpha = _SCAN_DISTANCE**cfg.alpha
-    except OverflowError:
-        raise ValueError(f"alpha = {cfg.alpha!r} overflows the scan's path loss {_SCAN_DISTANCE} ** alpha") from None
-    power = PowerConfig(p_max=cfg.p_max, sigma2=dbm_to_watts(cfg.sigma2_dbm), g_bound=1.0, d_max_alpha=d_max_alpha)
+    exp = resolve(cfg)
+    gamma_th = exp.gamma_th
+    # one device at the scan's distance: the power config of every fleet size
+    power = resolve(replace(exp.cfg, k_devices=1, distances=(_SCAN_DISTANCE,))).power_config(1.0)
     # one map over every (K, chunk) unit: no barrier between fleet sizes
     chunks = _trial_chunks(n_trials, jobs)
     units = []

@@ -90,15 +90,25 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_fixed_g_without_a_bound_is_a_config_error(self, tmp_path, capsys):
-        # rejected when the config loads, even by a command that trains nothing
+        # g_bound is the one G key: a word other than calibrate or genie, and
+        # the g_mode key of older configs and manifests, are rejected when the
+        # config loads, even by a command that trains nothing
         cfg_path = tmp_path / "fixed.cfg"
-        cfg_path.write_text("g_mode = fixed\n")
-        rc = main(["optimize-threshold", "--config", str(cfg_path)])
-        assert rc == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and "g_bound" in lines[0]
-        assert captured.out == ""
+        for text, key in [("g_bound = fixed", "g_bound"), ("g_mode = fixed", "g_mode"), ("g_mode = genie", "g_mode")]:
+            cfg_path.write_text(text + "\n")
+            rc = main(["optimize-threshold", "--config", str(cfg_path)])
+            assert rc == 2
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:") and repr(key) in lines[0]
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["optimize-threshold", "sweep-threshold", "train"])
+    def test_trials_is_refused_where_no_trial_is_drawn(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trials", "5"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, key",
@@ -152,9 +162,10 @@ class TestParsing:
         # combinations the exit-code fuzz found: one error line, no warning
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in {**_BASE_CFG, **extra}.items()))
+        trials = ["--trials", "1000"] if command == "verify-divergence" else []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main([command, "--config", str(cfg_path), "--trials", "1000"])
+            rc = main([command, "--config", str(cfg_path), *trials])
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
@@ -392,6 +403,10 @@ class TestTrain:
         assert len(rows) == 5
         assert columns[0] == "round"
 
+        # the calibrated G is pinned as its number
+        g_used = airfl.fltrain.train(SystemConfig(k_devices=3, train=SMALL_TRAIN, seed=5)).g_bound
+        assert f"\ng_bound = {g_used!r}\n" in manifest.read_text()
+
         out2 = tmp_path / "run2"
         rc = main(["train", "--config", str(manifest), "--out", str(out2)])
         assert rc == 0
@@ -435,13 +450,16 @@ class TestTrain:
             assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
     def test_genie_pins_the_g_it_used_and_replays(self, tmp_path, capsys):
-        cfg = SystemConfig(k_devices=3, g_mode="genie", train=SMALL_TRAIN)
+        # the body keeps the genie rule, and a comment notes the largest G it used
+        cfg = SystemConfig(k_devices=3, g_bound="genie", train=SMALL_TRAIN)
         g_used = airfl.fltrain.train(cfg).g_bound
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         assert main(["train", "--config", write_cfg(tmp_path / "genie.cfg", cfg), "--out", str(out1)]) == 0
         assert f"g_bound = {g_used!r}\n" in capsys.readouterr().out
         manifest = out1 / "train_manifest.txt"
-        assert f"\ng_bound = {g_used!r}\n" in manifest.read_text()
+        text = manifest.read_text()
+        assert f"\n# g_bound = {g_used!r}\n" in text
+        assert "\ng_bound = genie\n" in text and f"\ng_bound = {g_used!r}\n" not in text
         assert main(["train", "--config", str(manifest), "--out", str(out2)]) == 0
         assert (out2 / "train_trace.csv").read_bytes() == (out1 / "train_trace.csv").read_bytes()
 
@@ -480,8 +498,7 @@ _CFG_VALUES = {
     "sigma2_dbm": ["-40", "4000", "-4000", "nan"],
     "eta": ["0.005", "1e300", "0"],
     "distances": ["uniform(0,500]", "uniform(5,1]", "10,20,30", "1e-300,1,2", "10", "a,b"],
-    "g_bound": ["calibrate", "2.0", "1e-300", "0"],
-    "g_mode": ["calibrated", "fixed", "genie", "other"],
+    "g_bound": ["calibrate", "genie", "2.0", "1e-300", "0", "fixed"],
     "train.task": ["synthetic_logistic", "small_mlp", "mnist"],
     "train.label_skew": ["0.0", "0.9", "1.0"],
     "train.blob_separation": ["2.5", "1e300"],
@@ -498,13 +515,14 @@ _CFG_VALUES = {
     "verify_pdf.tail_gamma": ["1.0", "1e300", "0"],
     "verify_xi.rho": ["0.5"],  # misspelled: the key is rhos
 }
-# per command, trial counts below, at and just above its minimum
+# per command, trial counts below, at and just above its minimum; a command
+# that draws no trials takes no --trials
 _TRIALS = {
     "verify-xi": ["-1", "10", "10000"],
     "verify-divergence": ["0", "10", "1000"],
-    "optimize-threshold": ["1000"],
-    "sweep-threshold": ["1000"],
-    "train": ["1000"],
+    "optimize-threshold": [],
+    "sweep-threshold": [],
+    "train": [],
 }
 
 
@@ -513,7 +531,9 @@ def _invocations(draw):
     command = draw(st.sampled_from(sorted(_TRIALS)))
     keys = draw(st.lists(st.sampled_from(sorted(_CFG_VALUES)), unique=True, max_size=3))
     cfg = {**_BASE_CFG, **{k: draw(st.sampled_from(_CFG_VALUES[k])) for k in keys}}
-    flags = ["--trials", draw(st.sampled_from(_TRIALS[command])), "--jobs", "1"]
+    flags = ["--jobs", "1"]
+    if _TRIALS[command]:
+        flags += ["--trials", draw(st.sampled_from(_TRIALS[command]))]
     seed = draw(st.none() | st.integers(min_value=-5, max_value=2**40))
     if seed is not None:
         flags += ["--seed", str(seed)]

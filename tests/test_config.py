@@ -22,7 +22,6 @@ from airfl.config import (
     load_config,
     parse_kv_text,
     resolve,
-    resolved_to_config,
 )
 
 
@@ -81,7 +80,7 @@ class TestSystemConfigValidation:
             {"distances": (100.0, 200.0)},
             {"k_devices": 2, "distances": (100.0, -5.0)},
             {"g_bound": 0.0},
-            {"g_mode": "adaptive"},
+            {"g_bound": "adaptive"},
             {"trials": 0},
             {"gamma_th": 800.0},  # e^(2 gamma_th) overflows a double
             {"sigma2_dbm": 4000.0},  # the noise power in watts overflows
@@ -90,7 +89,7 @@ class TestSystemConfigValidation:
             {"distances": "uniform(0,1e-3]", "alpha": 400.0},  # d_max**alpha underflows
             {"distances": "uniform(5,5]"},  # empty range
             {"sigma2_dbm": 3100.0},  # sigma2 * d_max**alpha / (2 p_max rho^2) overflows
-            {"g_mode": "fixed"},  # a fixed G needs its g_bound
+            {"g_bound": "fixed"},  # a pinned G is the number itself
         ],
     )
     def test_rejects(self, kw):
@@ -127,7 +126,8 @@ class TestSystemConfigValidation:
     def test_symbolic_and_explicit_forms_accepted(self):
         SystemConfig(gamma_th="optimize")
         SystemConfig(k_devices=2, distances=(10.0, 500.0))
-        SystemConfig(g_bound=1.5, g_mode="fixed")
+        SystemConfig(g_bound=1.5)
+        SystemConfig(g_bound="genie")
         SystemConfig(gamma_th=354.0)
 
 
@@ -169,8 +169,17 @@ class TestResolve:
         probe = exp.power_config(1.0)
         want = optimal_threshold(coefficients_from_system(exp.rho, probe)).gamma_star
         assert exp.gamma_th == want
-        assert exp.cfg.gamma_th == "optimize"
+        assert exp.cfg.gamma_th == want
         assert exp.gamma_th > 0.0
+
+    def test_resolved_config_is_concrete(self):
+        # the threshold and the distances live in cfg alone; the experiment
+        # adds only what derives from them
+        exp = resolve(SystemConfig(gamma_th="optimize", k_devices=4))
+        assert [f.name for f in fields(exp)] == ["cfg", "d_max_alpha", "sigma2"]
+        assert isinstance(exp.cfg.gamma_th, float) and exp.gamma_th is exp.cfg.gamma_th
+        assert isinstance(exp.cfg.distances, tuple) and exp.distances is exp.cfg.distances
+        assert exp.d_max_alpha == max(exp.distances) ** exp.cfg.alpha
 
     def test_coefficients_are_the_systems_at_any_g(self):
         from airfl.optimizer import coefficients_from_system
@@ -227,8 +236,7 @@ class TestConfigFromKv:
                 "rho": "0.95",
                 "gamma_th": "optimize",
                 "distances": "10.0,20.0,30.0,40.0",
-                "g_bound": "calibrate",
-                "g_mode": "genie",
+                "g_bound": "genie",
                 "train.rounds_m": "50",
                 "train.task": "small_mlp",
                 "verify_xi.rhos": "1.0",
@@ -240,8 +248,7 @@ class TestConfigFromKv:
         assert cfg.rho == 0.95
         assert cfg.gamma_th == "optimize"
         assert cfg.distances == (10.0, 20.0, 30.0, 40.0)
-        assert cfg.g_bound is None
-        assert cfg.g_mode == "genie"
+        assert cfg.g_bound == "genie"
         assert cfg.train.rounds_m == 50
         assert cfg.train.task == "small_mlp"
         assert cfg.verify_xi == VerifyXiConfig(rhos=(1.0,))
@@ -281,7 +288,7 @@ class TestRoundTrip:
 
     def test_resolved_config_round_trips_bit_exactly(self):
         exp = resolve(SystemConfig(gamma_th="optimize", seed=11))
-        pinned = resolved_to_config(exp, g_bound=0.9294011408364471)  # the calibrated G at the defaults
+        pinned = replace(exp.cfg, g_bound=0.9294011408364471)  # the calibrated G at the defaults
         text = kv_text(config_to_kv(pinned, "run"))
         assert "run.mode = aircomp" in text
         back = config_from_kv(parse_kv_text(text))
@@ -301,10 +308,10 @@ class TestRoundTrip:
             "run": RunConfig(mode="ideal"),
         }
         cfg = SystemConfig(k_devices=3, rho=0.9, gamma_th=0.7, alpha=3.1, p_max=0.2, sigma2_dbm=-50.5,
-                           eta=0.01, distances=(10.0, 20.5, 1 / 3), g_bound=1.5, g_mode="fixed", seed=5,
+                           eta=0.01, distances=(10.0, 20.5, 1 / 3), g_bound=1.5, seed=5,
                            trials=1234, train=train, **sections)
         if symbolic:
-            cfg = replace(cfg, gamma_th="optimize", distances="uniform(5,100]", g_mode="genie")
+            cfg = replace(cfg, gamma_th="optimize", distances="uniform(5,100]", g_bound="genie")
         defaults = SystemConfig()
         nested = [f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))]
         for obj, default in [(cfg, defaults)] + [(getattr(cfg, n), getattr(defaults, n)) for n in nested]:
@@ -325,6 +332,13 @@ class TestRoundTrip:
     def test_g_bound_serializes_as_calibrate(self):
         pairs = dict(config_to_kv(SystemConfig()))
         assert pairs["g_bound"] == "calibrate"
+
+    @pytest.mark.parametrize("g_bound, text", [("genie", "genie"), ("calibrate", "calibrate"), (1.5, "1.5")])
+    def test_every_g_rule_round_trips(self, g_bound, text):
+        cfg = SystemConfig(g_bound=g_bound)
+        pairs = config_to_kv(cfg)
+        assert dict(pairs)["g_bound"] == text
+        assert config_from_kv(dict(pairs)) == cfg
 
     def test_train_eta_and_seed_not_serialized(self):
         keys = [k for k, _ in config_to_kv(SystemConfig())]
@@ -376,11 +390,12 @@ class TestLoadAndReplay:
 
     def test_replay_reproduces_the_resolution(self):
         exp = resolve(SystemConfig(gamma_th="optimize", seed=42))
-        again = resolve(resolved_to_config(exp))
+        again = resolve(exp.cfg)
         assert again.distances == exp.distances
         assert again.gamma_th == exp.gamma_th
         assert again.sigma2 == exp.sigma2
         assert again.cfg.gamma_th == exp.gamma_th
+        assert again == exp
 
     def test_stream_constants_are_distinct(self):
         import airfl.config as cfg_mod

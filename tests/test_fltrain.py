@@ -318,13 +318,13 @@ class TestTraining:
         assert np.all(trace.final == 0.0)
 
     def test_genie_mode_runs(self):
-        trace = train(small_cfg(g_mode="genie"), mode="aircomp")
+        trace = train(small_cfg(g_bound="genie"), mode="aircomp")
         assert len(trace.records) == 4
 
     def test_genie_reports_the_largest_g_it_used(self):
         # genie power control sizes zeta from each round's largest gradient
         # norm; the trace reports the largest of those, not the calibrated bound
-        cfg = small_cfg(g_mode="genie", train=replace(SMALL_TRAIN, rounds_m=12))
+        cfg = small_cfg(g_bound="genie", train=replace(SMALL_TRAIN, rounds_m=12))
         draws = SeedDraws(cfg)
         trace = train(cfg, mode="aircomp", draws=draws)
         w0 = draws.task.init_params(substream(cfg.seed, STREAM_INIT))
@@ -334,31 +334,29 @@ class TestTraining:
         assert trace.g_bound != draws.calibrated_g_bound()
 
     def test_genie_calibrates_nothing(self, monkeypatch):
-        # genie power control sets G every round, so no warm-up pass runs,
-        # and the run equals one whose G was pinned in the config
+        # genie power control sets G every round, so no warm-up pass runs
         calls = []
         real = airfl.fltrain.calibrate_g_bound
         monkeypatch.setattr(airfl.fltrain, "calibrate_g_bound", lambda *a, **k: calls.append(a) or real(*a, **k))
-        trace = train(small_cfg(g_mode="genie"), mode="aircomp")
+        train(small_cfg(g_bound="genie"), mode="aircomp")
         assert calls == []
-        pinned = train(small_cfg(g_mode="genie", g_bound=5.0), mode="aircomp")
-        assert np.array_equal(trace.weights, pinned.weights) and trace.g_bound == pinned.g_bound
 
     def test_one_g_rule(self):
-        # genie: the round's largest gradient norm, whatever is pinned;
-        # otherwise the pinned g_bound, else the calibrated bound
+        # genie: the round's largest gradient norm; a number: that G;
+        # calibrate: the calibrated bound
         draws = SeedDraws(small_cfg())
         grads = round_gradients(draws.task.init_params(substream(11, STREAM_INIT)), draws, 0)
-        assert gradient_bound(SeedDraws(small_cfg(g_mode="genie", g_bound=5.0)), grads, 0) == max_grad_norm(grads)
+        assert gradient_bound(SeedDraws(small_cfg(g_bound="genie")), grads, 0) == max_grad_norm(grads)
         assert gradient_bound(SeedDraws(small_cfg(g_bound=5.0)), grads, 0) == 5.0
         assert gradient_bound(draws, grads, 0) == draws.calibrated_g_bound() == warmup_bound(draws.exp, 10)
         with pytest.raises(RuntimeError, match="no G in round 4"):
-            gradient_bound(SeedDraws(small_cfg(g_mode="genie")), np.zeros_like(grads), 4)
+            gradient_bound(SeedDraws(small_cfg(g_bound="genie")), np.zeros_like(grads), 4)
 
     def test_fixed_mode_requires_bound(self):
+        # a pinned G is the number itself; the word 'fixed' is no G rule
         with pytest.raises(ValueError, match="g_bound"):
-            train(small_cfg(g_mode="fixed"), mode="aircomp")
-        trace = train(small_cfg(g_mode="fixed", g_bound=2.0), mode="aircomp")
+            train(small_cfg(g_bound="fixed"), mode="aircomp")
+        trace = train(small_cfg(g_bound=2.0), mode="aircomp")
         assert trace.g_bound == 2.0
 
     def test_unknown_mode(self):
@@ -513,7 +511,7 @@ class TestSeedDraws:
 
     @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
     def test_cells_in_lock_step_equal_private_runs(self, mode):
-        exps = [resolve(small_cfg(gamma_th=g, g_mode="genie")) for g in (0.1, 3.0, "optimize")]
+        exps = [resolve(small_cfg(gamma_th=g, g_bound="genie")) for g in (0.1, 3.0, "optimize")]
         traces = train_cells(SeedDraws(exps[0]), [exp.gamma_th for exp in exps], mode)
         for exp, trace in zip(exps, traces):
             private = train(exp, mode=mode)
@@ -653,9 +651,9 @@ class TestKernelAgainstOracle:
         rounds = replace(SMALL_TRAIN, rounds_m=12)
         kw, grid = {"train": rounds}, self.GRID
         if case == "genie":
-            kw["g_mode"] = "genie"
+            kw["g_bound"] = "genie"
         elif case == "fixed":
-            kw.update(g_mode="fixed", g_bound=2.0)
+            kw["g_bound"] = 2.0
         elif case == "small_mlp":
             kw["train"] = replace(MLP_TRAIN, rounds_m=12)
         elif case == "all_skipped":

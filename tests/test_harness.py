@@ -537,8 +537,8 @@ class TestWeightDivergence:
 
     def test_genie_g_is_the_g_training_uses(self, monkeypatch):
         # genie power control sizes zeta from the round's largest gradient
-        # norm, in training and here alike, whatever g_bound is pinned
-        cfg = SystemConfig(g_mode="genie", g_bound=5.0, train=TrainConfig(rounds_m=3))
+        # norm, in training and here alike, not the calibrated bound
+        cfg = SystemConfig(g_bound="genie", train=TrainConfig(rounds_m=3))
         seen = []
         real = airfl.fltrain._assert_power_feasible
 
@@ -550,7 +550,7 @@ class TestWeightDivergence:
         train(cfg, mode="aircomp")
         exp, grads, power = _frozen_setup(cfg)
         assert power.g_bound == seen[0] == max(float(np.linalg.norm(g)) for g in grads)
-        assert power.g_bound != 5.0
+        assert power.g_bound != SeedDraws(cfg).calibrated_g_bound()
         res = mc_weight_divergence(cfg, n_trials=1000)
         assert res.meta["g_bound"] == seen[0]
         assert res.meta["zeta"] == scaling_zeta(exp.k_devices, exp.rho, power, exp.gamma_th)
@@ -843,10 +843,10 @@ class TestSharedSeedDraws:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"g_bound": None},
-            {"g_bound": None, "g_mode": "genie"},
+            {"g_bound": "calibrate"},
+            {"g_bound": "genie"},
             {"g_bound": 2.0},
-            {"g_bound": None, "train": replace(SMALL_TRAIN, task="small_mlp", hidden_units=4)},
+            {"g_bound": "calibrate", "train": replace(SMALL_TRAIN, task="small_mlp", hidden_units=4)},
         ],
         ids=["calibrated", "genie", "fixed_g_bound", "small_mlp"],
     )
@@ -889,7 +889,7 @@ class TestSharedSeedDraws:
         assert len(calls) == 11 * 3
 
     def test_jobs_split_matches_serial(self):
-        cfg = sweep_cfg(gammas=self.GRID, system={"g_bound": None})
+        cfg = sweep_cfg(gammas=self.GRID, system={"g_bound": "calibrate"})
         serial = sweep_threshold(cfg, jobs=1)
         split = sweep_threshold(cfg, jobs=2)
         assert serial.rows == split.rows
