@@ -101,14 +101,24 @@ class ChannelArrays:
     d_alpha: np.ndarray
 
 
-def draw_channel_rows(n: int, gen: np.random.Generator) -> np.ndarray:
+def draw_channel_rows(n: int, gen: np.random.Generator, out=None):
     """The real rows behind draw_channel_block, for kernels that need no
     complex arrays: shape (4, n), rows (Re h_hat, Im h_hat, Re v, Im v),
-    each N(0, 1/2), from one standard_normal((4, n)) call."""
+    each N(0, 1/2).  The rows are drawn one after another, which gives one
+    standard_normal((4, n)) call's values, bit for bit.
+
+    out, if given, holds the four rows: a (4, n) array, or four contiguous
+    float64 arrays of n elements, which need not be one block of memory.
+    The rows are drawn into it and it is returned.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = gen.standard_normal((4, n))
-    z *= _INV_SQRT2
+    z = np.empty((4, n)) if out is None else out
+    if len(z) != 4:
+        raise ValueError(f"out must hold 4 rows, got {len(z)}")
+    for row in z:
+        gen.standard_normal(n, out=row)
+        row *= _INV_SQRT2
     return z
 
 

@@ -51,6 +51,7 @@ from .harness import (
     verdict_lines,
     worker_pool,
     xi_gates,
+    xi_untestable,
 )
 from .optimizer import optimal_threshold, threshold_modes
 
@@ -88,7 +89,7 @@ def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
         ],
         meta={"n_samples": n},
     )
-    return Outcome({"verify_xi": table}, xi_gates(results), [], table.meta, cfg)
+    return Outcome({"verify_xi": table}, xi_gates(results), xi_untestable(results), table.meta, cfg)
 
 
 def _centers(lo: float, hi: float, bins: int) -> np.ndarray:
@@ -212,7 +213,8 @@ def _run(cmd: Command, args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
-    if cfg.trials is None and cmd.trials is not None:
+    # a command that draws no trials drops the key, so its manifest holds none
+    if cmd.trials is None or cfg.trials is None:
         cfg = replace(cfg, trials=cmd.trials)
 
     # the command's parallel maps share one pool, joined before anything prints

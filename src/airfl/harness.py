@@ -12,8 +12,11 @@ Divergence trials are keyed by block (stream layout 2): trial t is row
 t mod 256 of one draw from substream(seed, STREAM_MC_DIVERGENCE, *key,
 t // 256), so neither the kernel's slices nor the jobs split changes a
 byte.  The sampling kernels form each shared quantity once per chunk; see
-mc_xi_moments_grid, _joint_chunk and TailSums.  scipy's quadrature is
-imported only when a quadrature check runs.
+mc_xi_moments_grid, _joint_chunk and TailSums.  The quadratures run on numpy
+and the math module alone: the joint law's bin masses come from one
+vectorised, self-refining Gauss-Legendre rule (_bin_mass) and the density's
+normalization from a fixed Gauss-Legendre x Gauss-Hermite tensor rule
+(pdf_normalization).  scipy serves only the test suite, as their oracle.
 """
 
 from __future__ import annotations
@@ -86,11 +89,22 @@ _CHUNK = 1 << 20
 _MIN_XI_SAMPLES = 10_000
 _MIN_JOINT_SAMPLES = 1_000_000
 _MASS_CONSISTENCY_TOL = 1e-9  # quadrature vs CDF-rectangle cross-check
+# the bin-mass rule (_bin_mass): Gauss-Legendre panels in s = sqrt(-gamma)
+_PANEL_NODES = 6
+_PANEL_CUTS = np.array([0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0])  # panel cuts at s = k/|t|
+_PANEL_WIDTH = 0.5  # widest panel, in s
+_PANEL_TOL = 1e-16  # largest |panel rule - rule over its halves| that is accepted
+_PANEL_SPLITS = 40  # passes of panel splitting before the rule gives up
+_PANEL_BLOCK = 1 << 12  # panels per evaluation: bounds the rule's working set
+_S_MAX = 28.0  # e^(-s^2) underflows from s = 27.3 on, so no mass lies past it
+_EDGE_BAND = 1e-9  # fractional bin index this close to an edge is checked against the edges
 _NORM_GAMMA_MIN = -40.0  # lower gamma edge of the density normalization
+_NORM_NODES = 20  # nodes per axis of the normalization's tensor rule
 _FD_STEP = 1e-4  # spacing of the CDF/density finite-difference stencil
 _SCAN_DISTANCE = 100.0  # the K-scan's common device distance, meters
 _SCAN_D_MODEL = 10  # the K-scan's model dimension: device k sends basis vector k mod 10
 _Z_LIMIT = 4.0  # the 4-standard-error rule of every 'z' gate
+_XI_REL_LIMIT = 0.02  # verify-xi's relative variance gate, where the sample resolves it
 # divergence trials per stream, a constant of stream layout 2: trial t is
 # row t mod 256 of substream(seed, STREAM_MC_DIVERGENCE, *key, t // 256)
 _TRIAL_BLOCK = 256
@@ -400,10 +414,20 @@ def _xi_result(rho, gamma_th, n_samples: int, chunk_sums) -> XiMomentsResult:
     )
 
 
+def _xi_rel_resolution(r: XiMomentsResult) -> float | None:
+    """4 SEs of the variance as a share of the closed variance, for a cell
+    whose closed variance exceeds 0.1 (where the relative gate applies);
+    None for any other cell."""
+    if r.variance_closed <= 0.1:
+        return None
+    return _Z_LIMIT * r.se_var / r.variance_closed
+
+
 def xi_gates(results) -> list[Gate]:
     """Per cell: the mean against 1 and the variance against the closed form
     at 4 SEs; where the closed variance exceeds 0.1 the variance must also
-    sit within 2 % of it."""
+    sit within 2 % of it, but only where the sample resolves 2 %: 4 SEs at
+    most 2 % of the closed variance (see xi_untestable)."""
     gates = []
     for r in results:
         cell = f"rho={r.rho:g} gamma={r.gamma_th:g}"
@@ -415,34 +439,113 @@ def xi_gates(results) -> list[Gate]:
             Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, r.se_var, _Z_LIMIT,
                  detail=f"mc={r.variance:.6f} closed={r.variance_closed:.6f} se={r.se_var:.2e}")
         )
-        if r.variance_closed > 0.1:
+        resolution = _xi_rel_resolution(r)
+        if resolution is not None and resolution <= _XI_REL_LIMIT:
             rel = abs(r.variance - r.variance_closed) / r.variance_closed
             gates.append(
-                Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, None, 0.02,
+                Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, None, _XI_REL_LIMIT,
                      kind="rel", detail=f"rel={rel:.4f}")
             )
     return gates
+
+
+def xi_untestable(results) -> list[str]:
+    """One INFO line per cell whose 2 % relative variance gate xi_gates
+    leaves out, because 4 SEs of its variance exceed 2 % of the closed
+    variance at this sample size."""
+    lines = []
+    for r in results:
+        resolution = _xi_rel_resolution(r)
+        if resolution is not None and resolution > _XI_REL_LIMIT:
+            lines.append(
+                f"INFO xi_var[rho={r.rho:g} gamma={r.gamma_th:g}]: relative gate untestable: "
+                f"4se/closed={resolution:.4f} > limit={_XI_REL_LIMIT:g} n={r.n_samples}"
+            )
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # joint law of (x, y) = (Re{v* h_hat}/|h_hat|^2, -|h_hat|^2)
 
 
-def _bin_mass(t0: float, t1: float, g0: float, g1: float) -> float:
-    """Mass of the analytic density over [t0,t1] x [g0,g1], g1 <= 0.
+def _elementwise(fn, v: np.ndarray) -> np.ndarray:
+    """fn (a math function) applied to every element of v."""
+    return np.fromiter(map(fn, v.ravel().tolist()), dtype=float, count=v.size).reshape(v.shape)
+
+
+def _panel_sums(t: np.ndarray, a: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Gauss-Legendre sum (nodes x, weights w on [-1, 1]) of
+    s e^(-s^2) erf(t s) over each panel [a, b] with its own t, _PANEL_BLOCK
+    panels at a time.  math.exp and math.erf are applied per node and the
+    node sums run in a fixed order, so the values do not depend on the CPU
+    (numpy's exp does)."""
+    sums = np.empty(a.size)
+    for lo in range(0, a.size, _PANEL_BLOCK):
+        part = slice(lo, lo + _PANEL_BLOCK)
+        half = 0.5 * (b[part] - a[part])
+        s = (a[part] + half)[:, None] + half[:, None] * x
+        f = s * _elementwise(math.exp, -(s * s)) * _elementwise(math.erf, t[part, None] * s)
+        acc = w[0] * f[:, 0]
+        for k in range(1, x.size):
+            acc += w[k] * f[:, k]
+        sums[part] = half * acc
+    return sums
+
+
+def _bin_mass(t_edges: np.ndarray, g_edges: np.ndarray) -> np.ndarray:
+    """Mass of the analytic density over every [t_i, t_i+1] x [g_j, g_j+1]
+    bin (g_edges <= 0), as a (t bins, g bins) array.
 
     The t-integral of the density is available in closed form (a Gaussian
-    slice), leaving the smooth 1-D integrand e^g (erf(t1 s) - erf(t0 s))/2
-    with s = sqrt(-g), which adaptive quadrature handles to ~1e-13.
+    slice); with g = -s^2 a bin's mass is the integral of
+    s e^(-s^2) (erf(t_i+1 s) - erf(t_i s)) over the bin's s interval.  So
+    the masses are differences, over the t edges, of I(t, j), the integral
+    of s e^(-s^2) erf(t s) over g bin j.  Each I is a sum of Gauss-Legendre
+    panels: g bin j is cut at s = k/|t| for k in _PANEL_CUTS, where
+    erf(t s) bends, and into panels at most _PANEL_WIDTH wide.  A panel
+    whose rule differs from the rule's sum over its two halves by more than
+    _PANEL_TOL is split in two and its halves are checked the same way; an
+    accepted panel adds the sum over its halves.  Only that error estimate
+    refines the rule, so the CDF-rectangle cross-check of
+    mc_joint_distribution_check stays independent of it.
     """
-    from scipy.integrate import quad  # deferred: scipy costs ~0.6 s at import
-
-    def integrand(g: float) -> float:
-        s = math.sqrt(-g)
-        return 0.5 * math.exp(g) * (math.erf(t1 * s) - math.erf(t0 * s))
-
-    val, _ = quad(integrand, g0, g1, epsabs=1e-13, epsrel=1e-12)
-    return val
+    t = np.asarray(t_edges, dtype=float)
+    # s = sqrt(-g) in increasing order; no mass lies past _S_MAX
+    s_edges = np.minimum(np.sqrt(-np.asarray(g_edges, dtype=float)[::-1]), _S_MAX)
+    n_g = s_edges.size - 1
+    # the points every t edge shares: the s edges, and every multiple of
+    # _PANEL_WIDTH between them, so that no panel is wider
+    grid = _PANEL_WIDTH * np.arange(1.0, math.ceil(s_edges[-1] / _PANEL_WIDTH))
+    shared = np.concatenate((s_edges, np.clip(grid, s_edges[0], s_edges[-1])))
+    with np.errstate(divide="ignore"):  # t = 0 places no cut
+        cuts = np.clip(_PANEL_CUTS / np.abs(t)[:, None], s_edges[0], s_edges[-1])
+    points = np.sort(np.concatenate([np.broadcast_to(shared, (t.size, shared.size)), cuts], axis=1), axis=1)
+    a, b = points[:, :-1], points[:, 1:]
+    keep = a < b
+    row = np.nonzero(keep)[0]
+    a, b = a[keep], b[keep]
+    # g bin j spans s in [s(g_j+1), s(g_j)]; flat indexes (t edge, g bin)
+    flat = row * n_g + (n_g - np.searchsorted(s_edges, a, side="right"))
+    t_panel = t[row]
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    integral = np.zeros(t.size * n_g)
+    for _ in range(_PANEL_SPLITS):
+        mid = 0.5 * (a + b)
+        # each panel, then its left and then its right half, in one pass
+        whole, left, right = _panel_sums(
+            np.tile(t_panel, 3), np.concatenate((a, a, mid)), np.concatenate((b, mid, b)), x, w
+        ).reshape(3, -1)
+        halves = left + right
+        done = np.abs(whole - halves) <= _PANEL_TOL
+        integral += np.bincount(flat[done], halves[done], minlength=integral.size)
+        if done.all():
+            integral = integral.reshape(t.size, n_g)
+            return integral[1:] - integral[:-1]
+        split = ~done
+        flat, t_panel = np.repeat(flat[split], 2), np.repeat(t_panel[split], 2)
+        a, mid, b = a[split], mid[split], b[split]
+        a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
+    raise RuntimeError(f"the bin-mass rule did not settle within {_PANEL_SPLITS} panel splits")
 
 
 def cdf_rect_masses(t_edges: np.ndarray, g_edges: np.ndarray) -> np.ndarray:
@@ -465,24 +568,58 @@ def _bin_index(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _axis_bins(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each v's bin on one axis of uniform edges, as np.histogram assigns it
+    (the last bin closed) and clipped to [0, n - 1], and whether v lies in
+    [edges[0], edges[-1]].
+
+    The arithmetic index stands for every v whose fractional index lies
+    farther than the rounding band from an integer; only the v within it go
+    through the exact _bin_index.  The band is _EDGE_BAND, widened for a
+    window far from 0 beside its width, where the index and the edges carry
+    larger rounding errors (a band of 0.5 or more sends every v through
+    _bin_index).
+    """
+    n = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    inside = v >= lo
+    inside &= v <= hi
+    band = max(_EDGE_BAND, 16.0 * np.finfo(float).eps * n * (1.0 + (abs(lo) + abs(hi)) / (hi - lo)))
+    # the fractional index, clipped to [0, n] in place (fmax sends a NaN to 0)
+    f = v - lo
+    f *= n / (hi - lo)
+    np.fmin(np.fmax(f, 0.0, out=f), n, out=f)
+    idx = f.astype(np.intp)
+    # |f - idx - 1/2|, whose distance from 1/2 is the distance to an edge
+    f -= idx
+    f -= 0.5
+    near = np.flatnonzero(np.abs(f, out=f) >= 0.5 - band)
+    near = near[inside[near]]
+    np.minimum(idx, n - 1, out=idx)
+    idx[near] = _bin_index(v[near], edges)
+    return idx, inside
+
+
 def histogram2d_counts(
     x: np.ndarray, y: np.ndarray, x_edges: np.ndarray, y_edges: np.ndarray
 ) -> np.ndarray:
     """np.histogram2d(x, y, bins=(x_edges, y_edges))[0] as int64 counts, for
     uniform (np.linspace) edges: values outside the window are dropped and
-    the last edge of each axis is closed.  Indexes bins arithmetically and
-    counts them with np.bincount instead of searchsorted."""
-    keep = (x >= x_edges[0]) & (x <= x_edges[-1]) & (y >= y_edges[0]) & (y <= y_edges[-1])
-    x, y = x[keep], y[keep]
-    ny = y_edges.size - 1
-    flat = _bin_index(x, x_edges)
+    the last edge of each axis is closed.  Indexes bins arithmetically
+    (_axis_bins) and counts them with one np.bincount, whose last, dropped
+    bin takes every sample outside the window."""
+    nx, ny = x_edges.size - 1, y_edges.size - 1
+    flat, x_inside = _axis_bins(x, x_edges)
     flat *= ny
-    flat += _bin_index(y, y_edges)
-    return np.bincount(flat, minlength=(x_edges.size - 1) * ny).reshape(-1, ny)
+    y_idx, y_inside = _axis_bins(y, y_edges)
+    flat += y_idx
+    x_inside &= y_inside
+    flat[~x_inside] = nx * ny
+    return np.bincount(flat, minlength=nx * ny + 1)[:-1].reshape(nx, ny)
 
 
-def _joint_chunk(z: np.ndarray, t_edges, g_edges, tail_gammas) -> tuple[np.ndarray, list[tuple]]:
-    """The bin counts of one chunk of draw_channel_rows, and per threshold
+def _joint_chunk(z, t_edges, g_edges, tail_gammas) -> tuple[np.ndarray, list[tuple]]:
+    """The bin counts of one chunk of draw_channel_rows (its four rows), and per threshold
     the count and the power sums of x on the chunk's tail in draw order.
 
     Works in slices of _JOINT_SLICE samples: x = Re{v* h_hat}/|h_hat|^2 is
@@ -491,8 +628,8 @@ def _joint_chunk(z: np.ndarray, t_edges, g_edges, tail_gammas) -> tuple[np.ndarr
     """
     counts = np.zeros((t_edges.size - 1, g_edges.size - 1), dtype=np.int64)
     x_parts: list[list[np.ndarray]] = [[] for _ in tail_gammas]
-    for lo in range(0, z.shape[1], _JOINT_SLICE):
-        h_re, h_im, v_re, v_im = z[:, lo:lo + _JOINT_SLICE]
+    for lo in range(0, len(z[0]), _JOINT_SLICE):
+        h_re, h_im, v_re, v_im = (row[lo:lo + _JOINT_SLICE] for row in z)
         gain = h_re * h_re + h_im * h_im
         x = v_re * h_re + v_im * h_im
         if not gain.all():  # zero gain has probability zero; drop it before dividing
@@ -530,10 +667,12 @@ def mc_joint_distribution_check(
     holds the count and power sums of x on every threshold's tail of the
     one draw, from which E[(x - c)^2 | tail] follows for any c.
 
-    The draw is made chunk by chunk, and a chunk's arrays are gone before
-    the next is drawn.  Within a chunk x is divided once per sample and
-    serves the histogram and every tail (_joint_chunk); a sample with
-    |h_hat|^2 = 0, which has probability zero, is dropped first.
+    The draw is made chunk by chunk into one set of row buffers, and a
+    chunk's other arrays are gone before the next is drawn.  Within a chunk x is divided
+    once per sample and serves the histogram and every tail (_joint_chunk);
+    a sample with |h_hat|^2 = 0, which has probability zero, is dropped
+    first.  The analytic masses come from one vectorised rule (_bin_mass),
+    cross-checked against CDF rectangles to _MASS_CONSISTENCY_TOL.
     """
     if n_samples < _MIN_JOINT_SAMPLES:
         raise ValueError(f"need at least {_MIN_JOINT_SAMPLES} samples (trials), got {n_samples}")
@@ -555,20 +694,22 @@ def mc_joint_distribution_check(
 
     counts = np.zeros((bins, bins), dtype=np.int64)
     chunk_tails = []
+    # every chunk is drawn into the same four row buffers, a last, shorter
+    # chunk into their prefixes.  Four 8 MiB rows, unlike one 32 MiB block,
+    # stay below malloc's mmap threshold once earlier large arrays raised
+    # it, so they reuse heap memory those arrays freed
+    rows = [np.empty(min(chunk, n_samples)) for _ in range(4)]
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        # the chunk's arrays are freed when the pass returns, before the next draw
-        chunk_counts, tail_sums = _joint_chunk(draw_channel_rows(m, gen), t_edges, g_edges, tail_gammas)
+        z = draw_channel_rows(m, gen, out=[row[:m] for row in rows])
+        chunk_counts, tail_sums = _joint_chunk(z, t_edges, g_edges, tail_gammas)
         counts += chunk_counts
         chunk_tails.append(tail_sums)
         done += m
     tails = [TailSums(g, *_merge_sums(sums)) for g, sums in zip(tail_gammas, zip(*chunk_tails))]
 
-    mass = np.empty((bins, bins))
-    for i in range(bins):
-        for j in range(bins):
-            mass[i, j] = _bin_mass(t_edges[i], t_edges[i + 1], g_edges[j], g_edges[j + 1])
+    mass = _bin_mass(t_edges, g_edges)
     worst_gap = float(np.max(np.abs(mass - cdf_rect_masses(t_edges, g_edges))))
     if worst_gap > _MASS_CONSISTENCY_TOL:
         raise RuntimeError(
@@ -614,26 +755,24 @@ def mc_joint_distribution_check(
 
 
 def pdf_normalization() -> float:
-    """Quadrature of the joint density over t in R, gamma in [-40, 0).
+    """Integral of the joint density over t in R, gamma in [-40, 0), by a
+    fixed tensor rule.
 
-    Substituting gamma = -s^2 removes the square-root singularity at the
-    origin; the remaining integrand is smooth and dblquad resolves it well
-    below the 1e-6 acceptance tolerance.  The mass below -40 is e^-40,
-    negligible.
+    With gamma = -s^2 and t = u/s the density's mass element is
+    2 f(u/s, -s^2) du ds, whose dependence on u is the Gaussian e^(-u^2).
+    So the rule is Gauss-Legendre in s over [0, sqrt(40)] times
+    Gauss-Hermite in u, each with _NORM_NODES nodes, and it evaluates
+    joint_pdf_xy itself at every node, not its closed-form t-marginal.  The
+    mass below -40 is e^-40, negligible.
     """
-    from scipy.integrate import dblquad  # deferred, as in _bin_mass
-
-    s_max = math.sqrt(-_NORM_GAMMA_MIN)
-    val, _ = dblquad(
-        lambda t, s: 2.0 * s * joint_pdf_xy(t, -s * s),
-        0.0,
-        s_max,
-        -np.inf,
-        np.inf,
-        epsabs=1e-9,
-        epsrel=1e-9,
+    x, w = np.polynomial.legendre.leggauss(_NORM_NODES)
+    u, v = np.polynomial.hermite.hermgauss(_NORM_NODES)
+    half = 0.5 * math.sqrt(-_NORM_GAMMA_MIN)
+    return math.fsum(
+        float(ws * vk) * 2.0 * joint_pdf_xy(uk / s, -s * s) * math.exp(uk * uk)
+        for s, ws in zip((half * (x + 1.0)).tolist(), (half * w).tolist())
+        for uk, vk in zip(u.tolist(), v.tolist())
     )
-    return float(val)
 
 
 def cdf_pdf_consistency(t_values, gamma_values) -> float:

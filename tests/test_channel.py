@@ -110,6 +110,23 @@ class TestDrawChannel:
         assert np.array_equal(h_hat, z[0] + 1j * z[1]) and np.array_equal(v, z[2] + 1j * z[3])
         assert np.array_equal(h, rho * (z[0] + 1j * z[1]) + math.sqrt(1.0 - rho * rho) * (z[2] + 1j * z[3]))
 
+    def test_rows_into_buffers_equal_a_fresh_draw(self):
+        # bit for bit, into a whole (4, n) buffer and into the prefixes of
+        # four separate row buffers
+        buf = np.empty((4, 1000))
+        got = draw_channel_rows(1000, substream(4, 8), out=buf)
+        assert got is buf and np.array_equal(buf, draw_channel_rows(1000, substream(4, 8)))
+        rows = [np.empty(1000) for _ in range(4)]
+        prefixes = [row[:300] for row in rows]
+        got = draw_channel_rows(300, substream(5, 8), out=prefixes)
+        assert got is prefixes and all(np.shares_memory(p, r) for p, r in zip(prefixes, rows))
+        assert np.array_equal(np.stack(prefixes), draw_channel_rows(300, substream(5, 8)))
+        # the rows are drawn in turn, as one standard_normal((4, n)) call draws them
+        want = np.random.default_rng(9).standard_normal((4, 300)) * (1.0 / math.sqrt(2.0))
+        assert np.array_equal(draw_channel_rows(300, np.random.default_rng(9)), want)
+        with pytest.raises(ValueError, match="4 rows"):
+            draw_channel_rows(300, substream(5, 8), out=prefixes[:3])
+
     def test_block_peaks_at_64_bytes_per_sample(self):
         # it returns 48 B per sample; the normals (32 B) go before h is formed
         n = 100_000

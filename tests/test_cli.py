@@ -110,6 +110,15 @@ class TestParsing:
         assert exc.value.code == 2
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["optimize-threshold", "sweep-threshold", "train"])
+    def test_trials_key_stays_out_of_a_manifest_that_draws_none(self, tmp_path, command):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("trials = 7\n" + "".join(f"{k} = {v}\n" for k, v in _BASE_CFG.items()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        (manifest,) = (tmp_path / "out").glob("*_manifest.txt")
+        assert not any(line.startswith("trials") for line in manifest.read_text().splitlines())
+
     @pytest.mark.parametrize(
         "text, key",
         [("verify_xi.rho = 0.5", "verify_xi.rho"),  # misspelled: the key is rhos
@@ -244,8 +253,35 @@ class TestVerifyXi:
         assert rc == 0
         assert (out2 / "verify_xi.csv").read_bytes() == csv1.read_bytes()
 
+    def test_relative_gate_is_untestable_at_the_minimum_size(self, capsys):
+        # at 10^4 trials 4 SEs of most cells' variance exceed 2 % of it: those
+        # cells print an INFO line, never a verdict, and keep their z gate
+        rc = main(["verify-xi", "--trials", "10000"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        info = [l for l in lines if l.startswith("INFO ")]
+        assert info and all("relative gate untestable" in l and "n=10000" in l for l in info)
+        assert all(l.startswith(("PASS ", "INFO ")) for l in lines)
+        assert sum(l.startswith("PASS xi_var[") for l in lines) == 16
+
 
 class TestVerifyPdf:
+    @pytest.mark.parametrize(
+        "t_range, gamma_range, bins",
+        [("-50,50", "-40,-0.000001", 2), ("-1000,1000", "-1,0", 3), ("-5,5", "-30,0", 5),
+         ("0,1e-3", "-1e-3,0", 2)],
+    )
+    def test_extreme_windows_pass(self, tmp_path, capsys, t_range, gamma_range, bins):
+        # windows the config accepts, where the bin masses are hard to integrate
+        cfg_path = tmp_path / "pdf.cfg"
+        cfg_path.write_text(
+            f"verify_pdf.t_range = {t_range}\nverify_pdf.gamma_range = {gamma_range}\nverify_pdf.bins = {bins}\n"
+        )
+        rc = main(["verify-pdf", "--config", str(cfg_path), "--trials", "1000000"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.out + captured.err
+        assert captured.err == ""
+
     def test_empty_tail_fails_the_moment_gate(self, tmp_path, capsys):
         pdf = VerifyPdfConfig(t_range=(-2.0, 2.0), gamma_range=(-2.0, -0.2), bins=2, tail_gamma=25.0)
         cfg_path = write_cfg(tmp_path / "pdf.cfg", SystemConfig(verify_pdf=pdf), "verify_pdf")

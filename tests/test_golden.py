@@ -3,10 +3,10 @@
 Each command runs in-process through airfl.cli.main at a small size and
 every CSV it writes must have the sha1 recorded here.  A refactor that
 claims "same CSV bytes" is then checked by this test instead of by hand.
-The values hold only under the numpy and scipy versions they were recorded
-with: numpy does not keep Generator streams stable across releases (NEP 19)
-and the bin masses of verify-pdf come from scipy's quadrature.  They also
-hold only under the stream layout they were drawn in (config.STREAM_LAYOUT);
+The values hold only under the numpy version they were recorded with, since
+numpy does not keep Generator streams stable across releases (NEP 19); no
+pinned CSV depends on scipy.  They also hold only under the stream layout
+they were drawn in (config.STREAM_LAYOUT);
 verify-divergence's were recorded under layout 2.  Training
 CSVs are left out, since their bytes follow the CPU's BLAS kernels and
 numpy's SIMD dispatch of exp.
@@ -18,17 +18,14 @@ import io
 
 import numpy as np
 import pytest
-import scipy
 
 from airfl.cli import main
 
 RECORDED_NUMPY = "2.4.6"
-RECORDED_SCIPY = "1.17.1"
 
 pytestmark = pytest.mark.skipif(
-    (np.__version__, scipy.__version__) != (RECORDED_NUMPY, RECORDED_SCIPY),
-    reason=f"sha1s recorded under numpy {RECORDED_NUMPY} and scipy {RECORDED_SCIPY}, "
-    f"running numpy {np.__version__} and scipy {scipy.__version__}",
+    np.__version__ != RECORDED_NUMPY,
+    reason=f"sha1s recorded under numpy {RECORDED_NUMPY}, running numpy {np.__version__}",
 )
 
 # (argv, config lines, CSV name -> sha1)
@@ -41,7 +38,7 @@ GOLDEN = {
     "verify-pdf": (
         ["verify-pdf", "--trials", "1000000"],
         "",
-        {"verify_pdf.csv": "09b23c7393c790e161a89dabb6bf6610360526d0"},
+        {"verify_pdf.csv": "cee5f51fca6dd1355287e9516f503cf42b842541"},
     ),
     "verify-divergence": (
         ["verify-divergence", "--trials", "1000", "--jobs", "1"],

@@ -12,7 +12,7 @@ from oracles import read_sweep_csv
 import airfl
 from airfl import harness
 from airfl.aircomp import PowerConfig, aggregate, compensation_lambda, effective_coefficients, scaling_zeta
-from airfl.analysis import conditional_second_moment, joint_cdf_xy, xi_mean_offset, xi_variance
+from airfl.analysis import conditional_second_moment, joint_cdf_xy, joint_pdf_xy, xi_mean_offset, xi_variance
 from airfl.channel import EstimationModel, draw_channel, draw_channel_block, draw_channel_rows, substream
 from airfl.config import (
     STREAM_MC_DIVERGENCE,
@@ -53,6 +53,7 @@ from airfl.harness import (
     verdict_lines,
     write_csv,
     xi_gates,
+    xi_untestable,
 )
 from airfl.fltrain import SeedDraws, ideal_aggregate, train, train_cells
 
@@ -218,6 +219,16 @@ class TestHistogramCounts:
     def test_empty_input(self):
         self.check(np.array([]), np.array([]))
 
+    def test_values_next_to_every_edge_of_a_window_far_from_zero(self):
+        # the edges and the arithmetic index carry rounding errors of about
+        # 1e-5 bins here, so the band checked against the edges must widen
+        t_edges, g_edges = np.linspace(1e6, 1e6 + 1e-3, 41), self.G_EDGES
+        for x in (np.nextafter(t_edges, -np.inf), t_edges, np.nextafter(t_edges, np.inf)):
+            for y in (g_edges, np.nextafter(g_edges, np.inf)):
+                x_all, y_all = (a.ravel() for a in np.meshgrid(x, y))
+                want = np.histogram2d(x_all, y_all, bins=(t_edges, g_edges))[0]
+                np.testing.assert_array_equal(histogram2d_counts(x_all, y_all, t_edges, g_edges), want)
+
 
 class TestGate:
     def test_z_gate_at_its_limit(self):
@@ -284,6 +295,19 @@ class TestGate:
         assert by_name["xi_mean[rho=0.95 gamma=0.5]"] == ["z"]
         assert by_name["xi_var[rho=1 gamma=0.05]"] == ["z"]
         assert {g.limit for g in xi_gates(results) if g.kind == "z"} == {4.0}
+
+    def test_relative_gate_only_where_four_se_resolve_it(self):
+        # at 20,000 draws 4 SEs are 1.3 % of the closed variance at rho = 1,
+        # gamma = 0.5 and 11 % at rho = 0.5, gamma = 2: only the first is gated
+        results = [mc_xi_moments(rho, gamma, 20_000, seed=3) for rho, gamma in ((1.0, 0.5), (0.5, 2.0))]
+        kinds = {}
+        for g in xi_gates(results):
+            kinds.setdefault(g.name, []).append(g.kind)
+        assert kinds["xi_var[rho=1 gamma=0.5]"] == ["z", "rel"]
+        assert kinds["xi_var[rho=0.5 gamma=2]"] == ["z"]
+        (line,) = xi_untestable(results)
+        assert line.startswith("INFO xi_var[rho=0.5 gamma=2]: relative gate untestable: 4se/closed=0.1")
+        assert line.endswith("limit=0.02 n=20000")
 
     def test_divergence_gate_reads_the_row(self):
         res = mc_weight_divergence(small_cfg(), n_trials=1000)
@@ -451,10 +475,11 @@ class TestJointDistribution:
         on_threshold = [18, 2 * harness._JOINT_SLICE]
         real_rows = harness.draw_channel_rows
 
-        def rows_with_zero_gain(m, gen):
-            z = real_rows(m, gen)
-            z[:2, zero] = 0.0
-            z[:2, on_threshold] = [[1.0], [0.0]]
+        def rows_with_zero_gain(m, gen, out=None):
+            z = real_rows(m, gen, out)
+            for row, on in zip(z[:2], (1.0, 0.0)):
+                row[zero] = 0.0
+                row[on_threshold] = on
             return z
 
         monkeypatch.setattr(harness, "draw_channel_rows", rows_with_zero_gain)
@@ -483,9 +508,81 @@ class TestJointDistribution:
         assert a.rows == b.rows
 
 
+def _quad_bin_mass(quad, t0, t1, g0, g1):
+    # the mass of one bin by adaptive quadrature in g, as an oracle
+    def integrand(g):
+        s = math.sqrt(-g)
+        return 0.5 * math.exp(g) * (math.erf(t1 * s) - math.erf(t0 * s))
+
+    return quad(integrand, g0, g1, epsabs=1e-13, epsrel=1e-12)[0]
+
+
+# (t_range, gamma_range, bins): the default window, and windows the config
+# accepts where adaptive quadrature misses the 1e-9 cross-check (the first
+# two) or a plain 16-node rule per bin does (the third)
+_MASS_WINDOWS = [
+    ((-3.0, 3.0), (-4.0, -0.1), 40),
+    ((-50.0, 50.0), (-40.0, -1e-6), 2),
+    ((-1000.0, 1000.0), (-1.0, 0.0), 3),
+    ((-5.0, 5.0), (-30.0, 0.0), 5),
+    ((0.0, 1e-3), (-1e-3, 0.0), 2),
+]
+
+
 class TestDensityQuadrature:
     def test_pdf_integrates_to_one(self):
         assert abs(pdf_normalization() - 1.0) < 1e-6
+
+    def test_pdf_normalization_matches_dblquad(self):
+        dblquad = pytest.importorskip("scipy.integrate").dblquad
+        want, _ = dblquad(
+            lambda t, s: 2.0 * s * joint_pdf_xy(t, -s * s), 0.0, math.sqrt(40.0), -np.inf, np.inf,
+            epsabs=1e-9, epsrel=1e-9,
+        )
+        got = pdf_normalization()
+        # a plain float, so that the verdict line prints its digits
+        assert type(got) is float
+        assert abs(got - want) <= 1e-10
+
+    @pytest.mark.parametrize("t_range, gamma_range, bins", _MASS_WINDOWS)
+    def test_bin_mass_rule_matches_the_cdf_rectangles(self, t_range, gamma_range, bins):
+        t_edges, g_edges = np.linspace(*t_range, bins + 1), np.linspace(*gamma_range, bins + 1)
+        mass = harness._bin_mass(t_edges, g_edges)
+        assert mass.shape == (bins, bins)
+        assert np.max(np.abs(mass - cdf_rect_masses(t_edges, g_edges))) <= 1e-9
+
+    def test_bin_mass_rule_matches_adaptive_quadrature_per_bin(self):
+        quad = pytest.importorskip("scipy.integrate").quad
+        t_edges, g_edges = np.linspace(-3.0, 3.0, 41), np.linspace(-4.0, -0.1, 41)
+        mass = harness._bin_mass(t_edges, g_edges)
+        for i in range(40):
+            for j in range(40):
+                want = _quad_bin_mass(quad, t_edges[i], t_edges[i + 1], g_edges[j], g_edges[j + 1])
+                assert abs(mass[i, j] - want) <= 1e-15, (i, j)
+
+    @pytest.mark.parametrize("t_range, gamma_range, bins", _MASS_WINDOWS)
+    def test_bin_mass_rule_refines_on_its_own_error_estimate(self, monkeypatch, t_range, gamma_range, bins):
+        # with no cuts at s = k/|t| and no width limit, each g bin starts as
+        # one panel, and splitting alone brings the rule to the cross-check
+        monkeypatch.setattr(harness, "_PANEL_CUTS", np.array([]))
+        monkeypatch.setattr(harness, "_PANEL_WIDTH", math.inf)
+        t_edges, g_edges = np.linspace(*t_range, bins + 1), np.linspace(*gamma_range, bins + 1)
+        mass = harness._bin_mass(t_edges, g_edges)
+        assert np.max(np.abs(mass - cdf_rect_masses(t_edges, g_edges))) <= 1e-9
+
+    def test_bin_mass_rule_gives_up_without_splits(self, monkeypatch):
+        monkeypatch.setattr(harness, "_PANEL_CUTS", np.array([]))
+        monkeypatch.setattr(harness, "_PANEL_WIDTH", math.inf)
+        monkeypatch.setattr(harness, "_PANEL_SPLITS", 1)
+        with pytest.raises(RuntimeError, match="bin-mass rule"):
+            harness._bin_mass(np.linspace(-5.0, 5.0, 6), np.linspace(-30.0, 0.0, 6))
+
+    def test_bin_mass_past_the_underflow_is_zero(self):
+        # e^(-s^2) underflows past s = 27.3: bins beyond it hold no mass
+        t_edges, g_edges = np.linspace(-3.0, 3.0, 5), np.array([-1e300, -1e3, -800.0, -1.0])
+        mass = harness._bin_mass(t_edges, g_edges)
+        assert np.all(mass[:, :2] == 0.0)
+        assert np.max(np.abs(mass - cdf_rect_masses(t_edges, g_edges))) <= 1e-9
 
     def test_rect_masses_match_the_four_call_form(self):
         t_edges = np.linspace(-3.0, 3.0, 9)

@@ -58,14 +58,51 @@ def test_every_top_level_name_is_used_or_public():
     assert unused == {}
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is for the quadrature oracles only; it loads when one runs
-    code = "import sys, airfl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+# each command at its smallest size: the fewest trials it accepts, tiny training
+_SMALLEST = {
+    "verify-xi": ["--trials", "10000"],
+    "verify-pdf": ["--trials", "1000000"],
+    "verify-divergence": ["--trials", "1000"],
+    "optimize-threshold": [],
+    "sweep-threshold": [],
+    "train": [],
+}
+_SMALL_CFG = """\
+k_devices = 3
+train.rounds_m = 2
+train.batch_size = 4
+train.data_per_device = 8
+train.n_features = 3
+train.test_size = 20
+verify_xi.rhos = 0.8
+verify_xi.gammas = 0.5
+verify_divergence.scan_trials = 1000
+verify_divergence.scan_ks = 2,3
+sweep.gammas = 0.1,0.2,0.3,0.5,0.8,1.0,2.0,3.0
+sweep.modes = communication_oriented
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy serves the test oracles only: no command loads it, whether it
+    # imports the CLI or runs
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(_SMALL_CFG)
+    runs = [[name, *flags, "--config", str(cfg)] for name, flags in _SMALLEST.items()]
+    code = (
+        "import contextlib, io, sys\n"
+        "import airfl.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert airfl.cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(airfl.__file__).resolve().parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_pyproject_version_is_the_package_version():
