@@ -2,7 +2,7 @@
 
 Simulates gradient aggregation over a fading multiple-access channel with
 truncated channel inversion, implements the matching closed-form statistics
-(aggregation-coefficient moments, weight-divergence and convergence bounds,
+(aggregation-coefficient moments, weight divergence and its bound,
 convex truncation-threshold optimization), and verifies every closed form
 against independent Monte-Carlo oracles at desk scale.
 """
@@ -23,9 +23,7 @@ from .aircomp import (
     scaling_zeta,
 )
 from .analysis import (
-    LearningConstants,
     conditional_second_moment,
-    convergence_bound,
     divergence_bound,
     divergence_exact,
     divergence_exact_always_noise,
@@ -51,7 +49,6 @@ __all__ = [
     "AggregationOutcome",
     "ChannelDraw",
     "EstimationModel",
-    "LearningConstants",
     "ObjectiveCoefficients",
     "PowerConfig",
     "SeedDraws",
@@ -64,7 +61,6 @@ __all__ = [
     "coefficients_from_system",
     "compensation_lambda",
     "conditional_second_moment",
-    "convergence_bound",
     "dbm_to_watts",
     "derivative_h",
     "divergence_bound",

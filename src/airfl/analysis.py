@@ -1,5 +1,5 @@
 """Closed-form statistics of the effective aggregation coefficient and the
-resulting weight-divergence and convergence bounds.
+resulting weight divergence and its bound.
 
 Conventions: gamma_th > 0 is the truncation threshold, rho in (0, 1] the
 estimation correlation, Ei the exponential integral.  The auxiliary pair
@@ -14,32 +14,9 @@ assemble into the coefficient variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .aircomp import PowerConfig, check_positive, check_rho, scaling_zeta
 from .specfun import exp_integral_ei
-
-
-@dataclass(frozen=True)
-class LearningConstants:
-    """Smoothness/step-size constants entering the convergence bound."""
-
-    lipschitz_l: float   # gradient Lipschitz constant of the global loss
-    eta: float           # learning rate, must satisfy eta < 2/L
-    rounds_m: int        # number of aggregation rounds M
-    f0_minus_fstar: float  # initial optimality gap upper estimate
-
-    def __post_init__(self) -> None:
-        if not (self.lipschitz_l > 0.0 and math.isfinite(self.lipschitz_l)):
-            raise ValueError(f"lipschitz_l must be positive, got {self.lipschitz_l}")
-        if not (0.0 < self.eta < 2.0 / self.lipschitz_l):
-            raise ValueError(
-                f"eta must lie in (0, 2/L) = (0, {2.0 / self.lipschitz_l}), got {self.eta}"
-            )
-        if self.rounds_m < 1:
-            raise ValueError(f"rounds_m must be >= 1, got {self.rounds_m}")
-        if not (self.f0_minus_fstar >= 0.0 and math.isfinite(self.f0_minus_fstar)):
-            raise ValueError(f"f0_minus_fstar must be nonnegative, got {self.f0_minus_fstar}")
 
 
 def xi_variance(gamma_th: float, rho: float) -> float:
@@ -97,12 +74,14 @@ def joint_cdf_xy(t: float, gamma: float) -> float:
     gamma = float(gamma)
     if not (math.isfinite(t) and math.isfinite(gamma)):
         raise ValueError("t and gamma must be finite")
-    base = t / (2.0 * math.sqrt(1.0 + t * t))
+    # sqrt(1 + t^2), which is |t| in doubles wherever t * t would overflow
+    r = math.sqrt(1.0 + t * t) if abs(t) < 1e154 else abs(t)
+    base = 0.5 * t / r
     if gamma >= 0.0:
         return 0.5 + base
     s = math.sqrt(-gamma)
     tail = 0.5 * math.exp(gamma) * math.erfc(-s * t)
-    return base * (1.0 - math.erf(s * math.sqrt(1.0 + t * t))) + tail
+    return base * (1.0 - math.erf(s * r)) + tail
 
 
 def joint_pdf_xy(t: float, gamma: float) -> float:
@@ -220,18 +199,3 @@ def divergence_exact(
     return _csi_term(per_device_grad_sq, k_devices, gamma_th, rho) + noise_term_exact(
         k_devices, gamma_th, rho, cfg, d_model
     )
-
-
-def convergence_bound(lc: LearningConstants, delta2_total: float) -> float:
-    """Mean squared-gradient-norm bound after M rounds of distorted updates,
-
-        (1/M) * (f0 - f*) / (eta - L eta^2 / 2) + L eta (delta2_total) / (2 - L eta),
-
-    where delta2_total aggregates the per-round distortion (weight
-    divergence plus local-gradient variance).
-    """
-    if not (delta2_total >= 0.0 and math.isfinite(delta2_total)):
-        raise ValueError(f"delta2_total must be nonnegative, got {delta2_total}")
-    l, eta = lc.lipschitz_l, lc.eta
-    denom = eta - 0.5 * l * eta * eta
-    return lc.f0_minus_fstar / (lc.rounds_m * denom) + l * eta * delta2_total / (2.0 - l * eta)

@@ -80,7 +80,7 @@ def _positive(v: float) -> bool:
 _IN = f"in (0, {_MAX_GAMMA_TH:.2f}]"
 # key -> (check of its value, what the check asks): a bare key is a
 # SystemConfig field, '<section>.<name>' a field of that section.  Checks
-# that span several keys are in SystemConfig.__post_init__.
+# that span several keys are in the __post_init__ of the class that holds them.
 _RULES = {
     "k_devices": (lambda v: v >= 1, "expected at least 1 device"),
     "rho": (_is_rho, "expected a value in (0, 1] with 1/rho^2 finite"),
@@ -171,10 +171,20 @@ class VerifyXiConfig:
 
 @dataclass(frozen=True)
 class VerifyPdfConfig:
-    t_range: tuple[float, ...] = (-3.0, 3.0)          # t = ln of the gain ratio
-    gamma_range: tuple[float, ...] = (-4.0, -0.1)     # gamma = ln |h_hat|^2
+    t_range: tuple[float, ...] = (-3.0, 3.0)          # window of x = Re{v* h_hat} / |h_hat|^2
+    gamma_range: tuple[float, ...] = (-4.0, -0.1)     # window of y = -|h_hat|^2
     bins: int = 40
     tail_gamma: float = 1.0   # threshold of the conditional-second-moment check
+
+    def __post_init__(self) -> None:
+        _check(self, "verify_pdf.")
+        # the histogram indexes a sample by (v - lo) * bins / (hi - lo): a width
+        # past the doubles takes that scale to 0, a subnormal one to inf
+        for name in ("t_range", "gamma_range"):
+            lo, hi = window = getattr(self, name)
+            if not 0.0 < self.bins / (hi - lo) < math.inf:
+                raise ValueError(f"config key 'verify_pdf.{name}': expected a window whose bins / (hi - lo) "
+                                 f"is a positive finite double, got {self.bins} bins over {_fmt(window)}")
 
 
 @dataclass(frozen=True)

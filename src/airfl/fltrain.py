@@ -133,11 +133,6 @@ class TrainingTrace:
     def mean_divergence_sq(self) -> float:
         return float(np.mean(self.divergence_sq))
 
-    @property
-    def delta2_hat(self) -> float:
-        """Empirical local-gradient variance level (mean over rounds)."""
-        return float(np.mean(self.grad_spread_sq))
-
 
 # ---------------------------------------------------------------------------
 # tasks

@@ -44,9 +44,7 @@ from .aircomp import (
     scaling_zeta,
 )
 from .analysis import (
-    LearningConstants,
     conditional_second_moment,
-    convergence_bound,
     divergence_bound,
     divergence_exact,
     joint_cdf_xy,
@@ -71,13 +69,12 @@ from .config import (
     STREAM_MC_JOINT,
     STREAM_MC_XI,
     SystemConfig,
-    check_key,
+    VerifyPdfConfig,
     config_to_kv,
     resolve,
 )
 from .fltrain import (
     SeedDraws,
-    TrainingTrace,
     gradient_bound,
     ideal_aggregate,
     round_gradients,
@@ -484,7 +481,9 @@ def _panel_sums(t: np.ndarray, a: np.ndarray, b: np.ndarray, x: np.ndarray, w: n
         part = slice(lo, lo + _PANEL_BLOCK)
         half = 0.5 * (b[part] - a[part])
         s = (a[part] + half)[:, None] + half[:, None] * x
-        f = s * _elementwise(math.exp, -(s * s)) * _elementwise(math.erf, t[part, None] * s)
+        with np.errstate(over="ignore"):  # erf(+-inf) = +-1 past the double range of t s
+            ts = t[part, None] * s
+        f = s * _elementwise(math.exp, -(s * s)) * _elementwise(math.erf, ts)
         acc = w[0] * f[:, 0]
         for k in range(1, x.size):
             acc += w[k] * f[:, k]
@@ -517,7 +516,7 @@ def _bin_mass(t_edges: np.ndarray, g_edges: np.ndarray) -> np.ndarray:
     # _PANEL_WIDTH between them, so that no panel is wider
     grid = _PANEL_WIDTH * np.arange(1.0, math.ceil(s_edges[-1] / _PANEL_WIDTH))
     shared = np.concatenate((s_edges, np.clip(grid, s_edges[0], s_edges[-1])))
-    with np.errstate(divide="ignore"):  # t = 0 places no cut
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite cut is clipped and places no cut
         cuts = np.clip(_PANEL_CUTS / np.abs(t)[:, None], s_edges[0], s_edges[-1])
     points = np.sort(np.concatenate([np.broadcast_to(shared, (t.size, shared.size)), cuts], axis=1), axis=1)
     a, b = points[:, :-1], points[:, 1:]
@@ -584,10 +583,13 @@ def _axis_bins(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray
     lo, hi = edges[0], edges[-1]
     inside = v >= lo
     inside &= v <= hi
-    band = max(_EDGE_BAND, 16.0 * np.finfo(float).eps * n * (1.0 + (abs(lo) + abs(hi)) / (hi - lo)))
-    # the fractional index, clipped to [0, n] in place (fmax sends a NaN to 0)
-    f = v - lo
-    f *= n / (hi - lo)
+    # near the double range the band may overflow (inf sends every v through
+    # _bin_index), and so may a far v's index (clipped, as v lies outside)
+    with np.errstate(over="ignore"):
+        band = max(_EDGE_BAND, 16.0 * np.finfo(float).eps * n * (1.0 + (abs(lo) + abs(hi)) / (hi - lo)))
+        # the fractional index, clipped to [0, n] in place (fmax sends a NaN to 0)
+        f = v - lo
+        f *= n / (hi - lo)
     np.fmin(np.fmax(f, 0.0, out=f), n, out=f)
     idx = f.astype(np.intp)
     # |f - idx - 1/2|, whose distance from 1/2 is the distance to an edge
@@ -680,10 +682,9 @@ def mc_joint_distribution_check(
     tail_gammas = tuple(float(g) for g in tail_gammas)
     if not tail_gammas:
         raise ValueError("tail_gammas must hold one or more thresholds")
-    # each setting meets the rule of the verify_pdf key that holds it
-    for key, value in (("verify_pdf.gamma_range", gamma_range), ("verify_pdf.t_range", t_range),
-                       ("verify_pdf.bins", bins), *(("verify_pdf.tail_gamma", g) for g in tail_gammas)):
-        check_key(key, value)
+    # the settings meet the rules of the verify_pdf keys that hold them
+    for tail_gamma in tail_gammas:
+        VerifyPdfConfig(t_range, gamma_range, bins, tail_gamma)
     (g_lo, g_hi), (t_lo, t_hi) = gamma_range, t_range
 
     t_edges = np.linspace(t_lo, t_hi, bins + 1)
@@ -1151,57 +1152,6 @@ def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
             "gamma_grid": ",".join(repr(g) for g in grid),
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# training summary (convergence-bound report with estimated constants)
-
-
-def _mean_sq_row_norm(x: np.ndarray) -> float:
-    """Mean squared row norm of x, inf when it exceeds the double range.
-
-    x is scaled by a power of two before squaring, so a sum over many rows
-    cannot overflow on the way to a finite mean; the scaling is exact, and
-    the terms it pushes below the normal range are far under the rounding
-    of the sum, so it changes no bit of a result that fits.
-    """
-    _, e = np.frexp(np.max(np.abs(x)))
-    e = int(e)
-    with np.errstate(under="ignore"):
-        scaled = np.ldexp(x, -e)
-        mean = float(np.mean(np.sum(scaled * scaled, axis=1)))
-    try:
-        return math.ldexp(mean, 2 * e)
-    except OverflowError:
-        return math.inf
-
-
-def convergence_report(trace: TrainingTrace) -> dict[str, float] | None:
-    """Convergence-bound evaluation with empirically estimated constants.
-
-    Reads the run's own shards from trace.draws.  Only the logistic task
-    admits an honest smoothness constant (a quarter of the mean squared
-    feature norm bounds the Hessian); the optimality gap is taken from the
-    zero-initialization loss log 2 down to the best observed loss, and the
-    gradient-variance level from the measured per-round spread.  Every
-    entry is an estimate, not a certificate.
-    """
-    exp = trace.draws.exp
-    if exp.train.task != "synthetic_logistic":
-        return None
-    l_hat = _mean_sq_row_norm(trace.draws.all_train.features) / 4.0
-    if not (math.isfinite(l_hat) and exp.cfg.eta < 2.0 / l_hat):
-        return None
-    gap = max(math.log(2.0) - min(r.loss for r in trace.records), 1e-12)
-    lc = LearningConstants(lipschitz_l=l_hat, eta=exp.cfg.eta, rounds_m=trace.rounds, f0_minus_fstar=gap)
-    delta2_total = trace.mean_divergence_sq + trace.delta2_hat
-    return {
-        "lipschitz_estimate": l_hat,
-        "f0_gap_estimate": gap,
-        "delta2_estimate": trace.delta2_hat,
-        "divergence_mean": trace.mean_divergence_sq,
-        "convergence_bound_estimate": convergence_bound(lc, delta2_total),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Closed forms: coefficient variance, joint law, divergence and convergence."""
+"""Closed forms: coefficient variance, joint law and divergence."""
 
 import math
 
@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from airfl.aircomp import PowerConfig, compensation_lambda, scaling_zeta
 from airfl.analysis import (
-    LearningConstants,
     conditional_second_moment,
-    convergence_bound,
     divergence_bound,
     divergence_exact,
     divergence_exact_always_noise,
@@ -131,6 +129,13 @@ class TestJointLaw:
         for g in (-2.0, -0.5, -0.1):
             assert abs(joint_cdf_xy(60.0, g) - math.exp(g)) < 1e-10
 
+    def test_t_past_the_square_range_is_the_limit(self):
+        # t * t overflows past |t| = 1.34e154, where the x marginal is 0 or 1
+        for t in (1e154, 1e200, 1.7e308):
+            assert joint_cdf_xy(t, 0.0) == 1.0 and joint_cdf_xy(-t, 0.0) == 0.0
+            assert joint_cdf_xy(t, -1e-300) == 1.0 and joint_cdf_xy(-t, -1e-300) == 0.0
+            assert joint_cdf_xy(t, -0.5) == math.exp(-0.5) and joint_cdf_xy(-t, -0.5) == 0.0
+
     def test_x_marginal_saturates_slowly(self):
         # the x marginal has Cauchy-like tails: even at t = 50 about 1e-4 of
         # the mass is still outside, so the CDF sits measurably below 1
@@ -239,46 +244,9 @@ class TestDivergence:
             divergence_exact_always_noise([1.0, 2.0], 3, 0.5, 0.8, POWER, 4)
 
 
-class TestConvergence:
-    def test_hand_example(self):
-        lc = LearningConstants(lipschitz_l=1.0, eta=0.5, rounds_m=10, f0_minus_fstar=1.0)
-        # 1/(10 (0.5 - 0.125)) + 0.5/(2 - 0.5) = 4/15 + 5/15
-        assert abs(convergence_bound(lc, 1.0) - 0.6) < 1e-15
-
-    def test_more_rounds_tighten_the_first_term(self):
-        kw = dict(lipschitz_l=1.0, eta=0.5, f0_minus_fstar=1.0)
-        few = convergence_bound(LearningConstants(rounds_m=10, **kw), 0.5)
-        many = convergence_bound(LearningConstants(rounds_m=1000, **kw), 0.5)
-        assert many < few
-
-    def test_eta_domain_enforced(self):
-        with pytest.raises(ValueError):
-            LearningConstants(lipschitz_l=1.0, eta=2.0, rounds_m=10, f0_minus_fstar=1.0)
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"lipschitz_l": 0.0},
-            {"lipschitz_l": float("inf")},
-            {"eta": 0.0},
-            {"rounds_m": 0},
-            {"f0_minus_fstar": -0.1},
-        ],
-    )
-    def test_rejects_bad_constants(self, kw):
-        base = dict(lipschitz_l=1.0, eta=0.5, rounds_m=10, f0_minus_fstar=1.0)
-        with pytest.raises(ValueError):
-            LearningConstants(**{**base, **kw})
-
-    def test_rejects_bad_delta2_total(self):
-        lc = LearningConstants(lipschitz_l=1.0, eta=0.5, rounds_m=10, f0_minus_fstar=1.0)
-        with pytest.raises(ValueError):
-            convergence_bound(lc, -1.0)
-
-
 class TestClosedFormReport:
-    """The divergence and convergence closed forms side by side at one
-    configuration, and the convention behind the printed bound."""
+    """The divergence closed forms side by side at one configuration, and the
+    convention behind the printed bound."""
 
     def test_consistent_with_parts(self):
         g2, k, gamma, rho, d = POWER.g_bound**2, 10, 0.5, 0.8, 10
@@ -318,11 +286,3 @@ class TestClosedFormReport:
         d1 = divergence_exact([1.0] * 10, 10, 0.5, 0.8, POWER, 1)
         d10 = divergence_exact([1.0] * 10, 10, 0.5, 0.8, POWER, 10)
         assert d10 - d1 == pytest.approx(9.0 * transmit * POWER.sigma2 / (2.0 * zeta * zeta), rel=1e-9)
-
-    def test_with_learning_constants(self):
-        # the bound is affine in the per-round distortion, slope L eta / (2 - L eta)
-        lc = LearningConstants(lipschitz_l=1.0, eta=0.5, rounds_m=10, f0_minus_fstar=1.0)
-        delta2 = 0.25
-        exact = divergence_exact([1.0] * 10, 10, 0.5, 0.8, POWER, 10)
-        gap = convergence_bound(lc, exact + delta2) - convergence_bound(lc, delta2)
-        assert gap == pytest.approx(exact / 3.0, rel=1e-12)

@@ -129,6 +129,9 @@ class TestParsing:
          ("verify_divergence.scan_ks = 1,1", "verify_divergence.scan_ks"),  # a slope needs two sizes
          ("verify_xi.rhos = 1e-300", "verify_xi.rhos"),  # 1/rho^2 overflows
          ("verify_pdf.t_range = -3,0,3", "verify_pdf.t_range"),  # a window is two values
+         ("verify_pdf.t_range = 0,1e-320", "verify_pdf.t_range"),  # bins / (hi - lo) overflows
+         ("verify_pdf.gamma_range = -1e-320,0", "verify_pdf.gamma_range"),
+         ("verify_pdf.t_range = -1e308,1e308", "verify_pdf.t_range"),  # hi - lo overflows
          ("verify_pdf.tail_gamma = 1e300", "verify_pdf.tail_gamma"),  # e^(2 gamma) overflows
          ("sweep.gammas = 0.1", "sweep.gammas"),
          ("run.mode = other", "run.mode")],
@@ -269,10 +272,12 @@ class TestVerifyPdf:
     @pytest.mark.parametrize(
         "t_range, gamma_range, bins",
         [("-50,50", "-40,-0.000001", 2), ("-1000,1000", "-1,0", 3), ("-5,5", "-30,0", 5),
-         ("0,1e-3", "-1e-3,0", 2)],
+         ("0,1e-3", "-1e-3,0", 2), ("0,1e-305", "-4,-0.1", 40), ("-1e-310,1", "-4,-0.1", 40),
+         ("-1e308,0", "-1.7e308,0", 2)],
     )
     def test_extreme_windows_pass(self, tmp_path, capsys, t_range, gamma_range, bins):
         # windows the config accepts, where the bin masses are hard to integrate
+        # or a sample's index, a panel cut or a bin centre leaves the doubles
         cfg_path = tmp_path / "pdf.cfg"
         cfg_path.write_text(
             f"verify_pdf.t_range = {t_range}\nverify_pdf.gamma_range = {gamma_range}\nverify_pdf.bins = {bins}\n"
@@ -449,11 +454,9 @@ class TestTrain:
         assert (out2 / "train_trace.csv").read_bytes() == csv1.read_bytes()
 
     @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
-    def test_report_reuses_the_run_draws(self, tmp_path, capsys, monkeypatch, mode):
-        # the run's SeedDraws serves its convergence report: the shards are
-        # built once, the calibration runs once in aircomp mode and never in
-        # ideal mode (the report needs no G), with the bytes of a report that
-        # builds its own draws
+    def test_run_builds_its_draws_once(self, tmp_path, monkeypatch, mode):
+        # the shards are built once, and the calibration runs once in aircomp
+        # mode and never in ideal mode
         calls = {"build_devices": 0, "calibrate_g_bound": 0}
 
         def counting(name):
@@ -470,20 +473,19 @@ class TestTrain:
         )
         counting("build_devices")
         counting("calibrate_g_bound")
-        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "shared")]) == 0
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
         assert calls == {"build_devices": 1, "calibrate_g_bound": int(mode == "aircomp")}
-        shared = capsys.readouterr().out
-        assert "convergence_bound_estimate" in shared
 
-        own_draws = airfl.cli.convergence_report
-        monkeypatch.setattr(
-            airfl.cli, "convergence_report",
-            lambda trace: own_draws(replace(trace, draws=airfl.fltrain.SeedDraws(trace.draws.exp))),
+    @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
+    def test_manifest_meta_keys_are_pinned(self, tmp_path, capsys, mode):
+        # a new printed number has to be added here on purpose
+        cfg_path = write_cfg(
+            tmp_path / "train.cfg", SystemConfig(k_devices=3, train=SMALL_TRAIN, run=RunConfig(mode)), "run"
         )
-        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "own")]) == 0
-        assert capsys.readouterr().out == shared
-        for name in ("train_trace.csv", "train_manifest.txt"):
-            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "train_manifest.txt").read_text()
+        keys = [line.split()[2] for line in text.splitlines() if line.startswith("# meta ")]
+        assert sorted(keys) == ["final_accuracy", "final_loss", "mean_divergence_sq", "skipped_rounds"]
 
     def test_genie_pins_the_g_it_used_and_replays(self, tmp_path, capsys):
         # the body keeps the genie rule, and a comment notes the largest G it used
@@ -547,7 +549,8 @@ _CFG_VALUES = {
     "sweep.seeds": ["3", "2", "x"],
     "sweep.gammas": ["0.1", "800,1,2,3,4,5,6,7"],
     "run.mode": ["aircomp", "ideal", "other"],
-    "verify_pdf.t_range": ["-3,3", "-3,0,3", "3,-3"],
+    "verify_pdf.t_range": ["-3,3", "-3,0,3", "3,-3", "0,1e-305", "-1e-310,1", "0,1e-320", "-1e308,1e308"],
+    "verify_pdf.gamma_range": ["-4,-0.1", "-1.7e308,0", "-1e-320,0"],
     "verify_pdf.tail_gamma": ["1.0", "1e300", "0"],
     "verify_xi.rho": ["0.5"],  # misspelled: the key is rhos
 }

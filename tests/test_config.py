@@ -108,9 +108,15 @@ class TestSystemConfigValidation:
             (VerifyDivergenceConfig, {"scan_ks": (5,)}, "verify_divergence.scan_ks"),
             (VerifyXiConfig, {"rhos": ()}, "verify_xi.rhos"),  # an empty grid checks nothing
             (VerifyXiConfig, {"gammas": ()}, "verify_xi.gammas"),
+            # the histogram's scale bins / (hi - lo), or the width itself, leaves the doubles
+            (VerifyPdfConfig, {"t_range": (0.0, 1e-320)}, "verify_pdf.t_range"),
+            (VerifyPdfConfig, {"gamma_range": (-1e-320, 0.0)}, "verify_pdf.gamma_range"),
+            (VerifyPdfConfig, {"t_range": (0.0, 1e-306), "bins": 1000}, "verify_pdf.t_range"),
+            (VerifyPdfConfig, {"t_range": (-1e308, 1e308)}, "verify_pdf.t_range"),
         ],
         ids=["seven_point_grid", "negative_threshold", "two_seeds", "unknown_mode", "no_modes",
-             "ten_scan_trials", "one_fleet_size", "no_xi_rhos", "no_xi_gammas"],
+             "ten_scan_trials", "one_fleet_size", "no_xi_rhos", "no_xi_gammas",
+             "subnormal_t_width", "subnormal_gamma_width", "bins_past_the_scale", "infinite_t_width"],
     )
     def test_rejects_command_settings(self, section, kw, key):
         # the commands read these settings from their sections, whose rules
@@ -124,6 +130,7 @@ class TestSystemConfigValidation:
         assert not shared
 
     def test_symbolic_and_explicit_forms_accepted(self):
+        SystemConfig(verify_pdf=VerifyPdfConfig(t_range=(0.0, 1e-306), bins=40))
         SystemConfig(gamma_th="optimize")
         SystemConfig(k_devices=2, distances=(10.0, 500.0))
         SystemConfig(g_bound=1.5)

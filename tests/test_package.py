@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,9 @@ _REMOVED = {
     "specfun": ("Accuracy", "heaviside"),
     "channel": ("pathloss_amplitude",),
     "fltrain": ("ModelParams", "load_idx", "load_idx_pair", "binary_subset", "local_gradient"),
-    "harness": ("mc_conditional_second_moment", "CondMomentResult", "read_sweep_csv"),
-    "analysis": ("closed_form_report", "ClosedFormReport"),
+    "harness": ("mc_conditional_second_moment", "CondMomentResult", "read_sweep_csv", "convergence_report",
+                "_mean_sq_row_norm"),
+    "analysis": ("closed_form_report", "ClosedFormReport", "convergence_bound", "LearningConstants"),
 }
 
 
@@ -56,6 +58,26 @@ def test_every_top_level_name_is_used_or_public():
                 used.add(node.attr)
     unused = {name: module for name, module in defined.items() if name not in used and name not in airfl.__all__}
     assert unused == {}
+
+
+def test_every_airfl_name_in_the_readme_resolves():
+    # each dotted name is walked from the package, importing every
+    # submodule the walk reaches, so a renamed or deleted name shows
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    names = set(re.findall(r"\bairfl(?:\.[A-Za-z_]\w*)+", readme.read_text(encoding="utf-8")))
+    assert len(names) >= 20
+    unresolved = []
+    for name in sorted(names):
+        parts = name.split(".")
+        obj = airfl
+        try:
+            for i, part in enumerate(parts[1:], start=2):
+                if not hasattr(obj, part):
+                    importlib.import_module(".".join(parts[:i]))
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert unresolved == []
 
 
 # each command at its smallest size: the fewest trials it accepts, tiny training
