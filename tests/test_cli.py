@@ -287,6 +287,18 @@ class TestVerifyPdf:
         assert rc == 0, captured.out + captured.err
         assert captured.err == ""
 
+    @pytest.mark.parametrize(
+        "lo, hi, bins", [(-3.0, 3.0, 40), (0.0, 1e-305, 40), (-1.7e308, 0.0, 2)],
+    )
+    def test_bin_centres_are_the_midpoints(self, lo, hi, bins):
+        # the sum of two neighbouring edges overflows in the last window; the
+        # centres, halved first, are still the midpoints
+        centres = airfl.cli._centers(lo, hi, bins)
+        half_bin = (hi - lo) / (2 * bins)
+        want = [lo + (2 * i + 1) * half_bin for i in range(bins)]
+        assert all(math.isfinite(c) for c in centres)
+        assert list(centres) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_empty_tail_fails_the_moment_gate(self, tmp_path, capsys):
         pdf = VerifyPdfConfig(t_range=(-2.0, 2.0), gamma_range=(-2.0, -0.2), bins=2, tail_gamma=25.0)
         cfg_path = write_cfg(tmp_path / "pdf.cfg", SystemConfig(verify_pdf=pdf), "verify_pdf")

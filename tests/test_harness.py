@@ -217,6 +217,22 @@ class TestHistogramCounts:
     def test_empty_input(self):
         self.check(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize(
+        "t_range, gamma_range, bins",
+        [((0.0, 1e-305), (-4.0, -0.1), 40), ((-1e-310, 1.0), (-4.0, -0.1), 40),
+         ((-1e308, 0.0), (-1.7e308, 0.0), 2)],
+    )
+    def test_windows_near_the_double_range(self, t_range, gamma_range, bins):
+        # the index scale bins / (hi - lo), or the band, is near the double
+        # range, so a far sample's fractional index overflows: it is dropped
+        t_edges, g_edges = np.linspace(*t_range, bins + 1), np.linspace(*gamma_range, bins + 1)
+        rng = np.random.default_rng(5)
+        x = np.concatenate((rng.uniform(*t_range, 1000), t_edges, [-1.7e308, 1.7e308, -math.inf, math.inf]))
+        y = np.concatenate((rng.uniform(*gamma_range, 1000), g_edges, np.full(4, g_edges[0])))
+        got = histogram2d_counts(x, y, t_edges, g_edges)
+        np.testing.assert_array_equal(got, np.histogram2d(x, y, bins=(t_edges, g_edges))[0])
+        assert got.sum() == 1000 + bins + 1
+
     def test_values_next_to_every_edge_of_a_window_far_from_zero(self):
         # the edges and the arithmetic index carry rounding errors of about
         # 1e-5 bins here, so the band checked against the edges must widen
@@ -517,15 +533,19 @@ def _quad_bin_mass(quad, t0, t1, g0, g1):
     return quad(integrand, g0, g1, epsabs=1e-13, epsrel=1e-12)[0]
 
 
-# (t_range, gamma_range, bins): the default window, and windows the config
+# (t_range, gamma_range, bins): the default window, windows the config
 # accepts where adaptive quadrature misses the 1e-9 cross-check (the first
-# two) or a plain 16-node rule per bin does (the third)
+# two) or a plain 16-node rule per bin does (the third), and windows near the
+# double range, where a panel cut k/|t| or a product t s overflows (the last three)
 _MASS_WINDOWS = [
     ((-3.0, 3.0), (-4.0, -0.1), 40),
     ((-50.0, 50.0), (-40.0, -1e-6), 2),
     ((-1000.0, 1000.0), (-1.0, 0.0), 3),
     ((-5.0, 5.0), (-30.0, 0.0), 5),
     ((0.0, 1e-3), (-1e-3, 0.0), 2),
+    ((0.0, 1e-305), (-4.0, -0.1), 40),
+    ((-1e-310, 1.0), (-4.0, -0.1), 40),
+    ((-1e308, 0.0), (-1.7e308, 0.0), 2),
 ]
 
 
