@@ -14,7 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from airfl import SeedDraws, SystemConfig, load_config, train
+from airfl import SeedDraws, SystemConfig, load_config
+from airfl.fltrain import train_cells
 
 
 def run(argv=None) -> int:
@@ -32,8 +33,8 @@ def run(argv=None) -> int:
 
     # both runs read the same shards, batches and streams: draw them once
     draws = SeedDraws(cfg)
-    ideal = train(cfg, mode="ideal", draws=draws)
-    noisy = train(cfg, mode="aircomp", draws=draws)
+    (ideal,) = train_cells(draws, [draws.cfg.gamma_th], "ideal")
+    (noisy,) = train_cells(draws, [draws.cfg.gamma_th], "aircomp")
 
     print(f"gamma_th={noisy.gamma_th!r}  g_bound={noisy.g_bound!r}")
     print(f"{'round':>5} {'loss_ideal':>12} {'loss_air':>12} {'acc_ideal':>10} {'acc_air':>9} {'div_sq':>12}")

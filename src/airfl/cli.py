@@ -29,9 +29,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .config import SystemConfig, load_config, resolve
+from .config import SystemConfig, bin_centers, load_config, objective_coefficients, resolve
 from .fltrain import train
 from .harness import (
     Gate,
@@ -91,18 +89,13 @@ def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
     return Outcome({"verify_xi": table}, xi_gates(results), xi_untestable(results), table.meta, cfg)
 
 
-def _centers(lo: float, hi: float, bins: int) -> np.ndarray:
-    edges = np.linspace(lo, hi, bins + 1)
-    return 0.5 * edges[:-1] + 0.5 * edges[1:]  # halved first: a window near the double range stays finite
-
-
 def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:
     pdf = cfg.verify_pdf
     result = mc_joint_distribution_check(
         pdf.gamma_range, pdf.t_range, cfg.trials, cfg.seed, bins=pdf.bins, tail_gammas=(pdf.tail_gamma,)
     )
     norm = pdf_normalization()
-    fd_worst = cdf_pdf_consistency(_centers(*pdf.t_range, pdf.bins), _centers(*pdf.gamma_range, pdf.bins))
+    fd_worst = cdf_pdf_consistency(bin_centers(*pdf.t_range, pdf.bins), bin_centers(*pdf.gamma_range, pdf.bins))
     meta = {**result.meta, "pdf_normalization": norm, "cdf_pdf_fd_worst": fd_worst}
     gates = pdf_gates(result, norm, fd_worst)
     return Outcome({"verify_pdf": result}, gates, [], meta, cfg)
@@ -122,13 +115,13 @@ def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
             f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope=-2.0 "
             f"supported={scan.meta['supported_scaling']}"
         )
-    return Outcome(tables, divergence_gates(result), lines, meta, resolve(cfg).cfg)
+    return Outcome(tables, divergence_gates(result), lines, meta, resolve(cfg))
 
 
 def _optimize_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
-    exp = resolve(cfg)
-    coef = exp.coefficients
-    solutions = [optimal_threshold(coef, mode=mode) for mode in threshold_modes(exp.rho)]
+    cfg = resolve(cfg)
+    coef = objective_coefficients(cfg)
+    solutions = [optimal_threshold(coef, mode=mode) for mode in threshold_modes(cfg.rho)]
     lines = [f"k1 = {coef.k1!r}", f"k2 = {coef.k2!r}"] + [
         f"{sol.mode}: gamma = {sol.gamma_star!r}  h = {sol.h_value!r}  "
         f"h' = {sol.derivative_residual:.3e}  iterations = {sol.iterations}"
@@ -140,7 +133,7 @@ def _optimize_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
          for s in solutions],
     )
     meta = {"k1": coef.k1, "k2": coef.k2}
-    return Outcome({"optimize_threshold": table}, [], lines, meta, exp.cfg)
+    return Outcome({"optimize_threshold": table}, [], lines, meta, cfg)
 
 
 def _round_for_print(v) -> str:
@@ -162,8 +155,7 @@ def _sweep_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
 
 def _train(cfg: SystemConfig, jobs: int) -> Outcome:
     mode = cfg.run.mode
-    exp = resolve(cfg)
-    trace = train(exp, mode=mode)
+    trace = train(cfg, mode=mode)
     last = trace.records[-1]
     lines = [f"mode = {mode}"]
     if trace.gamma_th is not None:
@@ -180,8 +172,8 @@ def _train(cfg: SystemConfig, jobs: int) -> Outcome:
         [(r.round_index, r.loss, r.accuracy, r.divergence_sq, r.grad_spread_sq, r.active_count,
           int(r.skipped)) for r in trace.records],
     )
-    pinned = exp.cfg
-    if exp.cfg.g_bound == "calibrate" and trace.g_bound is not None:
+    pinned = trace.draws.cfg
+    if pinned.g_bound == "calibrate" and trace.g_bound is not None:
         pinned = replace(pinned, g_bound=trace.g_bound)
     return Outcome({"train_trace": table}, [], lines, meta, pinned)
 

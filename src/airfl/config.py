@@ -2,11 +2,14 @@
 and resolution of symbolic fields into concrete numbers.
 
 Resolution happens exactly once per experiment: distances given as a range
-expression are drawn from their own stream, the noise power is converted from dBm
-to watts, and a symbolic truncation threshold ("optimize") is replaced by
-the convex-objective minimizer.  A resolved experiment serializes back to
-the same key=value format, which is what run manifests are made of; loading
-a manifest of this STREAM_LAYOUT therefore replays the run bit-identically.
+expression are drawn from their own stream, and a symbolic truncation
+threshold ("optimize") is replaced by the convex-objective minimizer.  A
+resolved run is one concrete SystemConfig (a float gamma_th and a tuple of
+distances); power_config and objective_coefficients derive the power
+budget and the threshold objective's weights from it.  It serializes back
+to the same key=value format, which is what run manifests are made of;
+loading a manifest of this STREAM_LAYOUT therefore replays the run
+bit-identically.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .aircomp import PowerConfig, dbm_to_watts
 from .channel import substream
-from .optimizer import _MODES, ObjectiveCoefficients, coefficients_from_system, optimal_threshold
+from .optimizer import _MODES, ObjectiveCoefficients, coefficients_from_system, optimal_threshold, threshold_modes
 
 # Stream purposes.  Every random decision in an experiment hangs off
 # (seed, purpose, ...indices) so that modes and replays stay aligned.
@@ -46,6 +49,7 @@ _MIN_SWEEP_GAMMAS = 8     # points of a threshold sweep's grid
 _MIN_SWEEP_SEEDS = 3      # repetition seeds per sweep cell
 
 _TASKS = ("synthetic_logistic", "small_mlp")
+FD_STEP = 1e-4  # spacing of verify-pdf's CDF/density finite-difference stencil
 # the closed forms carry e^(2 gamma_th), which must stay a finite double
 _MAX_GAMMA_TH = 0.5 * math.log(np.finfo(float).max)
 _UNIFORM_RE = re.compile(r"^uniform\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\]$")
@@ -77,6 +81,11 @@ def _positive(v: float) -> bool:
     return 0.0 < v < math.inf
 
 
+def _grid(v: tuple, each) -> bool:
+    """One or more entries, none repeated, each passing `each`."""
+    return len(v) >= 1 and len(set(v)) == len(v) and all(map(each, v))
+
+
 _IN = f"in (0, {_MAX_GAMMA_TH:.2f}]"
 # key -> (check of its value, what the check asks): a bare key is a
 # SystemConfig field, '<section>.<name>' a field of that section.  Checks
@@ -104,21 +113,20 @@ _RULES = {
                               "expected a positive value whose square, the scale of the squared norms, is finite"),
     "train.label_skew": (lambda v: 0.0 <= v < 1.0, "expected a value in [0, 1)"),
     "train.hidden_units": (lambda v: v >= 1, "expected at least 1"),
-    "verify_xi.rhos": (lambda v: len(v) >= 1 and all(map(_is_rho, v)),
-                       "expected one or more rhos, each in (0, 1] with 1/rho^2 finite"),
-    "verify_xi.gammas": (lambda v: len(v) >= 1 and all(map(_is_threshold, v)),
-                         f"expected one or more thresholds, each {_IN}"),
+    "verify_xi.rhos": (lambda v: _grid(v, _is_rho),
+                       "expected one or more distinct rhos, each in (0, 1] with 1/rho^2 finite"),
+    "verify_xi.gammas": (lambda v: _grid(v, _is_threshold), f"expected one or more distinct thresholds, each {_IN}"),
     "verify_pdf.t_range": (_is_window, "expected two finite values lo < hi"),
     "verify_pdf.gamma_range": (lambda v: _is_window(v) and v[1] <= 0.0, "expected two finite values lo < hi <= 0"),
     "verify_pdf.bins": (lambda v: v >= 2, "expected at least 2 bins"),
     "verify_pdf.tail_gamma": (_is_threshold, f"the threshold must lie {_IN}"),
     "verify_divergence.scan_trials": (lambda v: v >= _MIN_TRIALS, f"expected at least {_MIN_TRIALS} trials"),
-    "verify_divergence.scan_ks": (lambda v: len(set(v)) >= 2 and min(v) >= 1,
-                                  "a slope needs at least two distinct fleet sizes, each >= 1"),
-    "sweep.gammas": (lambda v: len(v) >= _MIN_SWEEP_GAMMAS and all(map(_is_threshold, v)),
-                     f"expected at least {_MIN_SWEEP_GAMMAS} thresholds, each {_IN}"),
-    "sweep.modes": (lambda v: v is None or (len(v) >= 1 and set(v) <= set(_SWEEP_MODES)),
-                    f"expected one or more modes, each one of {_SWEEP_MODES}"),
+    "verify_divergence.scan_ks": (lambda v: len(v) >= 2 and _grid(v, lambda k: k >= 1),
+                                  "a slope needs at least two fleet sizes, each >= 1 and none repeated"),
+    "sweep.gammas": (lambda v: len(v) >= _MIN_SWEEP_GAMMAS and _grid(v, _is_threshold),
+                     f"expected at least {_MIN_SWEEP_GAMMAS} distinct thresholds, each {_IN}"),
+    "sweep.modes": (lambda v: v is None or _grid(v, lambda m: m in _SWEEP_MODES),
+                    f"expected one or more distinct modes, each one of {_SWEEP_MODES}"),
     "sweep.seeds": (lambda v: v >= _MIN_SWEEP_SEEDS, f"expected at least {_MIN_SWEEP_SEEDS} seeds"),
     "run.mode": (lambda v: v in _RUN_MODES, f"expected one of {_RUN_MODES}"),
 }
@@ -169,6 +177,20 @@ class VerifyXiConfig:
     gammas: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0)
 
 
+def bin_centers(lo: float, hi: float, bins: int, first: int = 0) -> np.ndarray:
+    """Centres of bins first, ..., bins - 1 of `bins` equal bins over [lo, hi].
+
+    The edges are np.linspace(lo, hi, bins + 1)'s, i * ((hi - lo) / bins) + lo
+    with the last one hi, computed for the bins asked for alone, so a check
+    of the last bin costs two edges whatever `bins` is.  Each centre halves
+    its edges before the sum, so a window near the double range stays
+    finite.
+    """
+    edges = np.arange(first, bins + 1, dtype=float) * ((hi - lo) / bins) + lo
+    edges[-1] = hi
+    return 0.5 * edges[:-1] + 0.5 * edges[1:]
+
+
 @dataclass(frozen=True)
 class VerifyPdfConfig:
     t_range: tuple[float, ...] = (-3.0, 3.0)          # window of x = Re{v* h_hat} / |h_hat|^2
@@ -185,6 +207,12 @@ class VerifyPdfConfig:
             if not 0.0 < self.bins / (hi - lo) < math.inf:
                 raise ValueError(f"config key 'verify_pdf.{name}': expected a window whose bins / (hi - lo) "
                                  f"is a positive finite double, got {self.bins} bins over {_fmt(window)}")
+        # the CDF/density stencil steps FD_STEP past each gamma bin centre; the last is the highest
+        last = float(bin_centers(*self.gamma_range, self.bins, self.bins - 1)[0])
+        if last + FD_STEP >= 0.0:
+            raise ValueError(f"config key 'verify_pdf.gamma_range': expected a window whose last of {self.bins} "
+                             f"bin centres lies below -{FD_STEP!r}, where the CDF/density stencil stays "
+                             f"inside the support, got {_fmt(self.gamma_range)} (last centre {last!r})")
 
 
 @dataclass(frozen=True)
@@ -259,6 +287,10 @@ class SystemConfig:
                 f"alpha = {self.alpha} takes d_max**alpha = {d_max}**{self.alpha} "
                 "outside the positive finite doubles"
             )
+        applies = (*threshold_modes(self.rho), "fixed")
+        if not set(self.sweep.modes or ()) <= set(applies):
+            raise ValueError(f"config key 'sweep.modes': expected modes that have a threshold at rho = {self.rho!r}, "
+                             f"each one of {applies}, got {_fmt(self.sweep.modes)}")
         # the noise weight k2 of the threshold objective must stay a finite double
         sigma2 = dbm_to_watts(self.sigma2_dbm)
         if not _finite(lambda: sigma2 * d_max**self.alpha / (2.0 * self.p_max * self.rho * self.rho)):
@@ -268,75 +300,43 @@ class SystemConfig:
             )
 
 
-@dataclass(frozen=True)
-class ResolvedExperiment:
-    """A concrete SystemConfig (a float gamma_th and a tuple of distances)
-    and what derives from it; its settings are read through from cfg."""
-
-    cfg: SystemConfig
-    d_max_alpha: float
-    sigma2: float            # watts
-
-    @property
-    def gamma_th(self) -> float:
-        return self.cfg.gamma_th
-
-    @property
-    def distances(self) -> tuple[float, ...]:
-        return self.cfg.distances
-
-    @property
-    def k_devices(self) -> int:
-        return self.cfg.k_devices
-
-    @property
-    def rho(self) -> float:
-        return self.cfg.rho
-
-    @property
-    def seed(self) -> int:
-        return self.cfg.seed
-
-    @property
-    def train(self) -> TrainConfig:
-        return self.cfg.train
-
-    def power_config(self, g_bound: float) -> PowerConfig:
-        return PowerConfig(
-            p_max=self.cfg.p_max,
-            sigma2=self.sigma2,
-            g_bound=g_bound,
-            d_max_alpha=self.d_max_alpha,
-        )
-
-    @property
-    def coefficients(self) -> ObjectiveCoefficients:
-        """The threshold objective's weights k1 and k2; G does not enter them."""
-        return coefficients_from_system(self.rho, self.power_config(1.0))
+def power_config(cfg: SystemConfig, g_bound: float) -> PowerConfig:
+    """The power budget of a resolved cfg at gradient bound g_bound."""
+    return PowerConfig(
+        p_max=cfg.p_max,
+        sigma2=dbm_to_watts(cfg.sigma2_dbm),
+        g_bound=g_bound,
+        d_max_alpha=max(cfg.distances) ** cfg.alpha,
+    )
 
 
-def resolve(cfg: SystemConfig) -> ResolvedExperiment:
-    """Make distances, noise power, and the threshold concrete.
+def objective_coefficients(cfg: SystemConfig) -> ObjectiveCoefficients:
+    """The threshold objective's weights k1 and k2 of a resolved cfg; G does not enter them."""
+    return coefficients_from_system(cfg.rho, power_config(cfg, 1.0))
+
+
+def resolve(cfg: SystemConfig) -> SystemConfig:
+    """cfg with its distances and threshold made concrete: a tuple of
+    floats and a float.  A concrete cfg resolves to an equal one.
 
     Distance draws use their own stream, so experiments with different
     trial counts or modes share the same geometry under one seed.  The
-    result's cfg, written out, replays the run bit-identically.
+    result, written out, replays the run bit-identically.
     """
     if isinstance(cfg.distances, str):
         lo, hi = (float(g) for g in _UNIFORM_RE.match(cfg.distances).groups())
         gen = substream(cfg.seed, STREAM_DISTANCES)
         # hi - u*(hi-lo) with u in [0,1) lands in (lo, hi]: the lower
         # endpoint (zero distance) is excluded, the upper included.
-        dist = tuple(float(d) for d in hi - gen.random(cfg.k_devices) * (hi - lo))
+        dist = hi - gen.random(cfg.k_devices) * (hi - lo)
     else:
-        dist = tuple(float(d) for d in cfg.distances)
-
-    d_max_alpha, sigma2 = max(dist) ** cfg.alpha, dbm_to_watts(cfg.sigma2_dbm)
+        dist = cfg.distances
+    cfg = replace(cfg, distances=tuple(float(d) for d in dist))
     gamma = cfg.gamma_th
     if isinstance(gamma, str):
         # the objective's weights do not depend on the threshold they choose
-        gamma = optimal_threshold(ResolvedExperiment(cfg, d_max_alpha, sigma2).coefficients).gamma_star
-    return ResolvedExperiment(replace(cfg, gamma_th=float(gamma), distances=dist), d_max_alpha, sigma2)
+        gamma = optimal_threshold(objective_coefficients(cfg)).gamma_star
+    return replace(cfg, gamma_th=float(gamma))
 
 
 # ---------------------------------------------------------------------------

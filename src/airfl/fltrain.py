@@ -20,20 +20,21 @@ test accuracy are evaluated only when they are read (all rounds for
 `records`, the last round alone for `final_accuracy`).
 
 Everything a run draws that depends only on the seed and the config lives
-in a SeedDraws.  Under stream layout 2 round m reads one numpy stream per
-purpose, substream(seed, purpose, m), so a shared draw is exactly a private
-run's.
+in a SeedDraws, which holds the resolved config it drew for; train_cells is
+the one way to share it between runs.  Under stream layout 2 round m reads
+one numpy stream per purpose, substream(seed, purpose, m), so a shared draw
+is exactly a private run's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .aircomp import _gain, aggregate_batch, compensation_lambda, receiver_noise_scale, scaling_zeta
+from .aircomp import _gain, aggregate_batch, compensation_lambda, dbm_to_watts, receiver_noise_scale, scaling_zeta
 from .channel import ChannelArrays, channel_from_normals, substream
 from .config import (
     _RUN_MODES,
@@ -43,8 +44,8 @@ from .config import (
     STREAM_INIT,
     STREAM_NOISE,
     STREAM_TEST,
-    ResolvedExperiment,
     SystemConfig,
+    power_config,
     resolve,
 )
 
@@ -235,7 +236,7 @@ def _blob_features(y: np.ndarray, n_features: int, separation: float, gen: np.ra
     return x
 
 
-def build_devices(exp: ResolvedExperiment) -> list[DeviceDataset]:
+def build_devices(cfg: SystemConfig) -> list[DeviceDataset]:
     """Per-device shards of the two-blob mixture.
 
     label_skew tilts device k toward class k mod 2: the probability of the
@@ -243,10 +244,10 @@ def build_devices(exp: ResolvedExperiment) -> list[DeviceDataset]:
     near 1 give almost single-class devices.  Every device holds the same
     number of samples.
     """
-    tc = exp.train
+    tc = cfg.train
     devices = []
-    for k in range(exp.k_devices):
-        gen = substream(exp.seed, STREAM_DATA, k)
+    for k in range(cfg.k_devices):
+        gen = substream(cfg.seed, STREAM_DATA, k)
         p_pref = 0.5 + 0.5 * tc.label_skew
         preferred = k % 2
         take_pref = gen.random(tc.data_per_device) < p_pref
@@ -256,10 +257,10 @@ def build_devices(exp: ResolvedExperiment) -> list[DeviceDataset]:
     return devices
 
 
-def build_test_set(exp: ResolvedExperiment) -> DeviceDataset:
+def build_test_set(cfg: SystemConfig) -> DeviceDataset:
     """Exactly class-balanced held-out set (even size enforced by config)."""
-    tc = exp.train
-    gen = substream(exp.seed, STREAM_TEST)
+    tc = cfg.train
+    gen = substream(cfg.seed, STREAM_TEST)
     y = (np.arange(tc.test_size) % 2).astype(np.float64)
     x = _blob_features(y, tc.n_features, tc.blob_separation, gen)
     return DeviceDataset(features=x, labels=y)
@@ -318,23 +319,21 @@ class _Cells(NamedTuple):
     g_bound: np.ndarray
 
 
-def _zetas(exp: ResolvedExperiment, gammas, g_bounds) -> np.ndarray:
+def _zetas(cfg: SystemConfig, gammas, g_bounds) -> np.ndarray:
     """scaling_zeta of each cell at its own threshold and gradient bound, shape (C, 1)."""
-    return np.array([[scaling_zeta(exp.k_devices, exp.rho, exp.power_config(g), gamma)]
+    return np.array([[scaling_zeta(cfg.k_devices, cfg.rho, power_config(cfg, g), gamma)]
                      for gamma, g in zip(gammas, g_bounds)])
 
 
 def _air_round(grads, cells: _Cells, draws: SeedDraws, round_index: int):
     """Every cell's over-the-air aggregation of grads (C, K, d) in one
     aggregate_batch call: g_hat (C, d), active counts and skip flags (C,)."""
-    exp = draws.exp
-    noise = None
-    if exp.sigma2 > 0.0:
-        scale = receiver_noise_scale(exp.sigma2, cells.zeta)  # (C, 1): one noise draw, scaled per cell
-        noise = draws.noise(round_index).standard_normal(grads.shape[2]) * scale
+    cfg = draws.cfg
+    scale = receiver_noise_scale(dbm_to_watts(cfg.sigma2_dbm), cells.zeta)  # (C, 1): one noise draw, scaled per cell
+    noise = draws.noise(round_index).standard_normal(grads.shape[2]) * scale
     channels = draws.channels(round_index)
     _, active, sent, g_hat = aggregate_batch(grads, channels.h, channels.h_hat, cells.gamma_th, cells.lam, noise)
-    _assert_power_feasible(grads, channels, active, cells, exp.cfg.p_max)
+    _assert_power_feasible(grads, channels, active, cells, cfg.p_max)
     return g_hat, active.sum(axis=1), ~sent
 
 
@@ -369,7 +368,7 @@ def gradient_bound(draws: SeedDraws, grads: np.ndarray, round_index: int) -> flo
     grads (K, d), by the config's g_bound: under 'genie' their largest
     norm, under 'calibrate' the bound calibrated on draws (once), else the
     pinned G."""
-    g_bound = draws.exp.cfg.g_bound
+    g_bound = draws.cfg.g_bound
     if g_bound == "calibrate":
         return draws.calibrated_g_bound()
     if g_bound != "genie":
@@ -387,24 +386,19 @@ def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
     draws (hence the batches the real run will see) and returns 1.1x the
     largest per-device gradient norm observed.
     """
-    task, exp = draws.task, draws.exp
-    w = task.init_params(substream(exp.seed, STREAM_INIT))
+    task, cfg = draws.task, draws.cfg
+    w = task.init_params(substream(cfg.seed, STREAM_INIT))
     g_max = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging warm-up is reported below
         for m in range(rounds):
             grads = round_gradients(w, draws, m)
             g_max = max(g_max, max_grad_norm(grads))
-            w = global_update(w, ideal_aggregate(grads), exp.cfg.eta)
+            w = global_update(w, ideal_aggregate(grads), cfg.eta)
             if not (np.all(np.isfinite(grads)) and np.all(np.isfinite(w))):
-                raise ValueError(f"the calibration warm-up diverged in round {m} with eta = {exp.cfg.eta!r}")
+                raise ValueError(f"the calibration warm-up diverged in round {m} with eta = {cfg.eta!r}")
     if g_max == 0.0:
         raise RuntimeError("warm-up saw only zero gradients; cannot calibrate a norm bound")
     return _G_MARGIN * g_max
-
-
-def _draws_key(exp: ResolvedExperiment) -> tuple:
-    # every field of the concrete config but the threshold
-    return tuple((f.name, getattr(exp.cfg, f.name)) for f in fields(exp.cfg) if f.name != "gamma_th")
 
 
 class SeedDraws:
@@ -413,29 +407,26 @@ class SeedDraws:
     Holds the task, the device shards stacked into (K, D, f) features and
     (K, D) labels, the test set and the shards' union, each round's
     mini-batch indices and channel arrays (filled lazily, round by round),
-    and the calibrated gradient bound (computed on first use).  None of it
-    depends on gamma_th or on the model weights, so train_cells trains
-    exp's config at any thresholds on it, and `train` accepts it for every
-    run whose config differs from `exp`'s in gamma_th alone.  Round m of
-    any purpose reads substream(seed, purpose, m), so any round can be
-    drawn, in any order.
+    and the calibrated gradient bound (computed on first use), all for
+    `cfg`, the resolved config.  None of it depends on gamma_th or on the
+    model weights, so train_cells trains cfg at any thresholds on it.
+    Round m of any purpose reads substream(seed, purpose, m), so any round
+    can be drawn, in any order.
     """
 
-    def __init__(self, cfg: SystemConfig | ResolvedExperiment):
-        exp = cfg if isinstance(cfg, ResolvedExperiment) else resolve(cfg)
-        self.exp = exp
-        self.key = _draws_key(exp)
-        self.task = build_task(exp.train)
-        shards = build_devices(exp)
+    def __init__(self, cfg: SystemConfig):
+        self.cfg = cfg = resolve(cfg)
+        self.task = build_task(cfg.train)
+        shards = build_devices(cfg)
         self.features = np.stack([d.features for d in shards])
         self.labels = np.stack([d.labels for d in shards])
-        self.test = build_test_set(exp)
+        self.test = build_test_set(cfg)
         self.all_train = DeviceDataset(
             features=self.features.reshape(-1, self.features.shape[-1]),
             labels=self.labels.reshape(-1),
         )
-        self._rows = np.arange(exp.k_devices)[:, None]
-        self._d_alpha = np.array([d ** exp.cfg.alpha for d in exp.distances])
+        self._rows = np.arange(cfg.k_devices)[:, None]
+        self._d_alpha = np.array([d ** cfg.alpha for d in cfg.distances])
         self._picks: dict[int, np.ndarray] = {}
         self._channels: dict[int, ChannelArrays] = {}
         self._g_bound: float | None = None
@@ -450,9 +441,9 @@ class SeedDraws:
         """
         picks = self._picks.get(round_index)
         if picks is None:
-            size, batch = self.labels.shape[1], self.exp.train.batch_size
-            gen = substream(self.exp.seed, STREAM_BATCH, round_index)
-            picks = np.array([gen.choice(size, size=batch, replace=False) for _ in range(self.exp.k_devices)])
+            size, batch = self.labels.shape[1], self.cfg.train.batch_size
+            gen = substream(self.cfg.seed, STREAM_BATCH, round_index)
+            picks = np.array([gen.choice(size, size=batch, replace=False) for _ in range(self.cfg.k_devices)])
             self._picks[round_index] = picks
         return self.features[self._rows, picks], self.labels[self._rows, picks]
 
@@ -462,14 +453,14 @@ class SeedDraws:
         in draw_channel's order."""
         out = self._channels.get(round_index)
         if out is None:
-            z = substream(self.exp.seed, STREAM_CHANNEL, round_index).standard_normal((self.exp.k_devices, 4))
-            out = ChannelArrays(*channel_from_normals(z, self.exp.rho), self._d_alpha)
+            z = substream(self.cfg.seed, STREAM_CHANNEL, round_index).standard_normal((self.cfg.k_devices, 4))
+            out = ChannelArrays(*channel_from_normals(z, self.cfg.rho), self._d_alpha)
             self._channels[round_index] = out
         return out
 
     def noise(self, round_index: int) -> np.random.Generator:
         """A fresh substream(seed, STREAM_NOISE, round)."""
-        return substream(self.exp.seed, STREAM_NOISE, round_index)
+        return substream(self.cfg.seed, STREAM_NOISE, round_index)
 
     def calibrated_g_bound(self) -> float:
         """calibrate_g_bound on these draws, run once."""
@@ -479,7 +470,7 @@ class SeedDraws:
 
 
 def train_cells(draws: SeedDraws, gammas, mode: str = "aircomp") -> list[TrainingTrace]:
-    """Train draws.exp's config at each threshold of gammas in lock-step,
+    """Train draws.cfg at each threshold of gammas in lock-step,
     and return one trace per threshold.
 
     Every round gathers the batches once, computes every cell's K
@@ -494,14 +485,14 @@ def train_cells(draws: SeedDraws, gammas, mode: str = "aircomp") -> list[Trainin
     if len(gammas) == 0:
         raise ValueError("no thresholds to train")
 
-    exp = draws.exp
-    n_cells, n_rounds, k_devices = len(gammas), exp.train.rounds_m, exp.k_devices
+    cfg = draws.cfg
+    n_cells, n_rounds, k_devices = len(gammas), cfg.train.rounds_m, cfg.k_devices
     if mode == "aircomp":
         # lambda once per run; zeta whenever a cell's G changes, which only genie power control does
         cells = _Cells(np.array([[g] for g in gammas]),
-                       np.array([[compensation_lambda(g, exp.rho)] for g in gammas]), None, None)
+                       np.array([[compensation_lambda(g, cfg.rho)] for g in gammas]), None, None)
         g_prev = None
-    weights = np.tile(draws.task.init_params(substream(exp.seed, STREAM_INIT)), (n_cells, 1))
+    weights = np.tile(draws.task.init_params(substream(cfg.seed, STREAM_INIT)), (n_cells, 1))
     history = np.empty((n_cells, n_rounds, weights.shape[1]))
     divergence = np.empty((n_cells, n_rounds))
     spread = np.empty((n_cells, n_rounds))
@@ -519,13 +510,13 @@ def train_cells(draws: SeedDraws, gammas, mode: str = "aircomp") -> list[Trainin
             else:
                 g_now = [gradient_bound(draws, cell, m) for cell in grads]
                 if g_now != g_prev:
-                    cells = cells._replace(zeta=_zetas(exp, gammas, g_now), g_bound=np.array(g_now)[:, None])
+                    cells = cells._replace(zeta=_zetas(cfg, gammas, g_now), g_bound=np.array(g_now)[:, None])
                     g_prev = g_now
                 g_hat, active[:, m], skipped[:, m] = _air_round(grads, cells, draws, m)
                 g_used = np.maximum(g_used, cells.g_bound)
-            weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, exp.cfg.eta))
+            weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, cfg.eta))
             if not np.all(np.isfinite(weights)):
-                raise ValueError(f"model parameters must be finite; round {m}'s step with eta = {exp.cfg.eta!r} overflowed")
+                raise ValueError(f"model parameters must be finite; round {m}'s step with eta = {cfg.eta!r} overflowed")
             divergence[:, m] = [float(r @ r) for r in g_hat - g_ideal]
             history[:, m] = weights
 
@@ -545,23 +536,13 @@ def train_cells(draws: SeedDraws, gammas, mode: str = "aircomp") -> list[Trainin
     ]
 
 
-def train(
-    cfg: SystemConfig | ResolvedExperiment,
-    mode: str = "aircomp",
-    draws: SeedDraws | None = None,
-) -> TrainingTrace:
+def train(cfg: SystemConfig, mode: str = "aircomp") -> TrainingTrace:
     """Run a full federated experiment and return its trace.
 
     mode "ideal" aggregates exactly (no channel); "aircomp" sends gradients
     over the simulated channel with truncated inversion.  With the same
-    seed, both modes draw identical data and batches.  `draws` may come from
-    a config that differs from cfg in gamma_th alone; without it the run
-    builds its own, with the same result.  This is train_cells on one
-    experiment.
+    seed, both modes draw identical data and batches.  This is train_cells
+    on a group of one.
     """
-    exp = cfg if isinstance(cfg, ResolvedExperiment) else resolve(cfg)
-    if draws is None:
-        draws = SeedDraws(exp)
-    elif draws.key != _draws_key(exp):
-        raise ValueError("draws were built for a config that differs in more than gamma_th")
-    return train_cells(draws, [exp.gamma_th], mode)[0]
+    draws = SeedDraws(cfg)
+    return train_cells(draws, [draws.cfg.gamma_th], mode)[0]

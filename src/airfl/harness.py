@@ -67,10 +67,13 @@ from .config import (
     STREAM_LAYOUT,
     STREAM_MC_DIVERGENCE,
     STREAM_MC_JOINT,
+    FD_STEP,
     STREAM_MC_XI,
     SystemConfig,
     VerifyPdfConfig,
     config_to_kv,
+    objective_coefficients,
+    power_config,
     resolve,
 )
 from .fltrain import (
@@ -97,7 +100,6 @@ _S_MAX = 28.0  # e^(-s^2) underflows from s = 27.3 on, so no mass lies past it
 _EDGE_BAND = 1e-9  # fractional bin index this close to an edge is checked against the edges
 _NORM_GAMMA_MIN = -40.0  # lower gamma edge of the density normalization
 _NORM_NODES = 20  # nodes per axis of the normalization's tensor rule
-_FD_STEP = 1e-4  # spacing of the CDF/density finite-difference stencil
 _SCAN_DISTANCE = 100.0  # the K-scan's common device distance, meters
 _SCAN_D_MODEL = 10  # the K-scan's model dimension: device k sends basis vector k mod 10
 _Z_LIMIT = 4.0  # the 4-standard-error rule of every 'z' gate
@@ -783,7 +785,7 @@ def cdf_pdf_consistency(t_values, gamma_values) -> float:
     1e-4 in both arguments; gamma points must stay below -1e-4 so the
     stencil never crosses the support boundary.
     """
-    step = _FD_STEP
+    step = FD_STEP
     worst = 0.0
     for g in gamma_values:
         if g + step >= 0.0:
@@ -838,11 +840,10 @@ def pdf_gates(result: SweepResult, norm: float, fd_worst: float) -> list[Gate]:
 def _frozen_setup(cfg: SystemConfig):
     """Round zero's K gradients and the power config at the G training uses
     in that round (fltrain.gradient_bound)."""
-    exp = resolve(cfg)
-    draws = SeedDraws(exp)
-    w0 = draws.task.init_params(substream(exp.seed, STREAM_INIT))
+    draws = SeedDraws(cfg)
+    w0 = draws.task.init_params(substream(draws.cfg.seed, STREAM_INIT))
     grads = round_gradients(w0, draws, 0)
-    return exp, grads, exp.power_config(gradient_bound(draws, grads, 0))
+    return draws.cfg, grads, power_config(draws.cfg, gradient_bound(draws, grads, 0))
 
 
 def _trial_rows(seed: int, stream: tuple[int, ...], lo: int, hi: int, width: int, step: int):
@@ -976,35 +977,35 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     """
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
-    exp, grads, power = _frozen_setup(cfg)
-    frozen = (grads, power, exp.gamma_th, exp.rho, exp.seed, ())
+    cfg, grads, power = _frozen_setup(cfg)
+    frozen = (grads, power, cfg.gamma_th, cfg.rho, cfg.seed, ())
     results = _pmap(_divergence_trials, [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)], jobs)
     div = np.concatenate([r[0] for r in results])
     skips = np.concatenate([r[1] for r in results])
 
     energies = [float(g @ g) for g in grads]
     d_model = grads[0].shape[0]
-    zeta = scaling_zeta(exp.k_devices, exp.rho, power, exp.gamma_th)
-    p_skip = skip_probability(exp.k_devices, exp.gamma_th)
+    zeta = scaling_zeta(cfg.k_devices, cfg.rho, power, cfg.gamma_th)
+    p_skip = skip_probability(cfg.k_devices, cfg.gamma_th)
     mean, se = _mean_se(div)
     row = {
-        "k_devices": exp.k_devices,
-        "rho": exp.rho,
-        "gamma_th": exp.gamma_th,
+        "k_devices": cfg.k_devices,
+        "rho": cfg.rho,
+        "gamma_th": cfg.gamma_th,
         "n_trials": n_trials,
         "divergence_mc": mean,
         "divergence_se": se,
-        "divergence_exact": divergence_exact(energies, exp.k_devices, exp.gamma_th, exp.rho, power, d_model),
-        "divergence_bound": divergence_bound(exp.k_devices, exp.gamma_th, exp.rho, power),
+        "divergence_exact": divergence_exact(energies, cfg.k_devices, cfg.gamma_th, cfg.rho, power, d_model),
+        "divergence_bound": divergence_bound(cfg.k_devices, cfg.gamma_th, cfg.rho, power),
         "skip_fraction": float(np.mean(skips)),
     }
     meta: dict[str, object] = {
         "d_model": d_model,
         "g_bound": power.g_bound,
         "zeta": zeta,
-        "lam": compensation_lambda(exp.gamma_th, exp.rho),
+        "lam": compensation_lambda(cfg.gamma_th, cfg.rho),
         "sum_grad_sq": math.fsum(energies),
-        "noise_term_exact": noise_term_exact(exp.k_devices, exp.gamma_th, exp.rho, power, d_model),
+        "noise_term_exact": noise_term_exact(cfg.k_devices, cfg.gamma_th, cfg.rho, power, d_model),
         "skip_prob_analytic": p_skip,
     }
     return SweepResult(columns=tuple(row), rows=[tuple(row.values())], meta=meta)
@@ -1041,10 +1042,9 @@ def k_slope_scan(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
     between -1 and -2 depending on which share dominates.
     """
     ks, n_trials = cfg.verify_divergence.scan_ks, cfg.verify_divergence.scan_trials
-    exp = resolve(cfg)
-    gamma_th = exp.gamma_th
+    gamma_th = resolve(cfg).gamma_th
     # one device at the scan's distance: the power config of every fleet size
-    power = resolve(replace(exp.cfg, k_devices=1, distances=(_SCAN_DISTANCE,))).power_config(1.0)
+    power = power_config(replace(cfg, k_devices=1, distances=(_SCAN_DISTANCE,)), 1.0)
     # one map over every (K, chunk) unit: no barrier between fleet sizes
     chunks = _trial_chunks(n_trials, jobs)
     units = []
@@ -1085,10 +1085,10 @@ def _train_seed(job) -> list[tuple[float, float, float, float, float]]:
     """Train one seed's experiment at each of its thresholds, in lock-step
     on one SeedDraws: per cell the final accuracy, the mean divergence, the
     threshold, the printed bound at the G it used and the skipped share."""
-    exp, gammas = job
+    cfg, gammas = job  # a resolved config
     rows = []
-    for trace in train_cells(SeedDraws(exp), gammas):
-        bound = divergence_bound(exp.k_devices, trace.gamma_th, exp.rho, exp.power_config(trace.g_bound))
+    for trace in train_cells(SeedDraws(cfg), gammas):
+        bound = divergence_bound(cfg.k_devices, trace.gamma_th, cfg.rho, power_config(cfg, trace.g_bound))
         rows.append((trace.final_accuracy, trace.mean_divergence_sq, trace.gamma_th, bound,
                      trace.skipped_rounds / trace.rounds))
     return rows
@@ -1122,17 +1122,18 @@ def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
     """
     grid = [float(g) for g in cfg.sweep.gammas]
     modes, n_seeds = sweep_modes(cfg), cfg.sweep.seeds
-    exps = [resolve(replace(cfg, seed=cfg.seed + i)) for i in range(n_seeds)]
+    cfgs = [resolve(replace(cfg, seed=cfg.seed + i)) for i in range(n_seeds)]
     # each mode's thresholds; of these only the joint optimum depends on the seed (its distances)
     picks = {"fixed": grid, "communication_oriented": [_COMMUNICATION_GAMMA]}
     if "computation_oriented" in modes:
-        picks["computation_oriented"] = [optimal_threshold(exps[0].coefficients, "computation_oriented").gamma_star]
+        picks["computation_oriented"] = [optimal_threshold(objective_coefficients(cfgs[0]),
+                                                           "computation_oriented").gamma_star]
     seed_gammas = []
-    for exp in exps:
+    for seed_cfg in cfgs:
         if "joint" in modes:
-            picks["joint"] = [optimal_threshold(exp.coefficients).gamma_star]
+            picks["joint"] = [optimal_threshold(objective_coefficients(seed_cfg)).gamma_star]
         seed_gammas.append([g for mode in modes for g in picks[mode]])
-    by_seed = _pmap(_train_seed, list(zip(exps, seed_gammas)), jobs)
+    by_seed = _pmap(_train_seed, list(zip(cfgs, seed_gammas)), jobs)
 
     rows = []
     for mode, *per_seed in zip([mode for mode in modes for _ in picks[mode]], *by_seed):

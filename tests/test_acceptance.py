@@ -298,7 +298,7 @@ def test_criterion_09_training_trend():
     divs = {g: [] for g in gammas}
     for i in range(3):
         draws = SeedDraws(replace(cfg, seed=cfg.seed + i, gamma_th="optimize"))
-        thresholds = [draws.exp.gamma_th if gamma == "optimize" else gamma for gamma in gammas]
+        thresholds = [draws.cfg.gamma_th if gamma == "optimize" else gamma for gamma in gammas]
         for gamma, trace in zip(gammas, train_cells(draws, thresholds)):
             accs[gamma].append(trace.final_accuracy)
             divs[gamma].append(trace.mean_divergence_sq)

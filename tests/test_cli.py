@@ -293,7 +293,7 @@ class TestVerifyPdf:
     def test_bin_centres_are_the_midpoints(self, lo, hi, bins):
         # the sum of two neighbouring edges overflows in the last window; the
         # centres, halved first, are still the midpoints
-        centres = airfl.cli._centers(lo, hi, bins)
+        centres = airfl.config.bin_centers(lo, hi, bins)
         half_bin = (hi - lo) / (2 * bins)
         want = [lo + (2 * i + 1) * half_bin for i in range(bins)]
         assert all(math.isfinite(c) for c in centres)
@@ -552,17 +552,17 @@ _CFG_VALUES = {
     "train.task": ["synthetic_logistic", "small_mlp", "mnist"],
     "train.label_skew": ["0.0", "0.9", "1.0"],
     "train.blob_separation": ["2.5", "1e300"],
-    "verify_xi.rhos": ["0.8", "1.0,0.5", ",", "abc", "2", "1e-300"],
+    "verify_xi.rhos": ["0.8", "1.0,0.5", ",", "abc", "2", "1e-300", "0.5,0.5"],
     "verify_xi.gammas": ["0.5", "1e-300", "700", "-1"],
     "verify_divergence.k_scan": ["0", "1", "maybe", "off"],
     "verify_divergence.scan_ks": ["2,3", "0,1", "-1,2", "3", "x", "1,1"],
     "verify_divergence.scan_trials": ["1000", "10", "x"],
-    "sweep.modes": ["communication_oriented", "joint", "bogus"],
+    "sweep.modes": ["communication_oriented", "joint", "bogus", "computation_oriented,fixed", "fixed,fixed"],
     "sweep.seeds": ["3", "2", "x"],
-    "sweep.gammas": ["0.1", "800,1,2,3,4,5,6,7"],
+    "sweep.gammas": ["0.1", "800,1,2,3,4,5,6,7", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5"],
     "run.mode": ["aircomp", "ideal", "other"],
     "verify_pdf.t_range": ["-3,3", "-3,0,3", "3,-3", "0,1e-305", "-1e-310,1", "0,1e-320", "-1e308,1e308"],
-    "verify_pdf.gamma_range": ["-4,-0.1", "-1.7e308,0", "-1e-320,0"],
+    "verify_pdf.gamma_range": ["-4,-0.1", "-1.7e308,0", "-1e-320,0", "-1e-3,0", "-1e-300,0"],
     "verify_pdf.tail_gamma": ["1.0", "1e300", "0"],
     "verify_xi.rho": ["0.5"],  # misspelled: the key is rhos
 }

@@ -9,7 +9,6 @@ import pytest
 
 from airfl.config import (
     STREAM_DISTANCES,
-    ResolvedExperiment,
     RunConfig,
     SweepConfig,
     SystemConfig,
@@ -17,12 +16,17 @@ from airfl.config import (
     VerifyDivergenceConfig,
     VerifyPdfConfig,
     VerifyXiConfig,
+    bin_centers,
     config_from_kv,
     config_to_kv,
     load_config,
+    objective_coefficients,
     parse_kv_text,
+    power_config,
     resolve,
 )
+from airfl.aircomp import dbm_to_watts
+from airfl.harness import cdf_pdf_consistency
 
 
 def kv_text(pairs):
@@ -113,10 +117,21 @@ class TestSystemConfigValidation:
             (VerifyPdfConfig, {"gamma_range": (-1e-320, 0.0)}, "verify_pdf.gamma_range"),
             (VerifyPdfConfig, {"t_range": (0.0, 1e-306), "bins": 1000}, "verify_pdf.t_range"),
             (VerifyPdfConfig, {"t_range": (-1e308, 1e308)}, "verify_pdf.t_range"),
+            # the CDF/density stencil steps 1e-4 past the last gamma bin centre
+            (VerifyPdfConfig, {"gamma_range": (-1e-3, 0.0)}, "verify_pdf.gamma_range"),
+            (VerifyPdfConfig, {"gamma_range": (-1e-300, 0.0)}, "verify_pdf.gamma_range"),
+            # a grid entry given twice runs, prints or writes its cell twice
+            (VerifyXiConfig, {"rhos": (0.5, 0.5)}, "verify_xi.rhos"),
+            (VerifyXiConfig, {"gammas": (0.5, 1.0, 0.5)}, "verify_xi.gammas"),
+            (VerifyDivergenceConfig, {"scan_ks": (5, 5, 10)}, "verify_divergence.scan_ks"),
+            (SweepConfig, {"gammas": (0.5,) * 8}, "sweep.gammas"),
+            (SweepConfig, {"modes": ("fixed", "joint", "fixed")}, "sweep.modes"),
         ],
         ids=["seven_point_grid", "negative_threshold", "two_seeds", "unknown_mode", "no_modes",
              "ten_scan_trials", "one_fleet_size", "no_xi_rhos", "no_xi_gammas",
-             "subnormal_t_width", "subnormal_gamma_width", "bins_past_the_scale", "infinite_t_width"],
+             "subnormal_t_width", "subnormal_gamma_width", "bins_past_the_scale", "infinite_t_width",
+             "stencil_past_zero", "tiny_window_at_zero", "repeated_xi_rho", "repeated_xi_gamma",
+             "repeated_fleet_size", "one_threshold_eight_times", "repeated_mode"],
     )
     def test_rejects_command_settings(self, section, kw, key):
         # the commands read these settings from their sections, whose rules
@@ -124,6 +139,32 @@ class TestSystemConfigValidation:
         name = key.split(".")[0]
         with pytest.raises(ValueError, match=re.escape(f"config key {key!r}")):
             SystemConfig(**{name: section(**kw)})
+
+    @pytest.mark.parametrize("modes", [("computation_oriented", "fixed"), ("computation_oriented",)])
+    def test_sweep_modes_need_a_threshold_at_rho(self, modes):
+        # under perfect CSI the computation term is monotone: no threshold
+        with pytest.raises(ValueError, match=re.escape("config key 'sweep.modes'")):
+            SystemConfig(rho=1.0, sweep=SweepConfig(modes=modes))
+        SystemConfig(rho=0.99, sweep=SweepConfig(modes=modes))
+        SystemConfig(rho=1.0, sweep=SweepConfig(modes=("joint", "communication_oriented", "fixed")))
+
+    @pytest.mark.parametrize(
+        "gamma_range, accepted",
+        [((-4.0, -0.1), True), ((-2.0, -1e-4), True), ((-0.0082, 0.0), True), ((-0.0078, 0.0), False),
+         ((-1e-3, 0.0), False), ((-1e-300, 0.0), False)],
+    )
+    def test_gamma_window_rule_is_the_stencils(self, gamma_range, accepted):
+        # the config refuses a window exactly where the CLI's CDF/density
+        # check, at the same bin centres, would refuse its last one
+        centres = bin_centers(*gamma_range, 40)
+        if accepted:
+            VerifyPdfConfig(gamma_range=gamma_range)
+            cdf_pdf_consistency([0.0], centres)
+        else:
+            with pytest.raises(ValueError, match=re.escape("config key 'verify_pdf.gamma_range'")):
+                VerifyPdfConfig(gamma_range=gamma_range)
+            with pytest.raises(ValueError, match="too close to 0"):
+                cdf_pdf_consistency([0.0], centres)
 
     def test_no_train_field_shadows_a_system_field(self):
         shared = {f.name for f in fields(TrainConfig)} & {f.name for f in fields(SystemConfig)}
@@ -140,9 +181,9 @@ class TestSystemConfigValidation:
 
 class TestResolve:
     def test_distances_drawn_in_half_open_range(self):
-        exp = resolve(SystemConfig(k_devices=200))
-        assert len(exp.distances) == 200
-        assert all(0.0 < d <= 500.0 for d in exp.distances)
+        cfg = resolve(SystemConfig(k_devices=200))
+        assert len(cfg.distances) == 200
+        assert all(0.0 < d <= 500.0 for d in cfg.distances)
 
     def test_distance_draw_is_seed_deterministic(self):
         a = resolve(SystemConfig(seed=7)).distances
@@ -157,61 +198,58 @@ class TestResolve:
         assert a.distances == b.distances
 
     def test_explicit_distances_pass_through(self):
-        exp = resolve(SystemConfig(k_devices=3, distances=(10.0, 250.0, 499.0)))
-        assert exp.distances == (10.0, 250.0, 499.0)
-        assert exp.d_max_alpha == 499.0 ** 2.2
+        cfg = resolve(SystemConfig(k_devices=3, distances=(10.0, 250.0, 499.0)))
+        assert cfg.distances == (10.0, 250.0, 499.0)
+        assert power_config(cfg, 1.0).d_max_alpha == 499.0 ** 2.2
 
     def test_noise_power_in_watts(self):
-        exp = resolve(SystemConfig(sigma2_dbm=-40.0))
-        assert abs(exp.sigma2 - 1e-7) < 1e-22
+        cfg = resolve(SystemConfig(sigma2_dbm=-40.0))
+        assert abs(power_config(cfg, 1.0).sigma2 - 1e-7) < 1e-22
 
     def test_fixed_policy(self):
-        exp = resolve(SystemConfig(gamma_th=0.7))
-        assert exp.gamma_th == 0.7
+        cfg = resolve(SystemConfig(gamma_th=0.7))
+        assert cfg.gamma_th == 0.7
 
     def test_optimize_policy_matches_solver(self):
         from airfl.optimizer import coefficients_from_system, optimal_threshold
 
-        exp = resolve(SystemConfig(gamma_th="optimize"))
-        probe = exp.power_config(1.0)
-        want = optimal_threshold(coefficients_from_system(exp.rho, probe)).gamma_star
-        assert exp.gamma_th == want
-        assert exp.cfg.gamma_th == want
-        assert exp.gamma_th > 0.0
+        cfg = resolve(SystemConfig(gamma_th="optimize"))
+        probe = power_config(cfg, 1.0)
+        want = optimal_threshold(coefficients_from_system(cfg.rho, probe)).gamma_star
+        assert cfg.gamma_th == want
+        assert cfg.gamma_th > 0.0
 
-    def test_resolved_config_is_concrete(self):
-        # the threshold and the distances live in cfg alone; the experiment
-        # adds only what derives from them
-        exp = resolve(SystemConfig(gamma_th="optimize", k_devices=4))
-        assert [f.name for f in fields(exp)] == ["cfg", "d_max_alpha", "sigma2"]
-        assert isinstance(exp.cfg.gamma_th, float) and exp.gamma_th is exp.cfg.gamma_th
-        assert isinstance(exp.cfg.distances, tuple) and exp.distances is exp.cfg.distances
-        assert exp.d_max_alpha == max(exp.distances) ** exp.cfg.alpha
+    @pytest.mark.parametrize(
+        "kw",
+        [{"gamma_th": "optimize", "k_devices": 4}, {"gamma_th": 1, "k_devices": 2, "distances": (10, 500)}, {}],
+        ids=["symbolic", "int_valued", "defaults"],
+    )
+    def test_resolved_config_is_concrete_and_resolves_to_itself(self, kw):
+        cfg = resolve(SystemConfig(**kw))
+        assert type(cfg) is SystemConfig
+        assert type(cfg.gamma_th) is float
+        assert type(cfg.distances) is tuple and all(type(d) is float for d in cfg.distances)
+        assert resolve(cfg) == cfg
 
-    def test_coefficients_are_the_systems_at_any_g(self):
+    def test_objective_coefficients_are_the_systems_at_any_g(self):
         from airfl.optimizer import coefficients_from_system
 
-        exp = resolve(SystemConfig(seed=5, rho=0.6))
-        assert exp.coefficients == coefficients_from_system(exp.rho, exp.power_config(3.0))
-        assert exp.coefficients.k1 == (1.0 - 0.36) / (2.0 * 0.36)
+        cfg = resolve(SystemConfig(seed=5, rho=0.6))
+        assert objective_coefficients(cfg) == coefficients_from_system(cfg.rho, power_config(cfg, 3.0))
+        assert objective_coefficients(cfg).k1 == (1.0 - 0.36) / (2.0 * 0.36)
 
-    def test_properties_and_power_config(self):
-        train = TrainConfig(rounds_m=7)
-        exp = resolve(SystemConfig(k_devices=4, rho=0.9, seed=99, train=train))
-        assert exp.k_devices == 4
-        assert exp.rho == 0.9
-        assert exp.seed == 99
-        assert exp.train is train
-        power = exp.power_config(2.0)
+    def test_power_config(self):
+        cfg = resolve(SystemConfig(k_devices=4, rho=0.9, seed=99, p_max=0.2, sigma2_dbm=-50.0))
+        power = power_config(cfg, 2.0)
         assert power.g_bound == 2.0
-        assert power.p_max == exp.cfg.p_max
-        assert power.sigma2 == exp.sigma2
-        assert power.d_max_alpha == exp.d_max_alpha
+        assert power.p_max == 0.2
+        assert power.sigma2 == dbm_to_watts(-50.0)
+        assert power.d_max_alpha == max(cfg.distances) ** 2.2
 
     def test_resolved_is_frozen(self):
-        exp = resolve(SystemConfig())
+        cfg = resolve(SystemConfig())
         with pytest.raises(AttributeError):
-            exp.gamma_th = 1.0
+            cfg.gamma_th = 1.0
 
 
 class TestKvParsing:
@@ -294,14 +332,14 @@ class TestRoundTrip:
         assert config_from_kv(parse_kv_text(text)) == cfg
 
     def test_resolved_config_round_trips_bit_exactly(self):
-        exp = resolve(SystemConfig(gamma_th="optimize", seed=11))
-        pinned = replace(exp.cfg, g_bound=0.9294011408364471)  # the calibrated G at the defaults
+        cfg = resolve(SystemConfig(gamma_th="optimize", seed=11))
+        pinned = replace(cfg, g_bound=0.9294011408364471)  # the calibrated G at the defaults
         text = kv_text(config_to_kv(pinned, "run"))
         assert "run.mode = aircomp" in text
         back = config_from_kv(parse_kv_text(text))
         assert back == pinned
-        assert back.distances == exp.distances
-        assert back.gamma_th == exp.gamma_th
+        assert back.distances == cfg.distances
+        assert back.gamma_th == cfg.gamma_th
 
     @pytest.mark.parametrize("symbolic", [False, True])
     def test_every_field_round_trips_at_a_non_default_value(self, symbolic):
@@ -396,13 +434,11 @@ class TestLoadAndReplay:
         assert {k.split(".")[0] for k in kv if "." in k} == sections
 
     def test_replay_reproduces_the_resolution(self):
-        exp = resolve(SystemConfig(gamma_th="optimize", seed=42))
-        again = resolve(exp.cfg)
-        assert again.distances == exp.distances
-        assert again.gamma_th == exp.gamma_th
-        assert again.sigma2 == exp.sigma2
-        assert again.cfg.gamma_th == exp.gamma_th
-        assert again == exp
+        cfg = resolve(SystemConfig(gamma_th="optimize", seed=42))
+        again = resolve(resolve(SystemConfig(gamma_th="optimize", seed=42)))
+        assert again.distances == cfg.distances
+        assert again.gamma_th == cfg.gamma_th
+        assert again == cfg
 
     def test_stream_constants_are_distinct(self):
         import airfl.config as cfg_mod

@@ -17,6 +17,7 @@ from airfl.config import (
     STREAM_NOISE,
     SystemConfig,
     TrainConfig,
+    power_config,
     resolve,
 )
 import airfl.fltrain
@@ -70,27 +71,27 @@ def one_gradient(task, w, x, y):
     return task.gradients(w[None], x[None], y[None])[0, 0]
 
 
-def warmup_bound(exp, rounds):
+def warmup_bound(cfg, rounds):
     """1.1x the peak device gradient norm of an ideal warm-up, drawn the slow
     way: one reference gradient per device and round, the devices' batches
     picked in device order from the round's one substream."""
-    task = build_task(exp.train)
-    devices = build_devices(exp)
-    w = task.init_params(substream(exp.seed, STREAM_INIT))
+    task = build_task(cfg.train)
+    devices = build_devices(cfg)
+    w = task.init_params(substream(cfg.seed, STREAM_INIT))
     g_max = 0.0
     for m in range(rounds):
         grads = []
-        gen = substream(exp.seed, STREAM_BATCH, m)
+        gen = substream(cfg.seed, STREAM_BATCH, m)
         for dev in devices:
-            idx = gen.choice(len(dev.labels), size=exp.train.batch_size, replace=False)
+            idx = gen.choice(len(dev.labels), size=cfg.train.batch_size, replace=False)
             grads.append(local_gradient(task, w, dev.features[idx], dev.labels[idx]))
         g_max = max(g_max, max(float(np.linalg.norm(g)) for g in grads))
-        w = global_update(w, ideal_aggregate(grads), exp.cfg.eta)
+        w = global_update(w, ideal_aggregate(grads), cfg.eta)
     return 1.1 * g_max
 
 
-def estimation_model(exp):
-    return EstimationModel(rho=exp.rho, alpha=exp.cfg.alpha)
+def estimation_model(cfg):
+    return EstimationModel(rho=cfg.rho, alpha=cfg.alpha)
 
 
 def assert_channel_row(arrays, k, draw):
@@ -159,8 +160,7 @@ class TestTasks:
 
 class TestData:
     def test_shard_shapes_and_labels(self):
-        exp = resolve(small_cfg())
-        devices = build_devices(exp)
+        devices = build_devices(resolve(small_cfg()))
         assert len(devices) == 3
         for dev in devices:
             assert dev.features.shape == (40, 5)
@@ -217,10 +217,10 @@ class TestPrimitives:
             global_update(w, np.zeros(3), 0.1)
 
     def test_evaluate_ties_predict_class_zero(self):
-        exp = resolve(small_cfg())
-        test = build_test_set(exp)
+        cfg = resolve(small_cfg())
+        test = build_test_set(cfg)
         task = LogisticTask(5)
-        loss, accuracy = evaluate(task, np.zeros(5), build_devices(exp)[0], test)
+        loss, accuracy = evaluate(task, np.zeros(5), build_devices(cfg)[0], test)
         assert accuracy == 0.5
         assert loss == math.log(2.0)
 
@@ -241,19 +241,20 @@ class TestTraining:
         assert all(r.divergence_sq == 0.0 for r in trace.records)
         assert all(r.active_count == 3 for r in trace.records)
 
-    def test_unity_override_with_zero_noise_reproduces_ideal(self, monkeypatch):
-        # every coefficient forced to 1: the aggregate is the exact mean and
-        # no round is skipped, so aircomp mode must replay the ideal run
+    def test_unity_override_reproduces_ideal(self, monkeypatch):
+        # every coefficient forced to 1 and the noise dropped: the aggregate
+        # is the exact mean and no round is skipped, so aircomp mode must
+        # replay the ideal run
         real_kernel = airfl.fltrain.aggregate_batch
 
         def unity_kernel(grads, *args):
             xi, active, sent, _ = real_kernel(grads, *args)
             return xi, active, np.ones_like(sent), ideal_aggregate(grads.swapaxes(0, 1))
 
-        exp = replace(resolve(small_cfg(rho=1.0)), sigma2=0.0)
-        ideal = train(exp, mode="ideal")
+        cfg = small_cfg(rho=1.0)
+        ideal = train(cfg, mode="ideal")
         monkeypatch.setattr(airfl.fltrain, "aggregate_batch", unity_kernel)
-        faked = train(exp, mode="aircomp")
+        faked = train(cfg, mode="aircomp")
         assert np.array_equal(ideal.final, faked.final)
         assert [r.loss for r in faked.records] == [r.loss for r in ideal.records]
         assert faked.mean_divergence_sq == 0.0
@@ -324,7 +325,7 @@ class TestTraining:
         # norm; the trace reports the largest of those, not the calibrated bound
         cfg = small_cfg(g_bound="genie", train=replace(SMALL_TRAIN, rounds_m=12))
         draws = SeedDraws(cfg)
-        trace = train(cfg, mode="aircomp", draws=draws)
+        (trace,) = train_cells(draws, [draws.cfg.gamma_th])
         w0 = draws.task.init_params(substream(cfg.seed, STREAM_INIT))
         used = [max(float(np.linalg.norm(g)) for g in round_gradients(w, draws, m))
                 for m, w in enumerate([w0, *trace.weights[:-1]])]
@@ -346,7 +347,7 @@ class TestTraining:
         grads = round_gradients(draws.task.init_params(substream(11, STREAM_INIT)), draws, 0)
         assert gradient_bound(SeedDraws(small_cfg(g_bound="genie")), grads, 0) == max_grad_norm(grads)
         assert gradient_bound(SeedDraws(small_cfg(g_bound=5.0)), grads, 0) == 5.0
-        assert gradient_bound(draws, grads, 0) == draws.calibrated_g_bound() == warmup_bound(draws.exp, 10)
+        assert gradient_bound(draws, grads, 0) == draws.calibrated_g_bound() == warmup_bound(draws.cfg, 10)
         with pytest.raises(RuntimeError, match="no G in round 4"):
             gradient_bound(SeedDraws(small_cfg(g_bound="genie")), np.zeros_like(grads), 4)
 
@@ -361,23 +362,26 @@ class TestTraining:
         with pytest.raises(ValueError, match="mode"):
             train(small_cfg(), mode="perfect")
 
-    def test_accepts_resolved_experiment(self):
-        exp = resolve(small_cfg())
-        a = train(exp, mode="ideal")
-        b = train(small_cfg(), mode="ideal")
-        assert np.array_equal(a.final, b.final)
+    @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
+    def test_a_resolved_config_trains_as_its_symbolic_one(self, mode):
+        cfg = small_cfg(gamma_th="optimize")
+        a = train(resolve(cfg), mode=mode)
+        b = train(cfg, mode=mode)
+        assert a.draws.cfg == b.draws.cfg == resolve(cfg)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.records == b.records
 
     def test_calibration_is_margin_times_peak_warmup_norm(self):
-        exp = resolve(small_cfg())
-        got = calibrate_g_bound(SeedDraws(exp), rounds=3)
-        assert got == warmup_bound(exp, 3)
+        cfg = resolve(small_cfg())
+        got = calibrate_g_bound(SeedDraws(cfg), rounds=3)
+        assert got == warmup_bound(cfg, 3)
 
     def test_run_shorter_than_the_warmup_still_calibrates(self):
         # 4 rounds of training, 10 of warm-up: the draws cover both
-        exp = resolve(small_cfg())
-        assert exp.train.rounds_m < 10
-        trace = train(exp, mode="aircomp")
-        assert trace.g_bound == warmup_bound(exp, 10)
+        cfg = resolve(small_cfg())
+        assert cfg.train.rounds_m < 10
+        trace = train(cfg, mode="aircomp")
+        assert trace.g_bound == warmup_bound(cfg, 10)
 
     def test_ideal_learns_the_synthetic_task(self):
         tc = replace(SMALL_TRAIN, rounds_m=150)
@@ -423,20 +427,20 @@ class TestSeedDraws:
             return gen
 
         monkeypatch.setattr(SeedDraws, "noise", recording_noise)
-        exp = resolve(small_cfg())
-        draws = SeedDraws(exp)
-        train(exp, mode="aircomp", draws=draws)
-        assert len(noise_states) == exp.train.rounds_m
-        for m in range(exp.train.rounds_m):
-            assert noise_states[m] == substream(exp.seed, STREAM_NOISE, m).bit_generator.state
+        draws = SeedDraws(small_cfg())
+        cfg = draws.cfg
+        train_cells(draws, [cfg.gamma_th])
+        assert len(noise_states) == cfg.train.rounds_m
+        for m in range(cfg.train.rounds_m):
+            assert noise_states[m] == substream(cfg.seed, STREAM_NOISE, m).bit_generator.state
             xs, ys = draws.batches(m)
-            assert xs.shape == (exp.k_devices, exp.train.batch_size, exp.train.n_features)
-            batch_gen = substream(exp.seed, STREAM_BATCH, m)
-            channel_gen = substream(exp.seed, STREAM_CHANNEL, m)
+            assert xs.shape == (cfg.k_devices, cfg.train.batch_size, cfg.train.n_features)
+            batch_gen = substream(cfg.seed, STREAM_BATCH, m)
+            channel_gen = substream(cfg.seed, STREAM_CHANNEL, m)
             for k, (features, labels) in enumerate(zip(draws.features, draws.labels)):
-                idx = batch_gen.choice(len(labels), size=exp.train.batch_size, replace=False)
+                idx = batch_gen.choice(len(labels), size=cfg.train.batch_size, replace=False)
                 assert np.array_equal(xs[k], features[idx]) and np.array_equal(ys[k], labels[idx])
-                draw = draw_channel(estimation_model(exp), exp.distances[k], channel_gen)
+                draw = draw_channel(estimation_model(cfg), cfg.distances[k], channel_gen)
                 assert_channel_row(draws.channels(m), k, draw)
 
     @pytest.mark.parametrize("task", ["synthetic_logistic", "small_mlp"])
@@ -467,15 +471,15 @@ class TestSeedDraws:
 
     @pytest.mark.parametrize("rho", [0.3, 0.8, 1.0])
     def test_channel_arrays_are_the_scalar_draws(self, rho):
-        exp = resolve(small_cfg(rho=rho, k_devices=6, train=replace(SMALL_TRAIN, rounds_m=12)))
-        draws = SeedDraws(exp)
+        cfg = resolve(small_cfg(rho=rho, k_devices=6, train=replace(SMALL_TRAIN, rounds_m=12)))
+        draws = SeedDraws(cfg)
         for m in range(12):
             got = draws.channels(m)
-            gen = substream(exp.seed, STREAM_CHANNEL, m)
-            want = [draw_channel(estimation_model(exp), exp.distances[k], gen) for k in range(exp.k_devices)]
+            gen = substream(cfg.seed, STREAM_CHANNEL, m)
+            want = [draw_channel(estimation_model(cfg), cfg.distances[k], gen) for k in range(cfg.k_devices)]
             for name in ("h", "h_hat"):
                 assert np.array_equal(getattr(got, name), [getattr(dr, name) for dr in want])
-            assert np.array_equal(got.d_alpha, [d ** exp.cfg.alpha for d in exp.distances])
+            assert np.array_equal(got.d_alpha, [d ** cfg.alpha for d in cfg.distances])
             if rho == 1.0:
                 assert np.array_equal(got.h, got.h_hat)
             assert draws.channels(m) is got
@@ -502,17 +506,17 @@ class TestSeedDraws:
         monkeypatch.setattr(airfl.fltrain, "calibrate_g_bound", count("calibrate", real_calibrate))
         monkeypatch.setattr(airfl.fltrain, "channel_from_normals", count("channel", real_channel))
         draws = SeedDraws(small_cfg())
-        for gamma in (0.1, 0.5, "optimize"):
-            train(small_cfg(gamma_th=gamma), mode="aircomp", draws=draws)
+        for gamma in (0.1, 0.5, resolve(small_cfg(gamma_th="optimize")).gamma_th):
+            train_cells(draws, [gamma])
         # one block of K channels per round, for all three runs
         assert calls == {"calibrate": 1, "channel": 4}
 
     @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
     def test_cells_in_lock_step_equal_private_runs(self, mode):
-        exps = [resolve(small_cfg(gamma_th=g, g_bound="genie")) for g in (0.1, 3.0, "optimize")]
-        traces = train_cells(SeedDraws(exps[0]), [exp.gamma_th for exp in exps], mode)
-        for exp, trace in zip(exps, traces):
-            private = train(exp, mode=mode)
+        cfgs = [resolve(small_cfg(gamma_th=g, g_bound="genie")) for g in (0.1, 3.0, "optimize")]
+        traces = train_cells(SeedDraws(cfgs[0]), [cfg.gamma_th for cfg in cfgs], mode)
+        for cfg, trace in zip(cfgs, traces):
+            private = train(cfg, mode=mode)
             assert np.array_equal(trace.weights, private.weights)
             assert trace.records == private.records
             assert (trace.gamma_th, trace.g_bound) == (private.gamma_th, private.g_bound)
@@ -526,17 +530,11 @@ class TestSeedDraws:
 
     def test_ideal_run_on_shared_draws_equals_a_private_one(self):
         draws = SeedDraws(small_cfg())
-        train(small_cfg(gamma_th=3.0), mode="aircomp", draws=draws)
-        shared = train(small_cfg(gamma_th="optimize"), mode="ideal", draws=draws)
+        train_cells(draws, [3.0], "aircomp")
+        (shared,) = train_cells(draws, [0.7], "ideal")
         private = train(small_cfg(), mode="ideal")
         assert np.array_equal(shared.final, private.final)
         assert shared.records == private.records
-
-    @pytest.mark.parametrize("kw", [{"seed": 12}, {"k_devices": 4}, {"g_bound": 2.0}])
-    def test_draws_of_another_config_are_refused(self, kw):
-        draws = SeedDraws(small_cfg())
-        with pytest.raises(ValueError, match="more than gamma_th"):
-            train(small_cfg(**kw), mode="aircomp", draws=draws)
 
 
 def channel_arrays(draws) -> ChannelArrays:
@@ -644,7 +642,7 @@ class TestKernelAgainstOracle:
 
     GRID = (0.05, 0.5, 3.0, "optimize")
 
-    @pytest.mark.parametrize("case", ["calibrated", "genie", "fixed", "small_mlp", "sigma2=0", "all_skipped"])
+    @pytest.mark.parametrize("case", ["calibrated", "genie", "fixed", "small_mlp", "all_skipped"])
     def test_every_cell_and_round_matches(self, monkeypatch, case):
         rounds = replace(SMALL_TRAIN, rounds_m=12)
         kw, grid = {"train": rounds}, self.GRID
@@ -656,22 +654,20 @@ class TestKernelAgainstOracle:
             kw["train"] = replace(MLP_TRAIN, rounds_m=12)
         elif case == "all_skipped":
             kw["k_devices"], grid = 2, (3.0, 4.0)
-        exps = [resolve(small_cfg(gamma_th=g, **kw)) for g in grid]
-        if case == "sigma2=0":
-            exps = [replace(exp, sigma2=0.0) for exp in exps]
+        cells = [resolve(small_cfg(gamma_th=g, **kw)) for g in grid]
         calls = record_kernel(monkeypatch)
-        traces = train_cells(SeedDraws(exps[0]), [cell.gamma_th for cell in exps])
-        exp = exps[0]
-        assert len(calls) == exp.train.rounds_m
-        w0 = build_task(exp.train).init_params(substream(exp.seed, STREAM_INIT))
+        traces = train_cells(SeedDraws(cells[0]), [cell.gamma_th for cell in cells])
+        cfg = cells[0]
+        assert len(calls) == cfg.train.rounds_m
+        w0 = build_task(cfg.train).init_params(substream(cfg.seed, STREAM_INIT))
         for m, (grads, noise, xi, active, sent, g_hat) in enumerate(calls):
-            normals = substream(exp.seed, STREAM_CHANNEL, m).standard_normal((exp.k_devices, 4))
-            noise_normals = substream(exp.seed, STREAM_NOISE, m).standard_normal(grads.shape[2])
-            for c, cell in enumerate(exps):
+            normals = substream(cfg.seed, STREAM_CHANNEL, m).standard_normal((cfg.k_devices, 4))
+            noise_normals = substream(cfg.seed, STREAM_NOISE, m).standard_normal(grads.shape[2])
+            for c, cell in enumerate(cells):
                 g_bound = traces[c].g_bound
                 if case == "genie":
                     g_bound = max(float(np.linalg.norm(g)) for g in grads[c])
-                power = cell.power_config(g_bound)
+                power = power_config(cell, g_bound)
                 ref = oracles.air_round_ref(grads[c], normals, noise_normals, cell.rho, cell.gamma_th,
                                             power.p_max, g_bound, power.d_max_alpha, power.sigma2)
                 ref_g_hat, ref_xi, ref_active, ref_noise = ref
@@ -679,22 +675,18 @@ class TestKernelAgainstOracle:
                 assert np.array_equal(xi[c], ref_xi)
                 assert np.array_equal(active[c], ref_active)
                 assert sent[c] == ref_active.any()
-                if noise is None:
-                    assert cell.sigma2 == 0.0 and not ref_noise.any()
-                elif sent[c]:
+                if sent[c]:
                     assert np.array_equal(noise[c], ref_noise)
                 assert traces[c].active_count[m] == ref_active.sum()
                 assert traces[c].skipped[m] == (not ref_active.any())
                 # the update and the divergence, from the oracle's g_hat
                 w_prev = traces[c].weights[m - 1] if m else w0
-                w_ref = w_prev - cell.cfg.eta * ref_g_hat if ref_active.any() else w_prev
+                w_ref = w_prev - cell.eta * ref_g_hat if ref_active.any() else w_prev
                 assert np.array_equal(traces[c].weights[m], w_ref)
                 g_ideal = np.zeros(grads.shape[2])
                 for g in grads[c]:
                     g_ideal += g
-                diff = ref_g_hat - g_ideal / exp.k_devices
+                diff = ref_g_hat - g_ideal / cfg.k_devices
                 assert traces[c].divergence_sq[m] == float(diff @ diff)
         if case == "all_skipped":
             assert any(not s.any() for *_, s, _ in calls)
-        if case == "sigma2=0":
-            assert all(call[1] is None for call in calls)

@@ -665,12 +665,12 @@ class TestWeightDivergence:
 
         monkeypatch.setattr(airfl.fltrain, "_assert_power_feasible", recording)
         train(cfg, mode="aircomp")
-        exp, grads, power = _frozen_setup(cfg)
+        resolved, grads, power = _frozen_setup(cfg)
         assert power.g_bound == seen[0] == max(float(np.linalg.norm(g)) for g in grads)
         assert power.g_bound != SeedDraws(cfg).calibrated_g_bound()
         res = mc_weight_divergence(cfg, n_trials=1000)
         assert res.meta["g_bound"] == seen[0]
-        assert res.meta["zeta"] == scaling_zeta(exp.k_devices, exp.rho, power, exp.gamma_th)
+        assert res.meta["zeta"] == scaling_zeta(resolved.k_devices, resolved.rho, power, resolved.gamma_th)
 
     def test_noise_term_scales_with_sigma2(self):
         quiet = mc_weight_divergence(small_cfg(sigma2_dbm=-40.0), n_trials=1000)
@@ -770,8 +770,8 @@ def oracle_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
 
 
 def frozen(cfg, key=()):
-    exp, grads, power = _frozen_setup(cfg)
-    return (np.array(grads), power, exp.gamma_th, exp.rho, exp.seed, key)
+    resolved, grads, power = _frozen_setup(cfg)
+    return (np.array(grads), power, resolved.gamma_th, resolved.rho, resolved.seed, key)
 
 
 SCAN_POWER = PowerConfig(p_max=0.1, sigma2=1e-7, g_bound=1.0, d_max_alpha=100.0**2.2)
@@ -975,7 +975,7 @@ class TestSharedSeedDraws:
 
         def recording_train_cells(draws, gammas, *args):
             traces = train_cells(draws, gammas, *args)
-            groups.append([(replace(draws.exp.cfg, gamma_th="optimize" if c == 0 else gamma), trace)
+            groups.append([(replace(draws.cfg, gamma_th="optimize" if c == 0 else gamma), trace)
                            for c, (gamma, trace) in enumerate(zip(gammas, traces))])
             return traces
 

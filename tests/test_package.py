@@ -16,10 +16,12 @@ import airfl
 _REMOVED = {
     "specfun": ("Accuracy", "heaviside"),
     "channel": ("pathloss_amplitude",),
-    "fltrain": ("ModelParams", "load_idx", "load_idx_pair", "binary_subset", "local_gradient"),
+    "fltrain": ("ModelParams", "load_idx", "load_idx_pair", "binary_subset", "local_gradient", "_draws_key"),
     "harness": ("mc_conditional_second_moment", "CondMomentResult", "read_sweep_csv", "convergence_report",
                 "_mean_sq_row_norm"),
     "analysis": ("closed_form_report", "ClosedFormReport", "convergence_bound", "LearningConstants"),
+    "config": ("ResolvedExperiment",),
+    "cli": ("_centers",),
 }
 
 
@@ -77,6 +79,24 @@ def test_every_airfl_name_in_the_readme_resolves():
                 obj = getattr(obj, part)
         except (ImportError, AttributeError):
             unresolved.append(name)
+    assert unresolved == []
+
+
+def test_every_test_the_readme_cites_resolves():
+    # a citation `test_<x>.py::Class[::test]` names a class of that test
+    # file (and a test of the class); a bare `Class[::test]` is one of the
+    # file cited last before it.  Each file is parsed, not imported.
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    cites = re.findall(r"`(?:(test_\w+\.py)::)?(Test\w+)(?:::(test_\w+))?`", text)
+    assert len(cites) >= 15
+    unresolved, last_file = [], None
+    for file, cls, test in cites:
+        last_file = file or last_file
+        tree = ast.parse((root / "tests" / last_file).read_text(encoding="utf-8"))
+        bodies = [node.body for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls]
+        if not bodies or (test and not any(isinstance(n, ast.FunctionDef) and n.name == test for n in bodies[0])):
+            unresolved.append(f"{last_file}::{cls}" + (f"::{test}" if test else ""))
     assert unresolved == []
 
 
