@@ -137,15 +137,8 @@ def effective_coefficients(
     collapses to lambda.  h and h_hat are complex arrays of one shape;
     returns (xi, active) of that shape.
     """
-    return _coefficients(h, h_hat, check_positive("gamma_th", gamma_th), check_positive("lam", lam))
-
-
-def _coefficients(h, h_hat, gamma_th, lam) -> tuple[np.ndarray, np.ndarray]:
-    """effective_coefficients unchecked, for aggregate_batch's broadcast
-    thresholds (checked by compensation_lambda).  A caller with many
-    thresholds on one channel forms the two part products once and calls
-    _truncated_ratio itself."""
-    return _truncated_ratio(_gain(h_hat), _aligned(h, h_hat), gamma_th, lam)
+    return _truncated_ratio(_gain(h_hat), _aligned(h, h_hat), check_positive("gamma_th", gamma_th),
+                            check_positive("lam", lam))
 
 
 def _gain(h_hat: np.ndarray) -> np.ndarray:
@@ -161,7 +154,9 @@ def _aligned(h: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
 def _truncated_ratio(gain, aligned, gamma_th, lam) -> tuple[np.ndarray, np.ndarray]:
     """(xi, active): lam * aligned / gain where gain >= gamma_th, else 0.
 
-    The one xi formula; gain and aligned broadcast against gamma_th and lam.
+    The one xi formula; gain and aligned broadcast against gamma_th and lam,
+    which it does not check.  A caller with many thresholds on one channel
+    forms the two part products once.
     """
     active = gain >= gamma_th
     xi = np.divide(lam * aligned, gain, out=np.zeros(active.shape), where=active)
@@ -182,7 +177,7 @@ def aggregate_batch(
     device order; a row with no active device did not send, and its g_hat
     is 0, without noise.
     """
-    xi, active = _coefficients(h, h_hat, gamma_th, lam)
+    xi, active = _truncated_ratio(_gain(h_hat), _aligned(h, h_hat), gamma_th, lam)
     sent = active.any(axis=-1)
     k_devices = xi.shape[-1]
     g_hat = np.zeros(xi.shape[:-1] + grads.shape[-1:])
@@ -217,21 +212,23 @@ def aggregate(
     gamma_th: float,
     rho: float,
     cfg: PowerConfig,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> AggregationOutcome:
     """One over-the-air aggregation of K device gradients (aggregate_batch).
 
-    An empty active set (every estimate truncated) is flagged as skipped
-    with a zero aggregate: with no transmitter there is nothing for the
-    receive scaling to normalize, so the round produces no update and
-    draws no noise from rng.
+    A round that sends draws d receiver-noise normals from rng, scaled by
+    receiver_noise_scale (by 0 when cfg.sigma2 is 0).  An empty active set
+    (every estimate truncated) is flagged as skipped with a zero
+    aggregate: with no transmitter there is nothing for the receive
+    scaling to normalize, so the round produces no update and draws no
+    noise from rng.
 
     Parameters
     ----------
     gradients : (K, d) real array, one device gradient per row (a length-K
         list of equal-length real vectors works too).
     draws : length-K channel draws, index-aligned with gradients.
-    rng : source for the receiver noise; may be None when cfg.sigma2 == 0.
+    rng : source for the receiver noise.
     """
     if isinstance(gradients, np.ndarray) and gradients.ndim != 2:
         raise ValueError(f"gradients must be a (K, d) array, got shape {gradients.shape}")
@@ -243,15 +240,15 @@ def aggregate(
     dim = gradients[0].shape
     if not isinstance(gradients, np.ndarray) and any(g.shape != dim for g in gradients):
         raise ValueError("gradient dimensions differ across devices")
+    if rng is None:
+        raise ValueError("rng required: a round that sends draws its receiver noise from it")
 
     lam = compensation_lambda(gamma_th, rho)
     zeta = scaling_zeta(k_devices, rho, cfg, gamma_th)
     h, h_hat = (np.array([getattr(dr, part) for dr in draws]) for part in ("h", "h_hat"))
     xi, active, sent, g_hat = aggregate_batch(np.asarray(gradients), h, h_hat, gamma_th, lam)
     noise = np.zeros(dim)
-    if sent and cfg.sigma2 > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma2 > 0")
+    if sent:
         noise = rng.standard_normal(dim) * receiver_noise_scale(cfg.sigma2, zeta)
         g_hat += noise
     return AggregationOutcome(

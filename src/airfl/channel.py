@@ -81,15 +81,22 @@ def draw_channel(
     z = gen.standard_normal(4) * _INV_SQRT2
     h_hat = complex(z[0], z[1])
     v = complex(z[2], z[3])
-    h = model.rho * h_hat + math.sqrt(1.0 - model.rho * model.rho) * v
-    return ChannelDraw(h=h, h_hat=h_hat, v=v, d=d, alpha=model.alpha)
+    return ChannelDraw(h=complex(channel(h_hat, v, model.rho)), h_hat=h_hat, v=v, d=d, alpha=model.alpha)
+
+
+def channel(h_hat, v, rho: float):
+    """The true channel rho h_hat + sqrt(1 - rho^2) v, the one statement of
+    the CSI model; h_hat and v are complex arrays or numbers of one shape."""
+    h = np.multiply(h_hat, rho)
+    h += math.sqrt(1.0 - rho * rho) * v
+    return h
 
 
 def channel_from_normals(z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """(h, h_hat) of shape z.shape[:-1] from standard normals z of shape
     (..., 4) in draw_channel's order: draw_channel's values, bit for bit."""
     h_hat, v = np.moveaxis((z * _INV_SQRT2).view(np.complex128), -1, 0)
-    return rho * h_hat + math.sqrt(1.0 - rho * rho) * v, h_hat
+    return channel(h_hat, v, rho), h_hat
 
 
 @dataclass(frozen=True)
@@ -130,15 +137,13 @@ def draw_channel_block(model: EstimationModel, n: int, gen: np.random.Generator)
     coefficient statistics, so none are attached.
 
     The normals are copied into preallocated complex arrays and freed
-    before h is formed, so the call peaks at 64 B per sample, not twice
-    the 48 B it returns; h is rho h_hat + sqrt(1 - rho^2) v, bit for bit.
+    before h is formed (by channel), so the call peaks at 64 B per sample,
+    not twice the 48 B it returns.
     """
     z = draw_channel_rows(n, gen)
     h_hat = np.empty(n, dtype=np.complex128)
     v = np.empty(n, dtype=np.complex128)
     h_hat.real, h_hat.imag, v.real, v.imag = z
     del z
-    h = np.multiply(h_hat, model.rho)
-    h += math.sqrt(1.0 - model.rho * model.rho) * v
-    return h, h_hat, v
+    return channel(h_hat, v, model.rho), h_hat, v
 

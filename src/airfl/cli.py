@@ -19,7 +19,7 @@ carries the running command's section in canonical form.
 Each gate prints one verdict line, `PASS name: <numbers> z=... limit=...
 margin=...` (deterministic gates print no z; z and the margin switch to
 exponent form from 1e6).  Exit status: 0 when every gate passes, 1 when
-one FAILs, 2 on bad input.
+one FAILs, 2 on bad input or when the run does not fit in memory.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .harness import (
     verdict_lines,
     worker_pool,
     xi_gates,
-    xi_untestable,
 )
 from .optimizer import optimal_threshold, threshold_modes
 
@@ -86,7 +85,7 @@ def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
         ],
         meta={"n_samples": n},
     )
-    return Outcome({"verify_xi": table}, xi_gates(results), xi_untestable(results), table.meta, cfg)
+    return Outcome({"verify_xi": table}, *xi_gates(results), table.meta, cfg)
 
 
 def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:
@@ -102,6 +101,7 @@ def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:
 
 
 def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
+    cfg = resolve(cfg)  # the one resolution: the check and the K-scan share its threshold
     result = mc_weight_divergence(cfg, cfg.trials, jobs=jobs)
     tables = {"verify_divergence": result}
     meta = dict(result.meta)
@@ -115,7 +115,7 @@ def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
             f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope=-2.0 "
             f"supported={scan.meta['supported_scaling']}"
         )
-    return Outcome(tables, divergence_gates(result), lines, meta, resolve(cfg))
+    return Outcome(tables, divergence_gates(result), lines, meta, cfg)
 
 
 def _optimize_threshold(cfg: SystemConfig, jobs: int) -> Outcome:
@@ -234,6 +234,10 @@ def main(argv=None) -> int:
         return _run(args.cmd, args)
     except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a size the config allows can still exceed the host's memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

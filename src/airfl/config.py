@@ -5,11 +5,12 @@ Resolution happens exactly once per experiment: distances given as a range
 expression are drawn from their own stream, and a symbolic truncation
 threshold ("optimize") is replaced by the convex-objective minimizer.  A
 resolved run is one concrete SystemConfig (a float gamma_th and a tuple of
-distances); power_config and objective_coefficients derive the power
-budget and the threshold objective's weights from it.  It serializes back
-to the same key=value format, which is what run manifests are made of;
-loading a manifest of this STREAM_LAYOUT therefore replays the run
-bit-identically.
+distances), resolved once by the command that runs it and handed down;
+resolving it again draws and solves nothing.  power_config and
+objective_coefficients derive the power budget and the threshold
+objective's weights from it.  It serializes back to the same key=value
+format, which is what run manifests are made of; loading a manifest of this
+STREAM_LAYOUT therefore replays the run bit-identically.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ _TASKS = ("synthetic_logistic", "small_mlp")
 FD_STEP = 1e-4  # spacing of verify-pdf's CDF/density finite-difference stencil
 # the closed forms carry e^(2 gamma_th), which must stay a finite double
 _MAX_GAMMA_TH = 0.5 * math.log(np.finfo(float).max)
+_SEED_LIMIT = 1 << 64  # substream keeps a seed's low 64 bits, so a larger seed would alias a smaller one
 _UNIFORM_RE = re.compile(r"^uniform\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\]$")
 
 
@@ -103,6 +105,7 @@ _RULES = {
     "g_bound": (lambda v: v in ("calibrate", "genie") if isinstance(v, str)
                 else v > 0.0 and np.finfo(float).tiny <= v * v < math.inf,
                 "expected 'calibrate', 'genie' or a G whose square is a positive finite normal double"),
+    "seed": (lambda v: 0 <= v < _SEED_LIMIT, "expected an integer in [0, 2^64), the seeds that substream tells apart"),
     "trials": (lambda v: v is None or v >= 1, "expected at least 1"),
     "train.task": (lambda v: v in _TASKS, f"expected one of {_TASKS}"),
     "train.batch_size": (lambda v: v >= 1, "expected at least 1"),
@@ -287,6 +290,9 @@ class SystemConfig:
                 f"alpha = {self.alpha} takes d_max**alpha = {d_max}**{self.alpha} "
                 "outside the positive finite doubles"
             )
+        if self.seed + self.sweep.seeds > _SEED_LIMIT:
+            raise ValueError(f"config keys 'seed' and 'sweep.seeds': a sweep runs seeds seed, ..., seed + sweep.seeds - 1, "
+                             f"which must stay below 2^64, got seed = {self.seed} and sweep.seeds = {self.sweep.seeds}")
         applies = (*threshold_modes(self.rho), "fixed")
         if not set(self.sweep.modes or ()) <= set(applies):
             raise ValueError(f"config key 'sweep.modes': expected modes that have a threshold at rho = {self.rho!r}, "

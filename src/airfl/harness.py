@@ -55,6 +55,7 @@ from .analysis import (
 )
 from .channel import (
     EstimationModel,
+    channel,
     channel_from_normals,
     draw_channel_block,
     draw_channel_rows,
@@ -63,6 +64,7 @@ from .channel import (
 from .config import (
     _MANIFEST_HEADER,
     _MIN_TRIALS,
+    _fmt,
     STREAM_INIT,
     STREAM_LAYOUT,
     STREAM_MC_DIVERGENCE,
@@ -83,7 +85,7 @@ from .fltrain import (
     round_gradients,
     train_cells,
 )
-from .optimizer import _COMMUNICATION_GAMMA, optimal_threshold, threshold_modes
+from .optimizer import optimal_threshold, threshold_modes
 
 _CHUNK = 1 << 20
 _MIN_XI_SAMPLES = 10_000
@@ -347,8 +349,7 @@ def mc_xi_moments_grid(
         h_first, h_hat, v = draw_channel_block(first, m, gen)
         gain = _gain(h_hat)
         for rho, ks in by_rho.items():
-            # draw_channel_block's own expression, so each cell sees the h of its own call
-            h = h_first if rho == first.rho else rho * h_hat + math.sqrt(1.0 - rho * rho) * v
+            h = h_first if rho == first.rho else channel(h_hat, v, rho)
             aligned = _aligned(h, h_hat)
             del h
             for k in ks:
@@ -413,21 +414,12 @@ def _xi_result(rho, gamma_th, n_samples: int, chunk_sums) -> XiMomentsResult:
     )
 
 
-def _xi_rel_resolution(r: XiMomentsResult) -> float | None:
-    """4 SEs of the variance as a share of the closed variance, for a cell
-    whose closed variance exceeds 0.1 (where the relative gate applies);
-    None for any other cell."""
-    if r.variance_closed <= 0.1:
-        return None
-    return _Z_LIMIT * r.se_var / r.variance_closed
-
-
-def xi_gates(results) -> list[Gate]:
-    """Per cell: the mean against 1 and the variance against the closed form
-    at 4 SEs; where the closed variance exceeds 0.1 the variance must also
-    sit within 2 % of it, but only where the sample resolves 2 %: 4 SEs at
-    most 2 % of the closed variance (see xi_untestable)."""
-    gates = []
+def xi_gates(results) -> tuple[list[Gate], list[str]]:
+    """(gates, INFO lines).  Per cell: the mean against 1 and the variance
+    against the closed form at 4 SEs.  A cell whose closed variance exceeds
+    0.1 also gets a 2 % relative variance gate if the sample resolves 2 %
+    (4 SEs at most 2 % of the closed variance), and an INFO line if not."""
+    gates, lines = [], []
     for r in results:
         cell = f"rho={r.rho:g} gamma={r.gamma_th:g}"
         gates.append(
@@ -438,29 +430,21 @@ def xi_gates(results) -> list[Gate]:
             Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, r.se_var, _Z_LIMIT,
                  detail=f"mc={r.variance:.6f} closed={r.variance_closed:.6f} se={r.se_var:.2e}")
         )
-        resolution = _xi_rel_resolution(r)
-        if resolution is not None and resolution <= _XI_REL_LIMIT:
+        if r.variance_closed <= 0.1:
+            continue
+        resolution = _Z_LIMIT * r.se_var / r.variance_closed
+        if resolution <= _XI_REL_LIMIT:
             rel = abs(r.variance - r.variance_closed) / r.variance_closed
             gates.append(
                 Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, None, _XI_REL_LIMIT,
                      kind="rel", detail=f"rel={rel:.4f}")
             )
-    return gates
-
-
-def xi_untestable(results) -> list[str]:
-    """One INFO line per cell whose 2 % relative variance gate xi_gates
-    leaves out, because 4 SEs of its variance exceed 2 % of the closed
-    variance at this sample size."""
-    lines = []
-    for r in results:
-        resolution = _xi_rel_resolution(r)
-        if resolution is not None and resolution > _XI_REL_LIMIT:
+        else:
             lines.append(
-                f"INFO xi_var[rho={r.rho:g} gamma={r.gamma_th:g}]: relative gate untestable: "
+                f"INFO xi_var[{cell}]: relative gate untestable: "
                 f"4se/closed={resolution:.4f} > limit={_XI_REL_LIMIT:g} n={r.n_samples}"
             )
-    return lines
+    return gates, lines
 
 
 # ---------------------------------------------------------------------------
@@ -869,11 +853,11 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     args is (grads of shape (K, d), power, gamma_th, rho, seed, key, lo, hi).
     Trial t reads its row of normals from `_trial_rows` on the stream
     (STREAM_MC_DIVERGENCE, *key): K x 4 channel normals in draw_channel's
-    order, then, when sigma2 > 0, the d receiver-noise normals that one
-    `aggregate` call would add, used only if some device is active.  Each
-    slice of trials is aggregated by one aircomp.aggregate_batch call, its
-    batch axis over trials.  A trial's row depends on t alone, so the slice
-    and chunk bounds change no bit.
+    order, then the d receiver-noise normals that one `aggregate` call
+    would add, used only if some device is active.  Each slice of trials is
+    aggregated by one aircomp.aggregate_batch call, its batch axis over
+    trials.  A trial's row depends on t alone, so the slice and chunk
+    bounds change no bit.
     """
     grads, power, gamma_th, rho, seed, key, lo, hi = args
     k_devices, d_model = grads.shape
@@ -882,14 +866,13 @@ def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
     g_ideal = ideal_aggregate(grads)
     step = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
     n_channel = 4 * k_devices
-    width = n_channel + (d_model if power.sigma2 > 0.0 else 0)
     div = np.empty(hi - lo)
     skips = np.empty(hi - lo, dtype=bool)
-    for t, rows in _trial_rows(seed, (STREAM_MC_DIVERGENCE, *key), lo, hi, width, step):
-        noise = rows[:, n_channel:] * noise_scale if power.sigma2 > 0.0 else None
+    for t, rows in _trial_rows(seed, (STREAM_MC_DIVERGENCE, *key), lo, hi, n_channel + d_model, step):
         # the slice's channel arrays live only for the call: (n, K) complex each
         z = rows[:, :n_channel].reshape(len(rows), k_devices, 4)
-        _, _, sent, g_hat = aggregate_batch(grads, *channel_from_normals(z, rho), gamma_th, lam, noise)
+        _, _, sent, g_hat = aggregate_batch(grads, *channel_from_normals(z, rho), gamma_th, lam,
+                                            rows[:, n_channel:] * noise_scale)
         diff = g_hat - g_ideal
         out = slice(t - lo, t - lo + len(rows))
         # one stacked (1, d) @ (d, 1) product per trial: numpy's vector dot, as r @ r is
@@ -958,6 +941,18 @@ def _pmap(fn, items, jobs: int) -> list:
         return list(scope.pool.map(fn, items))
 
 
+def _divergence_mc(systems, n_trials: int, jobs: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Squared divergences and skip flags, in trial order, of n_trials trials
+    of each frozen system (grads, power, gamma_th, rho, seed, key): one map
+    over every (system, chunk) unit, so no barrier stands between systems."""
+    chunks = _trial_chunks(n_trials, jobs)
+    results = _pmap(_divergence_trials, [(*system, lo, hi) for system in systems for lo, hi in chunks], jobs)
+    return [
+        tuple(np.concatenate(part) for part in zip(*results[i : i + len(chunks)]))
+        for i in range(0, len(results), len(chunks))
+    ]
+
+
 def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> SweepResult:
     """Monte-Carlo E||g_hat - g||^2 with one round's gradients held fixed.
 
@@ -966,9 +961,8 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     `_divergence_trials`.  Trial t draws its channels and noise from row t
     mod 256 of its block's stream substream(seed, STREAM_MC_DIVERGENCE, t //
     256), so neither the kernel's slices nor the jobs split changes a byte
-    of the serial result.  The
-    row reports the MC estimate with its SE next to the exact expectation
-    for those gradients and the a-priori bound.
+    of the serial result.  The row reports the MC estimate with its SE next
+    to the exact expectation for those gradients and the a-priori bound.
 
     Rounds whose active set is empty contribute ||g||^2 and no noise (the
     skipped-round convention); the exact expectation and meta's
@@ -978,10 +972,7 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
     cfg, grads, power = _frozen_setup(cfg)
-    frozen = (grads, power, cfg.gamma_th, cfg.rho, cfg.seed, ())
-    results = _pmap(_divergence_trials, [(*frozen, lo, hi) for lo, hi in _trial_chunks(n_trials, jobs)], jobs)
-    div = np.concatenate([r[0] for r in results])
-    skips = np.concatenate([r[1] for r in results])
+    ((div, skips),) = _divergence_mc([(grads, power, cfg.gamma_th, cfg.rho, cfg.seed, ())], n_trials, jobs)
 
     energies = [float(g @ g) for g in grads]
     d_model = grads[0].shape[0]
@@ -1045,17 +1036,10 @@ def k_slope_scan(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
     gamma_th = resolve(cfg).gamma_th
     # one device at the scan's distance: the power config of every fleet size
     power = power_config(replace(cfg, k_devices=1, distances=(_SCAN_DISTANCE,)), 1.0)
-    # one map over every (K, chunk) unit: no barrier between fleet sizes
-    chunks = _trial_chunks(n_trials, jobs)
-    units = []
-    for k in ks:
-        frozen = (_basis_gradients(k, _SCAN_D_MODEL), power, gamma_th, cfg.rho, cfg.seed, (k,))
-        units += [(*frozen, lo, hi) for lo, hi in chunks]
-    results = _pmap(_divergence_trials, units, jobs)
+    systems = [(_basis_gradients(k, _SCAN_D_MODEL), power, gamma_th, cfg.rho, cfg.seed, (k,)) for k in ks]
     rows = []
-    for i, k in enumerate(ks):
-        per_k = results[i * len(chunks) : (i + 1) * len(chunks)]
-        mean, se = _mean_se(np.concatenate([r[0] for r in per_k]))
+    for k, (div, _) in zip(ks, _divergence_mc(systems, n_trials, jobs)):
+        mean, se = _mean_se(div)
         exact = divergence_exact([1.0] * k, k, gamma_th, cfg.rho, power, _SCAN_D_MODEL)
         rows.append((k, mean, se, exact, divergence_bound(k, gamma_th, cfg.rho, power)))
 
@@ -1105,12 +1089,10 @@ def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
 
     Reads the grid cfg.sweep.gammas, the repetition count cfg.sweep.seeds
     and the modes of sweep_modes(cfg).  'fixed' trains once per grid
-    threshold; 'joint' solves gamma* per repetition seed (the optimum
-    depends on the drawn distances); 'communication_oriented' pins 0.5 and
-    'computation_oriented' minimizes the CSI-error term alone, which
-    depends on rho only, so it is solved once.  Each row aggregates the
-    seeds' repetitions into mean and standard error of the final test
-    accuracy and of the measured per-round divergence.
+    threshold; every other mode trains once at the optimizer's threshold
+    for that mode, solved on each repetition seed's resolved config.  Each
+    row aggregates the seeds' repetitions into mean and standard error of
+    the final test accuracy and of the measured per-round divergence.
 
     Each seed's config is resolved once, and its cells, which differ only
     in gamma_th, train on one SeedDraws: shards, batches, channel draws and
@@ -1123,20 +1105,16 @@ def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
     grid = [float(g) for g in cfg.sweep.gammas]
     modes, n_seeds = sweep_modes(cfg), cfg.sweep.seeds
     cfgs = [resolve(replace(cfg, seed=cfg.seed + i)) for i in range(n_seeds)]
-    # each mode's thresholds; of these only the joint optimum depends on the seed (its distances)
-    picks = {"fixed": grid, "communication_oriented": [_COMMUNICATION_GAMMA]}
-    if "computation_oriented" in modes:
-        picks["computation_oriented"] = [optimal_threshold(objective_coefficients(cfgs[0]),
-                                                           "computation_oriented").gamma_star]
-    seed_gammas = []
-    for seed_cfg in cfgs:
-        if "joint" in modes:
-            picks["joint"] = [optimal_threshold(objective_coefficients(seed_cfg)).gamma_star]
-        seed_gammas.append([g for mode in modes for g in picks[mode]])
-    by_seed = _pmap(_train_seed, list(zip(cfgs, seed_gammas)), jobs)
+    # each seed's (mode, threshold) cells
+    cells = [
+        [(mode, g) for mode in modes
+         for g in (grid if mode == "fixed" else [optimal_threshold(objective_coefficients(c), mode).gamma_star])]
+        for c in cfgs
+    ]
+    by_seed = _pmap(_train_seed, [(c, [g for _, g in cs]) for c, cs in zip(cfgs, cells)], jobs)
 
     rows = []
-    for mode, *per_seed in zip([mode for mode in modes for _ in picks[mode]], *by_seed):
+    for (mode, _), *per_seed in zip(cells[0], *by_seed):
         accs, divs, gams, bounds, skipped = (np.array(column) for column in zip(*per_seed))
         rows.append((mode, float(np.mean(gams)), *_mean_se(accs), *_mean_se(divs),
                      float(np.mean(bounds)), float(np.mean(skipped))))
@@ -1159,19 +1137,12 @@ def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
 # CSV and manifest emission
 
 
-def _cell_text(v) -> str:
-    v = _norm_cell(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path: Path, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell_text(v) for v in row])
+            writer.writerow([_fmt(_norm_cell(v)) for v in row])
 
 
 def _git_blob_sha1(data: bytes) -> str:
@@ -1202,7 +1173,7 @@ def write_manifest(
         data = p.read_bytes()
         lines.append(f"# output: {p.name} sha1={_git_blob_sha1(data)} bytes={len(data)}")
     for key in sorted(meta):
-        lines.append(f"# meta {key} = {_cell_text(meta[key])}")
+        lines.append(f"# meta {key} = {_fmt(_norm_cell(meta[key]))}")
     for note in notes:
         lines.append(f"# {note}")
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -207,7 +207,7 @@ class TestAggregate:
     def test_zero_noise_is_exact(self):
         power = PowerConfig(p_max=0.1, sigma2=0.0, g_bound=1.0, d_max_alpha=oracles.D500_POW_22)
         grads, draws = self.grads(), self.draws()
-        out = aggregate(grads, draws, 0.5, 0.8, power, None)
+        out = aggregate(grads, draws, 0.5, 0.8, power, substream(1, 7))
         recon = sum(out.xi[k] * grads[k] for k in range(4)) / 4
         assert np.array_equal(out.noise_realization, np.zeros(3))
         assert np.max(np.abs(out.g_hat - recon)) == 0.0
@@ -218,7 +218,7 @@ class TestAggregate:
         power = PowerConfig(p_max=0.1, sigma2=0.0, g_bound=1.0, d_max_alpha=1.0)
         grads = self.grads()
         draws = [make_draw(complex(2.0, i * 0.5)) for i in range(4)]
-        out = aggregate(grads, draws, 0.5, 1.0, power, None)
+        out = aggregate(grads, draws, 0.5, 1.0, power, substream(1, 7))
         lam = compensation_lambda(0.5, 1.0)
         want = lam * sum(grads) / 4
         assert np.max(np.abs(out.g_hat - want)) < 1e-15
@@ -231,17 +231,19 @@ class TestAggregate:
             make_draw(complex(0.1, 0.0)),  # below threshold
             make_draw(complex(1.5, 0.0)),
         ]
-        out = aggregate(grads, draws, 0.5, 1.0, power, None)
+        out = aggregate(grads, draws, 0.5, 1.0, power, substream(1, 7))
         assert out.active_set == [0, 2]
         assert out.xi[1] == 0.0
         assert not out.skipped
 
     def test_empty_active_set_skips_without_noise(self):
-        # rng None with sigma2 > 0 would raise if the noise branch ran;
-        # a fully truncated round must not reach it
+        # a fully truncated round draws nothing from rng
         grads = self.grads(k=2)
         draws = [make_draw(complex(0.1, 0.0)), make_draw(complex(0.2, 0.0))]
-        out = aggregate(grads, draws, 0.5, 0.8, DEFAULT_POWER, None)
+        rng = substream(1, 7)
+        state = rng.bit_generator.state
+        out = aggregate(grads, draws, 0.5, 0.8, DEFAULT_POWER, rng)
+        assert rng.bit_generator.state == state
         assert out.skipped
         assert out.active_set == []
         assert np.array_equal(out.g_hat, np.zeros(3))
@@ -294,12 +296,12 @@ class TestAggregate:
         power = PowerConfig(p_max=0.1, sigma2=0.0, g_bound=1.0, d_max_alpha=1.0)
         grads = self.grads(k=3, dim=2)
         ideal = sum(grads) / 3
-        gen = substream(21, 8)
+        gen, noise_gen = substream(21, 8), substream(21, 7)
         trials = 4000
         acc = np.zeros((trials, 2))
         for t in range(trials):
             draws = [draw_channel(model, 50.0, gen) for _ in range(3)]
-            acc[t] = aggregate(grads, draws, 0.5, 0.8, power, None).g_hat
+            acc[t] = aggregate(grads, draws, 0.5, 0.8, power, noise_gen).g_hat
         se = np.std(acc, axis=0, ddof=1) / math.sqrt(trials)
         assert np.all(np.abs(acc.mean(axis=0) - ideal) < 4 * se)
 

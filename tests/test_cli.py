@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import airfl.cli
+import airfl.config
 import airfl.fltrain
 from airfl.cli import main
 from airfl.config import (
@@ -88,6 +89,20 @@ class TestParsing:
         rc = main(["optimize-threshold", "--config", str(cfg_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_of_memory_exits_2_without_a_traceback(self, monkeypatch, capsys):
+        # a size the config accepts can still exceed the host's memory; the
+        # stand-in raises numpy's message without allocating anything
+        message = "Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type int64"
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(airfl.cli, "mc_joint_distribution_check", out_of_memory)
+        assert main(["verify-pdf", "--trials", "1000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory: {message}\n"
+        assert captured.out == ""
 
     def test_fixed_g_without_a_bound_is_a_config_error(self, tmp_path, capsys):
         # g_bound is the one G key: a word other than calibrate or genie, and
@@ -329,6 +344,23 @@ class TestVerifyDivergence:
         assert rc == 0, printed
         assert "PASS divergence_exact_4se" in printed
 
+    def test_resolves_once(self, tmp_path, capsys, monkeypatch):
+        # one distance draw and one threshold solve serve the check, its
+        # K-scan and the manifest
+        calls = []
+        real = airfl.config.optimal_threshold
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(airfl.config, "optimal_threshold", counted)
+        cfg = SystemConfig(k_devices=3, gamma_th="optimize", train=SMALL_TRAIN,
+                           verify_divergence=VerifyDivergenceConfig(scan_trials=1000))
+        cfg_path = write_cfg(tmp_path / "div.cfg", cfg, "verify_divergence")
+        assert main(["verify-divergence", "--config", cfg_path, "--trials", "1000"]) == 0
+        assert len(calls) == 1
+
     def test_stream_seeding_mismatch_exits_2(self, tmp_path, capsys):
         # a manifest written under stream layout 1 (no env line, or one that
         # says 1) records draws this layout does not make: one error line
@@ -549,6 +581,8 @@ _CFG_VALUES = {
     "eta": ["0.005", "1e300", "0"],
     "distances": ["uniform(0,500]", "uniform(5,1]", "10,20,30", "1e-300,1,2", "10", "a,b"],
     "g_bound": ["calibrate", "genie", "2.0", "1e-300", "0", "fixed"],
+    # 2^64 - 3 runs three sweep seeds below 2^64, 2^64 - 1 does not, 2^64 and -1 alias other seeds
+    "seed": ["0", "18446744073709551613", "18446744073709551615", "18446744073709551616", "-1"],
     "train.task": ["synthetic_logistic", "small_mlp", "mnist"],
     "train.label_skew": ["0.0", "0.9", "1.0"],
     "train.blob_separation": ["2.5", "1e300"],
@@ -558,7 +592,7 @@ _CFG_VALUES = {
     "verify_divergence.scan_ks": ["2,3", "0,1", "-1,2", "3", "x", "1,1"],
     "verify_divergence.scan_trials": ["1000", "10", "x"],
     "sweep.modes": ["communication_oriented", "joint", "bogus", "computation_oriented,fixed", "fixed,fixed"],
-    "sweep.seeds": ["3", "2", "x"],
+    "sweep.seeds": ["3", "2", "x", "1000"],
     "sweep.gammas": ["0.1", "800,1,2,3,4,5,6,7", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5"],
     "run.mode": ["aircomp", "ideal", "other"],
     "verify_pdf.t_range": ["-3,3", "-3,0,3", "3,-3", "0,1e-305", "-1e-310,1", "0,1e-320", "-1e308,1e308"],
@@ -588,6 +622,7 @@ def _invocations(draw):
     seed = draw(st.none() | st.integers(min_value=-5, max_value=2**40))
     if seed is not None:
         flags += ["--seed", str(seed)]
+        keys = [*keys, "seed"]  # the flag sets the key
     return command, keys, cfg, flags, draw(st.booleans())
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from airfl.config import (
+    _RULES,
+    _SCHEMAS,
     STREAM_DISTANCES,
     RunConfig,
     SweepConfig,
@@ -139,6 +141,34 @@ class TestSystemConfigValidation:
         name = key.split(".")[0]
         with pytest.raises(ValueError, match=re.escape(f"config key {key!r}")):
             SystemConfig(**{name: section(**kw)})
+
+    @pytest.mark.parametrize("seed", [-1, -3, 1 << 64, (1 << 65) - 1])
+    def test_rejects_a_seed_that_aliases_another(self, seed):
+        # substream keeps a seed's low 64 bits: -1 and 2^65 - 1 would draw
+        # as 2^64 - 1 does, and 2^64 as 0
+        with pytest.raises(ValueError, match=re.escape("config key 'seed'")):
+            SystemConfig(seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed, seeds, accepted",
+        [((1 << 64) - 3, 3, True), ((1 << 64) - 2, 3, False), ((1 << 64) - 1, 3, False),
+         ((1 << 64) - 4, 4, True), ((1 << 64) - 4, 5, False)],
+    )
+    def test_sweep_seeds_stay_below_two_to_the_64(self, seed, seeds, accepted):
+        # a sweep runs seeds seed, ..., seed + sweep.seeds - 1
+        if accepted:
+            SystemConfig(seed=seed, sweep=SweepConfig(seeds=seeds))
+        else:
+            with pytest.raises(ValueError, match=re.escape("config keys 'seed' and 'sweep.seeds'")):
+                SystemConfig(seed=seed, sweep=SweepConfig(seeds=seeds))
+
+    def test_every_key_has_a_rule(self):
+        # a key without a _RULES entry is checked only against other keys, in
+        # a __post_init__ (distances, data_per_device), or is a bool
+        # (verify_divergence.k_scan); every other key needs a rule
+        keys = {f"{section}.{name}" if section else name for section, schema in _SCHEMAS.items() for name in schema}
+        assert set(_RULES) <= keys
+        assert keys - set(_RULES) == {"distances", "train.data_per_device", "verify_divergence.k_scan"}
 
     @pytest.mark.parametrize("modes", [("computation_oriented", "fixed"), ("computation_oriented",)])
     def test_sweep_modes_need_a_threshold_at_rho(self, modes):

@@ -51,7 +51,6 @@ from airfl.harness import (
     verdict_lines,
     write_csv,
     xi_gates,
-    xi_untestable,
 )
 from airfl.fltrain import SeedDraws, ideal_aggregate, train, train_cells
 
@@ -300,26 +299,28 @@ class TestGate:
     def test_xi_gates_add_the_relative_check_above_the_floor(self):
         cells = ((0.95, 0.5), (1.0, 0.5), (1.0, 0.05))
         results = [mc_xi_moments(rho, gamma, 20_000, seed=3) for rho, gamma in cells]
+        gates, _ = xi_gates(results)
         by_name = {}
-        for g in xi_gates(results):
+        for g in gates:
             by_name.setdefault(g.name, []).append(g.kind)
         # var_closed is about 0.73 at rho = 0.95 and 0.65 at rho = 1, both above
         # the 0.1 floor, and 0.05 at gamma = 0.05, below it
         assert by_name["xi_var[rho=1 gamma=0.5]"] == ["z", "rel"]
         assert by_name["xi_mean[rho=0.95 gamma=0.5]"] == ["z"]
         assert by_name["xi_var[rho=1 gamma=0.05]"] == ["z"]
-        assert {g.limit for g in xi_gates(results) if g.kind == "z"} == {4.0}
+        assert {g.limit for g in gates if g.kind == "z"} == {4.0}
 
     def test_relative_gate_only_where_four_se_resolve_it(self):
         # at 20,000 draws 4 SEs are 1.3 % of the closed variance at rho = 1,
         # gamma = 0.5 and 11 % at rho = 0.5, gamma = 2: only the first is gated
         results = [mc_xi_moments(rho, gamma, 20_000, seed=3) for rho, gamma in ((1.0, 0.5), (0.5, 2.0))]
+        gates, lines = xi_gates(results)
         kinds = {}
-        for g in xi_gates(results):
+        for g in gates:
             kinds.setdefault(g.name, []).append(g.kind)
         assert kinds["xi_var[rho=1 gamma=0.5]"] == ["z", "rel"]
         assert kinds["xi_var[rho=0.5 gamma=2]"] == ["z"]
-        (line,) = xi_untestable(results)
+        (line,) = lines
         assert line.startswith("INFO xi_var[rho=0.5 gamma=2]: relative gate untestable: 4se/closed=0.1")
         assert line.endswith("limit=0.02 n=20000")
 
@@ -723,10 +724,10 @@ class RowStream:
         return out.reshape(size)
 
 
-def row_width(grads, power):
-    """K x 4 channel normals, then d noise normals when sigma2 > 0."""
+def row_width(grads):
+    """K x 4 channel normals, then d noise normals, whatever sigma2 is."""
     k_devices, d_model = np.shape(grads)
-    return 4 * k_devices + (d_model if power.sigma2 > 0.0 else 0)
+    return 4 * k_devices + d_model
 
 
 def scalar_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
@@ -736,7 +737,7 @@ def scalar_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
     grads = list(grads)
     g_ideal = ideal_aggregate(grads)
     div, skips = [], []
-    for _, row in layout2_rows(seed, key, lo, hi, row_width(grads, power)):
+    for _, row in layout2_rows(seed, key, lo, hi, row_width(grads)):
         gen = RowStream(row)
         draws = [draw_channel(model, 100.0, gen) for _ in grads]
         out = aggregate(grads, draws, gamma_th, rho, power, gen)
@@ -756,11 +757,10 @@ def oracle_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
         g_ideal += g
     g_ideal /= k_devices
     div, skips = [], []
-    for _, row in layout2_rows(seed, key, lo, hi, row_width(grads, power)):
+    for _, row in layout2_rows(seed, key, lo, hi, row_width(grads)):
         normals = row[: 4 * k_devices].reshape(k_devices, 4)
-        noise = row[4 * k_devices :] if power.sigma2 > 0.0 else np.zeros(d_model)
         g_hat, _, active, _ = oracles.air_round_ref(
-            grads, normals, noise, rho, gamma_th, power.p_max, power.g_bound,
+            grads, normals, row[4 * k_devices :], rho, gamma_th, power.p_max, power.g_bound,
             power.d_max_alpha, power.sigma2,
         )
         diff = g_hat - g_ideal
@@ -840,8 +840,8 @@ class TestDivergenceKernel:
     @pytest.mark.parametrize("sigma2", [0.0, 1e-7])
     def test_stream_consumption(self, sigma2):
         # trial t reads its K x 4 channel normals from the head of its row,
-        # then adds the row's next d normals times the noise scale when some
-        # device is active and sigma2 > 0; a skipped trial adds none
+        # then adds the row's next d normals times the noise scale (0 at
+        # sigma2 = 0) when some device is active; a skipped trial adds none
         k_devices, d_model, gamma_th, rho, seed = 3, 4, 1.5, 0.8, 5
         grads = _basis_gradients(k_devices, d_model)
         power = replace(SCAN_POWER, sigma2=sigma2)
@@ -851,8 +851,8 @@ class TestDivergenceKernel:
         g_ideal = ideal_aggregate(list(grads))
         div, skips = _divergence_trials((grads, power, gamma_th, rho, seed, (), 0, 300))
         assert 0 < skips.sum() < 300
-        for t, row in layout2_rows(seed, (), 0, 300, row_width(grads, power)):
-            assert row.size == 4 * k_devices + (d_model if sigma2 > 0.0 else 0)
+        for t, row in layout2_rows(seed, (), 0, 300, row_width(grads)):
+            assert row.size == 4 * k_devices + d_model
             z = row[: 4 * k_devices].reshape(k_devices, 4) * (1.0 / math.sqrt(2.0))
             h_hat = z[:, 0] + 1j * z[:, 1]
             h = rho * h_hat + math.sqrt(1.0 - rho * rho) * (z[:, 2] + 1j * z[:, 3])
@@ -863,7 +863,7 @@ class TestDivergenceKernel:
             g_hat /= k_devices
             if not active.any():
                 g_hat[:] = 0.0
-            elif sigma2 > 0.0:
+            else:
                 g_hat += row[4 * k_devices :] * noise_scale
             diff = g_hat - g_ideal
             assert skips[t] == (not active.any())
@@ -927,8 +927,8 @@ class TestThresholdSweep:
         assert all(abs(g - want) < 1e-15 for g, want in zip(got, self.GRID))
 
     def test_resolves_each_seed_once(self, monkeypatch):
-        # a cell is a threshold, not a config: one resolve per seed, one
-        # joint solve per seed and one computation-oriented solve per sweep
+        # a cell is a threshold, not a config: one resolve per seed, and one
+        # solve per seed and optimizer mode
         calls = {"resolve": 0, "optimal_threshold": 0}
 
         def counting(module, name):
@@ -945,7 +945,7 @@ class TestThresholdSweep:
             counting(module, "optimal_threshold")
         res = sweep_threshold(sweep_cfg())
         assert res.meta["n_seeds"] == 3 and len(res.rows) == 11
-        assert calls == {"resolve": 3, "optimal_threshold": 3 + 1}
+        assert calls == {"resolve": 3, "optimal_threshold": 3 * 3}
 
     def test_parallel_cells_match_serial(self):
         cfg = sweep_cfg(gammas=self.GRID, modes=("communication_oriented",), seeds=3)

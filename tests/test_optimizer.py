@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
 import oracles
 from airfl.aircomp import PowerConfig
+from airfl.analysis import divergence_bound
+from airfl.config import SystemConfig, objective_coefficients, power_config, resolve
 from airfl.optimizer import (
     ObjectiveCoefficients,
     ThresholdSolution,
@@ -113,6 +117,24 @@ class TestObjectiveValues:
                 fn(0.0, COEF_MIX)
             with pytest.raises(ValueError):
                 fn(-1.0, COEF_MIX)
+
+
+class TestObjectiveIsThePrintedBound:
+    @pytest.mark.parametrize("g_bound", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("rho", [0.05, 0.3, 0.8, 1.0])
+    def test_h_is_the_scaled_bound(self, rho, g_bound):
+        # h(gamma) = (K/G)^2 divergence_bound + 1 at every threshold, so the
+        # threshold the optimizer picks minimizes the bound that is printed
+        cfg = resolve(SystemConfig(rho=rho))
+        power, coef, k = power_config(cfg, g_bound), objective_coefficients(cfg), cfg.k_devices
+        for gamma in np.geomspace(1e-3, 10.0, 50).tolist():
+            h = objective_h(gamma, coef)
+            scaled = (k / g_bound) ** 2 * divergence_bound(k, gamma, rho, power) + 1.0
+            assert abs(scaled - h) <= 1e-12 * abs(h)
+        gamma_star = optimal_threshold(coef).gamma_star
+        at_star = divergence_bound(k, gamma_star, rho, power)
+        for factor in (0.99, 1.01):
+            assert at_star <= divergence_bound(k, gamma_star * factor, rho, power)
 
 
 class TestSolver:

@@ -18,7 +18,8 @@ _REMOVED = {
     "channel": ("pathloss_amplitude",),
     "fltrain": ("ModelParams", "load_idx", "load_idx_pair", "binary_subset", "local_gradient", "_draws_key"),
     "harness": ("mc_conditional_second_moment", "CondMomentResult", "read_sweep_csv", "convergence_report",
-                "_mean_sq_row_norm"),
+                "_mean_sq_row_norm", "xi_untestable", "_xi_rel_resolution", "_cell_text", "_COMMUNICATION_GAMMA"),
+    "aircomp": ("_coefficients",),
     "analysis": ("closed_form_report", "ClosedFormReport", "convergence_bound", "LearningConstants"),
     "config": ("ResolvedExperiment",),
     "cli": ("_centers",),
