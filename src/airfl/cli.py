@@ -9,8 +9,9 @@ truncation threshold; `sweep-threshold` trains across a threshold grid; and
 Every command accepts `--config` (key=value file; a previously written
 manifest is itself a valid config and replays the run bit-identically),
 `--seed`, `--out`, and `--jobs` (at least 1; a command starts at most one
-worker pool and joins it before it prints); the three Monte-Carlo checks
-also take `--trials`.  Each command reads
+worker pool and joins it before it prints).  The three Monte-Carlo checks
+also take `--trials`; they and `sweep-threshold` split their work among
+`--jobs` workers without changing a byte.  Each command reads
 its grid and mode settings from its own section of the config, set by dotted keys
 such as `verify_xi.rhos = 0.5,0.8`, `sweep.gammas = 0.05,...` or
 `run.mode = ideal`; every section is checked at load, and a manifest
@@ -74,7 +75,8 @@ class Command:
 def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
     grid = cfg.verify_xi
     n = cfg.trials
-    results = mc_xi_moments_grid([(rho, gamma) for rho in grid.rhos for gamma in grid.gammas], n, cfg.seed)
+    cells = [(rho, gamma) for rho in grid.rhos for gamma in grid.gammas]
+    results = mc_xi_moments_grid(cells, n, cfg.seed, jobs=jobs)
     table = SweepResult(
         columns=("rho", "gamma_th", "n_samples", "mean_mc", "mean_se", "var_mc", "var_se",
                  "var_closed", "active_fraction", "active_expected"),
@@ -91,7 +93,7 @@ def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
 def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:
     pdf = cfg.verify_pdf
     result = mc_joint_distribution_check(
-        pdf.gamma_range, pdf.t_range, cfg.trials, cfg.seed, bins=pdf.bins, tail_gammas=(pdf.tail_gamma,)
+        pdf.gamma_range, pdf.t_range, cfg.trials, cfg.seed, bins=pdf.bins, tail_gammas=(pdf.tail_gamma,), jobs=jobs
     )
     norm = pdf_normalization()
     fd_worst = cdf_pdf_consistency(bin_centers(*pdf.t_range, pdf.bins), bin_centers(*pdf.gamma_range, pdf.bins))

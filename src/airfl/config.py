@@ -37,9 +37,10 @@ STREAM_NOISE = 7
 STREAM_MC_XI = 8
 STREAM_MC_JOINT = 9
 STREAM_MC_DIVERGENCE = 10
-# which stream key each draw reads (2: one per divergence trial block and per
+# which stream key each draw reads (3: one per block of a Monte-Carlo check,
+# divergence trials and verify-xi and verify-pdf samples alike, and one per
 # training purpose and round); manifests record it, and load_config checks it
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 _MANIFEST_HEADER = "# run manifest:"
 _LAYOUT_RE = re.compile(r"^# env .*?\bstream_layout=(\S+)", re.MULTILINE)
 

@@ -8,11 +8,12 @@ SweepResult and written as CSV plus a replayable run manifest.  Verdicts
 are Gate records built from the results by xi_gates, pdf_gates and
 divergence_gates, shared by the CLI and the acceptance suite.
 
-Divergence trials are keyed by block (stream layout 2): trial t is row
-t mod 256 of one draw from substream(seed, STREAM_MC_DIVERGENCE, *key,
-t // 256), so neither the kernel's slices nor the jobs split changes a
-byte.  The sampling kernels form each shared quantity once per chunk; see
-mc_xi_moments_grid, _joint_chunk and TailSums.  The quadratures run on numpy
+Every Monte-Carlo check samples through one keyed-block map, _block_map
+(stream layout 3): block b of a check reads substream(seed, purpose,
+*key, b), and its block function (_xi_blocks, _joint_blocks,
+_divergence_blocks) forms each shared quantity once per block.  Blocks
+merge exactly, by math.fsum and integer counts, so neither the split among
+workers nor jobs changes a byte.  The quadratures run on numpy
 and the math module alone: the joint law's bin masses come from one
 vectorised, self-refining Gauss-Legendre rule (_bin_mass) and the density's
 normalization from a fixed Gauss-Legendre x Gauss-Hermite tensor rule
@@ -87,7 +88,6 @@ from .fltrain import (
 )
 from .optimizer import optimal_threshold, threshold_modes
 
-_CHUNK = 1 << 20
 _MIN_XI_SAMPLES = 10_000
 _MIN_JOINT_SAMPLES = 1_000_000
 _MASS_CONSISTENCY_TOL = 1e-9  # quadrature vs CDF-rectangle cross-check
@@ -106,12 +106,13 @@ _SCAN_DISTANCE = 100.0  # the K-scan's common device distance, meters
 _SCAN_D_MODEL = 10  # the K-scan's model dimension: device k sends basis vector k mod 10
 _Z_LIMIT = 4.0  # the 4-standard-error rule of every 'z' gate
 _XI_REL_LIMIT = 0.02  # verify-xi's relative variance gate, where the sample resolves it
-# divergence trials per stream, a constant of stream layout 2: trial t is
-# row t mod 256 of substream(seed, STREAM_MC_DIVERGENCE, *key, t // 256)
+# samples or trials per stream block, constants of stream layout 3: block b
+# of verify-xi or verify-pdf reads substream(seed, purpose, b), and trial t
+# of the divergence is row t mod 256 of substream(seed,
+# STREAM_MC_DIVERGENCE, *key, t // 256)
+_MC_BLOCK = 1 << 16  # also keeps a block's temporaries at 512 kB each
 _TRIAL_BLOCK = 256
-_BLOCK_FLOATS = 1 << 16  # caps a kernel slice's (trials, d) arrays at 512 kB each
-# samples per slice of a joint-law chunk: keeps its temporaries at 512 kB each
-_JOINT_SLICE = 1 << 16
+_BLOCK_FLOATS = 1 << 16  # caps a divergence slice's (trials, d) arrays at 512 kB each
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +297,7 @@ class JointLawResult(SweepResult):
 # coefficient moments
 
 
-def mc_xi_moments(
-    rho: float, gamma_th: float, n_samples: int, seed: int, chunk: int = _CHUNK
-) -> XiMomentsResult:
+def mc_xi_moments(rho: float, gamma_th: float, n_samples: int, seed: int) -> XiMomentsResult:
     """Sample the effective aggregation coefficient and compare moments.
 
     Draws n_samples independent channel/estimate pairs, forms xi by
@@ -311,65 +310,60 @@ def mc_xi_moments(
     verify-xi uses: there all cells share one draw, so their z-scores are
     correlated.
     """
-    return mc_xi_moments_grid([(rho, gamma_th)], n_samples, seed, chunk)[0]
+    return mc_xi_moments_grid([(rho, gamma_th)], n_samples, seed)[0]
 
 
-def mc_xi_moments_grid(
-    cells, n_samples: int, seed: int, chunk: int = _CHUNK
-) -> list[XiMomentsResult]:
+def mc_xi_moments_grid(cells, n_samples: int, seed: int, jobs: int = 1) -> list[XiMomentsResult]:
     """mc_xi_moments for every (rho, gamma_th) cell, on one shared draw.
 
-    Each chunk of substream(seed, STREAM_MC_XI) is drawn once, and each
-    quantity is formed once for the cells that share it: |h_hat|^2 once
-    per chunk, h and Re{conj(h) h_hat} once per distinct rho, and xi once
-    per cell, by aircomp's one xi formula (_truncated_ratio).  Every cell's
-    result equals its own mc_xi_moments call with the same seed and chunk.
-    Because the cells share their draws (common random numbers), their
-    estimates and z-scores are correlated, not independent.
+    Sample block b is drawn from substream(seed, STREAM_MC_XI, b) by
+    _block_map, once for every cell (_xi_blocks), and each cell's per-block
+    sums are merged in block order by math.fsum, so neither the cell grid
+    nor jobs changes a bit of a cell's result: it equals its own
+    mc_xi_moments call with the same seed.  Because the cells share their
+    draws (common random numbers), their estimates and z-scores are
+    correlated, not independent.
     """
     if n_samples < _MIN_XI_SAMPLES:
         raise ValueError(f"need at least {_MIN_XI_SAMPLES} samples (trials), got {n_samples}")
-    lams = []
-    by_rho: dict[float, list[int]] = {}
-    for k, (rho, gamma_th) in enumerate(cells):
-        lams.append(compensation_lambda(gamma_th, rho))  # checks gamma_th and rho
-        by_rho.setdefault(rho, []).append(k)
+    lams = [compensation_lambda(gamma_th, rho) for rho, gamma_th in cells]  # checks gamma_th and rho
     if not cells:
         return []
-    # alpha plays no role in the coefficient; any valid value works here
-    first = EstimationModel(rho=cells[0][0], alpha=2.0)
-    gen = substream(seed, STREAM_MC_XI)
-
-    # each array is deleted before the next one is formed, so that no step
-    # holds more than the draw itself did
-    chunk_sums: list[list[tuple]] = [[] for _ in cells]
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        h_first, h_hat, v = draw_channel_block(first, m, gen)
-        gain = _gain(h_hat)
-        for rho, ks in by_rho.items():
-            h = h_first if rho == first.rho else channel(h_hat, v, rho)
-            aligned = _aligned(h, h_hat)
-            del h
-            for k in ks:
-                chunk_sums[k].append(_xi_cell_sums(gain, aligned, cells[k][1], lams[k]))
-            del aligned
-        del h_first, h_hat, v, gain
-        done += m
+    ((blocks, _),) = _block_map(_xi_blocks, [((cells, lams), (STREAM_MC_XI,), n_samples)], seed, _MC_BLOCK, jobs)
     return [
-        _xi_result(rho, gamma_th, n_samples, chunk_sums[k])
-        for k, (rho, gamma_th) in enumerate(cells)
+        _xi_result(rho, gamma_th, n_samples, cell_blocks)
+        for (rho, gamma_th), cell_blocks in zip(cells, zip(*blocks))
     ]
 
 
-def _xi_cell_sums(gain, aligned, gamma_th: float, lam: float) -> tuple[int, float, float, float, float]:
-    """One cell on one chunk: the active count and the sums of y, y^2, y^3
-    and y^4 for y = xi - 1, formed in place over xi's own array, whose
-    temporaries are gone when the next cell starts."""
-    y, active = _truncated_ratio(gain, aligned, gamma_th, lam)
-    y -= 1.0
-    return int(np.count_nonzero(active)), *_power_sums(y)
+def _xi_blocks(args, blocks):
+    """For each (gen, m) of blocks, every cell's active count and sums of
+    y, y^2, y^3 and y^4 for y = xi - 1 on the block, and no counts.
+
+    A block is drawn once (draw_channel_block, at the first cell's rho) and
+    each quantity is formed once for the cells that share it: |h_hat|^2
+    once, h and Re{conj(h) h_hat} once per distinct rho, and xi once per
+    cell, by aircomp's one xi formula (_truncated_ratio), then turned into
+    y and its powers in place.
+    """
+    cells, lams = args
+    by_rho: dict[float, list[int]] = {}
+    for k, (rho, _) in enumerate(cells):
+        by_rho.setdefault(rho, []).append(k)
+    # alpha plays no role in the coefficient; any valid value works here
+    first = EstimationModel(rho=cells[0][0], alpha=2.0)
+    for gen, m in blocks:
+        h_first, h_hat, v = draw_channel_block(first, m, gen)
+        gain = _gain(h_hat)
+        sums = [None] * len(cells)
+        for rho, ks in by_rho.items():
+            h = h_first if rho == first.rho else channel(h_hat, v, rho)
+            aligned = _aligned(h, h_hat)
+            for k in ks:
+                y, active = _truncated_ratio(gain, aligned, cells[k][1], lams[k])
+                y -= 1.0
+                sums[k] = (int(np.count_nonzero(active)), *_power_sums(y))
+        yield sums, 0
 
 
 def _power_sums(y: np.ndarray) -> tuple[float, float, float, float]:
@@ -382,15 +376,16 @@ def _power_sums(y: np.ndarray) -> tuple[float, float, float, float]:
     return s1, s2, float(np.sum(y)), float(np.sum(y2))
 
 
-def _merge_sums(chunk_sums) -> tuple[int, tuple[float, ...]]:
-    """The total count and the math.fsum of each power sum over chunks of
-    (count, s1, s2, s3, s4)."""
-    counts, *parts = zip(*chunk_sums)
+def _merge_sums(block_sums) -> tuple[int, tuple[float, ...]]:
+    """The total count and the math.fsum of each power sum over blocks of
+    (count, s1, s2, s3, s4).  fsum is exactly rounded, so how the blocks
+    were split among workers moves no bit."""
+    counts, *parts = zip(*block_sums)
     return sum(counts), tuple(math.fsum(p) for p in parts)
 
 
-def _xi_result(rho, gamma_th, n_samples: int, chunk_sums) -> XiMomentsResult:
-    n_active, (s1, s2, s3, s4) = _merge_sums(chunk_sums)
+def _xi_result(rho, gamma_th, n_samples: int, block_sums) -> XiMomentsResult:
+    n_active, (s1, s2, s3, s4) = _merge_sums(block_sums)
     n = float(n_samples)
     a = s1 / n  # sample mean of xi - 1
     m2 = s2 / n - a * a
@@ -606,33 +601,29 @@ def histogram2d_counts(
     return np.bincount(flat, minlength=nx * ny + 1)[:-1].reshape(nx, ny)
 
 
-def _joint_chunk(z, t_edges, g_edges, tail_gammas) -> tuple[np.ndarray, list[tuple]]:
-    """The bin counts of one chunk of draw_channel_rows (its four rows), and per threshold
-    the count and the power sums of x on the chunk's tail in draw order.
+def _joint_blocks(args, blocks):
+    """For each (gen, m) of blocks, per threshold the count and the power
+    sums of x on the block's tail, and the block's bin counts.
 
-    Works in slices of _JOINT_SLICE samples: x = Re{v* h_hat}/|h_hat|^2 is
-    divided once per slice, and each tail is the slice's x where
-    |h_hat|^2 >= gamma.
+    x = Re{v* h_hat}/|h_hat|^2 is divided once per sample and serves the
+    histogram and every tail, which is the x where |h_hat|^2 >= gamma.  A
+    sample with |h_hat|^2 = 0, which has probability zero, is dropped first.
     """
-    counts = np.zeros((t_edges.size - 1, g_edges.size - 1), dtype=np.int64)
-    x_parts: list[list[np.ndarray]] = [[] for _ in tail_gammas]
-    for lo in range(0, len(z[0]), _JOINT_SLICE):
-        h_re, h_im, v_re, v_im = (row[lo:lo + _JOINT_SLICE] for row in z)
+    t_edges, g_edges, tail_gammas = args
+    for gen, m in blocks:
+        h_re, h_im, v_re, v_im = draw_channel_rows(m, gen)
         gain = h_re * h_re + h_im * h_im
         x = v_re * h_re + v_im * h_im
-        if not gain.all():  # zero gain has probability zero; drop it before dividing
+        if not gain.all():  # drop a zero gain before dividing
             pos = gain > 0.0
             gain, x = gain[pos], x[pos]
         x /= gain
-        counts += histogram2d_counts(x, -gain, t_edges, g_edges)
-        for parts, tail_gamma in zip(x_parts, tail_gammas):
-            parts.append(x[gain >= tail_gamma])
-    # one sum per power over the chunk's tail
-    tail_sums = []
-    for parts in x_parts:
-        x = np.concatenate(parts)
-        tail_sums.append((x.size, *_power_sums(x)))
-    return counts, tail_sums
+        counts = histogram2d_counts(x, -gain, t_edges, g_edges)
+        tails = []
+        for tail_gamma in tail_gammas:
+            tail = x[gain >= tail_gamma]
+            tails.append((tail.size, *_power_sums(tail)))
+        yield tails, counts
 
 
 def mc_joint_distribution_check(
@@ -642,7 +633,7 @@ def mc_joint_distribution_check(
     seed: int,
     bins: int = 40,
     tail_gammas: tuple[float, ...] = (1.0,),
-    chunk: int = _CHUNK,
+    jobs: int = 1,
 ) -> JointLawResult:
     """Histogram the sampled (x, y) pair against the analytic density.
 
@@ -655,11 +646,10 @@ def mc_joint_distribution_check(
     holds the count and power sums of x on every threshold's tail of the
     one draw, from which E[(x - c)^2 | tail] follows for any c.
 
-    The draw is made chunk by chunk into one set of row buffers, and a
-    chunk's other arrays are gone before the next is drawn.  Within a chunk x is divided
-    once per sample and serves the histogram and every tail (_joint_chunk);
-    a sample with |h_hat|^2 = 0, which has probability zero, is dropped
-    first.  The analytic masses come from one vectorised rule (_bin_mass),
+    Sample block b is drawn from substream(seed, STREAM_MC_JOINT, b) by
+    _block_map and reduced by _joint_blocks; the bin counts are added up and
+    the tail sums merged in block order, so jobs changes no bit.  The
+    analytic masses come from one vectorised rule (_bin_mass),
     cross-checked against CDF rectangles to _MASS_CONSISTENCY_TOL.
     """
     if n_samples < _MIN_JOINT_SAMPLES:
@@ -677,24 +667,9 @@ def mc_joint_distribution_check(
     g_edges = np.linspace(g_lo, g_hi, bins + 1)
     # the pair (x, y) involves only the estimate and the estimation noise,
     # so rho does not enter and h is never formed
-    gen = substream(seed, STREAM_MC_JOINT)
-
-    counts = np.zeros((bins, bins), dtype=np.int64)
-    chunk_tails = []
-    # every chunk is drawn into the same four row buffers, a last, shorter
-    # chunk into their prefixes.  Four 8 MiB rows, unlike one 32 MiB block,
-    # stay below malloc's mmap threshold once earlier large arrays raised
-    # it, so they reuse heap memory those arrays freed
-    rows = [np.empty(min(chunk, n_samples)) for _ in range(4)]
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        z = draw_channel_rows(m, gen, out=[row[:m] for row in rows])
-        chunk_counts, tail_sums = _joint_chunk(z, t_edges, g_edges, tail_gammas)
-        counts += chunk_counts
-        chunk_tails.append(tail_sums)
-        done += m
-    tails = [TailSums(g, *_merge_sums(sums)) for g, sums in zip(tail_gammas, zip(*chunk_tails))]
+    task = ((t_edges, g_edges, tail_gammas), (STREAM_MC_JOINT,), n_samples)
+    ((blocks, counts),) = _block_map(_joint_blocks, [task], seed, _MC_BLOCK, jobs)
+    tails = [TailSums(g, *_merge_sums(sums)) for g, sums in zip(tail_gammas, zip(*blocks))]
 
     mass = _bin_mass(t_edges, g_edges)
     worst_gap = float(np.max(np.abs(mass - cdf_rect_masses(t_edges, g_edges))))
@@ -830,55 +805,40 @@ def _frozen_setup(cfg: SystemConfig):
     return draws.cfg, grads, power_config(draws.cfg, gradient_bound(draws, grads, 0))
 
 
-def _trial_rows(seed: int, stream: tuple[int, ...], lo: int, hi: int, width: int, step: int):
-    """(t, rows) slices of at most `step` rows covering trials [lo, hi).
-    Trial t's row is row t mod B of one (B, width) normal draw from
-    substream(seed, *stream, t // B); numpy fills it row by row, so a block
-    is drawn in slices from its one generator, rows before lo dropped."""
-    for block in range(lo // _TRIAL_BLOCK, -(-hi // _TRIAL_BLOCK)):
-        gen = substream(seed, *stream, block)
-        t = block * _TRIAL_BLOCK
-        stop = min(hi, t + _TRIAL_BLOCK)
-        while t < stop:
-            n = min(step, (lo if t < lo else stop) - t)
-            rows = gen.standard_normal((n, width))
-            if t >= lo:
-                yield t, rows
-            t += n
+def _divergence_blocks(args, blocks):
+    """For each (gen, m) of blocks, the squared divergence and skip flag of
+    the block's m trials over frozen gradients, and no counts.
 
-
-def _divergence_trials(args) -> tuple[np.ndarray, np.ndarray]:
-    """Squared divergence and skip flag of trials [lo, hi) over frozen gradients.
-
-    args is (grads of shape (K, d), power, gamma_th, rho, seed, key, lo, hi).
-    Trial t reads its row of normals from `_trial_rows` on the stream
-    (STREAM_MC_DIVERGENCE, *key): K x 4 channel normals in draw_channel's
-    order, then the d receiver-noise normals that one `aggregate` call
-    would add, used only if some device is active.  Each slice of trials is
-    aggregated by one aircomp.aggregate_batch call, its batch axis over
-    trials.  A trial's row depends on t alone, so the slice and chunk
-    bounds change no bit.
+    args is (grads of shape (K, d), power, gamma_th, rho).  A block is an
+    (m, 4K + d) normal draw from gen, one row per trial: K x 4 channel
+    normals in draw_channel's order, then the d receiver-noise normals that
+    one `aggregate` call would add, used only if some device is active.
+    numpy fills the draw row by row, so it is drawn in slices of at most
+    _BLOCK_FLOATS / d rows, each aggregated by one aircomp.aggregate_batch
+    call with its batch axis over trials.
     """
-    grads, power, gamma_th, rho, seed, key, lo, hi = args
+    grads, power, gamma_th, rho = args
     k_devices, d_model = grads.shape
     lam = compensation_lambda(gamma_th, rho)
     noise_scale = receiver_noise_scale(power.sigma2, scaling_zeta(k_devices, rho, power, gamma_th))
     g_ideal = ideal_aggregate(grads)
-    step = max(1, min(_TRIAL_BLOCK, _BLOCK_FLOATS // d_model))
+    step = max(1, _BLOCK_FLOATS // d_model)
     n_channel = 4 * k_devices
-    div = np.empty(hi - lo)
-    skips = np.empty(hi - lo, dtype=bool)
-    for t, rows in _trial_rows(seed, (STREAM_MC_DIVERGENCE, *key), lo, hi, n_channel + d_model, step):
-        # the slice's channel arrays live only for the call: (n, K) complex each
-        z = rows[:, :n_channel].reshape(len(rows), k_devices, 4)
-        _, _, sent, g_hat = aggregate_batch(grads, *channel_from_normals(z, rho), gamma_th, lam,
-                                            rows[:, n_channel:] * noise_scale)
-        diff = g_hat - g_ideal
-        out = slice(t - lo, t - lo + len(rows))
-        # one stacked (1, d) @ (d, 1) product per trial: numpy's vector dot, as r @ r is
-        div[out] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
-        skips[out] = ~sent
-    return div, skips
+    for gen, m in blocks:
+        div = np.empty(m)
+        skips = np.empty(m, dtype=bool)
+        for lo in range(0, m, step):
+            rows = gen.standard_normal((min(step, m - lo), n_channel + d_model))
+            # the slice's channel arrays live only for the call: (n, K) complex each
+            z = rows[:, :n_channel].reshape(len(rows), k_devices, 4)
+            _, _, sent, g_hat = aggregate_batch(grads, *channel_from_normals(z, rho), gamma_th, lam,
+                                                rows[:, n_channel:] * noise_scale)
+            diff = g_hat - g_ideal
+            out = slice(lo, lo + len(rows))
+            # one stacked (1, d) @ (d, 1) product per trial: numpy's vector dot, as r @ r is
+            div[out] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+            skips[out] = ~sent
+        yield (div, skips), 0
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -889,13 +849,6 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
 def _pool_size(jobs: int, n_items: int) -> int:
     """Worker processes for n_items tasks: at most jobs and the host's CPUs."""
     return max(1, min(jobs, n_items, os.cpu_count() or 1))
-
-
-def _trial_chunks(n: int, jobs: int) -> list[tuple[int, int]]:
-    # whole trial blocks per chunk, so that no block's stream is drawn twice
-    size = -(-n // _pool_size(jobs, n))
-    size = -(-size // _TRIAL_BLOCK) * _TRIAL_BLOCK
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 class _PoolScope:
@@ -941,15 +894,62 @@ def _pmap(fn, items, jobs: int) -> list:
         return list(scope.pool.map(fn, items))
 
 
-def _divergence_mc(systems, n_trials: int, jobs: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _block_runs(n: int, block: int, jobs: int) -> list[range]:
+    """The blocks of an n-sample task, cut into at most one contiguous run per worker."""
+    n_blocks = -(-n // block)
+    size = -(-n_blocks // _pool_size(jobs, n_blocks))
+    return [range(lo, min(lo + size, n_blocks)) for lo in range(0, n_blocks, size)]
+
+
+def _draw_run(item) -> tuple[list, object]:
+    """fn's results on one run of a task's blocks, in block order, and the
+    sum of their counts."""
+    fn, args, seed, key, n, block, run = item
+    results, counts = [], 0
+    for result, block_counts in fn(args, ((substream(seed, *key, b), min(block, n - b * block)) for b in run)):
+        results.append(result)
+        counts += block_counts
+    return results, counts
+
+
+def _block_map(fn, tasks, seed: int, block: int, jobs: int) -> list[tuple[list, object]]:
+    """The one sampling map of every Monte-Carlo check: per task, fn's
+    result on each of its blocks in block order, and the sum of their counts.
+
+    A task is (args, key, n): n samples in blocks of `block`, the last one
+    shorter if need be.  Block b reads substream(seed, *key, b), so its
+    result depends on b alone and a larger n extends a smaller one's full
+    blocks.  Each task's blocks are cut into at most one run per worker,
+    and every task's runs go through one _pmap.  fn(args, blocks) is a
+    generator over a run's (gen, m) pairs that yields each block's (result,
+    counts), counts an integer array or 0.  Its locals live on to the next
+    block, so a block's arrays are freed only once the next block's exist,
+    and the heap they held is reused rather than returned to the system and
+    faulted in again.  Counts are added up within each run, exactly, so no
+    per-block array is kept.
+    """
+    runs = [_block_runs(n, block, jobs) for _, _, n in tasks]
+    items = [(fn, args, seed, key, n, block, run)
+             for (args, key, n), task_runs in zip(tasks, runs) for run in task_runs]
+    done = iter(_pmap(_draw_run, items, jobs))
+    out = []
+    for task_runs in runs:
+        parts = [next(done) for _ in task_runs]
+        out.append(([r for results, _ in parts for r in results], sum(counts for _, counts in parts)))
+    return out
+
+
+def _divergence_mc(systems, seed: int, n_trials: int, jobs: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Squared divergences and skip flags, in trial order, of n_trials trials
-    of each frozen system (grads, power, gamma_th, rho, seed, key): one map
-    over every (system, chunk) unit, so no barrier stands between systems."""
-    chunks = _trial_chunks(n_trials, jobs)
-    results = _pmap(_divergence_trials, [(*system, lo, hi) for system in systems for lo, hi in chunks], jobs)
+    of each frozen system (grads, power, gamma_th, rho, key): trial t is row
+    t mod 256 of block t // 256 of the stream (STREAM_MC_DIVERGENCE, *key),
+    and every system's blocks go through one _block_map, so no barrier
+    stands between systems."""
+    tasks = [((grads, power, gamma_th, rho), (STREAM_MC_DIVERGENCE, *key), n_trials)
+             for grads, power, gamma_th, rho, key in systems]
     return [
-        tuple(np.concatenate(part) for part in zip(*results[i : i + len(chunks)]))
-        for i in range(0, len(results), len(chunks))
+        tuple(np.concatenate(part) for part in zip(*blocks))
+        for blocks, _ in _block_map(_divergence_blocks, tasks, seed, _TRIAL_BLOCK, jobs)
     ]
 
 
@@ -958,10 +958,10 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
 
     Freezes the K mini-batch gradients of round zero once, then repeats the
     over-the-air aggregation n_trials times in the block kernel
-    `_divergence_trials`.  Trial t draws its channels and noise from row t
+    `_divergence_blocks`.  Trial t draws its channels and noise from row t
     mod 256 of its block's stream substream(seed, STREAM_MC_DIVERGENCE, t //
-    256), so neither the kernel's slices nor the jobs split changes a byte
-    of the serial result.  The row reports the MC estimate with its SE next
+    256), so neither the kernel's slices nor jobs changes a byte of the
+    serial result.  The row reports the MC estimate with its SE next
     to the exact expectation for those gradients and the a-priori bound.
 
     Rounds whose active set is empty contribute ||g||^2 and no noise (the
@@ -972,7 +972,7 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
     if n_trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {n_trials}")
     cfg, grads, power = _frozen_setup(cfg)
-    ((div, skips),) = _divergence_mc([(grads, power, cfg.gamma_th, cfg.rho, cfg.seed, ())], n_trials, jobs)
+    ((div, skips),) = _divergence_mc([(grads, power, cfg.gamma_th, cfg.rho, ())], cfg.seed, n_trials, jobs)
 
     energies = [float(g @ g) for g in grads]
     d_model = grads[0].shape[0]
@@ -1036,9 +1036,9 @@ def k_slope_scan(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
     gamma_th = resolve(cfg).gamma_th
     # one device at the scan's distance: the power config of every fleet size
     power = power_config(replace(cfg, k_devices=1, distances=(_SCAN_DISTANCE,)), 1.0)
-    systems = [(_basis_gradients(k, _SCAN_D_MODEL), power, gamma_th, cfg.rho, cfg.seed, (k,)) for k in ks]
+    systems = [(_basis_gradients(k, _SCAN_D_MODEL), power, gamma_th, cfg.rho, (k,)) for k in ks]
     rows = []
-    for k, (div, _) in zip(ks, _divergence_mc(systems, n_trials, jobs)):
+    for k, (div, _) in zip(ks, _divergence_mc(systems, cfg.seed, n_trials, jobs)):
         mean, se = _mean_se(div)
         exact = divergence_exact([1.0] * k, k, gamma_th, cfg.rho, power, _SCAN_D_MODEL)
         rows.append((k, mean, se, exact, divergence_bound(k, gamma_th, cfg.rho, power)))

@@ -338,19 +338,21 @@ def test_criterion_10_manifest_replay(tmp_path):
     f = _write_cfg(
         tmp_path / "xi.cfg", SystemConfig(verify_xi=VerifyXiConfig(rhos=(0.8,), gammas=(0.5,))), "verify_xi"
     )
-    _run(["verify-xi", "--config", f, "--trials", "100000", "--out", str(tmp_path / "xi1")])
+    _run(["verify-xi", "--config", f, "--trials", "100000", "--jobs", "1", "--out", str(tmp_path / "xi1")])
     _run(
         [
             "verify-xi",
             "--config",
             str(tmp_path / "xi1" / "verify_xi_manifest.txt"),
+            "--jobs",
+            "2",
             "--out",
             str(tmp_path / "xi2"),
         ]
     )
     matches.append(
         (
-            "verify-xi",
+            "verify-xi(jobs 1 vs 2)",
             (tmp_path / "xi1" / "verify_xi.csv").read_bytes()
             == (tmp_path / "xi2" / "verify_xi.csv").read_bytes(),
         )
@@ -358,19 +360,21 @@ def test_criterion_10_manifest_replay(tmp_path):
 
     pdf = VerifyPdfConfig(t_range=(-2.0, 2.0), gamma_range=(-2.0, -0.2), bins=8)
     f = _write_cfg(tmp_path / "pdf.cfg", SystemConfig(verify_pdf=pdf), "verify_pdf")
-    _run(["verify-pdf", "--config", f, "--trials", "1000000", "--out", str(tmp_path / "pdf1")])
+    _run(["verify-pdf", "--config", f, "--trials", "1000000", "--jobs", "1", "--out", str(tmp_path / "pdf1")])
     _run(
         [
             "verify-pdf",
             "--config",
             str(tmp_path / "pdf1" / "verify_pdf_manifest.txt"),
+            "--jobs",
+            "2",
             "--out",
             str(tmp_path / "pdf2"),
         ]
     )
     matches.append(
         (
-            "verify-pdf",
+            "verify-pdf(jobs 1 vs 2)",
             (tmp_path / "pdf1" / "verify_pdf.csv").read_bytes()
             == (tmp_path / "pdf2" / "verify_pdf.csv").read_bytes(),
         )
@@ -441,6 +445,6 @@ def test_criterion_10_manifest_replay(tmp_path):
         10,
         not failed,
         f"{len(matches)} manifest replays byte-identical "
-        f"(coefficient moments, joint law, divergence under jobs 1 vs 2, training trace)"
+        f"(coefficient moments, joint law and divergence under jobs 1 vs 2, training trace)"
         + (f"; mismatches: {failed}" if failed else ""),
     )

@@ -363,8 +363,9 @@ class TestVerifyDivergence:
 
     def test_stream_seeding_mismatch_exits_2(self, tmp_path, capsys):
         # a manifest written under stream layout 1 (no env line, or one that
-        # says 1) records draws this layout does not make: one error line
-        # naming both layouts, no traceback, nothing run
+        # says 1) or layout 2 (verify-xi and verify-pdf unkeyed by block)
+        # records draws this layout does not make: one error line naming
+        # both layouts, no traceback, nothing run
         cfg = SystemConfig(k_devices=3, train=SMALL_TRAIN, verify_divergence=NO_SCAN)
         argv = ["verify-divergence", "--config", write_cfg(tmp_path / "div.cfg", cfg), "--trials", "1000"]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
@@ -372,15 +373,15 @@ class TestVerifyDivergence:
         text = manifest.read_text()
         env = f"# env stream_layout={STREAM_LAYOUT}\n"
         assert f"\n{env}" in text
-        for layout_1 in ("", "# env stream_layout=1\n"):
-            manifest.write_text(text.replace(env, layout_1))
+        for old_layout, line in ((1, ""), (1, "# env stream_layout=1\n"), (2, "# env stream_layout=2\n")):
+            manifest.write_text(text.replace(env, line))
             capsys.readouterr()
             assert main(["verify-divergence", "--config", str(manifest)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
-            assert "stream layout 1" in lines[0] and f"stream layout {STREAM_LAYOUT}" in lines[0]
+            assert f"stream layout {old_layout}," in lines[0] and f"stream layout {STREAM_LAYOUT};" in lines[0]
 
     def test_plain_config_needs_no_layout(self, tmp_path, capsys):
         # only a manifest carries a layout; a hand-written config loads as before

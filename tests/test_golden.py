@@ -6,8 +6,10 @@ claims "same CSV bytes" is then checked by this test instead of by hand.
 The values hold only under the numpy version they were recorded with, since
 numpy does not keep Generator streams stable across releases (NEP 19); no
 pinned CSV depends on scipy.  They also hold only under the stream layout
-they were drawn in (config.STREAM_LAYOUT);
-verify-divergence's were recorded under layout 2.  Training
+they were drawn in (config.STREAM_LAYOUT): verify-xi's and verify-pdf's
+were recorded under layout 3, which keys their samples by block, and
+verify-divergence's under layout 2, whose divergence keys layout 3 keeps.
+None depends on --jobs.  Training
 CSVs are left out, since their bytes follow the CPU's BLAS kernels and
 numpy's SIMD dispatch of exp.
 """
@@ -33,12 +35,12 @@ GOLDEN = {
     "verify-xi": (
         ["verify-xi", "--trials", "100000"],
         "",
-        {"verify_xi.csv": "568400c8c23f5e5866b398ccf617478aebeee8a9"},
+        {"verify_xi.csv": "f68e0839a180e259cd3ddfab18d5dc2b59414c35"},
     ),
     "verify-pdf": (
         ["verify-pdf", "--trials", "1000000"],
         "",
-        {"verify_pdf.csv": "cee5f51fca6dd1355287e9516f503cf42b842541"},
+        {"verify_pdf.csv": "cc8c9756ec8577346017733380ba33641e911d07"},
     ),
     "verify-divergence": (
         ["verify-divergence", "--trials", "1000", "--jobs", "1"],

@@ -26,11 +26,15 @@ from airfl.config import (
     load_config,
 )
 from airfl.harness import (
+    _MC_BLOCK,
     _TRIAL_BLOCK,
     Gate,
     SweepResult,
     _basis_gradients,
-    _divergence_trials,
+    _block_map,
+    _block_runs,
+    _divergence_mc,
+    _draw_run,
     _frozen_setup,
     _git_blob_sha1,
     _pool_size,
@@ -125,39 +129,38 @@ class TestXiMoments:
         assert abs(res.variance - math.expm1(1.0)) <= 4.0 * res.se_var
 
 
-def _per_cell_sums(rho, gamma, n, seed, chunk):
-    # each cell drawing its own copy of the stream, chunk by chunk: the sums
-    # of y = xi - 1 and of its powers y^2, y^3, y^4, and the active count
+def _per_cell_sums(rho, gamma, n, seed):
+    # each cell drawing its own copy of every block's stream: the sums of
+    # y = xi - 1 and of its powers y^2, y^3, y^4 per block, merged by fsum,
+    # and the active count
     model = EstimationModel(rho=rho, alpha=2.0)
     lam = compensation_lambda(gamma, rho)
-    gen = substream(seed, STREAM_MC_XI)
-    sums, n_active, done = ([], [], [], []), 0, 0
-    while done < n:
-        m = min(chunk, n - done)
-        h, h_hat, _ = draw_channel_block(model, m, gen)
+    sums, n_active = ([], [], [], []), 0
+    for lo in range(0, n, _MC_BLOCK):
+        gen = substream(seed, STREAM_MC_XI, lo // _MC_BLOCK)
+        h, h_hat, _ = draw_channel_block(model, min(_MC_BLOCK, n - lo), gen)
         xi, active = effective_coefficients(h, h_hat, gamma, lam)
         y = xi - 1.0
         y2 = y * y
         for part, power in zip(sums, (y, y2, y2 * y, y2 * y2)):
             part.append(float(np.sum(power)))
         n_active += int(np.count_nonzero(active))
-        done += m
     return (*(math.fsum(part) for part in sums), n_active)
 
 
 class TestXiMomentsGrid:
     CELLS = [(rho, gamma) for rho in (0.5, 0.95, 1.0) for gamma in (0.1, 2.0)]
 
-    @pytest.mark.parametrize("n, chunk", [(50_000, 7_777), (30_000, 1 << 20), (40_000, 10_000)])
-    def test_equals_the_per_cell_calls(self, n, chunk):
-        grid = mc_xi_moments_grid(self.CELLS, n, seed=5, chunk=chunk)
-        assert grid == [mc_xi_moments(r, g, n, seed=5, chunk=chunk) for r, g in self.CELLS]
+    @pytest.mark.parametrize("n", [50_000, 3 * _MC_BLOCK + 7])
+    def test_equals_the_per_cell_calls(self, n):
+        grid = mc_xi_moments_grid(self.CELLS, n, seed=5)
+        assert grid == [mc_xi_moments(r, g, n, seed=5) for r, g in self.CELLS]
 
     def test_shares_the_stream_each_cell_would_draw(self):
-        n, chunk = 25_000, 6_000
-        grid = mc_xi_moments_grid(self.CELLS, n, seed=11, chunk=chunk)
+        n = 2 * _MC_BLOCK + 9_000
+        grid = mc_xi_moments_grid(self.CELLS, n, seed=11)
         for (rho, gamma), res in zip(self.CELLS, grid):
-            s1, s2, s3, s4, n_active = _per_cell_sums(rho, gamma, n, 11, chunk)
+            s1, s2, s3, s4, n_active = _per_cell_sums(rho, gamma, n, 11)
             a = s1 / n
             m2 = s2 / n - a * a
             m4 = s4 / n - 4.0 * a * s3 / n + 6.0 * a * a * s2 / n - 3.0 * a**4
@@ -381,7 +384,16 @@ class TestWorkerPool:
 
         monkeypatch.setattr(harness, "_pmap", counting)
         k_slope_scan(scan_cfg(scan_ks=(2, 3, 4), scan_trials=1000), jobs=2)
-        assert calls == [3 * len(harness._trial_chunks(1000, 2))]
+        assert calls == [3 * len(_block_runs(1000, _TRIAL_BLOCK, 2))]
+
+
+def joint_rows(seed, n):
+    """The four rows of verify-pdf's n samples: block b is draw_channel_rows
+    of substream(seed, STREAM_MC_JOINT, b)."""
+    return np.concatenate([
+        draw_channel_rows(min(_MC_BLOCK, n - lo), substream(seed, STREAM_MC_JOINT, lo // _MC_BLOCK))
+        for lo in range(0, n, _MC_BLOCK)
+    ], axis=1)
 
 
 def joint_tails(seed, tail_gammas, n=1_000_000):
@@ -432,8 +444,8 @@ class TestConditionalMoment:
     def test_fold_is_the_direct_estimate_on_the_same_draw(self):
         gammas = (0.1, 0.5, 1.0, 2.0)
         res = joint_tails(777, gammas)
-        # the same STREAM_MC_JOINT draw, one chunk of 10^6 samples
-        h_re, h_im, v_re, v_im = draw_channel_rows(1_000_000, substream(777, STREAM_MC_JOINT))
+        # the same 10^6 samples, drawn block by block
+        h_re, h_im, v_re, v_im = joint_rows(777, 1_000_000)
         gain = h_re * h_re + h_im * h_im
         x_all = (v_re * h_re + v_im * h_im) / gain
         for tail, gamma in zip(res.tails, gammas):
@@ -485,38 +497,51 @@ class TestJointDistribution:
 
     def test_zero_gain_samples_are_dropped(self, monkeypatch):
         # h_hat = 0 has probability zero, so the draw is patched to hold some:
-        # in the first and a later slice, on a slice edge and at the end;
+        # in the first and a later block, on a block edge and at the end;
         # two more samples sit exactly on the threshold 1 and stay in its tail
         n, seed, gammas = 1_000_000, 9, (0.5, 1.0, 2.0)
-        zero = [0, 17, harness._JOINT_SLICE, 3 * harness._JOINT_SLICE + 5, n - 1]
-        on_threshold = [18, 2 * harness._JOINT_SLICE]
+        zero = [0, 17, _MC_BLOCK, 3 * _MC_BLOCK + 5, n - 1]
+        on_threshold = [18, 2 * _MC_BLOCK]
         real_rows = harness.draw_channel_rows
+        drawn = [0]  # samples drawn by earlier blocks
 
-        def rows_with_zero_gain(m, gen, out=None):
-            z = real_rows(m, gen, out)
+        def rows_with_zero_gain(m, gen):
+            z = real_rows(m, gen)
+            lo, drawn[0] = drawn[0], drawn[0] + m
             for row, on in zip(z[:2], (1.0, 0.0)):
-                row[zero] = 0.0
-                row[on_threshold] = on
+                row[[p - lo for p in zero if lo <= p < lo + m]] = 0.0
+                row[[p - lo for p in on_threshold if lo <= p < lo + m]] = on
             return z
 
         monkeypatch.setattr(harness, "draw_channel_rows", rows_with_zero_gain)
         t_edges, g_edges = np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, -0.2, 9)
         res = mc_joint_distribution_check((-2.0, -0.2), (-2.0, 2.0), n, seed, bins=8, tail_gammas=gammas)
+        assert drawn == [n]
 
-        z = draw_channel_rows(n, substream(seed, STREAM_MC_JOINT))
+        z = joint_rows(seed, n)
         z[:2, on_threshold] = [[1.0], [0.0]]
         keep = np.ones(n, dtype=bool)
         keep[zero] = False
-        h_re, h_im, v_re, v_im = z[:, keep]
-        gain = h_re * h_re + h_im * h_im
-        x = (v_re * h_re + v_im * h_im) / gain
+        xs, gains = [], []
+        block_sums = {gamma: [] for gamma in gammas}
+        for lo in range(0, n, _MC_BLOCK):
+            block = slice(lo, lo + _MC_BLOCK)
+            h_re, h_im, v_re, v_im = z[:, block][:, keep[block]]
+            gain = h_re * h_re + h_im * h_im
+            x = (v_re * h_re + v_im * h_im) / gain
+            xs.append(x)
+            gains.append(gain)
+            for gamma in gammas:
+                xt = x[gain >= gamma]
+                x2 = xt * xt
+                block_sums[gamma].append((xt.size, *(float(np.sum(p)) for p in (xt, x2, xt * x2, x2 * x2))))
+        x, gain = np.concatenate(xs), np.concatenate(gains)
         counts = np.histogram2d(x, -gain, bins=(t_edges, g_edges))[0]
         assert [r[4] for r in res.rows] == (counts / n).ravel().tolist()
         for tail, gamma in zip(res.tails, gammas):
-            xt = x[gain >= gamma]
-            x2 = xt * xt
-            sums = tuple(float(np.sum(p)) for p in (xt, x2, xt * x2, x2 * x2))
-            assert tail == (gamma, xt.size, sums)
+            count, *parts = zip(*block_sums[gamma])
+            assert tail == (gamma, sum(count), tuple(math.fsum(p) for p in parts))
+            assert tail.count == int(np.count_nonzero(gain >= gamma))
 
     def test_deterministic_under_seed(self):
         kw = dict(bins=4)
@@ -698,10 +723,10 @@ class TestKSlopeScan:
         assert res.meta["n_trials"] == 2000
 
 
-def layout2_rows(seed, key, lo, hi, width):
-    """(t, row) for trials [lo, hi) under stream layout 2: trial t's row is
-    row t mod 256 of one (256, width) draw from substream(seed,
-    STREAM_MC_DIVERGENCE, *key, t // 256), drawn whole here."""
+def divergence_rows(seed, key, lo, hi, width):
+    """(t, row) for trials [lo, hi): trial t's row is row t mod 256 of one
+    (256, width) draw from substream(seed, STREAM_MC_DIVERGENCE, *key,
+    t // 256), drawn whole here (stream layouts 2 and 3 alike)."""
     blocks = {}
     for t in range(lo, hi):
         b = t // _TRIAL_BLOCK
@@ -737,7 +762,7 @@ def scalar_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
     grads = list(grads)
     g_ideal = ideal_aggregate(grads)
     div, skips = [], []
-    for _, row in layout2_rows(seed, key, lo, hi, row_width(grads)):
+    for _, row in divergence_rows(seed, key, lo, hi, row_width(grads)):
         gen = RowStream(row)
         draws = [draw_channel(model, 100.0, gen) for _ in grads]
         out = aggregate(grads, draws, gamma_th, rho, power, gen)
@@ -757,7 +782,7 @@ def oracle_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
         g_ideal += g
     g_ideal /= k_devices
     div, skips = [], []
-    for _, row in layout2_rows(seed, key, lo, hi, row_width(grads)):
+    for _, row in divergence_rows(seed, key, lo, hi, row_width(grads)):
         normals = row[: 4 * k_devices].reshape(k_devices, 4)
         g_hat, _, active, _ = oracles.air_round_ref(
             grads, normals, row[4 * k_devices :], rho, gamma_th, power.p_max, power.g_bound,
@@ -772,6 +797,14 @@ def oracle_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
 def frozen(cfg, key=()):
     resolved, grads, power = _frozen_setup(cfg)
     return (np.array(grads), power, resolved.gamma_th, resolved.rho, resolved.seed, key)
+
+
+def kernel_trials(args, n):
+    """The block kernel's squared divergences and skip flags of trials
+    [0, n) of one frozen system (grads, power, gamma_th, rho, seed, key)."""
+    grads, power, gamma_th, rho, seed, key = args
+    ((div, skips),) = _divergence_mc([(grads, power, gamma_th, rho, key)], seed, n, jobs=1)
+    return div, skips
 
 
 SCAN_POWER = PowerConfig(p_max=0.1, sigma2=1e-7, g_bound=1.0, d_max_alpha=100.0**2.2)
@@ -804,7 +837,7 @@ class TestDivergenceKernel:
             # d = 300 > 256: the kernel draws each block's rows in slices
             args = (_basis_gradients(4, 300), SCAN_POWER, 0.5, 0.8, 2026, (4,))
             assert harness._BLOCK_FLOATS // 300 < _TRIAL_BLOCK
-        div, skips = _divergence_trials((*args, 0, 300))
+        div, skips = kernel_trials(args, 300)
         for reference in (scalar_trials, oracle_trials):
             ref_div, ref_skips = reference(*args, 0, 300)
             assert np.array_equal(div, ref_div)
@@ -820,22 +853,13 @@ class TestDivergenceKernel:
         stacked = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
         assert np.array_equal(stacked, [float(r @ r) for r in diff])
 
-    def test_offset_range_across_blocks(self):
+    def test_short_last_block(self):
         args = frozen(small_cfg())
-        lo, hi = 7, 7 + _TRIAL_BLOCK + 45
-        div, skips = _divergence_trials((*args, lo, hi))
-        ref_div, ref_skips = scalar_trials(*args, lo, hi)
+        n = 2 * _TRIAL_BLOCK + 45
+        div, skips = kernel_trials(args, n)
+        ref_div, ref_skips = scalar_trials(*args, 0, n)
         assert np.array_equal(div, ref_div)
         assert np.array_equal(skips, ref_skips)
-
-    def test_chunk_split_off_block_boundary(self):
-        args = frozen(small_cfg(gamma_th=2.0))
-        n, cut = 2 * _TRIAL_BLOCK + 100, _TRIAL_BLOCK + 37
-        whole = _divergence_trials((*args, 0, n))
-        head = _divergence_trials((*args, 0, cut))
-        tail = _divergence_trials((*args, cut, n))
-        assert np.array_equal(whole[0], np.concatenate([head[0], tail[0]]))
-        assert np.array_equal(whole[1], np.concatenate([head[1], tail[1]]))
 
     @pytest.mark.parametrize("sigma2", [0.0, 1e-7])
     def test_stream_consumption(self, sigma2):
@@ -849,9 +873,9 @@ class TestDivergenceKernel:
         zeta = scaling_zeta(k_devices, rho, power, gamma_th)
         noise_scale = math.sqrt(sigma2) / (math.sqrt(2.0) * zeta)
         g_ideal = ideal_aggregate(list(grads))
-        div, skips = _divergence_trials((grads, power, gamma_th, rho, seed, (), 0, 300))
+        div, skips = kernel_trials((grads, power, gamma_th, rho, seed, ()), 300)
         assert 0 < skips.sum() < 300
-        for t, row in layout2_rows(seed, (), 0, 300, row_width(grads)):
+        for t, row in divergence_rows(seed, (), 0, 300, row_width(grads)):
             assert row.size == 4 * k_devices + d_model
             z = row[: 4 * k_devices].reshape(k_devices, 4) * (1.0 / math.sqrt(2.0))
             h_hat = z[:, 0] + 1j * z[:, 1]
@@ -869,14 +893,66 @@ class TestDivergenceKernel:
             assert skips[t] == (not active.any())
             assert div[t] == float(diff @ diff)
 
-    @pytest.mark.parametrize("n, jobs", [(1000, 2), (300, 2), (2 * _TRIAL_BLOCK + 1, 3), (100, 4)])
-    def test_trial_chunks_are_whole_blocks(self, monkeypatch, n, jobs):
+
+
+XI_CELLS = [(rho, gamma) for rho in (0.5, 1.0) for gamma in (0.1, 2.0)]
+XI_ARGS = (XI_CELLS, [compensation_lambda(gamma, rho) for rho, gamma in XI_CELLS])
+JOINT_ARGS = (np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, -0.2, 9), (0.5, 1.0))
+
+
+def block_task(check):
+    """(block function, args, key, block size) of one Monte-Carlo check."""
+    if check == "xi":
+        return harness._xi_blocks, XI_ARGS, (STREAM_MC_XI,), _MC_BLOCK
+    if check == "joint":
+        return harness._joint_blocks, JOINT_ARGS, (STREAM_MC_JOINT,), _MC_BLOCK
+    return harness._divergence_blocks, frozen(small_cfg(gamma_th=2.0))[:4], (STREAM_MC_DIVERGENCE,), _TRIAL_BLOCK
+
+
+CHECKS = ["xi", "joint", "divergence"]
+
+
+def same_results(a, b):
+    """Block results equal bit for bit: tuples of numbers or of arrays."""
+    return len(a) == len(b) and all(
+        all(np.array_equal(p, q) for p, q in zip(x, y)) if isinstance(x[0], np.ndarray) else x == y
+        for x, y in zip(a, b)
+    )
+
+
+class TestBlockMap:
+    @pytest.mark.parametrize("n, block, jobs", [(1000, 256, 2), (300, 256, 2), (2 * 256 + 1, 256, 3),
+                                                (100, 256, 4), (10**7, _MC_BLOCK, 2), (5, 1, 8)])
+    def test_runs_cover_the_blocks_once(self, monkeypatch, n, block, jobs):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        chunks = harness._trial_chunks(n, jobs)
-        assert chunks[0][0] == 0 and chunks[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert all(lo % _TRIAL_BLOCK == 0 for lo, _ in chunks)
-        assert len(chunks) <= jobs
+        runs = _block_runs(n, block, jobs)
+        assert [b for run in runs for b in run] == list(range(-(-n // block)))
+        assert all(len(run) > 0 for run in runs)
+        assert len(runs) <= jobs
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_the_run_split_changes_no_bit(self, check):
+        # blocks 0-3 of a task with a short last block, as one run and as
+        # runs cut at every place
+        fn, args, key, block = block_task(check)
+        n = 3 * block + block // 3
+        whole = _draw_run((fn, args, 7, key, n, block, range(4)))
+        for cut in (1, 2, 3):
+            head = _draw_run((fn, args, 7, key, n, block, range(cut)))
+            tail = _draw_run((fn, args, 7, key, n, block, range(cut, 4)))
+            assert same_results(whole[0], head[0] + tail[0])
+            assert np.array_equal(whole[1], head[1] + tail[1])
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_a_larger_n_extends_the_full_blocks(self, check):
+        # n = 3 blocks gives the first three blocks of n = 5 blocks
+        fn, args, key, block = block_task(check)
+        ((small, small_counts),) = _block_map(fn, [(args, key, 3 * block)], 7, block, 1)
+        ((large, large_counts),) = _block_map(fn, [(args, key, 5 * block)], 7, block, 1)
+        assert len(small) == 3 and len(large) == 5
+        assert same_results(small, large[:3])
+        rest = _draw_run((fn, args, 7, key, 5 * block, block, range(3, 5)))
+        assert np.array_equal(small_counts + rest[1], large_counts)
 
 
 def sweep_cfg(**kw):
