@@ -537,15 +537,9 @@ def cdf_rect_masses(t_edges: np.ndarray, g_edges: np.ndarray) -> np.ndarray:
 
 
 def _bin_index(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # bin of each v in [edges[0], edges[-1]] for uniform edges, assigned as
-    # np.histogram does: arithmetic index, then a one-step correction
-    # against the edges themselves, with the last bin closed on the right
-    n = edges.size - 1
-    idx = ((v - edges[0]) * (n / (edges[-1] - edges[0]))).astype(np.intp)
-    np.minimum(idx, n - 1, out=idx)
-    idx -= v < edges[idx]
-    idx += (v >= edges[idx + 1]) & (idx != n - 1)
-    return idx
+    # bin of each v in [edges[0], edges[-1]] by np.histogram's rule: v lies
+    # in [edges[i], edges[i + 1]), and the last bin is closed on the right
+    return np.minimum(np.searchsorted(edges, v, side="right") - 1, edges.size - 2)
 
 
 def _axis_bins(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

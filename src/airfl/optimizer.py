@@ -8,7 +8,8 @@ bound is
 with k1 = (1 - rho^2)/(2 rho^2) (CSI-error weight) and
 k2 = sigma2 * d_max_alpha / (2 P_max rho^2) (noise weight).  h is strictly
 convex on x > 0 and diverges at both ends, so the minimizer is the unique
-root of h', found by bisection.
+root of h', bisected on a fixed bracket until its ends are adjacent doubles
+across which h' changes sign.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ from dataclasses import dataclass
 from .aircomp import PowerConfig, check_positive, check_rho
 from .specfun import exp_integral_ei
 
-_BRACKET_LO = 1e-8
 _BRACKET_FLOOR = math.sqrt(sys.float_info.min)  # h' divides by x*x, kept a normal double
-_DERIVATIVE_TOL = 1e-10  # bisection stops at |h'| <= this
-_WIDTH_TOL = 1e-12       # or at a bracket this narrow (relative to hi below 1e-8)
 _MODES = ("joint", "communication_oriented", "computation_oriented")
 _COMMUNICATION_GAMMA = 0.5  # the noise term's minimizer, whatever the weights
 
@@ -114,44 +112,35 @@ def second_derivative_h(x: float, coef: ObjectiveCoefficients) -> float:
 
 
 def _bisect_root(fprime) -> tuple[float, float, int]:
-    """Bisection root of an increasing-through-zero derivative.
+    """Root of the increasing derivative h', bisected until no double lies
+    between the bracket's ends; returns the end of smaller |h'|, its h' and
+    the number of halvings.
 
-    Brackets from [1e-8, hi], doubling hi from 1 until the derivative is
-    positive; terminates on |f'| <= 1e-10 or interval width <= 1e-12.  A
-    root below 1e-8 is bracketed by halving lo until f' < 0, which ends
-    because h' -> -inf as x -> 0+ when k1 > 0 or k2 > 0, unless lo would
-    pass the floor where x^2 stops being a normal double; the width test is
-    then relative to hi.
+    The bracket is fixed at [_BRACKET_FLOOR, 1].  Its upper end needs no
+    search: h'(1) = e (1 + k1 (2e E1(1) - 1)) + k2 e^2 > 0 for all k1, k2 >= 0,
+    as 2e E1(1) ~ 1.19.  Its lower end has h' < 0 unless the weights are so
+    small that the root lies below the floor, which is refused.  Halving
+    keeps h'(lo) < 0 <= h'(hi), so h' changes sign between the returned
+    end and its neighbouring double.
     """
-    lo = _BRACKET_LO
-    f_lo = fprime(lo)
-    while f_lo >= 0.0:
-        if lo * 0.5 < _BRACKET_FLOOR:
-            raise ValueError(
-                f"derivative not negative at bracket start: f({lo}) = {f_lo}; the objective weights are too "
-                "small (k1 falls as rho nears 1, k2 = sigma2 d_max^alpha / (2 p_max rho^2) as p_max grows)"
-            )
-        lo *= 0.5
-        f_lo = fprime(lo)
-    relative = lo < _BRACKET_LO
-    hi = 1.0
-    while fprime(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 2.0**40:
-            raise RuntimeError("failed to bracket the derivative sign change")
+    lo, hi = _BRACKET_FLOOR, 1.0
+    f_lo, f_hi = fprime(lo), fprime(hi)
+    if f_lo >= 0.0:
+        raise ValueError(
+            f"derivative not negative at bracket start: f({lo}) = {f_lo}; the objective weights are too "
+            "small (k1 falls as rho nears 1, k2 = sigma2 d_max^alpha / (2 p_max rho^2) as p_max grows)"
+        )
     iterations = 0
-    mid, f_mid = 0.5 * (lo + hi), math.inf
-    while True:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         f_mid = fprime(mid)
         iterations += 1
-        width = (hi - lo) / hi if relative else hi - lo
-        if abs(f_mid) <= _DERIVATIVE_TOL or width <= _WIDTH_TOL:
-            return mid, f_mid, iterations
         if f_mid < 0.0:
-            lo = mid
+            lo, f_lo = mid, f_mid
         else:
-            hi = mid
+            hi, f_hi = mid, f_mid
+        mid = 0.5 * (lo + hi)
+    return (lo, f_lo, iterations) if abs(f_lo) < abs(f_hi) else (hi, f_hi, iterations)
 
 
 def optimal_threshold(coef: ObjectiveCoefficients, mode: str = "joint") -> ThresholdSolution:
@@ -159,7 +148,7 @@ def optimal_threshold(coef: ObjectiveCoefficients, mode: str = "joint") -> Thres
 
     Modes:
 
-    * ``joint``: minimize the full h (bisection on h').
+    * ``joint``: minimize the full h (h' bisected to adjacent doubles).
     * ``communication_oriented``: minimize the noise term k2 e^(2x)/x alone;
       its minimizer is x = 1/2 analytically, independent of the weights.
     * ``computation_oriented``: minimize the CSI term

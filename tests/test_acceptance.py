@@ -230,6 +230,7 @@ def test_criterion_07_convexity_and_optimizer():
     xs = np.logspace(-3.0, 1.0, 200)
     grid = np.logspace(-3.0, 1.0, 10_000)
     min_h2 = math.inf
+    solves = certified = 0
     worst_resid = 0.0
     worst_slack = -math.inf
     for k1 in k1_values:
@@ -237,18 +238,27 @@ def test_criterion_07_convexity_and_optimizer():
             coef = ObjectiveCoefficients(k1, k2)
             for x in xs:
                 min_h2 = min(min_h2, second_derivative_h(float(x), coef))
-            sol = optimal_threshold(coef)
-            worst_resid = max(worst_resid, abs(derivative_h(sol.gamma_star, coef)))
-            h_star = objective_h(sol.gamma_star, coef)
-            grid_min = min(objective_h(float(x), coef) for x in grid)
-            worst_slack = max(worst_slack, h_star - grid_min)
+            for mode in ("joint", "computation_oriented") if k1 > 0.0 else ("joint",):
+                # the computation mode's root is that of the CSI term alone
+                solved = coef if mode == "joint" else ObjectiveCoefficients(k1, 0.0)
+                g = optimal_threshold(coef, mode).gamma_star
+                f = derivative_h(g, solved)
+                below = derivative_h(math.nextafter(g, 0.0), solved)
+                above = derivative_h(math.nextafter(g, math.inf), solved)
+                solves += 1
+                certified += below < 0.0 <= f or f < 0.0 <= above
+                worst_resid = max(worst_resid, abs(f))
+                if mode == "joint":
+                    grid_min = min(objective_h(float(x), coef) for x in grid)
+                    worst_slack = max(worst_slack, objective_h(g, coef) - grid_min)
     comm = optimal_threshold(
         ObjectiveCoefficients(0.28125, 0.43), mode="communication_oriented"
     ).gamma_star
     ref = optimal_threshold(ObjectiveCoefficients(0.0, 1.0)).gamma_star
     ok = (
         min_h2 > 0.0
-        and worst_resid < 1e-10
+        and solves == 45
+        and certified == solves
         and worst_slack <= 1e-9
         and abs(comm - 0.5) <= 1e-9
         and abs(ref - 0.438) <= 1e-3
@@ -256,9 +266,10 @@ def test_criterion_07_convexity_and_optimizer():
     verdict(
         7,
         ok,
-        f"25 coefficient pairs: min h'' = {min_h2:.3e} (> 0); worst |h'(gamma*)| = "
-        f"{worst_resid:.1e} (limit 1e-10); worst gap to a 1e4-point grid minimum = "
-        f"{worst_slack:.1e} (limit 1e-9); communication mode = {comm!r}; "
+        f"25 coefficient pairs: min h'' = {min_h2:.3e} (> 0); h' changes sign between gamma* and an "
+        f"adjacent double on {certified}/{solves} joint and computation-oriented solves (need 45/45); "
+        f"worst |h'(gamma*)| = {worst_resid:.1e} (informational); worst gap to a 1e4-point grid "
+        f"minimum = {worst_slack:.1e} (limit 1e-9); communication mode = {comm!r}; "
         f"gamma*(k1=0, k2=1) = {ref:.6f} (0.438 +- 1e-3)",
     )
 

@@ -53,7 +53,7 @@ GOLDEN = {
     "optimize-threshold": (
         ["optimize-threshold"],
         "",
-        {"optimize_threshold.csv": "948421e849cb52ca327a244c9342ed6eb6e2e5ac"},
+        {"optimize_threshold.csv": "e0dea36f47821d3a02da4b5d11d4a9fa84545d1c"},
     ),
 }
 

@@ -1,6 +1,7 @@
 """Truncation-threshold objective: derivatives, convexity, and the solver."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from airfl.aircomp import PowerConfig
 from airfl.analysis import divergence_bound
 from airfl.config import SystemConfig, objective_coefficients, power_config, resolve
 from airfl.optimizer import (
+    _BRACKET_FLOOR,
     ObjectiveCoefficients,
     ThresholdSolution,
     coefficients_from_system,
@@ -25,6 +27,13 @@ from airfl.optimizer import (
 
 COEF_SPEC = ObjectiveCoefficients(k1=0.0, k2=1.0)
 COEF_MIX = ObjectiveCoefficients(k1=0.3, k2=0.8)
+
+
+def _sign_change_beside(g, coef):
+    """Whether h' changes sign between g and one of its adjacent doubles."""
+    below, at, above = (derivative_h(x, coef) for x in (math.nextafter(g, 0.0), g, math.nextafter(g, math.inf)))
+    return below < 0.0 <= at or at < 0.0 <= above
+
 
 k1s = st.floats(min_value=0.0, max_value=5.0)
 k2s = st.floats(min_value=1e-4, max_value=5.0)
@@ -159,6 +168,11 @@ class TestSolver:
         for factor in (0.5, 0.93, 1.07, 2.0):
             assert h_star <= objective_h(sol.gamma_star * factor, coef) + 1e-12
 
+    @given(k1s, k2s)
+    def test_every_root_has_a_sign_change_beside_it(self, k1, k2):
+        coef = ObjectiveCoefficients(k1, k2)
+        assert _sign_change_beside(optimal_threshold(coef).gamma_star, coef)
+
     def test_communication_mode_is_exactly_half(self):
         sol = optimal_threshold(COEF_MIX, mode="communication_oriented")
         assert sol.gamma_star == 0.5
@@ -187,13 +201,23 @@ class TestSolver:
         pure = optimal_threshold(ObjectiveCoefficients(0.3, 0.0)).gamma_star
         assert abs(near - pure) < 1e-3
 
-    @pytest.mark.parametrize("mode", ["joint", "computation_oriented"])
-    def test_a_root_below_the_bracket_start_is_bracketed(self, mode):
-        # gamma* = sqrt(k2) = 1e-10 for the noise term, about k1 for the CSI term
-        coef = ObjectiveCoefficients(0.0, 1e-20) if mode == "joint" else ObjectiveCoefficients(1e-17, 0.0)
-        g = optimal_threshold(coef, mode=mode).gamma_star
+    @pytest.mark.parametrize(
+        "coef, mode",
+        [
+            # gamma* = sqrt(k2) = 1e-10 for the noise term, about k1 for the CSI term
+            (ObjectiveCoefficients(0.0, 1e-20), "joint"),
+            (ObjectiveCoefficients(1e-17, 0.0), "computation_oriented"),
+            # a root at 1.5 x the floor, about 563 halvings down from 1
+            (ObjectiveCoefficients(0.0, (1.5 * _BRACKET_FLOOR) ** 2), "joint"),
+        ],
+        ids=["noise-term", "csi-term", "near-the-floor"],
+    )
+    def test_a_tiny_root_is_bisected_to_adjacent_doubles(self, coef, mode):
+        sol = optimal_threshold(coef, mode=mode)
+        g = sol.gamma_star
         assert g < 1e-8
-        assert derivative_h(g * (1 - 1e-9), coef) < 0.0 < derivative_h(g * (1 + 1e-9), coef)
+        assert _sign_change_beside(g, coef)
+        assert sol.iterations < 600
 
     def test_a_root_below_the_floor_is_refused(self):
         # the root sqrt(k2) ~ 3e-162 lies where x^2 is no longer a normal double
@@ -207,3 +231,20 @@ class TestSolver:
 
     def test_solution_type(self):
         assert isinstance(optimal_threshold(COEF_SPEC), ThresholdSolution)
+
+
+class TestClaimB:
+    """The abstract's claim (b): a lower threshold is preferred with more
+    accurate CSI, i.e. gamma*(rho) strictly decreases in rho."""
+
+    @pytest.mark.parametrize("k2_factor", [1.0, 100.0, 0.01])
+    def test_gamma_star_strictly_decreases_with_rho(self, k2_factor):
+        # k2 is proportional to sigma2, so sigma2 x c scales it by c
+        power = power_config(resolve(SystemConfig()), 1.0)
+        power = replace(power, sigma2=power.sigma2 * k2_factor)
+        rhos = np.linspace(0.01, 1.0, 100).tolist()
+        for mode in ("joint", "computation_oriented"):
+            solved = [rho for rho in rhos if mode in threshold_modes(rho)]
+            gammas = [optimal_threshold(coefficients_from_system(rho, power), mode).gamma_star for rho in solved]
+            assert len(gammas) == (100 if mode == "joint" else 99)
+            assert all(b < a for a, b in zip(gammas, gammas[1:])), mode
