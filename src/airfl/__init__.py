@@ -18,7 +18,6 @@ from .aircomp import (
     aggregate,
     compensation_lambda,
     dbm_to_watts,
-    effective_coefficients,
     preprocessing_beta,
     scaling_zeta,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "divergence_exact",
     "divergence_exact_always_noise",
     "draw_channel",
-    "effective_coefficients",
     "erf",
     "erfc",
     "evaluate",

@@ -126,21 +126,6 @@ def receiver_noise_scale(sigma2: float, zeta):
     return math.sqrt(sigma2) / (_SQRT2 * zeta)
 
 
-def effective_coefficients(
-    h: np.ndarray, h_hat: np.ndarray, gamma_th: float, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Effective aggregation coefficients and activity mask, elementwise.
-
-    A device is active when |h_hat|^2 >= gamma_th (the boundary counts as
-    active); its coefficient is lambda * Re{conj(h) h_hat} / |h_hat|^2, and
-    0 when truncated.  Under perfect CSI (h = h_hat) the active value
-    collapses to lambda.  h and h_hat are complex arrays of one shape;
-    returns (xi, active) of that shape.
-    """
-    return _truncated_ratio(_gain(h_hat), _aligned(h, h_hat), check_positive("gamma_th", gamma_th),
-                            check_positive("lam", lam))
-
-
 def _gain(h_hat: np.ndarray) -> np.ndarray:
     """|h_hat|^2, elementwise."""
     return h_hat.real * h_hat.real + h_hat.imag * h_hat.imag

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .aircomp import PowerConfig, check_positive, check_rho, scaling_zeta
-from .specfun import exp_integral_ei
+from .specfun import erf, erfc, exp_integral_ei
 
 
 def xi_variance(gamma_th: float, rho: float) -> float:
@@ -80,8 +80,8 @@ def joint_cdf_xy(t: float, gamma: float) -> float:
     if gamma >= 0.0:
         return 0.5 + base
     s = math.sqrt(-gamma)
-    tail = 0.5 * math.exp(gamma) * math.erfc(-s * t)
-    return base * (1.0 - math.erf(s * r)) + tail
+    tail = 0.5 * math.exp(gamma) * erfc(-s * t)
+    return base * (1.0 - erf(s * r)) + tail
 
 
 def joint_pdf_xy(t: float, gamma: float) -> float:

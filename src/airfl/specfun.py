@@ -1,22 +1,22 @@
 """Real-valued special functions of the aggregation closed forms: Ei
 (coefficient variance and threshold objective) and erf/erfc (joint law of
-the auxiliary pair; analysis.joint_cdf_xy evaluates it with math.erf and
-math.erfc, and these stay as verified references).
+the auxiliary pair).  Every closed form evaluates them from here.
 
-Everything here is implemented from scratch (power series plus continued
-fractions) so the closed-form layer carries no special-function dependency.
-The accuracy contract, enforced by the test suite against high-precision
-series oracles:
+Ei is implemented from scratch (power series plus a continued fraction),
+since the standard library has none; erf and erfc are the standard
+library's.  The accuracy contract, enforced by the test suite against
+high-precision series oracles:
 
 * ``exp_integral_ei``: relative error <= 1e-12 for 1e-6 <= |x| <= 50,
 * ``erf``: relative error <= 1e-12 for |x| <= 6,
-* ``erfc``: relative error <= 1e-10 up to x = 10, computed without
+* ``erfc``: relative error <= 1e-12 for -6 <= x <= 10, computed without
   catastrophic cancellation.
 """
 
 from __future__ import annotations
 
 import math
+from math import erf, erfc
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -25,7 +25,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 # cancellation in doubles; at 4 the loss stays below ~5e-13 and the
 # continued fraction already converges quickly.
 _EI_SEAM = 4.0
-_ERF_SEAM = 1.0
 _MAX_ITER = 500
 _TINY = 1e-300
 
@@ -97,65 +96,3 @@ def exp_integral_ei(x: float) -> float:
     if x > 0.0 or -x <= _EI_SEAM:
         return _ei_series(x)
     return -_e1_continued_fraction(-x)
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = (2/sqrt(pi)) sum_{n>=0} (-1)^n x^(2n+1) / (n! (2n+1)),
-    # used for |x| <= _ERF_SEAM where the alternating terms never exceed |x|.
-    xsq = x * x
-    term = x  # x^(2n+1) / n!
-    terms = [term]
-    for n in range(1, _MAX_ITER + 1):
-        term *= xsq / n
-        contrib = term / (2 * n + 1)
-        terms.append(contrib if n % 2 == 0 else -contrib)
-        if abs(contrib) <= 1e-18:
-            break
-    else:
-        raise RuntimeError(f"erf series did not converge at x={x}")
-    return 2.0 / math.sqrt(math.pi) * math.fsum(terms)
-
-
-def _erfc_continued_fraction(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # for x >= _ERF_SEAM (Lentz).  Never forms 1 - erf, so no cancellation.
-    b = x
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    f = d
-    for k in range(1, _MAX_ITER + 1):
-        a = 0.5 * k
-        d = b + a * d
-        if d == 0.0:
-            d = _TINY
-        c = b + a / c
-        if c == 0.0:
-            c = _TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise RuntimeError(f"erfc continued fraction did not converge at x={x}")
-    return math.exp(-x * x) / math.sqrt(math.pi) * f
-
-
-def erf(x: float) -> float:
-    """Error function, series below |x| = 1 and via erfc above."""
-    x = _require_finite(x, "x")
-    ax = abs(x)
-    if ax <= _ERF_SEAM:
-        return _erf_series(x)
-    return math.copysign(1.0 - _erfc_continued_fraction(ax), x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, cancellation-free for large x."""
-    x = _require_finite(x, "x")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < _ERF_SEAM:
-        return 1.0 - _erf_series(x)
-    return _erfc_continued_fraction(x)
-

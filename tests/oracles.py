@@ -5,7 +5,9 @@ closed forms are computed with mpmath at 40 significant digits; the frozen
 constants below were produced by those helpers (rounded to double
 precision), and tests compare against the constants for headline values and
 against the live helpers for grid sweeps.  air_round_ref is one
-over-the-air round, and logistic_gradient_ref and mlp_gradient_ref are one
+over-the-air round in the reduced form (1/K) sum_k xi_k g_k + noise, and
+physical_round_ref the same round from the superposed receive signal;
+logistic_gradient_ref and mlp_gradient_ref are one
 device's mini-batch gradient, in plain numpy and Python scalars, for
 bit-exact comparison with the package's array kernels; bce_loss_ref is the
 loss whose finite differences check those gradients.  read_sweep_csv
@@ -149,6 +151,50 @@ def air_round_ref(grads, channel_normals, noise_normals, rho, gamma_th, p_max, g
             noise = noise_normals * (math.sqrt(sigma2) / (math.sqrt(2.0) * zeta))
             g_hat += noise
     return g_hat, xi, active, noise
+
+
+def physical_round_ref(grads, channel_normals, noise_normals, distances, alpha, rho, gamma_th, p_max, g_bound,
+                       sigma2):
+    """One over-the-air round from the superposed receive signal, the
+    scalar way: (g_hat, beta, active).
+
+    grads is (K, d); device k sits at distances[k] with path-loss exponent
+    alpha.  channel_normals holds K rows of four standard normals (Re h_hat,
+    Im h_hat, Re v, Im v), each scaled by 1/sqrt(2) to build h_hat, v ~
+    CN(0, 1) and the true channel h = rho h_hat + sqrt(1 - rho^2) v.
+    noise_normals is (d, 2): the receiver noise is z = sqrt(sigma2 / 2)
+    (n[:, 0] + i n[:, 1]) ~ CN(0, sigma2 I_d).  A device with |h_hat|^2 >=
+    gamma_th transmits beta_k g_k with the truncated-inversion pre-scaling
+
+        beta_k = zeta lambda d_k^(alpha/2) conj(h_hat_k) / (K |h_hat_k|^2),
+        lambda = e^gamma / rho,
+        zeta = K rho sqrt(P_max gamma) / (G sqrt(d_max^alpha) e^gamma),
+
+    d_max the largest distance; beta_k is 0 for the others.  The receiver
+    gets y = sum_{k active} d_k^(-alpha/2) h_k beta_k g_k + z, summed in
+    device order, and returns g_hat = Re(y) / zeta.  With no active device
+    nothing is sent and g_hat is 0.
+    """
+    k_devices, dim = grads.shape
+    lam = math.exp(gamma_th) / rho
+    d_max_alpha = max(distances) ** alpha
+    zeta = k_devices * rho * math.sqrt(p_max * gamma_th) / (g_bound * math.sqrt(d_max_alpha) * math.exp(gamma_th))
+    beta = np.zeros(k_devices, dtype=complex)
+    active = np.zeros(k_devices, dtype=bool)
+    y = np.zeros(dim, dtype=complex)
+    for k, (z, d) in enumerate(zip(channel_normals, distances)):
+        z = z * (1.0 / math.sqrt(2.0))
+        h_hat = complex(z[0], z[1])
+        h = rho * h_hat + math.sqrt(1.0 - rho * rho) * complex(z[2], z[3])
+        gain = (h_hat * h_hat.conjugate()).real
+        if gain >= gamma_th:
+            active[k] = True
+            beta[k] = zeta * lam * d ** (alpha / 2.0) * h_hat.conjugate() / (k_devices * gain)
+            y += (d ** (-alpha / 2.0) * h * beta[k]) * grads[k]
+    if not active.any():
+        return np.zeros(dim), beta, active
+    y += math.sqrt(sigma2 / 2.0) * (noise_normals[:, 0] + 1j * noise_normals[:, 1])
+    return y.real / zeta, beta, active
 
 
 def _sigmoid_ref(s):

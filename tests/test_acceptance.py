@@ -23,6 +23,7 @@ from airfl.config import (
     VerifyDivergenceConfig,
     VerifyPdfConfig,
     VerifyXiConfig,
+    bin_centers,
     config_to_kv,
 )
 from airfl.fltrain import SeedDraws, train_cells
@@ -118,11 +119,9 @@ def test_criterion_03_joint_density(joint_law):
     res = joint_law
     tv = res.meta["tv_distance"]
     norm = pdf_normalization()
-    edges_t = np.linspace(-3.0, 3.0, 41)
-    edges_g = np.linspace(-4.0, -0.1, 41)
-    fd_worst = cdf_pdf_consistency(
-        0.5 * (edges_t[:-1] + edges_t[1:]), 0.5 * (edges_g[:-1] + edges_g[1:])
-    )
+    # the stencil at the bin centres verify-pdf checks at its defaults
+    pdf = VerifyPdfConfig()
+    fd_worst = cdf_pdf_consistency(bin_centers(*pdf.t_range, pdf.bins), bin_centers(*pdf.gamma_range, pdf.bins))
     gates = pdf_gates(res, norm, fd_worst)
     checked = ("pdf_tv_distance", "pdf_normalization", "cdf_pdf_consistency")
     ok = all(g.passed for g in gates if g.name in checked)

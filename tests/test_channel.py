@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from airfl.aircomp import effective_coefficients
+from airfl.aircomp import aggregate_batch, compensation_lambda
 from airfl.channel import (
     ChannelDraw,
     EstimationModel,
@@ -135,7 +135,9 @@ class TestDrawChannel:
 
 
 def is_active(h_hat: complex, gamma_th: float) -> bool:
-    _, active = effective_coefficients(np.array([h_hat]), np.array([h_hat]), gamma_th, 1.0)
+    # lambda is formed from gamma_th, which refuses a threshold that is not positive and finite
+    lam = compensation_lambda(gamma_th, 1.0)
+    _, active, _, _ = aggregate_batch(np.zeros((1, 1)), np.array([h_hat]), np.array([h_hat]), gamma_th, lam)
     return bool(active[0])
 
 

@@ -342,7 +342,21 @@ class TestVerifyDivergence:
         rc = main(["verify-divergence", "--config", cfg_path, "--trials", "4000"])
         printed = capsys.readouterr().out
         assert rc == 0, printed
-        assert "PASS divergence_exact_4se" in printed
+        assert "PASS divergence_exact_4se" in printed and "untestable" not in printed
+
+    def test_gate_is_untestable_when_no_trial_transmits(self, tmp_path, capsys):
+        # at gamma_th = 15 no device of any of the 1000 trials is active, so
+        # every trial's divergence is ||g||^2, blind to the noise term: the
+        # FAIL and its exit code stand, and the line says the gate tested nothing
+        cfg_path = tmp_path / "g15.cfg"
+        cfg_path.write_text("gamma_th = 15\nverify_divergence.k_scan = 0\n")
+        rc = main(["verify-divergence", "--config", str(cfg_path), "--trials", "1000", "--out", str(tmp_path / "run")])
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if "divergence_exact_4se" in l]
+        assert rc == 1
+        assert line.startswith("FAIL divergence_exact_4se: untestable: no trial transmitted, so mc is ||g||^2 and "
+                               "cannot see the noise term; mc=4.081420e-01 exact=2.431051e+05 se=")
+        columns, (row,) = read_sweep_csv(tmp_path / "run" / "verify_divergence.csv")
+        assert dict(zip(columns, row))["skip_fraction"] == 1.0
 
     def test_resolves_once(self, tmp_path, capsys, monkeypatch):
         # one distance draw and one threshold solve serve the check, its

@@ -8,8 +8,8 @@ import pytest
 
 import oracles
 import airfl.channel
-from airfl.aircomp import PowerConfig, aggregate, preprocessing_beta
-from airfl.channel import ChannelArrays, ChannelDraw, EstimationModel, draw_channel, substream
+from airfl.aircomp import PowerConfig, _gain, compensation_lambda, scaling_zeta
+from airfl.channel import ChannelArrays, EstimationModel, channel_from_normals, draw_channel, substream
 from airfl.config import (
     STREAM_BATCH,
     STREAM_CHANNEL,
@@ -537,16 +537,6 @@ class TestSeedDraws:
         assert shared.records == private.records
 
 
-def channel_arrays(draws) -> ChannelArrays:
-    """The arrays SeedDraws.channels holds, built from scalar draws."""
-    parts = [np.array([getattr(dr, name) for dr in draws]) for name in ("h", "h_hat")]
-    return ChannelArrays(*parts, np.array([dr.d ** dr.alpha for dr in draws]))
-
-
-def one_cell(outcome, gamma_th, g_bound) -> _Cells:
-    return _Cells(np.array([[gamma_th]]), np.array([[outcome.lam]]), np.array([[outcome.zeta]]), g_bound)
-
-
 class TestPowerCheck:
     """_assert_power_feasible checks every active (cell, device) pair at once."""
 
@@ -555,40 +545,41 @@ class TestPowerCheck:
     def power(self):
         return PowerConfig(p_max=0.1, sigma2=1e-8, g_bound=self.G, d_max_alpha=self.D_MAX**self.ALPHA)
 
+    def cell(self, gamma_th, power, k_devices):
+        return _Cells(np.array([[gamma_th]]), np.array([[compensation_lambda(gamma_th, self.RHO)]]),
+                      np.array([[scaling_zeta(k_devices, self.RHO, power, gamma_th)]]), power.g_bound)
+
     def worst_case(self, g_scale=1.0):
         # device 1 sits exactly at the design corner: |h_hat|^2 = gamma_th,
         # d = d_max, ||g|| = G; the others are close and strong.  Returned as
         # one cell: grads (1, K, d), the channel arrays, the (1, K) activity
         # and the cell's constants
-        draws = [
-            ChannelDraw(h=2.0 + 0.5j, h_hat=2.0 + 0.5j, v=0j, d=30.0, alpha=self.ALPHA),
-            ChannelDraw(h=complex(math.sqrt(self.GAMMA)), h_hat=complex(math.sqrt(self.GAMMA)), v=0j,
-                        d=self.D_MAX, alpha=self.ALPHA),
-            ChannelDraw(h=-1.5 + 1.5j, h_hat=-1.5 + 1.5j, v=0j, d=50.0, alpha=self.ALPHA),
-        ]
+        h_hat = np.array([2.0 + 0.5j, complex(math.sqrt(self.GAMMA)), -1.5 + 1.5j])
+        channels = ChannelArrays(h_hat, h_hat, np.array([30.0, self.D_MAX, 50.0]) ** self.ALPHA)
         grads = np.zeros((self.K, 4))
         grads[:, 0] = 0.1
         grads[1, 0] = self.G * g_scale
-        outcome = aggregate(grads, draws, self.GAMMA, self.RHO, self.power(), np.random.default_rng(0))
-        assert outcome.active_set == [0, 1, 2]
-        active = np.isin(np.arange(self.K), outcome.active_set)[None]
-        return grads[None], channel_arrays(draws), active, one_cell(outcome, self.GAMMA, self.G)
+        active = _gain(h_hat) >= self.GAMMA
+        assert active.all()
+        return grads[None], channels, active[None], self.cell(self.GAMMA, self.power(), self.K)
 
-    def test_sent_power_is_preprocessing_beta_squared(self):
+    def test_sent_power_is_the_physical_oracles_beta_squared(self):
         gen = np.random.default_rng(5)
-        model = EstimationModel(rho=self.RHO, alpha=self.ALPHA)
         for _ in range(200):
             k_devices = int(gen.integers(1, 12))
-            draws = [draw_channel(model, float(gen.uniform(10.0, 200.0)), gen) for _ in range(k_devices)]
+            distances = gen.uniform(10.0, 200.0, k_devices)
+            normals = gen.standard_normal((k_devices, 4))
             grads = gen.standard_normal((k_devices, 7)) * gen.uniform(0.1, 3.0)
-            outcome = aggregate(grads, draws, 0.3, self.RHO, self.power(), gen)
-            cell = one_cell(outcome, 0.3, self.G)
-            sent, g_norm_sq = (a[0, outcome.active_set] for a in _sent_power(grads[None], channel_arrays(draws), cell))
-            for i, k in enumerate(outcome.active_set):
-                beta = preprocessing_beta(draws[k], outcome.zeta, outcome.lam, k_devices)
-                assert g_norm_sq[i] == pytest.approx(grads[k] @ grads[k], rel=1e-12)
-                ref = abs(beta) ** 2 * float(grads[k] @ grads[k])
-                assert sent[i] == pytest.approx(ref, rel=1e-12)
+            power = replace(self.power(), d_max_alpha=max(distances) ** self.ALPHA)
+            channels = ChannelArrays(*channel_from_normals(normals, self.RHO), distances**self.ALPHA)
+            _, beta, active = oracles.physical_round_ref(grads, normals, np.zeros((7, 2)), distances, self.ALPHA,
+                                                         self.RHO, 0.3, power.p_max, self.G, power.sigma2)
+            assert np.array_equal(active, _gain(channels.h_hat) >= 0.3)
+            cell = self.cell(0.3, power, k_devices)
+            sent, g_norm_sq = (a[0, active] for a in _sent_power(grads[None], channels, cell))
+            want_norm_sq = np.einsum("kd,kd->k", grads[active], grads[active])
+            assert g_norm_sq == pytest.approx(want_norm_sq, rel=1e-12)
+            assert sent == pytest.approx(np.abs(beta[active]) ** 2 * want_norm_sq, rel=1e-12)
 
     def test_worst_case_device_fits_the_designed_zeta_only(self):
         grads, channels, active, cells = self.worst_case()

@@ -11,9 +11,9 @@ import oracles
 from oracles import read_sweep_csv
 import airfl
 from airfl import harness
-from airfl.aircomp import PowerConfig, aggregate, compensation_lambda, effective_coefficients, scaling_zeta
+from airfl.aircomp import PowerConfig, aggregate_batch, compensation_lambda, scaling_zeta
 from airfl.analysis import conditional_second_moment, joint_cdf_xy, joint_pdf_xy, xi_mean_offset, xi_variance
-from airfl.channel import EstimationModel, draw_channel, draw_channel_block, draw_channel_rows, substream
+from airfl.channel import EstimationModel, draw_channel_block, draw_channel_rows, substream
 from airfl.config import (
     STREAM_MC_DIVERGENCE,
     STREAM_MC_JOINT,
@@ -139,7 +139,8 @@ def _per_cell_sums(rho, gamma, n, seed):
     for lo in range(0, n, _MC_BLOCK):
         gen = substream(seed, STREAM_MC_XI, lo // _MC_BLOCK)
         h, h_hat, _ = draw_channel_block(model, min(_MC_BLOCK, n - lo), gen)
-        xi, active = effective_coefficients(h, h_hat, gamma, lam)
+        xi, active, _, _ = aggregate_batch(np.zeros((1, 1)), h[:, None], h_hat[:, None], gamma, lam)
+        xi, active = xi[:, 0], active[:, 0]
         y = xi - 1.0
         y2 = y * y
         for part, power in zip(sums, (y, y2, y2 * y, y2 * y2)):
@@ -735,40 +736,35 @@ def divergence_rows(seed, key, lo, hi, width):
         yield t, blocks[b][t % _TRIAL_BLOCK]
 
 
-class RowStream:
-    """Stands in for a generator: hands out one row of normals in order."""
-
-    def __init__(self, row):
-        self.row, self.used = row, 0
-
-    def standard_normal(self, size):
-        n = int(np.prod(size))
-        out = self.row[self.used : self.used + n]
-        assert len(out) == n, "read past the trial's row"
-        self.used += n
-        return out.reshape(size)
-
-
 def row_width(grads):
     """K x 4 channel normals, then d noise normals, whatever sigma2 is."""
     k_devices, d_model = np.shape(grads)
     return 4 * k_devices + d_model
 
 
-def scalar_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
-    """Reference for the block kernel: one draw_channel per device and one
-    aggregate per trial, each reading on from the trial's row."""
-    model = EstimationModel(rho=rho, alpha=2.0)
-    grads = list(grads)
+def physical_trials(grads, power, gamma_th, rho, seed, key, lo, hi):
+    """Reference for the block kernel: the same trials through
+    oracles.physical_round_ref, the round from the superposed receive
+    signal, with the devices spread out to d_max at alpha = 2.2.  Each
+    trial's row gives the channel normals and the real part of the
+    receiver noise; the imaginary part, which Re(y) drops, comes from a
+    fixed generator."""
+    k_devices, d_model = grads.shape
+    alpha = 2.2
+    d_max = power.d_max_alpha ** (1.0 / alpha)
+    distances = [d_max * (k + 1) / k_devices for k in range(k_devices)]
+    imaginary = np.random.default_rng(0)
     g_ideal = ideal_aggregate(grads)
     div, skips = [], []
     for _, row in divergence_rows(seed, key, lo, hi, row_width(grads)):
-        gen = RowStream(row)
-        draws = [draw_channel(model, 100.0, gen) for _ in grads]
-        out = aggregate(grads, draws, gamma_th, rho, power, gen)
-        diff = out.g_hat - g_ideal
+        noise = np.stack([row[4 * k_devices :], imaginary.standard_normal(d_model)], axis=1)
+        g_hat, _, active = oracles.physical_round_ref(
+            grads, row[: 4 * k_devices].reshape(k_devices, 4), noise, distances, alpha, rho, gamma_th, power.p_max,
+            power.g_bound, power.sigma2,
+        )
+        diff = g_hat - g_ideal
         div.append(float(diff @ diff))
-        skips.append(out.skipped)
+        skips.append(not active.any())
     return np.array(div), np.array(skips)
 
 
@@ -838,10 +834,12 @@ class TestDivergenceKernel:
             args = (_basis_gradients(4, 300), SCAN_POWER, 0.5, 0.8, 2026, (4,))
             assert harness._BLOCK_FLOATS // 300 < _TRIAL_BLOCK
         div, skips = kernel_trials(args, 300)
-        for reference in (scalar_trials, oracle_trials):
-            ref_div, ref_skips = reference(*args, 0, 300)
-            assert np.array_equal(div, ref_div)
-            assert np.array_equal(skips, ref_skips)
+        ref_div, ref_skips = oracle_trials(*args, 0, 300)
+        assert np.array_equal(div, ref_div)
+        assert np.array_equal(skips, ref_skips)
+        ref_div, ref_skips = physical_trials(*args, 0, 300)
+        assert div == pytest.approx(ref_div, rel=1e-12, abs=0.0)
+        assert np.array_equal(skips, ref_skips)
         if case == "skipping":
             assert 0 < skips.sum() < skips.size
 
@@ -857,7 +855,7 @@ class TestDivergenceKernel:
         args = frozen(small_cfg())
         n = 2 * _TRIAL_BLOCK + 45
         div, skips = kernel_trials(args, n)
-        ref_div, ref_skips = scalar_trials(*args, 0, n)
+        ref_div, ref_skips = oracle_trials(*args, 0, n)
         assert np.array_equal(div, ref_div)
         assert np.array_equal(skips, ref_skips)
 
@@ -880,7 +878,7 @@ class TestDivergenceKernel:
             z = row[: 4 * k_devices].reshape(k_devices, 4) * (1.0 / math.sqrt(2.0))
             h_hat = z[:, 0] + 1j * z[:, 1]
             h = rho * h_hat + math.sqrt(1.0 - rho * rho) * (z[:, 2] + 1j * z[:, 3])
-            xi, active = effective_coefficients(h, h_hat, gamma_th, lam)
+            xi, active, _, _ = aggregate_batch(np.zeros((k_devices, 1)), h, h_hat, gamma_th, lam)
             g_hat = np.zeros(d_model)
             for k in range(k_devices):
                 g_hat += xi[k] * grads[k]

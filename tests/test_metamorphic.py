@@ -18,6 +18,12 @@ gradients, which the kernel draws in a fixed order, so on the kernel's side
 they are checked per trial on one aircomp.aggregate_batch call over shared
 normals.  R2 and R3 also leave the threshold objective's weights, and so
 the optimal threshold, unchanged to rounding.
+
+R1-R3 also hold for the aggregate itself on one training round,
+fltrain._air_round on round 0 of the seed's draws: R1 scales g_hat by c,
+and R2 and R3 (the latter with every distance d_k x c^(1/alpha), so d_k^alpha
+x c) leave it unchanged.  _air_round asserts the power budget of every
+active device, so each scaled system also keeps to its own P_max.
 """
 
 import functools
@@ -31,7 +37,7 @@ from airfl.aircomp import PowerConfig, aggregate_batch, compensation_lambda, rec
 from airfl.analysis import divergence_exact
 from airfl.channel import channel_from_normals, substream
 from airfl.config import STREAM_MC_DIVERGENCE, SystemConfig
-from airfl.fltrain import ideal_aggregate
+from airfl.fltrain import SeedDraws, _air_round, _Cells, _zetas, ideal_aggregate
 from airfl.harness import _TRIAL_BLOCK, _divergence_blocks, _frozen_setup
 from airfl.optimizer import coefficients_from_system, optimal_threshold
 
@@ -169,3 +175,59 @@ def test_r2_r3_leave_the_optimal_threshold_unchanged(relation, name, rho, c):
     for mode in ("joint", "computation_oriented"):
         got, want = optimal_threshold(coef_c, mode).gamma_star, optimal_threshold(coef, mode).gamma_star
         assert within_ulps(got, want, 2), mode
+
+
+@functools.cache
+def training_system(name):
+    """(resolved cfg, round-0 grads (K, d), G) of a training system."""
+    cfg = SystemConfig() if name == "defaults" else SystemConfig(sigma2_dbm=-60.0)
+    cfg, grads, power = _frozen_setup(cfg)
+    return cfg, np.array(grads), power.g_bound
+
+
+def air_round(cfg, grads, g_bound) -> np.ndarray:
+    """g_hat of one fltrain._air_round call on round 0 of SeedDraws(cfg), for
+    one cell at cfg's threshold with gradient bound g_bound.  The round
+    asserts that every active device with ||g_k|| <= G keeps to P_max."""
+    draws = SeedDraws(cfg)
+    cfg = draws.cfg
+    cells = _Cells(np.array([[cfg.gamma_th]]), np.array([[compensation_lambda(cfg.gamma_th, cfg.rho)]]),
+                   _zetas(cfg, [cfg.gamma_th], [g_bound]), np.array([[g_bound]]))
+    g_hat, n_active, _ = _air_round(grads[None], cells, draws, 0)
+    assert n_active[0] > 0
+    return g_hat[0]
+
+
+def assert_rel_close(got, want):
+    assert np.linalg.norm(got - want) <= REL_TOL * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("c", SCALES)
+def test_r1_on_a_training_round(name, c):
+    cfg, grads, g_bound = training_system(name)
+    assert_rel_close(air_round(cfg, grads * c, g_bound * c), c * air_round(cfg, grads, g_bound))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("c", SCALES)
+def test_r2_on_a_training_round(name, c):
+    cfg, grads, g_bound = training_system(name)
+    scaled = replace(cfg, p_max=cfg.p_max * c, sigma2_dbm=cfg.sigma2_dbm + 10.0 * math.log10(c))
+    assert_rel_close(air_round(scaled, grads, g_bound), air_round(cfg, grads, g_bound))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("c", SCALES)
+def test_r3_on_a_training_round(name, c):
+    cfg, grads, g_bound = training_system(name)
+    stretch = c ** (1.0 / cfg.alpha)
+    scaled = replace(cfg, p_max=cfg.p_max * c, distances=tuple(d * stretch for d in cfg.distances))
+    assert_rel_close(air_round(scaled, grads, g_bound), air_round(cfg, grads, g_bound))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_the_noise_is_a_visible_share_of_a_training_round(name):
+    cfg, grads, g_bound = training_system(name)
+    quiet = air_round(replace(cfg, sigma2_dbm=-300.0), grads, g_bound)
+    assert np.linalg.norm(air_round(cfg, grads, g_bound) - quiet) > 1e-6 * np.linalg.norm(quiet)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import airfl
+from airfl import specfun
 
 # removed public names, by the module that used to define them
 _REMOVED = {
@@ -19,7 +21,7 @@ _REMOVED = {
     "fltrain": ("ModelParams", "load_idx", "load_idx_pair", "binary_subset", "local_gradient", "_draws_key"),
     "harness": ("mc_conditional_second_moment", "CondMomentResult", "read_sweep_csv", "convergence_report",
                 "_mean_sq_row_norm", "xi_untestable", "_xi_rel_resolution", "_cell_text", "_COMMUNICATION_GAMMA"),
-    "aircomp": ("_coefficients",),
+    "aircomp": ("_coefficients", "effective_coefficients"),
     "analysis": ("closed_form_report", "ClosedFormReport", "convergence_bound", "LearningConstants"),
     "config": ("ResolvedExperiment",),
     "cli": ("_centers",),
@@ -61,6 +63,25 @@ def test_every_top_level_name_is_used_or_public():
                 used.add(node.attr)
     unused = {name: module for name, module in defined.items() if name not in used and name not in airfl.__all__}
     assert unused == {}
+
+
+def test_one_error_function():
+    # erf and erfc are the standard library's, and every module but specfun
+    # reaches them through specfun, never through math
+    assert specfun.erf is math.erf and specfun.erfc is math.erfc
+    src = Path(airfl.__file__).resolve().parent
+    direct = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "specfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("erf", "erfc")
+                    and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                direct.append(f"{path.name}:{node.lineno} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                direct.extend(f"{path.name}:{node.lineno} from math import {a.name}"
+                              for a in node.names if a.name in ("erf", "erfc"))
+    assert direct == []
 
 
 def test_every_airfl_name_in_the_readme_resolves():
