@@ -87,7 +87,7 @@ def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
         ],
         meta={"n_samples": n},
     )
-    return Outcome({"verify_xi": table}, *xi_gates(results), table.meta, cfg)
+    return Outcome({"verify_xi": table}, xi_gates(results), [], table.meta, cfg)
 
 
 def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:

@@ -6,7 +6,10 @@ weight divergence.  Comparisons follow the 4-standard-error rule, so each
 estimator also returns its standard error; results are tabulated as
 SweepResult and written as CSV plus a replayable run manifest.  Verdicts
 are Gate records built from the results by xi_gates, pdf_gates and
-divergence_gates, shared by the CLI and the acceptance suite.
+divergence_gates, shared by the CLI and the acceptance suite.  Every gate
+follows one rule: it passes when |estimate - reference| <= limit * se if
+it carries an se, and <= limit if not; a gate whose se is not finite
+fails as untestable.
 
 Every Monte-Carlo check samples through one keyed-block map, _block_map
 (stream layout 3): block b of a check reads substream(seed, purpose,
@@ -105,8 +108,7 @@ _NORM_GAMMA_MIN = -40.0  # lower gamma edge of the density normalization
 _NORM_NODES = 20  # nodes per axis of the normalization's tensor rule
 _SCAN_DISTANCE = 100.0  # the K-scan's common device distance, meters
 _SCAN_D_MODEL = 10  # the K-scan's model dimension: device k sends basis vector k mod 10
-_Z_LIMIT = 4.0  # the 4-standard-error rule of every 'z' gate
-_XI_REL_LIMIT = 0.02  # verify-xi's relative variance gate, where the sample resolves it
+_Z_LIMIT = 4.0  # the 4-standard-error rule of every gate that carries an se
 # samples or trials per stream block, constants of stream layout 3: block b
 # of verify-xi or verify-pdf reads substream(seed, purpose, b), and trial t
 # of the divergence is row t mod 256 of substream(seed,
@@ -163,9 +165,6 @@ class SweepResult:
         return [row[idx] for row in self.rows]
 
 
-_GATE_KINDS = ("z", "abs", "rel", "tv")
-
-
 def _fixed(v: float) -> str:
     # two decimals, or exponent form once the fixed form would run past 10 digits
     return f"{v:.3e}" if abs(v) >= 1e6 else f"{v:.2f}"
@@ -173,13 +172,11 @@ def _fixed(v: float) -> str:
 
 @dataclass(frozen=True)
 class Gate:
-    """One verdict: an estimate against its reference under a limit.
-
-    kind 'z' is the 4-standard-error rule, |estimate - reference| <= limit * se;
-    'abs' is |estimate - reference| <= limit; 'rel' is
-    |estimate - reference| / |reference| < limit; 'tv' is a distance,
-    |estimate - reference| < limit.  Only a 'z' gate carries an se.  A NaN
-    estimate fails every kind; detail says what was measured.
+    """One verdict: |estimate - reference| <= limit * se for a gate that
+    carries an se (the 4-standard-error rule), <= limit for one that does
+    not.  A NaN estimate fails, and so does a gate whose se is not finite:
+    it cannot be tested, and its summary says so.  detail says what was
+    measured.
     """
 
     name: str
@@ -187,28 +184,22 @@ class Gate:
     reference: float
     se: float | None
     limit: float
-    kind: str = "z"
     detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in _GATE_KINDS:
-            raise ValueError(f"gate kind must be one of {_GATE_KINDS}, got {self.kind!r}")
-        if (self.se is None) == (self.kind == "z"):
-            raise ValueError("a 'z' gate needs an se and no other kind takes one")
 
     @property
     def deviation(self) -> float:
-        """|estimate - reference| in the gate's unit (SEs for 'z')."""
+        """|estimate - reference|, in SEs for a gate that carries one (NaN
+        where that se is not finite)."""
         gap = abs(self.estimate - self.reference)
-        if self.kind == "z":
-            return gap / self.se if self.se > 0.0 else (0.0 if gap == 0.0 else math.inf)
-        if self.kind == "rel":
-            return gap / abs(self.reference)
-        return gap
+        if self.se is None:
+            return gap
+        if not math.isfinite(self.se):
+            return math.nan
+        return gap / self.se if self.se > 0.0 else (0.0 if gap == 0.0 else math.inf)
 
     @property
     def z(self) -> float | None:
-        return self.deviation if self.kind == "z" else None
+        return None if self.se is None else self.deviation
 
     @property
     def margin(self) -> float:
@@ -216,35 +207,21 @@ class Gate:
 
     @property
     def passed(self) -> bool:
-        gap = abs(self.estimate - self.reference)
-        if self.kind == "z":
-            return gap <= self.limit * self.se
-        if self.kind == "abs":
-            return gap <= self.limit
-        return self.deviation < self.limit
+        scale = 1.0 if self.se is None else self.se
+        return math.isfinite(scale) and abs(self.estimate - self.reference) <= self.limit * scale
 
     def summary(self) -> str:
-        if self.kind == "z":
-            tail = f"z={_fixed(self.z)} limit={self.limit:g} margin={_fixed(self.margin)}"
-        else:
+        if self.se is None:
             tail = f"limit={self.limit:g} margin={self.margin:.3g}"
-        return f"{self.detail} {tail}" if self.detail else tail
+        else:
+            tail = f"z={_fixed(self.z)} limit={self.limit:g} margin={_fixed(self.margin)}"
+        text = f"{self.detail} {tail}" if self.detail else tail
+        return text if self.se is None or math.isfinite(self.se) else f"untestable: se is not finite; {text}"
 
 
 def verdict_lines(gates) -> list[str]:
-    """One `PASS name: ...` or `FAIL name: ...` line per gate name.
-
-    Gates sharing a name (a cell's z-score and relative checks) make one
-    line that passes only when all of them pass.
-    """
-    by_name: dict[str, list[Gate]] = {}
-    for g in gates:
-        by_name.setdefault(g.name, []).append(g)
-    return [
-        f"{'PASS' if all(g.passed for g in group) else 'FAIL'} {name}: "
-        + "; ".join(g.summary() for g in group)
-        for name, group in by_name.items()
-    ]
+    """One `PASS name: ...` or `FAIL name: ...` line per gate."""
+    return [f"{'PASS' if g.passed else 'FAIL'} {g.name}: {g.summary()}" for g in gates]
 
 
 @dataclass(frozen=True)
@@ -337,9 +314,19 @@ def mc_xi_moments_grid(cells, n_samples: int, seed: int, jobs: int = 1) -> list[
     ]
 
 
+def _xi_unit(lam: float) -> float:
+    """The power of two in (lam/2, lam], the scale of xi - 1 at the
+    compensation lam = e^gamma_th/rho.  The power sums are taken of
+    (xi - 1)/unit, so they stay finite wherever 1/rho^2 is, and dividing by
+    a power of two moves no bit of a result that fits the doubles either
+    way."""
+    return math.ldexp(1.0, math.frexp(lam)[1] - 1)
+
+
 def _xi_blocks(args, blocks):
     """For each (gen, m) of blocks, every cell's active count and sums of
-    y, y^2, y^3 and y^4 for y = xi - 1 on the block, and no counts.
+    y, y^2, y^3 and y^4 for y = (xi - 1)/unit on the block (_xi_unit), and
+    no counts.
 
     A block is drawn once (draw_channel_block, at the first cell's rho) and
     each quantity is formed once for the cells that share it: |h_hat|^2
@@ -361,8 +348,10 @@ def _xi_blocks(args, blocks):
             h = h_first if rho == first.rho else channel(h_hat, v, rho)
             aligned = _aligned(h, h_hat)
             for k in ks:
-                y, active = _truncated_ratio(gain, aligned, cells[k][1], lams[k])
-                y -= 1.0
+                # lam/unit scales xi by a power of two, which rounds alike
+                unit = _xi_unit(lams[k])
+                y, active = _truncated_ratio(gain, aligned, cells[k][1], lams[k] / unit)
+                y -= 1.0 / unit
                 sums[k] = (int(np.count_nonzero(active)), *_power_sums(y))
         yield sums, 0
 
@@ -386,23 +375,24 @@ def _merge_sums(block_sums) -> tuple[int, tuple[float, ...]]:
 
 
 def _xi_result(rho, gamma_th, n_samples: int, block_sums) -> XiMomentsResult:
+    """The moments of xi from the merged sums of y = (xi - 1)/unit."""
+    unit = _xi_unit(compensation_lambda(gamma_th, rho))
     n_active, (s1, s2, s3, s4) = _merge_sums(block_sums)
     n = float(n_samples)
-    a = s1 / n  # sample mean of xi - 1
+    a = s1 / n  # sample mean of y
     m2 = s2 / n - a * a
     m4 = s4 / n - 4.0 * a * s3 / n + 6.0 * a * a * s2 / n - 3.0 * a**4
     var = m2 * n / (n - 1.0)
-    se_mean = math.sqrt(var / n)
     se_var = math.sqrt(max(m4 - m2 * m2 * (n - 3.0) / (n - 1.0), 0.0) / n)
     p_act = n_active / n
     return XiMomentsResult(
         rho=rho,
         gamma_th=gamma_th,
         n_samples=n_samples,
-        mean=1.0 + a,
-        variance=var,
-        se_mean=se_mean,
-        se_var=se_var,
+        mean=1.0 + a * unit,
+        variance=var * unit * unit,
+        se_mean=math.sqrt(var / n) * unit,
+        se_var=se_var * unit * unit,
         variance_closed=xi_variance(gamma_th, rho),
         active_fraction=p_act,
         se_active=math.sqrt(p_act * (1.0 - p_act) / n),
@@ -410,37 +400,24 @@ def _xi_result(rho, gamma_th, n_samples: int, block_sums) -> XiMomentsResult:
     )
 
 
-def xi_gates(results) -> tuple[list[Gate], list[str]]:
-    """(gates, INFO lines).  Per cell: the mean against 1 and the variance
-    against the closed form at 4 SEs.  A cell whose closed variance exceeds
-    0.1 also gets a 2 % relative variance gate if the sample resolves 2 %
-    (4 SEs at most 2 % of the closed variance), and an INFO line if not."""
-    gates, lines = [], []
+def xi_gates(results) -> list[Gate]:
+    """Per cell, the mean against 1 and the variance against the closed
+    form at 4 SEs.  A cell with fewer than 2 active samples keeps its
+    verdicts, and their details call them untestable."""
+    gates = []
     for r in results:
         cell = f"rho={r.rho:g} gamma={r.gamma_th:g}"
+        active = round(r.active_fraction * r.n_samples)
+        label = f"untestable: fewer than 2 active samples (active={active}); " if active < 2 else ""
         gates.append(
             Gate(f"xi_mean[{cell}]", r.mean, 1.0, r.se_mean, _Z_LIMIT,
-                 detail=f"mean={r.mean:.6f} se={r.se_mean:.2e}")
+                 detail=f"{label}mean={r.mean:.6f} se={r.se_mean:.2e}")
         )
         gates.append(
             Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, r.se_var, _Z_LIMIT,
-                 detail=f"mc={r.variance:.6f} closed={r.variance_closed:.6f} se={r.se_var:.2e}")
+                 detail=f"{label}mc={r.variance:.6f} closed={r.variance_closed:.6f} se={r.se_var:.2e}")
         )
-        if r.variance_closed <= 0.1:
-            continue
-        resolution = _Z_LIMIT * r.se_var / r.variance_closed
-        if resolution <= _XI_REL_LIMIT:
-            rel = abs(r.variance - r.variance_closed) / r.variance_closed
-            gates.append(
-                Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, None, _XI_REL_LIMIT,
-                     kind="rel", detail=f"rel={rel:.4f}")
-            )
-        else:
-            lines.append(
-                f"INFO xi_var[{cell}]: relative gate untestable: "
-                f"4se/closed={resolution:.4f} > limit={_XI_REL_LIMIT:g} n={r.n_samples}"
-            )
-    return gates, lines
+    return gates
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +733,7 @@ def cdf_pdf_consistency(t_values, gamma_values) -> float:
 
 
 def pdf_gates(result: SweepResult, norm: float, fd_worst: float) -> list[Gate]:
-    """Gates of the joint-law check: binned total variation below 0.02,
+    """Gates of the joint-law check: binned total variation at most 0.02,
     density normalization within 1e-6 of 1, CDF/density consistency within
     1e-4, and the tail probability and conditional second moment (c = 0) at
     the first tail threshold, at 4 SEs.  A tail too thin to estimate the
@@ -775,11 +752,11 @@ def pdf_gates(result: SweepResult, norm: float, fd_worst: float) -> list[Gate]:
             f"tail_gamma={meta['tail_gamma']!r}; cannot estimate"
         )
     return [
-        Gate("pdf_tv_distance", tv, 0.0, None, 0.02, kind="tv",
+        Gate("pdf_tv_distance", tv, 0.0, None, 0.02,
              detail=f"tv={tv:.5f} n={meta['n_samples']}"),
-        Gate("pdf_normalization", norm, 1.0, None, 1e-6, kind="abs",
+        Gate("pdf_normalization", norm, 1.0, None, 1e-6,
              detail=f"integral={norm!r}"),
-        Gate("cdf_pdf_consistency", fd_worst, 0.0, None, 1e-4, kind="abs",
+        Gate("cdf_pdf_consistency", fd_worst, 0.0, None, 1e-4,
              detail=f"worst_abs_err={fd_worst:.3e}"),
         Gate("truncation_tail", p_tail, p_exp, se_tail, _Z_LIMIT,
              detail=f"mc={p_tail:.6f} expected={p_exp:.6f} se={se_tail:.2e}"),
@@ -837,8 +814,10 @@ def _divergence_blocks(args, blocks):
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean of x and its standard error."""
-    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
+    """Sample mean of x and its standard error, which is inf where the
+    squared deviations overflow: a gate on it then fails as untestable."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
 
 
 def _pool_size(jobs: int, n_items: int) -> int:

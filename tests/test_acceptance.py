@@ -73,7 +73,7 @@ def xi_grid():
 
 
 def test_criterion_01_coefficient_unbiasedness(xi_grid):
-    gates = [g for g in xi_gates(xi_grid.values())[0] if g.name.startswith("xi_mean")]
+    gates = [g for g in xi_gates(xi_grid.values()) if g.name.startswith("xi_mean")]
     worst = max(gates, key=lambda g: g.z)
     verdict(
         1,
@@ -84,26 +84,22 @@ def test_criterion_01_coefficient_unbiasedness(xi_grid):
 
 
 def test_criterion_02_coefficient_variance(xi_grid):
-    gates = [g for g in xi_gates(xi_grid.values())[0] if g.name.startswith("xi_var")]
-    worst_z = max(g.z for g in gates if g.kind == "z")
-    worst_rel = max(g.deviation for g in gates if g.kind == "rel")
-    ok = all(g.passed for g in gates)
+    results = list(xi_grid.values())
+    gates = [g for g in xi_gates(results) if g.name.startswith("xi_var")]
+    worst_z = max(g.z for g in gates)
+    # where the closed variance exceeds 0.1, 4 SEs resolve a 2 % gap, and
+    # the gap itself stays below 2 %
+    wide = [r for r in results if r.variance_closed > 0.1]
+    worst_resolution = max(4.0 * r.se_var / r.variance_closed for r in wide)
+    worst_rel = max(abs(r.variance - r.variance_closed) / r.variance_closed for r in wide)
+    ok = all(g.passed for g in gates) and len(wide) == len(results) and worst_resolution <= 0.02 and worst_rel < 0.02
     verdict(
         2,
         ok,
         f"variance vs closed form on the same grid: worst |mc-closed|/se = {worst_z:.2f} "
-        f"(limit 4), worst relative gap = {worst_rel:.4f} (limit 0.02 where var > 0.1 and 4 se resolve 2 %)",
+        f"(limit 4), worst relative gap = {worst_rel:.4f} (limit 0.02 where var > 0.1), "
+        f"worst 4se/closed = {worst_resolution:.4f} (limit 0.02)",
     )
-
-
-def test_every_relative_variance_gate_resolves_at_the_default_size(xi_grid):
-    # at 10^6 draws per cell 4 SEs of the variance stay within 2 % of every
-    # closed variance above 0.1, so criterion 2 leaves no relative gate out
-    results = list(xi_grid.values())
-    gates, lines = xi_gates(results)
-    assert lines == []
-    n_rel = sum(g.kind == "rel" for g in gates)
-    assert n_rel == sum(r.variance_closed > 0.1 for r in results) == len(results)
 
 
 @pytest.fixture(scope="module")

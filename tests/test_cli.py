@@ -271,16 +271,40 @@ class TestVerifyXi:
         assert rc == 0
         assert (out2 / "verify_xi.csv").read_bytes() == csv1.read_bytes()
 
-    def test_relative_gate_is_untestable_at_the_minimum_size(self, capsys):
-        # at 10^4 trials 4 SEs of most cells' variance exceed 2 % of it: those
-        # cells print an INFO line, never a verdict, and keep their z gate
+    def test_minimum_size_prints_one_verdict_line_per_gate(self, capsys):
         rc = main(["verify-xi", "--trials", "10000"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
-        info = [l for l in lines if l.startswith("INFO ")]
-        assert info and all("relative gate untestable" in l and "n=10000" in l for l in info)
-        assert all(l.startswith(("PASS ", "INFO ")) for l in lines)
+        assert len(lines) == 32 and all(l.startswith("PASS ") for l in lines)
         assert sum(l.startswith("PASS xi_var[") for l in lines) == 16
+
+    def test_cell_without_active_samples_fails_as_untestable(self, tmp_path, capsys):
+        # P(active) = e^-30: none of 10^4 samples is active, so the cell's
+        # verdicts FAIL as before, and their lines say they tested nothing
+        cfg_path = tmp_path / "g30.cfg"
+        cfg_path.write_text("verify_xi.rhos = 0.8\nverify_xi.gammas = 30\n")
+        rc = main(["verify-xi", "--config", str(cfg_path), "--trials", "10000", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split(": ")[0] for l in lines] == ["FAIL xi_mean[rho=0.8 gamma=30]", "FAIL xi_var[rho=0.8 gamma=30]"]
+        assert all(l.split(": ", 1)[1].startswith("untestable: fewer than 2 active samples (active=0); ")
+                   for l in lines)
+        columns, (row,) = read_sweep_csv(tmp_path / "run" / "verify_xi.csv")
+        assert dict(zip(columns, row))["active_fraction"] == 0.0
+
+    @pytest.mark.parametrize("rho", ["1e-70", "1e-76", "1e-80", "1e-150"])
+    def test_tiny_rho_runs_without_overflow(self, tmp_path, capsys, rho):
+        # xi - 1 is of order 1/rho: its fourth powers would overflow the
+        # doubles from about rho = 1e-76 on, but the sums are taken in units
+        # of the compensation e^gamma/rho
+        cfg_path = tmp_path / "rho.cfg"
+        cfg_path.write_text(f"verify_xi.rhos = {rho}\n")
+        rc = main(["verify-xi", "--config", str(cfg_path), "--trials", "10000"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.out + captured.err
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 8 and all(l.startswith("PASS ") for l in lines)
 
 
 class TestVerifyPdf:
@@ -343,6 +367,18 @@ class TestVerifyDivergence:
         printed = capsys.readouterr().out
         assert rc == 0, printed
         assert "PASS divergence_exact_4se" in printed and "untestable" not in printed
+
+    def test_gate_with_an_overflowing_se_fails_as_untestable(self, tmp_path, capsys):
+        # at rho = 1e-100 the divergence is about 1.7e199 and its squared
+        # deviations overflow: se is inf, which would pass any mc at z = 0
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("rho = 1e-100\nverify_divergence.scan_trials = 1000\n")
+        rc = main(["verify-divergence", "--config", str(cfg_path), "--trials", "1000"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err == ""
+        (line,) = [l for l in captured.out.splitlines() if "divergence_exact_4se" in l]
+        assert line.startswith("FAIL divergence_exact_4se: untestable: se is not finite; mc=1.694968e+199 ")
+        assert line.endswith(" se=inf bound=1.959711e+198 z=nan limit=4 margin=nan")
 
     def test_gate_is_untestable_when_no_trial_transmits(self, tmp_path, capsys):
         # at gamma_th = 15 no device of any of the 1000 trials is active, so

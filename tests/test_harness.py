@@ -253,13 +253,10 @@ class TestGate:
         assert g.passed and g.z == 4.0 and g.margin == 0.0
         assert not Gate("cell", 1.5 + 1e-12, 1.0, 0.125, 4.0).passed
 
-    def test_abs_is_inclusive_rel_and_tv_are_strict(self):
-        assert Gate("a", 0.25, 0.0, None, 0.25, kind="abs").passed
-        assert not Gate("t", 0.25, 0.0, None, 0.25, kind="tv").passed
-        assert Gate("t", 0.125, 0.0, None, 0.25, kind="tv").passed
-        assert not Gate("r", 1.25, 1.0, None, 0.25, kind="rel").passed
-        rel = Gate("r", 1.125, 1.0, None, 0.25, kind="rel")
-        assert rel.passed and rel.deviation == 0.125 and rel.margin == 0.125 and rel.z is None
+    def test_a_gate_without_se_is_inclusive(self):
+        g = Gate("a", 0.25, 0.0, None, 0.25)
+        assert g.passed and g.deviation == 0.25 and g.margin == 0.0 and g.z is None
+        assert not Gate("a", 0.25 + 1e-12, 0.0, None, 0.25).passed
 
     def test_zero_se_passes_only_an_exact_match(self):
         assert Gate("c", 1.0, 1.0, 0.0, 4.0).passed
@@ -267,18 +264,16 @@ class TestGate:
         missed = Gate("c", 1.0 + 1e-15, 1.0, 0.0, 4.0)
         assert not missed.passed and missed.z == math.inf
 
-    @pytest.mark.parametrize("kind", ["z", "abs", "rel", "tv"])
-    def test_nan_estimate_fails(self, kind):
-        se = math.nan if kind == "z" else None
-        assert not Gate("c", math.nan, 1.0, se, 4.0, kind=kind).passed
+    @pytest.mark.parametrize("se", [None, 0.5])
+    def test_nan_estimate_fails(self, se):
+        assert not Gate("c", math.nan, 1.0, se, 4.0).passed
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            Gate("c", 1.0, 1.0, None, 4.0, kind="chi2")
-        with pytest.raises(ValueError, match="se"):
-            Gate("c", 1.0, 1.0, None, 4.0)
-        with pytest.raises(ValueError, match="se"):
-            Gate("c", 1.0, 1.0, 0.1, 4.0, kind="abs")
+    @pytest.mark.parametrize("se", [math.inf, math.nan])
+    def test_non_finite_se_fails_as_untestable(self, se):
+        # an infinite se would otherwise pass any estimate at z = 0
+        g = Gate("c", 2.0, 1.0, se, 4.0, detail="d")
+        assert not g.passed and math.isnan(g.z)
+        assert g.summary() == "untestable: se is not finite; d z=nan limit=4 margin=nan"
 
     def test_large_values_print_in_exponent_form(self):
         # below 1e6 two decimals; from there three significant digits
@@ -287,46 +282,39 @@ class TestGate:
         assert Gate("c", -2e6, 0.0, 1.0, 4.0, detail="d").summary() == "d z=2.000e+06 limit=4 margin=-2.000e+06"
         assert Gate("c", 1.0, 0.0, 0.0, 4.0).summary() == "z=inf limit=4 margin=-inf"
 
-    def test_verdict_lines_merge_gates_of_one_name(self):
+    def test_verdict_lines_print_one_line_per_gate(self):
         lines = verdict_lines(
             [
                 Gate("m", 1.0, 1.0, 0.5, 4.0, detail="mean=1"),
-                Gate("v", 2.0, 1.0, 0.5, 4.0),
-                Gate("v", 2.0, 1.0, None, 0.02, kind="rel", detail="rel=1.0000"),
+                Gate("v", 2.0, 1.0, 0.125, 4.0),
+                Gate("t", 0.5, 0.0, None, 0.02, detail="tv=0.5"),
             ]
         )
         assert lines == [
             "PASS m: mean=1 z=0.00 limit=4 margin=4.00",
-            "FAIL v: z=2.00 limit=4 margin=2.00; rel=1.0000 limit=0.02 margin=-0.98",
+            "FAIL v: z=8.00 limit=4 margin=-4.00",
+            "FAIL t: tv=0.5 limit=0.02 margin=-0.48",
         ]
 
-    def test_xi_gates_add_the_relative_check_above_the_floor(self):
-        cells = ((0.95, 0.5), (1.0, 0.5), (1.0, 0.05))
+    def test_xi_gates_give_each_cell_a_mean_and_a_variance_gate(self):
+        cells = ((0.95, 0.5), (1.0, 0.05))
         results = [mc_xi_moments(rho, gamma, 20_000, seed=3) for rho, gamma in cells]
-        gates, _ = xi_gates(results)
-        by_name = {}
-        for g in gates:
-            by_name.setdefault(g.name, []).append(g.kind)
-        # var_closed is about 0.73 at rho = 0.95 and 0.65 at rho = 1, both above
-        # the 0.1 floor, and 0.05 at gamma = 0.05, below it
-        assert by_name["xi_var[rho=1 gamma=0.5]"] == ["z", "rel"]
-        assert by_name["xi_mean[rho=0.95 gamma=0.5]"] == ["z"]
-        assert by_name["xi_var[rho=1 gamma=0.05]"] == ["z"]
-        assert {g.limit for g in gates if g.kind == "z"} == {4.0}
+        gates = xi_gates(results)
+        assert [g.name for g in gates] == [
+            "xi_mean[rho=0.95 gamma=0.5]", "xi_var[rho=0.95 gamma=0.5]",
+            "xi_mean[rho=1 gamma=0.05]", "xi_var[rho=1 gamma=0.05]",
+        ]
+        assert all(g.limit == 4.0 and g.se is not None for g in gates)
+        assert not any("untestable" in g.detail for g in gates)
 
-    def test_relative_gate_only_where_four_se_resolve_it(self):
-        # at 20,000 draws 4 SEs are 1.3 % of the closed variance at rho = 1,
-        # gamma = 0.5 and 11 % at rho = 0.5, gamma = 2: only the first is gated
-        results = [mc_xi_moments(rho, gamma, 20_000, seed=3) for rho, gamma in ((1.0, 0.5), (0.5, 2.0))]
-        gates, lines = xi_gates(results)
-        kinds = {}
-        for g in gates:
-            kinds.setdefault(g.name, []).append(g.kind)
-        assert kinds["xi_var[rho=1 gamma=0.5]"] == ["z", "rel"]
-        assert kinds["xi_var[rho=0.5 gamma=2]"] == ["z"]
-        (line,) = lines
-        assert line.startswith("INFO xi_var[rho=0.5 gamma=2]: relative gate untestable: 4se/closed=0.1")
-        assert line.endswith("limit=0.02 n=20000")
+    def test_xi_gates_label_a_cell_without_active_samples_untestable(self):
+        # P(active) = e^-30: no sample of 10^4 clears the threshold, so the
+        # cell's mean is 0 at se 0 and both verdicts FAIL without testing xi
+        mean, var = xi_gates([mc_xi_moments(0.8, 30.0, 10_000, seed=3)])
+        for g in (mean, var):
+            assert not g.passed
+            assert g.detail.startswith("untestable: fewer than 2 active samples (active=0); ")
+        assert mean.detail.endswith("mean=0.000000 se=0.00e+00")
 
     def test_divergence_gate_reads_the_row(self):
         res = mc_weight_divergence(small_cfg(), n_trials=1000)

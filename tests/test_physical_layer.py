@@ -9,7 +9,9 @@ and of fltrain._air_round (on one training round) to a relative 1e-12,
 and every active device whose gradient obeys the norm bound G must send
 at most P_max.  This covers the step from superposition to the effective
 coefficient xi, the noise scale sigma^2/(2 zeta^2) that taking the real
-part of CN(0, sigma^2) noise leaves, and zeta itself.
+part of CN(0, sigma^2) noise leaves, and zeta itself.  Driven by its own
+channels and noise, the oracle's mean squared divergence must also match
+analysis.divergence_exact at 4 SEs.
 """
 
 import functools
@@ -20,6 +22,7 @@ import pytest
 
 import oracles
 from airfl.aircomp import aggregate_batch, compensation_lambda, receiver_noise_scale, scaling_zeta
+from airfl.analysis import divergence_exact
 from airfl.channel import channel_from_normals, substream
 from airfl.config import STREAM_CHANNEL, STREAM_MC_DIVERGENCE, STREAM_NOISE, SystemConfig
 from airfl.fltrain import SeedDraws, _air_round, _Cells, _zetas
@@ -30,6 +33,8 @@ POWER_SLACK = 1e-9  # the training loop's own slack for the boundary case |h_hat
 N_BLOCKS = 2
 RHOS = [0.8, 0.3, 1.0]  # the default rho first
 SECOND_GAMMA = 3.0  # a second cell of the training round, at which many devices truncate
+STAT_TRIALS = 2000  # resolves a noise term off by a factor of 2 at the defaults
+STAT_SEED = 39  # seeds a default_rng of its own: no substream purpose draws from it
 
 
 @functools.cache
@@ -131,3 +136,24 @@ def test_a_device_at_the_design_corner_sends_p_max():
     assert active.all()
     assert abs(beta[1]) ** 2 * power.g_bound**2 == pytest.approx(power.p_max, rel=1e-12)
     assert abs(beta[0]) ** 2 * power.g_bound**2 < power.p_max
+
+
+@pytest.mark.parametrize("rho", RHOS)
+def test_the_oracles_divergence_matches_the_closed_form(rho):
+    # the oracle's own channels and CN(0, sigma^2 I_d) noise, against
+    # divergence_exact at 4 SEs; a round with no active device gives
+    # g_hat = 0, so its divergence is ||g||^2 (the skipped-round convention)
+    cfg, grads, power = frozen(rho)
+    k_devices, d_model = grads.shape
+    gen = np.random.default_rng(STAT_SEED)
+    g_ideal = grads.mean(axis=0)
+    div = np.empty(STAT_TRIALS)
+    for t in range(STAT_TRIALS):
+        g_hat, _, _ = oracles.physical_round_ref(grads, gen.standard_normal((k_devices, 4)),
+                                                 gen.standard_normal((d_model, 2)), cfg.distances, cfg.alpha, rho,
+                                                 cfg.gamma_th, power.p_max, power.g_bound, power.sigma2)
+        diff = g_hat - g_ideal
+        div[t] = diff @ diff
+    exact = divergence_exact([float(g @ g) for g in grads], k_devices, cfg.gamma_th, rho, power, d_model)
+    se = div.std(ddof=1) / math.sqrt(STAT_TRIALS)
+    assert abs(div.mean() - exact) <= 4.0 * se, f"z = {(div.mean() - exact) / se:.2f}"
