@@ -21,9 +21,9 @@ test accuracy are evaluated only when they are read (all rounds for
 
 Everything a run draws that depends only on the seed and the config lives
 in a SeedDraws, which holds the resolved config it drew for; train_cells is
-the one way to share it between runs.  Under stream layout 2 round m reads
-one numpy stream per purpose, substream(seed, purpose, m), so a shared draw
-is exactly a private run's.
+the one way to share it between runs.  Round m reads one numpy stream per
+purpose, substream(seed, purpose, m) (stream layout 3 changed only the
+Monte-Carlo checks' streams), so a shared draw is exactly a private run's.
 """
 
 from __future__ import annotations
@@ -406,12 +406,14 @@ class SeedDraws:
 
     Holds the task, the device shards stacked into (K, D, f) features and
     (K, D) labels, the test set and the shards' union, each round's
-    mini-batch indices and channel arrays (filled lazily, round by round),
-    and the calibrated gradient bound (computed on first use), all for
-    `cfg`, the resolved config.  None of it depends on gamma_th or on the
-    model weights, so train_cells trains cfg at any thresholds on it.
-    Round m of any purpose reads substream(seed, purpose, m), so any round
-    can be drawn, in any order.
+    mini-batch indices (filled lazily, round by round, and read again by
+    the calibration's warm-up) and the calibrated gradient bound (computed
+    on first use), all for `cfg`, the resolved config.  A round's channel
+    arrays and noise are drawn afresh at each call, since a training run
+    reads each once.  None of it depends on gamma_th or on the model
+    weights, so train_cells trains cfg at any thresholds on it.  Round m of
+    any purpose reads substream(seed, purpose, m), so any round can be
+    drawn, in any order.
     """
 
     def __init__(self, cfg: SystemConfig):
@@ -428,7 +430,6 @@ class SeedDraws:
         self._rows = np.arange(cfg.k_devices)[:, None]
         self._d_alpha = np.array([d ** cfg.alpha for d in cfg.distances])
         self._picks: dict[int, np.ndarray] = {}
-        self._channels: dict[int, ChannelArrays] = {}
         self._g_bound: float | None = None
 
     def batches(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -451,12 +452,8 @@ class SeedDraws:
         """The round's K channel draws as arrays: device k's from row k of
         one (K, 4) normal draw from substream(seed, STREAM_CHANNEL, round),
         in draw_channel's order."""
-        out = self._channels.get(round_index)
-        if out is None:
-            z = substream(self.cfg.seed, STREAM_CHANNEL, round_index).standard_normal((self.cfg.k_devices, 4))
-            out = ChannelArrays(*channel_from_normals(z, self.cfg.rho), self._d_alpha)
-            self._channels[round_index] = out
-        return out
+        z = substream(self.cfg.seed, STREAM_CHANNEL, round_index).standard_normal((self.cfg.k_devices, 4))
+        return ChannelArrays(*channel_from_normals(z, self.cfg.rho), self._d_alpha)
 
     def noise(self, round_index: int) -> np.random.Generator:
         """A fresh substream(seed, STREAM_NOISE, round)."""

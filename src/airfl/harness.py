@@ -8,8 +8,10 @@ SweepResult and written as CSV plus a replayable run manifest.  Verdicts
 are Gate records built from the results by xi_gates, pdf_gates and
 divergence_gates, shared by the CLI and the acceptance suite.  Every gate
 follows one rule: it passes when |estimate - reference| <= limit * se if
-it carries an se, and <= limit if not; a gate whose se is not finite
-fails as untestable.
+it carries an se, and <= limit if not.  A Monte-Carlo gate also carries
+n, the count of samples that saw what it tests, and Gate alone decides
+testability: a gate whose n is below 2, or whose reference or se is not
+finite, fails as untestable.
 
 Every Monte-Carlo check samples through one keyed-block map, _block_map
 (stream layout 3): block b of a check reads substream(seed, purpose,
@@ -109,6 +111,7 @@ _NORM_NODES = 20  # nodes per axis of the normalization's tensor rule
 _SCAN_DISTANCE = 100.0  # the K-scan's common device distance, meters
 _SCAN_D_MODEL = 10  # the K-scan's model dimension: device k sends basis vector k mod 10
 _Z_LIMIT = 4.0  # the 4-standard-error rule of every gate that carries an se
+_MIN_GATE_N = 2  # the fewest samples that estimate a variance; a gate on fewer is untestable
 # samples or trials per stream block, constants of stream layout 3: block b
 # of verify-xi or verify-pdf reads substream(seed, purpose, b), and trial t
 # of the divergence is row t mod 256 of substream(seed,
@@ -165,18 +168,19 @@ class SweepResult:
         return [row[idx] for row in self.rows]
 
 
-def _fixed(v: float) -> str:
-    # two decimals, or exponent form once the fixed form would run past 10 digits
-    return f"{v:.3e}" if abs(v) >= 1e6 else f"{v:.2f}"
+def _fixed(v: float, digits: int = 2) -> str:
+    # digits decimals, or exponent form with digits + 1 once |v| reaches 1e6
+    return f"{v:.{digits + 1}e}" if abs(v) >= 1e6 else f"{v:.{digits}f}"
 
 
 @dataclass(frozen=True)
 class Gate:
     """One verdict: |estimate - reference| <= limit * se for a gate that
     carries an se (the 4-standard-error rule), <= limit for one that does
-    not.  A NaN estimate fails, and so does a gate whose se is not finite:
-    it cannot be tested, and its summary says so.  detail says what was
-    measured.
+    not.  n, for a Monte-Carlo gate, counts the samples that saw what it
+    tests.  A gate is untestable when n is below _MIN_GATE_N (2), or its
+    reference or se is not finite; it then fails, and its summary says why.
+    A NaN estimate fails too.  detail says what was measured.
     """
 
     name: str
@@ -185,6 +189,7 @@ class Gate:
     se: float | None
     limit: float
     detail: str = ""
+    n: int | None = None
 
     @property
     def deviation(self) -> float:
@@ -206,9 +211,19 @@ class Gate:
         return self.limit - self.deviation
 
     @property
+    def untestable(self) -> str | None:
+        """Why the gate cannot be tested, or None when it can."""
+        if self.n is not None and self.n < _MIN_GATE_N:
+            return f"n={self.n} is below {_MIN_GATE_N}"
+        for name, v in (("reference", self.reference), ("se", self.se)):
+            if v is not None and not math.isfinite(v):
+                return f"{name}={v!r} is not finite"
+        return None
+
+    @property
     def passed(self) -> bool:
         scale = 1.0 if self.se is None else self.se
-        return math.isfinite(scale) and abs(self.estimate - self.reference) <= self.limit * scale
+        return self.untestable is None and abs(self.estimate - self.reference) <= self.limit * scale
 
     def summary(self) -> str:
         if self.se is None:
@@ -216,7 +231,7 @@ class Gate:
         else:
             tail = f"z={_fixed(self.z)} limit={self.limit:g} margin={_fixed(self.margin)}"
         text = f"{self.detail} {tail}" if self.detail else tail
-        return text if self.se is None or math.isfinite(self.se) else f"untestable: se is not finite; {text}"
+        return text if self.untestable is None else f"untestable: {self.untestable}; {text}"
 
 
 def verdict_lines(gates) -> list[str]:
@@ -250,11 +265,11 @@ class TailSums(NamedTuple):
     sums: tuple[float, float, float, float]
 
     def second_moment(self, c: float) -> tuple[float, float]:
-        """E[(x - c)^2 | y <= -gamma] and its standard error, from the sums
-        of (x - c)^2 and (x - c)^4 expanded in powers of x."""
+        """E[(x - c)^2 | y <= -gamma] and its standard error (NaN below 2
+        samples), from the sums of (x - c)^2 and (x - c)^4 in powers of x."""
         n = self.count
         if n < 2:
-            raise RuntimeError(f"only {n} samples cleared gamma_th={self.gamma!r}; cannot estimate")
+            return math.nan, math.nan
         s1, s2, s3, s4 = self.sums
         c2 = c * c
         s_q = s2 - 2.0 * c * s1 + c2 * n
@@ -314,19 +329,18 @@ def mc_xi_moments_grid(cells, n_samples: int, seed: int, jobs: int = 1) -> list[
     ]
 
 
-def _xi_unit(lam: float) -> float:
-    """The power of two in (lam/2, lam], the scale of xi - 1 at the
-    compensation lam = e^gamma_th/rho.  The power sums are taken of
-    (xi - 1)/unit, so they stay finite wherever 1/rho^2 is, and dividing by
-    a power of two moves no bit of a result that fits the doubles either
+def _unit(v: float) -> float:
+    """The power of two in (v/2, v] (1/2 for v = 0).  Sums of powers of
+    x/unit, for x of the order of v, stay finite wherever v is, and dividing
+    by a power of two moves no bit of a result that fits the doubles either
     way."""
-    return math.ldexp(1.0, math.frexp(lam)[1] - 1)
+    return math.ldexp(1.0, math.frexp(v)[1] - 1)
 
 
 def _xi_blocks(args, blocks):
     """For each (gen, m) of blocks, every cell's active count and sums of
-    y, y^2, y^3 and y^4 for y = (xi - 1)/unit on the block (_xi_unit), and
-    no counts.
+    y, y^2, y^3 and y^4 for y = (xi - 1)/unit on the block, unit =
+    _unit(lam) at the compensation lam = e^gamma_th/rho, and no counts.
 
     A block is drawn once (draw_channel_block, at the first cell's rho) and
     each quantity is formed once for the cells that share it: |h_hat|^2
@@ -349,7 +363,7 @@ def _xi_blocks(args, blocks):
             aligned = _aligned(h, h_hat)
             for k in ks:
                 # lam/unit scales xi by a power of two, which rounds alike
-                unit = _xi_unit(lams[k])
+                unit = _unit(lams[k])
                 y, active = _truncated_ratio(gain, aligned, cells[k][1], lams[k] / unit)
                 y -= 1.0 / unit
                 sums[k] = (int(np.count_nonzero(active)), *_power_sums(y))
@@ -376,7 +390,7 @@ def _merge_sums(block_sums) -> tuple[int, tuple[float, ...]]:
 
 def _xi_result(rho, gamma_th, n_samples: int, block_sums) -> XiMomentsResult:
     """The moments of xi from the merged sums of y = (xi - 1)/unit."""
-    unit = _xi_unit(compensation_lambda(gamma_th, rho))
+    unit = _unit(compensation_lambda(gamma_th, rho))
     n_active, (s1, s2, s3, s4) = _merge_sums(block_sums)
     n = float(n_samples)
     a = s1 / n  # sample mean of y
@@ -402,20 +416,19 @@ def _xi_result(rho, gamma_th, n_samples: int, block_sums) -> XiMomentsResult:
 
 def xi_gates(results) -> list[Gate]:
     """Per cell, the mean against 1 and the variance against the closed
-    form at 4 SEs.  A cell with fewer than 2 active samples keeps its
-    verdicts, and their details call them untestable."""
+    form at 4 SEs, each with the cell's active count as its n."""
     gates = []
     for r in results:
         cell = f"rho={r.rho:g} gamma={r.gamma_th:g}"
         active = round(r.active_fraction * r.n_samples)
-        label = f"untestable: fewer than 2 active samples (active={active}); " if active < 2 else ""
         gates.append(
             Gate(f"xi_mean[{cell}]", r.mean, 1.0, r.se_mean, _Z_LIMIT,
-                 detail=f"{label}mean={r.mean:.6f} se={r.se_mean:.2e}")
+                 detail=f"mean={_fixed(r.mean, 6)} se={r.se_mean:.2e}", n=active)
         )
         gates.append(
             Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, r.se_var, _Z_LIMIT,
-                 detail=f"{label}mc={r.variance:.6f} closed={r.variance_closed:.6f} se={r.se_var:.2e}")
+                 detail=f"mc={_fixed(r.variance, 6)} closed={_fixed(r.variance_closed, 6)} se={r.se_var:.2e}",
+                 n=active)
         )
     return gates
 
@@ -612,11 +625,10 @@ def mc_joint_distribution_check(
     Returns one row per bin with the empirical mass, its binomial standard
     error, and the analytic mass (density integrated over the bin).  meta
     carries the total-variation distance between the binned laws (mass
-    outside the window lumped into one cell) and, at the first of
-    tail_gammas, the tail probability Pr{y <= -tail_gamma} against
-    exp(-tail_gamma) and E[x^2 | tail] against the closed form.  tails
-    holds the count and power sums of x on every threshold's tail of the
-    one draw, from which E[(x - c)^2 | tail] follows for any c.
+    outside the window lumped into one cell), both outside masses and the
+    first tail's count.  tails holds the count and power sums of x on
+    every threshold's tail of the one draw, from which E[(x - c)^2 | tail]
+    follows for any c.
 
     Sample block b is drawn from substream(seed, STREAM_MC_JOINT, b) by
     _block_map and reduced by _joint_blocks; the bin counts are added up and
@@ -663,23 +675,13 @@ def mc_joint_distribution_check(
         for i in range(bins) for j in range(bins)
     ]
 
-    first = tails[0]
-    p_tail = first.count / n
     meta: dict[str, object] = {
         "n_samples": n_samples,
-        "bins": bins,
         "tv_distance": tv,
         "outside_mass_mc": 1.0 - inside_emp,
         "outside_mass_analytic": 1.0 - inside_ana,
-        "tail_gamma": first.gamma,
-        "tail_prob_mc": p_tail,
-        "tail_prob_se": math.sqrt(p_tail * (1.0 - p_tail) / n),
-        "tail_prob_expected": math.exp(-first.gamma),
+        "cond_count": tails[0].count,
     }
-    if first.count > 1:
-        meta["cond_m2_mc"], meta["cond_m2_se"] = first.second_moment(0.0)
-        meta["cond_m2_expected"] = conditional_second_moment(first.gamma, 0.0)
-        meta["cond_count"] = first.count
     return JointLawResult(
         columns=("t_lo", "t_hi", "gamma_lo", "gamma_hi", "mass_mc", "mass_mc_se", "mass_analytic"),
         rows=rows,
@@ -732,35 +734,26 @@ def cdf_pdf_consistency(t_values, gamma_values) -> float:
     return worst
 
 
-def pdf_gates(result: SweepResult, norm: float, fd_worst: float) -> list[Gate]:
+def pdf_gates(result: JointLawResult, norm: float, fd_worst: float) -> list[Gate]:
     """Gates of the joint-law check: binned total variation at most 0.02,
     density normalization within 1e-6 of 1, CDF/density consistency within
     1e-4, and the tail probability and conditional second moment (c = 0) at
-    the first tail threshold, at 4 SEs.  A tail too thin to estimate the
-    conditional moment fails that gate."""
-    meta = result.meta
-    tv = meta["tv_distance"]
-    p_tail, se_tail, p_exp = meta["tail_prob_mc"], meta["tail_prob_se"], meta["tail_prob_expected"]
-    m2_exp = conditional_second_moment(meta["tail_gamma"], 0.0)
-    if "cond_m2_mc" in meta:
-        m2, m2_se = meta["cond_m2_mc"], meta["cond_m2_se"]
-        m2_detail = f"mc={m2:.6f} expected={m2_exp:.6f} se={m2_se:.2e}"
-    else:
-        m2 = m2_se = math.nan
-        m2_detail = (
-            f"fewer than 2 of {meta['n_samples']} samples cleared "
-            f"tail_gamma={meta['tail_gamma']!r}; cannot estimate"
-        )
+    the first tail threshold, at 4 SEs, each with the tail's count as its n."""
+    tv, n = result.meta["tv_distance"], result.meta["n_samples"]
+    tail = result.tails[0]
+    p_tail = tail.count / n
+    se_tail = math.sqrt(p_tail * (1.0 - p_tail) / n)
+    p_exp = math.exp(-tail.gamma)
+    m2, m2_se = tail.second_moment(0.0)
+    m2_exp = conditional_second_moment(tail.gamma, 0.0)
     return [
-        Gate("pdf_tv_distance", tv, 0.0, None, 0.02,
-             detail=f"tv={tv:.5f} n={meta['n_samples']}"),
-        Gate("pdf_normalization", norm, 1.0, None, 1e-6,
-             detail=f"integral={norm!r}"),
-        Gate("cdf_pdf_consistency", fd_worst, 0.0, None, 1e-4,
-             detail=f"worst_abs_err={fd_worst:.3e}"),
+        Gate("pdf_tv_distance", tv, 0.0, None, 0.02, detail=f"tv={tv:.5f} n={n}"),
+        Gate("pdf_normalization", norm, 1.0, None, 1e-6, detail=f"integral={norm!r}"),
+        Gate("cdf_pdf_consistency", fd_worst, 0.0, None, 1e-4, detail=f"worst_abs_err={fd_worst:.3e}"),
         Gate("truncation_tail", p_tail, p_exp, se_tail, _Z_LIMIT,
-             detail=f"mc={p_tail:.6f} expected={p_exp:.6f} se={se_tail:.2e}"),
-        Gate("conditional_second_moment", m2, m2_exp, m2_se, _Z_LIMIT, detail=m2_detail),
+             detail=f"mc={p_tail:.6f} expected={p_exp:.6f} se={se_tail:.2e}", n=tail.count),
+        Gate("conditional_second_moment", m2, m2_exp, m2_se, _Z_LIMIT,
+             detail=f"mc={m2:.6f} expected={m2_exp:.6f} se={m2_se:.2e}", n=tail.count),
     ]
 
 
@@ -814,10 +807,11 @@ def _divergence_blocks(args, blocks):
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean of x and its standard error, which is inf where the
-    squared deviations overflow: a gate on it then fails as untestable."""
-    with np.errstate(over="ignore"):
-        return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
+    """Sample mean of x and its standard error, taken of x/_unit(max |x|)
+    so that the squared deviations stay finite wherever x is."""
+    unit = _unit(float(np.max(np.abs(x))))
+    y = x / unit
+    return float(np.mean(y)) * unit, float(np.std(y, ddof=1) / math.sqrt(len(x))) * unit
 
 
 def _pool_size(jobs: int, n_items: int) -> int:
@@ -977,20 +971,17 @@ def mc_weight_divergence(cfg: SystemConfig, n_trials: int, jobs: int = 1) -> Swe
 
 
 def divergence_gates(result: SweepResult) -> list[Gate]:
-    """The Monte-Carlo divergence against its exact expectation at 4 SEs;
-    the a-priori bound travels in the detail, not in the verdict.  A run in
-    which no trial transmitted keeps its verdict, and its detail calls the
-    gate untestable: every trial's divergence is then exactly ||g||^2, so
-    mc cannot see the noise term."""
+    """The Monte-Carlo divergence against its exact expectation at 4 SEs,
+    with the trials that transmitted as its n: a skipped trial's divergence
+    is exactly ||g||^2, blind to the noise term.  The a-priori bound travels
+    in the detail, not in the verdict."""
     gates = []
     for row in (dict(zip(result.columns, r)) for r in result.rows):
         detail = (f"mc={row['divergence_mc']:.6e} exact={row['divergence_exact']:.6e} "
                   f"se={row['divergence_se']:.2e} bound={row['divergence_bound']:.6e}")
-        if row["skip_fraction"] == 1.0:
-            detail = ("untestable: no trial transmitted, so mc is ||g||^2 and cannot see "
-                      f"the noise term; {detail}")
         gates.append(Gate("divergence_exact_4se", row["divergence_mc"], row["divergence_exact"],
-                          row["divergence_se"], _Z_LIMIT, detail=detail))
+                          row["divergence_se"], _Z_LIMIT, detail=detail,
+                          n=round(row["n_trials"] * (1.0 - row["skip_fraction"]))))
     return gates
 
 

@@ -287,8 +287,7 @@ class TestVerifyXi:
         assert rc == 1
         lines = capsys.readouterr().out.splitlines()
         assert [l.split(": ")[0] for l in lines] == ["FAIL xi_mean[rho=0.8 gamma=30]", "FAIL xi_var[rho=0.8 gamma=30]"]
-        assert all(l.split(": ", 1)[1].startswith("untestable: fewer than 2 active samples (active=0); ")
-                   for l in lines)
+        assert all(l.split(": ", 1)[1].startswith("untestable: n=0 is below 2; ") for l in lines)
         columns, (row,) = read_sweep_csv(tmp_path / "run" / "verify_xi.csv")
         assert dict(zip(columns, row))["active_fraction"] == 0.0
 
@@ -305,6 +304,26 @@ class TestVerifyXi:
         assert captured.err == ""
         lines = captured.out.splitlines()
         assert len(lines) == 8 and all(l.startswith("PASS ") for l in lines)
+
+    def test_rho_whose_closed_variance_overflows_fails_as_untestable(self, tmp_path, capsys):
+        # at rho = 7.6e-155 the closed variance and the sample variance are
+        # both inf: the variance lines say the reference is not finite, and
+        # the mean of about 1e152 prints in exponent form, not in 150 digits
+        cfg_path = tmp_path / "rho.cfg"
+        cfg_path.write_text("verify_xi.rhos = 7.6e-155\nverify_xi.gammas = 0.1,2\n")
+        rc = main(["verify-xi", "--config", str(cfg_path), "--trials", "10000", "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err == ""
+        lines = captured.out.splitlines()
+        assert [l.split(": ")[0] for l in lines] == [
+            "PASS xi_mean[rho=7.6e-155 gamma=0.1]", "FAIL xi_var[rho=7.6e-155 gamma=0.1]",
+            "PASS xi_mean[rho=7.6e-155 gamma=2]", "FAIL xi_var[rho=7.6e-155 gamma=2]",
+        ]
+        for line in lines[1::2]:
+            assert line.split(": ", 1)[1].startswith("untestable: reference=inf is not finite; mc=inf closed=inf ")
+        assert lines[0].split(": ", 1)[1].startswith("mean=-9.4638365e+151 se=1.40e+152 ")
+        assert max(len(l) for l in lines) < 150
+        assert (tmp_path / "run" / "verify_xi.csv").exists()
 
 
 class TestVerifyPdf:
@@ -346,10 +365,27 @@ class TestVerifyPdf:
         assert rc == 1
         printed = capsys.readouterr().out
         (line,) = [l for l in printed.splitlines() if "conditional_second_moment" in l]
-        assert line.startswith("FAIL conditional_second_moment: ")
-        assert "cannot estimate" in line
+        assert line.startswith("FAIL conditional_second_moment: untestable: n=0 is below 2; mc=nan ")
         assert "PASS pdf_tv_distance" in printed
         assert (out / "verify_pdf.csv").exists()
+
+    def test_unreachable_tail_fails_both_tail_gates_as_untestable(self, tmp_path, capsys):
+        # no sample of 10^6 has |h_hat|^2 >= 30 (P = e^-30): the tail
+        # probability is 0 at se 0 and the moment NaN, and both lines say
+        # why; the deterministic gates still PASS
+        cfg_path = tmp_path / "tail.cfg"
+        cfg_path.write_text("verify_pdf.tail_gamma = 30\n")
+        out = tmp_path / "run"
+        rc = main(["verify-pdf", "--config", str(cfg_path), "--trials", "1000000", "--out", str(out)])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split(": ")[0] for l in lines] == [
+            "PASS pdf_tv_distance", "PASS pdf_normalization", "PASS cdf_pdf_consistency",
+            "FAIL truncation_tail", "FAIL conditional_second_moment",
+        ]
+        assert all(l.split(": ", 1)[1].startswith("untestable: n=0 is below 2; mc=") for l in lines[3:])
+        manifest = (out / "verify_pdf_manifest.txt").read_text()
+        assert "# meta cond_count = 0\n" in manifest and "tail_prob" not in manifest
 
 
 class TestVerifyDivergence:
@@ -368,17 +404,18 @@ class TestVerifyDivergence:
         assert rc == 0, printed
         assert "PASS divergence_exact_4se" in printed and "untestable" not in printed
 
-    def test_gate_with_an_overflowing_se_fails_as_untestable(self, tmp_path, capsys):
+    def test_gate_on_a_huge_divergence_has_a_finite_se(self, tmp_path, capsys):
         # at rho = 1e-100 the divergence is about 1.7e199 and its squared
-        # deviations overflow: se is inf, which would pass any mc at z = 0
+        # deviations would overflow; taken in a power-of-two unit, the se
+        # is finite and the gate makes a real test
         cfg_path = tmp_path / "tiny.cfg"
-        cfg_path.write_text("rho = 1e-100\nverify_divergence.scan_trials = 1000\n")
+        cfg_path.write_text("rho = 1e-100\nverify_divergence.k_scan = 0\n")
         rc = main(["verify-divergence", "--config", str(cfg_path), "--trials", "1000"])
         captured = capsys.readouterr()
-        assert rc == 1 and captured.err == ""
+        assert rc == 0 and captured.err == ""
         (line,) = [l for l in captured.out.splitlines() if "divergence_exact_4se" in l]
-        assert line.startswith("FAIL divergence_exact_4se: untestable: se is not finite; mc=1.694968e+199 ")
-        assert line.endswith(" se=inf bound=1.959711e+198 z=nan limit=4 margin=nan")
+        assert line == ("PASS divergence_exact_4se: mc=1.694968e+199 exact=1.671813e+199 se=2.86e+197 "
+                        "bound=1.959711e+198 z=0.81 limit=4 margin=3.19")
 
     def test_gate_is_untestable_when_no_trial_transmits(self, tmp_path, capsys):
         # at gamma_th = 15 no device of any of the 1000 trials is active, so
@@ -389,8 +426,8 @@ class TestVerifyDivergence:
         rc = main(["verify-divergence", "--config", str(cfg_path), "--trials", "1000", "--out", str(tmp_path / "run")])
         (line,) = [l for l in capsys.readouterr().out.splitlines() if "divergence_exact_4se" in l]
         assert rc == 1
-        assert line.startswith("FAIL divergence_exact_4se: untestable: no trial transmitted, so mc is ||g||^2 and "
-                               "cannot see the noise term; mc=4.081420e-01 exact=2.431051e+05 se=")
+        assert line.startswith("FAIL divergence_exact_4se: untestable: n=0 is below 2; "
+                               "mc=4.081420e-01 exact=2.431051e+05 se=")
         columns, (row,) = read_sweep_csv(tmp_path / "run" / "verify_divergence.csv")
         assert dict(zip(columns, row))["skip_fraction"] == 1.0
 

@@ -482,7 +482,6 @@ class TestSeedDraws:
             assert np.array_equal(got.d_alpha, [d ** cfg.alpha for d in cfg.distances])
             if rho == 1.0:
                 assert np.array_equal(got.h, got.h_hat)
-            assert draws.channels(m) is got
 
     def test_any_round_reads_its_own_streams(self):
         # no round bound and no order: round m of a 4-round config, read
@@ -508,8 +507,9 @@ class TestSeedDraws:
         draws = SeedDraws(small_cfg())
         for gamma in (0.1, 0.5, resolve(small_cfg(gamma_th="optimize")).gamma_th):
             train_cells(draws, [gamma])
-        # one block of K channels per round, for all three runs
-        assert calls == {"calibrate": 1, "channel": 4}
+        # one calibration for all three runs; each run reads each round's
+        # K channels once, from the round's own stream
+        assert calls == {"calibrate": 1, "channel": 3 * draws.cfg.train.rounds_m}
 
     @pytest.mark.parametrize("mode", ["aircomp", "ideal"])
     def test_cells_in_lock_step_equal_private_runs(self, mode):

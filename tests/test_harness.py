@@ -273,7 +273,30 @@ class TestGate:
         # an infinite se would otherwise pass any estimate at z = 0
         g = Gate("c", 2.0, 1.0, se, 4.0, detail="d")
         assert not g.passed and math.isnan(g.z)
-        assert g.summary() == "untestable: se is not finite; d z=nan limit=4 margin=nan"
+        assert g.summary() == f"untestable: se={se!r} is not finite; d z=nan limit=4 margin=nan"
+
+    @pytest.mark.parametrize("reference", [math.inf, -math.inf, math.nan])
+    def test_non_finite_reference_fails_as_untestable(self, reference):
+        # an estimate equal to an infinite reference is no test of it
+        for se in (None, 0.5):
+            g = Gate("c", reference, reference, se, 4.0, detail="d")
+            assert not g.passed
+            assert g.summary().startswith(f"untestable: reference={reference!r} is not finite; d ")
+
+    def test_a_count_below_two_fails_as_untestable(self):
+        # n = 1 cannot pass, however close the estimate; from n = 2 the rule alone decides
+        for se in (None, 0.5):
+            one, two = (Gate("c", 1.0, 1.0, se, 4.0, detail="d", n=n) for n in (1, 2))
+            assert not one.passed and one.untestable == "n=1 is below 2"
+            assert one.summary().startswith("untestable: n=1 is below 2; d ")
+            assert two.passed and two.untestable is None and two.summary().startswith("d ")
+        assert not Gate("c", 1.0, 1.0, 0.5, 4.0, n=0).passed
+        assert Gate("c", 1.0, 1.0, 0.5, 4.0).untestable is None  # a gate without a count
+
+    def test_the_count_is_the_first_reason(self):
+        g = Gate("c", math.nan, math.inf, math.inf, 4.0, n=0)
+        assert g.summary().startswith("untestable: n=0 is below 2; ")
+        assert Gate("c", 1.0, math.nan, math.inf, 4.0, n=5).untestable == "reference=nan is not finite"
 
     def test_large_values_print_in_exponent_form(self):
         # below 1e6 two decimals; from there three significant digits
@@ -312,9 +335,37 @@ class TestGate:
         # cell's mean is 0 at se 0 and both verdicts FAIL without testing xi
         mean, var = xi_gates([mc_xi_moments(0.8, 30.0, 10_000, seed=3)])
         for g in (mean, var):
-            assert not g.passed
-            assert g.detail.startswith("untestable: fewer than 2 active samples (active=0); ")
-        assert mean.detail.endswith("mean=0.000000 se=0.00e+00")
+            assert not g.passed and g.n == 0
+            assert g.summary().startswith("untestable: n=0 is below 2; ")
+        assert mean.detail == "mean=0.000000 se=0.00e+00"
+
+    def test_xi_gates_carry_the_active_count(self):
+        r = mc_xi_moments(0.8, 0.5, 20_000, seed=3)
+        active = round(r.active_fraction * 20_000)
+        assert 0 < active < 20_000
+        assert [g.n for g in xi_gates([r])] == [active, active]
+        # one active sample of 10^4 cannot be tested, two can
+        one, two = (replace(r, n_samples=10_000, active_fraction=k / 10_000) for k in (1, 2))
+        assert [g.untestable for g in xi_gates([one])] == ["n=1 is below 2"] * 2
+        assert [g.n for g in xi_gates([two])] == [2, 2]
+
+    def test_xi_gates_print_large_values_in_exponent_form(self):
+        # below 1e6 six decimals, as before; from there exponent form
+        r = mc_xi_moments(0.8, 0.5, 20_000, seed=3)
+        mean, var = xi_gates([replace(r, mean=-9.4638364514111399e151, variance=2e6, variance_closed=999_999.5)])
+        assert mean.detail.startswith("mean=-9.4638365e+151 se=")
+        assert var.detail.startswith("mc=2.0000000e+06 closed=999999.500000 se=")
+
+    def test_divergence_gate_counts_the_trials_that_transmitted(self):
+        res = mc_weight_divergence(small_cfg(gamma_th=2.0), n_trials=1000)
+        (gate,) = divergence_gates(res)
+        row = dict(zip(res.columns, res.rows[0]))
+        assert 0.0 < row["skip_fraction"] < 1.0
+        assert gate.n == round(1000 * (1.0 - row["skip_fraction"]))
+        # one transmitting trial of 1000 cannot be tested, two can
+        for skip, n in ((0.999, 1), (0.998, 2)):
+            (gate,) = divergence_gates(replace(res, rows=[tuple({**row, "skip_fraction": skip}.values())]))
+            assert gate.n == n and (gate.untestable is None) == (n == 2)
 
     def test_divergence_gate_reads_the_row(self):
         res = mc_weight_divergence(small_cfg(), n_trials=1000)
@@ -324,6 +375,18 @@ class TestGate:
         assert gate.reference == row["divergence_exact"]
         assert gate.se == row["divergence_se"]
         assert gate.name == "divergence_exact_4se" and "bound=" in gate.detail
+
+
+class TestMeanSe:
+    def test_se_stays_finite_where_the_values_are(self):
+        # the squared deviations of values near 1e199 overflow the doubles;
+        # taken in a power-of-two unit they do not, and nothing else moves
+        x = np.random.default_rng(8).standard_normal(1000)
+        plain = (float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(1000)))
+        assert harness._mean_se(x) == plain
+        mean, se = harness._mean_se(x * 2.0**660)
+        assert (mean, se) == (plain[0] * 2.0**660, plain[1] * 2.0**660)
+        assert math.isfinite(se) and se > 1e190
 
 
 class TestPoolSize:
@@ -402,25 +465,39 @@ class TestConditionalMoment:
         res = joint_tails(6, (1.0,))
         est, se = res.tails[0].second_moment(0.0)
         assert abs(est - oracles.COND_M2_G1_C0) <= 4.0 * se
-        # the meta's moment is the fold at c = 0
-        assert (est, se) == (res.meta["cond_m2_mc"], res.meta["cond_m2_se"])
+        # the gate's moment is the fold at c = 0
+        (gate,) = [g for g in pdf_gates(res, 1.0, 0.0) if g.name == "conditional_second_moment"]
+        assert (gate.estimate, gate.se) == (est, se)
         assert res.meta["cond_count"] == res.tails[0].count
 
     def test_unreachable_threshold(self):
         # an empty tail cannot be estimated, whichever threshold it is
         res = joint_tails(0, (1.0, 30.0))
         assert res.tails[1].count == 0
-        with pytest.raises(RuntimeError, match="cleared gamma_th=30.0; cannot estimate"):
-            res.tails[1].second_moment(0.0)
-        assert res.tails[0].second_moment(0.0)[0] == res.meta["cond_m2_mc"]
+        assert all(math.isnan(v) for v in res.tails[1].second_moment(0.0))
+        assert res.tails[0].second_moment(0.0)[1] > 0.0
 
         res = joint_tails(0, (30.0, 1.0))
-        assert "cond_m2_mc" not in res.meta and res.meta["tail_gamma"] == 30.0
-        (gate,) = [g for g in pdf_gates(res, 1.0, 0.0) if g.name == "conditional_second_moment"]
-        assert not gate.passed and "cannot estimate" in gate.detail
-        with pytest.raises(RuntimeError, match="cannot estimate"):
-            res.tails[0].second_moment(0.5)
+        assert res.tails[0].count == res.meta["cond_count"] == 0
+        for gate in pdf_gates(res, 1.0, 0.0)[3:]:
+            assert not gate.passed and gate.n == 0
+            assert gate.summary().startswith("untestable: n=0 is below 2; ")
+        assert all(math.isnan(v) for v in res.tails[0].second_moment(0.5))
         assert res.tails[1].second_moment(0.0)[1] > 0.0
+
+    def test_a_single_tail_sample_has_no_moment(self):
+        # one sample gives no spread: the moment is NaN, not 0 at se 0
+        tail = harness.TailSums(1.0, 1, (0.5, 0.25, 0.125, 0.0625))
+        assert all(math.isnan(v) for v in tail.second_moment(0.0))
+        assert harness.TailSums(1.0, 2, (0.5, 0.25, 0.125, 0.0625)).second_moment(0.0)[1] >= 0.0
+
+    def test_pdf_gates_carry_the_first_tail_count(self):
+        res = joint_tails(5, (1.0, 2.0))
+        gates = pdf_gates(res, 1.0, 0.0)
+        assert [g.n for g in gates] == [None, None, None, res.tails[0].count, res.tails[0].count]
+        # the first tail with one sample: both of its gates are untestable, the rest stand
+        one = replace(res, tails=(res.tails[0]._replace(count=1),))
+        assert [g.untestable for g in pdf_gates(one, 1.0, 0.0)] == [None] * 3 + ["n=1 is below 2"] * 2
 
     def test_validation(self):
         # each threshold meets the rule of the config key verify_pdf.tail_gamma
@@ -478,11 +555,14 @@ class TestJointDistribution:
         # binned masses sum to at most one on both sides
         assert 0.0 < res.meta["outside_mass_mc"] < 1.0
         assert 0.0 < res.meta["outside_mass_analytic"] < 1.0
-        tail_gap = abs(res.meta["tail_prob_mc"] - res.meta["tail_prob_expected"])
-        assert tail_gap <= 5.0 * res.meta["tail_prob_se"]
-        assert res.meta["tail_prob_expected"] == math.exp(-1.0)
-        cond_gap = abs(res.meta["cond_m2_mc"] - res.meta["cond_m2_expected"])
-        assert cond_gap <= 5.0 * res.meta["cond_m2_se"]
+        # the tail statistics travel in the gates, not in meta
+        assert sorted(res.meta) == ["cond_count", "n_samples", "outside_mass_analytic", "outside_mass_mc",
+                                    "tv_distance"]
+        tail, cond = pdf_gates(res, 1.0, 0.0)[3:]
+        assert abs(tail.estimate - tail.reference) <= 5.0 * tail.se
+        assert tail.reference == math.exp(-1.0)
+        assert tail.estimate == res.meta["cond_count"] / 1_000_000
+        assert abs(cond.estimate - cond.reference) <= 5.0 * cond.se
 
     def test_zero_gain_samples_are_dropped(self, monkeypatch):
         # h_hat = 0 has probability zero, so the draw is patched to hold some:

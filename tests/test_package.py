@@ -20,7 +20,8 @@ _REMOVED = {
     "channel": ("pathloss_amplitude",),
     "fltrain": ("ModelParams", "load_idx", "load_idx_pair", "binary_subset", "local_gradient", "_draws_key"),
     "harness": ("mc_conditional_second_moment", "CondMomentResult", "read_sweep_csv", "convergence_report",
-                "_mean_sq_row_norm", "xi_untestable", "_xi_rel_resolution", "_cell_text", "_COMMUNICATION_GAMMA"),
+                "_mean_sq_row_norm", "xi_untestable", "_xi_rel_resolution", "_cell_text", "_COMMUNICATION_GAMMA",
+                "_xi_unit"),
     "aircomp": ("_coefficients", "effective_coefficients"),
     "analysis": ("closed_form_report", "ClosedFormReport", "convergence_bound", "LearningConstants"),
     "config": ("ResolvedExperiment",),
@@ -82,6 +83,27 @@ def test_one_error_function():
                 direct.extend(f"{path.name}:{node.lineno} from math import {a.name}"
                               for a in node.names if a.name in ("erf", "erfc"))
     assert direct == []
+
+
+def test_only_gate_builds_an_untestable_label():
+    # one testability rule: a gate builder passes counts, and harness.Gate
+    # alone words the verdict of a gate that cannot be tested
+    src = Path(airfl.__file__).resolve().parent
+    builders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings, in_gate = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if ast.get_docstring(node, clean=False) is not None:
+                    docstrings.add(id(node.body[0].value))
+            if path.name == "harness.py" and isinstance(node, ast.ClassDef) and node.name == "Gate":
+                in_gate = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str) and "untestable" in node.value
+                    and id(node) not in docstrings):
+                builders.append(("Gate" if id(node) in in_gate else path.name, node.lineno))
+    assert [where for where, _ in builders] == ["Gate"]
 
 
 def test_every_airfl_name_in_the_readme_resolves():
