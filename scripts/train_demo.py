@@ -4,7 +4,8 @@
 Runs the same seeded federated problem twice, once with error-free
 gradient averaging and once over the fading channel with truncated
 inversion, and prints the per-round gap.  Library-level usage example;
-the CLI `train` subcommand is the manifest-writing equivalent.
+the CLI `train` subcommand is the manifest-writing equivalent.  Bad input
+prints one `error:` line and exits 2, as the CLI does.
 """
 
 import argparse
@@ -24,7 +25,14 @@ def run(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--rounds", type=int, default=None)
     args = ap.parse_args(argv)
+    try:
+        return demo(args)
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:  # the errors cli.main refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def demo(args) -> int:
     cfg = load_config(args.config) if args.config else SystemConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

@@ -3,8 +3,9 @@
 
 Chains the CLI subcommands verify-xi, verify-pdf and verify-divergence
 (plus the deterministic optimize-threshold report) into a single output
-directory.  Every stage runs; the exit status is nonzero when a gate of
-any stage fails, so this is suitable for CI.
+directory.  Every stage runs.  The exit status follows the CLI's: 2 when
+any stage refused its input (bad config, flag or file), else 1 when a
+gate of any stage FAILed, else 0, so this is suitable for CI.
 
 Sample sizes default to each command's acceptance-grade trial count (about
 2 s for all four stages on a 2-core x86 host); --quick runs the smaller
@@ -37,7 +38,7 @@ def run(argv=None) -> int:
     ap.add_argument("--quick", action="store_true", help="reduced trial counts, for a smoke run")
     args = ap.parse_args(argv)
 
-    failures = []
+    stages = {1: [], 2: []}  # CLI exit status -> the stages that returned it
     for command, leaf, quick_trials in STAGES:
         cmd = [command, "--out", str(Path(args.out) / leaf), "--jobs", str(args.jobs)]
         if args.quick and quick_trials is not None:
@@ -49,11 +50,15 @@ def run(argv=None) -> int:
         print(f"== {command} ==", flush=True)
         rc = cli_main(cmd)
         if rc != 0:
-            failures.append(command)
+            stages[rc].append(command)
         print(flush=True)
 
-    if failures:
-        print("FAILED stages:", ", ".join(failures))
+    if stages[1]:
+        print("FAILED stages:", ", ".join(stages[1]))
+    if stages[2]:
+        print("stages that refused their input:", ", ".join(stages[2]))
+        return 2
+    if stages[1]:
         return 1
     print("all verification stages passed")
     return 0

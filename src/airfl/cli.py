@@ -30,19 +30,17 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .config import SystemConfig, bin_centers, load_config, objective_coefficients, resolve
+from .config import SystemConfig, load_config, objective_coefficients, resolve
 from .fltrain import train
 from .harness import (
     Gate,
     SweepResult,
-    cdf_pdf_consistency,
     divergence_gates,
     k_slope_scan,
     mc_joint_distribution_check,
     mc_weight_divergence,
     mc_xi_moments_grid,
     pdf_gates,
-    pdf_normalization,
     report,
     sweep_modes,
     sweep_threshold,
@@ -95,11 +93,7 @@ def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:
     result = mc_joint_distribution_check(
         pdf.gamma_range, pdf.t_range, cfg.trials, cfg.seed, bins=pdf.bins, tail_gammas=(pdf.tail_gamma,), jobs=jobs
     )
-    norm = pdf_normalization()
-    fd_worst = cdf_pdf_consistency(bin_centers(*pdf.t_range, pdf.bins), bin_centers(*pdf.gamma_range, pdf.bins))
-    meta = {**result.meta, "pdf_normalization": norm, "cdf_pdf_fd_worst": fd_worst}
-    gates = pdf_gates(result, norm, fd_worst)
-    return Outcome({"verify_pdf": result}, gates, [], meta, cfg)
+    return Outcome({"verify_pdf": result}, pdf_gates(result), [], result.meta, cfg)
 
 
 def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
@@ -114,7 +108,7 @@ def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
         meta.update({f"kscan_{k}": v for k, v in scan.meta.items()})
         lines.append(
             f"INFO k_scaling: fitted_slope={scan.meta['fitted_slope']:.3f} "
-            f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope=-2.0 "
+            f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope={scan.meta['bound_slope']} "
             f"supported={scan.meta['supported_scaling']}"
         )
     return Outcome(tables, divergence_gates(result), lines, meta, cfg)

@@ -379,18 +379,18 @@ def gradient_bound(draws: SeedDraws, grads: np.ndarray, round_index: int) -> flo
     return g
 
 
-def calibrate_g_bound(draws: SeedDraws, rounds: int = _WARMUP_ROUNDS) -> float:
+def calibrate_g_bound(draws: SeedDraws) -> float:
     """Gradient-norm bound from an ideal-mode warm-up pass.
 
-    Runs the first `rounds` rounds with exact aggregation on the batches of
-    draws (hence the batches the real run will see) and returns 1.1x the
-    largest per-device gradient norm observed.
+    Runs the first _WARMUP_ROUNDS rounds with exact aggregation on the
+    batches of draws (hence the batches the real run will see) and returns
+    1.1x the largest per-device gradient norm observed.
     """
     task, cfg = draws.task, draws.cfg
     w = task.init_params(substream(cfg.seed, STREAM_INIT))
     g_max = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging warm-up is reported below
-        for m in range(rounds):
+        for m in range(_WARMUP_ROUNDS):
             grads = round_gradients(w, draws, m)
             g_max = max(g_max, max_grad_norm(grads))
             w = global_update(w, ideal_aggregate(grads), cfg.eta)

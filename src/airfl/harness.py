@@ -5,9 +5,9 @@ moments, the joint law behind the variance derivation, and the frozen-gradient
 weight divergence.  Comparisons follow the 4-standard-error rule, so each
 estimator also returns its standard error; results are tabulated as
 SweepResult and written as CSV plus a replayable run manifest.  Verdicts
-are Gate records built from the results by xi_gates, pdf_gates and
-divergence_gates, shared by the CLI and the acceptance suite.  Every gate
-follows one rule: it passes when |estimate - reference| <= limit * se if
+are Gate records that xi_gates, pdf_gates and divergence_gates build from
+a check's result alone, shared by the CLI and the acceptance suite.  Every
+gate follows one rule: it passes when |estimate - reference| <= limit * se if
 it carries an se, and <= limit if not.  A Monte-Carlo gate also carries
 n, the count of samples that saw what it tests, and Gate alone decides
 testability: a gate whose n is below 2, or whose reference or se is not
@@ -79,6 +79,7 @@ from .config import (
     STREAM_MC_XI,
     SystemConfig,
     VerifyPdfConfig,
+    bin_centers,
     config_to_kv,
     objective_coefficients,
     power_config,
@@ -96,7 +97,7 @@ from .specfun import erf
 
 _MIN_XI_SAMPLES = 10_000
 _MIN_JOINT_SAMPLES = 1_000_000
-_MASS_CONSISTENCY_TOL = 1e-9  # quadrature vs CDF-rectangle cross-check
+_MASS_CONSISTENCY_TOL = 1e-9  # bin_mass_cdf gate: largest |quadrature - CDF rectangle| bin mass
 # the bin-mass rule (_bin_mass): Gauss-Legendre panels in s = sqrt(-gamma)
 _PANEL_NODES = 6
 _PANEL_CUTS = np.array([0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0])  # panel cuts at s = k/|t|
@@ -477,8 +478,8 @@ def _bin_mass(t_edges: np.ndarray, g_edges: np.ndarray) -> np.ndarray:
     whose rule differs from the rule's sum over its two halves by more than
     _PANEL_TOL is split in two and its halves are checked the same way; an
     accepted panel adds the sum over its halves.  Only that error estimate
-    refines the rule, so the CDF-rectangle cross-check of
-    mc_joint_distribution_check stays independent of it.
+    refines the rule, so the CDF-rectangle cross-check behind the
+    bin_mass_cdf gate stays independent of it.
     """
     t = np.asarray(t_edges, dtype=float)
     # s = sqrt(-g) in increasing order; no mass lies past _S_MAX
@@ -625,16 +626,18 @@ def mc_joint_distribution_check(
     Returns one row per bin with the empirical mass, its binomial standard
     error, and the analytic mass (density integrated over the bin).  meta
     carries the total-variation distance between the binned laws (mass
-    outside the window lumped into one cell), both outside masses and the
-    first tail's count.  tails holds the count and power sums of x on
-    every threshold's tail of the one draw, from which E[(x - c)^2 | tail]
-    follows for any c.
+    outside the window lumped into one cell), both outside masses, the
+    first tail's count, and the closed-form cross-checks pdf_gates reads:
+    pdf_normalization(), cdf_pdf_consistency at the window's bin centres
+    (cdf_pdf_fd_worst), and the worst |analytic mass - CDF rectangle mass|
+    over the bins (bin_mass_cdf_gap).  tails holds the count and power sums
+    of x on every threshold's tail of the one draw, from which
+    E[(x - c)^2 | tail] follows for any c.
 
     Sample block b is drawn from substream(seed, STREAM_MC_JOINT, b) by
     _block_map and reduced by _joint_blocks; the bin counts are added up and
     the tail sums merged in block order, so jobs changes no bit.  The
-    analytic masses come from one vectorised rule (_bin_mass),
-    cross-checked against CDF rectangles to _MASS_CONSISTENCY_TOL.
+    analytic masses come from one vectorised rule (_bin_mass).
     """
     if n_samples < _MIN_JOINT_SAMPLES:
         raise ValueError(f"need at least {_MIN_JOINT_SAMPLES} samples (trials), got {n_samples}")
@@ -656,12 +659,6 @@ def mc_joint_distribution_check(
     tails = [TailSums(g, *_merge_sums(sums)) for g, sums in zip(tail_gammas, zip(*blocks))]
 
     mass = _bin_mass(t_edges, g_edges)
-    worst_gap = float(np.max(np.abs(mass - cdf_rect_masses(t_edges, g_edges))))
-    if worst_gap > _MASS_CONSISTENCY_TOL:
-        raise RuntimeError(
-            f"density and CDF disagree on a bin mass by {worst_gap}; internal inconsistency"
-        )
-
     n = float(n_samples)
     p_emp = counts / n
     inside_emp = float(p_emp.sum())
@@ -681,6 +678,9 @@ def mc_joint_distribution_check(
         "outside_mass_mc": 1.0 - inside_emp,
         "outside_mass_analytic": 1.0 - inside_ana,
         "cond_count": tails[0].count,
+        "pdf_normalization": pdf_normalization(),
+        "cdf_pdf_fd_worst": cdf_pdf_consistency(bin_centers(*t_range, bins), bin_centers(*gamma_range, bins)),
+        "bin_mass_cdf_gap": float(np.max(np.abs(mass - cdf_rect_masses(t_edges, g_edges)))),
     }
     return JointLawResult(
         columns=("t_lo", "t_hi", "gamma_lo", "gamma_hi", "mass_mc", "mass_mc_se", "mass_analytic"),
@@ -734,12 +734,15 @@ def cdf_pdf_consistency(t_values, gamma_values) -> float:
     return worst
 
 
-def pdf_gates(result: JointLawResult, norm: float, fd_worst: float) -> list[Gate]:
-    """Gates of the joint-law check: binned total variation at most 0.02,
-    density normalization within 1e-6 of 1, CDF/density consistency within
-    1e-4, and the tail probability and conditional second moment (c = 0) at
-    the first tail threshold, at 4 SEs, each with the tail's count as its n."""
-    tv, n = result.meta["tv_distance"], result.meta["n_samples"]
+def pdf_gates(result: JointLawResult) -> list[Gate]:
+    """Gates of the joint-law check, read off its result alone: binned total
+    variation at most 0.02, normalization within 1e-6 of 1, CDF/density
+    consistency within 1e-4, bin masses within 1e-9 of the CDF rectangles,
+    and the tail probability and conditional second moment (c = 0) at the
+    first tail threshold, at 4 SEs, each with the tail's count as its n."""
+    meta = result.meta
+    tv, n = meta["tv_distance"], meta["n_samples"]
+    norm, fd_worst, mass_gap = meta["pdf_normalization"], meta["cdf_pdf_fd_worst"], meta["bin_mass_cdf_gap"]
     tail = result.tails[0]
     p_tail = tail.count / n
     se_tail = math.sqrt(p_tail * (1.0 - p_tail) / n)
@@ -750,6 +753,7 @@ def pdf_gates(result: JointLawResult, norm: float, fd_worst: float) -> list[Gate
         Gate("pdf_tv_distance", tv, 0.0, None, 0.02, detail=f"tv={tv:.5f} n={n}"),
         Gate("pdf_normalization", norm, 1.0, None, 1e-6, detail=f"integral={norm!r}"),
         Gate("cdf_pdf_consistency", fd_worst, 0.0, None, 1e-4, detail=f"worst_abs_err={fd_worst:.3e}"),
+        Gate("bin_mass_cdf", mass_gap, 0.0, None, _MASS_CONSISTENCY_TOL, detail=f"worst_abs_err={mass_gap:.3e}"),
         Gate("truncation_tail", p_tail, p_exp, se_tail, _Z_LIMIT,
              detail=f"mc={p_tail:.6f} expected={p_exp:.6f} se={se_tail:.2e}", n=tail.count),
         Gate("conditional_second_moment", m2, m2_exp, m2_se, _Z_LIMIT,

@@ -23,20 +23,17 @@ from airfl.config import (
     VerifyDivergenceConfig,
     VerifyPdfConfig,
     VerifyXiConfig,
-    bin_centers,
     config_to_kv,
 )
 from airfl.fltrain import SeedDraws, train_cells
 from airfl.harness import (
     Gate,
-    cdf_pdf_consistency,
     divergence_gates,
     k_slope_scan,
     mc_joint_distribution_check,
     mc_weight_divergence,
     mc_xi_moments,
     pdf_gates,
-    pdf_normalization,
     xi_gates,
 )
 from airfl.optimizer import (
@@ -112,20 +109,16 @@ def joint_law():
 
 
 def test_criterion_03_joint_density(joint_law):
-    res = joint_law
-    tv = res.meta["tv_distance"]
-    norm = pdf_normalization()
-    # the stencil at the bin centres verify-pdf checks at its defaults
-    pdf = VerifyPdfConfig()
-    fd_worst = cdf_pdf_consistency(bin_centers(*pdf.t_range, pdf.bins), bin_centers(*pdf.gamma_range, pdf.bins))
-    gates = pdf_gates(res, norm, fd_worst)
-    checked = ("pdf_tv_distance", "pdf_normalization", "cdf_pdf_consistency")
-    ok = all(g.passed for g in gates if g.name in checked)
+    meta = joint_law.meta
+    checked = ("pdf_tv_distance", "pdf_normalization", "cdf_pdf_consistency", "bin_mass_cdf")
+    ok = all(g.passed for g in pdf_gates(joint_law) if g.name in checked)
     verdict(
         3,
         ok,
-        f"40x40 histogram at n=1e7: tv = {tv:.5f} (limit 0.02); density quadrature "
-        f"mass = {norm:.9f} (1 +- 1e-6); worst |cdf stencil - pdf| = {fd_worst:.2e} (limit 1e-4)",
+        f"40x40 histogram at n=1e7: tv = {meta['tv_distance']:.5f} (limit 0.02); density quadrature "
+        f"mass = {meta['pdf_normalization']:.9f} (1 +- 1e-6); worst |cdf stencil - pdf| = "
+        f"{meta['cdf_pdf_fd_worst']:.2e} (limit 1e-4); worst |bin mass - cdf rectangle| = "
+        f"{meta['bin_mass_cdf_gap']:.1e} (limit 1e-9)",
     )
 
 
@@ -173,7 +166,7 @@ def test_criterion_05_weight_divergence():
     scan = k_slope_scan(replace(base, verify_divergence=scan_section))
     print(
         f"INFO k_scaling: fitted_slope={scan.meta['fitted_slope']:.3f} "
-        f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope=-2.0 "
+        f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope={scan.meta['bound_slope']} "
         f"supported={scan.meta['supported_scaling']}"
     )
     verdict(

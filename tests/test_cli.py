@@ -380,12 +380,27 @@ class TestVerifyPdf:
         assert rc == 1
         lines = capsys.readouterr().out.splitlines()
         assert [l.split(": ")[0] for l in lines] == [
-            "PASS pdf_tv_distance", "PASS pdf_normalization", "PASS cdf_pdf_consistency",
+            "PASS pdf_tv_distance", "PASS pdf_normalization", "PASS cdf_pdf_consistency", "PASS bin_mass_cdf",
             "FAIL truncation_tail", "FAIL conditional_second_moment",
         ]
-        assert all(l.split(": ", 1)[1].startswith("untestable: n=0 is below 2; mc=") for l in lines[3:])
+        assert all(l.split(": ", 1)[1].startswith("untestable: n=0 is below 2; mc=") for l in lines[4:])
         manifest = (out / "verify_pdf_manifest.txt").read_text()
         assert "# meta cond_count = 0\n" in manifest and "tail_prob" not in manifest
+
+    def test_bin_mass_off_the_cdf_rectangles_fails_its_gate(self, tmp_path, capsys, monkeypatch):
+        # a density/CDF disagreement is a verdict like any other: one FAIL
+        # line, the CSV and manifest written, exit 1
+        real = airfl.harness.cdf_rect_masses
+        monkeypatch.setattr(airfl.harness, "cdf_rect_masses", lambda *a: real(*a) + 1e-8)
+        out = tmp_path / "run"
+        rc = main(["verify-pdf", "--trials", "1000000", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (line,) = [l for l in captured.out.splitlines() if l.startswith("FAIL ")]
+        assert line.startswith("FAIL bin_mass_cdf: worst_abs_err=1.000e-08 limit=1e-09 margin=")
+        assert (out / "verify_pdf.csv").exists()
+        assert "# meta bin_mass_cdf_gap = " in (out / "verify_pdf_manifest.txt").read_text()
 
 
 class TestVerifyDivergence:

@@ -27,6 +27,7 @@ from airfl.fltrain import (
     MlpTask,
     SeedDraws,
     _Cells,
+    _WARMUP_ROUNDS,
     _assert_power_feasible,
     _sent_power,
     build_devices,
@@ -373,8 +374,8 @@ class TestTraining:
 
     def test_calibration_is_margin_times_peak_warmup_norm(self):
         cfg = resolve(small_cfg())
-        got = calibrate_g_bound(SeedDraws(cfg), rounds=3)
-        assert got == warmup_bound(cfg, 3)
+        got = calibrate_g_bound(SeedDraws(cfg))
+        assert got == warmup_bound(cfg, _WARMUP_ROUNDS)
 
     def test_run_shorter_than_the_warmup_still_calibrates(self):
         # 4 rounds of training, 10 of warm-up: the draws cover both

@@ -466,7 +466,7 @@ class TestConditionalMoment:
         est, se = res.tails[0].second_moment(0.0)
         assert abs(est - oracles.COND_M2_G1_C0) <= 4.0 * se
         # the gate's moment is the fold at c = 0
-        (gate,) = [g for g in pdf_gates(res, 1.0, 0.0) if g.name == "conditional_second_moment"]
+        (gate,) = [g for g in pdf_gates(res) if g.name == "conditional_second_moment"]
         assert (gate.estimate, gate.se) == (est, se)
         assert res.meta["cond_count"] == res.tails[0].count
 
@@ -479,7 +479,7 @@ class TestConditionalMoment:
 
         res = joint_tails(0, (30.0, 1.0))
         assert res.tails[0].count == res.meta["cond_count"] == 0
-        for gate in pdf_gates(res, 1.0, 0.0)[3:]:
+        for gate in pdf_gates(res)[4:]:
             assert not gate.passed and gate.n == 0
             assert gate.summary().startswith("untestable: n=0 is below 2; ")
         assert all(math.isnan(v) for v in res.tails[0].second_moment(0.5))
@@ -493,11 +493,11 @@ class TestConditionalMoment:
 
     def test_pdf_gates_carry_the_first_tail_count(self):
         res = joint_tails(5, (1.0, 2.0))
-        gates = pdf_gates(res, 1.0, 0.0)
-        assert [g.n for g in gates] == [None, None, None, res.tails[0].count, res.tails[0].count]
+        gates = pdf_gates(res)
+        assert [g.n for g in gates] == [None] * 4 + [res.tails[0].count] * 2
         # the first tail with one sample: both of its gates are untestable, the rest stand
         one = replace(res, tails=(res.tails[0]._replace(count=1),))
-        assert [g.untestable for g in pdf_gates(one, 1.0, 0.0)] == [None] * 3 + ["n=1 is below 2"] * 2
+        assert [g.untestable for g in pdf_gates(one)] == [None] * 4 + ["n=1 is below 2"] * 2
 
     def test_validation(self):
         # each threshold meets the rule of the config key verify_pdf.tail_gamma
@@ -556,9 +556,10 @@ class TestJointDistribution:
         assert 0.0 < res.meta["outside_mass_mc"] < 1.0
         assert 0.0 < res.meta["outside_mass_analytic"] < 1.0
         # the tail statistics travel in the gates, not in meta
-        assert sorted(res.meta) == ["cond_count", "n_samples", "outside_mass_analytic", "outside_mass_mc",
+        assert sorted(res.meta) == ["bin_mass_cdf_gap", "cdf_pdf_fd_worst", "cond_count", "n_samples",
+                                    "outside_mass_analytic", "outside_mass_mc", "pdf_normalization",
                                     "tv_distance"]
-        tail, cond = pdf_gates(res, 1.0, 0.0)[3:]
+        tail, cond = pdf_gates(res)[4:]
         assert abs(tail.estimate - tail.reference) <= 5.0 * tail.se
         assert tail.reference == math.exp(-1.0)
         assert tail.estimate == res.meta["cond_count"] / 1_000_000
