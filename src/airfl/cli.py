@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .config import SystemConfig, load_config, objective_coefficients, resolve
@@ -36,6 +37,7 @@ from .harness import (
     Gate,
     SweepResult,
     divergence_gates,
+    k_scan_line,
     k_slope_scan,
     mc_joint_distribution_check,
     mc_weight_divergence,
@@ -71,21 +73,9 @@ class Command:
 
 
 def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
-    grid = cfg.verify_xi
-    n = cfg.trials
-    cells = [(rho, gamma) for rho in grid.rhos for gamma in grid.gammas]
-    results = mc_xi_moments_grid(cells, n, cfg.seed, jobs=jobs)
-    table = SweepResult(
-        columns=("rho", "gamma_th", "n_samples", "mean_mc", "mean_se", "var_mc", "var_se",
-                 "var_closed", "active_fraction", "active_expected"),
-        rows=[
-            (r.rho, r.gamma_th, n, r.mean, r.se_mean, r.variance, r.se_var, r.variance_closed,
-             r.active_fraction, r.active_expected)
-            for r in results
-        ],
-        meta={"n_samples": n},
-    )
-    return Outcome({"verify_xi": table}, xi_gates(results), [], table.meta, cfg)
+    cells = [(rho, gamma) for rho in cfg.verify_xi.rhos for gamma in cfg.verify_xi.gammas]
+    result = mc_xi_moments_grid(cells, cfg.trials, cfg.seed, jobs=jobs)
+    return Outcome({"verify_xi": result}, xi_gates(result), [], result.meta, cfg)
 
 
 def _verify_pdf(cfg: SystemConfig, jobs: int) -> Outcome:
@@ -106,11 +96,7 @@ def _verify_divergence(cfg: SystemConfig, jobs: int) -> Outcome:
         scan = k_slope_scan(cfg, jobs=jobs)
         tables["verify_divergence_kscan"] = scan
         meta.update({f"kscan_{k}": v for k, v in scan.meta.items()})
-        lines.append(
-            f"INFO k_scaling: fitted_slope={scan.meta['fitted_slope']:.3f} "
-            f"exact_slope={scan.meta['exact_slope']:.3f} bound_slope={scan.meta['bound_slope']} "
-            f"supported={scan.meta['supported_scaling']}"
-        )
+        lines.append(k_scan_line(scan))
     return Outcome(tables, divergence_gates(result), lines, meta, cfg)
 
 
@@ -199,6 +185,9 @@ def _run(cmd: Command, args) -> int:
     if cmd.trials is None or cfg.trials is None:
         cfg = replace(cfg, trials=cmd.trials)
 
+    if args.out:
+        # a path that cannot be a directory is refused before the run, not after it
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     # the command's parallel maps share one pool, joined before anything prints
     with worker_pool():
         out = cmd.compute(cfg, args.jobs)

@@ -3,15 +3,15 @@
 Every closed form in the package has a sampling counterpart here: coefficient
 moments, the joint law behind the variance derivation, and the frozen-gradient
 weight divergence.  Comparisons follow the 4-standard-error rule, so each
-estimator also returns its standard error; results are tabulated as
-SweepResult and written as CSV plus a replayable run manifest.  Verdicts
-are Gate records that xi_gates, pdf_gates and divergence_gates build from
-a check's result alone, shared by the CLI and the acceptance suite.  Every
-gate follows one rule: it passes when |estimate - reference| <= limit * se if
-it carries an se, and <= limit if not.  A Monte-Carlo gate also carries
-n, the count of samples that saw what it tests, and Gate alone decides
-testability: a gate whose n is below 2, or whose reference or se is not
-finite, fails as untestable.
+estimator also returns its standard error; each check returns the one
+SweepResult its command writes as CSV, next to a replayable run manifest.
+Verdicts are Gate records that xi_gates, pdf_gates and divergence_gates
+build from that result alone, shared by the CLI and the acceptance suite.
+Every gate follows one rule: it passes when |estimate - reference| <=
+limit * se if it carries an se, and <= limit if not.  A Monte-Carlo gate
+also carries n, the count of samples that saw what it tests, and Gate
+alone decides testability: a gate whose n is below 2, or whose reference
+or se is not finite, fails as untestable.
 
 Every Monte-Carlo check samples through one keyed-block map, _block_map
 (stream layout 3): block b of a check reads substream(seed, purpose,
@@ -168,6 +168,10 @@ class SweepResult:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
 
+    def records(self) -> list[dict]:
+        """Each row as a dict from column name to cell."""
+        return [dict(zip(self.columns, row)) for row in self.rows]
+
 
 def _fixed(v: float, digits: int = 2) -> str:
     # digits decimals, or exponent form with digits + 1 once |v| reaches 1e6
@@ -240,23 +244,6 @@ def verdict_lines(gates) -> list[str]:
     return [f"{'PASS' if g.passed else 'FAIL'} {g.name}: {g.summary()}" for g in gates]
 
 
-@dataclass(frozen=True)
-class XiMomentsResult:
-    """Sample moments of the effective coefficient with standard errors."""
-
-    rho: float
-    gamma_th: float
-    n_samples: int
-    mean: float
-    variance: float
-    se_mean: float
-    se_var: float
-    variance_closed: float
-    active_fraction: float
-    se_active: float
-    active_expected: float
-
-
 class TailSums(NamedTuple):
     """The samples of one draw with y <= -gamma: their count and the power
     sums (sum x, sum x^2, sum x^3, sum x^4) of x."""
@@ -291,43 +278,43 @@ class JointLawResult(SweepResult):
 # coefficient moments
 
 
-def mc_xi_moments(rho: float, gamma_th: float, n_samples: int, seed: int) -> XiMomentsResult:
+def mc_xi_moments(rho: float, gamma_th: float, n_samples: int, seed: int) -> SweepResult:
     """Sample the effective aggregation coefficient and compare moments.
 
     Draws n_samples independent channel/estimate pairs, forms xi by
     aircomp's one formula, _truncated_ratio (lambda
     Re{h* h_hat}/|h_hat|^2 on the active event, 0 otherwise), and returns
-    the sample mean and unbiased variance with standard errors (the
-    variance SE uses the fourth-central-moment formula).  Sums are
-    accumulated around the known unit mean to keep the moment arithmetic
-    well conditioned.  The one-cell case of mc_xi_moments_grid, which
-    verify-xi uses: there all cells share one draw, so their z-scores are
-    correlated.
+    the one-row table of mc_xi_moments_grid: the sample mean and unbiased
+    variance with standard errors (the variance SE uses the
+    fourth-central-moment formula), the closed-form variance, and the
+    active fraction next to e^-gamma_th.  Sums are accumulated around the
+    known unit mean to keep the moment arithmetic well conditioned.
     """
-    return mc_xi_moments_grid([(rho, gamma_th)], n_samples, seed)[0]
+    return mc_xi_moments_grid([(rho, gamma_th)], n_samples, seed)
 
 
-def mc_xi_moments_grid(cells, n_samples: int, seed: int, jobs: int = 1) -> list[XiMomentsResult]:
-    """mc_xi_moments for every (rho, gamma_th) cell, on one shared draw.
+def mc_xi_moments_grid(cells, n_samples: int, seed: int, jobs: int = 1) -> SweepResult:
+    """The table verify-xi writes and xi_gates reads: one mc_xi_moments row
+    per (rho, gamma_th) cell, in cell order, on one shared draw, with
+    n_samples in meta.
 
     Sample block b is drawn from substream(seed, STREAM_MC_XI, b) by
     _block_map, once for every cell (_xi_blocks), and each cell's per-block
     sums are merged in block order by math.fsum, so neither the cell grid
-    nor jobs changes a bit of a cell's result: it equals its own
-    mc_xi_moments call with the same seed.  Because the cells share their
+    nor jobs changes a bit of a cell's row: it equals its own
+    mc_xi_moments row with the same seed.  Because the cells share their
     draws (common random numbers), their estimates and z-scores are
     correlated, not independent.
     """
     if n_samples < _MIN_XI_SAMPLES:
         raise ValueError(f"need at least {_MIN_XI_SAMPLES} samples (trials), got {n_samples}")
-    lams = [compensation_lambda(gamma_th, rho) for rho, gamma_th in cells]  # checks gamma_th and rho
     if not cells:
-        return []
+        raise ValueError("cells must hold one or more (rho, gamma_th) pairs")
+    lams = [compensation_lambda(gamma_th, rho) for rho, gamma_th in cells]  # checks gamma_th and rho
     ((blocks, _),) = _block_map(_xi_blocks, [((cells, lams), (STREAM_MC_XI,), n_samples)], seed, _MC_BLOCK, jobs)
-    return [
-        _xi_result(rho, gamma_th, n_samples, cell_blocks)
-        for (rho, gamma_th), cell_blocks in zip(cells, zip(*blocks))
-    ]
+    rows = [_xi_row(rho, gamma_th, n_samples, sums) for (rho, gamma_th), sums in zip(cells, zip(*blocks))]
+    return SweepResult(columns=tuple(rows[0]), rows=[tuple(row.values()) for row in rows],
+                       meta={"n_samples": n_samples})
 
 
 def _unit(v: float) -> float:
@@ -389,8 +376,8 @@ def _merge_sums(block_sums) -> tuple[int, tuple[float, ...]]:
     return sum(counts), tuple(math.fsum(p) for p in parts)
 
 
-def _xi_result(rho, gamma_th, n_samples: int, block_sums) -> XiMomentsResult:
-    """The moments of xi from the merged sums of y = (xi - 1)/unit."""
+def _xi_row(rho, gamma_th, n_samples: int, block_sums) -> dict[str, object]:
+    """One cell's row: the moments of xi from the merged sums of y = (xi - 1)/unit."""
     unit = _unit(compensation_lambda(gamma_th, rho))
     n_active, (s1, s2, s3, s4) = _merge_sums(block_sums)
     n = float(n_samples)
@@ -399,38 +386,35 @@ def _xi_result(rho, gamma_th, n_samples: int, block_sums) -> XiMomentsResult:
     m4 = s4 / n - 4.0 * a * s3 / n + 6.0 * a * a * s2 / n - 3.0 * a**4
     var = m2 * n / (n - 1.0)
     se_var = math.sqrt(max(m4 - m2 * m2 * (n - 3.0) / (n - 1.0), 0.0) / n)
-    p_act = n_active / n
-    return XiMomentsResult(
-        rho=rho,
-        gamma_th=gamma_th,
-        n_samples=n_samples,
-        mean=1.0 + a * unit,
-        variance=var * unit * unit,
-        se_mean=math.sqrt(var / n) * unit,
-        se_var=se_var * unit * unit,
-        variance_closed=xi_variance(gamma_th, rho),
-        active_fraction=p_act,
-        se_active=math.sqrt(p_act * (1.0 - p_act) / n),
-        active_expected=math.exp(-gamma_th),
-    )
+    return {
+        "rho": rho,
+        "gamma_th": gamma_th,
+        "n_samples": n_samples,
+        "mean_mc": 1.0 + a * unit,
+        "mean_se": math.sqrt(var / n) * unit,
+        "var_mc": var * unit * unit,
+        "var_se": se_var * unit * unit,
+        "var_closed": xi_variance(gamma_th, rho),
+        "active_fraction": n_active / n,
+        "active_expected": math.exp(-gamma_th),
+    }
 
 
-def xi_gates(results) -> list[Gate]:
-    """Per cell, the mean against 1 and the variance against the closed
-    form at 4 SEs, each with the cell's active count as its n."""
+def xi_gates(result: SweepResult) -> list[Gate]:
+    """Per row of a mc_xi_moments_grid table, the mean against 1 and the
+    variance against the closed form at 4 SEs, each with the cell's active
+    count as its n."""
     gates = []
-    for r in results:
-        cell = f"rho={r.rho:g} gamma={r.gamma_th:g}"
-        active = round(r.active_fraction * r.n_samples)
-        gates.append(
-            Gate(f"xi_mean[{cell}]", r.mean, 1.0, r.se_mean, _Z_LIMIT,
-                 detail=f"mean={_fixed(r.mean, 6)} se={r.se_mean:.2e}", n=active)
-        )
-        gates.append(
-            Gate(f"xi_var[{cell}]", r.variance, r.variance_closed, r.se_var, _Z_LIMIT,
-                 detail=f"mc={_fixed(r.variance, 6)} closed={_fixed(r.variance_closed, 6)} se={r.se_var:.2e}",
-                 n=active)
-        )
+    for row in result.records():
+        cell = f"rho={row['rho']:g} gamma={row['gamma_th']:g}"
+        active = round(row["active_fraction"] * row["n_samples"])
+        mean, var, closed = row["mean_mc"], row["var_mc"], row["var_closed"]
+        gates += [
+            Gate(f"xi_mean[{cell}]", mean, 1.0, row["mean_se"], _Z_LIMIT,
+                 detail=f"mean={_fixed(mean, 6)} se={row['mean_se']:.2e}", n=active),
+            Gate(f"xi_var[{cell}]", var, closed, row["var_se"], _Z_LIMIT,
+                 detail=f"mc={_fixed(var, 6)} closed={_fixed(closed, 6)} se={row['var_se']:.2e}", n=active),
+        ]
     return gates
 
 
@@ -980,7 +964,7 @@ def divergence_gates(result: SweepResult) -> list[Gate]:
     is exactly ||g||^2, blind to the noise term.  The a-priori bound travels
     in the detail, not in the verdict."""
     gates = []
-    for row in (dict(zip(result.columns, r)) for r in result.rows):
+    for row in result.records():
         detail = (f"mc={row['divergence_mc']:.6e} exact={row['divergence_exact']:.6e} "
                   f"se={row['divergence_se']:.2e} bound={row['divergence_bound']:.6e}")
         gates.append(Gate("divergence_exact_4se", row["divergence_mc"], row["divergence_exact"],
@@ -1034,6 +1018,12 @@ def k_slope_scan(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
             "supported_scaling": "1/K" if slope_mc > -1.5 else "1/K^2",
         },
     )
+
+
+def k_scan_line(scan: SweepResult) -> str:
+    """The `INFO k_scaling: ...` line that reports a k_slope_scan's slopes."""
+    return ("INFO k_scaling: fitted_slope={fitted_slope:.3f} exact_slope={exact_slope:.3f} "
+            "bound_slope={bound_slope} supported={supported_scaling}").format_map(scan.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1155,8 @@ def report(
     meta: dict[str, object] | None = None,
     notes=(),
 ) -> dict[str, Path]:
-    """Write each table as <stem>.csv plus one <name>_manifest.txt.
+    """Write each table as <stem>.csv plus one <name>_manifest.txt into
+    out_dir, an existing directory, which the CLI makes before the run.
 
     tables maps a CSV stem to a SweepResult or, for a deterministic table,
     a plain (columns, rows) pair.  The manifest's key=value body is a
@@ -1177,7 +1168,6 @@ def report(
     stem, and of the manifest under "manifest".
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     for stem, table in tables.items():
         columns, rows = (table.columns, table.rows) if isinstance(table, SweepResult) else table

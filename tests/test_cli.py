@@ -104,6 +104,24 @@ class TestParsing:
         assert captured.err == f"error: out of memory: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("leaf", [(), ("sub",)])
+    def test_an_out_that_cannot_be_a_directory_is_refused_before_the_run(self, tmp_path, capsys, leaf):
+        # a file at the output directory's path, or at its parent's
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        assert main(["verify-xi", "--trials", "10000", "--out", str(blocker.joinpath(*leaf))]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert captured.out == ""
+        assert blocker.read_text() == "kept"
+
+    def test_a_run_refused_after_its_out_directory_is_made_leaves_it_empty(self, tmp_path, capsys):
+        out = tmp_path / "new" / "run"
+        assert main(["verify-xi", "--trials", "5000", "--out", str(out)]) == 2
+        assert "need at least 10000 samples" in capsys.readouterr().err
+        assert out.is_dir() and list(out.iterdir()) == []
+
     def test_fixed_g_without_a_bound_is_a_config_error(self, tmp_path, capsys):
         # g_bound is the one G key: a word other than calibrate or genie, and
         # the g_mode key of older configs and manifests, are rejected when the
@@ -208,18 +226,30 @@ class TestWorkerPool:
         assert pools == [2]
         assert multiprocessing.active_children() == []
 
-    def test_sweep_makes_one_pool(self, tmp_path, capsys, pools):
-        cfg = replace(SystemConfig(k_devices=3, train=SMALL_TRAIN), sweep=replace(SystemConfig().sweep, modes=("fixed",)))
-        cfg_path = write_cfg(tmp_path / "sweep.cfg", cfg, "sweep")
-        assert main(["sweep-threshold", "--config", cfg_path, "--jobs", "2"]) == 0
+    # each parallel command at its smallest size that splits among two workers
+    RUNS = {
+        "verify-xi": (SystemConfig(verify_xi=VerifyXiConfig(rhos=(0.8,), gammas=(0.5,))), ["--trials", "65537"]),
+        "verify-pdf": (SystemConfig(), ["--trials", "1000000"]),
+        "verify-divergence": (SCAN_CFG, ["--trials", "1000"]),
+        "sweep-threshold": (replace(SystemConfig(k_devices=3, train=SMALL_TRAIN),
+                                    sweep=replace(SystemConfig().sweep, modes=("fixed",))), []),
+    }
+
+    def run(self, tmp_path, command, jobs):
+        cfg, args = self.RUNS[command]
+        (section,) = [c.section for c in airfl.cli.COMMANDS if c.name == command]
+        cfg_path = write_cfg(tmp_path / "run.cfg", cfg, section)
+        return main([command, "--config", cfg_path, *args, "--jobs", jobs])
+
+    @pytest.mark.parametrize("command", ["verify-xi", "verify-pdf", "sweep-threshold"])
+    def test_sweep_makes_one_pool(self, tmp_path, capsys, pools, command):
+        assert self.run(tmp_path, command, "2") == 0
         assert pools == [2]
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("command", ["verify-divergence", "sweep-threshold"])
+    @pytest.mark.parametrize("command", ["verify-xi", "verify-pdf", "verify-divergence", "sweep-threshold"])
     def test_one_job_makes_no_pool(self, tmp_path, capsys, pools, command):
-        cfg_path = write_cfg(tmp_path / "run.cfg", self.SCAN_CFG)
-        trials = ["--trials", "1000"] if command == "verify-divergence" else []
-        assert main([command, "--config", cfg_path, *trials, "--jobs", "1"]) == 0
+        assert self.run(tmp_path, command, "1") == 0
         assert pools == []
 
     def test_an_error_after_the_pool_started_joins_it(self, tmp_path, capsys, pools, monkeypatch):

@@ -103,6 +103,10 @@ class TestSweepResult:
         with pytest.raises(ValueError):
             res.column("missing")
 
+    def test_records_give_each_row_by_column_name(self):
+        res = SweepResult(columns=("a", "a_se"), rows=[(1, 0.1), (2, 0.2)])
+        assert res.records() == [{"a": 1, "a_se": 0.1}, {"a": 2, "a_se": 0.2}]
+
 
 class TestXiMoments:
     def test_minimum_sample_count(self):
@@ -111,22 +115,26 @@ class TestXiMoments:
 
     def test_moments_agree_with_closed_forms(self):
         res = mc_xi_moments(0.8, 0.5, 100_000, seed=3)
-        assert abs(res.mean - 1.0) <= 4.0 * res.se_mean
-        assert abs(res.variance - res.variance_closed) <= 4.0 * res.se_var
-        assert res.variance_closed == xi_variance(0.5, 0.8)
-        assert abs(res.active_fraction - res.active_expected) <= 4.0 * res.se_active
-        assert res.active_expected == math.exp(-0.5)
+        (row,) = res.records()
+        assert res.meta == {"n_samples": 100_000} and row["n_samples"] == 100_000
+        assert abs(row["mean_mc"] - 1.0) <= 4.0 * row["mean_se"]
+        assert abs(row["var_mc"] - row["var_closed"]) <= 4.0 * row["var_se"]
+        assert row["var_closed"] == xi_variance(0.5, 0.8)
+        # the active fraction against its binomial standard error
+        p = row["active_fraction"]
+        assert abs(p - row["active_expected"]) <= 4.0 * math.sqrt(p * (1.0 - p) / 100_000)
+        assert row["active_expected"] == math.exp(-0.5)
 
     def test_deterministic_under_seed(self):
         a = mc_xi_moments(0.8, 0.5, 20_000, seed=9)
         b = mc_xi_moments(0.8, 0.5, 20_000, seed=9)
         c = mc_xi_moments(0.8, 0.5, 20_000, seed=10)
         assert a == b
-        assert a.mean != c.mean
+        assert a.column("mean_mc") != c.column("mean_mc")
 
     def test_perfect_csi_cell(self):
-        res = mc_xi_moments(1.0, 1.0, 50_000, seed=4)
-        assert abs(res.variance - math.expm1(1.0)) <= 4.0 * res.se_var
+        (row,) = mc_xi_moments(1.0, 1.0, 50_000, seed=4).records()
+        assert abs(row["var_mc"] - math.expm1(1.0)) <= 4.0 * row["var_se"]
 
 
 def _per_cell_sums(rho, gamma, n, seed):
@@ -149,27 +157,35 @@ def _per_cell_sums(rho, gamma, n, seed):
     return (*(math.fsum(part) for part in sums), n_active)
 
 
+def _with_cells(result, **cells):
+    """The one-row result with the named cells of its row replaced."""
+    (row,) = result.records()
+    return replace(result, rows=[tuple({**row, **cells}.values())])
+
+
 class TestXiMomentsGrid:
     CELLS = [(rho, gamma) for rho in (0.5, 0.95, 1.0) for gamma in (0.1, 2.0)]
 
     @pytest.mark.parametrize("n", [50_000, 3 * _MC_BLOCK + 7])
     def test_equals_the_per_cell_calls(self, n):
         grid = mc_xi_moments_grid(self.CELLS, n, seed=5)
-        assert grid == [mc_xi_moments(r, g, n, seed=5) for r, g in self.CELLS]
+        assert grid.rows == [mc_xi_moments(r, g, n, seed=5).rows[0] for r, g in self.CELLS]
+        assert grid.meta == {"n_samples": n}
 
     def test_shares_the_stream_each_cell_would_draw(self):
         n = 2 * _MC_BLOCK + 9_000
         grid = mc_xi_moments_grid(self.CELLS, n, seed=11)
-        for (rho, gamma), res in zip(self.CELLS, grid):
+        for (rho, gamma), row in zip(self.CELLS, grid.records(), strict=True):
             s1, s2, s3, s4, n_active = _per_cell_sums(rho, gamma, n, 11)
             a = s1 / n
             m2 = s2 / n - a * a
             m4 = s4 / n - 4.0 * a * s3 / n + 6.0 * a * a * s2 / n - 3.0 * a**4
-            assert res.mean == 1.0 + a
-            assert res.variance == m2 * n / (n - 1.0)
-            assert res.se_var == math.sqrt(max(m4 - m2 * m2 * (n - 3.0) / (n - 1.0), 0.0) / n)
-            assert res.se_var > 0.0
-            assert res.active_fraction == n_active / n
+            assert (row["rho"], row["gamma_th"]) == (rho, gamma)
+            assert row["mean_mc"] == 1.0 + a
+            assert row["var_mc"] == m2 * n / (n - 1.0)
+            assert row["var_se"] == math.sqrt(max(m4 - m2 * m2 * (n - 3.0) / (n - 1.0), 0.0) / n)
+            assert row["var_se"] > 0.0
+            assert row["active_fraction"] == n_active / n
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least"):
@@ -178,7 +194,8 @@ class TestXiMomentsGrid:
             mc_xi_moments_grid([(0.8, 0.5), (1.5, 0.5)], 20_000, seed=0)
         with pytest.raises(ValueError, match="gamma_th"):
             mc_xi_moments_grid([(0.8, -1.0)], 20_000, seed=0)
-        assert mc_xi_moments_grid([], 20_000, seed=0) == []
+        with pytest.raises(ValueError, match="one or more"):
+            mc_xi_moments_grid([], 20_000, seed=0)
 
 
 class TestHistogramCounts:
@@ -321,8 +338,7 @@ class TestGate:
 
     def test_xi_gates_give_each_cell_a_mean_and_a_variance_gate(self):
         cells = ((0.95, 0.5), (1.0, 0.05))
-        results = [mc_xi_moments(rho, gamma, 20_000, seed=3) for rho, gamma in cells]
-        gates = xi_gates(results)
+        gates = xi_gates(mc_xi_moments_grid(cells, 20_000, seed=3))
         assert [g.name for g in gates] == [
             "xi_mean[rho=0.95 gamma=0.5]", "xi_var[rho=0.95 gamma=0.5]",
             "xi_mean[rho=1 gamma=0.05]", "xi_var[rho=1 gamma=0.05]",
@@ -333,7 +349,7 @@ class TestGate:
     def test_xi_gates_label_a_cell_without_active_samples_untestable(self):
         # P(active) = e^-30: no sample of 10^4 clears the threshold, so the
         # cell's mean is 0 at se 0 and both verdicts FAIL without testing xi
-        mean, var = xi_gates([mc_xi_moments(0.8, 30.0, 10_000, seed=3)])
+        mean, var = xi_gates(mc_xi_moments(0.8, 30.0, 10_000, seed=3))
         for g in (mean, var):
             assert not g.passed and g.n == 0
             assert g.summary().startswith("untestable: n=0 is below 2; ")
@@ -341,18 +357,18 @@ class TestGate:
 
     def test_xi_gates_carry_the_active_count(self):
         r = mc_xi_moments(0.8, 0.5, 20_000, seed=3)
-        active = round(r.active_fraction * 20_000)
+        active = round(r.column("active_fraction")[0] * 20_000)
         assert 0 < active < 20_000
-        assert [g.n for g in xi_gates([r])] == [active, active]
+        assert [g.n for g in xi_gates(r)] == [active, active]
         # one active sample of 10^4 cannot be tested, two can
-        one, two = (replace(r, n_samples=10_000, active_fraction=k / 10_000) for k in (1, 2))
-        assert [g.untestable for g in xi_gates([one])] == ["n=1 is below 2"] * 2
-        assert [g.n for g in xi_gates([two])] == [2, 2]
+        one, two = (_with_cells(r, n_samples=10_000, active_fraction=k / 10_000) for k in (1, 2))
+        assert [g.untestable for g in xi_gates(one)] == ["n=1 is below 2"] * 2
+        assert [g.n for g in xi_gates(two)] == [2, 2]
 
     def test_xi_gates_print_large_values_in_exponent_form(self):
         # below 1e6 six decimals, as before; from there exponent form
         r = mc_xi_moments(0.8, 0.5, 20_000, seed=3)
-        mean, var = xi_gates([replace(r, mean=-9.4638364514111399e151, variance=2e6, variance_closed=999_999.5)])
+        mean, var = xi_gates(_with_cells(r, mean_mc=-9.4638364514111399e151, var_mc=2e6, var_closed=999_999.5))
         assert mean.detail.startswith("mean=-9.4638365e+151 se=")
         assert var.detail.startswith("mc=2.0000000e+06 closed=999999.500000 se=")
 

@@ -196,3 +196,14 @@ def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(airfl.__file__).resolve().parents[2] / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == airfl.__version__
+
+
+def test_console_script_is_the_cli_main():
+    # pyproject's `airfl` entry point names the function that runs the CLI
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(airfl.__file__).resolve().parents[2] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["airfl"]
+    from airfl.cli import main
+
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is main
