@@ -73,21 +73,22 @@ def draw_channel(
 ) -> ChannelDraw:
     """Draw (h, h_hat, v) jointly for one device at distance d.
 
-    Consumes exactly four standard normals in the fixed order
-    (Re h_hat, Im h_hat, Re v, Im v); each complex variate is CN(0, 1).
-    At rho = 1 the reconstruction collapses to h = h_hat exactly.
+    The one-sample draw_channel_block: it consumes exactly four standard
+    normals in the fixed order (Re h_hat, Im h_hat, Re v, Im v); each
+    complex variate is CN(0, 1).  At rho = 1 the reconstruction collapses
+    to h = h_hat exactly.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise ValueError(f"distance must be positive and finite, got {d}")
-    z = gen.standard_normal(4) * _INV_SQRT2
-    h_hat = complex(z[0], z[1])
-    v = complex(z[2], z[3])
-    return ChannelDraw(h=complex(channel(h_hat, v, model.rho)), h_hat=h_hat, v=v, d=d, alpha=model.alpha)
+    h, h_hat, v = draw_channel_block(model, 1, gen)
+    return ChannelDraw(h=complex(h[0]), h_hat=complex(h_hat[0]), v=complex(v[0]), d=d, alpha=model.alpha)
 
 
 def channel(h_hat, v, rho: float):
     """The true channel rho h_hat + sqrt(1 - rho^2) v, the one statement of
-    the CSI model; h_hat and v are complex arrays or numbers of one shape."""
+    the CSI model; h_hat and v are complex arrays or numbers of one shape,
+    or their real or imaginary parts, which give Re h or Im h: the model is
+    linear, so each part rounds as it does inside the complex product."""
     h = np.multiply(h_hat, rho)
     h += math.sqrt(1.0 - rho * rho) * v
     return h
@@ -109,13 +110,25 @@ class ChannelArrays:
     d_alpha: np.ndarray
 
 
-def draw_channel_rows(n: int, gen: np.random.Generator) -> np.ndarray:
+def draw_channel_rows(n: int, gen: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """The real rows behind draw_channel_block, for kernels that need no
     complex arrays: shape (4, n), rows (Re h_hat, Im h_hat, Re v, Im v),
-    each N(0, 1/2), from one standard_normal((4, n)) call."""
+    each N(0, 1/2), from one standard_normal((4, n)) call.
+
+    With out, a flat C-contiguous float64 buffer of at least 4n entries,
+    the same values fill its first 4n entries and the rows are a view of
+    them, so a kernel that draws block after block into one buffer
+    allocates nothing per draw.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = gen.standard_normal((4, n))
+    if out is None:
+        z = gen.standard_normal((4, n))
+    elif out.ndim == 1 and out.dtype == np.float64 and out.flags.c_contiguous and out.size >= 4 * n:
+        z = gen.standard_normal(out=out[: 4 * n].reshape(4, n))
+    else:
+        raise ValueError(f"out must be a flat C-contiguous float64 buffer of at least {4 * n} entries, "
+                         f"got {out.dtype} of shape {out.shape}, C-contiguous {out.flags.c_contiguous}")
     z *= _INV_SQRT2
     return z
 
@@ -123,9 +136,10 @@ def draw_channel_rows(n: int, gen: np.random.Generator) -> np.ndarray:
 def draw_channel_block(model: EstimationModel, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sibling of draw_channel for Monte-Carlo sweeps.
 
-    Returns (h, h_hat, v) as complex arrays of shape (n,).  Uses the same
-    CN(0, 1) construction as the scalar draw; distances play no role in the
-    coefficient statistics, so none are attached.
+    Returns (h, h_hat, v) as complex arrays of shape (n,), built from
+    draw_channel_rows by channel; draw_channel is its n = 1 case.  Distances
+    play no role in the coefficient statistics, so none are attached.  The
+    Monte-Carlo checks need no complex arrays and read the rows themselves.
 
     The normals are copied into preallocated complex arrays and freed
     before h is formed (by channel), so the call peaks at 64 B per sample,

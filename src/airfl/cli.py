@@ -31,9 +31,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .config import SystemConfig, load_config, objective_coefficients, resolve
+from .config import _MIN_TRIALS, SystemConfig, load_config, objective_coefficients, resolve
 from .fltrain import train
 from .harness import (
+    _MIN_JOINT_SAMPLES,
+    _MIN_XI_SAMPLES,
     Gate,
     SweepResult,
     divergence_gates,
@@ -70,6 +72,7 @@ class Command:
     trials: int | None  # default --trials; None when the command takes none
     compute: Callable[[SystemConfig, int], Outcome]
     section: str | None  # the config section it reads, which its manifest carries
+    min_trials: int = 0  # the fewest trials its check accepts
 
 
 def _verify_xi(cfg: SystemConfig, jobs: int) -> Outcome:
@@ -162,11 +165,11 @@ def _train(cfg: SystemConfig, jobs: int) -> Outcome:
 
 COMMANDS = (
     Command("verify-xi", "Monte-Carlo check of the aggregation-coefficient moments",
-            10**6, _verify_xi, "verify_xi"),
+            10**6, _verify_xi, "verify_xi", _MIN_XI_SAMPLES),
     Command("verify-pdf", "Monte-Carlo and quadrature check of the joint (x, y) law",
-            10**7, _verify_pdf, "verify_pdf"),
+            10**7, _verify_pdf, "verify_pdf", _MIN_JOINT_SAMPLES),
     Command("verify-divergence", "frozen-gradient weight-divergence check",
-            10**5, _verify_divergence, "verify_divergence"),
+            10**5, _verify_divergence, "verify_divergence", _MIN_TRIALS),
     Command("optimize-threshold", "solve for the truncation threshold", None, _optimize_threshold, None),
     Command("sweep-threshold", "train across a threshold grid and optimizer modes", None, _sweep_threshold, "sweep"),
     Command("train", "run one federated training experiment", None, _train, "run"),
@@ -184,6 +187,8 @@ def _run(cmd: Command, args) -> int:
     # a command that draws no trials drops the key, so its manifest holds none
     if cmd.trials is None or cfg.trials is None:
         cfg = replace(cfg, trials=cmd.trials)
+    if cmd.trials is not None and cfg.trials < cmd.min_trials:
+        raise ValueError(f"{cmd.name} needs at least {cmd.min_trials} trials, got {cfg.trials}")
 
     if args.out:
         # a path that cannot be a directory is refused before the run, not after it

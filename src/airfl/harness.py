@@ -41,8 +41,6 @@ import numpy as np
 
 from . import __version__
 from .aircomp import (
-    _aligned,
-    _gain,
     _truncated_ratio,
     aggregate_batch,
     compensation_lambda,
@@ -59,14 +57,7 @@ from .analysis import (
     skip_probability,
     xi_variance,
 )
-from .channel import (
-    EstimationModel,
-    channel,
-    channel_from_normals,
-    draw_channel_block,
-    draw_channel_rows,
-    substream,
-)
+from .channel import channel, channel_from_normals, draw_channel_rows, substream
 from .config import (
     _MANIFEST_HEADER,
     _MIN_TRIALS,
@@ -117,7 +108,7 @@ _MIN_GATE_N = 2  # the fewest samples that estimate a variance; a gate on fewer 
 # of verify-xi or verify-pdf reads substream(seed, purpose, b), and trial t
 # of the divergence is row t mod 256 of substream(seed,
 # STREAM_MC_DIVERGENCE, *key, t // 256)
-_MC_BLOCK = 1 << 16  # also keeps a block's temporaries at 512 kB each
+_MC_BLOCK = 1 << 16  # also sizes a run's one draw buffer (2 MiB) and a block's temporaries (512 kB each)
 _TRIAL_BLOCK = 256
 _BLOCK_FLOATS = 1 << 16  # caps a divergence slice's (trials, d) arrays at 512 kB each
 
@@ -325,37 +316,75 @@ def _unit(v: float) -> float:
     return math.ldexp(1.0, math.frexp(v)[1] - 1)
 
 
+def _block_buffer() -> np.ndarray:
+    """The flat float64 buffer of 4 * _MC_BLOCK entries that a run of
+    verify-xi or verify-pdf blocks is drawn into (draw_channel_rows' out).
+
+    An array of its size is freed first.  glibc's malloc maps a chunk
+    above its mmap threshold afresh and returns free heap above twice that
+    threshold to the system; the threshold starts at 128 kB and rises to
+    the size of each mapped chunk it frees.  With only a block's 512 kB
+    temporaries freed, every block's arrays would be returned to the
+    system and fault their pages in again, some 70 times the minor faults
+    of a fresh verify-xi.  Elsewhere the free costs one short-lived
+    allocation.
+    """
+    np.empty(4 * _MC_BLOCK)
+    return np.empty(4 * _MC_BLOCK)
+
+
 def _xi_blocks(args, blocks):
     """For each (gen, m) of blocks, every cell's active count and sums of
     y, y^2, y^3 and y^4 for y = (xi - 1)/unit on the block, unit =
     _unit(lam) at the compensation lam = e^gamma_th/rho, and no counts.
 
-    A block is drawn once (draw_channel_block, at the first cell's rho) and
-    each quantity is formed once for the cells that share it: |h_hat|^2
-    once, h and Re{conj(h) h_hat} once per distinct rho, and xi once per
-    cell, by aircomp's one xi formula (_truncated_ratio), then turned into
-    y and its powers in place.
+    Every block is drawn into one buffer (draw_channel_rows' out), and
+    _xi_block_sums forms its arrays, which are freed on its return.
     """
     cells, lams = args
     by_rho: dict[float, list[int]] = {}
     for k, (rho, _) in enumerate(cells):
         by_rho.setdefault(rho, []).append(k)
-    # alpha plays no role in the coefficient; any valid value works here
-    first = EstimationModel(rho=cells[0][0], alpha=2.0)
+    buf = _block_buffer()
     for gen, m in blocks:
-        h_first, h_hat, v = draw_channel_block(first, m, gen)
-        gain = _gain(h_hat)
-        sums = [None] * len(cells)
-        for rho, ks in by_rho.items():
-            h = h_first if rho == first.rho else channel(h_hat, v, rho)
-            aligned = _aligned(h, h_hat)
-            for k in ks:
-                # lam/unit scales xi by a power of two, which rounds alike
-                unit = _unit(lams[k])
-                y, active = _truncated_ratio(gain, aligned, cells[k][1], lams[k] / unit)
-                y -= 1.0 / unit
-                sums[k] = (int(np.count_nonzero(active)), *_power_sums(y))
-        yield sums, 0
+        yield _xi_block_sums(draw_channel_rows(m, gen, out=buf), cells, lams, by_rho), 0
+
+
+def _xi_block_sums(rows, cells, lams, by_rho) -> list[tuple]:
+    """Every cell's (active count, power sums) on one block's real rows.
+
+    Each quantity is formed once for the cells that share it: |h_hat|^2
+    once, Re{conj(h) h_hat} = Re h Re h_hat + Im h Im h_hat once per
+    distinct rho, with Re h and Im h each by channel on the rows' real or
+    imaginary parts, and xi once per cell (_xi_cell_sums).  The values are
+    those of draw_channel_block's complex arrays, bit for bit.  One rho's
+    arrays are freed before the next rho's are formed.
+    """
+    h_re, h_im, v_re, v_im = rows
+    gain = h_re * h_re + h_im * h_im
+    sums = [None] * len(cells)
+    for rho, ks in by_rho.items():
+        aligned = channel(h_re, v_re, rho)
+        aligned *= h_re
+        part = channel(h_im, v_im, rho)
+        part *= h_im
+        aligned += part
+        del part
+        for k in ks:
+            sums[k] = _xi_cell_sums(gain, aligned, cells[k][1], lams[k])
+        del aligned
+    return sums
+
+
+def _xi_cell_sums(gain, aligned, gamma_th, lam) -> tuple:
+    """The active count and sums of y, y^2, y^3 and y^4 for y = (xi -
+    1)/_unit(lam), xi by aircomp's one xi formula (_truncated_ratio) and
+    turned into y and its powers in place."""
+    # lam/unit scales xi by a power of two, which rounds alike
+    unit = _unit(lam)
+    y, active = _truncated_ratio(gain, aligned, gamma_th, lam / unit)
+    y -= 1.0 / unit
+    return (int(np.count_nonzero(active)), *_power_sums(y))
 
 
 def _power_sums(y: np.ndarray) -> tuple[float, float, float, float]:
@@ -573,27 +602,36 @@ def histogram2d_counts(
 
 def _joint_blocks(args, blocks):
     """For each (gen, m) of blocks, per threshold the count and the power
-    sums of x on the block's tail, and the block's bin counts.
+    sums of x on the block's tail, and the block's bin counts.  Every block
+    is drawn into one buffer (draw_channel_rows' out), and _joint_block_sums
+    forms its arrays, which are freed on its return."""
+    t_edges, g_edges, tail_gammas = args
+    buf = _block_buffer()
+    for gen, m in blocks:
+        yield _joint_block_sums(draw_channel_rows(m, gen, out=buf), t_edges, g_edges, tail_gammas)
+
+
+def _joint_block_sums(rows, t_edges, g_edges, tail_gammas) -> tuple[list[tuple], np.ndarray]:
+    """Per threshold the tail's count and power sums of x, and the bin
+    counts, on one block's real rows.
 
     x = Re{v* h_hat}/|h_hat|^2 is divided once per sample and serves the
     histogram and every tail, which is the x where |h_hat|^2 >= gamma.  A
     sample with |h_hat|^2 = 0, which has probability zero, is dropped first.
     """
-    t_edges, g_edges, tail_gammas = args
-    for gen, m in blocks:
-        h_re, h_im, v_re, v_im = draw_channel_rows(m, gen)
-        gain = h_re * h_re + h_im * h_im
-        x = v_re * h_re + v_im * h_im
-        if not gain.all():  # drop a zero gain before dividing
-            pos = gain > 0.0
-            gain, x = gain[pos], x[pos]
-        x /= gain
-        counts = histogram2d_counts(x, -gain, t_edges, g_edges)
-        tails = []
-        for tail_gamma in tail_gammas:
-            tail = x[gain >= tail_gamma]
-            tails.append((tail.size, *_power_sums(tail)))
-        yield tails, counts
+    h_re, h_im, v_re, v_im = rows
+    gain = h_re * h_re + h_im * h_im
+    x = v_re * h_re + v_im * h_im
+    if not gain.all():  # drop a zero gain before dividing
+        pos = gain > 0.0
+        gain, x = gain[pos], x[pos]
+    x /= gain
+    counts = histogram2d_counts(x, -gain, t_edges, g_edges)
+    tails = []
+    for tail_gamma in tail_gammas:
+        tail = x[gain >= tail_gamma]
+        tails.append((tail.size, *_power_sums(tail)))
+    return tails, counts
 
 
 def mc_joint_distribution_check(
@@ -878,11 +916,13 @@ def _block_map(fn, tasks, seed: int, block: int, jobs: int) -> list[tuple[list, 
     blocks.  Each task's blocks are cut into at most one run per worker,
     and every task's runs go through one _pmap.  fn(args, blocks) is a
     generator over a run's (gen, m) pairs that yields each block's (result,
-    counts), counts an integer array or 0.  Its locals live on to the next
-    block, so a block's arrays are freed only once the next block's exist,
-    and the heap they held is reused rather than returned to the system and
-    faulted in again.  Counts are added up within each run, exactly, so no
-    per-block array is kept.
+    counts), counts an integer array or 0.  A block function that draws a
+    whole block allocates one buffer per run (_block_buffer) and draws
+    every block into it (draw_channel_rows' out), and the block's other
+    arrays are freed before the next draw, so a run holds one block's
+    draw and arrays, and the heap they held is reused rather than returned
+    to the system and faulted in again.  Counts are added up within each
+    run, exactly, so no per-block array is kept.
     """
     runs = [_block_runs(n, block, jobs) for _, _, n in tasks]
     items = [(fn, args, seed, key, n, block, run)

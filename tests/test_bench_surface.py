@@ -39,10 +39,12 @@ def test_every_probe_reads_a_real_call(tracer, tmp_path):
     power = aircomp.PowerConfig(p_max=0.1, sigma2=1e-7, g_bound=1.0, d_max_alpha=1.0)
     model = channel.EstimationModel(rho=0.8, alpha=2.2)
     gen = channel.substream(1, 2)
+    # draw_channel draws through draw_channel_block, so its draws come
+    # before tracing, which counts one call of each probed function
+    draws = [channel.draw_channel(model, 50.0, gen) for _ in range(3)]
     tr = tracer.Tracer()
     with tr:
         # calls go through the module attributes, which the tracer patched
-        draws = [channel.draw_channel(model, 50.0, gen) for _ in range(3)]
         aircomp.aggregate([np.ones(2)] * 3, draws, 0.5, 0.8, power, gen)
         channel.draw_channel_block(model, 8, gen)
         optimizer.optimal_threshold(optimizer.coefficients_from_system(0.8, power))

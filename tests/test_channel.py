@@ -65,11 +65,18 @@ class TestDrawChannel:
         assert draw.h_hat == complex(z[0], z[1])
         assert draw.v == complex(z[2], z[3])
 
-    def test_estimation_identity(self):
-        model = EstimationModel(rho=0.8, alpha=2.2)
-        draw = draw_channel(model, 100.0, substream(11, 6))
-        want = 0.8 * draw.h_hat + math.sqrt(1.0 - 0.8 * 0.8) * draw.v
-        assert draw.h == want
+    @pytest.mark.parametrize("rho", [1.0, 0.8, 0.3, 1e-3])
+    def test_estimation_identity(self, rho):
+        # consecutive draws on one stream: four normals each, and h by the
+        # CSI model in complex arithmetic, bit for bit
+        model = EstimationModel(rho=rho, alpha=2.2)
+        gen, ref = substream(11, 6), substream(11, 6)
+        for _ in range(200):
+            draw = draw_channel(model, 100.0, gen)
+            z = ref.standard_normal(4) * (1.0 / math.sqrt(2.0))
+            h_hat, v = complex(z[0], z[1]), complex(z[2], z[3])
+            assert (draw.h_hat, draw.v) == (h_hat, v)
+            assert draw.h == rho * h_hat + math.sqrt(1.0 - rho * rho) * v
 
     def test_perfect_csi_collapses(self):
         model = EstimationModel(rho=1.0, alpha=2.2)
@@ -114,6 +121,32 @@ class TestDrawChannel:
         # bit for bit one standard_normal((4, n)) call, scaled to N(0, 1/2)
         want = np.random.default_rng(9).standard_normal((4, 300)) * (1.0 / math.sqrt(2.0))
         assert np.array_equal(draw_channel_rows(300, np.random.default_rng(9)), want)
+
+    @pytest.mark.parametrize("extra", [0, 5, 4000])
+    def test_rows_into_a_buffer_equal_a_fresh_draw(self, extra):
+        n = 1000
+        buf = np.full(4 * n + extra, np.nan)
+        z = draw_channel_rows(n, substream(4, 8), out=buf)
+        assert np.array_equal(z, draw_channel_rows(n, substream(4, 8)))
+        assert z.base is buf and z.shape == (4, n)
+        assert np.isnan(buf[4 * n:]).all()
+
+    def test_a_short_block_reuses_a_full_blocks_buffer(self):
+        # a run's blocks, the last one short, drawn one after another into one buffer
+        buf = np.empty(4 * 1000)
+        for b, m in enumerate((1000, 1000, 337)):
+            z = draw_channel_rows(m, substream(4, 8, b), out=buf)
+            assert np.array_equal(z, draw_channel_rows(m, substream(4, 8, b)))
+
+    @pytest.mark.parametrize("buf", [
+        np.empty(4 * 100 - 1),              # too small
+        np.empty(2 * 4 * 100)[::2],         # not contiguous
+        np.empty((4, 100)),                 # not flat
+        np.empty(4 * 100, dtype=np.float32),  # not float64
+    ])
+    def test_rows_refuse_a_buffer_that_cannot_hold_them(self, buf):
+        with pytest.raises(ValueError, match="out must be"):
+            draw_channel_rows(100, substream(4, 8), out=buf)
 
     def test_block_peaks_at_64_bytes_per_sample(self):
         # it returns 48 B per sample; the normals (32 B) go before h is formed

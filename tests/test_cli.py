@@ -117,10 +117,28 @@ class TestParsing:
         assert blocker.read_text() == "kept"
 
     def test_a_run_refused_after_its_out_directory_is_made_leaves_it_empty(self, tmp_path, capsys):
+        # zeta is formed only once the run resolves its config, after --out is made
+        cfg_path = tmp_path / "faint.cfg"
+        cfg_path.write_text("gamma_th = 354.8\nverify_divergence.k_scan = 0\n")
         out = tmp_path / "new" / "run"
-        assert main(["verify-xi", "--trials", "5000", "--out", str(out)]) == 2
-        assert "need at least 10000 samples" in capsys.readouterr().err
+        assert main(["verify-divergence", "--config", str(cfg_path), "--trials", "1000", "--out", str(out)]) == 2
+        assert "zeta^2 is not a normal double" in capsys.readouterr().err
         assert out.is_dir() and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, minimum", [
+        ("verify-xi", 10_000), ("verify-pdf", 1_000_000), ("verify-divergence", 1_000),
+    ])
+    def test_too_few_trials_are_refused_before_the_out_directory_is_made(self, tmp_path, capsys, command, minimum):
+        # from the flag or from the config's trials key
+        few = tmp_path / "few.cfg"
+        few.write_text(f"trials = {minimum - 1}\n")
+        out = tmp_path / "new" / "run"
+        for argv in (["--trials", str(minimum - 1)], ["--config", str(few)]):
+            assert main([command, *argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {command} needs at least {minimum} trials, got {minimum - 1}\n"
+            assert captured.out == ""
+            assert not out.parent.exists()
 
     def test_fixed_g_without_a_bound_is_a_config_error(self, tmp_path, capsys):
         # g_bound is the one G key: a word other than calibrate or genie, and

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -591,8 +592,9 @@ class TestJointDistribution:
         real_rows = harness.draw_channel_rows
         drawn = [0]  # samples drawn by earlier blocks
 
-        def rows_with_zero_gain(m, gen):
-            z = real_rows(m, gen)
+        def rows_with_zero_gain(m, gen, out=None):
+            # z views the kernel's buffer, so the planted samples are what it reads
+            z = real_rows(m, gen, out=out)
             lo, drawn[0] = drawn[0], drawn[0] + m
             for row, on in zip(z[:2], (1.0, 0.0)):
                 row[[p - lo for p in zero if lo <= p < lo + m]] = 0.0
@@ -1036,6 +1038,42 @@ class TestBlockMap:
         assert same_results(small, large[:3])
         rest = _draw_run((fn, args, 7, key, 5 * block, block, range(3, 5)))
         assert np.array_equal(small_counts + rest[1], large_counts)
+
+
+def traced_peak(fn) -> int:
+    """The peak of tracemalloc's traced memory, in bytes, over fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    # one block's (4, 2^16) float64 draw: 2 MiB
+    DRAW = 4 * _MC_BLOCK * 8
+
+    @staticmethod
+    def xi_peak(n_blocks):
+        xi = SystemConfig().verify_xi
+        cells = [(rho, gamma) for rho in xi.rhos for gamma in xi.gammas]
+        return traced_peak(lambda: mc_xi_moments_grid(cells, n_blocks * _MC_BLOCK, seed=7))
+
+    @staticmethod
+    def pdf_peak(n):
+        pdf = SystemConfig().verify_pdf
+        return traced_peak(lambda: mc_joint_distribution_check(
+            pdf.gamma_range, pdf.t_range, n, seed=7, bins=pdf.bins, tail_gammas=(pdf.tail_gamma,)))
+
+    def test_xi_holds_one_draw_and_a_cells_arrays(self):
+        # the draw's buffer, |h_hat|^2, Re{conj(h) h_hat} and one cell's xi
+        # and its temporaries, at the default cells
+        assert self.xi_peak(2) <= 2.5 * self.DRAW
+
+    def test_peaks_do_not_grow_with_the_block_count(self):
+        assert self.xi_peak(8) <= 1.05 * self.xi_peak(2)
+        assert self.pdf_peak(4_000_000) <= 1.05 * self.pdf_peak(1_000_000)
 
 
 def sweep_cfg(**kw):
