@@ -140,12 +140,9 @@ class TrainingTrace:
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+    # the stable split with one exp for all: e = e^-|s|, then 1/(1 + e) for s >= 0 and e/(1 + e) below
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0, 1.0, e) / (1.0 + e)
 
 
 def _bce_loss(scores: np.ndarray, y: np.ndarray) -> float:
@@ -505,7 +502,9 @@ def train_cells(draws: SeedDraws, gammas, mode: str = "aircomp") -> list[Trainin
             if mode == "ideal":
                 g_hat, active[:, m] = g_ideal, k_devices
             else:
-                g_now = [gradient_bound(draws, cell, m) for cell in grads]
+                # only genie's G depends on a cell's gradients
+                g_now = ([gradient_bound(draws, cell, m) for cell in grads] if cfg.g_bound == "genie"
+                         else [gradient_bound(draws, grads[0], m)] * n_cells)
                 if g_now != g_prev:
                     cells = cells._replace(zeta=_zetas(cfg, gammas, g_now), g_bound=np.array(g_now)[:, None])
                     g_prev = g_now
@@ -514,7 +513,8 @@ def train_cells(draws: SeedDraws, gammas, mode: str = "aircomp") -> list[Trainin
             weights = np.where(skipped[:, m, None], weights, global_update(weights, g_hat, cfg.eta))
             if not np.all(np.isfinite(weights)):
                 raise ValueError(f"model parameters must be finite; round {m}'s step with eta = {cfg.eta!r} overflowed")
-            divergence[:, m] = [float(r @ r) for r in g_hat - g_ideal]
+            diff = g_hat - g_ideal
+            divergence[:, m] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]  # each cell's r @ r
             history[:, m] = weights
 
     return [

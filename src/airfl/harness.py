@@ -31,11 +31,10 @@ import csv
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -85,6 +84,9 @@ from .fltrain import (
 )
 from .optimizer import optimal_threshold, threshold_modes
 from .specfun import erf
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _MIN_XI_SAMPLES = 10_000
 _MIN_JOINT_SAMPLES = 1_000_000
@@ -884,6 +886,7 @@ def _pmap(fn, items, jobs: int) -> list:
         return [fn(it) for it in items]
     with worker_pool() as scope:
         if scope.pool is None:
+            from concurrent.futures import ProcessPoolExecutor  # a --jobs 1 run never loads multiprocessing
             scope.pool = ProcessPoolExecutor(max_workers=workers)
         return list(scope.pool.map(fn, items))
 

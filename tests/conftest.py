@@ -34,6 +34,6 @@ def pools(monkeypatch):
             made.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr("airfl.harness.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)  # harness imports it when a pool starts
     monkeypatch.setattr("airfl.harness.os.cpu_count", lambda: 2)
     return made

@@ -152,6 +152,18 @@ class TestTasks:
         assert np.all(w[3 * 4 : 3 * 4 + 3] == 0.0)
         assert w[-1] == 0.0
 
+    def test_sigmoid_is_the_stable_split_bit_for_bit(self):
+        # one exp of -|s| for every entry gives the split's bits, signed
+        # zeros, subnormals, underflow and infinities included, and no warning
+        finite = [0.0, 5e-324, 1e-300, 36.8, 709.8, 745.2, 1e308, math.inf]
+        s = np.array([v for x in finite for v in (x, -x)] + [math.nan]).reshape(1, 17)
+        for shaped in (s, s.reshape(17, 1, 1)):
+            got, want = airfl.fltrain._sigmoid(shaped), oracles._sigmoid_ref(shaped)
+            assert got.shape == shaped.shape
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            real = ~np.isnan(want)
+            assert np.array_equal(got[real].view(np.uint64), want[real].view(np.uint64))
+
     def test_build_task_dispatch(self):
         assert isinstance(build_task(TrainConfig(task="synthetic_logistic")), LogisticTask)
         mlp = build_task(TrainConfig(task="small_mlp", hidden_units=8))
@@ -208,6 +220,22 @@ class TestPrimitives:
         assert np.array_equal(ideal_aggregate(grads), [2.0, 4.0])
         with pytest.raises(ValueError):
             ideal_aggregate([])
+
+    def test_ideal_aggregate_sums_in_device_order_from_zero(self):
+        # one cell's mean is ((0 + g_0) + g_1) + ... over k, then / K, on
+        # train_cells' (K, C, d) view of the (C, K, d) gradients: a d = 1
+        # stack is not summed pairwise, and a cell of -0.0 reads +0.0
+        grads = np.full((3, 10, 1), -0.0)
+        grads[0, :, 0] = [1e16] + [1.0] * 9  # 1e16 in order, 1e16 + 8 pairwise
+        grads[1] = np.random.default_rng(5).standard_normal((10, 1))
+        want = []
+        for cell in grads:
+            total = 0.0
+            for g in cell[:, 0]:
+                total += float(g)
+            want.append([total / 10])
+        got = ideal_aggregate(grads.swapaxes(0, 1))
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     def test_global_update(self):
         w = np.array([1.0, 1.0])
@@ -351,6 +379,26 @@ class TestTraining:
         assert gradient_bound(draws, grads, 0) == draws.calibrated_g_bound() == warmup_bound(draws.cfg, 10)
         with pytest.raises(RuntimeError, match="no G in round 4"):
             gradient_bound(SeedDraws(small_cfg(g_bound="genie")), np.zeros_like(grads), 4)
+
+    @pytest.mark.parametrize("g_bound", ["calibrate", 2.0, "genie"])
+    def test_g_is_read_once_per_round_except_under_genie(self, monkeypatch, g_bound):
+        # only genie's G depends on a cell's gradients, so only genie asks once per cell
+        calls = []
+        real = airfl.fltrain.gradient_bound
+        monkeypatch.setattr(airfl.fltrain, "gradient_bound", lambda *a: calls.append(a[2]) or real(*a))
+        draws = SeedDraws(small_cfg(g_bound=g_bound))
+        gammas = (0.1, 0.5, 3.0)
+        traces = train_cells(draws, gammas)
+        per_round = len(gammas) if g_bound == "genie" else 1
+        assert calls == [m for m in range(SMALL_TRAIN.rounds_m) for _ in range(per_round)]
+        w0 = draws.task.init_params(substream(11, STREAM_INIT))
+        for trace in traces:
+            if g_bound == "genie":
+                want = max(max_grad_norm(round_gradients(w, draws, m))
+                           for m, w in enumerate([w0, *trace.weights[:-1]]))
+            else:
+                want = draws.calibrated_g_bound() if g_bound == "calibrate" else g_bound
+            assert trace.g_bound == want
 
     def test_fixed_mode_requires_bound(self):
         # a pinned G is the number itself; the word 'fixed' is no G rule

@@ -191,6 +191,14 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert out.splitlines() == ["[]", "[]"]
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool's modules load when a pool first starts, so a --jobs 1 run never loads them
+    code = "import sys, airfl.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(airfl.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out == "[]\n"
+
+
 def test_pyproject_version_is_the_package_version():
     # the run manifest records airfl.__version__; the build metadata must agree
     tomllib = pytest.importorskip("tomllib")
