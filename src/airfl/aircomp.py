@@ -137,14 +137,29 @@ def _aligned(h: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
 
 
 def _truncated_ratio(gain, aligned, gamma_th, lam) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, active): lam * aligned / gain where gain >= gamma_th, else 0.
+    """(xi, active): lam * aligned / gain where gain >= gamma_th, else +0.0.
 
     The one xi formula; gain and aligned broadcast against gamma_th and lam,
     which it does not check.  A caller with many thresholds on one channel
     forms the two part products once.
+
+    The ratio is formed on every entry, unmasked, and kept where the device
+    is active: an active entry gets the IEEE operations of a masked divide,
+    and an inactive one has its bit pattern multiplied by 0, which gives
+    +0.0 and takes no branch per entry.  The divide runs with every
+    floating-point error ignored, whatever the caller's np.errstate, so the
+    unused ratio of an inactive entry (0/0, x/0, or an overflow past a tiny
+    gain) neither warns nor raises.  An active ratio that overflows in the
+    divide therefore does not warn either; it is +-inf, the value the
+    masked divide gives it.  The product lam * aligned runs under the
+    caller's np.errstate.
     """
     active = gain >= gamma_th
-    xi = np.divide(lam * aligned, gain, out=np.zeros(active.shape), where=active)
+    xi = np.multiply(lam, aligned, out=np.empty(active.shape))
+    with np.errstate(all="ignore"):
+        xi /= gain
+    bits = xi.view(np.uint64)
+    bits *= active  # times 1 where active, times 0 where not
     return xi, active
 
 

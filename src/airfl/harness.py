@@ -110,7 +110,7 @@ _MIN_GATE_N = 2  # the fewest samples that estimate a variance; a gate on fewer 
 # of verify-xi or verify-pdf reads substream(seed, purpose, b), and trial t
 # of the divergence is row t mod 256 of substream(seed,
 # STREAM_MC_DIVERGENCE, *key, t // 256)
-_MC_BLOCK = 1 << 16  # also sizes a run's one draw buffer (2 MiB) and a block's temporaries (512 kB each)
+_MC_BLOCK = 1 << 16  # also sizes a run's one draw buffer (2 MiB), and verify-xi's and the histogram's arrays (512 kB each)
 _TRIAL_BLOCK = 256
 _BLOCK_FLOATS = 1 << 16  # caps a divergence slice's (trials, d) arrays at 512 kB each
 
@@ -125,6 +125,11 @@ def _norm_cell(v):
     if isinstance(v, np.floating):
         return float(v)
     return v
+
+
+def _norm_row(row) -> tuple:
+    """The row's cells as plain int, float and str, which write_csv writes."""
+    return tuple(map(_norm_cell, row))
 
 
 @dataclass
@@ -154,7 +159,7 @@ class SweepResult:
                 raise ValueError(
                     f"row {i} has {len(row)} cells for {len(self.columns)} columns"
                 )
-            normalized.append(tuple(_norm_cell(v) for v in row))
+            normalized.append(_norm_row(row))
         self.rows = normalized
 
     def column(self, name: str) -> list:
@@ -326,7 +331,7 @@ def _block_buffer() -> np.ndarray:
     above its mmap threshold afresh and returns free heap above twice that
     threshold to the system; the threshold starts at 128 kB and rises to
     the size of each mapped chunk it frees.  With only a block's 512 kB
-    temporaries freed, every block's arrays would be returned to the
+    arrays freed, every block's arrays would be returned to the
     system and fault their pages in again, some 70 times the minor faults
     of a fresh verify-xi.  Elsewhere the free costs one short-lived
     allocation.
@@ -606,7 +611,8 @@ def _joint_blocks(args, blocks):
     """For each (gen, m) of blocks, per threshold the count and the power
     sums of x on the block's tail, and the block's bin counts.  Every block
     is drawn into one buffer (draw_channel_rows' out), and _joint_block_sums
-    forms its arrays, which are freed on its return."""
+    overwrites the block's rows with x, |h_hat|^2 and -|h_hat|^2; the next
+    draw fills them afresh."""
     t_edges, g_edges, tail_gammas = args
     buf = _block_buffer()
     for gen, m in blocks:
@@ -615,23 +621,32 @@ def _joint_blocks(args, blocks):
 
 def _joint_block_sums(rows, t_edges, g_edges, tail_gammas) -> tuple[list[tuple], np.ndarray]:
     """Per threshold the tail's count and power sums of x, and the bin
-    counts, on one block's real rows.
+    counts, on one block's real rows, which it overwrites.
 
     x = Re{v* h_hat}/|h_hat|^2 is divided once per sample and serves the
     histogram and every tail, which is the x where |h_hat|^2 >= gamma.  A
     sample with |h_hat|^2 = 0, which has probability zero, is dropped first.
+    Each row is dead once read, so x is formed in the Re v row, |h_hat|^2
+    in the Re h_hat row and -|h_hat|^2 in the Im h_hat row, by the
+    operations, in the order, of the out-of-place products and sums.
     """
     h_re, h_im, v_re, v_im = rows
-    gain = h_re * h_re + h_im * h_im
-    x = v_re * h_re + v_im * h_im
+    x, gain, neg_gain = v_re, h_re, h_im
+    x *= h_re
+    v_im *= h_im
+    x += v_im
+    gain *= h_re
+    h_im *= h_im
+    gain += h_im
     if not gain.all():  # drop a zero gain before dividing
         pos = gain > 0.0
         gain, x = gain[pos], x[pos]
+        neg_gain = neg_gain[: gain.size]
     x /= gain
-    counts = histogram2d_counts(x, -gain, t_edges, g_edges)
+    counts = histogram2d_counts(x, np.negative(gain, out=neg_gain), t_edges, g_edges)
     tails = []
     for tail_gamma in tail_gammas:
-        tail = x[gain >= tail_gamma]
+        tail = x.compress(gain >= tail_gamma)  # x[mask]'s values, without its branch per sample
         tails.append((tail.size, *_power_sums(tail)))
     return tails, counts
 
@@ -690,11 +705,10 @@ def mc_joint_distribution_check(
     tv = 0.5 * (float(np.abs(p_emp - mass).sum()) + abs(inside_ana - inside_emp))
 
     p_se = np.sqrt(p_emp * (1.0 - p_emp) / n)
-    rows = [
-        (float(t_edges[i]), float(t_edges[i + 1]), float(g_edges[j]), float(g_edges[j + 1]),
-         float(p_emp[i, j]), float(p_se[i, j]), float(mass[i, j]))
-        for i in range(bins) for j in range(bins)
-    ]
+    # bin (i, j) is row i * bins + j; each column is read out in one tolist
+    cols = (np.repeat(t_edges[:-1], bins), np.repeat(t_edges[1:], bins),
+            np.tile(g_edges[:-1], bins), np.tile(g_edges[1:], bins), p_emp, p_se, mass)
+    rows = list(zip(*(c.ravel().tolist() for c in cols)))
 
     meta: dict[str, object] = {
         "n_samples": n_samples,
@@ -1146,11 +1160,12 @@ def sweep_threshold(cfg: SystemConfig, jobs: int = 1) -> SweepResult:
 
 
 def write_csv(path: Path, columns, rows) -> None:
+    """The header and rows as CSV; the cells are plain int, float and str,
+    as SweepResult holds them (_norm_row), and floats are written by repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(_norm_cell(v)) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _git_blob_sha1(data: bytes) -> str:
@@ -1202,7 +1217,8 @@ def report(
     out_dir, an existing directory, which the CLI makes before the run.
 
     tables maps a CSV stem to a SweepResult or, for a deterministic table,
-    a plain (columns, rows) pair.  The manifest's key=value body is a
+    a plain (columns, rows) pair, whose cells report normalizes as a
+    SweepResult does its own.  The manifest's key=value body is a
     loadable config, with the named config section last, that replays the
     run bit-identically; its comment lines record the command, the stream
     layout (which load_config checks on replay), a git-style blob hash of
@@ -1213,7 +1229,10 @@ def report(
     out = Path(out_dir)
     paths: dict[str, Path] = {}
     for stem, table in tables.items():
-        columns, rows = (table.columns, table.rows) if isinstance(table, SweepResult) else table
+        if isinstance(table, SweepResult):
+            columns, rows = table.columns, table.rows
+        else:
+            columns, rows = table[0], list(map(_norm_row, table[1]))
         if not rows:
             raise ValueError(f"{stem}: empty result; nothing to report")
         paths[stem] = out / f"{stem}.csv"

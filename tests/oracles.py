@@ -7,6 +7,8 @@ precision), and tests compare against the constants for headline values and
 against the live helpers for grid sweeps.  air_round_ref is one
 over-the-air round in the reduced form (1/K) sum_k xi_k g_k + noise, and
 physical_round_ref the same round from the superposed receive signal;
+truncated_ratio_ref is the effective coefficient by a masked divide, and
+joint_block_ref one block of the joint-law Monte-Carlo, out of place;
 logistic_gradient_ref and mlp_gradient_ref are one
 device's mini-batch gradient, in plain numpy and Python scalars, for
 bit-exact comparison with the package's array kernels; bce_loss_ref is the
@@ -195,6 +197,34 @@ def physical_round_ref(grads, channel_normals, noise_normals, distances, alpha, 
         return np.zeros(dim), beta, active
     y += math.sqrt(sigma2 / 2.0) * (noise_normals[:, 0] + 1j * noise_normals[:, 1])
     return y.real / zeta, beta, active
+
+
+def truncated_ratio_ref(gain, aligned, gamma_th, lam):
+    """(xi, active) by a masked divide: lam * aligned / gain where gain >=
+    gamma_th, +0.0 elsewhere, with no divide on an inactive entry."""
+    active = gain >= gamma_th
+    xi = np.divide(lam * aligned, gain, out=np.zeros(active.shape), where=active)
+    return xi, active
+
+
+def joint_block_ref(rows, t_edges, g_edges, tail_gammas):
+    """One block's (tails, counts) of the joint law out of place, rows left
+    as they are: x = (Re v Re h_hat + Im v Im h_hat)/|h_hat|^2 on the samples
+    with |h_hat|^2 > 0, the (x, -|h_hat|^2) counts by np.histogram2d, and per
+    threshold gamma the count and sums of x, x^2, x^3 = x x^2 and x^4 = x^2
+    x^2 over the x with |h_hat|^2 >= gamma."""
+    h_re, h_im, v_re, v_im = rows
+    gain = h_re * h_re + h_im * h_im
+    pos = gain > 0.0
+    x = (v_re * h_re + v_im * h_im)[pos] / gain[pos]
+    gain = gain[pos]
+    counts = np.histogram2d(x, -gain, bins=(t_edges, g_edges))[0].astype(np.int64)
+    tails = []
+    for gamma in tail_gammas:
+        xt = x[gain >= gamma]
+        x2 = xt * xt
+        tails.append((xt.size, *(float(np.sum(p)) for p in (xt, x2, xt * x2, x2 * x2))))
+    return tails, counts
 
 
 def _sigmoid_ref(s):

@@ -1,6 +1,7 @@
 """Aggregation arithmetic: scaling constants, pre-processing, power budget."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,54 @@ class TestEffectiveXi:
         for row, (gamma_th, lam) in enumerate(zip(gammas, lams)):
             want_xi, want_active = xi_and_active(h, h_hat, gamma_th, lam)
             assert np.array_equal(xi[row], want_xi) and np.array_equal(active[row], want_active)
+
+
+def assert_ratio_is(want, gain, aligned, gamma_th, lam):
+    """_truncated_ratio equals want = (xi, active) bit for bit, signs of zero
+    included, under the default np.errstate and under all="raise", and
+    neither warns nor raises."""
+    want_xi, want_active = want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for errstate in ({}, {"all": "raise"}):
+            with np.errstate(**errstate):
+                xi, active = _truncated_ratio(gain, aligned, gamma_th, lam)
+            assert np.array_equal(xi, want_xi) and np.array_equal(active, want_active)
+            assert np.array_equal(np.signbit(xi), np.signbit(want_xi))
+
+
+class TestTruncatedRatio:
+    GAMMA = 0.5
+    BELOW = np.nextafter(0.5, 0.0)  # one ulp below the threshold
+    # (gain, aligned): a zero gain over a zero and over nonzero aligned values,
+    # the threshold and one ulp below it, subnormal and tiny gains whose
+    # unmasked ratio overflows, and active signed zeros
+    CASES = [(0.0, 0.0), (0.0, 1.5), (0.0, -1.5), (0.5, -2.0), (BELOW, 1.0), (5e-324, 1.0), (5e-324, -0.0),
+             (1e-310, 1e300), (2.0, -0.0), (2.0, 0.0), (3.0, -1e-300)]
+
+    def test_equals_the_masked_divide(self):
+        gain, aligned = (np.array(part) for part in zip(*self.CASES))
+        # scalar thresholds, and (C, 1) thresholds over the (K,) channel with
+        # a lam per threshold or one lam for them all
+        gammas = np.array([[1e-300], [self.BELOW], [self.GAMMA], [2.0]])
+        for gamma_th, lam in ((self.GAMMA, compensation_lambda(self.GAMMA, 0.8)), (2.0, compensation_lambda(2.0, 0.8)),
+                              (gammas, np.exp(gammas) / 0.8), (gammas, 2.0)):
+            want = oracles.truncated_ratio_ref(gain, aligned, gamma_th, lam)
+            assert want[0].shape == np.shape(gamma_th)[:-1] + (len(self.CASES),)
+            assert_ratio_is(want, gain, aligned, gamma_th, lam)
+        xi, active = _truncated_ratio(gain, aligned, self.GAMMA, 2.0)
+        assert active.tolist() == [False, False, False, True, False, False, False, False, True, True, True]
+        assert xi[3] == -8.0 and math.copysign(1.0, xi[8]) == -1.0
+        # an inactive gain whose unmasked ratio underflows
+        gain, aligned = np.array([100.0, 1e4]), np.array([1e-307, 1e-307])
+        assert_ratio_is(oracles.truncated_ratio_ref(gain, aligned, 1e3, 1.0), gain, aligned, 1e3, 1.0)
+
+    def test_an_active_ratio_that_overflows_is_inf_without_a_warning(self):
+        gain, aligned = np.array([5e-324, 5e-324, 1e-300]), np.array([1.0, -1.0, 1e300])
+        with np.errstate(over="ignore"):
+            want = oracles.truncated_ratio_ref(gain, aligned, 5e-324, 2.0)
+        assert want[0].tolist() == [math.inf, -math.inf, math.inf]
+        assert_ratio_is(want, gain, aligned, 5e-324, 2.0)
 
 
 class TestPreprocessingBeta:

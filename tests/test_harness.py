@@ -608,28 +608,36 @@ class TestJointDistribution:
 
         z = joint_rows(seed, n)
         z[:2, on_threshold] = [[1.0], [0.0]]
-        keep = np.ones(n, dtype=bool)
-        keep[zero] = False
-        xs, gains = [], []
-        block_sums = {gamma: [] for gamma in gammas}
-        for lo in range(0, n, _MC_BLOCK):
-            block = slice(lo, lo + _MC_BLOCK)
-            h_re, h_im, v_re, v_im = z[:, block][:, keep[block]]
-            gain = h_re * h_re + h_im * h_im
-            x = (v_re * h_re + v_im * h_im) / gain
-            xs.append(x)
-            gains.append(gain)
-            for gamma in gammas:
-                xt = x[gain >= gamma]
-                x2 = xt * xt
-                block_sums[gamma].append((xt.size, *(float(np.sum(p)) for p in (xt, x2, xt * x2, x2 * x2))))
-        x, gain = np.concatenate(xs), np.concatenate(gains)
-        counts = np.histogram2d(x, -gain, bins=(t_edges, g_edges))[0]
+        z[:2, zero] = 0.0
+        blocks = [oracles.joint_block_ref(z[:, lo:lo + _MC_BLOCK], t_edges, g_edges, gammas)
+                  for lo in range(0, n, _MC_BLOCK)]
+        counts = sum(block_counts for _, block_counts in blocks)
         assert [r[4] for r in res.rows] == (counts / n).ravel().tolist()
-        for tail, gamma in zip(res.tails, gammas):
-            count, *parts = zip(*block_sums[gamma])
+        gain = z[0] * z[0] + z[1] * z[1]
+        for k, (tail, gamma) in enumerate(zip(res.tails, gammas)):
+            count, *parts = zip(*(tails[k] for tails, _ in blocks))
             assert tail == (gamma, sum(count), tuple(math.fsum(p) for p in parts))
             assert tail.count == int(np.count_nonzero(gain >= gamma))
+
+    def test_block_kernel_consumes_its_rows(self):
+        # one block's rows, with zero gains and gains exactly on the
+        # thresholds planted: the kernel gives the out-of-place formula's
+        # counts and tail sums, overwrites the rows, and leaves the buffer
+        # to the next draw, which equals a fresh one
+        m, seed, gammas = 5000, 3, (0.25, 1.0)
+        t_edges, g_edges = np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, -0.2, 9)
+        buf = harness._block_buffer()
+        rows = draw_channel_rows(m, substream(seed, STREAM_MC_JOINT, 0), out=buf)
+        rows[:2, [0, 7, m - 1]] = 0.0  # |h_hat|^2 = 0
+        rows[:2, [8, 9]] = [[1.0, 0.5], [0.0, 0.0]]  # |h_hat|^2 = 1 and 0.25
+        drawn = rows.copy()
+        want_tails, want_counts = oracles.joint_block_ref(drawn, t_edges, g_edges, gammas)
+        tails, counts = harness._joint_block_sums(rows, t_edges, g_edges, gammas)
+        assert tails == want_tails
+        np.testing.assert_array_equal(counts, want_counts)
+        assert all(not np.array_equal(row, drawn_row) for row, drawn_row in zip(rows[:3], drawn))
+        fresh = draw_channel_rows(m, substream(seed, STREAM_MC_JOINT, 1))
+        np.testing.assert_array_equal(draw_channel_rows(m, substream(seed, STREAM_MC_JOINT, 1), out=buf), fresh)
 
     def test_deterministic_under_seed(self):
         kw = dict(bins=4)
@@ -1070,6 +1078,11 @@ class TestBlockMemory:
         # the draw's buffer, |h_hat|^2, Re{conj(h) h_hat} and one cell's xi
         # and its temporaries, at the default cells
         assert self.xi_peak(2) <= 2.5 * self.DRAW
+
+    def test_pdf_holds_one_draw_and_the_histograms_arrays(self):
+        # the draw's buffer, in whose rows x and |h_hat|^2 are formed, and
+        # the histogram's index arrays
+        assert self.pdf_peak(1_000_000) <= 2 * self.DRAW
 
     def test_peaks_do_not_grow_with_the_block_count(self):
         assert self.xi_peak(8) <= 1.05 * self.xi_peak(2)
